@@ -33,9 +33,6 @@ from .stockwell import Rotation, ScalingMatrix, cst, window_family
 from .transform import (
     admissibility_profile,
     clcst,
-    clcst_direct,
-    clcst_spectral,
-    clcst_three_step,
     covariance_suite,
     orthogonality_check,
     reconstruct_marginal,
@@ -43,6 +40,6 @@ from .transform import (
     reproducing_kernel,
 )
 from .volume import CLCSTVolume
-from .windows import DOGWindow, GaussianWindow, dog_eval
+from .windows import DOGWindow, GaussianWindow
 
 __version__ = "0.1.0"

@@ -78,12 +78,21 @@ def _u_list(cfg, spec):
     raise SystemExit("unknown u_list kind %r" % kind)
 
 
+def _merge(base, override):
+    """base with override laid over it; nested dicts merge key by key."""
+    out = dict(base)
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _merge(out[key], value)
+        out[key] = value
+    return out
+
+
 def _load_config(args, base):
-    cfg = dict(base)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
-    return cfg
+    if not getattr(args, "config", None):
+        return dict(base)
+    with open(args.config) as fh:
+        return _merge(base, json.load(fh))
 
 
 def cmd_synthesize(args):
@@ -211,9 +220,10 @@ def cmd_verify(args):
     for suite, checks in results.items():
         for c in checks:
             status = "pass" if c["passed"] else "FAIL"
+            criterion = "-" if c["criterion"] is None else c["criterion"]
             print(
-                "%-40s  measured %.3e  tolerance %.1e  %s"
-                % ("%s: %s" % (suite, c["name"]), c["measured"], c["tolerance"], status),
+                "%-2s %-40s  measured %.3e  tolerance %.1e  %s"
+                % (criterion, "%s: %s" % (suite, c["name"]), c["measured"], c["tolerance"], status),
                 file=sys.stderr,
             )
     return 0 if all_passed else 1

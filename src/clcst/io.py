@@ -44,15 +44,22 @@ def _read_container(path):
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise FormatError("bad magic in %s" % path)
-    version, n, axis_count = struct.unpack_from("<HHH", raw, 4)
-    if version != VERSION:
-        raise FormatError("unsupported format version %d" % version)
-    offset = 10
-    sizes = struct.unpack_from("<%dI" % axis_count, raw, offset)
-    offset += 4 * axis_count
-    (blade_count,) = struct.unpack_from("<I", raw, offset)
+    try:
+        version, n, axis_count = struct.unpack_from("<HHH", raw, 4)
+        if version != VERSION:
+            raise FormatError("unsupported format version %d" % version)
+        offset = 10
+        sizes = struct.unpack_from("<%dI" % axis_count, raw, offset)
+        offset += 4 * axis_count
+        (blade_count,) = struct.unpack_from("<I", raw, offset)
+    except struct.error as exc:
+        raise FormatError("truncated header in %s: %s" % (path, exc)) from None
     offset += 4
     count = blade_count * int(np.prod(sizes))
+    if len(raw) != offset + 8 * count:
+        raise FormatError(
+            "%s holds %d payload bytes, the header declares %d" % (path, len(raw) - offset, 8 * count)
+        )
     payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
     return n, sizes, blade_count, payload.reshape((blade_count,) + tuple(sizes))
 

@@ -31,6 +31,30 @@ class NonUnitWindowWarning(UserWarning):
     pass
 
 
+def checked_lists(spec, u_list=None, theta_list=None):
+    """The (U, n) u array and flat theta array of a volume, refused before
+    the volume is allocated.
+
+    Every u component must be nonzero, because A_u = diag(u) is inverted,
+    and the angles must be distinct, because the theta weight is meant for
+    distinct angles.  None selects the default list.
+    """
+    if u_list is None:
+        u_list = default_u_list(spec)
+    if theta_list is None:
+        theta_list = DEFAULT_THETAS
+    u_list = np.asarray(u_list, dtype=np.float64).reshape(-1, spec.n)
+    theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
+    zero_rows = np.flatnonzero(np.any(u_list == 0.0, axis=1))
+    if zero_rows.size:
+        raise StockwellError(
+            "u row %d has a zero component: %r" % (zero_rows[0], u_list[zero_rows[0]].tolist())
+        )
+    if len(np.unique(theta_list)) != len(theta_list):
+        raise StockwellError("theta list repeats an angle: %r" % theta_list.tolist())
+    return u_list, theta_list
+
+
 class ScalingMatrix:
     """Diagonal scaling A_u = diag(u); every component must be nonzero."""
 
@@ -174,10 +198,7 @@ def cst(f, psi, u_list=None, theta_list=None, strict=False):
             NonUnitWindowWarning,
             stacklevel=2,
         )
-    if u_list is None:
-        u_list = default_u_list(f.spec)
-    if theta_list is None:
-        theta_list = DEFAULT_THETAS
+    u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst")
     for ui in range(vol.u_count):
         scaling = ScalingMatrix(vol.u_list[ui])

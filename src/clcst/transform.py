@@ -41,6 +41,7 @@ from .stockwell import (
     ScalingMatrix,
     StockwellError,
     _convolve_with_scalar,
+    checked_lists,
     cst_slice,
     transformed_window_values,
 )
@@ -155,10 +156,7 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     _check_window(psi, strict)
     if f.domain != SPACE:
         raise GridError("clcst expects a space-domain signal")
-    if u_list is None:
-        u_list = default_u_list(f.spec)
-    if theta_list is None:
-        theta_list = DEFAULT_THETAS
+    u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     vol = CLCSTVolume(
         f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path
     )
@@ -176,18 +174,6 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
                 s = _slice_spectral(chirped, psi, params, scaling, rotation, f.spec, f.ctx)
             vol.set_slice(ui, ti, s)
     return vol
-
-
-def clcst_direct(f, psi, params, u_list=None, theta_list=None, strict=False):
-    return clcst(f, psi, params, u_list, theta_list, path="direct", strict=strict)
-
-
-def clcst_three_step(f, psi, params, u_list=None, theta_list=None, strict=False):
-    return clcst(f, psi, params, u_list, theta_list, path="three_step", strict=strict)
-
-
-def clcst_spectral(f, psi, params, u_list=None, theta_list=None, strict=False):
-    return clcst(f, psi, params, u_list, theta_list, path="spectral", strict=strict)
 
 
 def clcst_direct_sum_slice(f, psi, params, scaling, rotation, block_rows=512):

@@ -1,7 +1,12 @@
-"""Desk-scale property suites: every module invariant as a named check.
+"""The check registry: every identity the toolbox claims, as named checks.
 
-Each check reports the measured deviation against its tolerance; the CLI
-`verify` subcommand renders these as JSON and exits nonzero on any failure.
+Each measuring function computes one or more deviations from shared inputs.
+``@_measures`` tags it with the acceptance criterion it serves (1-11, or
+None for a check only `clcst verify` reports) and with the (name, tolerance)
+of each value it returns, so names and tolerances are known without running
+anything.  ``SUITES`` groups the functions by subject.  `clcst verify` and
+the acceptance gate in tests/test_acceptance.py both run them from here, so
+each input, reduction and tolerance is written once.
 """
 
 import warnings
@@ -39,7 +44,15 @@ from .lct import (
     lct_convolution_theorem_rhs,
     lct_convolve,
 )
-from .stockwell import Rotation, ScalingMatrix, cst, cst_direct_point, cst_slice, window_family
+from .stockwell import (
+    NonUnitWindowWarning,
+    Rotation,
+    ScalingMatrix,
+    cst,
+    cst_direct_point,
+    cst_slice,
+    window_family,
+)
 from .transform import (
     admissibility_profile,
     clcst,
@@ -52,18 +65,46 @@ from .transform import (
     reconstruct_resolution,
     reproducing_kernel,
 )
-from .volume import tensor_u_list
+from .volume import default_u_list, tensor_u_list
 from .windows import DOGWindow, GaussianWindow
 
+# Desk scales shared by the checks: n = 2 on L = 6 at N = 64 or 32, and the
+# parameter matrix of the worked example.
+CTX2 = transform_algebra(2)
+SPEC64 = GridSpec(2, 6.0, 64)
+SPEC32 = GridSpec(2, 6.0, 32)
+M_EXAMPLE = LCTParams(1, 2, 1, 3)
 
-def _check(name, measured, tolerance):
+def _check(name, measured, tolerance, criterion=None):
     measured = float(measured)
     return {
         "name": name,
         "measured": measured,
         "tolerance": float(tolerance),
         "passed": bool(measured <= tolerance),
+        "criterion": criterion,
     }
+
+
+def _measures(criterion, *checks):
+    """Tag a measuring function with its criterion and its (name, tolerance) list."""
+
+    def tag(fn):
+        fn.criterion, fn.checks = criterion, checks
+        return fn
+
+    return tag
+
+
+def run_checks(fn):
+    """Run one measuring function and judge each value it returns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonUnitWindowWarning)
+        measured = fn()
+    return [
+        _check(name, value, tolerance, fn.criterion)
+        for (name, tolerance), value in zip(fn.checks, measured, strict=True)
+    ]
 
 
 def _random_mv(ctx, rng):
@@ -78,44 +119,55 @@ def _gaussian(spec, ctx, rate=1.0, center=0.0):
     return sample(lambda x: np.exp(-rate * np.sum((x - center) ** 2, axis=0)), spec, ctx)
 
 
-def suite_algebra():
-    checks = []
+def _random_params(rng):
+    A, B, D = rng.uniform(0.5, 2.0, size=3)
+    return LCTParams(A, B, (A * D - 1.0) / B, D)
+
+
+@_measures(1, ("algebra axioms, exhaustive blades, n in {2,3}", 1e-14))
+def algebra_axioms():
+    """Anticommutation and blade associativity exactly; conjugation as an
+    anti-automorphism and the positive scalar product on 10 random pairs,
+    counted at a tenth."""
+    worst = 0.0
     rng = np.random.default_rng(0)
     for n in (2, 3):
         ctx = algebra(n, -1)
-        dev = 0.0
         for i in range(n):
             ei = Multivector.basis_vector(ctx, i)
-            dev = max(dev, abs(scalar_part(ei * ei) + 1.0))
+            worst = max(worst, abs(scalar_part(ei * ei) + 1.0))
             for j in range(n):
                 if i != j:
                     ej = Multivector.basis_vector(ctx, j)
-                    dev = max(dev, np.max(np.abs((ei * ej + ej * ei).coeffs)))
-        checks.append(_check("e_i e_j + e_j e_i = -2 delta_ij (n=%d)" % n, dev, 1e-14))
+                    worst = max(worst, np.max(np.abs((ei * ej + ej * ei).coeffs)))
         blades = [Multivector.blade(ctx, k) for k in range(ctx.blade_count)]
-        dev = max(
-            np.max(np.abs(((a * b) * c - a * (b * c)).coeffs))
-            for a in blades
-            for b in blades
-            for c in blades
-        )
-        checks.append(_check("blade associativity (n=%d)" % n, dev, 1e-14))
-        dev = 0.0
-        pos = 0.0
+        for a in blades:
+            for b in blades:
+                ab = a * b
+                for c in blades:
+                    worst = max(worst, np.max(np.abs((ab * c - a * (b * c)).coeffs)))
         for _ in range(10):
             a, b = _random_mv(ctx, rng), _random_mv(ctx, rng)
             lhs = clifford_conjugate(a * b)
             rhs = clifford_conjugate(b) * clifford_conjugate(a)
-            dev = max(dev, np.max(np.abs((lhs - rhs).coeffs)))
-            pos = max(pos, abs(scalar_part(a * clifford_conjugate(a)) - np.sum(a.coeffs**2)))
-        checks.append(_check("conjugation anti-automorphism (n=%d)" % n, dev, 1e-12))
-        checks.append(_check("positive definite scalar product (n=%d)" % n, pos, 1e-12))
+            worst = max(worst, np.max(np.abs((lhs - rhs).coeffs)) / 10.0)
+            quad = scalar_part(a * clifford_conjugate(a))
+            worst = max(worst, abs(quad - np.sum(a.coeffs**2)) / 10.0 if quad >= 0.0 else np.inf)
+    return (worst,)
+
+
+@_measures(
+    None,
+    ("pseudoscalar squares to -1 (n=2)", 1e-15),
+    ("pseudoscalar commutation pattern (n=2)", 1e-15),
+    ("pseudoscalar squares to -1 (n=3)", 1e-15),
+    ("pseudoscalar commutation pattern (n=3)", 1e-15),
+)
+def pseudoscalar_identities():
+    out = []
     for n in (2, 3):
         ctx = transform_algebra(n)
         i_n = Multivector.pseudoscalar(ctx)
-        checks.append(
-            _check("pseudoscalar squares to -1 (n=%d)" % n, abs(scalar_part(i_n * i_n) + 1), 1e-15)
-        )
         dev = 0.0
         for k in range(ctx.blade_count):
             blade = Multivector.blade(ctx, k)
@@ -123,104 +175,108 @@ def suite_algebra():
             anti = (i_n * blade + blade * i_n).coeffs
             expected_comm = n == 3 or ctx.grades[k] % 2 == 0
             dev = max(dev, np.max(np.abs(comm if expected_comm else anti)))
-        checks.append(_check("pseudoscalar commutation pattern (n=%d)" % n, dev, 1e-15))
-    return checks
+        out += [abs(scalar_part(i_n * i_n) + 1), dev]
+    return out
 
 
-def suite_cft():
-    checks = []
+@_measures(
+    2,
+    ("cft round trip (20 random signals)", 1e-12),
+    ("cft Plancherel scalar identity", 1e-10),
+    ("unit Gaussian is a cft fixed point", 1e-8),
+)
+def cft_unitarity():
+    worst_rt = worst_pl = 0.0
+    for seed in range(20):
+        f = _random_signal(SPEC64, CTX2, np.random.default_rng(100 + seed))
+        worst_rt = max(worst_rt, rel_l2_error(cft_inverse(cft_forward(f)), f))
+        g = _random_signal(SPEC64, CTX2, np.random.default_rng(200 + seed))
+        lhs = scalar_part(inner_product(f, g))
+        rhs = scalar_part(inner_product(cft_forward(f), cft_forward(g)))
+        worst_pl = max(worst_pl, abs(lhs - rhs) / max(abs(lhs), 1.0))
+    g = _gaussian(SPEC64, CTX2, rate=0.5)
+    expected = sample(lambda w: np.exp(-np.sum(w**2, axis=0) / 2), SPEC64, CTX2, domain=FREQUENCY)
+    return worst_rt, worst_pl, rel_l2_error(cft_forward(g), expected)
+
+
+def _bump_mixture(seed):
+    """Three Gaussian bumps with seeded amplitudes and centres in [-1, 1]^2."""
+    mesh = SPEC64.mesh()
+    vals = 0
+    for i in range(3):
+        amplitude = np.random.default_rng(seed * 7 + i).standard_normal()
+        center = np.random.default_rng(seed * 9 + i).uniform(-1, 1, 2).reshape(2, 1, 1)
+        vals = vals + amplitude * np.exp(-np.sum((mesh - center) ** 2, axis=0))
+    return GridSignal.from_scalar(SPEC64, CTX2, vals)
+
+
+@_measures(3, ("classical convolution theorem (Fourier side)", 1e-10))
+def classical_convolution():
+    worst = 0.0
+    for seed in range(3):
+        f, g = _bump_mixture(seed), _bump_mixture(seed + 50)
+        worst = max(worst, rel_l2_error(cft_forward(convolve(f, g)), convolution_theorem_rhs(f, g)))
+    return (worst,)
+
+
+@_measures(
+    None,
+    ("FFT path vs direct sum", 1e-12),
+    ("Plancherel full multivector (n=3)", 1e-10),
+    ("even real signal has cosine spectrum", 1e-13),
+)
+def cft_oracles():
     rng = np.random.default_rng(1)
-    spec = GridSpec(2, 6.0, 64)
-    ctx = transform_algebra(2)
-    f = _random_signal(spec, ctx, rng)
-    checks.append(
-        _check("forward/inverse round trip (n=2)", rel_l2_error(cft_inverse(cft_forward(f)), f), 1e-12)
-    )
-    small = GridSpec(2, 4.0, 16)
-    fs = _random_signal(small, ctx, rng)
-    checks.append(
-        _check("FFT path vs direct sum", rel_l2_error(cft_forward(fs), cft_forward_direct(fs)), 1e-12)
-    )
-    g = _gaussian(spec, ctx, rate=0.5)
-    expected = sample(lambda w: np.exp(-np.sum(w**2, axis=0) / 2), spec, ctx, domain=FREQUENCY)
-    checks.append(_check("unit Gaussian fixed point", rel_l2_error(cft_forward(g), expected), 1e-8))
-    dev = 0.0
-    for _ in range(5):
-        a = _random_signal(spec, ctx, rng)
-        b = _random_signal(spec, ctx, rng)
-        lhs = scalar_part(inner_product(a, b))
-        rhs = scalar_part(inner_product(cft_forward(a), cft_forward(b)))
-        dev = max(dev, abs(lhs - rhs) / max(abs(lhs), 1.0))
-    checks.append(_check("Plancherel scalar identity (n=2)", dev, 1e-10))
-    spec3 = GridSpec(3, 4.0, 16)
-    ctx3 = transform_algebra(3)
+    fs = _random_signal(GridSpec(2, 4.0, 16), CTX2, rng)
+    spec3, ctx3 = GridSpec(3, 4.0, 16), transform_algebra(3)
     a3, b3 = _random_signal(spec3, ctx3, rng), _random_signal(spec3, ctx3, rng)
     lhs = inner_product(a3, b3)
     rhs = inner_product(cft_forward(a3), cft_forward(b3))
     scale = max(np.max(np.abs(lhs.coeffs)), 1.0)
-    checks.append(
-        _check("Plancherel full multivector (n=3)", np.max(np.abs(lhs.coeffs - rhs.coeffs)) / scale, 1e-10)
+    F = cft_forward(_gaussian(SPEC64, CTX2))
+    return (
+        rel_l2_error(cft_forward(fs), cft_forward_direct(fs)),
+        np.max(np.abs(lhs.coeffs - rhs.coeffs)) / scale,
+        np.max(np.abs(F.data[CTX2.full_mask])) / np.max(np.abs(F.data[0])),
     )
-    s1 = _gaussian(spec, ctx, rate=1.0, center=0.5)
-    s2 = _gaussian(spec, ctx, rate=0.7)
-    checks.append(
-        _check(
-            "classical convolution theorem",
-            rel_l2_error(cft_forward(convolve(s1, s2)), convolution_theorem_rhs(s1, s2)),
-            1e-10,
-        )
-    )
-    even = _gaussian(spec, ctx)
-    F = cft_forward(even)
-    checks.append(
-        _check(
-            "even real signal has cosine spectrum",
-            np.max(np.abs(F.data[ctx.full_mask])) / np.max(np.abs(F.data[0])),
-            1e-13,
-        )
-    )
-    return checks
 
 
-def suite_clct():
-    checks = []
-    rng = np.random.default_rng(2)
-    spec = GridSpec(2, 6.0, 32)
-    ctx = transform_algebra(2)
-    f = _random_signal(spec, ctx, rng)
-    checks.append(
-        _check(
-            "M=(0,1,-1,0) reduces to CFT",
-            rel_l2_error(clct_forward(f, LCTParams.cft_point()), cft_forward(f)),
-            1e-12,
-        )
-    )
-    dev = 0.0
-    for _ in range(3):
-        A, B, D = rng.uniform(0.5, 2.0, size=3)
-        m = LCTParams(A, B, (A * D - 1.0) / B, D)
-        g = _random_signal(spec, ctx, rng)
-        dev = max(dev, rel_l2_error(clct_forward(g, m), clct_forward_direct(g, m)))
-    checks.append(_check("chirp-FFT-chirp vs direct quadrature", dev, 1e-10))
-    dev = 0.0
-    for _ in range(3):
-        A, B, D = rng.uniform(0.5, 2.0, size=3)
-        m = LCTParams(A, B, (A * D - 1.0) / B, D)
-        fg = _gaussian(spec, ctx, rate=0.8, center=0.3)
-        gg = _gaussian(spec, ctx, rate=1.1)
-        lhs = clct_forward(lct_convolve(fg, gg, m), m)
-        rhs = lct_convolution_theorem_rhs(fg, gg, m)
-        dev = max(dev, rel_l2_error(lhs, rhs))
-    checks.append(_check("canonical convolution theorem", dev, 1e-10))
-    return checks
+@_measures(
+    4,
+    ("clct chirp-FFT-chirp vs direct quadrature (5 draws)", 1e-10),
+    ("clct reduces to cft at M=(0,1,-1,0)", 1e-12),
+)
+def clct_consistency():
+    worst = 0.0
+    for seed in range(5):
+        f = _random_signal(SPEC64, CTX2, np.random.default_rng(500 + seed))
+        m = _random_params(np.random.default_rng(400 + seed))
+        worst = max(worst, rel_l2_error(clct_forward(f, m), clct_forward_direct(f, m)))
+    f = _random_signal(SPEC64, CTX2, np.random.default_rng(510))
+    return worst, rel_l2_error(clct_forward(f, LCTParams.cft_point()), cft_forward(f))
 
 
-def suite_cst():
-    checks = []
+@_measures(3, ("canonical convolution theorem (3 random M)", 1e-10))
+def canonical_convolution():
+    f = _gaussian(SPEC64, CTX2, rate=0.8, center=0.4)
+    g = _gaussian(SPEC64, CTX2, rate=1.2)
+    worst = 0.0
+    for seed in range(3):
+        m = _random_params(np.random.default_rng(300 + seed))
+        lhs = clct_forward(lct_convolve(f, g, m), m)
+        worst = max(worst, rel_l2_error(lhs, lct_convolution_theorem_rhs(f, g, m)))
+    return (worst,)
+
+
+@_measures(
+    None,
+    ("FFT slice vs direct quadrature", 1e-10),
+    ("radial window rotation invariance", 1e-10),
+    ("window family norm scales as sqrt|det A_u|", 1e-6),
+)
+def cst_identities():
     rng = np.random.default_rng(3)
-    spec = GridSpec(2, 6.0, 64)
-    ctx = transform_algebra(2)
-    f = _gaussian(spec, ctx, center=0.4)
+    f = _gaussian(SPEC64, CTX2, center=0.4)
     psi = GaussianWindow(2, sigma=1.0)
     dev = 0.0
     for _ in range(3):
@@ -229,143 +285,194 @@ def suite_cst():
         scaling, rotation = ScalingMatrix(u), Rotation(theta)
         slice_ = cst_slice(f, psi, scaling, rotation)
         idx = tuple(rng.integers(8, 56, size=2))
-        b = np.array([spec.axis()[idx[0]], spec.axis()[idx[1]]])
+        b = np.array([SPEC64.axis()[idx[0]], SPEC64.axis()[idx[1]]])
         direct = cst_direct_point(f, psi, b, scaling, rotation)
         dev = max(
             dev,
             np.max(np.abs(direct.coeffs - slice_.value_at(idx).coeffs))
             / max(np.max(np.abs(slice_.data)), 1e-30),
         )
-    checks.append(_check("FFT slice vs direct quadrature", dev, 1e-10))
     scaling = ScalingMatrix([1.5, -2.0])
     s0 = cst_slice(f, psi, scaling, Rotation(0.0))
     s2 = cst_slice(f, psi, scaling, Rotation(np.pi / 2))
-    checks.append(_check("radial window rotation invariance", rel_l2_error(s2, s0), 1e-10))
-    wf = window_family(psi, np.zeros(2), ScalingMatrix([2.0, 3.0]), Rotation(0.0), spec, ctx)
-    base = sample(lambda x: psi.evaluate(x), spec, ctx)
+    wf = window_family(psi, np.zeros(2), ScalingMatrix([2.0, 3.0]), Rotation(0.0), SPEC64, CTX2)
+    base = sample(lambda x: psi.evaluate(x), SPEC64, CTX2)
     ratio = norm_l2(wf) / (np.sqrt(6.0) * norm_l2(base))
-    checks.append(_check("window family norm scales as sqrt|det A_u|", abs(ratio - 1.0), 1e-6))
-    return checks
+    return dev, rel_l2_error(s2, s0), abs(ratio - 1.0)
 
 
-def suite_clcst():
-    checks = []
-    rng = np.random.default_rng(4)
-    spec = GridSpec(2, 6.0, 32)
-    ctx = transform_algebra(2)
+@_measures(
+    5,
+    ("clcst direct vs three-step (3 windows x 3 M)", 1e-12),
+    ("clcst direct vs spectral", 1e-8),
+    ("clcst equals cst at M=(0,1,-1,0)", 1e-12),
+)
+def path_equivalence():
+    f = _gaussian(SPEC32, CTX2, rate=1.0, center=0.3)
+    worst_dt = worst_ds = worst_cst = 0.0
+    for psi in (GaussianWindow(2, sigma=1.0), GaussianWindow(2, sigma=0.6), DOGWindow(2, lam=0.5)):
+        for m in (LCTParams.cft_point(), M_EXAMPLE, LCTParams(1, 1, 0, 1)):
+            vd = clcst(f, psi, m, path="direct")
+            worst_dt = max(worst_dt, vd.rel_max_difference(clcst(f, psi, m, path="three_step")))
+            worst_ds = max(worst_ds, vd.rel_max_difference(clcst(f, psi, m, path="spectral")))
+            if m.is_cft_point():
+                worst_cst = max(worst_cst, vd.rel_max_difference(cst(f, psi)))
+    return worst_dt, worst_ds, worst_cst
+
+
+_COVARIANCE_LAWS = ("linearity", "anti_linearity", "translation", "dilation", "parity")
+
+
+@_measures(6, *(("covariance identity: %s" % law, 1e-10) for law in _COVARIANCE_LAWS))
+def covariance_identities():
+    spec = GridSpec(2, 6.0, 128)
+    rng = np.random.default_rng(6)
     mesh = spec.mesh()
+    vals = np.zeros(spec.shape)
+    for _ in range(2):
+        c = rng.uniform(-0.4, 0.4, size=2).reshape(2, 1, 1)
+        vals += rng.uniform(0.5, 1.5) * np.exp(-rng.uniform(2.0, 2.5) * np.sum((mesh - c) ** 2, axis=0))
+    dw = spec.dw
+    rep = covariance_suite(
+        GridSignal.from_scalar(spec, CTX2, vals),
+        GaussianWindow(2, sigma=0.6),
+        M_EXAMPLE,
+        np.array([[4 * dw, 6 * dw], [8 * dw, -4 * dw], [-6 * dw, 4 * dw]]),
+        [0.0, np.pi / 4, np.pi / 2],
+        shift=[spec.dx, 0.0],
+        dilation=2.0,
+        dilation_b_radius=1.1,
+        seed=6,
+    )
+    return [rep[law] for law in _COVARIANCE_LAWS]
+
+
+@_measures(
+    7,
+    ("orthogonality scalar identity, n=2 (10 draws)", 1e-8),
+    ("orthogonality scalar identity, n=3 (10 draws)", 1e-8),
+)
+def orthogonality_draws():
+    worst = []
+    for spec in (SPEC32, GridSpec(3, 4.0, 32)):
+        n, ctx = spec.n, transform_algebra(spec.n)
+        rng = np.random.default_rng(70 + n)
+        psi = GaussianWindow(n, sigma=1.0)
+        dev = 0.0
+        for _ in range(10):
+            f = _random_signal(spec, ctx, np.random.default_rng(rng.integers(1 << 31)))
+            g = _random_signal(spec, ctx, np.random.default_rng(rng.integers(1 << 31)))
+            mults = rng.integers(1, spec.samples_per_axis // 4, size=n) * rng.choice([-1, 1], size=n)
+            theta = rng.uniform(0.0, np.pi / 2)
+            lhs, rhs = orthogonality_check(f, g, psi, M_EXAMPLE, ScalingMatrix(mults * spec.dw), Rotation(theta))
+            dev = max(dev, abs(scalar_part(lhs) - scalar_part(rhs)) / max(abs(scalar_part(lhs)), 1.0))
+        worst.append(dev)
+    return worst
+
+
+@_measures(
+    None,
+    ("degeneration to CST at M=(0,1,-1,0)", 1e-12),
+    ("FFT path vs naive summation oracle", 1e-10),
+    ("orthogonality scalar identity", 1e-8),
+    ("chirp preserves the L2 norm", 1e-12),
+    ("isometry ratio within admissibility spread", 1.0),
+)
+def clcst_oracles():
+    """A scalar two-bump signal on three lattice u and three angles.
+
+    The isometry value is 0 when the ratio lies inside the admissibility
+    profile's [min, max]; otherwise its distance from the mean, in units of
+    the profile's relative variation.
+    """
+    mesh = SPEC32.mesh()
     f = GridSignal.from_scalar(
-        spec,
-        ctx,
+        SPEC32,
+        CTX2,
         np.exp(-np.sum((mesh - 0.4) ** 2, axis=0)) + 0.5 * np.exp(-np.sum((mesh + 0.6) ** 2, axis=0) / 1.2),
     )
+    g = GridSignal.from_scalar(SPEC32, CTX2, np.exp(-np.sum((mesh + 0.2) ** 2, axis=0) * 0.9))
     psi = GaussianWindow(2, sigma=1.0)
-    m = LCTParams(1, 2, 1, 3)
-    dw = spec.dw
+    dw = SPEC32.dw
     u_list = np.array([[2 * dw, 3 * dw], [4 * dw, -2 * dw], [-3 * dw, 2 * dw]])
     thetas = [0.0, np.pi / 4, np.pi / 2]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vd = clcst(f, psi, m, u_list, thetas, path="direct")
-        vt = clcst(f, psi, m, u_list, thetas, path="three_step")
-        vs = clcst(f, psi, m, u_list, thetas, path="spectral")
-        checks.append(_check("direct vs three-step path", vd.rel_max_difference(vt), 1e-12))
-        checks.append(_check("direct vs spectral path", vd.rel_max_difference(vs), 1e-8))
-        v0 = clcst(f, psi, LCTParams.cft_point(), u_list, thetas, path="three_step")
-        vc = cst(f, psi, u_list, thetas)
-        checks.append(_check("degeneration to CST at M=(0,1,-1,0)", v0.rel_max_difference(vc), 1e-12))
-        oracle = clcst_direct_sum_slice(f, psi, m, ScalingMatrix(u_list[0]), Rotation(thetas[1]))
-        vd01 = vd.slice(0, 1)
-        checks.append(_check("FFT path vs naive summation oracle", rel_l2_error(vd01, oracle), 1e-10))
-        g = GridSignal.from_scalar(spec, ctx, np.exp(-np.sum((mesh + 0.2) ** 2, axis=0) * 0.9))
-        lhs, rhs = orthogonality_check(f, g, psi, m, ScalingMatrix([2 * dw, -3 * dw]), Rotation(0.6))
-        dev = abs(scalar_part(lhs) - scalar_part(rhs)) / max(abs(scalar_part(lhs)), 1e-30)
-        checks.append(_check("orthogonality scalar identity", dev, 1e-8))
-        chirped = chirp_multiply(f, m.chirp_rate, +1)
-        checks.append(
-            _check(
-                "chirp preserves the L2 norm",
-                abs(norm_l2(chirped) - norm_l2(f)) / norm_l2(f),
-                1e-12,
-            )
-        )
-        prof, stats = admissibility_profile(psi, m, spec, ctx, u_list, thetas)
-        ratio = isometry_ratio(vd, f, m)
-        lo = stats["min"] / stats["mean"] - 1.0
-        hi = stats["max"] / stats["mean"] - 1.0
-        dev_iso = 0.0 if lo <= ratio / stats["mean"] - 1.0 <= hi else abs(ratio / stats["mean"] - 1.0)
-        checks.append(_check("isometry ratio within admissibility spread", dev_iso, stats["relative_variation"] + 1e-12))
-        spec128 = GridSpec(2, 6.0, 128)
-        fsm = _gaussian(spec128, ctx, rate=2.0)
-        rep = covariance_suite(
-            fsm,
-            GaussianWindow(2, sigma=0.6),
-            m,
-            np.array([[4 * dw, 6 * dw], [8 * dw, -4 * dw]]),
-            thetas,
-            shift=[spec128.dx, 0.0],
-            dilation=2.0,
-            dilation_b_radius=1.1,
-        )
-        for key, value in rep.items():
-            checks.append(_check("covariance: %s" % key, value, 1e-10))
-    return checks
+    vd = clcst(f, psi, M_EXAMPLE, u_list, thetas, path="direct")
+    v0 = clcst(f, psi, LCTParams.cft_point(), u_list, thetas, path="three_step")
+    oracle = clcst_direct_sum_slice(f, psi, M_EXAMPLE, ScalingMatrix(u_list[0]), Rotation(thetas[1]))
+    lhs, rhs = orthogonality_check(f, g, psi, M_EXAMPLE, ScalingMatrix([2 * dw, -3 * dw]), Rotation(0.6))
+    _, stats = admissibility_profile(psi, M_EXAMPLE, SPEC32, CTX2, u_list, thetas)
+    offset = isometry_ratio(vd, f, M_EXAMPLE) / stats["mean"] - 1.0
+    inside = stats["min"] / stats["mean"] - 1.0 <= offset <= stats["max"] / stats["mean"] - 1.0
+    return (
+        v0.rel_max_difference(cst(f, psi, u_list, thetas)),
+        rel_l2_error(vd.slice(0, 1), oracle),
+        abs(scalar_part(lhs) - scalar_part(rhs)) / max(abs(scalar_part(lhs)), 1e-30),
+        abs(norm_l2(chirp_multiply(f, M_EXAMPLE.chirp_rate, +1)) - norm_l2(f)) / norm_l2(f),
+        0.0 if inside else abs(offset) / (stats["relative_variation"] + 1e-12),
+    )
 
 
-def suite_reconstruction():
-    checks = []
-    ctx = transform_algebra(2)
-    spec = GridSpec(2, 6.0, 32)
-    dw = spec.dw
-    m = LCTParams(1, 2, 1, 3)
-    half = spec.samples_per_axis // 2
+@_measures(
+    8,
+    ("marginal intermediate: b-sum equals cft(f chirp)", 1e-6),
+    ("marginal reconstruction relative L2 error", 1e-3),
+)
+def marginal_reconstruction():
+    half = SPEC32.samples_per_axis // 2
     k = np.arange(-half, half)
     knz = k[k != 0]
-    f = _gaussian(spec, ctx, rate=1.0)
+    f = _gaussian(SPEC32, CTX2, rate=1.0)
     psi = GaussianWindow(2, sigma=0.75).normalize_unit_integral()
-    u_list = tensor_u_list([knz * dw, knz * dw])
-    vol = clcst(f, psi, m, u_list, [0.0], path="three_step")
-    spectrum, _ = marginal_spectrum(vol, m, 0.0)
-    P = cft_forward(chirp_multiply(f, m.chirp_rate, +1))
-    idx = (half + 2, half + 3)
-    dev = np.max(
-        np.abs(spectrum.data[(slice(None),) + idx] - P.data[(slice(None),) + idx])
-    ) / np.max(np.abs(P.data))
-    checks.append(_check("marginal b-sum equals cft(f chirp)", dev, 1e-6))
-    fhat, _ = reconstruct_marginal(vol, m, 0.0)
-    checks.append(_check("marginal reconstruction L2 error", rel_l2_error(fhat, f), 1e-3))
+    vol = clcst(f, psi, M_EXAMPLE, tensor_u_list([knz * SPEC32.dw, knz * SPEC32.dw]), [0.0], path="three_step")
+    spectrum, _ = marginal_spectrum(vol, M_EXAMPLE, 0.0)
+    P = cft_forward(chirp_multiply(f, M_EXAMPLE.chirp_rate, +1))
+    at = (slice(None), half + 2, half + 3)
+    fhat, _ = reconstruct_marginal(vol, M_EXAMPLE, 0.0)
+    return np.max(np.abs(spectrum.data[at] - P.data[at])) / np.max(np.abs(P.data)), rel_l2_error(fhat, f)
 
-    fres = _gaussian(spec, ctx, rate=0.5)
-    psi_res = GaussianWindow(2, sigma=1.0)
-    step = 2 * dw
-    vals = np.arange(step, 28 * dw + 1e-9, step)
+
+@_measures(
+    9,
+    ("resolution-of-identity relative L2 error", 0.05),
+    ("admissibility profile relative variation", 0.25),
+)
+def resolution_reconstruction():
+    f = _gaussian(SPEC32, CTX2, rate=0.5)
+    psi = GaussianWindow(2, sigma=1.0)
+    step = 2 * SPEC32.dw
+    vals = np.arange(step, 28 * SPEC32.dw + 1e-9, step)
     axis = np.concatenate([-vals[::-1], vals])
-    u_res = tensor_u_list([axis, axis])
-    prof, stats = admissibility_profile(psi_res, m, spec, ctx, u_res, [0.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vol_res = clcst(fres, psi_res, m, u_res, [0.0], path="three_step")
-        rec = reconstruct_resolution(vol_res, psi_res, m, stats["mean"])
-    checks.append(_check("resolution-of-identity L2 error", rel_l2_error(rec, fres), 0.05))
-    checks.append(
-        _check("admissibility profile relative variation", stats["relative_variation"], 0.25)
-    )
-    rng = np.random.default_rng(6)
-    from .volume import default_u_list
+    u_list = tensor_u_list([axis, axis])
+    _, stats = admissibility_profile(psi, M_EXAMPLE, SPEC32, CTX2, u_list, [0.0])
+    vol = clcst(f, psi, M_EXAMPLE, u_list, [0.0], path="three_step")
+    rec = reconstruct_resolution(vol, psi, M_EXAMPLE, stats["mean"])
+    return rel_l2_error(rec, f), stats["relative_variation"]
 
-    u_def = default_u_list(spec)
-    prof_d, stats_d = admissibility_profile(psi_res, m, spec, ctx, u_def, [0.0, np.pi / 4, np.pi / 2])
+
+@_measures(
+    10,
+    ("reproducing kernel bound on 100 random pairs", 1.0),
+    ("far-separated pair decay (vs 1e-8 x bound)", 1e-8),
+)
+def reproducing_kernel_bound():
+    psi = GaussianWindow(2, sigma=1.0)
+    u_def = default_u_list(SPEC32)
+    thetas = [0.0, np.pi / 4, np.pi / 2]
+    _, stats = admissibility_profile(psi, M_EXAMPLE, SPEC32, CTX2, u_def, thetas)
+    c = stats["mean"]
+    rng = np.random.default_rng(10)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(100):
         b1, b2 = rng.uniform(-4, 4, size=(2, 2))
         u1, u2 = u_def[rng.integers(len(u_def), size=2)]
-        t1, t2 = rng.choice([0.0, np.pi / 4, np.pi / 2], size=2)
-        K, bound = reproducing_kernel(
-            psi_res, m, spec, ctx, stats_d["mean"], (b1, u1, t1), (b2, u2, t2)
-        )
+        t1, t2 = rng.choice(thetas, size=2)
+        K, bound = reproducing_kernel(psi, M_EXAMPLE, SPEC32, CTX2, c, (b1, u1, t1), (b2, u2, t2))
         worst = max(worst, K.norm() / bound)
-    checks.append(_check("reproducing kernel bound (sampled pairs)", worst, 1.0))
-    return checks
+    u = np.array([2 * SPEC32.dw, 2 * SPEC32.dw])
+    far, bound = reproducing_kernel(
+        psi, M_EXAMPLE, SPEC32, CTX2, c, (np.full(2, -3.0), u, 0.0), (np.full(2, 3.0), u, 0.0)
+    )
+    return worst, far.norm() / bound
 
 
 def example1_closed_form(u1, u2, params):
@@ -395,40 +502,34 @@ def example1_closed_form(u1, u2, params):
     return first - second
 
 
-def suite_example1():
-    checks = []
-    ctx = transform_algebra(2)
-    spec = GridSpec(2, 6.0, 64)
-    f = sample(lambda x: np.exp(-np.sum(x**2, axis=0)), spec, ctx)
+@_measures(11, ("worked-example closed form on 5x5 u grid", 1e-6))
+def example1_oracle():
+    f = sample(lambda x: np.exp(-np.sum(x**2, axis=0)), SPEC64, CTX2)
     psi = DOGWindow(2, lam=0.5)
-    m = LCTParams(1, 2, 1, 3)
-    dw = spec.dw
+    dw = SPEC64.dw
     uvals = np.array([-2 * dw, -dw, dw, 2 * dw, 3 * dw])
     u_list = np.array([[a, b] for a in uvals for b in uvals])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vol = clcst(f, psi, m, u_list, [np.pi / 2], path="three_step")
-    half = spec.samples_per_axis // 2
+    vol = clcst(f, psi, M_EXAMPLE, u_list, [np.pi / 2], path="three_step")
+    half = SPEC64.samples_per_axis // 2
     worst = 0.0
     for i, (u1, u2) in enumerate(u_list):
         numeric = vol.values[:, half, half, i, 0]
-        z = example1_closed_form(u1, u2, m)
-        exact = np.zeros(ctx.blade_count)
+        z = example1_closed_form(u1, u2, M_EXAMPLE)
+        exact = np.zeros(CTX2.blade_count)
         exact[0] = z.real
-        exact[ctx.full_mask] = z.imag
-        worst = max(worst, np.max(np.abs(numeric - exact)) / max(abs(z), 1e-30))
-    checks.append(_check("closed-form oracle over 5x5 u grid", worst, 1e-6))
-    return checks
+        exact[CTX2.full_mask] = z.imag
+        worst = max(worst, np.max(np.abs(numeric - exact)) / abs(z))
+    return (worst,)
 
 
 SUITES = {
-    "algebra": suite_algebra,
-    "cft": suite_cft,
-    "clct": suite_clct,
-    "cst": suite_cst,
-    "clcst": suite_clcst,
-    "reconstruction": suite_reconstruction,
-    "example1": suite_example1,
+    "algebra": (algebra_axioms, pseudoscalar_identities),
+    "cft": (cft_unitarity, classical_convolution, cft_oracles),
+    "clct": (clct_consistency, canonical_convolution),
+    "cst": (cst_identities,),
+    "clcst": (path_equivalence, covariance_identities, orthogonality_draws, clcst_oracles),
+    "reconstruction": (marginal_reconstruction, resolution_reconstruction, reproducing_kernel_bound),
+    "example1": (example1_oracle,),
 }
 
 
@@ -439,6 +540,6 @@ def run_suites(names):
     for name in names:
         if name not in SUITES:
             raise KeyError("unknown suite %r (choose from %s)" % (name, sorted(SUITES)))
-        results[name] = SUITES[name]()
+        results[name] = [c for fn in SUITES[name] for c in run_checks(fn)]
     all_passed = all(c["passed"] for checks in results.values() for c in checks)
     return results, all_passed

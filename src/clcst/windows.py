@@ -134,15 +134,6 @@ class CompositeWindow(WindowSpec):
         return CompositeWindow(self.terms, amplitude)
 
 
-def dog_eval(lam, x):
-    """Pointwise DOG value; accepts a point (n,) or stacked points (n, ...)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    w = DOGWindow(n=x.shape[0], lam=lam)
-    return w.evaluate(x if x.ndim > 1 else x.reshape(x.shape[0], 1))[()] if x.ndim > 1 else float(
-        w.evaluate(x.reshape(x.shape[0], 1))[0]
-    )
-
-
 def make_window(kind, n, **params):
     kind = kind.lower()
     if kind == "gaussian":

@@ -89,6 +89,27 @@ def test_bad_magic_rejected(tmp_path):
         read_grid(path)
 
 
+@pytest.mark.parametrize("kind", ["grid", "volume"])
+@pytest.mark.parametrize("damage", ["truncated payload", "trailing bytes", "truncated header"])
+def test_malformed_container_rejected(tmp_path, kind, damage):
+    path = tmp_path / "x.clcg"
+    if kind == "grid":
+        write_grid(path, random_signal())
+        read = read_grid
+    else:
+        psi = GaussianWindow(2, sigma=0.8).normalize_unit_integral()
+        write_volume(path, clcst(random_signal(), psi, LCTParams(1, 2, 1, 3), [[SPEC.dw, SPEC.dw]], [0.0]))
+        read = read_volume
+    raw = path.read_bytes()
+    path.write_bytes({
+        "truncated payload": raw[:-8],
+        "trailing bytes": raw + b"\x00" * 8,
+        "truncated header": raw[:12],
+    }[damage])
+    with pytest.raises(FormatError):
+        read(path)
+
+
 def test_cli_synthesize_kinds(tmp_path):
     for kind, checks in {
         "example1": lambda g: g.data[0][16, 16] == pytest.approx(1.0),
@@ -142,6 +163,23 @@ def test_cli_transform_zero_input_warning(tmp_path):
     assert "zero input" in report["warnings"]
     assert "degenerates to CST" in report["warnings"]
     assert np.all(read_volume(out).values == 0.0)
+
+
+def test_cli_partial_config_keeps_flag_defaults(tmp_path):
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "32", "--out", str(src)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"L": 6}, "window": {"sigma": 0.8}}))
+    out = tmp_path / "vol.clcg"
+    assert main([
+        "transform", "--input", str(src), "--u-list", "[[0.5, 0.5]]", "--theta", "0",
+        "--config", str(cfg), "--out", str(out),
+    ]) == 0
+    report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
+    assert report["config"]["grid"] == {"L": 6, "N": 32}
+    assert report["config"]["window"]["kind"] == "gaussian"
+    assert report["config"]["window"]["sigma"] == 0.8
+    assert read_volume(out).window.sigma == 0.8
 
 
 def test_cli_reconstruct_marginal(tmp_path):

@@ -12,7 +12,7 @@ from clcst.grid import (
     sample,
 )
 from clcst.lct import LCTParams
-from clcst.stockwell import Rotation, ScalingMatrix, cst
+from clcst.stockwell import Rotation, ScalingMatrix, StockwellError, cst
 from clcst.transform import (
     MissingCoverageError,
     TransformError,
@@ -265,6 +265,24 @@ def test_marginal_reduces_to_cst_case():
     vol = clcst(f, psi, m0, u, [0.0], path="three_step")
     fhat, _ = reconstruct_marginal(vol, m0, 0.0)
     assert rel_l2_error(fhat, f) < 1e-3
+
+
+@pytest.mark.parametrize("analyze", [
+    lambda f, u, t: clcst(f, PSI, M, u, t),
+    lambda f, u, t: cst(f, PSI, u, t),
+], ids=["clcst", "cst"])
+@pytest.mark.parametrize("u_list, theta_list", [
+    ([[DW, DW], [2 * DW, 0.0]], [0.0]),  # zero u component in a later row
+    ([[1.0, 1.0]], [0.0, 0.0]),  # repeated angle
+], ids=["zero-u", "repeated-theta"])
+def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta_list):
+    def no_volume(*args, **kwargs):
+        raise AssertionError("a volume was allocated before the lists were checked")
+
+    monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
+    monkeypatch.setattr("clcst.stockwell.CLCSTVolume", no_volume)
+    with pytest.raises(StockwellError):
+        analyze(scalar_mixture(3), np.array(u_list), theta_list)
 
 
 def test_marginal_errors():

@@ -1,0 +1,28 @@
+"""The check registry's shape, read without running the checks."""
+
+import json
+import math
+
+from clcst.cli import main
+from clcst.verify import SUITES
+
+
+def test_registry_structure():
+    keys = [(suite, name) for suite, fns in SUITES.items() for fn in fns for name, _ in fn.checks]
+    assert len(keys) == len(set(keys))
+    for fns in SUITES.values():
+        for fn in fns:
+            assert fn.checks
+            for name, tolerance in fn.checks:
+                assert math.isfinite(tolerance) and tolerance > 0, name
+    criteria = {fn.criterion for fns in SUITES.values() for fn in fns}
+    assert criteria - {None} == set(range(1, 12))
+
+
+def test_cli_verify_reports_criteria(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "algebra,example1", "--out", str(out)]) == 0
+    suites = json.loads(out.read_text())["suites"]
+    for name, checks in suites.items():
+        declared = [(n, fn.criterion) for fn in SUITES[name] for n, _ in fn.checks]
+        assert [(c["name"], c["criterion"]) for c in checks] == declared

@@ -9,7 +9,6 @@ from clcst.windows import (
     GaussianWindow,
     WindowError,
     ZeroIntegralError,
-    dog_eval,
     make_window,
 )
 
@@ -21,16 +20,17 @@ def quadrature(window, spec):
 
 
 def test_dog_at_origin():
-    assert dog_eval(0.5, np.zeros(2)) == pytest.approx(3.0)
-    assert dog_eval(0.5, np.zeros(3)) == pytest.approx(3.0)
+    assert DOGWindow(2, lam=0.5).evaluate(np.zeros(2)) == pytest.approx(3.0)
+    assert DOGWindow(3, lam=0.5).evaluate(np.zeros(3)) == pytest.approx(3.0)
 
 
 def test_dog_decay_and_radial_symmetry():
-    assert dog_eval(0.5, np.array([40.0, 0.0])) == pytest.approx(0.0, abs=1e-200)
+    w = DOGWindow(2, lam=0.5)
+    assert w.evaluate(np.array([40.0, 0.0])) == pytest.approx(0.0, abs=1e-200)
     theta = 0.83
     x = np.array([1.2, -0.4])
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    assert dog_eval(0.5, x) == pytest.approx(dog_eval(0.5, rot @ x), rel=1e-12)
+    assert w.evaluate(x) == pytest.approx(w.evaluate(rot @ x), rel=1e-12)
 
 
 def test_dog_range_validation():

@@ -3,7 +3,7 @@
 Submodules
 ----------
 algebra    blade-indexed Clifford arithmetic (bitmask blades, signed tables)
-grid       centered lattices, quadrature, phase modulation
+grid       centered lattices, quadrature, complex pairs, phase modulation
 windows    analytic window catalogue (Gaussian, difference-of-Gaussians)
 cft        Clifford Fourier transform and periodic convolution
 lct        Clifford linear canonical transform and its convolution

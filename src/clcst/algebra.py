@@ -73,8 +73,7 @@ class AlgebraContext:
         self.xor_table = blades[:, None] ^ blades[None, :]
         self.grades = np.array([_popcount(k) for k in range(m)], dtype=np.int64)
 
-        # Right multiplication by the pseudoscalar e_1...e_n.
-        self.pseudo_perm = blades ^ self.full_mask
+        # Right multiplication by the pseudoscalar: e_k e_1...e_n = pseudo_sign[k] e_{k^F}.
         self.pseudo_sign = signs[blades, self.full_mask].astype(np.float64)
         self.pseudoscalar_square = int(signs[self.full_mask, self.full_mask])
 

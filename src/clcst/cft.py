@@ -1,9 +1,8 @@
 """Discrete Clifford Fourier transform and periodic convolution.
 
-The forward kernel exp(-i_n w.x) right-multiplies the signal.  Writing each
-blade component f_A against the commutative span{1, i_n} plane turns the
-transform into one complex FFT per component followed by a signed component
-swap, so the whole thing is 2^n batched FFTs.
+The forward kernel exp(-i_n w.x) right-multiplies the signal.  Packed as
+complex pairs (:func:`~clcst.grid.pack`) that kernel is exp(-j w.x), so the
+whole transform is one centered FFT of the 2^(n-1) pairs.
 
 On the centered lattices of :class:`~clcst.grid.GridSpec` the forward and
 inverse sums are exact inverses, and the centered circular convolution
@@ -13,7 +12,7 @@ satisfies the convolution theorem exactly.
 import numpy as np
 
 from .algebra import UnsupportedDimensionError
-from .grid import FREQUENCY, SPACE, GridError, GridSignal, pointwise_product
+from .grid import FREQUENCY, SPACE, GridError, GridSignal, pack, pointwise_product, unpack
 
 
 def _require_transformable(f):
@@ -32,27 +31,21 @@ def _spatial_axes(f):
     return tuple(range(1, f.spec.n + 1))
 
 
-def _centered_fftn(data, axes):
-    shifted = np.fft.ifftshift(data, axes=axes)
-    out = np.fft.fftn(shifted, axes=axes)
-    return np.fft.fftshift(out, axes=axes)
+def centered_cft(z, spec, inverse=False):
+    """The CFT (or its inverse) of complex fields over their last n axes.
 
-
-def _centered_ifftn(data, axes):
-    shifted = np.fft.ifftshift(data, axes=axes)
-    out = np.fft.ifftn(shifted, axes=axes)
-    return np.fft.fftshift(out, axes=axes)
-
-
-def _combine_right_phase(ctx, complex_components, spatial_ndim):
-    """Reassemble multivector components from the complex per-blade transforms.
-
-    For C_A = sum f_A exp(-+ i phi) the result sum f * exp(-+ i_n phi) has
-    blade-B coefficient Re C_B + sign(e_{B^F} i_n) Im C_{B^F}.
+    Any leading axes, such as the pair axis, are batched; a span{1, i_n}
+    field a + i_n b is the single complex array a + j b.
     """
-    perm = ctx.pseudo_perm
-    swap_sign = ctx.pseudo_sign[perm].reshape((-1,) + (1,) * spatial_ndim)
-    return complex_components.real + swap_sign * complex_components.imag[perm]
+    axes = tuple(range(-spec.n, 0))
+    shifted = np.fft.ifftshift(z, axes=axes)
+    if inverse:
+        out = np.fft.ifftn(shifted, axes=axes) * spec.point_count
+        weight = spec.cell_weight(FREQUENCY)
+    else:
+        out = np.fft.fftn(shifted, axes=axes)
+        weight = spec.cell_weight(SPACE)
+    return np.fft.fftshift(out, axes=axes) * ((2.0 * np.pi) ** (-spec.n / 2.0) * weight)
 
 
 def cft_forward(f):
@@ -60,11 +53,8 @@ def cft_forward(f):
     _require_transformable(f)
     if f.domain != SPACE:
         raise GridError("cft_forward expects a space-domain signal")
-    axes = _spatial_axes(f)
-    spectrum = _centered_fftn(f.data.astype(np.complex128), axes)
-    out = _combine_right_phase(f.ctx, spectrum, f.spec.n)
-    scale = (2.0 * np.pi) ** (-f.spec.n / 2.0) * f.spec.cell_weight(SPACE)
-    return GridSignal(f.spec, f.ctx, out * scale, FREQUENCY)
+    out = unpack(f.ctx, centered_cft(pack(f.ctx, f.data), f.spec))
+    return GridSignal(f.spec, f.ctx, out, FREQUENCY)
 
 
 def cft_inverse(F):
@@ -72,12 +62,8 @@ def cft_inverse(F):
     _require_transformable(F)
     if F.domain != FREQUENCY:
         raise GridError("cft_inverse expects a frequency-domain signal")
-    axes = _spatial_axes(F)
-    count = F.spec.point_count
-    spectrum = _centered_ifftn(F.data.astype(np.complex128), axes) * count
-    out = _combine_right_phase(F.ctx, spectrum, F.spec.n)
-    scale = (2.0 * np.pi) ** (-F.spec.n / 2.0) * F.spec.cell_weight(FREQUENCY)
-    return GridSignal(F.spec, F.ctx, out * scale, SPACE)
+    out = unpack(F.ctx, centered_cft(pack(F.ctx, F.data), F.spec, inverse=True))
+    return GridSignal(F.spec, F.ctx, out, SPACE)
 
 
 def cft_forward_direct(f):
@@ -90,12 +76,11 @@ def cft_forward_direct(f):
     x = f.spec.axis(SPACE)
     w = f.spec.axis(FREQUENCY)
     kernel = np.exp(-1j * np.outer(w, x))  # kernel[k, j]
-    acc = f.data.astype(np.complex128)
+    acc = pack(f.ctx, f.data)
     for axis in _spatial_axes(f):
         acc = np.moveaxis(np.tensordot(kernel, acc, axes=(1, axis)), 0, axis)
-    out = _combine_right_phase(f.ctx, acc, f.spec.n)
     scale = (2.0 * np.pi) ** (-f.spec.n / 2.0) * f.spec.cell_weight(SPACE)
-    return GridSignal(f.spec, f.ctx, out * scale, FREQUENCY)
+    return GridSignal(f.spec, f.ctx, unpack(f.ctx, acc * scale), FREQUENCY)
 
 
 def convolve(f, g):

@@ -58,6 +58,10 @@ class GridSpec:
     def squared_radius(self, domain=SPACE):
         return np.sum(self.mesh(domain) ** 2, axis=0)
 
+    def dot(self, u, domain=SPACE):
+        """x . u at every lattice point."""
+        return np.tensordot(np.asarray(u, dtype=np.float64), self.mesh(domain), axes=(0, 0))
+
     def cell_weight(self, domain=SPACE):
         step = self.dx if domain == SPACE else self.dw
         return step**self.n
@@ -76,6 +80,13 @@ class GridSpec:
             self.half_width,
             self.samples_per_axis,
         )
+
+
+def lattice_steps(x, step=1.0):
+    """round(x / step) as integers, and where x lies within 1e-9 steps of that point."""
+    steps = np.asarray(x, dtype=np.float64) / step
+    rounded = np.rint(steps)
+    return rounded.astype(np.int64), np.abs(steps - rounded) <= 1e-9
 
 
 class GridSignal:
@@ -198,19 +209,38 @@ def pointwise_product(f, g):
     return GridSignal(f.spec, ctx, out, f.domain)
 
 
-def right_multiply_plane_field(f, scalar_field, pseudo_field):
-    """Right-multiply pointwise by (scalar_field + i_n * pseudo_field).
+def _pair_signs(ctx, ndim):
+    """sigma_B = sign(e_{B^F} i_n) for the pair blades B < B^F, broadcastable."""
+    half = ctx.blade_count // 2
+    return ctx.pseudo_sign[::-1][:half].reshape((half,) + (1,) * (ndim - 1))
 
-    Fields in the commutative span{1, i_n} plane act on a multivector by a
-    signed component swap, so this is two scaled copies of the data.
+
+def pack(ctx, data):
+    """Blade-major real data as 2^(n-1) complex pairs z_B = f_B - j sigma_B f_{B^F}.
+
+    The pair blades are B < B^F, the lower half of the bitmasks; their
+    partners B^F = F - B are the upper half in reverse.  Right multiplication
+    by a + i_n b is then z (a + j b), because span{1, i_n} is isomorphic to C.
     """
-    ctx = f.ctx
-    perm = ctx.pseudo_perm
-    swap_sign = ctx.pseudo_sign[perm]  # sign of e_{B^F} * i_n, indexed by B
-    out = scalar_field[None] * f.data + pseudo_field[None] * (
-        swap_sign[(slice(None),) + (None,) * f.spec.n] * f.data[perm]
-    )
-    return GridSignal(f.spec, ctx, out, f.domain)
+    half = ctx.blade_count // 2
+    return data[:half] - 1j * _pair_signs(ctx, data.ndim) * data[::-1][:half]
+
+
+def unpack(ctx, z, out=None):
+    """Inverse of :func:`pack`: f_B = Re z_B and f_{B^F} = -sigma_B Im z_B."""
+    half = ctx.blade_count // 2
+    if out is None:
+        out = np.empty((2 * half,) + z.shape[1:])
+    out[:half] = z.real
+    out[::-1][:half] = -_pair_signs(ctx, z.ndim) * z.imag
+    return out
+
+
+def right_multiply(f, z):
+    """Right-multiply pointwise by the span{1, i_n} field a + i_n b = z.real + i_n z.imag."""
+    if f.ctx.pseudoscalar_square != -1:
+        raise GridError("span{1, i_n} acts as C only when the pseudoscalar squares to -1")
+    return GridSignal(f.spec, f.ctx, unpack(f.ctx, pack(f.ctx, f.data) * z), f.domain)
 
 
 def phase_multiply(f, phase):
@@ -219,9 +249,7 @@ def phase_multiply(f, phase):
     ``phase`` is a real array over the lattice; the result stays exact under
     phase negation because span{1, i_n} is commutative.
     """
-    if f.ctx.pseudoscalar_square != -1:
-        raise GridError("phase modulation needs a pseudoscalar squaring to -1")
-    return right_multiply_plane_field(f, np.cos(phase), np.sin(phase))
+    return right_multiply(f, np.exp(1j * phase))
 
 
 def chirp_multiply(f, rate, sign=+1):
@@ -233,6 +261,4 @@ def chirp_multiply(f, rate, sign=+1):
 
 def plane_wave_multiply(f, u, sign=+1):
     """f(x) -> f(x) * exp(i_n * sign * (x . u))."""
-    mesh = f.spec.mesh(f.domain)
-    phase = float(sign) * np.tensordot(np.asarray(u, dtype=np.float64), mesh, axes=(0, 0))
-    return phase_multiply(f, phase)
+    return phase_multiply(f, float(sign) * f.spec.dot(u, f.domain))

@@ -13,8 +13,18 @@ bins.
 import numpy as np
 
 from .algebra import pseudoscalar_exp
-from .cft import _require_transformable, cft_forward, convolve
-from .grid import FREQUENCY, SPACE, GridError, GridSignal, chirp_multiply, phase_multiply
+from .cft import _require_transformable, centered_cft, cft_forward, convolve
+from .grid import (
+    FREQUENCY,
+    SPACE,
+    GridError,
+    GridSignal,
+    chirp_multiply,
+    lattice_steps,
+    pack,
+    phase_multiply,
+    unpack,
+)
 
 
 class LCTError(Exception):
@@ -99,13 +109,13 @@ def clct_forward(f, params):
     if f.domain != SPACE:
         raise GridError("clct_forward expects a space-domain signal")
     n = f.spec.n
-    chirped = chirp_multiply(f, params.chirp_rate, +1)
-    F = cft_forward(chirped)
+    chirp = np.exp(1j * params.chirp_rate * f.spec.squared_radius(SPACE))
+    F = centered_cft(pack(f.ctx, f.data) * chirp, f.spec)
     # postfactor exp(i_n D|u|^2/(2B)) on the u-lattice u = B w
     u_sq = f.spec.squared_radius(FREQUENCY) * params.B**2
-    out = phase_multiply(F, params.D * u_sq / (2.0 * params.B))
+    post = np.exp(1j * params.D * u_sq / (2.0 * params.B))
     scale = (2.0 * np.pi) ** (n / 2.0) * _amplitude(params, n)
-    return out.scale(scale)
+    return GridSignal(f.spec, f.ctx, unpack(f.ctx, F * post * scale), FREQUENCY)
 
 
 def _clct_scaling_branch(f, params):
@@ -114,12 +124,10 @@ def _clct_scaling_branch(f, params):
         raise DegenerateBranchError("B = 0 requires D != 0 (AD - BC = 1 forces D = 1/A)")
     N = f.spec.samples_per_axis
     half = N // 2
-    idx = np.arange(N) - half
-    scaled = D * idx
-    rounded = np.rint(scaled)
-    if np.max(np.abs(scaled - rounded)) > 1e-9:
+    target, on_lattice = lattice_steps(D * (np.arange(N) - half))
+    if not on_lattice.all():
         raise ResamplingUnsupportedError("D = %g does not map the lattice to itself" % D)
-    target = rounded.astype(np.int64) + half
+    target += half
     if target.min() < 0 or target.max() >= N:
         raise ResamplingUnsupportedError("D = %g sends lattice points out of range" % D)
     data = f.data
@@ -146,7 +154,7 @@ def clct_forward_direct(f, params, block_rows=256):
     P = x.shape[1]
     x_sq = np.sum(x**2, axis=0)
     u_sq = np.sum(u**2, axis=0)
-    fa = f.data.reshape(f.ctx.blade_count, P)
+    za = pack(f.ctx, f.data).reshape(-1, P)
     amp = _amplitude(params, n) * f.spec.cell_weight(SPACE)
     rows = []
     for start in range(0, P, block_rows):
@@ -157,11 +165,9 @@ def clct_forward_direct(f, params, block_rows=256):
             + params.D * u_sq[start:stop, None] / (2.0 * params.B)
         )
         kernel = np.exp(1j * phase)  # (rows, P)
-        rows.append(fa @ kernel.T)  # (blades, rows)
+        rows.append(za @ kernel.T)  # (pairs, rows)
     acc = np.concatenate(rows, axis=1) * amp
-    from .cft import _combine_right_phase
-
-    out = _combine_right_phase(f.ctx, acc.reshape(f.data.shape), n)
+    out = unpack(f.ctx, acc.reshape((-1,) + f.spec.shape))
     return GridSignal(f.spec, f.ctx, out, FREQUENCY)
 
 

@@ -6,7 +6,8 @@ The analysis window family is
 
 with A_u = diag(u_1, ..., u_n), every u_i nonzero, and R_{-theta} the proper
 planar rotation acting on axes (1, 2).  Per (u, theta) the transform over the
-whole b-grid is one modulation plus one FFT convolution.
+whole b-grid is one modulation plus one FFT convolution of the signal's
+complex pairs (:func:`~clcst.grid.pack`).
 """
 
 import warnings
@@ -14,7 +15,15 @@ import warnings
 import numpy as np
 
 from .cft import _require_transformable
-from .grid import SPACE, GridError, GridSignal, plane_wave_multiply
+from .grid import (
+    SPACE,
+    GridError,
+    GridSignal,
+    lattice_steps,
+    pack,
+    plane_wave_multiply,
+    unpack,
+)
 from .volume import CLCSTVolume, DEFAULT_THETAS, default_u_list
 from .windows import WindowSpec
 
@@ -29,6 +38,33 @@ class AnalyticWindowRequiredError(StockwellError):
 
 class NonUnitWindowWarning(UserWarning):
     pass
+
+
+def check_analysis_inputs(f, psi, strict=False):
+    """Refuse a signal or window that cst and clcst cannot analyze.
+
+    The signal must be a finite space-domain signal in a kernel-compatible
+    algebra and the window analytic.  A window that does not integrate to
+    one is a warning, or an error in strict mode, because the reconstruction
+    identities assume a unit integral.
+    """
+    _require_transformable(f)
+    if f.domain != SPACE:
+        raise GridError("the transform expects a space-domain signal")
+    bad = int(np.count_nonzero(~np.isfinite(f.data)))
+    if bad:
+        raise StockwellError("signal has %d non-finite samples" % bad)
+    if not isinstance(psi, WindowSpec):
+        raise AnalyticWindowRequiredError("the transform needs an analytic window")
+    if not psi.is_unit_integral():
+        if strict:
+            raise StockwellError("window does not integrate to one (strict mode)")
+        warnings.warn(
+            "window integral is %g, not 1; reconstruction identities assume 1"
+            % psi.integral(),
+            NonUnitWindowWarning,
+            stacklevel=3,
+        )
 
 
 def checked_lists(spec, u_list=None, theta_list=None):
@@ -147,35 +183,36 @@ def _shift_sampled_window(psi, b, scaling, rotation):
         raise AnalyticWindowRequiredError(
             "sampled windows cannot be rescaled or rotated without interpolation"
         )
-    b = np.asarray(b, dtype=np.float64).ravel()
-    steps = b / psi.spec.dx
-    rounded = np.rint(steps)
-    if np.max(np.abs(steps - rounded)) > 1e-9:
+    steps, on_lattice = lattice_steps(np.ravel(b), psi.spec.dx)
+    if not on_lattice.all():
         raise AnalyticWindowRequiredError("sampled windows shift only by lattice vectors")
-    shifted = np.roll(psi.data, rounded.astype(int), axis=tuple(range(1, psi.spec.n + 1)))
+    shifted = np.roll(psi.data, steps, axis=tuple(range(1, psi.spec.n + 1)))
     sig = GridSignal(psi.spec, psi.ctx, shifted, SPACE)
     return plane_wave_multiply(sig, scaling.u, +1)
 
 
-def _convolve_with_scalar(f, kernel_values):
-    """dx^n sum_t f(t) k(x - t) for a real scalar kernel, via batched FFTs."""
-    axes = tuple(range(1, f.spec.n + 1))
-    fhat = np.fft.fftn(f.data, axes=axes)
-    khat = np.fft.fftn(kernel_values)
-    circ = np.fft.ifftn(fhat * khat[None], axes=axes).real
-    half = f.spec.samples_per_axis // 2
-    out = np.roll(circ, [-half] * f.spec.n, axis=axes)
-    return GridSignal(f.spec, f.ctx, out * f.spec.cell_weight(SPACE), f.domain)
+def convolve_pairs(z, spec, kernel_values):
+    """dx^n sum_t z(t) k(x - t) on the periodic lattice, for complex pairs z
+    and a real kernel sampled on the centered lattice, via FFTs."""
+    axes = tuple(range(1, spec.n + 1))
+    khat = np.fft.fftn(np.fft.ifftshift(kernel_values)) * spec.cell_weight(SPACE)
+    return np.fft.ifftn(np.fft.fftn(z, axes=axes) * khat, axes=axes)
+
+
+def correlate_window(z, spec, psi, scaling, rotation):
+    """|det A_u| (2 pi)^(-n/2) dx^n sum_t z(t) psi(R_{-theta} A_u (t - b)) for
+    every b: the (u, theta) slice of already modulated complex pairs z."""
+    reflected = transformed_window_values(psi, spec, None, scaling, rotation, negate=True)
+    scale = scaling.det_abs * (2.0 * np.pi) ** (-spec.n / 2.0)
+    return convolve_pairs(z, spec, reflected) * scale
 
 
 def cst_slice(f, psi, scaling, rotation):
     """One (u, theta) slice of the Stockwell transform over the full b-grid."""
     _require_transformable(f)
-    modulated = plane_wave_multiply(f, scaling.u, -1)
-    reflected = transformed_window_values(psi, f.spec, None, scaling, rotation, negate=True)
-    conv = _convolve_with_scalar(modulated, reflected)
-    scale = scaling.det_abs * (2.0 * np.pi) ** (-f.spec.n / 2.0)
-    return conv.scale(scale)
+    modulated = pack(f.ctx, f.data) * np.exp(-1j * f.spec.dot(scaling.u))
+    out = unpack(f.ctx, correlate_window(modulated, f.spec, psi, scaling, rotation))
+    return GridSignal(f.spec, f.ctx, out, f.domain)
 
 
 def cst(f, psi, u_list=None, theta_list=None, strict=False):
@@ -184,27 +221,16 @@ def cst(f, psi, u_list=None, theta_list=None, strict=False):
     The window is expected to integrate to one; a non-unit integral is a
     warning, or an error in strict mode.
     """
-    _require_transformable(f)
-    if f.domain != SPACE:
-        raise GridError("cst expects a space-domain signal")
-    if not isinstance(psi, WindowSpec):
-        raise AnalyticWindowRequiredError("cst needs an analytic window")
-    if not psi.is_unit_integral():
-        if strict:
-            raise StockwellError("window does not integrate to one (strict mode)")
-        warnings.warn(
-            "window integral is %g, not 1; reconstruction identities assume 1"
-            % psi.integral(),
-            NonUnitWindowWarning,
-            stacklevel=2,
-        )
+    check_analysis_inputs(f, psi, strict)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst")
+    z = pack(f.ctx, f.data)
     for ui in range(vol.u_count):
         scaling = ScalingMatrix(vol.u_list[ui])
+        modulated = z * np.exp(-1j * f.spec.dot(scaling.u))
         for ti in range(vol.theta_count):
             rotation = Rotation(vol.theta_list[ti])
-            vol.set_slice(ui, ti, cst_slice(f, psi, scaling, rotation))
+            vol.set_slice(ui, ti, correlate_window(modulated, f.spec, psi, scaling, rotation))
     return vol
 
 
@@ -217,17 +243,9 @@ def cst_direct_point(f, psi, b, scaling, rotation):
     from .algebra import Multivector
 
     _require_transformable(f)
-    mesh = f.spec.mesh(SPACE)
     wvals = transformed_window_values(psi, f.spec, b, scaling, rotation, wrap=True)
-    phase = -np.tensordot(scaling.u, mesh, axes=(0, 0))
-    weight = wvals * f.spec.cell_weight(SPACE)
-    faxes = tuple(range(1, f.data.ndim))
-    kaxes = tuple(range(f.spec.n))
-    cos_sum = np.tensordot(f.data, weight * np.cos(phase), axes=(faxes, kaxes))
-    sin_sum = np.tensordot(f.data, weight * np.sin(phase), axes=(faxes, kaxes))
-    ctx = f.ctx
-    perm = ctx.pseudo_perm
-    coeffs = cos_sum.copy()
-    coeffs[perm] += ctx.pseudo_sign * sin_sum
+    kernel = wvals * f.spec.cell_weight(SPACE) * np.exp(-1j * f.spec.dot(scaling.u))
+    axes = tuple(range(1, f.spec.n + 1))
+    summed = np.tensordot(pack(f.ctx, f.data), kernel, axes=(axes, tuple(range(f.spec.n))))
     scale = scaling.det_abs * (2.0 * np.pi) ** (-f.spec.n / 2.0)
-    return Multivector(ctx, coeffs * scale)
+    return Multivector(f.ctx, unpack(f.ctx, summed) * scale)

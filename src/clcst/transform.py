@@ -22,31 +22,33 @@ import warnings
 import numpy as np
 
 from .algebra import Multivector
-from .cft import _require_transformable, cft_forward, cft_inverse
+from .cft import _require_transformable, centered_cft, cft_forward, cft_inverse
 from .grid import (
     FREQUENCY,
     SPACE,
-    GridError,
     GridSignal,
     chirp_multiply,
     inner_product,
+    lattice_steps,
     norm_l2,
+    pack,
     phase_multiply,
-    plane_wave_multiply,
-    right_multiply_plane_field,
+    right_multiply,
+    unpack,
 )
 from .stockwell import (
     NonUnitWindowWarning,
     Rotation,
     ScalingMatrix,
     StockwellError,
-    _convolve_with_scalar,
+    check_analysis_inputs,
     checked_lists,
+    convolve_pairs,
+    correlate_window,
     cst_slice,
     transformed_window_values,
 )
-from .volume import CLCSTVolume, DEFAULT_THETAS, default_u_list
-from .windows import WindowSpec
+from .volume import CLCSTVolume, theta_weight, u_weights_from_list
 
 
 class TransformError(Exception):
@@ -58,20 +60,6 @@ class MissingCoverageError(TransformError):
 
 
 PATHS = ("direct", "three_step", "spectral")
-
-
-def _check_window(psi, strict=False):
-    if not isinstance(psi, WindowSpec):
-        raise StockwellError("clcst needs an analytic window")
-    if not psi.is_unit_integral():
-        if strict:
-            raise StockwellError("window does not integrate to one (strict mode)")
-        warnings.warn(
-            "window integral is %g, not 1; marginal reconstruction assumes 1"
-            % psi.integral(),
-            NonUnitWindowWarning,
-            stacklevel=3,
-        )
 
 
 def _require_b_nonzero(params):
@@ -86,93 +74,64 @@ def clcst_kernel(psi, params, spec, ctx, b, scaling, rotation):
     wvals = transformed_window_values(psi, spec, b, scaling, rotation)
     sig = GridSignal.from_scalar(spec, ctx, wvals * scaling.det_abs, SPACE)
     rate = params.chirp_rate
-    mesh = spec.mesh(SPACE)
     phase = (
-        np.tensordot(scaling.u, mesh, axes=(0, 0))
-        + rate * float(np.dot(b, b))
-        - rate * spec.squared_radius(SPACE)
+        spec.dot(scaling.u) + rate * float(np.dot(b, b)) - rate * spec.squared_radius(SPACE)
     )
     return phase_multiply(sig, phase)
 
 
-def _slice_direct(f, psi, params, scaling, rotation):
-    """One (u, theta) slice of the defining sum, evaluated as a correlation."""
-    rate = params.chirp_rate
-    mesh = f.spec.mesh(SPACE)
-    phase = rate * f.spec.squared_radius(SPACE) - np.tensordot(scaling.u, mesh, axes=(0, 0))
-    modulated = phase_multiply(f, phase)
-    reflected = transformed_window_values(psi, f.spec, None, scaling, rotation, negate=True)
-    conv = _convolve_with_scalar(modulated, reflected)
-    out = phase_multiply(conv, -rate * f.spec.squared_radius(SPACE))
-    return out.scale(scaling.det_abs * (2.0 * np.pi) ** (-f.spec.n / 2.0))
-
-
-def _slice_three_step(chirped, psi, params, scaling, rotation):
-    slice_ = cst_slice(chirped, psi, scaling, rotation)
-    return phase_multiply(slice_, -params.chirp_rate * chirped.spec.squared_radius(SPACE))
-
-
-def modulated_window_spectrum(psi, spec, ctx, scaling, rotation):
-    """Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)], a span{1, i_n} spectrum."""
+def modulated_window_spectrum(psi, spec, scaling, rotation):
+    """Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)] as one complex array."""
     base = transformed_window_values(psi, spec, np.zeros(spec.n), scaling, rotation)
-    sig = GridSignal.from_scalar(spec, ctx, base, SPACE)
-    return cft_forward(plane_wave_multiply(sig, scaling.u, +1))
+    return centered_cft(base * np.exp(1j * spec.dot(scaling.u)), spec)
 
 
-def _conj_plane_components(Q):
-    """Split a span{1, i_n} spectrum into (a, -b) with conj(a + i b) = a - i b."""
-    full = Q.ctx.full_mask
-    return Q.data[0], -Q.data[full]
-
-
-def window_spectrum(psi, spec, ctx, scaling, rotation):
-    """cft of the scaled, rotated window itself, a span{1, i_n} spectrum."""
+def window_spectrum(psi, spec, scaling, rotation):
+    """cft of the scaled, rotated window itself, as one complex array."""
     base = transformed_window_values(psi, spec, np.zeros(spec.n), scaling, rotation)
-    return cft_forward(GridSignal.from_scalar(spec, ctx, base, SPACE))
-
-
-def _slice_spectral(chirped, psi, params, scaling, rotation, spec, ctx):
-    """w-domain evaluation: S = |det| cft^-1[cft(h) conj(W^)] e^{-i_n A|b|^2/2B}.
-
-    Here h carries both the chirp and the u-modulation pointwise, so the
-    identity is exact for arbitrary u (the modulated-window variant of the
-    same formula is exact only for u on the frequency lattice).
-    """
-    h = plane_wave_multiply(chirped, scaling.u, -1)
-    H = cft_forward(h)
-    W = window_spectrum(psi, spec, ctx, scaling, rotation)
-    a, neg_b = _conj_plane_components(W)
-    X = right_multiply_plane_field(H, a, neg_b)  # cft(h)(w) conj(W^)(w)
-    back = cft_inverse(X).scale(scaling.det_abs)
-    return phase_multiply(back, -params.chirp_rate * spec.squared_radius(SPACE))
+    return centered_cft(base, spec)
 
 
 def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", strict=False):
-    """CLCST volume of f via the requested evaluation path."""
+    """CLCST volume of f via the requested evaluation path.
+
+    Every path works on the complex pairs of f and unpacks each slice once,
+    into the volume.  ``direct`` modulates f by the chirp and the plane wave
+    in one phase; ``three_step`` and ``spectral`` chirp f once.  ``spectral``
+    multiplies cft(h), h = chirped f e^{-i_n u.x}, by the conjugate window
+    spectrum, which is exact for arbitrary u because h carries the
+    modulation pointwise.
+    """
     if path not in PATHS:
         raise TransformError("unknown path %r (choose from %r)" % (path, PATHS))
-    _require_transformable(f)
     _require_b_nonzero(params)
-    _check_window(psi, strict)
-    if f.domain != SPACE:
-        raise GridError("clcst expects a space-domain signal")
+    check_analysis_inputs(f, psi, strict)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     vol = CLCSTVolume(
         f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path
     )
-    if path in ("three_step", "spectral"):
-        chirped = chirp_multiply(f, params.chirp_rate, +1)
+    spec, rate = f.spec, params.chirp_rate
+    r_sq = spec.squared_radius(SPACE)
+    z = pack(f.ctx, f.data)
+    antichirp = np.exp(-1j * rate * r_sq)
+    if path != "direct":
+        z = z * antichirp.conj()
     for ui in range(vol.u_count):
         scaling = ScalingMatrix(vol.u_list[ui])
+        if path == "direct":
+            modulated = z * np.exp(1j * (rate * r_sq - spec.dot(scaling.u)))
+        else:
+            modulated = z * np.exp(-1j * spec.dot(scaling.u))
+        if path == "spectral":
+            H = centered_cft(modulated, spec)
         for ti in range(vol.theta_count):
             rotation = Rotation(vol.theta_list[ti])
-            if path == "direct":
-                s = _slice_direct(f, psi, params, scaling, rotation)
-            elif path == "three_step":
-                s = _slice_three_step(chirped, psi, params, scaling, rotation)
+            if path == "spectral":
+                W = window_spectrum(psi, spec, scaling, rotation)
+                s = centered_cft(H * W.conj(), spec, inverse=True) * scaling.det_abs
             else:
-                s = _slice_spectral(chirped, psi, params, scaling, rotation, f.spec, f.ctx)
-            vol.set_slice(ui, ti, s)
+                s = correlate_window(modulated, spec, psi, scaling, rotation)
+            vol.set_slice(ui, ti, s * antichirp)
     return vol
 
 
@@ -185,27 +144,23 @@ def clcst_direct_sum_slice(f, psi, params, scaling, rotation, block_rows=512):
     mesh = f.spec.mesh(SPACE)
     x = mesh.reshape(n, -1)
     P = x.shape[1]
-    fa = f.data.reshape(f.ctx.blade_count, P)
     x_sq = np.sum(x**2, axis=0)
     z = np.exp(1j * (rate * x_sq - x.T @ scaling.u))  # e^{-i(x.u - A|x|^2/2B)}
-    fz = fa.astype(np.complex128) * z[None, :]
+    fz = pack(f.ctx, f.data).reshape(-1, P) * z
     from .stockwell import minimal_image
 
     rot_scale = rotation.matrix(n) @ np.diag(scaling.u)
-    acc = np.empty((f.ctx.blade_count, P), dtype=np.complex128)
+    acc = np.empty(fz.shape, dtype=np.complex128)
     for start in range(0, P, block_rows):
         stop = min(start + block_rows, P)
         diff = minimal_image(x[:, None, :] - x[:, start:stop, None], f.spec.half_width)
         args = np.einsum("ij,jbp->ibp", rot_scale, diff)
         wmat = psi.evaluate(args)  # (rows, P)
         acc[:, start:stop] = fz @ wmat.T
-    b_sq = x_sq
-    acc *= np.exp(-1j * rate * b_sq)[None, :]
-    ctx = f.ctx
-    coeffs = acc.real.copy()
-    coeffs[ctx.pseudo_perm] += ctx.pseudo_sign[:, None] * acc.imag
+    acc *= np.exp(-1j * rate * x_sq)  # b runs over the same lattice as x
     scale = scaling.det_abs * (2.0 * np.pi) ** (-n / 2.0) * f.spec.cell_weight(SPACE)
-    return GridSignal(f.spec, ctx, (coeffs * scale).reshape(f.data.shape), SPACE)
+    out = unpack(f.ctx, acc.reshape((-1,) + f.spec.shape) * scale)
+    return GridSignal(f.spec, f.ctx, out, SPACE)
 
 
 def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
@@ -216,24 +171,17 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     how far this profile is from a constant.
     """
     _require_b_nonzero(params)
-    if u_list is None:
-        u_list = default_u_list(spec)
-    if theta_list is None:
-        theta_list = DEFAULT_THETAS
-    u_list = np.asarray(u_list, dtype=np.float64).reshape(-1, spec.n)
+    u_list, theta_list = checked_lists(spec, u_list, theta_list)
     if len(u_list) == 0 or len(theta_list) == 0:
         raise TransformError("admissibility needs a non-empty (u, theta) set")
-    from .volume import theta_weight, u_weights_from_list
-
     u_w = u_weights_from_list(u_list)
     t_w = theta_weight(theta_list)
     profile = np.zeros(spec.shape)
     for ui, u in enumerate(u_list):
         scaling = ScalingMatrix(u)
-        for theta in np.asarray(theta_list, dtype=np.float64).ravel():
-            Q = modulated_window_spectrum(psi, spec, ctx, scaling, Rotation(theta))
-            sq_mod = Q.data[0] ** 2 + Q.data[ctx.full_mask] ** 2
-            profile += u_w[ui] * t_w * scaling.det_abs**2 * sq_mod
+        for theta in theta_list:
+            Q = modulated_window_spectrum(psi, spec, scaling, Rotation(theta))
+            profile += u_w[ui] * t_w * scaling.det_abs**2 * np.abs(Q) ** 2
     sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
     stats = {
         "min": float(profile.min()),
@@ -249,22 +197,21 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
 def orthogonality_check(f, g, psi, params, scaling, rotation):
     """Both sides of the per-(u, theta) orthogonality identity.
 
-    lhs: the b-grid inner product of the two transforms.
+    lhs: the b-grid inner product of the two transforms, each the Stockwell
+    slice of the chirped signal; the transform's closing chirp in b has unit
+    modulus and cancels in the inner product.
     rhs: |det A_u|^2 <P_f conj(Q) Q, P_g> over the frequency lattice, with
     P = cft[. chirp] and Q the modulated window spectrum, operands ordered as
     in the underlying Plancherel argument.
     """
-    s_f = _slice_direct(f, psi, params, scaling, rotation)
-    s_g = _slice_direct(g, psi, params, scaling, rotation)
-    lhs = inner_product(s_f, s_g)
-
-    p_f = cft_forward(chirp_multiply(f, params.chirp_rate, +1))
-    p_g = cft_forward(chirp_multiply(g, params.chirp_rate, +1))
-    Q = modulated_window_spectrum(psi, f.spec, f.ctx, scaling, rotation)
-    a, neg_b = _conj_plane_components(Q)
-    x = right_multiply_plane_field(p_f, a, neg_b)  # P_f conj(Q)
-    x = right_multiply_plane_field(x, Q.data[0], Q.data[f.ctx.full_mask])  # ... Q
-    rhs = inner_product(x, p_g) * scaling.det_abs**2
+    chirped_f = chirp_multiply(f, params.chirp_rate, +1)
+    chirped_g = chirp_multiply(g, params.chirp_rate, +1)
+    lhs = inner_product(
+        cst_slice(chirped_f, psi, scaling, rotation), cst_slice(chirped_g, psi, scaling, rotation)
+    )
+    Q = modulated_window_spectrum(psi, f.spec, scaling, rotation)
+    x = right_multiply(cft_forward(chirped_f), Q.conj() * Q)
+    rhs = inner_product(x, cft_forward(chirped_g)) * scaling.det_abs**2
     return lhs, rhs
 
 
@@ -294,42 +241,20 @@ def reconstruct_resolution(vol, psi, params, c_psi):
         raise TransformError("admissibility constant must be positive")
     _require_b_nonzero(params)
     spec, ctx = vol.spec, vol.ctx
-    rate = params.chirp_rate
-    mesh = spec.mesh(SPACE)
-    b_sq = spec.squared_radius(SPACE)
-    total = GridSignal.zero(spec, ctx, SPACE)
+    chirp = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE))
+    total = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
     for ui in range(vol.u_count):
         scaling = ScalingMatrix(vol.u_list[ui])
-        u_phase = np.tensordot(scaling.u, mesh, axes=(0, 0))
+        weight = scaling.det_abs * vol.u_weights[ui] * vol.theta_step
+        wave = np.exp(1j * spec.dot(scaling.u)) * weight
         for ti in range(vol.theta_count):
             rotation = Rotation(vol.theta_list[ti])
-            s = vol.slice(ui, ti)
-            chirped = phase_multiply(s, rate * b_sq)
             wvals = transformed_window_values(psi, spec, np.zeros(spec.n), scaling, rotation)
-            synth = _convolve_with_scalar(chirped, wvals)
-            contrib = phase_multiply(synth, u_phase - rate * b_sq)
-            weight = scaling.det_abs * vol.u_weights[ui] * vol.theta_step
-            total = total + contrib.scale(weight)
+            s = pack(ctx, vol.values[..., ui, ti]) * chirp
+            total += convolve_pairs(s, spec, wvals) * wave
+    # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
     scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
-    return total.scale(scale)
-
-
-def _lattice_index_map(vol):
-    """Map each u in the volume onto its frequency-lattice bin indices."""
-    spec = vol.spec
-    dw = spec.dw
-    half = spec.samples_per_axis // 2
-    indices = {}
-    for ui, u in enumerate(vol.u_list):
-        steps = u / dw
-        rounded = np.rint(steps)
-        if np.max(np.abs(steps - rounded)) > 1e-9:
-            continue  # off-lattice u cannot feed the inverse CFT
-        idx = rounded.astype(int) + half
-        if np.any(idx < 0) or np.any(idx >= spec.samples_per_axis):
-            continue
-        indices[tuple(idx)] = ui
-    return indices
+    return GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale), SPACE)
 
 
 _FILL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
@@ -367,29 +292,30 @@ def marginal_spectrum(vol, params, theta):
     ti = int(np.argmin(np.abs(thetas - theta)))
     if abs(thetas[ti] - theta) > 1e-12:
         raise TransformError("theta %g not present in the volume" % theta)
-    index_map = _lattice_index_map(vol)
+    # each lattice u feeds the bin u / dw; off-lattice u cannot feed the inverse CFT
     N = spec.samples_per_axis
-    half = N // 2
-    needed = 0
-    rate = params.chirp_rate
-    b_sq = spec.squared_radius(SPACE)
+    steps, on_lattice = lattice_steps(vol.u_list, spec.dw)
+    bin_index = steps + N // 2
+    rows = np.flatnonzero(np.all(on_lattice & (bin_index >= 0) & (bin_index < N), axis=1))
+    bins = tuple(bin_index[rows].T)
+    missing = np.ones(spec.shape, dtype=bool)
+    for axis in range(spec.n):
+        missing[(slice(None),) * axis + (N // 2,)] = False  # k = 0 planes: filled below
+    filled = int(np.count_nonzero(~missing))
+    missing[bins] = False
+    if missing.any():
+        first = tuple(int(i) for i in np.argwhere(missing)[0])
+        raise MissingCoverageError("volume u-list does not cover frequency bin %r" % (first,))
+    # one b-contraction over every u: sum_b S(b, u) e^{i_n A|b|^2/2B} dx^n,
+    # taken on the real volume so no packed copy of it is made
+    phase = params.chirp_rate * spec.squared_radius(SPACE).ravel()
+    kernel = np.stack([np.cos(phase), np.sin(phase)]) * vol.b_weight
+    values = vol.values[..., ti].reshape(ctx.blade_count, -1, vol.u_count)
+    summed = kernel @ values  # (blades, cos | sin, U)
+    G = pack(ctx, summed[:, 0]) + 1j * pack(ctx, summed[:, 1])
     data = np.zeros((ctx.blade_count,) + spec.shape)
-    present = np.zeros(spec.shape, dtype=bool)
-    for idx in np.ndindex(*spec.shape):
-        if any(i == half for i in idx):
-            continue
-        needed += 1
-        ui = index_map.get(idx)
-        if ui is None:
-            raise MissingCoverageError(
-                "volume u-list does not cover frequency bin %r" % (idx,)
-            )
-        chirped = phase_multiply(vol.slice(ui, ti), rate * b_sq)
-        summed = chirped.data.reshape(ctx.blade_count, -1).sum(axis=1) * vol.b_weight
-        data[(slice(None),) + idx] = summed
-        present[idx] = True
+    data[(slice(None),) + bins] = unpack(ctx, G[:, rows])
     _fill_axis_planes(data, spec.n)
-    filled = int(np.prod(spec.shape)) - needed
     return GridSignal(spec, ctx, data, FREQUENCY), {"filled_bins": filled}
 
 
@@ -439,11 +365,10 @@ def reproducing_kernel(psi, params, spec, ctx, c_psi, p1, p2):
 
 
 def _index_shift(spec, vector):
-    steps = np.asarray(vector, dtype=np.float64) / spec.dx
-    rounded = np.rint(steps)
-    if np.max(np.abs(steps - rounded)) > 1e-9:
+    steps, on_lattice = lattice_steps(vector, spec.dx)
+    if not on_lattice.all():
         raise TransformError("shift %r is not a lattice vector" % (vector,))
-    return rounded.astype(int)
+    return steps
 
 
 def _roll_signal(f, index_shift):
@@ -454,11 +379,10 @@ def _roll_signal(f, index_shift):
 def _resample_indices(spec, factor):
     N = spec.samples_per_axis
     half = N // 2
-    scaled = factor * (np.arange(N) - half)
-    rounded = np.rint(scaled)
-    if np.max(np.abs(scaled - rounded)) > 1e-9:
+    steps, on_lattice = lattice_steps(factor * (np.arange(N) - half))
+    if not on_lattice.all():
         raise TransformError("scale factor %g is not lattice compatible" % factor)
-    return (rounded.astype(int) + half) % N
+    return (steps + half) % N
 
 
 def _resample_signal(f, factor):
@@ -540,8 +464,7 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
     k_idx = _index_shift(spec, shift)
     lhs = analyze(_roll_signal(f, k_idx))
     rate2 = params.A / params.B
-    mesh = spec.mesh(SPACE)
-    kdotx = np.tensordot(shift, mesh, axes=(0, 0))
+    kdotx = spec.dot(shift)
     modulated = phase_multiply(f, rate2 * kdotx)
     vol_mod = analyze(modulated)
     k_sq = float(np.dot(shift, shift))

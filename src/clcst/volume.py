@@ -7,7 +7,7 @@ volume, which is what the inversion identities rely on.
 
 import numpy as np
 
-from .grid import SPACE, GridError, GridSignal
+from .grid import SPACE, GridError, GridSignal, unpack
 
 
 def default_u_list(spec, max_multiple=None):
@@ -104,10 +104,11 @@ class CLCSTVolume:
         """The b-grid signal at one (u, theta) pair."""
         return GridSignal(self.spec, self.ctx, self.values[..., ui, ti].copy(), SPACE)
 
-    def set_slice(self, ui, ti, signal):
-        if signal.spec != self.spec or signal.ctx != self.ctx:
-            raise GridError("slice signal does not match the volume lattice")
-        self.values[..., ui, ti] = signal.data
+    def set_slice(self, ui, ti, pairs):
+        """Unpack one slice's complex pairs (:func:`~clcst.grid.pack`) in place."""
+        if pairs.shape != (self.ctx.blade_count // 2,) + self.spec.shape:
+            raise GridError("slice pairs of shape %r do not match the volume" % (pairs.shape,))
+        unpack(self.ctx, pairs, out=self.values[..., ui, ti])
 
     def iter_indices(self):
         for ui in range(self.u_count):

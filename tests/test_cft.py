@@ -87,23 +87,26 @@ def test_fft_path_matches_direct_sum(spec, ctx):
     assert rel_l2_error(cft_forward(f), cft_forward_direct(f)) < 1e-12
 
 
-def test_direct_sum_matches_blade_level_quadrature():
-    # fully independent oracle: naive multivector sum on a tiny grid
-    spec = GridSpec(2, 2.0, 8)
-    f = random_signal(spec, CTX2, 2)
+@pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+def test_direct_sum_matches_blade_level_quadrature(n):
+    # fully independent oracle: naive multivector sum on a tiny grid, which
+    # pins the complex-pair signs through geometric_product alone
+    spec = GridSpec(n, 2.0, 8)
+    ctx = transform_algebra(n)
+    f = random_signal(spec, ctx, 2)
     F = cft_forward(f)
     x = spec.mesh(SPACE)
-    w_axis = spec.axis(FREQUENCY)
-    scale = (2 * np.pi) ** (-1) * spec.cell_weight(SPACE)
-    for ki, kj in [(0, 0), (3, 6), (5, 1)]:
-        acc = Multivector.zero(CTX2)
-        w = np.array([w_axis[ki], w_axis[kj]])
-        for i in range(spec.samples_per_axis):
-            for j in range(spec.samples_per_axis):
-                phase = -(w[0] * x[0, i, j] + w[1] * x[1, i, j])
-                acc = acc + geometric_product(f.value_at((i, j)), pseudoscalar_exp(CTX2, phase))
+    w_mesh = spec.mesh(FREQUENCY)
+    scale = (2 * np.pi) ** (-n / 2) * spec.cell_weight(SPACE)
+    for k in [(0, 0, 2), (3, 6, 7), (5, 1, 4)]:
+        k = k[:n]
+        w = w_mesh[(slice(None),) + k]
+        acc = Multivector.zero(ctx)
+        for idx in np.ndindex(*spec.shape):
+            phase = -float(np.dot(w, x[(slice(None),) + idx]))
+            acc = acc + geometric_product(f.value_at(idx), pseudoscalar_exp(ctx, phase))
         acc = acc * scale
-        assert np.allclose(acc.coeffs, F.value_at((ki, kj)).coeffs, atol=1e-13)
+        assert np.allclose(acc.coeffs, F.value_at(k).coeffs, atol=1e-13)
 
 
 def test_constant_blade_factors_out_n3():

@@ -111,16 +111,20 @@ def test_chirp_rate_zero_and_origin():
     assert np.array_equal(out.data[(slice(None),) + center], f.data[(slice(None),) + center])
 
 
-def test_phase_multiply_matches_pointwise_kernel():
+@pytest.mark.parametrize("n", [2, 3], ids=["n2", "n3"])
+def test_phase_multiply_matches_pointwise_kernel(n):
+    # geometric_product pins the complex-pair signs independently of grid.pack
     from clcst.algebra import geometric_product, pseudoscalar_exp
 
-    spec = GridSpec(2, 2.0, 8)
+    spec = GridSpec(n, 2.0, 8)
+    ctx = transform_algebra(n)
     rng = np.random.default_rng(6)
-    f = GridSignal(spec, CTX, rng.standard_normal((CTX.blade_count,) + spec.shape))
+    f = GridSignal(spec, ctx, rng.standard_normal((ctx.blade_count,) + spec.shape))
     phase = rng.standard_normal(spec.shape)
     out = phase_multiply(f, phase)
-    for idx in [(0, 0), (3, 5), (7, 2)]:
-        expect = geometric_product(f.value_at(idx), pseudoscalar_exp(CTX, phase[idx]))
+    for idx in [(0, 0, 4), (3, 5, 1), (7, 2, 6)]:
+        idx = idx[:n]
+        expect = geometric_product(f.value_at(idx), pseudoscalar_exp(ctx, phase[idx]))
         assert np.allclose(out.value_at(idx).coeffs, expect.coeffs, atol=1e-15)
 
 

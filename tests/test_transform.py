@@ -8,6 +8,7 @@ from clcst.grid import (
     GridSpec,
     chirp_multiply,
     norm_l2,
+    phase_multiply,
     rel_l2_error,
     sample,
 )
@@ -152,9 +153,16 @@ def test_unknown_path_and_b_zero_errors():
 
 
 def test_window_spectrum_lives_in_plane():
-    Q = window_spectrum(PSI, SPEC, CTX, ScalingMatrix([1.0, 2.0]), Rotation(0.4))
+    from clcst.stockwell import transformed_window_values
+
+    scaling, rotation = ScalingMatrix([1.0, 2.0]), Rotation(0.4)
+    base = transformed_window_values(PSI, SPEC, np.zeros(2), scaling, rotation)
+    Q = cft_forward(GridSignal.from_scalar(SPEC, CTX, base)).data
     others = [k for k in range(CTX.blade_count) if k not in (0, CTX.full_mask)]
-    assert np.max(np.abs(Q.data[others])) < 1e-14 * np.max(np.abs(Q.data))
+    assert np.max(np.abs(Q[others])) < 1e-14 * np.max(np.abs(Q))
+    # the complex array a + j b stands for the span{1, i_n} field a + i_n b
+    W = window_spectrum(PSI, SPEC, scaling, rotation)
+    assert np.max(np.abs(W - (Q[0] + 1j * Q[CTX.full_mask]))) < 1e-15 * np.max(np.abs(Q))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -197,8 +205,8 @@ def test_admissibility_profile_properties():
     single, _ = admissibility_profile(PSI, M, SPEC, CTX, U_LIST[:1], [0.4])
     from clcst.transform import modulated_window_spectrum
 
-    Qm = modulated_window_spectrum(PSI, SPEC, CTX, scaling, rotation)
-    sq = Qm.data[0] ** 2 + Qm.data[CTX.full_mask] ** 2
+    Qm = modulated_window_spectrum(PSI, SPEC, scaling, rotation)
+    sq = np.abs(Qm) ** 2
     from clcst.volume import theta_weight, u_weights_from_list
 
     expect = u_weights_from_list(U_LIST[:1])[0] * theta_weight([0.4]) * scaling.det_abs**2 * sq
@@ -209,6 +217,8 @@ def test_admissibility_profile_properties():
     assert np.all(zp.data == 0.0)
     with pytest.raises(TransformError):
         admissibility_profile(PSI, M, SPEC, CTX, np.zeros((0, 2)), THETAS)
+    with pytest.raises(StockwellError):
+        admissibility_profile(PSI, M, SPEC, CTX, U_LIST, [0.3, 0.3])  # repeated angle
 
 
 def test_isometry_matches_weighted_admissibility():
@@ -250,6 +260,13 @@ def test_marginal_spectrum_and_reconstruction():
     dev = np.max(np.abs(G.data[(slice(None),) + idx] - P.data[(slice(None),) + idx]))
     assert dev <= 1e-6 * np.max(np.abs(P.data))
     assert info["filled_bins"] == 2 * SPEC.samples_per_axis - 1
+    # the one b-contraction over every u against the per-bin chirped b-sum
+    scale = np.max(np.abs(G.data))
+    for ui in (0, 400, len(u) - 1):
+        chirped = phase_multiply(vol.slice(ui, 0), M.chirp_rate * SPEC.squared_radius())
+        expect = chirped.data.reshape(CTX.blade_count, -1).sum(axis=1) * vol.b_weight
+        bin_ = tuple(np.rint(u[ui] / DW).astype(int) + half)
+        assert np.max(np.abs(G.data[(slice(None),) + bin_] - expect)) <= 1e-13 * scale
     fhat, _ = reconstruct_marginal(vol, M, 0.0)
     assert rel_l2_error(fhat, f) < 1e-3
 
@@ -283,6 +300,23 @@ def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta
     monkeypatch.setattr("clcst.stockwell.CLCSTVolume", no_volume)
     with pytest.raises(StockwellError):
         analyze(scalar_mixture(3), np.array(u_list), theta_list)
+
+
+@pytest.mark.parametrize("analyze", [
+    lambda f: clcst(f, PSI, M, U_LIST, THETAS),
+    lambda f: cst(f, PSI, U_LIST, THETAS),
+], ids=["clcst", "cst"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_signal_refused_before_allocation(monkeypatch, analyze, bad):
+    def no_volume(*args, **kwargs):
+        raise AssertionError("a volume was allocated before the signal was checked")
+
+    monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
+    monkeypatch.setattr("clcst.stockwell.CLCSTVolume", no_volume)
+    f = multivector_noise(14)
+    f.data[2, 5, 7] = bad
+    with pytest.raises(StockwellError, match="1 non-finite"):
+        analyze(f)
 
 
 def test_marginal_errors():

@@ -27,6 +27,7 @@ class GridSpec:
         self.n = int(n)
         self.half_width = float(half_width)
         self.samples_per_axis = int(samples_per_axis)
+        self._meshes = {}
 
     @property
     def dx(self):
@@ -50,10 +51,14 @@ class GridSpec:
         return k * (self.dx if domain == SPACE else self.dw)
 
     def mesh(self, domain=SPACE):
-        """Stacked coordinates, shape (n,) + shape."""
-        ax = self.axis(domain)
-        grids = np.meshgrid(*([ax] * self.n), indexing="ij")
-        return np.stack(grids)
+        """Stacked coordinates, shape (n,) + shape; built once per domain, read-only."""
+        key = domain == SPACE
+        if key not in self._meshes:
+            grids = np.meshgrid(*([self.axis(domain)] * self.n), indexing="ij")
+            mesh = np.stack(grids)
+            mesh.flags.writeable = False
+            self._meshes[key] = mesh
+        return self._meshes[key]
 
     def squared_radius(self, domain=SPACE):
         return np.sum(self.mesh(domain) ** 2, axis=0)
@@ -82,11 +87,11 @@ class GridSpec:
         )
 
 
-def lattice_steps(x, step=1.0):
-    """round(x / step) as integers, and where x lies within 1e-9 steps of that point."""
+def lattice_steps(x, step=1.0, tol=1e-9):
+    """round(x / step) as integers, and where x lies within ``tol`` steps of that point."""
     steps = np.asarray(x, dtype=np.float64) / step
     rounded = np.rint(steps)
-    return rounded.astype(np.int64), np.abs(steps - rounded) <= 1e-9
+    return rounded.astype(np.int64), np.abs(steps - rounded) <= tol
 
 
 class GridSignal:

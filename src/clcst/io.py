@@ -12,6 +12,7 @@ evaluation-path tag.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -34,34 +35,39 @@ def _write_container(path, axes_sizes, blade_count, n, payload):
     header = MAGIC + struct.pack("<HHH", VERSION, n, len(axes_sizes))
     header += struct.pack("<%dI" % len(axes_sizes), *axes_sizes)
     header += struct.pack("<I", blade_count)
+    # written from the array's own buffer: no copy for C-ordered little-endian data
+    payload = np.ascontiguousarray(payload, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(payload, dtype="<f8").tobytes())
+        fh.write(memoryview(payload.reshape(-1)).cast("B"))
 
 
 def _read_container(path):
+    """(n, sizes, blade_count, payload), the payload read straight into one
+    new array once the file size matches the header."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise FormatError("bad magic in %s" % path)
-    try:
-        version, n, axis_count = struct.unpack_from("<HHH", raw, 4)
-        if version != VERSION:
-            raise FormatError("unsupported format version %d" % version)
-        offset = 10
-        sizes = struct.unpack_from("<%dI" % axis_count, raw, offset)
-        offset += 4 * axis_count
-        (blade_count,) = struct.unpack_from("<I", raw, offset)
-    except struct.error as exc:
-        raise FormatError("truncated header in %s: %s" % (path, exc)) from None
-    offset += 4
-    count = blade_count * int(np.prod(sizes))
-    if len(raw) != offset + 8 * count:
-        raise FormatError(
-            "%s holds %d payload bytes, the header declares %d" % (path, len(raw) - offset, 8 * count)
-        )
-    payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    return n, sizes, blade_count, payload.reshape((blade_count,) + tuple(sizes))
+        head = fh.read(10)
+        if head[:4] != MAGIC:
+            raise FormatError("bad magic in %s" % path)
+        try:
+            version, n, axis_count = struct.unpack_from("<HHH", head, 4)
+            if version != VERSION:
+                raise FormatError("unsupported format version %d" % version)
+            rest = fh.read(4 * axis_count + 4)
+            sizes = struct.unpack_from("<%dI" % axis_count, rest)
+            (blade_count,) = struct.unpack_from("<I", rest, 4 * axis_count)
+        except struct.error as exc:
+            raise FormatError("truncated header in %s: %s" % (path, exc)) from None
+        offset = fh.tell()
+        count = blade_count * int(np.prod(sizes))
+        size = os.fstat(fh.fileno()).st_size
+        if size != offset + 8 * count:
+            raise FormatError("%s holds %d payload bytes, the header declares %d"
+                              % (path, size - offset, 8 * count))
+        payload = np.empty((blade_count,) + tuple(sizes), dtype="<f8")
+        if fh.readinto(memoryview(payload.reshape(-1)).cast("B")) != 8 * count:
+            raise FormatError("%s ended while its payload was read" % path)
+    return n, sizes, blade_count, payload
 
 
 def _sidecar(path):
@@ -146,7 +152,7 @@ def read_grid(path):
     ctx = algebra(meta["n"], meta["metric_sign"])
     if (blade_count, sizes) != (ctx.blade_count, spec.shape):
         raise FormatError("payload does not match sidecar geometry")
-    return GridSignal(spec, ctx, payload.copy(), meta["domain"])
+    return GridSignal(spec, ctx, payload, meta["domain"])
 
 
 def write_volume(path, vol):
@@ -182,7 +188,7 @@ def read_volume(path):
         ctx,
         np.asarray(meta["u_list"]),
         np.asarray(meta["theta_list"]),
-        values=payload.copy(),
+        values=payload,
         params=params,
         window=window,
         path=meta["path"],

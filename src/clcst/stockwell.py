@@ -4,18 +4,27 @@ The analysis window family is
 
     psi^theta_{b,u}(x) = |det A_u| exp(i_n x.u) psi(R_{-theta} A_u (x - b)),
 
-with A_u = diag(u_1, ..., u_n), every u_i nonzero, and R_{-theta} the proper
-planar rotation acting on axes (1, 2).  Per (u, theta) the transform over the
-whole b-grid is one modulation plus one FFT convolution of the signal's
-complex pairs (:func:`~clcst.grid.pack`).
+with A_u = diag(u), every u_i nonzero, and R_{-theta} the proper planar
+rotation acting on axes (1, 2).  Over the whole b-grid a (u, theta) slice is
+one periodic correlation of the modulated complex pairs
+(:func:`~clcst.grid.pack`) with the window.  With the window spectrum
+
+    B_{u,theta} = fftn(ifftshift(psi(R_{-theta} A_u y))) dx^n
+
+that is ifftn(fftn(z e^{-j x.u}) conj(B)).  The slice engine
+(:func:`fill_volume`) takes fftn(z) once per volume: for a lattice u = k dw
+the modulated spectrum is (-1)^(sum k) roll(fftn(z), -k), the frequency
+shift of the fast S-transform (Stockwell, Mansinha and Lowe, 1996).  Only an
+off-lattice u is modulated and transformed explicitly, once per u.
 """
 
 import warnings
 
 import numpy as np
 
-from .cft import _require_transformable
+from .cft import _require_transformable, centered_cft
 from .grid import (
+    FREQUENCY,
     SPACE,
     GridError,
     GridSignal,
@@ -26,6 +35,9 @@ from .grid import (
 )
 from .volume import CLCSTVolume, DEFAULT_THETAS, default_u_list
 from .windows import WindowSpec
+
+BLOCK_BYTES = 4 << 20  # bound on the slices of one u-block held before their write
+ROLL_TOLERANCE = 1e-13  # in steps of dw; the roll's phase error stays below 1e-12
 
 
 class StockwellError(Exception):
@@ -142,23 +154,18 @@ def minimal_image(diff, half_width):
     return (diff + half_width) % period - half_width
 
 
-def transformed_window_values(psi, spec, b, scaling, rotation, negate=False, wrap=False):
+def transformed_window_values(psi, spec, b, scaling, rotation, wrap=False):
     """psi(R_{-theta} A_u (x - b)) sampled exactly on the lattice.
 
-    With ``negate`` the argument is R_{-theta} A_u (-x), the reflected window
-    entering the convolution form.  ``wrap`` takes the difference modulo the
-    lattice period, matching the periodic convolution the FFT paths compute.
+    ``wrap`` takes the difference modulo the lattice period, matching the
+    periodic correlation the FFT paths compute.
     """
     if not isinstance(psi, WindowSpec):
         raise AnalyticWindowRequiredError(
             "transformed evaluation needs an analytic window, not sampled data"
         )
-    mesh = spec.mesh(SPACE)
-    if negate:
-        pts = -mesh
-    else:
-        b = np.asarray(b, dtype=np.float64).reshape((-1,) + (1,) * spec.n)
-        pts = mesh - b
+    b = np.asarray(b, dtype=np.float64).reshape((-1,) + (1,) * spec.n)
+    pts = spec.mesh(SPACE) - b
     if wrap:
         pts = minimal_image(pts, spec.half_width)
     return psi.evaluate(rotation.apply(scaling.apply(pts)))
@@ -191,20 +198,160 @@ def _shift_sampled_window(psi, b, scaling, rotation):
     return plane_wave_multiply(sig, scaling.u, +1)
 
 
-def convolve_pairs(z, spec, kernel_values):
-    """dx^n sum_t z(t) k(x - t) on the periodic lattice, for complex pairs z
-    and a real kernel sampled on the centered lattice, via FFTs."""
-    axes = tuple(range(1, spec.n + 1))
-    khat = np.fft.fftn(np.fft.ifftshift(kernel_values)) * spec.cell_weight(SPACE)
-    return np.fft.ifftn(np.fft.fftn(z, axes=axes) * khat, axes=axes)
+def window_block(psi, spec, u_rows, theta_list):
+    """psi(R_{-theta} A_u y) on the lattice for every u row and theta, in one
+    evaluation: shape (U, T) + spec.shape."""
+    if not isinstance(psi, WindowSpec):
+        raise AnalyticWindowRequiredError("the transform needs an analytic window")
+    n = spec.n
+    rotations = np.array([Rotation(t).matrix(n) for t in theta_list]).reshape(-1, n, n)
+    maps = rotations[None] * np.reshape(u_rows, (-1, 1, 1, n))  # R_{-theta} A_u
+    points = np.tensordot(maps, spec.mesh(SPACE), axes=(3, 0))  # (U, T, n) + shape
+    return psi.evaluate(np.moveaxis(points, 2, 0))
+
+
+def window_spectra(values, spec):
+    """B = fftn(ifftshift(w)) dx^n over the last n axes, for windows w sampled
+    on the centered lattice; conj(B) is the spectrum of w(-y) on the periodic
+    lattice."""
+    axes = tuple(range(-spec.n, 0))
+    return np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes) * spec.cell_weight(SPACE)
+
+
+def block_rows(bytes_per_u, min_rows=1):
+    """u rows per block: about BLOCK_BYTES of per-u data, and at least min_rows."""
+    return max(min_rows, BLOCK_BYTES // max(int(bytes_per_u), 1))
+
+
+def window_blocks(psi, spec, u_list, theta_list, rows):
+    """(start, stop, values, spectra) for consecutive blocks of ``rows`` u
+    rows: each (u, theta) window of the block evaluated once and transformed
+    once."""
+    for start in range(0, len(u_list), rows):
+        stop = min(start + rows, len(u_list))
+        values = window_block(psi, spec, u_list[start:stop], theta_list)
+        yield start, stop, values, window_spectra(values, spec)
+
+
+def roll_steps(spec, u_list):
+    """Per u row: the integer steps k of u / dw, and whether u = k dw, so that
+    e^{-j x.u} acts on a spectrum as (-1)^(sum k) times a roll by -k."""
+    steps, on_lattice = lattice_steps(u_list, spec.dw, ROLL_TOLERANCE)
+    return steps, np.all(on_lattice, axis=-1)
+
+
+def roll_sign(steps):
+    """(-1)^(sum k): x.u = sum_i (i - N/2) k 2 pi / N on the centered lattice."""
+    return -1.0 if int(np.sum(steps)) % 2 else 1.0
+
+
+def add_admissibility(profile, spec, u_rows, weights, values, spectra):
+    """profile += sum over the u rows of weights[u] sum_theta |Q_{u,theta}|^2.
+
+    Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)] is the centered window spectrum
+    shifted by u: for a lattice u, |B|^2 (2 pi)^(-n) rolled by k + N/2 (the
+    centering); an off-lattice u takes one CFT of its modulated windows.
+    """
+    axes = tuple(range(-spec.n, 0))
+    steps, on_lattice = roll_steps(spec, u_rows)
+    centre = spec.samples_per_axis // 2
+    for i, u in enumerate(u_rows):
+        if on_lattice[i]:
+            power = np.sum(spectra[i].real ** 2 + spectra[i].imag ** 2, axis=0)
+            weight = weights[i] * (2.0 * np.pi) ** (-spec.n)
+            profile += np.roll(power * weight, tuple(steps[i] + centre), axis=axes)
+        else:
+            Q = centered_cft(values[i] * np.exp(1j * spec.dot(u)), spec)
+            profile += np.sum(Q.real ** 2 + Q.imag ** 2, axis=0) * weights[i]
+
+
+def admissibility_weights(u_list, u_weights, theta_step):
+    """u weight x theta weight x |det A_u|^2 per u row."""
+    return u_weights * theta_step * np.prod(np.abs(u_list), axis=1) ** 2
+
+
+def profile_result(profile, spec, ctx):
+    """An admissibility profile as a frequency-domain scalar signal, and its
+    min, max, mean and relative variation."""
+    sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
+    stats = {
+        "min": float(profile.min()),
+        "max": float(profile.max()),
+        "mean": float(profile.mean()),
+    }
+    stats["relative_variation"] = (
+        (stats["max"] - stats["min"]) / stats["mean"] if stats["mean"] > 0 else np.inf
+    )
+    return sig, stats
+
+
+def fill_volume(vol, psi, slices_of_u):
+    """Write every (u, theta) slice of vol, one block of u rows at a time, and
+    set ``vol.admissibility`` to the profile of the same windows.
+
+    ``slices_of_u(ui, spectra, out)`` writes the T slices of u row ui as
+    complex pairs into ``out``, shape (T, pairs) + b-shape, given the window
+    spectra B of its T windows.  A finished block, a few MB, goes into the
+    volume in one write.  Each window's admissibility term, weighted as the
+    volume is, is added to the profile in the same pass.
+    """
+    spec = vol.spec
+    shape = (vol.theta_count, vol.ctx.blade_count // 2) + spec.shape
+    profile = np.zeros(spec.shape)
+    weights = admissibility_weights(vol.u_list, vol.u_weights, vol.theta_step)
+    # a block write copies runs of rows * T doubles into the volume; at a
+    # cache line (8) or more it beats writing the slices one by one
+    rows = block_rows(16 * np.prod(shape), min_rows=-(-8 // max(vol.theta_count, 1)))
+    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows)
+    for start, stop, values, spectra in blocks:
+        u_rows = vol.u_list[start:stop]
+        add_admissibility(profile, spec, u_rows, weights[start:stop], values, spectra)
+        block = np.empty((stop - start,) + shape, dtype=np.complex128)
+        for i in range(stop - start):
+            slices_of_u(start + i, spectra[i], block[i])
+        vol.set_slice(slice(start, stop), slice(None), np.moveaxis(block, (0, 1), (-2, -1)))
+    vol.admissibility = profile_result(profile, spec, vol.ctx)
+
+
+def rolled_slices(z, vol, closing=None):
+    """``slices_of_u`` for :func:`fill_volume` on the pairs z: fftn(z) is taken
+    here once, and each lattice u rolls it; ``closing`` multiplies every slice
+    over the b-grid."""
+    spec = vol.spec
+    axes = tuple(range(-spec.n, 0))
+    Z = np.fft.fftn(z, axes=axes)
+    steps, on_lattice = roll_steps(spec, vol.u_list)
+    closing = 1.0 if closing is None else closing
+    base = (2.0 * np.pi) ** (-spec.n / 2.0)
+
+    def slices(ui, spectra, out):
+        u = vol.u_list[ui]
+        if on_lattice[ui]:
+            Zu = np.roll(Z, tuple(-steps[ui]), axis=axes)
+            sign = roll_sign(steps[ui])
+        else:
+            Zu = np.fft.fftn(z * np.exp(-1j * spec.dot(u)), axes=axes)
+            sign = 1.0
+        scale = sign * base * np.prod(np.abs(u))  # (-1)^(sum k) |det A_u| (2 pi)^(-n/2)
+        np.multiply(np.fft.ifftn(Zu * spectra.conj()[:, None], axes=axes), closing * scale, out=out)
+
+    return slices
+
+
+def correlate_spectrum(z, spec, spectrum):
+    """dx^n sum_t z(t) w(t - b) at every b of the periodic lattice, for complex
+    pairs z and the spectrum B of a window w (:func:`window_spectra`)."""
+    axes = tuple(range(-spec.n, 0))
+    return np.fft.ifftn(np.fft.fftn(z, axes=axes) * spectrum.conj(), axes=axes)
 
 
 def correlate_window(z, spec, psi, scaling, rotation):
     """|det A_u| (2 pi)^(-n/2) dx^n sum_t z(t) psi(R_{-theta} A_u (t - b)) for
-    every b: the (u, theta) slice of already modulated complex pairs z."""
-    reflected = transformed_window_values(psi, spec, None, scaling, rotation, negate=True)
+    every b: the (u, theta) slice of already modulated complex pairs z.  The
+    difference t - b wraps on the lattice, as in :func:`cst_direct_point`."""
+    values = transformed_window_values(psi, spec, np.zeros(spec.n), scaling, rotation)
     scale = scaling.det_abs * (2.0 * np.pi) ** (-spec.n / 2.0)
-    return convolve_pairs(z, spec, reflected) * scale
+    return correlate_spectrum(z, spec, window_spectra(values, spec)) * scale
 
 
 def cst_slice(f, psi, scaling, rotation):
@@ -224,13 +371,7 @@ def cst(f, psi, u_list=None, theta_list=None, strict=False):
     check_analysis_inputs(f, psi, strict)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst")
-    z = pack(f.ctx, f.data)
-    for ui in range(vol.u_count):
-        scaling = ScalingMatrix(vol.u_list[ui])
-        modulated = z * np.exp(-1j * f.spec.dot(scaling.u))
-        for ti in range(vol.theta_count):
-            rotation = Rotation(vol.theta_list[ti])
-            vol.set_slice(ui, ti, correlate_window(modulated, f.spec, psi, scaling, rotation))
+    fill_volume(vol, psi, rolled_slices(pack(f.ctx, f.data), vol))
     return vol
 
 

@@ -41,12 +41,20 @@ from .stockwell import (
     Rotation,
     ScalingMatrix,
     StockwellError,
+    add_admissibility,
+    admissibility_weights,
+    block_rows,
     check_analysis_inputs,
     checked_lists,
-    convolve_pairs,
-    correlate_window,
+    correlate_spectrum,
     cst_slice,
+    fill_volume,
+    profile_result,
+    roll_sign,
+    roll_steps,
+    rolled_slices,
     transformed_window_values,
+    window_blocks,
 )
 from .volume import CLCSTVolume, theta_weight, u_weights_from_list
 
@@ -62,14 +70,20 @@ class MissingCoverageError(TransformError):
 PATHS = ("direct", "three_step", "spectral")
 
 
-def _require_b_nonzero(params):
+def _require_b_nonzero(params, spec):
+    """Refuse B = 0, and a B so small that the chirp phase A|x|^2/2B is not
+    finite on the lattice (largest |x|^2 = n L^2)."""
     if params.B == 0.0:
         raise TransformError("the transform needs B != 0")
+    if not np.isfinite(params.chirp_rate * spec.n * spec.half_width**2):
+        raise TransformError(
+            "the chirp phase A|x|^2/2B is not finite on the lattice at B = %r" % params.B
+        )
 
 
 def clcst_kernel(psi, params, spec, ctx, b, scaling, rotation):
     """Analysis kernel |det A_u| e^{i_n(x.u + A|b|^2/2B - A|x|^2/2B)} psi(R A (x-b))."""
-    _require_b_nonzero(params)
+    _require_b_nonzero(params, spec)
     b = np.asarray(b, dtype=np.float64).ravel()
     wvals = transformed_window_values(psi, spec, b, scaling, rotation)
     sig = GridSignal.from_scalar(spec, ctx, wvals * scaling.det_abs, SPACE)
@@ -86,59 +100,74 @@ def modulated_window_spectrum(psi, spec, scaling, rotation):
     return centered_cft(base * np.exp(1j * spec.dot(scaling.u)), spec)
 
 
-def window_spectrum(psi, spec, scaling, rotation):
-    """cft of the scaled, rotated window itself, as one complex array."""
-    base = transformed_window_values(psi, spec, np.zeros(spec.n), scaling, rotation)
-    return centered_cft(base, spec)
-
-
 def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", strict=False):
     """CLCST volume of f via the requested evaluation path.
 
-    Every path works on the complex pairs of f and unpacks each slice once,
-    into the volume.  ``direct`` modulates f by the chirp and the plane wave
-    in one phase; ``three_step`` and ``spectral`` chirp f once.  ``spectral``
-    multiplies cft(h), h = chirped f e^{-i_n u.x}, by the conjugate window
-    spectrum, which is exact for arbitrary u because h carries the
+    Every path runs in the slice engine (:func:`~clcst.stockwell.fill_volume`),
+    which evaluates and transforms each (u, theta) window once, writes the
+    slices in u-blocks, and leaves the admissibility profile of the same
+    windows in ``vol.admissibility``.  The paths differ in the signal side:
+    ``three_step`` chirps f, transforms it once and rolls that spectrum per
+    lattice u; ``direct`` modulates f by the chirp and the plane wave in one
+    phase and correlates it with each window separately; ``spectral``
+    multiplies cft(h), h = chirped f e^{-i_n u.x}, by the conjugate centered
+    window spectra, which is exact for arbitrary u because h carries the
     modulation pointwise.
     """
     if path not in PATHS:
         raise TransformError("unknown path %r (choose from %r)" % (path, PATHS))
-    _require_b_nonzero(params)
+    _require_b_nonzero(params, f.spec)
     check_analysis_inputs(f, psi, strict)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     vol = CLCSTVolume(
         f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path
     )
-    spec, rate = f.spec, params.chirp_rate
-    r_sq = spec.squared_radius(SPACE)
+    antichirp = np.exp(-1j * params.chirp_rate * f.spec.squared_radius(SPACE))
     z = pack(f.ctx, f.data)
-    antichirp = np.exp(-1j * rate * r_sq)
-    if path != "direct":
-        z = z * antichirp.conj()
-    for ui in range(vol.u_count):
-        scaling = ScalingMatrix(vol.u_list[ui])
-        if path == "direct":
-            modulated = z * np.exp(1j * (rate * r_sq - spec.dot(scaling.u)))
-        else:
-            modulated = z * np.exp(-1j * spec.dot(scaling.u))
-        if path == "spectral":
-            H = centered_cft(modulated, spec)
-        for ti in range(vol.theta_count):
-            rotation = Rotation(vol.theta_list[ti])
-            if path == "spectral":
-                W = window_spectrum(psi, spec, scaling, rotation)
-                s = centered_cft(H * W.conj(), spec, inverse=True) * scaling.det_abs
-            else:
-                s = correlate_window(modulated, spec, psi, scaling, rotation)
-            vol.set_slice(ui, ti, s * antichirp)
+    if path == "three_step":
+        slices = rolled_slices(z * antichirp.conj(), vol, closing=antichirp)
+    elif path == "direct":
+        slices = _direct_slices(z, vol, params.chirp_rate, antichirp)
+    else:
+        slices = _spectral_slices(z * antichirp.conj(), vol, antichirp)
+    fill_volume(vol, psi, slices)
     return vol
+
+
+def _direct_slices(z, vol, rate, antichirp):
+    """Per slice: z modulated by e^{j(A|x|^2/2B - x.u)}, correlated with one window."""
+    spec = vol.spec
+    chirp_phase = rate * spec.squared_radius(SPACE)
+
+    def slices(ui, spectra, out):
+        scaling = ScalingMatrix(vol.u_list[ui])
+        modulated = z * np.exp(1j * (chirp_phase - spec.dot(scaling.u)))
+        for ti, spectrum in enumerate(spectra):
+            out[ti] = correlate_spectrum(modulated, spec, spectrum)
+        out *= antichirp * (scaling.det_abs * (2.0 * np.pi) ** (-spec.n / 2.0))
+
+    return slices
+
+
+def _spectral_slices(h, vol, antichirp):
+    """Per u: cft(h e^{-j x.u}) times the conjugate centered window spectra, inverted."""
+    spec = vol.spec
+    axes = tuple(range(-spec.n, 0))
+
+    def slices(ui, spectra, out):
+        scaling = ScalingMatrix(vol.u_list[ui])
+        H = centered_cft(h * np.exp(-1j * spec.dot(scaling.u)), spec)
+        W = np.fft.fftshift(spectra, axes=axes) * (2.0 * np.pi) ** (-spec.n / 2.0)
+        s = centered_cft(H * W.conj()[:, None], spec, inverse=True)
+        np.multiply(s, antichirp * scaling.det_abs, out=out)
+
+    return slices
 
 
 def clcst_direct_sum_slice(f, psi, params, scaling, rotation, block_rows=512):
     """Naive quadrature over the whole b-grid; the slow benchmark oracle."""
     _require_transformable(f)
-    _require_b_nonzero(params)
+    _require_b_nonzero(params, f.spec)
     n = f.spec.n
     rate = params.chirp_rate
     mesh = f.spec.mesh(SPACE)
@@ -168,30 +197,20 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
 
     Returns the scalar profile on the frequency lattice plus min/max/mean and
     their relative variation; the resolution-of-identity error is governed by
-    how far this profile is from a constant.
+    how far this profile is from a constant.  The analysis pass
+    (:func:`~clcst.stockwell.fill_volume`) accumulates the same profile with
+    the same helper.
     """
-    _require_b_nonzero(params)
+    _require_b_nonzero(params, spec)
     u_list, theta_list = checked_lists(spec, u_list, theta_list)
     if len(u_list) == 0 or len(theta_list) == 0:
         raise TransformError("admissibility needs a non-empty (u, theta) set")
-    u_w = u_weights_from_list(u_list)
-    t_w = theta_weight(theta_list)
+    weights = admissibility_weights(u_list, u_weights_from_list(u_list), theta_weight(theta_list))
     profile = np.zeros(spec.shape)
-    for ui, u in enumerate(u_list):
-        scaling = ScalingMatrix(u)
-        for theta in theta_list:
-            Q = modulated_window_spectrum(psi, spec, scaling, Rotation(theta))
-            profile += u_w[ui] * t_w * scaling.det_abs**2 * np.abs(Q) ** 2
-    sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
-    stats = {
-        "min": float(profile.min()),
-        "max": float(profile.max()),
-        "mean": float(profile.mean()),
-    }
-    stats["relative_variation"] = (
-        (stats["max"] - stats["min"]) / stats["mean"] if stats["mean"] > 0 else np.inf
-    )
-    return sig, stats
+    rows = block_rows(24 * len(theta_list) * spec.point_count)
+    for start, stop, values, spectra in window_blocks(psi, spec, u_list, theta_list, rows):
+        add_admissibility(profile, spec, u_list[start:stop], weights[start:stop], values, spectra)
+    return profile_result(profile, spec, ctx)
 
 
 def orthogonality_check(f, g, psi, params, scaling, rotation):
@@ -236,22 +255,36 @@ def reconstruct_resolution(vol, psi, params, c_psi):
 
     f_hat(x) = (2 pi)^(-n/2) / C_psi * sum over (b, u, theta) with the
     volume's weights of S(b, u, theta) psi^theta_{M,b,u}(x).
+
+    Per (u, theta) the b-sum is the periodic convolution of the chirped slice
+    with the window, fftn(s) B in the spectrum, and the plane wave e^{j x.u}
+    of a lattice u rolls that spectrum by +k.  Lattice terms are summed as
+    spectra and inverted once; an off-lattice u is inverted and modulated on
+    its own.
     """
     if c_psi <= 0:
         raise TransformError("admissibility constant must be positive")
-    _require_b_nonzero(params)
     spec, ctx = vol.spec, vol.ctx
+    _require_b_nonzero(params, spec)
+    axes = tuple(range(-spec.n, 0))
     chirp = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE))
-    total = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
-    for ui in range(vol.u_count):
-        scaling = ScalingMatrix(vol.u_list[ui])
-        weight = scaling.det_abs * vol.u_weights[ui] * vol.theta_step
-        wave = np.exp(1j * spec.dot(scaling.u)) * weight
-        for ti in range(vol.theta_count):
-            rotation = Rotation(vol.theta_list[ti])
-            wvals = transformed_window_values(psi, spec, np.zeros(spec.n), scaling, rotation)
-            s = pack(ctx, vol.values[..., ui, ti]) * chirp
-            total += convolve_pairs(s, spec, wvals) * wave
+    steps, on_lattice = roll_steps(spec, vol.u_list)
+    weights = vol.u_weights * vol.theta_step * np.prod(np.abs(vol.u_list), axis=1)
+    rolled = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
+    modulated = np.zeros_like(rolled)
+    rows = block_rows(40 * vol.theta_count * ctx.blade_count * spec.point_count)
+    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows)
+    for start, stop, _, spectra in blocks:
+        s = np.moveaxis(pack(ctx, vol.values[..., start:stop, :]), (-2, -1), (0, 1)) * chirp
+        terms = np.sum(np.fft.fftn(s, axes=axes) * spectra[:, :, None], axis=1)
+        for i, ui in enumerate(range(start, stop)):
+            if on_lattice[ui]:
+                weight = weights[ui] * roll_sign(steps[ui])
+                rolled += np.roll(terms[i], tuple(steps[ui]), axis=axes) * weight
+            else:
+                wave = np.exp(1j * spec.dot(vol.u_list[ui])) * weights[ui]
+                modulated += np.fft.ifftn(terms[i], axes=axes) * wave
+    total = np.fft.ifftn(rolled, axes=axes) + modulated
     # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
     scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
     return GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale), SPACE)
@@ -286,8 +319,8 @@ def marginal_spectrum(vol, params, theta):
     planes (scaling needs every component nonzero); the missing planes are
     filled by interpolation and reported.
     """
-    _require_b_nonzero(params)
     spec, ctx = vol.spec, vol.ctx
+    _require_b_nonzero(params, spec)
     thetas = vol.theta_list
     ti = int(np.argmin(np.abs(thetas - theta)))
     if abs(thetas[ti] - theta) > 1e-12:

@@ -87,6 +87,9 @@ class CLCSTVolume:
             u_weights = u_weights_from_list(self.u_list)
         self.u_weights = np.asarray(u_weights, dtype=np.float64)
         self.theta_step = theta_weight(self.theta_list)
+        # (profile signal, stats) of the windows of the analysis pass that
+        # filled the volume; None when it was built otherwise, e.g. read back
+        self.admissibility = None
 
     @property
     def b_weight(self):
@@ -105,10 +108,16 @@ class CLCSTVolume:
         return GridSignal(self.spec, self.ctx, self.values[..., ui, ti].copy(), SPACE)
 
     def set_slice(self, ui, ti, pairs):
-        """Unpack one slice's complex pairs (:func:`~clcst.grid.pack`) in place."""
-        if pairs.shape != (self.ctx.blade_count // 2,) + self.spec.shape:
+        """Unpack complex pairs (:func:`~clcst.grid.pack`) into values[..., ui, ti].
+
+        ``ui`` and ``ti`` are indices or slices; ``pairs`` has the pair axis
+        first, then the shape of the selection, e.g. b-shape + (u rows, T)
+        for a block of u rows.
+        """
+        out = self.values[..., ui, ti]
+        if pairs.shape != (self.ctx.blade_count // 2,) + out.shape[1:]:
             raise GridError("slice pairs of shape %r do not match the volume" % (pairs.shape,))
-        unpack(self.ctx, pairs, out=self.values[..., ui, ti])
+        unpack(self.ctx, pairs, out=out)
 
     def iter_indices(self):
         for ui in range(self.u_count):

@@ -41,6 +41,16 @@ def test_spec_invariants():
         GridSpec(2, 6.0, 63)
 
 
+def test_mesh_is_built_once_per_domain_and_read_only():
+    spec = GridSpec(2, 6.0, 16)
+    space, freq = spec.mesh(SPACE), spec.mesh(FREQUENCY)
+    assert spec.mesh() is space and spec.mesh(FREQUENCY) is freq
+    assert np.array_equal(space[0][:, 0], spec.axis(SPACE))
+    assert np.array_equal(freq[1][0], spec.axis(FREQUENCY))
+    with pytest.raises(ValueError):
+        space += 1.0
+
+
 def test_sample_constant_and_gaussian():
     ones = sample(lambda x: np.ones(x.shape[1:]), DEFAULT, CTX)
     assert np.all(ones.data[0] == 1.0)

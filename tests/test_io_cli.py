@@ -70,6 +70,28 @@ def test_volume_round_trip_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_container_io_makes_no_payload_copy(tmp_path):
+    import tracemalloc
+
+    psi = GaussianWindow(2, sigma=0.8).normalize_unit_integral()
+    u = [[k * SPEC.dw, SPEC.dw] for k in range(1, 41)]
+    vol = clcst(random_signal(), psi, LCTParams(1, 2, 1, 3), u, [0.0, 1.0])
+    path = tmp_path / "v.clcg"
+    payload = vol.values.nbytes  # 2.6 MB
+    tracemalloc.start()
+    try:
+        write_volume(path, vol)
+        _, written_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = read_volume(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written_peak < 0.2 * payload
+    assert read_peak < 1.2 * payload
+    assert back.values.flags.writeable and np.array_equal(back.values, vol.values)
+
+
 def test_window_meta_round_trip():
     for window in (
         GaussianWindow(2, sigma=0.7).normalize_unit_integral(),

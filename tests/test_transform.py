@@ -29,7 +29,6 @@ from clcst.transform import (
     reconstruct_resolution,
     reproducing_kernel,
     volume_energy,
-    window_spectrum,
 )
 from clcst.volume import default_u_list, tensor_u_list
 from clcst.windows import GaussianWindow
@@ -160,8 +159,11 @@ def test_window_spectrum_lives_in_plane():
     Q = cft_forward(GridSignal.from_scalar(SPEC, CTX, base)).data
     others = [k for k in range(CTX.blade_count) if k not in (0, CTX.full_mask)]
     assert np.max(np.abs(Q[others])) < 1e-14 * np.max(np.abs(Q))
-    # the complex array a + j b stands for the span{1, i_n} field a + i_n b
-    W = window_spectrum(PSI, SPEC, scaling, rotation)
+    # the complex array a + j b stands for the span{1, i_n} field a + i_n b;
+    # the engine's uncentered spectrum B is that field shifted and scaled
+    from clcst.stockwell import window_spectra
+
+    W = np.fft.fftshift(window_spectra(base, SPEC)) / (2.0 * np.pi)
     assert np.max(np.abs(W - (Q[0] + 1j * Q[CTX.full_mask]))) < 1e-15 * np.max(np.abs(Q))
 
 
@@ -317,6 +319,19 @@ def test_non_finite_signal_refused_before_allocation(monkeypatch, analyze, bad):
     f.data[2, 5, 7] = bad
     with pytest.raises(StockwellError, match="1 non-finite"):
         analyze(f)
+
+
+@pytest.mark.parametrize("B", [1e-310, 1e-308], ids=["infinite-rate", "infinite-phase"])
+def test_tiny_b_refused_before_allocation(monkeypatch, B):
+    def no_volume(*args, **kwargs):
+        raise AssertionError("a volume was allocated before B was checked")
+
+    monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
+    params = LCTParams(1, B, 0, 1)
+    with pytest.raises(TransformError, match="not finite"):
+        clcst(scalar_mixture(3), PSI, params, U_LIST, THETAS)
+    with pytest.raises(TransformError, match="not finite"):
+        admissibility_profile(PSI, params, SPEC, CTX, U_LIST, THETAS)
 
 
 def test_marginal_errors():

@@ -43,6 +43,20 @@ def _parse_vector(text, n):
     return np.array(parts)
 
 
+def _spectrogram_index(text, u_count, theta_count):
+    """The (ui, ti) of --spectrogram-index, refused unless it lies in [0, U) x [0, T)."""
+    try:
+        ui, ti = (int(v) for v in text.split(","))
+    except ValueError:
+        raise SystemExit("--spectrogram-index expects 'ui,ti', got %r" % text) from None
+    if not (0 <= ui < u_count and 0 <= ti < theta_count):
+        raise SystemExit(
+            "--spectrogram-index %d,%d is outside [0, U) x [0, T) with U = %d, T = %d"
+            % (ui, ti, u_count, theta_count)
+        )
+    return ui, ti
+
+
 def _grid_spec(cfg):
     if cfg["n"] not in (2, 3):
         raise SystemExit("the command line supports n = 2 or 3 (core: any n = 2,3 mod 4)")
@@ -165,6 +179,10 @@ def cmd_transform(args):
     window = _window(cfg)
     u_list = _u_list(cfg, signal.spec)
     theta_list = cfg["theta_list"]
+    if args.spectrogram:
+        index = _spectrogram_index(
+            args.spectrogram_index, np.size(u_list) // spec.n, np.size(theta_list)
+        )
     report = {"path": cfg["path"], "warnings": [], "config": cfg}
     if not np.any(signal.data):
         report["warnings"].append("zero input")
@@ -190,8 +208,7 @@ def cmd_transform(args):
     write_volume(args.out, vol)
     report["volume_file"] = args.out
     if args.spectrogram:
-        ui, ti = (int(v) for v in args.spectrogram_index.split(","))
-        export_spectrogram_csv(args.spectrogram, vol, ui, ti)
+        export_spectrogram_csv(args.spectrogram, vol, *index)
         report["spectrogram_file"] = args.spectrogram
     report_path = args.report or args.out + ".report.json"
     with open(report_path, "w") as fh:

@@ -237,7 +237,7 @@ def unpack(ctx, z, out=None):
     if out is None:
         out = np.empty((2 * half,) + z.shape[1:])
     out[:half] = z.real
-    out[::-1][:half] = -_pair_signs(ctx, z.ndim) * z.imag
+    np.multiply(z.imag, -_pair_signs(ctx, z.ndim), out=out[::-1][:half])
     return out
 
 

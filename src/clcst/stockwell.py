@@ -16,6 +16,12 @@ that is ifftn(fftn(z e^{-j x.u}) conj(B)).  The slice engine
 the modulated spectrum is (-1)^(sum k) roll(fftn(z), -k), the frequency
 shift of the fast S-transform (Stockwell, Mansinha and Lowe, 1996).  Only an
 off-lattice u is modulated and transformed explicitly, once per u.
+
+A radial window (``WindowSpec.radial``, as the Gaussian and the DOG are)
+satisfies psi(R_{-theta} A_u y) = psi(A_u y), so every theta of a u has the
+same window, spectrum and slice: the engine evaluates and transforms one
+window per u, computes one slice per u and writes it to all T theta columns
+of the volume, which still holds them all.
 """
 
 import warnings
@@ -33,7 +39,7 @@ from .grid import (
     plane_wave_multiply,
     unpack,
 )
-from .volume import CLCSTVolume, DEFAULT_THETAS, default_u_list
+from .volume import CLCSTVolume, DEFAULT_THETAS, default_u_list, theta_weight
 from .windows import WindowSpec
 
 BLOCK_BYTES = 4 << 20  # bound on the slices of one u-block held before their write
@@ -223,13 +229,23 @@ def block_rows(bytes_per_u, min_rows=1):
     return max(min_rows, BLOCK_BYTES // max(int(bytes_per_u), 1))
 
 
+def window_angles(psi, theta_list):
+    """The angles at which :func:`window_blocks` evaluates psi: every theta,
+    or theta = 0 alone for a radial window, whose rotated windows are all the
+    unrotated one."""
+    if isinstance(psi, WindowSpec) and psi.radial:
+        return np.zeros(1)
+    return theta_list
+
+
 def window_blocks(psi, spec, u_list, theta_list, rows):
     """(start, stop, values, spectra) for consecutive blocks of ``rows`` u
-    rows: each (u, theta) window of the block evaluated once and transformed
-    once."""
+    rows: each window of the block evaluated once and transformed once, at
+    the :func:`window_angles` of theta_list."""
+    angles = window_angles(psi, theta_list)
     for start in range(0, len(u_list), rows):
         stop = min(start + rows, len(u_list))
-        values = window_block(psi, spec, u_list[start:stop], theta_list)
+        values = window_block(psi, spec, u_list[start:stop], angles)
         yield start, stop, values, window_spectra(values, spec)
 
 
@@ -265,9 +281,11 @@ def add_admissibility(profile, spec, u_rows, weights, values, spectra):
             profile += np.sum(Q.real ** 2 + Q.imag ** 2, axis=0) * weights[i]
 
 
-def admissibility_weights(u_list, u_weights, theta_step):
-    """u weight x theta weight x |det A_u|^2 per u row."""
-    return u_weights * theta_step * np.prod(np.abs(u_list), axis=1) ** 2
+def admissibility_weights(psi, u_list, u_weights, theta_list):
+    """u weight x theta weight x |det A_u|^2 per u row, times the number of
+    theta columns each window of :func:`window_angles` stands for."""
+    copies = len(theta_list) // len(window_angles(psi, theta_list))
+    return u_weights * (theta_weight(theta_list) * copies) * np.prod(np.abs(u_list), axis=1) ** 2
 
 
 def profile_result(profile, spec, ctx):
@@ -289,27 +307,33 @@ def fill_volume(vol, psi, slices_of_u):
     """Write every (u, theta) slice of vol, one block of u rows at a time, and
     set ``vol.admissibility`` to the profile of the same windows.
 
-    ``slices_of_u(ui, spectra, out)`` writes the T slices of u row ui as
-    complex pairs into ``out``, shape (T, pairs) + b-shape, given the window
-    spectra B of its T windows.  A finished block, a few MB, goes into the
-    volume in one write.  Each window's admissibility term, weighted as the
-    volume is, is added to the profile in the same pass.
+    ``slices_of_u(ui, spectra, out)`` writes the slices of u row ui as
+    complex pairs into ``out``, shape (A, pairs) + b-shape, given the window
+    spectra B of its A windows, one per :func:`window_angles`.  For a radial
+    window A = 1 and its one slice fills all T theta columns.  A finished
+    block, a few MB, goes into the volume in one write.  Each window's
+    admissibility term, weighted as the volume is, is added to the profile
+    in the same pass.
     """
     spec = vol.spec
-    shape = (vol.theta_count, vol.ctx.blade_count // 2) + spec.shape
+    angles = window_angles(psi, vol.theta_list)
+    shape = (len(angles), vol.ctx.blade_count // 2) + spec.shape
     profile = np.zeros(spec.shape)
-    weights = admissibility_weights(vol.u_list, vol.u_weights, vol.theta_step)
+    weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
     # a block write copies runs of rows * T doubles into the volume; at a
-    # cache line (8) or more it beats writing the slices one by one
-    rows = block_rows(16 * np.prod(shape), min_rows=-(-8 // max(vol.theta_count, 1)))
-    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows)
-    for start, stop, values, spectra in blocks:
+    # cache line (8) or more it beats writing the slices one by one.  Rows
+    # are counted by the T slices each u writes, which also bounds the
+    # broadcast write of a radial window's block.
+    rows = block_rows(16 * vol.theta_count * np.prod(shape[1:]), min_rows=-(-8 // vol.theta_count))
+    for start, stop, values, spectra in window_blocks(psi, spec, vol.u_list, vol.theta_list, rows):
         u_rows = vol.u_list[start:stop]
         add_admissibility(profile, spec, u_rows, weights[start:stop], values, spectra)
         block = np.empty((stop - start,) + shape, dtype=np.complex128)
         for i in range(stop - start):
             slices_of_u(start + i, spectra[i], block[i])
-        vol.set_slice(slice(start, stop), slice(None), np.moveaxis(block, (0, 1), (-2, -1)))
+        pairs = np.moveaxis(block, (0, 1), (-2, -1))  # pairs + b-shape + (rows, A)
+        pairs = np.broadcast_to(pairs, pairs.shape[:-1] + (vol.theta_count,))
+        vol.set_slice(slice(start, stop), slice(None), pairs)
     vol.admissibility = profile_result(profile, spec, vol.ctx)
 
 

@@ -54,9 +54,10 @@ from .stockwell import (
     roll_steps,
     rolled_slices,
     transformed_window_values,
+    window_angles,
     window_blocks,
 )
-from .volume import CLCSTVolume, theta_weight, u_weights_from_list
+from .volume import CLCSTVolume, u_weights_from_list
 
 
 class TransformError(Exception):
@@ -104,9 +105,10 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     """CLCST volume of f via the requested evaluation path.
 
     Every path runs in the slice engine (:func:`~clcst.stockwell.fill_volume`),
-    which evaluates and transforms each (u, theta) window once, writes the
-    slices in u-blocks, and leaves the admissibility profile of the same
-    windows in ``vol.admissibility``.  The paths differ in the signal side:
+    which evaluates and transforms each (u, theta) window once (a radial
+    window once per u), writes the slices in u-blocks, and leaves the
+    admissibility profile of the same windows in ``vol.admissibility``.
+    The paths differ in the signal side:
     ``three_step`` chirps f, transforms it once and rolls that spectrum per
     lattice u; ``direct`` modulates f by the chirp and the plane wave in one
     phase and correlates it with each window separately; ``spectral``
@@ -199,15 +201,15 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     their relative variation; the resolution-of-identity error is governed by
     how far this profile is from a constant.  The analysis pass
     (:func:`~clcst.stockwell.fill_volume`) accumulates the same profile with
-    the same helper.
+    the same helper; a radial window's one term per u counts T times.
     """
     _require_b_nonzero(params, spec)
     u_list, theta_list = checked_lists(spec, u_list, theta_list)
     if len(u_list) == 0 or len(theta_list) == 0:
         raise TransformError("admissibility needs a non-empty (u, theta) set")
-    weights = admissibility_weights(u_list, u_weights_from_list(u_list), theta_weight(theta_list))
+    weights = admissibility_weights(psi, u_list, u_weights_from_list(u_list), theta_list)
     profile = np.zeros(spec.shape)
-    rows = block_rows(24 * len(theta_list) * spec.point_count)
+    rows = block_rows(24 * len(window_angles(psi, theta_list)) * spec.point_count)
     for start, stop, values, spectra in window_blocks(psi, spec, u_list, theta_list, rows):
         add_admissibility(profile, spec, u_list[start:stop], weights[start:stop], values, spectra)
     return profile_result(profile, spec, ctx)
@@ -260,7 +262,8 @@ def reconstruct_resolution(vol, psi, params, c_psi):
     with the window, fftn(s) B in the spectrum, and the plane wave e^{j x.u}
     of a lattice u rolls that spectrum by +k.  Lattice terms are summed as
     spectra and inverted once; an off-lattice u is inverted and modulated on
-    its own.
+    its own.  A radial window has one B for every theta of a u, so the T
+    slices of the u are summed before their one FFT.
     """
     if c_psi <= 0:
         raise TransformError("admissibility constant must be positive")
@@ -275,8 +278,10 @@ def reconstruct_resolution(vol, psi, params, c_psi):
     rows = block_rows(40 * vol.theta_count * ctx.blade_count * spec.point_count)
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows)
     for start, stop, _, spectra in blocks:
-        s = np.moveaxis(pack(ctx, vol.values[..., start:stop, :]), (-2, -1), (0, 1)) * chirp
-        terms = np.sum(np.fft.fftn(s, axes=axes) * spectra[:, :, None], axis=1)
+        s = np.moveaxis(pack(ctx, vol.values[..., start:stop, :]), (-2, -1), (0, 1))
+        if spectra.shape[1] < vol.theta_count:  # one window for every theta
+            s = np.sum(s, axis=1, keepdims=True)
+        terms = np.sum(np.fft.fftn(s * chirp, axes=axes) * spectra[:, :, None], axis=1)
         for i, ui in enumerate(range(start, stop)):
             if on_lattice[ui]:
                 weight = weights[ui] * roll_sign(steps[ui])

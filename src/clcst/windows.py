@@ -1,4 +1,4 @@
-"""Analytic window catalogue: Gaussian, difference-of-Gaassians, combinations.
+"""Analytic window catalogue: Gaussian, difference-of-Gaussians, combinations.
 
 Windows are evaluated exactly at transformed coordinates (no interpolation),
 which keeps the transform theorems free of resampling error.
@@ -20,7 +20,15 @@ UNIT_INTEGRAL = "unit-integral"
 
 
 class WindowSpec:
-    """Base class; concrete windows implement _evaluate and raw_integral."""
+    """Base class; concrete windows implement _evaluate and raw_integral.
+
+    ``radial`` says that psi(R y) = psi(y) for every rotation R, so the
+    transform evaluates one window per u and shares it across every theta.
+    It is False here; a subclass that overrides _evaluate must set it again,
+    True only if its window is radial.
+    """
+
+    radial = False
 
     def __init__(self, n, amplitude=1.0, normalization=RAW):
         self.n = int(n)
@@ -58,6 +66,8 @@ class WindowSpec:
 class GaussianWindow(WindowSpec):
     """exp(-|x|^2 / (2 sigma^2))."""
 
+    radial = True
+
     def __init__(self, n, sigma=1.0, amplitude=1.0, normalization=RAW):
         if sigma <= 0:
             raise WindowError("sigma must be positive")
@@ -87,6 +97,8 @@ class DOGWindow(WindowSpec):
     The integral is (2 pi)^(n/2) (lam^(n-2) - 1), which vanishes identically
     at n = 2, so unit normalization is impossible there.
     """
+
+    radial = True
 
     def __init__(self, n, lam, amplitude=1.0, normalization=RAW):
         if not 0.0 < lam < 1.0:
@@ -120,6 +132,11 @@ class CompositeWindow(WindowSpec):
             raise WindowError("component windows disagree on dimension")
         super().__init__(n, amplitude, normalization)
         self.terms = [(float(c), w) for c, w in terms]
+
+    @property
+    def radial(self):
+        """A sum of radial windows is radial."""
+        return all(w.radial for _, w in self.terms)
 
     def _evaluate(self, points):
         total = np.zeros(points.shape[1:])

@@ -1,5 +1,6 @@
 """The slice engine: one signal spectrum rolled per lattice u, one window
-spectrum per (u, theta) shared by the slices and the admissibility profile."""
+spectrum per (u, theta) shared by the slices and the admissibility profile,
+and for a radial window one window, spectrum and slice per u for every theta."""
 
 import json
 
@@ -21,13 +22,14 @@ from clcst.stockwell import (
     transformed_window_values,
 )
 from clcst.transform import (
+    PATHS,
     admissibility_profile,
     clcst,
     modulated_window_spectrum,
     reconstruct_resolution,
 )
 from clcst.volume import theta_weight, u_weights_from_list
-from clcst.windows import GaussianWindow, WindowSpec
+from clcst.windows import CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
 
 M = LCTParams(1, 2, 1, 3)
 THETAS = [0.0, 0.4, np.pi / 2]
@@ -45,6 +47,29 @@ class SkewedGaussian(WindowSpec):
 
     def raw_integral(self):
         return (2.0 * np.pi) ** (self.n / 2.0)
+
+
+class NotRadial(WindowSpec):
+    """The values of a window under a class that does not declare it radial,
+    so the engine evaluates it at every theta."""
+
+    def __init__(self, psi):
+        super().__init__(psi.n)
+        self.psi = psi
+
+    def _evaluate(self, points):
+        return self.psi.evaluate(points)
+
+    def raw_integral(self):
+        return self.psi.integral()
+
+
+def radial_window(n, kind):
+    if kind == "gaussian":
+        return GaussianWindow(n, sigma=0.9)
+    if kind == "dog":
+        return DOGWindow(n, lam=0.5)
+    return CompositeWindow([(0.8, GaussianWindow(n, sigma=0.7)), (-0.3, DOGWindow(n, lam=0.6))])
 
 
 def setting(n):
@@ -165,33 +190,100 @@ def test_resolution_synthesis_matches_per_slice_sum():
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
-def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, monkeypatch):
-    """A lattice-u transform and its report: one FFT of the signal's pairs,
-    and each (u, theta) window evaluated and transformed once."""
-    spec, ctx = GridSpec(2, 6.0, 16), transform_algebra(2)
-    u_steps = [[1, 2], [-3, 1], [2, -8]]
-    thetas = [0.0, 0.7]
-    src = tmp_path / "f.clcg"
-    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
-    forward, inverse, window_points = [], [], []
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "dog", "composite"])
+def test_radial_window_shares_one_slice_per_u(n, kind):
+    """A radial window gives the volume, profiles and synthesis of the same
+    window evaluated at every theta, on every path and in cst."""
+    spec, ctx = setting(n)
+    psi = radial_window(n, kind)
+    each = NotRadial(psi)
+    assert psi.radial and not each.radial
+    f = noise(spec, ctx, seed=3)
+    u = mixed_u_list(spec)
 
-    def counted(fn, log):
+    def assert_close(got, expect):
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    for path in PATHS + ("cst",):
+        shared, separate = (
+            cst(f, w, u, THETAS) if path == "cst" else clcst(f, w, M, u, THETAS, path=path)
+            for w in (psi, each)
+        )
+        assert np.array_equal(shared.values[..., 0], shared.values[..., 2])  # one slice per u
+        assert_slices_close(shared, separate, 1e-13)
+        assert_close(shared.admissibility[0].data, separate.admissibility[0].data)
+    assert_close(
+        admissibility_profile(psi, M, spec, ctx, u, THETAS)[0].data,
+        admissibility_profile(each, M, spec, ctx, u, THETAS)[0].data,
+    )
+    vol = clcst(f, each, M, u, THETAS)
+    assert_close(
+        reconstruct_resolution(vol, psi, M, 1.7).data,
+        reconstruct_resolution(vol, each, M, 1.7).data,
+    )
+
+
+def test_composite_with_a_skewed_term_is_not_radial():
+    spec, ctx = setting(2)
+    psi = CompositeWindow([(1.0, GaussianWindow(2, sigma=0.9)), (0.5, SkewedGaussian(2))])
+    assert not psi.radial
+    vol = clcst(noise(spec, ctx, seed=4), psi, M, mixed_u_list(spec), THETAS)
+    for ui in range(vol.u_count):
+        first, last = vol.values[..., ui, 0], vol.values[..., ui, -1]
+        assert np.max(np.abs(first - last)) > 1e-2 * np.max(np.abs(first)), ui
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """The shapes passed to numpy.fft.fftn and ifftn, and the number of
+    window points evaluated, from here to the end of the test."""
+    log = {"forward": [], "inverse": [], "window_points": []}
+
+    def counted(fn, calls):
         def wrapper(a, *args, **kwargs):
-            log.append(np.shape(a))
+            calls.append(np.shape(a))
             return fn(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn, forward))
-    monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn, inverse))
+    monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn, log["forward"]))
+    monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn, log["inverse"]))
     evaluate = WindowSpec.evaluate
 
     def counted_evaluate(self, points):
         out = evaluate(self, points)
-        window_points.append(out.size)
+        log["window_points"].append(out.size)
         return out
 
     monkeypatch.setattr(WindowSpec, "evaluate", counted_evaluate)
-    u_spec = json.dumps([[a * spec.dw, b * spec.dw] for a, b in u_steps])
+    return log
+
+
+def assert_counts(counts, spec, ctx, windows):
+    """One FFT of the signal's pairs, and ``windows`` windows evaluated and
+    transformed once each, with one inverse FFT of each window's slice."""
+    pairs, points = ctx.blade_count // 2, spec.point_count
+    signal_ffts = [s for s in counts["forward"] if s == (pairs,) + spec.shape]
+    assert len(signal_ffts) == 1
+    window_ffts = sum(int(np.prod(s)) for s in counts["forward"]) - pairs * points
+    assert window_ffts == windows * points
+    assert sum(counts["window_points"]) == windows * points
+    assert sum(int(np.prod(s)) for s in counts["inverse"]) == windows * pairs * points
+
+
+COUNT_SPEC = GridSpec(2, 6.0, 16)
+COUNT_U_STEPS = [[1, 2], [-3, 1], [2, -8]]
+COUNT_THETAS = [0.0, 0.7]
+
+
+def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, counts):
+    """A lattice-u transform and its report through the CLI, whose Gaussian
+    window is radial: one FFT of the signal's pairs, and one window per u
+    evaluated and transformed once for both angles."""
+    spec, ctx = COUNT_SPEC, transform_algebra(2)
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    u_spec = json.dumps([[a * spec.dw, b * spec.dw] for a, b in COUNT_U_STEPS])
     out = tmp_path / "vol.clcg"
     assert main([
         "transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
@@ -199,10 +291,12 @@ def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, monkeypatch):
     ]) == 0
     report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
     assert report["admissibility"]["mean"] > 0.0
-    slices, pairs, points = len(u_steps) * len(thetas), ctx.blade_count // 2, spec.point_count
-    signal_ffts = [s for s in forward if s == (pairs,) + spec.shape]
-    assert len(signal_ffts) == 1
-    window_ffts = sum(int(np.prod(s)) for s in forward) - pairs * points
-    assert window_ffts == slices * points
-    assert sum(window_points) == slices * points
-    assert sum(int(np.prod(s)) for s in inverse) == slices * pairs * points
+    assert_counts(counts, spec, ctx, windows=len(COUNT_U_STEPS))
+
+
+def test_one_window_per_slice_for_a_window_that_is_not_radial(counts):
+    spec, ctx = COUNT_SPEC, transform_algebra(2)
+    f = noise(spec, ctx, seed=6)
+    u = np.array(COUNT_U_STEPS) * spec.dw
+    clcst(f, SkewedGaussian(2), M, u, COUNT_THETAS)
+    assert_counts(counts, spec, ctx, windows=len(COUNT_U_STEPS) * len(COUNT_THETAS))

@@ -260,3 +260,24 @@ def test_cli_spectrogram_export(tmp_path):
     rows = np.loadtxt(csv, delimiter=",")
     assert rows.shape == (32, 32)
     assert np.all(rows >= 0.0)
+
+
+@pytest.mark.parametrize("index, message", [
+    ("99,0", "U = 64, T = 3"),  # the default u list at N=16 has 8^2 u
+    ("0,3", "U = 64, T = 3"),
+    ("-1,0", "U = 64, T = 3"),
+    ("1", "ui,ti"),
+    ("a,b", "ui,ti"),
+])
+def test_cli_bad_spectrogram_index_refused_before_transform(tmp_path, index, message):
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    out = tmp_path / "vol.clcg"
+    with pytest.raises(SystemExit) as err:
+        main([
+            "transform", "--input", str(src), "--spectrogram", str(tmp_path / "s.csv"),
+            "--spectrogram-index=" + index, "--out", str(out),
+        ])
+    assert message in str(err.value)
+    assert not out.exists()
+    assert not (tmp_path / "vol.clcg.json").exists()

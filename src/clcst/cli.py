@@ -205,8 +205,9 @@ def cmd_transform(args):
     report["transform_seconds"] = time.perf_counter() - start
     # the profile of the windows the transform pass evaluated
     report["admissibility"] = vol.admissibility[1]
-    write_volume(args.out, vol)
+    report["volume_bytes"] = write_volume(args.out, vol)
     report["volume_file"] = args.out
+    report["stored_theta_columns"] = vol.stored_theta_columns
     if args.spectrogram:
         export_spectrogram_csv(args.spectrogram, vol, *index)
         report["spectrogram_file"] = args.spectrogram

@@ -3,8 +3,15 @@
 Layout (little-endian):
 
     magic "CLCG" | version u16 | n u16 | axis_count u16 |
-    per-axis sizes u32[axis_count] | blade_count u32 |
-    payload float64, blade-major then row-major over the axes
+    per-axis sizes u32[axis_count] | blade_count u32 | payload float64
+
+A grid file is version 1: its axes are the b-grid shape and its payload is
+blade-major, then row-major over the axes.  A volume file is version 2: its
+axes are (U, T_s) + b-grid shape and its payload is the volume's stored
+array, (U, T_s, blade) + b-grid shape in row-major order, so each slice is
+one contiguous run.  T_s is T, or 1 when one column serves every theta.
+Version 1 volumes, with axes b-grid shape + (U, T) and a blade-major
+payload, are still read.
 
 A JSON sidecar at <path>.json carries the lattice geometry and, for
 volumes, the (u, theta) lists, parameter matrix, window, weights, and the
@@ -21,18 +28,19 @@ from .algebra import algebra
 from .grid import GridSignal, GridSpec
 from .lct import LCTParams
 from .volume import CLCSTVolume
-from .windows import CompositeWindow, DOGWindow, GaussianWindow
+from .windows import CompositeWindow, DOGWindow, GaussianWindow, window_angles
 
 MAGIC = b"CLCG"
-VERSION = 1
+BLADE_MAJOR = 1  # grid files, and volume files before version 2
+SLICE_MAJOR = 2  # volume files
 
 
 class FormatError(Exception):
     pass
 
 
-def _write_container(path, axes_sizes, blade_count, n, payload):
-    header = MAGIC + struct.pack("<HHH", VERSION, n, len(axes_sizes))
+def _write_container(path, version, axes_sizes, blade_count, n, payload):
+    header = MAGIC + struct.pack("<HHH", version, n, len(axes_sizes))
     header += struct.pack("<%dI" % len(axes_sizes), *axes_sizes)
     header += struct.pack("<I", blade_count)
     # written from the array's own buffer: no copy for C-ordered little-endian data
@@ -42,32 +50,40 @@ def _write_container(path, axes_sizes, blade_count, n, payload):
         fh.write(memoryview(payload.reshape(-1)).cast("B"))
 
 
-def _read_container(path):
-    """(n, sizes, blade_count, payload), the payload read straight into one
-    new array once the file size matches the header."""
+def _read_container(path, versions):
+    """(version, n, sizes, blade_count, payload), the payload read straight
+    into one new array once the file size matches the header."""
     with open(path, "rb") as fh:
         head = fh.read(10)
         if head[:4] != MAGIC:
             raise FormatError("bad magic in %s" % path)
         try:
             version, n, axis_count = struct.unpack_from("<HHH", head, 4)
-            if version != VERSION:
-                raise FormatError("unsupported format version %d" % version)
+            if version not in versions:
+                raise FormatError("unsupported format version %d in %s" % (version, path))
             rest = fh.read(4 * axis_count + 4)
             sizes = struct.unpack_from("<%dI" % axis_count, rest)
             (blade_count,) = struct.unpack_from("<I", rest, 4 * axis_count)
         except struct.error as exc:
             raise FormatError("truncated header in %s: %s" % (path, exc)) from None
+        if version == SLICE_MAJOR and axis_count < 2:
+            raise FormatError("%s declares %d axes, a volume needs (U, T_s) first"
+                              % (path, axis_count))
         offset = fh.tell()
         count = blade_count * int(np.prod(sizes))
         size = os.fstat(fh.fileno()).st_size
         if size != offset + 8 * count:
             raise FormatError("%s holds %d payload bytes, the header declares %d"
                               % (path, size - offset, 8 * count))
-        payload = np.empty((blade_count,) + tuple(sizes), dtype="<f8")
+        # the blade axis comes first in version 1, after (U, T_s) in version 2
+        if version == BLADE_MAJOR:
+            shape = (blade_count,) + sizes
+        else:
+            shape = sizes[:2] + (blade_count,) + sizes[2:]
+        payload = np.empty(shape, dtype="<f8")
         if fh.readinto(memoryview(payload.reshape(-1)).cast("B")) != 8 * count:
             raise FormatError("%s ended while its payload was read" % path)
-    return n, sizes, blade_count, payload
+    return version, n, sizes, blade_count, payload
 
 
 def _sidecar(path):
@@ -131,6 +147,7 @@ def _grid_meta(spec, ctx, domain):
 def write_grid(path, signal):
     _write_container(
         path,
+        BLADE_MAJOR,
         signal.spec.shape,
         signal.ctx.blade_count,
         signal.spec.n,
@@ -143,7 +160,7 @@ def write_grid(path, signal):
 
 
 def read_grid(path):
-    n, sizes, blade_count, payload = _read_container(path)
+    _, n, sizes, blade_count, payload = _read_container(path, (BLADE_MAJOR,))
     with open(_sidecar(path)) as fh:
         meta = json.load(fh)
     if meta.get("kind") != "grid":
@@ -156,8 +173,9 @@ def read_grid(path):
 
 
 def write_volume(path, vol):
-    axes = vol.spec.shape + (vol.u_count, vol.theta_count)
-    _write_container(path, axes, vol.ctx.blade_count, vol.spec.n, vol.values)
+    """Write vol as a version 2 file and its sidecar; returns the bytes of both."""
+    axes = (vol.u_count, vol.stored_theta_columns) + vol.spec.shape
+    _write_container(path, SLICE_MAJOR, axes, vol.ctx.blade_count, vol.spec.n, vol.stored)
     meta = {
         "kind": "volume",
         "grid": _grid_meta(vol.spec, vol.ctx, "space"),
@@ -170,10 +188,13 @@ def write_volume(path, vol):
     }
     with open(_sidecar(path), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
+    return os.path.getsize(path) + os.path.getsize(_sidecar(path))
 
 
 def read_volume(path):
-    n, sizes, blade_count, payload = _read_container(path)
+    """A version 2 file's payload becomes the stored array as read; a version
+    1 file's axes are moved into the stored order once, with T_s = T."""
+    version, n, sizes, blade_count, payload = _read_container(path, (BLADE_MAJOR, SLICE_MAJOR))
     with open(_sidecar(path)) as fh:
         meta = json.load(fh)
     if meta.get("kind") != "volume":
@@ -183,12 +204,29 @@ def read_volume(path):
     ctx = algebra(g["n"], g["metric_sign"])
     params = LCTParams(*meta["params"]) if meta["params"] else None
     window = window_from_meta(meta["window"], g["n"])
+    u_list = np.asarray(meta["u_list"], dtype=np.float64).reshape(-1, spec.n)
+    theta_list = np.asarray(meta["theta_list"], dtype=np.float64).ravel()
+    if version == BLADE_MAJOR:
+        if sizes[-2:] != (len(u_list), len(theta_list)):
+            raise FormatError("%s holds (U, T) = %r, its sidecar lists %r"
+                              % (path, sizes[-2:], (len(u_list), len(theta_list))))
+        payload = np.ascontiguousarray(np.moveaxis(payload, (-2, -1), (0, 1)))
+    else:
+        if sizes[0] != len(u_list):
+            raise FormatError("%s holds %d u rows, its sidecar lists %d"
+                              % (path, sizes[0], len(u_list)))
+        columns = (len(theta_list), len(window_angles(window, theta_list)))
+        if sizes[1] not in columns:
+            raise FormatError("%s stores %d theta columns, not T = %d or the window's %d"
+                              % ((path, sizes[1]) + columns))
+    if payload.shape[2:] != (ctx.blade_count,) + spec.shape:
+        raise FormatError("payload does not match sidecar geometry")
     return CLCSTVolume(
         spec,
         ctx,
-        np.asarray(meta["u_list"]),
-        np.asarray(meta["theta_list"]),
-        values=payload,
+        u_list,
+        theta_list,
+        stored=payload,
         params=params,
         window=window,
         path=meta["path"],
@@ -198,6 +236,6 @@ def read_volume(path):
 
 def export_spectrogram_csv(path, vol, ui, ti):
     """|S| (coefficient 2-norm) of one (u, theta) slice as CSV rows."""
-    mag = np.sqrt(np.sum(vol.values[..., ui, ti] ** 2, axis=0))
+    mag = np.sqrt(np.sum(vol.stored[ui, vol.column(ti)] ** 2, axis=0))
     header = "u=%s theta=%g" % (vol.u_list[ui].tolist(), vol.theta_list[ti])
     np.savetxt(path, mag.reshape(mag.shape[0], -1), delimiter=",", header=header)

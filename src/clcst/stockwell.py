@@ -20,8 +20,8 @@ off-lattice u is modulated and transformed explicitly, once per u.
 A radial window (``WindowSpec.radial``, as the Gaussian and the DOG are)
 satisfies psi(R_{-theta} A_u y) = psi(A_u y), so every theta of a u has the
 same window, spectrum and slice: the engine evaluates and transforms one
-window per u, computes one slice per u and writes it to all T theta columns
-of the volume, which still holds them all.
+window per u, computes one slice per u and stores it once, in the volume's
+one theta column that serves every theta.
 """
 
 import warnings
@@ -40,7 +40,7 @@ from .grid import (
     unpack,
 )
 from .volume import CLCSTVolume, DEFAULT_THETAS, default_u_list, theta_weight
-from .windows import WindowSpec
+from .windows import WindowSpec, window_angles
 
 BLOCK_BYTES = 4 << 20  # bound on the slices of one u-block held before their write
 ROLL_TOLERANCE = 1e-13  # in steps of dw; the roll's phase error stays below 1e-12
@@ -178,29 +178,10 @@ def transformed_window_values(psi, spec, b, scaling, rotation, wrap=False):
 
 
 def window_family(psi, b, scaling, rotation, spec, ctx):
-    """The analysis window psi^theta_{b,u} as a lattice signal.
-
-    Sampled (GridSignal) windows are accepted only for the untransformed
-    configuration u = (1,...,1), theta = 0, and a lattice-vector b, where a
-    periodic shift is exact; anything else demands an analytic window.
-    """
-    if isinstance(psi, GridSignal):
-        return _shift_sampled_window(psi, b, scaling, rotation)
+    """The analysis window psi^theta_{b,u} of an analytic window psi as a
+    lattice signal."""
     vals = transformed_window_values(psi, spec, b, scaling, rotation)
     sig = GridSignal.from_scalar(spec, ctx, vals * scaling.det_abs, SPACE)
-    return plane_wave_multiply(sig, scaling.u, +1)
-
-
-def _shift_sampled_window(psi, b, scaling, rotation):
-    if not (np.all(scaling.u == 1.0) and rotation.theta == 0.0):
-        raise AnalyticWindowRequiredError(
-            "sampled windows cannot be rescaled or rotated without interpolation"
-        )
-    steps, on_lattice = lattice_steps(np.ravel(b), psi.spec.dx)
-    if not on_lattice.all():
-        raise AnalyticWindowRequiredError("sampled windows shift only by lattice vectors")
-    shifted = np.roll(psi.data, steps, axis=tuple(range(1, psi.spec.n + 1)))
-    sig = GridSignal(psi.spec, psi.ctx, shifted, SPACE)
     return plane_wave_multiply(sig, scaling.u, +1)
 
 
@@ -224,18 +205,9 @@ def window_spectra(values, spec):
     return np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes) * spec.cell_weight(SPACE)
 
 
-def block_rows(bytes_per_u, min_rows=1):
-    """u rows per block: about BLOCK_BYTES of per-u data, and at least min_rows."""
-    return max(min_rows, BLOCK_BYTES // max(int(bytes_per_u), 1))
-
-
-def window_angles(psi, theta_list):
-    """The angles at which :func:`window_blocks` evaluates psi: every theta,
-    or theta = 0 alone for a radial window, whose rotated windows are all the
-    unrotated one."""
-    if isinstance(psi, WindowSpec) and psi.radial:
-        return np.zeros(1)
-    return theta_list
+def block_rows(bytes_per_u):
+    """u rows per block: about BLOCK_BYTES of per-u data, and at least one."""
+    return max(1, BLOCK_BYTES // max(int(bytes_per_u), 1))
 
 
 def window_blocks(psi, spec, u_list, theta_list, rows):
@@ -304,36 +276,30 @@ def profile_result(profile, spec, ctx):
 
 
 def fill_volume(vol, psi, slices_of_u):
-    """Write every (u, theta) slice of vol, one block of u rows at a time, and
+    """Write every stored slice of vol, one block of u rows at a time, and
     set ``vol.admissibility`` to the profile of the same windows.
 
     ``slices_of_u(ui, spectra, out)`` writes the slices of u row ui as
     complex pairs into ``out``, shape (A, pairs) + b-shape, given the window
-    spectra B of its A windows, one per :func:`window_angles`.  For a radial
-    window A = 1 and its one slice fills all T theta columns.  A finished
-    block, a few MB, goes into the volume in one write.  Each window's
-    admissibility term, weighted as the volume is, is added to the profile
-    in the same pass.
+    spectra B of its A windows, one per :func:`window_angles`; A is the
+    volume's stored theta column count, 1 for a radial window.  A finished
+    block, a few MB, is unpacked into the volume's rows in one contiguous
+    write.  Each window's admissibility term, weighted as the volume is, is
+    added to the profile in the same pass.
     """
     spec = vol.spec
     angles = window_angles(psi, vol.theta_list)
     shape = (len(angles), vol.ctx.blade_count // 2) + spec.shape
     profile = np.zeros(spec.shape)
     weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
-    # a block write copies runs of rows * T doubles into the volume; at a
-    # cache line (8) or more it beats writing the slices one by one.  Rows
-    # are counted by the T slices each u writes, which also bounds the
-    # broadcast write of a radial window's block.
-    rows = block_rows(16 * vol.theta_count * np.prod(shape[1:]), min_rows=-(-8 // vol.theta_count))
+    rows = block_rows(16 * np.prod(shape))
     for start, stop, values, spectra in window_blocks(psi, spec, vol.u_list, vol.theta_list, rows):
         u_rows = vol.u_list[start:stop]
         add_admissibility(profile, spec, u_rows, weights[start:stop], values, spectra)
         block = np.empty((stop - start,) + shape, dtype=np.complex128)
         for i in range(stop - start):
             slices_of_u(start + i, spectra[i], block[i])
-        pairs = np.moveaxis(block, (0, 1), (-2, -1))  # pairs + b-shape + (rows, A)
-        pairs = np.broadcast_to(pairs, pairs.shape[:-1] + (vol.theta_count,))
-        vol.set_slice(slice(start, stop), slice(None), pairs)
+        vol.set_slice(slice(start, stop), slice(None), block)
     vol.admissibility = profile_result(profile, spec, vol.ctx)
 
 

@@ -237,10 +237,12 @@ def orthogonality_check(f, g, psi, params, scaling, rotation):
 
 
 def volume_energy(vol):
-    """sum over (b, u, theta) of |S|^2 with the volume's quadrature weights."""
-    sq = np.sum(vol.values**2, axis=0)  # (b..., U, T)
-    per_ut = sq.reshape(-1, vol.u_count, vol.theta_count).sum(axis=0) * vol.b_weight
-    return float(np.sum(per_ut * vol.u_weights[:, None] * vol.theta_step))
+    """sum over (b, u, theta) of |S|^2 with the volume's quadrature weights;
+    a shared theta column counts once per theta it stands for."""
+    flat = vol.stored.reshape(vol.u_count, vol.stored_theta_columns, -1)
+    per_column = np.einsum("utk,utk->ut", flat, flat) * vol.b_weight
+    weight = vol.theta_step * (vol.theta_count // vol.stored_theta_columns)
+    return float(np.sum(per_column * vol.u_weights[:, None]) * weight)
 
 
 def isometry_ratio(vol, f, params):
@@ -262,8 +264,9 @@ def reconstruct_resolution(vol, psi, params, c_psi):
     with the window, fftn(s) B in the spectrum, and the plane wave e^{j x.u}
     of a lattice u rolls that spectrum by +k.  Lattice terms are summed as
     spectra and inverted once; an off-lattice u is inverted and modulated on
-    its own.  A radial window has one B for every theta of a u, so the T
-    slices of the u are summed before their one FFT.
+    its own.  A radial window has one B for every theta of a u: a volume
+    that stores one column for it counts that column's term T times, and a
+    volume that stores all T columns sums them before their one FFT.
     """
     if c_psi <= 0:
         raise TransformError("admissibility constant must be positive")
@@ -272,14 +275,17 @@ def reconstruct_resolution(vol, psi, params, c_psi):
     axes = tuple(range(-spec.n, 0))
     chirp = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE))
     steps, on_lattice = roll_steps(spec, vol.u_list)
-    weights = vol.u_weights * vol.theta_step * np.prod(np.abs(vol.u_list), axis=1)
+    columns = max(vol.stored_theta_columns, len(window_angles(psi, vol.theta_list)))
+    # a product of one stored column and one window stands for T / columns thetas
+    copies = vol.theta_count // columns
+    weights = vol.u_weights * vol.theta_step * copies * np.prod(np.abs(vol.u_list), axis=1)
     rolled = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
     modulated = np.zeros_like(rolled)
-    rows = block_rows(40 * vol.theta_count * ctx.blade_count * spec.point_count)
+    rows = block_rows(40 * columns * ctx.blade_count * spec.point_count)
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows)
     for start, stop, _, spectra in blocks:
-        s = np.moveaxis(pack(ctx, vol.values[..., start:stop, :]), (-2, -1), (0, 1))
-        if spectra.shape[1] < vol.theta_count:  # one window for every theta
+        s = np.moveaxis(pack(ctx, np.moveaxis(vol.stored[start:stop], 2, 0)), 0, 2)
+        if s.shape[1] > spectra.shape[1]:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
         terms = np.sum(np.fft.fftn(s * chirp, axes=axes) * spectra[:, :, None], axis=1)
         for i, ui in enumerate(range(start, stop)):
@@ -345,12 +351,12 @@ def marginal_spectrum(vol, params, theta):
         first = tuple(int(i) for i in np.argwhere(missing)[0])
         raise MissingCoverageError("volume u-list does not cover frequency bin %r" % (first,))
     # one b-contraction over every u: sum_b S(b, u) e^{i_n A|b|^2/2B} dx^n,
-    # taken on the real volume so no packed copy of it is made
+    # taken on the real stored column so no packed copy of it is made
     phase = params.chirp_rate * spec.squared_radius(SPACE).ravel()
-    kernel = np.stack([np.cos(phase), np.sin(phase)]) * vol.b_weight
-    values = vol.values[..., ti].reshape(ctx.blade_count, -1, vol.u_count)
-    summed = kernel @ values  # (blades, cos | sin, U)
-    G = pack(ctx, summed[:, 0]) + 1j * pack(ctx, summed[:, 1])
+    kernel = np.stack([np.cos(phase), np.sin(phase)], axis=1) * vol.b_weight
+    values = vol.stored[:, vol.column(ti)].reshape(vol.u_count, ctx.blade_count, -1)
+    summed = (values @ kernel).T  # (cos | sin, blades, U)
+    G = pack(ctx, summed[0]) + 1j * pack(ctx, summed[1])
     data = np.zeros((ctx.blade_count,) + spec.shape)
     data[(slice(None),) + bins] = unpack(ctx, G[:, rows])
     _fill_axis_planes(data, spec.n)
@@ -432,17 +438,14 @@ def _resample_signal(f, factor):
 
 
 def _left_multiply_volume(vol, mv):
+    """mv S at every (b, u, theta), as an array in the order of ``vol.values``."""
     ctx = vol.ctx
     m = ctx.blade_count
     matrix = np.zeros((m, m))
     for b in range(m):
         for a in range(m):
             matrix[a ^ b, b] += ctx.sign_table[a, b] * mv.coeffs[a]
-    values = np.einsum("cb,b...->c...", matrix, vol.values)
-    return CLCSTVolume(
-        vol.spec, ctx, vol.u_list, vol.theta_list, values=values, params=vol.params,
-        window=vol.window, path=vol.path, u_weights=vol.u_weights,
-    )
+    return np.einsum("cb,b...->c...", matrix, vol.values)
 
 
 def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.0,
@@ -478,10 +481,7 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
             )
     mixed = GridSignal(spec, ctx, mixed_data, SPACE)
     lhs = analyze(mixed)
-    rhs_vals = (
-        _left_multiply_volume(base, alpha).values
-        + _left_multiply_volume(analyze(g), beta).values
-    )
+    rhs_vals = _left_multiply_volume(base, alpha) + _left_multiply_volume(analyze(g), beta)
     report["linearity"] = _rel_max(lhs.values, rhs_vals)
 
     # (2) anti-linearity in the window with real coefficients

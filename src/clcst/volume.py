@@ -1,4 +1,4 @@
-"""Transform volumes: multivector values indexed by (b-lattice, u, theta).
+"""Transform volumes: multivector values indexed by (u, theta, b-lattice).
 
 The stored quadrature weights make every reconstruction and admissibility
 sum use exactly the same discrete measure as the analysis that produced the
@@ -8,6 +8,7 @@ volume, which is what the inversion identities rely on.
 import numpy as np
 
 from .grid import SPACE, GridError, GridSignal, unpack
+from .windows import window_angles
 
 
 def default_u_list(spec, max_multiple=None):
@@ -65,21 +66,32 @@ def theta_weight(theta_list):
 
 
 class CLCSTVolume:
-    """values shape: (blade_count,) + b-grid shape + (U, T)."""
+    """Slices stored slice-major: ``stored`` has shape (U, T_s, blade_count) +
+    b-grid shape, so each (u, column) slice is one contiguous run.
 
-    def __init__(self, spec, ctx, u_list, theta_list, values=None, params=None,
+    T_s is the number of :func:`~clcst.windows.window_angles` of the window:
+    1 for a radial window, whose one column serves every theta, and T
+    otherwise or when the window is unknown.  A given ``stored`` array may
+    also hold all T columns.  ``values`` views it in the order
+    (blade_count,) + b-grid shape + (U, T), read-only and without a copy.
+    """
+
+    def __init__(self, spec, ctx, u_list, theta_list, stored=None, params=None,
                  window=None, path="unset", u_weights=None):
         self.spec = spec
         self.ctx = ctx
         self.u_list = np.asarray(u_list, dtype=np.float64).reshape(-1, spec.n)
         self.theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
-        shape = (ctx.blade_count,) + spec.shape + (len(self.u_list), len(self.theta_list))
-        if values is None:
-            values = np.zeros(shape)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != shape:
-            raise GridError("volume values shape %r, expected %r" % (values.shape, shape))
-        self.values = values
+        columns = len(window_angles(window, self.theta_list))
+        if stored is None:
+            stored = np.zeros((len(self.u_list), columns, ctx.blade_count) + spec.shape)
+        stored = np.asarray(stored, dtype=np.float64)
+        allowed = {(len(self.u_list), c, ctx.blade_count) + spec.shape
+                   for c in (columns, len(self.theta_list))}
+        if stored.shape not in allowed:
+            raise GridError("stored volume shape %r, expected one of %r"
+                            % (stored.shape, sorted(allowed)))
+        self.stored = stored
         self.params = params
         self.window = window
         self.path = path
@@ -103,32 +115,44 @@ class CLCSTVolume:
     def theta_count(self):
         return len(self.theta_list)
 
+    @property
+    def stored_theta_columns(self):
+        """T_s: 1 when one column serves every theta, else T."""
+        return self.stored.shape[1]
+
+    def column(self, ti):
+        """The stored column that holds theta index ti."""
+        return ti if self.stored_theta_columns == self.theta_count else 0
+
+    @property
+    def values(self):
+        """(blade_count,) + b-grid shape + (U, T), a read-only view of ``stored``."""
+        view = np.moveaxis(self.stored, (0, 1), (-2, -1))
+        return np.broadcast_to(view, view.shape[:-1] + (self.theta_count,))
+
     def slice(self, ui, ti):
         """The b-grid signal at one (u, theta) pair."""
-        return GridSignal(self.spec, self.ctx, self.values[..., ui, ti].copy(), SPACE)
+        return GridSignal(self.spec, self.ctx, self.stored[ui, self.column(ti)].copy(), SPACE)
 
     def set_slice(self, ui, ti, pairs):
-        """Unpack complex pairs (:func:`~clcst.grid.pack`) into values[..., ui, ti].
+        """Unpack complex pairs (:func:`~clcst.grid.pack`) into stored[ui, ti].
 
-        ``ui`` and ``ti`` are indices or slices; ``pairs`` has the pair axis
-        first, then the shape of the selection, e.g. b-shape + (u rows, T)
-        for a block of u rows.
+        ``ui`` indexes u rows and ``ti`` stored columns, as indices or
+        slices; ``pairs`` has the shape of that selection with the pair axis
+        in place of the blade axis, e.g. (rows, T_s, pairs) + b-shape for a
+        block of u rows.
         """
-        out = self.values[..., ui, ti]
-        if pairs.shape != (self.ctx.blade_count // 2,) + out.shape[1:]:
+        out = self.stored[ui, ti]
+        axis = out.ndim - self.spec.n - 1
+        if pairs.shape != out.shape[:axis] + (self.ctx.blade_count // 2,) + self.spec.shape:
             raise GridError("slice pairs of shape %r do not match the volume" % (pairs.shape,))
-        unpack(self.ctx, pairs, out=out)
-
-    def iter_indices(self):
-        for ui in range(self.u_count):
-            for ti in range(self.theta_count):
-                yield ui, ti
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        unpack(self.ctx, np.moveaxis(pairs, axis, 0), out=np.moveaxis(out, axis, 0))
 
     def rel_max_difference(self, other):
-        scale = max(self.max_abs(), other.max_abs())
+        """max |S - S'| / max(|S|, |S'|) over every (b, u, theta); 0 for two
+        zero volumes.  A shared column broadcasts against T columns."""
+        a, b = self.stored, other.stored
+        scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
         if scale == 0.0:
             return 0.0
-        return float(np.max(np.abs(self.values - other.values))) / scale
+        return float(np.max(np.abs(a - b))) / scale

@@ -151,6 +151,15 @@ class CompositeWindow(WindowSpec):
         return CompositeWindow(self.terms, amplitude)
 
 
+def window_angles(psi, theta_list):
+    """The angles at which the transform evaluates psi: every theta, or
+    theta = 0 alone for a radial window, whose rotated windows are all the
+    unrotated one.  A volume of psi stores one theta column per angle."""
+    if isinstance(psi, WindowSpec) and psi.radial:
+        return np.zeros(1)
+    return theta_list
+
+
 def make_window(kind, n, **params):
     kind = kind.lower()
     if kind == "gaussian":

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from clcst.algebra import transform_algebra
 from clcst.cli import main
 from clcst.grid import SPACE, GridSignal, GridSpec, pack
+from clcst.io import export_spectrogram_csv
 from clcst.lct import LCTParams
 from clcst.stockwell import (
     Rotation,
@@ -25,10 +26,12 @@ from clcst.transform import (
     PATHS,
     admissibility_profile,
     clcst,
+    marginal_spectrum,
     modulated_window_spectrum,
     reconstruct_resolution,
+    volume_energy,
 )
-from clcst.volume import theta_weight, u_weights_from_list
+from clcst.volume import tensor_u_list, theta_weight, u_weights_from_list
 from clcst.windows import CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
 
 M = LCTParams(1, 2, 1, 3)
@@ -94,8 +97,12 @@ def mixed_u_list(spec):
     return np.concatenate([steps * spec.dw, off])
 
 
+def assert_close(got, expect, tol=1e-13):
+    assert np.max(np.abs(got - expect)) <= tol * np.max(np.abs(expect))
+
+
 def assert_slices_close(a, b, tol):
-    for ui, ti in a.iter_indices():
+    for ui, ti in np.ndindex(a.u_count, a.theta_count):
         sa, sb = a.values[..., ui, ti], b.values[..., ui, ti]
         assert np.max(np.abs(sa - sb)) <= tol * np.max(np.abs(sb)), (ui, ti)
 
@@ -177,7 +184,7 @@ def test_resolution_synthesis_matches_per_slice_sum():
     axes = (-2, -1)
     chirp = np.exp(1j * M.chirp_rate * spec.squared_radius(SPACE))
     total = np.zeros((2,) + spec.shape, dtype=complex)
-    for ui, ti in vol.iter_indices():
+    for ui, ti in np.ndindex(vol.u_count, vol.theta_count):
         scaling, rotation = ScalingMatrix(u[ui]), Rotation(THETAS[ti])
         w = transformed_window_values(psi, spec, np.zeros(2), scaling, rotation)
         kernel = np.fft.fftn(np.fft.ifftshift(w)) * spec.cell_weight()
@@ -202,9 +209,6 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
     f = noise(spec, ctx, seed=3)
     u = mixed_u_list(spec)
 
-    def assert_close(got, expect):
-        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
-
     for path in PATHS + ("cst",):
         shared, separate = (
             cst(f, w, u, THETAS) if path == "cst" else clcst(f, w, M, u, THETAS, path=path)
@@ -222,6 +226,53 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
         reconstruct_resolution(vol, psi, M, 1.7).data,
         reconstruct_resolution(vol, each, M, 1.7).data,
     )
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "dog", "composite", "skewed"])
+def test_stored_layout_holds_one_column_per_window_angle(kind):
+    """Slice-major (U, T_s, blade) + b: one theta column for a radial window,
+    T for any other; ``values`` is a read-only view in (blade, b, U, T) order."""
+    spec, ctx = setting(2)
+    psi = SkewedGaussian(2) if kind == "skewed" else radial_window(2, kind)
+    u = mixed_u_list(spec)
+    vol = clcst(noise(spec, ctx, seed=7), psi, M, u, THETAS)
+    columns = len(THETAS) if kind == "skewed" else 1
+    assert vol.stored.shape == (len(u), columns, ctx.blade_count) + spec.shape
+    assert vol.stored.flags.c_contiguous and vol.stored_theta_columns == columns
+    values = vol.values
+    assert values.shape == (ctx.blade_count,) + spec.shape + (len(u), len(THETAS))
+    assert not values.flags.writeable and np.shares_memory(values, vol.stored)
+    with pytest.raises(ValueError):
+        values[..., 0, 0] = 0.0
+    for ui, ti in np.ndindex(vol.u_count, vol.theta_count):
+        assert np.array_equal(vol.slice(ui, ti).data, values[..., ui, ti])
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "dog", "composite"])
+def test_radial_volume_readers_count_the_shared_column_for_every_theta(kind, tmp_path):
+    """Energy, marginal, resolution synthesis and spectrogram of a one-column
+    volume equal those of the same window stored at every theta."""
+    spec, ctx = GridSpec(2, 6.0, 16), transform_algebra(2)
+    psi = radial_window(2, kind)
+    half = spec.samples_per_axis // 2
+    k = np.array([m for m in range(-half, half) if m != 0])
+    u = tensor_u_list([k * spec.dw, k * spec.dw])
+    f = noise(spec, ctx, seed=8)
+    shared, separate = (clcst(f, w, M, u, THETAS) for w in (psi, NotRadial(psi)))
+    assert (shared.stored_theta_columns, separate.stored_theta_columns) == (1, len(THETAS))
+
+    assert volume_energy(shared) == pytest.approx(volume_energy(separate), rel=1e-13)
+    assert_close(marginal_spectrum(shared, M, THETAS[1])[0].data,
+                 marginal_spectrum(separate, M, THETAS[1])[0].data)
+    for w in (psi, NotRadial(psi)):
+        assert_close(reconstruct_resolution(shared, w, M, 1.7).data,
+                     reconstruct_resolution(separate, w, M, 1.7).data)
+    for ti in range(len(THETAS)):
+        rows = []
+        for name, vol in (("shared", shared), ("separate", separate)):
+            export_spectrogram_csv(tmp_path / (name + ".csv"), vol, 5, ti)
+            rows.append(np.loadtxt(tmp_path / (name + ".csv"), delimiter=","))
+        assert_close(*rows)
 
 
 def test_composite_with_a_skewed_term_is_not_radial():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from clcst.io import (
 )
 from clcst.lct import LCTParams
 from clcst.transform import clcst
-from clcst.windows import CompositeWindow, DOGWindow, GaussianWindow
+from clcst.windows import CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
 
 CTX = transform_algebra(2)
 SPEC = GridSpec(2, 6.0, 32)
@@ -70,6 +71,107 @@ def test_volume_round_trip_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+class Shifted(WindowSpec):
+    """A unit-integral window that is not radial, so its volume stores every
+    theta column."""
+
+    def _evaluate(self, points):
+        return np.exp(-np.sum((points - 0.5) ** 2, axis=0)) / np.pi ** (self.n / 2.0)
+
+    def raw_integral(self):
+        return 1.0
+
+
+def small_volume(radial):
+    psi = GaussianWindow(2, sigma=0.8).normalize_unit_integral() if radial else Shifted(2)
+    u = [[SPEC.dw, 2 * SPEC.dw], [-3 * SPEC.dw, SPEC.dw]]
+    vol = clcst(random_signal(), psi, LCTParams(1, 2, 1, 3), u, [0.0, 0.7, 2.0])
+    if not radial:
+        vol.window = None  # the sidecar names only the catalogue windows
+    return vol
+
+
+def header_size(n):
+    return 4 + 2 * 3 + 4 * (n + 2) + 4  # magic, version n axes, (U, T_s) + b sizes, blades
+
+
+@pytest.mark.parametrize("radial", [True, False], ids=["radial", "not-radial"])
+def test_volume_file_is_the_stored_array(tmp_path, radial):
+    """Version 2: axes (U, T_s) + b and the stored array byte for byte."""
+    vol = small_volume(radial)
+    columns = 1 if radial else 3
+    path = tmp_path / "v.clcg"
+    written = write_volume(path, vol)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<HHH", raw, 4) == (2, 2, 4)
+    assert struct.unpack_from("<5I", raw, 10) == (2, columns) + SPEC.shape + (CTX.blade_count,)
+    assert len(raw) == header_size(2) + 8 * 2 * columns * CTX.blade_count * SPEC.point_count
+    assert raw[header_size(2):] == vol.stored.astype("<f8").tobytes()
+    assert written == len(raw) + len((tmp_path / "v.clcg.json").read_bytes())
+    back = read_volume(path)
+    assert back.stored.shape == vol.stored.shape and np.array_equal(back.values, vol.values)
+
+
+def write_v1_volume(path, vol):
+    """The version 1 layout: axes b + (U, T) and a blade-major payload."""
+    write_volume(path, vol)  # for the sidecar
+    axes = SPEC.shape + (vol.u_count, vol.theta_count)
+    header = b"CLCG" + struct.pack("<HHH", 1, 2, len(axes))
+    header += struct.pack("<%dI" % len(axes), *axes) + struct.pack("<I", CTX.blade_count)
+    path.write_bytes(header + np.ascontiguousarray(vol.values, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("radial", [True, False], ids=["radial", "not-radial"])
+def test_version_1_volume_reads_back_and_rewrites_as_version_2(tmp_path, radial):
+    vol = small_volume(radial)
+    old, new, again = (tmp_path / name for name in ("v1.clcg", "v2.clcg", "v2b.clcg"))
+    write_v1_volume(old, vol)
+    back = read_volume(old)
+    assert back.stored_theta_columns == 3  # T_s = T for a version 1 file
+    assert np.array_equal(back.values, vol.values)
+    write_volume(new, back)
+    assert struct.unpack_from("<H", new.read_bytes(), 4) == (2,)
+    assert np.array_equal(read_volume(new).values, vol.values)
+    write_volume(again, read_volume(new))
+    assert new.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("theta columns", "stores 2 theta columns"),
+    ("u rows", "holds 1 u rows"),
+    ("truncated payload", "payload bytes"),
+    ("one axis", r"needs \(U, T_s\)"),
+])
+def test_malformed_version_2_volume_rejected(tmp_path, damage, message):
+    """A radial volume may store 1 or T = 3 columns, nothing else; its u
+    count must be the sidecar's."""
+    path = tmp_path / "v.clcg"
+    write_volume(path, small_volume(radial=True))
+    raw = bytearray(path.read_bytes())
+    payload = raw[header_size(2):]
+    if damage == "theta columns":
+        struct.pack_into("<I", raw, 14, 2)
+        raw = raw[:header_size(2)] + payload + payload  # sizes agree with the header
+    elif damage == "u rows":
+        struct.pack_into("<I", raw, 10, 1)
+        raw = raw[:header_size(2) + len(payload) // 2]
+    elif damage == "truncated payload":
+        raw = raw[:-8]
+    else:
+        raw = b"CLCG" + struct.pack("<HHHII", 2, 2, 1, 2, 4) + b"\x00" * 64
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=message):
+        read_volume(path)
+
+
+def test_grid_reader_refuses_a_volume_file(tmp_path):
+    path = tmp_path / "v.clcg"
+    write_volume(path, small_volume(radial=True))
+    (tmp_path / "v.clcg.json").write_text(json.dumps({"kind": "grid"}))
+    with pytest.raises(FormatError, match="version 2"):
+        read_grid(path)
+
+
 def test_container_io_makes_no_payload_copy(tmp_path):
     import tracemalloc
 
@@ -77,7 +179,7 @@ def test_container_io_makes_no_payload_copy(tmp_path):
     u = [[k * SPEC.dw, SPEC.dw] for k in range(1, 41)]
     vol = clcst(random_signal(), psi, LCTParams(1, 2, 1, 3), u, [0.0, 1.0])
     path = tmp_path / "v.clcg"
-    payload = vol.values.nbytes  # 2.6 MB
+    payload = vol.stored.nbytes  # 1.3 MB: one theta column for the radial window
     tracemalloc.start()
     try:
         write_volume(path, vol)
@@ -89,7 +191,7 @@ def test_container_io_makes_no_payload_copy(tmp_path):
         tracemalloc.stop()
     assert written_peak < 0.2 * payload
     assert read_peak < 1.2 * payload
-    assert back.values.flags.writeable and np.array_equal(back.values, vol.values)
+    assert back.stored.flags.writeable and np.array_equal(back.values, vol.values)
 
 
 def test_window_meta_round_trip():
@@ -168,6 +270,9 @@ def test_cli_transform_report_and_paths(tmp_path):
         report = json.loads((tmp_path / ("vol_%s.clcg.report.json" % path)).read_text())
         assert report["path"] == path
         assert "admissibility" in report
+        assert report["stored_theta_columns"] == 1  # the Gaussian window is radial
+        written = out.stat().st_size + (tmp_path / ("vol_%s.clcg.json" % path)).stat().st_size
+        assert report["volume_bytes"] == written
     diff = np.max(np.abs(outputs["direct"].values - outputs["three_step"].values))
     assert diff <= 1e-12 * np.max(np.abs(outputs["direct"].values))
 

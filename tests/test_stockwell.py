@@ -90,15 +90,20 @@ def test_window_family_norm_scaling():
         assert norm_l2(wf) == pytest.approx(np.sqrt(det) * norm_l2(base), rel=1e-6)
 
 
-def test_window_family_sampled_paths():
-    psi = GaussianWindow(2, sigma=1.0)
-    sampled = sample(lambda x: psi.evaluate(x), SPEC, CTX)
-    out = window_family(sampled, np.array([SPEC.dx, 0.0]), ScalingMatrix([1.0, 1.0]), Rotation(0.0), SPEC, CTX)
-    assert out.data.shape == sampled.data.shape
+def test_sampled_window_refused():
+    """Rescaling or rotating sampled data would need interpolation, so every
+    transform and the window family take analytic windows only."""
+    from clcst.lct import LCTParams
+    from clcst.transform import clcst
+
+    sampled = sample(lambda x: GaussianWindow(2, sigma=1.0).evaluate(x), SPEC, CTX)
+    f, u = gaussian(), np.array([[1.0, 1.0]])
     with pytest.raises(AnalyticWindowRequiredError):
-        window_family(sampled, np.zeros(2), ScalingMatrix([2.0, 1.0]), Rotation(0.0), SPEC, CTX)
+        cst(f, sampled, u, [0.0])
     with pytest.raises(AnalyticWindowRequiredError):
-        window_family(sampled, np.array([0.1 * SPEC.dx, 0.0]), ScalingMatrix([1.0, 1.0]), Rotation(0.0), SPEC, CTX)
+        clcst(f, sampled, LCTParams(1, 2, 1, 3), u, [0.0])
+    with pytest.raises(AnalyticWindowRequiredError):
+        window_family(sampled, np.zeros(2), ScalingMatrix([1.0, 1.0]), Rotation(0.0), SPEC, CTX)
 
 
 def test_cst_zero_signal():

@@ -242,7 +242,7 @@ def test_volume_energy_weights():
     f = scalar_mixture(12)
     vol = clcst(f, PSI, M, U_LIST, THETAS)
     manual = 0.0
-    for ui, ti in vol.iter_indices():
+    for ui, ti in np.ndindex(vol.u_count, vol.theta_count):
         s = vol.slice(ui, ti)
         manual += (norm_l2(s) ** 2) * vol.u_weights[ui] * vol.theta_step
     assert volume_energy(vol) == pytest.approx(manual, rel=1e-12)

@@ -238,6 +238,15 @@ def geometric_product(a, b):
     return Multivector(ctx, out)
 
 
+def left_multiplication_matrix(m):
+    """The real matrix L with (m * x).coeffs = L @ x.coeffs for every x:
+    column b holds sign(a, b) m_a in row a ^ b."""
+    ctx = m.ctx
+    out = np.zeros((ctx.blade_count, ctx.blade_count))
+    out[ctx.xor_table, np.arange(ctx.blade_count)] = ctx.sign_table * m.coeffs[:, None]
+    return out
+
+
 def grade_project(m, r):
     """Zero out every blade whose factor count differs from r."""
     if not 0 <= r <= m.ctx.n:

@@ -203,7 +203,7 @@ def cmd_transform(args):
             str(w.message) for w in caught if issubclass(w.category, NonUnitWindowWarning)
         )
     report["transform_seconds"] = time.perf_counter() - start
-    # the profile of the windows the transform pass evaluated
+    # the profile of the windows the transform pass used
     report["admissibility"] = vol.admissibility[1]
     report["volume_bytes"] = write_volume(args.out, vol)
     report["volume_file"] = args.out

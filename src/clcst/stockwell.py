@@ -19,9 +19,21 @@ off-lattice u is modulated and transformed explicitly, once per u.
 
 A radial window (``WindowSpec.radial``, as the Gaussian and the DOG are)
 satisfies psi(R_{-theta} A_u y) = psi(A_u y), so every theta of a u has the
-same window, spectrum and slice: the engine evaluates and transforms one
-window per u, computes one slice per u and stores it once, in the volume's
-one theta column that serves every theta.
+same window, spectrum and slice: the engine builds one window spectrum per
+u, computes one slice per u and stores it once, in the volume's one theta
+column that serves every theta.
+
+A separable window (``WindowSpec.separable_terms``: the Gaussian, the DOG
+and composites of them) is a sum of products of 1-D factors on the diagonal
+A_u, psi(A_u y) = sum_t c_t prod_i g_t(u_i y_i), so its spectrum is a sum of
+outer products of 1-D FFTs,
+
+    B_u = sum_t c_t (x)_i fft(ifftshift(g_t(u_i x))) dx,
+
+and an off-lattice u's modulated centered spectrum for the admissibility
+profile is built the same way from 1-D centered CFTs.  No value of such a
+window is computed on the n-D lattice.  Any other window is evaluated there
+once per (u, theta) and transformed by one n-D FFT.
 """
 
 import warnings
@@ -205,20 +217,79 @@ def window_spectra(values, spec):
     return np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes) * spec.cell_weight(SPACE)
 
 
+def separable_spectra(terms, spec, u_rows, modulated=False):
+    """:func:`window_spectra` of psi(A_u y) for each u row, shape (rows, 1) +
+    spec.shape, for a window with ``terms = psi.separable_terms()``, built
+    from 1-D FFTs without evaluating psi on the lattice:
+
+        B_u = sum_t c_t (x)_i fft(ifftshift(g_t(u_i x))) dx
+
+    ``modulated`` gives instead Q = cft[e^{j u.y} psi(A_u y)], the outer
+    products of the 1-D centered CFTs of g_t(u_i x) e^{j u_i x}.
+    """
+    arg = u_rows.T[:, :, None] * spec.axis(SPACE)  # (n, rows, N)
+    factors = np.array([g(arg) for _, g in terms], dtype=np.complex128)  # (terms, n, rows, N)
+    if modulated:
+        factors *= np.exp(1j * arg)
+        factors = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(factors, axes=-1)), axes=-1)
+        factors *= spec.dx / np.sqrt(2.0 * np.pi)
+    else:
+        factors = np.fft.fft(np.fft.ifftshift(factors, axes=-1)) * spec.dx
+    # per row, the sum over terms of the outer products is a product of
+    # matrices with the term as the inner axis
+    rows, count = arg.shape[1], len(terms)
+    acc = np.moveaxis(factors[:, 0], 0, -1) * np.array([c for c, _ in terms])
+    for axis in range(1, spec.n - 1):
+        acc = (acc[:, :, None] * np.moveaxis(factors[:, axis], 0, -1)[:, None]).reshape(rows, -1, count)
+    return (acc @ np.moveaxis(factors[:, -1], 0, 1)).reshape((rows, 1) + spec.shape)
+
+
+def _separable_terms(psi):
+    return psi.separable_terms() if isinstance(psi, WindowSpec) else None
+
+
+def window_row_bytes(psi, spec, theta_list):
+    """Bytes one u row of a :func:`window_blocks` block holds: 16 per point and
+    angle for its complex spectra, and 8 more for the real values of a window
+    evaluated on the lattice.  An off-lattice row's Q is another 16."""
+    per_point = 16 if _separable_terms(psi) is not None else 24
+    return per_point * len(window_angles(psi, theta_list)) * spec.point_count
+
+
 def block_rows(bytes_per_u):
     """u rows per block: about BLOCK_BYTES of per-u data, and at least one."""
     return max(1, BLOCK_BYTES // max(int(bytes_per_u), 1))
 
 
-def window_blocks(psi, spec, u_list, theta_list, rows):
-    """(start, stop, values, spectra) for consecutive blocks of ``rows`` u
-    rows: each window of the block evaluated once and transformed once, at
-    the :func:`window_angles` of theta_list."""
+def window_blocks(psi, spec, u_list, theta_list, rows, modulated=False):
+    """(start, stop, spectra, Q) for consecutive blocks of ``rows`` u rows.
+
+    ``spectra`` holds the spectrum B of each window of the block, one per
+    :func:`window_angles` of theta_list.  With ``modulated``, Q maps each
+    off-lattice row of the block to its modulated centered spectra (see
+    :func:`add_admissibility`); otherwise it is empty.  A separable window
+    builds both from 1-D FFTs (:func:`separable_spectra`); any other window
+    is evaluated on the lattice once per (u, angle) and transformed once.
+    """
     angles = window_angles(psi, theta_list)
+    terms = _separable_terms(psi)
+    on_lattice = roll_steps(spec, u_list)[1]
     for start in range(0, len(u_list), rows):
         stop = min(start + rows, len(u_list))
-        values = window_block(psi, spec, u_list[start:stop], angles)
-        yield start, stop, values, window_spectra(values, spec)
+        u_rows = u_list[start:stop]
+        off = np.flatnonzero(~on_lattice[start:stop]) if modulated else []
+        if terms is None:
+            values = window_block(psi, spec, u_rows, angles)
+            Q = [centered_cft(values[i] * np.exp(1j * spec.dot(u_rows[i])), spec) for i in off]
+            yield start, stop, window_spectra(values, spec), dict(zip(off, Q))
+        else:
+            # Q is made in the yield, so that only the consumer holds it and
+            # can free it before the block's slices
+            yield start, stop, separable_spectra(terms, spec, u_rows), (
+                dict(zip(off, separable_spectra(terms, spec, u_rows[off], modulated=True)))
+                if len(off)
+                else {}
+            )
 
 
 def roll_steps(spec, u_list):
@@ -233,23 +304,24 @@ def roll_sign(steps):
     return -1.0 if int(np.sum(steps)) % 2 else 1.0
 
 
-def add_admissibility(profile, spec, u_rows, weights, values, spectra):
+def add_admissibility(profile, spec, u_rows, weights, spectra, modulated):
     """profile += sum over the u rows of weights[u] sum_theta |Q_{u,theta}|^2.
 
     Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)] is the centered window spectrum
     shifted by u: for a lattice u, |B|^2 (2 pi)^(-n) rolled by k + N/2 (the
-    centering); an off-lattice u takes one CFT of its modulated windows.
+    centering); an off-lattice row i reads its Q from ``modulated[i]``, as
+    :func:`window_blocks` yields it.
     """
     axes = tuple(range(-spec.n, 0))
     steps, on_lattice = roll_steps(spec, u_rows)
     centre = spec.samples_per_axis // 2
-    for i, u in enumerate(u_rows):
+    for i in range(len(u_rows)):
         if on_lattice[i]:
             power = np.sum(spectra[i].real ** 2 + spectra[i].imag ** 2, axis=0)
             weight = weights[i] * (2.0 * np.pi) ** (-spec.n)
             profile += np.roll(power * weight, tuple(steps[i] + centre), axis=axes)
         else:
-            Q = centered_cft(values[i] * np.exp(1j * spec.dot(u)), spec)
+            Q = modulated[i]
             profile += np.sum(Q.real ** 2 + Q.imag ** 2, axis=0) * weights[i]
 
 
@@ -293,9 +365,11 @@ def fill_volume(vol, psi, slices_of_u):
     profile = np.zeros(spec.shape)
     weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
     rows = block_rows(16 * np.prod(shape))
-    for start, stop, values, spectra in window_blocks(psi, spec, vol.u_list, vol.theta_list, rows):
+    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, modulated=True)
+    for start, stop, spectra, modulated in blocks:
         u_rows = vol.u_list[start:stop]
-        add_admissibility(profile, spec, u_rows, weights[start:stop], values, spectra)
+        add_admissibility(profile, spec, u_rows, weights[start:stop], spectra, modulated)
+        del modulated  # the off-lattice Q, freed before the slices
         block = np.empty((stop - start,) + shape, dtype=np.complex128)
         for i in range(stop - start):
             slices_of_u(start + i, spectra[i], block[i])

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import Multivector, left_multiplication_matrix
 from .cft import _require_transformable, centered_cft, cft_forward, cft_inverse
 from .grid import (
     FREQUENCY,
@@ -56,6 +56,7 @@ from .stockwell import (
     transformed_window_values,
     window_angles,
     window_blocks,
+    window_row_bytes,
 )
 from .volume import CLCSTVolume, u_weights_from_list
 
@@ -105,9 +106,10 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     """CLCST volume of f via the requested evaluation path.
 
     Every path runs in the slice engine (:func:`~clcst.stockwell.fill_volume`),
-    which evaluates and transforms each (u, theta) window once (a radial
-    window once per u), writes the slices in u-blocks, and leaves the
-    admissibility profile of the same windows in ``vol.admissibility``.
+    which builds each (u, theta) window spectrum once (a radial window's once
+    per u, from 1-D FFTs when it is separable), writes the slices in
+    u-blocks, and leaves the admissibility profile of the same windows in
+    ``vol.admissibility``.
     The paths differ in the signal side:
     ``three_step`` chirps f, transforms it once and rolls that spectrum per
     lattice u; ``direct`` modulates f by the chirp and the plane wave in one
@@ -209,9 +211,10 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
         raise TransformError("admissibility needs a non-empty (u, theta) set")
     weights = admissibility_weights(psi, u_list, u_weights_from_list(u_list), theta_list)
     profile = np.zeros(spec.shape)
-    rows = block_rows(24 * len(window_angles(psi, theta_list)) * spec.point_count)
-    for start, stop, values, spectra in window_blocks(psi, spec, u_list, theta_list, rows):
-        add_admissibility(profile, spec, u_list[start:stop], weights[start:stop], values, spectra)
+    rows = block_rows(window_row_bytes(psi, spec, theta_list))
+    blocks = window_blocks(psi, spec, u_list, theta_list, rows, modulated=True)
+    for start, stop, spectra, modulated in blocks:
+        add_admissibility(profile, spec, u_list[start:stop], weights[start:stop], spectra, modulated)
     return profile_result(profile, spec, ctx)
 
 
@@ -281,9 +284,11 @@ def reconstruct_resolution(vol, psi, params, c_psi):
     weights = vol.u_weights * vol.theta_step * copies * np.prod(np.abs(vol.u_list), axis=1)
     rolled = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
     modulated = np.zeros_like(rolled)
-    rows = block_rows(40 * columns * ctx.blade_count * spec.point_count)
-    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows)
-    for start, stop, _, spectra in blocks:
+    # per u row: the packed stored columns, their spectra and their products
+    # with the window spectra, 8 bytes per blade each, beside the window block
+    row_bytes = 24 * columns * ctx.blade_count * spec.point_count
+    rows = block_rows(row_bytes + window_row_bytes(psi, spec, vol.theta_list))
+    for start, stop, spectra, _ in window_blocks(psi, spec, vol.u_list, vol.theta_list, rows):
         s = np.moveaxis(pack(ctx, np.moveaxis(vol.stored[start:stop], 2, 0)), 0, 2)
         if s.shape[1] > spectra.shape[1]:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
@@ -437,17 +442,6 @@ def _resample_signal(f, factor):
     return GridSignal(f.spec, f.ctx, data, f.domain)
 
 
-def _left_multiply_volume(vol, mv):
-    """mv S at every (b, u, theta), as an array in the order of ``vol.values``."""
-    ctx = vol.ctx
-    m = ctx.blade_count
-    matrix = np.zeros((m, m))
-    for b in range(m):
-        for a in range(m):
-            matrix[a ^ b, b] += ctx.sign_table[a, b] * mv.coeffs[a]
-    return np.einsum("cb,b...->c...", matrix, vol.values)
-
-
 def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.0,
                      dilation_b_radius=None, seed=0):
     """Max relative deviations of the five covariance identities.
@@ -472,16 +466,13 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
     g = GridSignal(spec, ctx, rng.standard_normal(f.data.shape), SPACE)
     alpha = Multivector(ctx, rng.standard_normal(ctx.blade_count))
     beta = Multivector(ctx, rng.standard_normal(ctx.blade_count))
-    mixed_data = np.zeros_like(f.data)
-    for target in range(ctx.blade_count):
-        for a in range(ctx.blade_count):
-            b = a ^ target
-            mixed_data[target] += ctx.sign_table[a, b] * (
-                alpha.coeffs[a] * f.data[b] + beta.coeffs[a] * g.data[b]
-            )
-    mixed = GridSignal(spec, ctx, mixed_data, SPACE)
+
+    def left_multiply(mv, data):  # mv x at every point of blade-major data
+        return np.tensordot(left_multiplication_matrix(mv), data, axes=1)
+
+    mixed = GridSignal(spec, ctx, left_multiply(alpha, f.data) + left_multiply(beta, g.data), SPACE)
     lhs = analyze(mixed)
-    rhs_vals = _left_multiply_volume(base, alpha) + _left_multiply_volume(analyze(g), beta)
+    rhs_vals = left_multiply(alpha, base.values) + left_multiply(beta, analyze(g).values)
     report["linearity"] = _rel_max(lhs.values, rhs_vals)
 
     # (2) anti-linearity in the window with real coefficients
@@ -503,19 +494,13 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
     lhs = analyze(_roll_signal(f, k_idx))
     rate2 = params.A / params.B
     kdotx = spec.dot(shift)
-    modulated = phase_multiply(f, rate2 * kdotx)
-    vol_mod = analyze(modulated)
+    vol_mod = analyze(phase_multiply(f, rate2 * kdotx))
     k_sq = float(np.dot(shift, shift))
-    kdotb = kdotx
-    rhs_vals = np.empty_like(lhs.values)
     b_axes = tuple(range(1, spec.n + 1))
-    for ui in range(lhs.u_count):
-        u = lhs.u_list[ui]
-        for ti in range(lhs.theta_count):
-            shifted = np.roll(vol_mod.values[..., ui, ti], k_idx, axis=b_axes)
-            sig = GridSignal(spec, ctx, shifted, SPACE)
-            phase = -float(np.dot(u, shift)) + rate2 * (k_sq - kdotb)
-            rhs_vals[..., ui, ti] = phase_multiply(sig, phase).data
+    # e^{i_n(-u.k + A/B (|k|^2 - k.b))} on the right of every (b, u) of the rolled volume
+    phase = rate2 * (k_sq - kdotx)[..., None] - lhs.u_list @ shift
+    shifted = pack(ctx, np.roll(vol_mod.values, k_idx, axis=b_axes))
+    rhs_vals = unpack(ctx, shifted * np.exp(1j * phase)[..., None])
     seam = np.ones(spec.shape, dtype=bool)
     N = spec.samples_per_axis
     for axis, steps in enumerate(k_idx):

@@ -26,9 +26,22 @@ class WindowSpec:
     transform evaluates one window per u and shares it across every theta.
     It is False here; a subclass that overrides _evaluate must set it again,
     True only if its window is radial.
+
+    :meth:`separable_terms` says that psi is a sum of products of one 1-D
+    factor per axis, psi(y) = sum_t c_t prod_i g_t(y_i), so that
+    psi(A_u y) = sum_t c_t prod_i g_t(u_i y_i) for every diagonal A_u and
+    the transform builds its spectra from 1-D FFTs without evaluating psi
+    on the lattice.  It returns None here; a subclass that overrides
+    _evaluate must override it again, returning terms only if they sum to
+    exactly the values of :meth:`evaluate`, amplitude included.
     """
 
     radial = False
+
+    def separable_terms(self):
+        """[(c, g)] with psi(y) = sum c prod_i g(y_i) and g a real function
+        of one coordinate array, or None when psi has no such form."""
+        return None
 
     def __init__(self, n, amplitude=1.0, normalization=RAW):
         self.n = int(n)
@@ -63,6 +76,11 @@ class WindowSpec:
         return abs(self.integral() - 1.0) <= tol
 
 
+def _gaussian_factor(sigma):
+    """t -> exp(-t^2 / (2 sigma^2)), one axis of a Gaussian."""
+    return lambda t: np.exp(-(t**2) / (2.0 * sigma**2))
+
+
 class GaussianWindow(WindowSpec):
     """exp(-|x|^2 / (2 sigma^2))."""
 
@@ -76,6 +94,9 @@ class GaussianWindow(WindowSpec):
 
     def _evaluate(self, points):
         return np.exp(-np.sum(points**2, axis=0) / (2.0 * self.sigma**2))
+
+    def separable_terms(self):
+        return [(self.amplitude, _gaussian_factor(self.sigma))]
 
     def raw_integral(self):
         return (2.0 * np.pi * self.sigma**2) ** (self.n / 2.0)
@@ -111,6 +132,12 @@ class DOGWindow(WindowSpec):
         lam2 = self.lam**2
         return np.exp(-r2 / (2.0 * lam2)) / lam2 - np.exp(-r2 / 2.0)
 
+    def separable_terms(self):
+        return [
+            (self.amplitude / self.lam**2, _gaussian_factor(self.lam)),
+            (-self.amplitude, _gaussian_factor(1.0)),
+        ]
+
     def raw_integral(self):
         return (2.0 * np.pi) ** (self.n / 2.0) * (self.lam ** (self.n - 2) - 1.0)
 
@@ -143,6 +170,16 @@ class CompositeWindow(WindowSpec):
         for c, w in self.terms:
             total += c * w.evaluate(points)
         return total
+
+    def separable_terms(self):
+        """The terms of every component, scaled by its coefficient and the
+        amplitude; None when a component has none."""
+        parts = [w.separable_terms() for _, w in self.terms]
+        if any(p is None for p in parts):
+            return None
+        return [
+            (self.amplitude * c * d, g) for (c, _), part in zip(self.terms, parts) for d, g in part
+        ]
 
     def raw_integral(self):
         return sum(c * w.integral() for c, w in self.terms)

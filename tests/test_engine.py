@@ -21,6 +21,7 @@ from clcst.stockwell import (
     cst_direct_point,
     cst_slice,
     transformed_window_values,
+    window_blocks,
 )
 from clcst.transform import (
     PATHS,
@@ -67,9 +68,20 @@ class NotRadial(WindowSpec):
         return self.psi.integral()
 
 
+class Dense(NotRadial):
+    """A window with its own angles but no separable terms, so the engine
+    evaluates it on the lattice and transforms it with an n-D FFT."""
+
+    def __init__(self, psi):
+        super().__init__(psi)
+        self.radial = psi.radial
+
+
 def radial_window(n, kind):
     if kind == "gaussian":
         return GaussianWindow(n, sigma=0.9)
+    if kind == "unit":
+        return GaussianWindow(n, sigma=0.75).normalize_unit_integral()
     if kind == "dog":
         return DOGWindow(n, lam=0.5)
     return CompositeWindow([(0.8, GaussianWindow(n, sigma=0.7)), (-0.3, DOGWindow(n, lam=0.6))])
@@ -228,6 +240,46 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
     )
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "unit", "dog", "composite"])
+def test_separable_route_matches_dense_route(n, kind):
+    """Spectra and off-lattice Q built from 1-D FFTs give the block spectra,
+    slices, profiles and synthesis of the same window evaluated on the
+    lattice, on every path and in cst."""
+    spec, ctx = setting(n)
+    psi = radial_window(n, kind)
+    dense = Dense(psi)
+    assert psi.separable_terms() is not None and dense.separable_terms() is None
+    assert dense.radial
+    u = mixed_u_list(spec)
+    fast, slow = (list(window_blocks(w, spec, u, THETAS, 3, modulated=True)) for w in (psi, dense))
+    assert sum(len(q) for *_, q in fast) == 2  # the two off-lattice rows
+    for (start, stop, spectra, q), (*rows, dense_spectra, dense_q) in zip(fast, slow, strict=True):
+        assert rows == [start, stop] and spectra.shape == dense_spectra.shape
+        assert_close(spectra, dense_spectra)
+        assert q.keys() == dense_q.keys()
+        for i in q:
+            assert_close(q[i], dense_q[i])
+
+    f = noise(spec, ctx, seed=9)
+    for path in PATHS + ("cst",):
+        fast, slow = (
+            cst(f, w, u, THETAS) if path == "cst" else clcst(f, w, M, u, THETAS, path=path)
+            for w in (psi, dense)
+        )
+        assert_slices_close(fast, slow, 1e-13)
+        assert_close(fast.admissibility[0].data, slow.admissibility[0].data)
+    assert_close(
+        admissibility_profile(psi, M, spec, ctx, u, THETAS)[0].data,
+        admissibility_profile(dense, M, spec, ctx, u, THETAS)[0].data,
+    )
+    vol = clcst(f, psi, M, u, THETAS)
+    assert_close(
+        reconstruct_resolution(vol, psi, M, 1.7).data,
+        reconstruct_resolution(vol, dense, M, 1.7).data,
+    )
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "dog", "composite", "skewed"])
 def test_stored_layout_holds_one_column_per_window_angle(kind):
     """Slice-major (U, T_s, blade) + b: one theta column for a radial window,
@@ -329,8 +381,9 @@ COUNT_THETAS = [0.0, 0.7]
 
 def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, counts):
     """A lattice-u transform and its report through the CLI, whose Gaussian
-    window is radial: one FFT of the signal's pairs, and one window per u
-    evaluated and transformed once for both angles."""
+    window is radial and separable: one FFT of the signal's pairs, one
+    inverse FFT per u for both angles, and no window evaluated on the lattice
+    or transformed by an n-D FFT."""
     spec, ctx = COUNT_SPEC, transform_algebra(2)
     src = tmp_path / "f.clcg"
     main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
@@ -342,7 +395,23 @@ def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, counts):
     ]) == 0
     report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
     assert report["admissibility"]["mean"] > 0.0
-    assert_counts(counts, spec, ctx, windows=len(COUNT_U_STEPS))
+    pairs = ctx.blade_count // 2
+    assert counts["forward"] == [(pairs,) + spec.shape]
+    assert sum(counts["window_points"]) == 0
+    assert counts["inverse"] == [(1, pairs) + spec.shape] * len(COUNT_U_STEPS)
+
+
+def test_composite_with_a_skewed_term_takes_the_dense_route(counts):
+    """No separable terms: each (u, theta) window is evaluated on the lattice
+    and transformed by one n-D FFT."""
+    spec, ctx = COUNT_SPEC, transform_algebra(2)
+    psi = CompositeWindow([(1.0, GaussianWindow(2, sigma=0.9)), (0.5, SkewedGaussian(2))])
+    assert psi.separable_terms() is None
+    clcst(noise(spec, ctx, seed=6), psi, M, np.array(COUNT_U_STEPS) * spec.dw, COUNT_THETAS)
+    windows, pairs = len(COUNT_U_STEPS) * len(COUNT_THETAS), ctx.blade_count // 2
+    assert counts["forward"][1:] == [(len(COUNT_U_STEPS), len(COUNT_THETAS)) + spec.shape]
+    assert sum(int(np.prod(s)) for s in counts["forward"]) == (pairs + windows) * spec.point_count
+    assert sum(counts["window_points"]) > 0
 
 
 def test_one_window_per_slice_for_a_window_that_is_not_radial(counts):

@@ -19,6 +19,24 @@ def quadrature(window, spec):
     return float(np.sum(sig.data[0]) * spec.cell_weight("space"))
 
 
+@pytest.mark.parametrize(
+    "window",
+    [
+        GaussianWindow(2, sigma=0.9),
+        GaussianWindow(3, sigma=0.75).normalize_unit_integral(),
+        DOGWindow(3, lam=0.5, amplitude=2.5),
+        CompositeWindow([(0.8, GaussianWindow(2, sigma=0.7)), (-0.3, DOGWindow(2, lam=0.6))], 1.7),
+    ],
+)
+def test_separable_terms_sum_to_the_window(window):
+    """psi(y) = sum_t c_t prod_i g_t(y_i), amplitude included."""
+    points = np.random.default_rng(0).normal(scale=1.5, size=(window.n, 200))
+    terms = window.separable_terms()
+    total = sum(c * np.prod([g(axis) for axis in points], axis=0) for c, g in terms)
+    expect = window.evaluate(points)
+    assert np.max(np.abs(total - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
 def test_dog_at_origin():
     assert DOGWindow(2, lam=0.5).evaluate(np.zeros(2)) == pytest.approx(3.0)
     assert DOGWindow(3, lam=0.5).evaluate(np.zeros(3)) == pytest.approx(3.0)

@@ -24,14 +24,13 @@ from .io import (
 )
 from .lct import LCTParams
 from .stockwell import NonUnitWindowWarning, Rotation, ScalingMatrix
-from .transform import (
+from .transform import (  # admissibility_profile stays importable here for call tracing
     admissibility_profile,
     clcst,
     clcst_kernel,
     reconstruct_marginal,
     reconstruct_resolution,
 )
-from .verify import run_suites
 from .volume import DEFAULT_THETAS, default_u_list, tensor_u_list
 from .windows import make_window
 
@@ -203,6 +202,15 @@ def cmd_transform(args):
             str(w.message) for w in caught if issubclass(w.category, NonUnitWindowWarning)
         )
     report["transform_seconds"] = time.perf_counter() - start
+    # the chirp e^{i_n A|x|^2/2B} peaks at per-axis frequency |A/B| L, which
+    # the lattice resolves below its Nyquist pi/dx (Koc et al., IEEE TSP 2008)
+    margin = np.pi / spec.dx - abs(params.A / params.B) * spec.half_width
+    report["chirp_aliasing_margin"] = margin
+    if margin <= 0.0:
+        report["warnings"].append(
+            "chirp frequency |A/B| L = %.3g reaches the lattice Nyquist pi/dx = %.3g; "
+            "the chirped signal aliases" % (np.pi / spec.dx - margin, np.pi / spec.dx)
+        )
     # the profile of the windows the transform pass used
     report["admissibility"] = vol.admissibility[1]
     report["volume_bytes"] = write_volume(args.out, vol)
@@ -219,6 +227,8 @@ def cmd_transform(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suites  # the check registry loads only for this command
+
     names = [s.strip() for s in args.suite.split(",")]
     results, all_passed = run_suites(names)
     payload = {
@@ -252,11 +262,8 @@ def cmd_reconstruct(args):
         out, info = reconstruct_marginal(vol, vol.params, args.theta, strict=not args.no_strict)
         report.update(info)
     else:
-        profile, stats = admissibility_profile(
-            vol.window, vol.params, vol.spec, vol.ctx, vol.u_list, vol.theta_list
-        )
-        report["admissibility"] = stats
-        out = reconstruct_resolution(vol, vol.window, vol.params, stats["mean"])
+        # C_psi is the mean of the profile the synthesis pass accumulates
+        out, (_, report["admissibility"]) = reconstruct_resolution(vol, vol.window, vol.params)
     write_grid(args.out, out)
     report_path = args.out + ".report.json"
     with open(report_path, "w") as fh:

@@ -228,7 +228,10 @@ def pack(ctx, data):
     by a + i_n b is then z (a + j b), because span{1, i_n} is isomorphic to C.
     """
     half = ctx.blade_count // 2
-    return data[:half] - 1j * _pair_signs(ctx, data.ndim) * data[::-1][:half]
+    z = np.empty((half,) + data.shape[1:], dtype=np.complex128)
+    z.real = data[:half]
+    np.multiply(data[::-1][:half], -_pair_signs(ctx, data.ndim), out=z.imag)
+    return z
 
 
 def unpack(ctx, z, out=None):

@@ -11,11 +11,21 @@ one periodic correlation of the modulated complex pairs
 
     B_{u,theta} = fftn(ifftshift(psi(R_{-theta} A_u y))) dx^n
 
-that is ifftn(fftn(z e^{-j x.u}) conj(B)).  The slice engine
-(:func:`fill_volume`) takes fftn(z) once per volume: for a lattice u = k dw
-the modulated spectrum is (-1)^(sum k) roll(fftn(z), -k), the frequency
-shift of the fast S-transform (Stockwell, Mansinha and Lowe, 1996).  Only an
-off-lattice u is modulated and transformed explicitly, once per u.
+that is ifftn(fftn(z e^{-j x.u}) conj(B)).  The frequency shift of the fast
+S-transform (Stockwell, Mansinha and Lowe, 1996) is applied to the window,
+not to the signal: the modulated window's spectrum
+
+    M_{u,theta} = fftn(ifftshift(e^{j u.y} psi(R_{-theta} A_u y))) dx^n
+
+is roll(B, k) for a lattice u = k dw, and there
+
+    ifftn(fftn(z e^{-j x.u}) conj(B)) = e^{-j u.b} ifftn(fftn(z) conj(M)).
+
+So the slice engine (:func:`fill_volume`) takes fftn(z) once per volume,
+writes the slice spectra of a whole block of u rows and inverts them with
+one in-place ifftn.  Only an off-lattice u is modulated and transformed
+explicitly, once per u, against its plain spectrum B.  |M|^2 is also each
+window's admissibility term, so the profile needs no roll per u.
 
 A radial window (``WindowSpec.radial``, as the Gaussian and the DOG are)
 satisfies psi(R_{-theta} A_u y) = psi(A_u y), so every theta of a u has the
@@ -25,22 +35,21 @@ column that serves every theta.
 
 A separable window (``WindowSpec.separable_terms``: the Gaussian, the DOG
 and composites of them) is a sum of products of 1-D factors on the diagonal
-A_u, psi(A_u y) = sum_t c_t prod_i g_t(u_i y_i), so its spectrum is a sum of
+A_u, psi(A_u y) = sum_t c_t prod_i g_t(u_i y_i), so its spectra are sums of
 outer products of 1-D FFTs,
 
-    B_u = sum_t c_t (x)_i fft(ifftshift(g_t(u_i x))) dx,
+    M_u = sum_t c_t (x)_i fft(ifftshift(g_t(u_i x) e^{j u_i x})) dx,
 
-and an off-lattice u's modulated centered spectrum for the admissibility
-profile is built the same way from 1-D centered CFTs.  No value of such a
-window is computed on the n-D lattice.  Any other window is evaluated there
-once per (u, theta) and transformed by one n-D FFT.
+and B_u the same without the modulation.  No value of such a window is
+computed on the n-D lattice.  Any other window is evaluated there once per
+(u, theta), modulated and transformed by one n-D FFT.
 """
 
 import warnings
 
 import numpy as np
 
-from .cft import _require_transformable, centered_cft
+from .cft import _require_transformable
 from .grid import (
     FREQUENCY,
     SPACE,
@@ -224,17 +233,14 @@ def separable_spectra(terms, spec, u_rows, modulated=False):
 
         B_u = sum_t c_t (x)_i fft(ifftshift(g_t(u_i x))) dx
 
-    ``modulated`` gives instead Q = cft[e^{j u.y} psi(A_u y)], the outer
-    products of the 1-D centered CFTs of g_t(u_i x) e^{j u_i x}.
+    ``modulated`` gives instead M_u, the spectrum of e^{j u.y} psi(A_u y):
+    the same outer products of the 1-D FFTs of g_t(u_i x) e^{j u_i x}.
     """
     arg = u_rows.T[:, :, None] * spec.axis(SPACE)  # (n, rows, N)
     factors = np.array([g(arg) for _, g in terms], dtype=np.complex128)  # (terms, n, rows, N)
     if modulated:
         factors *= np.exp(1j * arg)
-        factors = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(factors, axes=-1)), axes=-1)
-        factors *= spec.dx / np.sqrt(2.0 * np.pi)
-    else:
-        factors = np.fft.fft(np.fft.ifftshift(factors, axes=-1)) * spec.dx
+    factors = np.fft.fft(np.fft.ifftshift(factors, axes=-1)) * spec.dx
     # per row, the sum over terms of the outer products is a product of
     # matrices with the term as the inner axis
     rows, count = arg.shape[1], len(terms)
@@ -250,8 +256,8 @@ def _separable_terms(psi):
 
 def window_row_bytes(psi, spec, theta_list):
     """Bytes one u row of a :func:`window_blocks` block holds: 16 per point and
-    angle for its complex spectra, and 8 more for the real values of a window
-    evaluated on the lattice.  An off-lattice row's Q is another 16."""
+    angle for its modulated spectra M, and 8 more for the real values of a
+    window evaluated on the lattice.  An off-lattice row's B is another 16."""
     per_point = 16 if _separable_terms(psi) is not None else 24
     return per_point * len(window_angles(psi, theta_list)) * spec.point_count
 
@@ -261,15 +267,27 @@ def block_rows(bytes_per_u):
     return max(1, BLOCK_BYTES // max(int(bytes_per_u), 1))
 
 
-def window_blocks(psi, spec, u_list, theta_list, rows, modulated=False):
-    """(start, stop, spectra, Q) for consecutive blocks of ``rows`` u rows.
+def plane_waves(spec, u_rows):
+    """e^{j x.u} on the space lattice for each u row, shape (rows,) +
+    spec.shape, as outer products of 1-D factors."""
+    factors = np.exp(1j * u_rows[:, :, None] * spec.axis(SPACE))  # (rows, n, N)
+    waves = factors[:, 0]
+    for axis in range(1, spec.n):
+        waves = waves[..., None] * factors[:, axis].reshape((len(u_rows),) + (1,) * axis + (-1,))
+    return waves
 
-    ``spectra`` holds the spectrum B of each window of the block, one per
-    :func:`window_angles` of theta_list.  With ``modulated``, Q maps each
-    off-lattice row of the block to its modulated centered spectra (see
-    :func:`add_admissibility`); otherwise it is empty.  A separable window
-    builds both from 1-D FFTs (:func:`separable_spectra`); any other window
-    is evaluated on the lattice once per (u, angle) and transformed once.
+
+def window_blocks(psi, spec, u_list, theta_list, rows, plain=False):
+    """(start, stop, M, B) for consecutive blocks of ``rows`` u rows.
+
+    M holds the modulated spectrum of each window of the block, one per
+    :func:`window_angles` of theta_list, shape (rows, angles) + spec.shape;
+    for a lattice u = k dw it is roll(B, k), B the plain spectrum of
+    :func:`window_spectra`.  With ``plain``, B maps each off-lattice row of
+    the block to its plain spectra; otherwise it is empty.  A separable
+    window builds both from 1-D FFTs (:func:`separable_spectra`); any other
+    window is evaluated on the lattice once per (u, angle), modulated and
+    transformed once, and transformed once more for B.
     """
     angles = window_angles(psi, theta_list)
     terms = _separable_terms(psi)
@@ -277,52 +295,35 @@ def window_blocks(psi, spec, u_list, theta_list, rows, modulated=False):
     for start in range(0, len(u_list), rows):
         stop = min(start + rows, len(u_list))
         u_rows = u_list[start:stop]
-        off = np.flatnonzero(~on_lattice[start:stop]) if modulated else []
+        off = np.flatnonzero(~on_lattice[start:stop]) if plain else []
         if terms is None:
             values = window_block(psi, spec, u_rows, angles)
-            Q = [centered_cft(values[i] * np.exp(1j * spec.dot(u_rows[i])), spec) for i in off]
-            yield start, stop, window_spectra(values, spec), dict(zip(off, Q))
+            M = window_spectra(values * plane_waves(spec, u_rows)[:, None], spec)
+            B = window_spectra(values[off], spec) if len(off) else []
         else:
-            # Q is made in the yield, so that only the consumer holds it and
-            # can free it before the block's slices
-            yield start, stop, separable_spectra(terms, spec, u_rows), (
-                dict(zip(off, separable_spectra(terms, spec, u_rows[off], modulated=True)))
-                if len(off)
-                else {}
-            )
+            M = separable_spectra(terms, spec, u_rows, modulated=True)
+            B = separable_spectra(terms, spec, u_rows[off]) if len(off) else []
+        yield start, stop, M, dict(zip(off, B))
 
 
 def roll_steps(spec, u_list):
     """Per u row: the integer steps k of u / dw, and whether u = k dw, so that
-    e^{-j x.u} acts on a spectrum as (-1)^(sum k) times a roll by -k."""
+    e^{j y.u} acts on a window spectrum as a roll by k."""
     steps, on_lattice = lattice_steps(u_list, spec.dw, ROLL_TOLERANCE)
     return steps, np.all(on_lattice, axis=-1)
 
 
-def roll_sign(steps):
-    """(-1)^(sum k): x.u = sum_i (i - N/2) k 2 pi / N on the centered lattice."""
-    return -1.0 if int(np.sum(steps)) % 2 else 1.0
+def add_admissibility(power, weights, spectra):
+    """power += sum over the rows of weights[r] sum_theta |M_{r,theta}|^2.
 
-
-def add_admissibility(profile, spec, u_rows, weights, spectra, modulated):
-    """profile += sum over the u rows of weights[u] sum_theta |Q_{u,theta}|^2.
-
-    Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)] is the centered window spectrum
-    shifted by u: for a lattice u, |B|^2 (2 pi)^(-n) rolled by k + N/2 (the
-    centering); an off-lattice row i reads its Q from ``modulated[i]``, as
-    :func:`window_blocks` yields it.
+    ``spectra`` are a block's modulated window spectra M (:func:`window_blocks`),
+    in FFT order: |M|^2 (2 pi)^(-n), shifted by N/2, is |Q|^2 for
+    Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)], on or off the lattice.
+    :func:`profile_result` applies that shift and scale once.
     """
-    axes = tuple(range(-spec.n, 0))
-    steps, on_lattice = roll_steps(spec, u_rows)
-    centre = spec.samples_per_axis // 2
-    for i in range(len(u_rows)):
-        if on_lattice[i]:
-            power = np.sum(spectra[i].real ** 2 + spectra[i].imag ** 2, axis=0)
-            weight = weights[i] * (2.0 * np.pi) ** (-spec.n)
-            profile += np.roll(power * weight, tuple(steps[i] + centre), axis=axes)
-        else:
-            Q = modulated[i]
-            profile += np.sum(Q.real ** 2 + Q.imag ** 2, axis=0) * weights[i]
+    flat = spectra.view(np.float64).reshape(len(spectra), -1)  # real and imaginary parts
+    summed = np.einsum("r,rk,rk->k", weights, flat, flat)
+    power += (summed[0::2] + summed[1::2]).reshape((-1,) + power.shape).sum(axis=0)
 
 
 def admissibility_weights(psi, u_list, u_weights, theta_list):
@@ -332,9 +333,12 @@ def admissibility_weights(psi, u_list, u_weights, theta_list):
     return u_weights * (theta_weight(theta_list) * copies) * np.prod(np.abs(u_list), axis=1) ** 2
 
 
-def profile_result(profile, spec, ctx):
-    """An admissibility profile as a frequency-domain scalar signal, and its
-    min, max, mean and relative variation."""
+def profile_result(power, spec, ctx):
+    """The admissibility profile of :func:`add_admissibility`'s sums, shifted
+    to the centered frequency lattice, as a frequency-domain scalar signal,
+    and its min, max, mean and relative variation."""
+    centre = (spec.samples_per_axis // 2,) * spec.n
+    profile = np.roll(power, centre, axis=tuple(range(spec.n))) * (2.0 * np.pi) ** (-spec.n)
     sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
     stats = {
         "min": float(profile.min()),
@@ -347,59 +351,82 @@ def profile_result(profile, spec, ctx):
     return sig, stats
 
 
-def fill_volume(vol, psi, slices_of_u):
+def fill_volume(vol, psi, fill_block):
     """Write every stored slice of vol, one block of u rows at a time, and
     set ``vol.admissibility`` to the profile of the same windows.
 
-    ``slices_of_u(ui, spectra, out)`` writes the slices of u row ui as
-    complex pairs into ``out``, shape (A, pairs) + b-shape, given the window
-    spectra B of its A windows, one per :func:`window_angles`; A is the
+    ``fill_block(start, stop, M, B, block)`` writes the slices of u rows
+    start:stop as complex pairs into ``block``, shape (rows, A, pairs) +
+    b-shape, given the block's modulated window spectra M and the plain
+    spectra B of its off-lattice rows (:func:`window_blocks`); A is the
     volume's stored theta column count, 1 for a radial window.  A finished
     block, a few MB, is unpacked into the volume's rows in one contiguous
-    write.  Each window's admissibility term, weighted as the volume is, is
-    added to the profile in the same pass.
+    write.  Each window's admissibility term |M|^2, weighted as the volume
+    is, is added to the profile in the same pass.
     """
     spec = vol.spec
     angles = window_angles(psi, vol.theta_list)
     shape = (len(angles), vol.ctx.blade_count // 2) + spec.shape
-    profile = np.zeros(spec.shape)
+    power = np.zeros(spec.shape)
     weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
     rows = block_rows(16 * np.prod(shape))
-    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, modulated=True)
-    for start, stop, spectra, modulated in blocks:
-        u_rows = vol.u_list[start:stop]
-        add_admissibility(profile, spec, u_rows, weights[start:stop], spectra, modulated)
-        del modulated  # the off-lattice Q, freed before the slices
+    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
+    for start, stop, M, B in blocks:
+        add_admissibility(power, weights[start:stop], M)
         block = np.empty((stop - start,) + shape, dtype=np.complex128)
-        for i in range(stop - start):
-            slices_of_u(start + i, spectra[i], block[i])
+        fill_block(start, stop, M, B, block)
         vol.set_slice(slice(start, stop), slice(None), block)
-    vol.admissibility = profile_result(profile, spec, vol.ctx)
+    vol.admissibility = profile_result(power, spec, vol.ctx)
 
 
-def rolled_slices(z, vol, closing=None):
-    """``slices_of_u`` for :func:`fill_volume` on the pairs z: fftn(z) is taken
-    here once, and each lattice u rolls it; ``closing`` multiplies every slice
-    over the b-grid."""
+def spectrum_slices(z, vol, closing=None):
+    """``fill_block`` for :func:`fill_volume` on the pairs z.
+
+    fftn(z) is taken here once.  A lattice row's slice spectra are
+    fftn(z) conj(M), an off-lattice row's fftn(z e^{-j x.u}) conj(B); the
+    block holds them and one in-place ifftn inverts it.  Each slice is then
+    multiplied over the b-grid by ``closing``, |det A_u| (2 pi)^(-n/2) and,
+    for a lattice u, e^{-j u.b}.
+    """
     spec = vol.spec
     axes = tuple(range(-spec.n, 0))
     Z = np.fft.fftn(z, axes=axes)
-    steps, on_lattice = roll_steps(spec, vol.u_list)
+    on_lattice = roll_steps(spec, vol.u_list)[1]
     closing = 1.0 if closing is None else closing
     base = (2.0 * np.pi) ** (-spec.n / 2.0)
 
-    def slices(ui, spectra, out):
-        u = vol.u_list[ui]
-        if on_lattice[ui]:
-            Zu = np.roll(Z, tuple(-steps[ui]), axis=axes)
-            sign = roll_sign(steps[ui])
-        else:
-            Zu = np.fft.fftn(z * np.exp(-1j * spec.dot(u)), axes=axes)
-            sign = 1.0
-        scale = sign * base * np.prod(np.abs(u))  # (-1)^(sum k) |det A_u| (2 pi)^(-n/2)
-        np.multiply(np.fft.ifftn(Zu * spectra.conj()[:, None], axes=axes), closing * scale, out=out)
+    def fill(start, stop, M, B, block):
+        u_rows = vol.u_list[start:stop]
+        lattice = on_lattice[start:stop]
+        for i in range(len(u_rows)):
+            if lattice[i]:
+                np.multiply(Z, M[i].conj()[:, None], out=block[i])
+            else:
+                Zu = np.fft.fftn(z * plane_waves(spec, -u_rows[i:i + 1]), axes=axes)
+                np.multiply(Zu, B[i].conj()[:, None], out=block[i])
+        np.fft.ifftn(block, axes=axes, out=block)
+        # row by row, so that no factor as large as the block is held
+        for i, u in enumerate(u_rows):
+            factor = closing * (base * np.prod(np.abs(u)))
+            block[i] *= factor * plane_waves(spec, -u_rows[i:i + 1]) if lattice[i] else factor
 
-    return slices
+    return fill
+
+
+def row_slices(slices_of_u, vol):
+    """``fill_block`` for :func:`fill_volume` from ``slices_of_u(ui, spectra,
+    out)``, which writes the slices of u row ui into ``out``, shape
+    (A, pairs) + b-shape, given the plain spectra B of its A windows; a
+    lattice row's B is roll(M, -k)."""
+    steps, on_lattice = roll_steps(vol.spec, vol.u_list)
+    axes = tuple(range(-vol.spec.n, 0))
+
+    def fill(start, stop, M, B, block):
+        for i, ui in enumerate(range(start, stop)):
+            spectra = np.roll(M[i], tuple(-steps[ui]), axis=axes) if on_lattice[ui] else B[i]
+            slices_of_u(ui, spectra, block[i])
+
+    return fill
 
 
 def correlate_spectrum(z, spec, spectrum):
@@ -435,7 +462,7 @@ def cst(f, psi, u_list=None, theta_list=None, strict=False):
     check_analysis_inputs(f, psi, strict)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst")
-    fill_volume(vol, psi, rolled_slices(pack(f.ctx, f.data), vol))
+    fill_volume(vol, psi, spectrum_slices(pack(f.ctx, f.data), vol))
     return vol
 
 

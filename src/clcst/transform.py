@@ -49,10 +49,11 @@ from .stockwell import (
     correlate_spectrum,
     cst_slice,
     fill_volume,
+    plane_waves,
     profile_result,
-    roll_sign,
     roll_steps,
-    rolled_slices,
+    row_slices,
+    spectrum_slices,
     transformed_window_values,
     window_angles,
     window_blocks,
@@ -111,8 +112,10 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     u-blocks, and leaves the admissibility profile of the same windows in
     ``vol.admissibility``.
     The paths differ in the signal side:
-    ``three_step`` chirps f, transforms it once and rolls that spectrum per
-    lattice u; ``direct`` modulates f by the chirp and the plane wave in one
+    ``three_step`` chirps f and transforms it once; each lattice u
+    multiplies that spectrum by the conjugate of its modulated window
+    spectrum, and one inverse FFT per block of u rows gives the slices;
+    ``direct`` modulates f by the chirp and the plane wave in one
     phase and correlates it with each window separately; ``spectral``
     multiplies cft(h), h = chirped f e^{-i_n u.x}, by the conjugate centered
     window spectra, which is exact for arbitrary u because h carries the
@@ -129,12 +132,12 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     antichirp = np.exp(-1j * params.chirp_rate * f.spec.squared_radius(SPACE))
     z = pack(f.ctx, f.data)
     if path == "three_step":
-        slices = rolled_slices(z * antichirp.conj(), vol, closing=antichirp)
+        fill_block = spectrum_slices(z * antichirp.conj(), vol, closing=antichirp)
     elif path == "direct":
-        slices = _direct_slices(z, vol, params.chirp_rate, antichirp)
+        fill_block = row_slices(_direct_slices(z, vol, params.chirp_rate, antichirp), vol)
     else:
-        slices = _spectral_slices(z * antichirp.conj(), vol, antichirp)
-    fill_volume(vol, psi, slices)
+        fill_block = row_slices(_spectral_slices(z * antichirp.conj(), vol, antichirp), vol)
+    fill_volume(vol, psi, fill_block)
     return vol
 
 
@@ -210,12 +213,11 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     if len(u_list) == 0 or len(theta_list) == 0:
         raise TransformError("admissibility needs a non-empty (u, theta) set")
     weights = admissibility_weights(psi, u_list, u_weights_from_list(u_list), theta_list)
-    profile = np.zeros(spec.shape)
+    power = np.zeros(spec.shape)
     rows = block_rows(window_row_bytes(psi, spec, theta_list))
-    blocks = window_blocks(psi, spec, u_list, theta_list, rows, modulated=True)
-    for start, stop, spectra, modulated in blocks:
-        add_admissibility(profile, spec, u_list[start:stop], weights[start:stop], spectra, modulated)
-    return profile_result(profile, spec, ctx)
+    for start, stop, M, _ in window_blocks(psi, spec, u_list, theta_list, rows):
+        add_admissibility(power, weights[start:stop], M)
+    return profile_result(power, spec, ctx)
 
 
 def orthogonality_check(f, g, psi, params, scaling, rotation):
@@ -257,53 +259,77 @@ def isometry_ratio(vol, f, params):
     return volume_energy(vol) / denom
 
 
-def reconstruct_resolution(vol, psi, params, c_psi):
+def reconstruct_resolution(vol, psi, params, c_psi=None):
     """Resolution-of-identity synthesis from a volume.
 
     f_hat(x) = (2 pi)^(-n/2) / C_psi * sum over (b, u, theta) with the
     volume's weights of S(b, u, theta) psi^theta_{M,b,u}(x).
 
     Per (u, theta) the b-sum is the periodic convolution of the chirped slice
-    with the window, fftn(s) B in the spectrum, and the plane wave e^{j x.u}
-    of a lattice u rolls that spectrum by +k.  Lattice terms are summed as
-    spectra and inverted once; an off-lattice u is inverted and modulated on
-    its own.  A radial window has one B for every theta of a u: a volume
-    that stores one column for it counts that column's term T times, and a
-    volume that stores all T columns sums them before their one FFT.
+    with the modulated window.  For a lattice u that is fftn(s e^{j u.b}) M
+    in the spectrum, M the modulated window spectrum of
+    :func:`~clcst.stockwell.window_blocks`: each block's weighted columns
+    are transformed by one fftn, their products with M summed without a
+    roll, and the sum inverted once.  An off-lattice u is convolved with its
+    plain spectrum B, inverted and modulated by e^{j x.u} on its own.  A
+    radial window has one M for every theta of a u: a volume that stores
+    one column for it counts that column's term T times, and a volume that
+    stores all T columns sums them before their one FFT.
+
+    The same pass accumulates the admissibility profile of the windows,
+    weighted with ``vol.u_weights`` as the analysis pass weights it.  Given
+    c_psi, the synthesis is returned; with c_psi None, C_psi is that
+    profile's mean and the result is (synthesis, (profile, stats)).
     """
-    if c_psi <= 0:
+    if c_psi is not None and c_psi <= 0:
         raise TransformError("admissibility constant must be positive")
     spec, ctx = vol.spec, vol.ctx
     _require_b_nonzero(params, spec)
     axes = tuple(range(-spec.n, 0))
     chirp = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE))
-    steps, on_lattice = roll_steps(spec, vol.u_list)
+    on_lattice = roll_steps(spec, vol.u_list)[1]
     columns = max(vol.stored_theta_columns, len(window_angles(psi, vol.theta_list)))
     # a product of one stored column and one window stands for T / columns thetas
     copies = vol.theta_count // columns
     weights = vol.u_weights * vol.theta_step * copies * np.prod(np.abs(vol.u_list), axis=1)
-    rolled = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
-    modulated = np.zeros_like(rolled)
-    # per u row: the packed stored columns, their spectra and their products
-    # with the window spectra, 8 bytes per blade each, beside the window block
+    profile_weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
+    power = np.zeros(spec.shape)
+    summed = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
+    modulated = np.zeros_like(summed)
+    # per u row: the packed stored columns, 8 bytes per blade, transformed
+    # and multiplied in place, and pack's two temporaries of the same size,
+    # beside the window block
     row_bytes = 24 * columns * ctx.blade_count * spec.point_count
     rows = block_rows(row_bytes + window_row_bytes(psi, spec, vol.theta_list))
-    for start, stop, spectra, _ in window_blocks(psi, spec, vol.u_list, vol.theta_list, rows):
+    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
+    for start, stop, M, B in blocks:
+        add_admissibility(power, profile_weights[start:stop], M)
+        u_rows, lattice = vol.u_list[start:stop], on_lattice[start:stop]
         s = np.moveaxis(pack(ctx, np.moveaxis(vol.stored[start:stop], 2, 0)), 0, 2)
-        if s.shape[1] > spectra.shape[1]:  # T stored columns, one window for every theta
+        if s.shape[1] > M.shape[1]:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
-        terms = np.sum(np.fft.fftn(s * chirp, axes=axes) * spectra[:, :, None], axis=1)
-        for i, ui in enumerate(range(start, stop)):
-            if on_lattice[ui]:
-                weight = weights[ui] * roll_sign(steps[ui])
-                rolled += np.roll(terms[i], tuple(steps[ui]), axis=axes) * weight
-            else:
-                wave = np.exp(1j * spec.dot(vol.u_list[ui])) * weights[ui]
-                modulated += np.fft.ifftn(terms[i], axes=axes) * wave
-    total = np.fft.ifftn(rolled, axes=axes) + modulated
+        elif s.shape[1] < M.shape[1]:  # one stored column, a window per theta
+            M = np.sum(M, axis=1, keepdims=True)
+            B = {i: np.sum(b, axis=0, keepdims=True) for i, b in B.items()}
+        # weight x chirp x e^{j u.b} on the lattice, before one fftn
+        waves = plane_waves(spec, np.where(lattice[:, None], u_rows, 0.0))
+        waves *= chirp
+        waves *= weights[start:stop].reshape((-1,) + (1,) * spec.n)
+        s *= waves[:, None, None]
+        np.fft.fftn(s, axes=axes, out=s)
+        for i in np.flatnonzero(~lattice):
+            term = np.sum(s[i] * B[i][:, None], axis=0)
+            wave = plane_waves(spec, u_rows[i:i + 1])
+            modulated += np.fft.ifftn(term, axes=axes, out=term) * wave
+        s *= M[:, :, None]
+        summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
+    total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
+    admissibility = profile_result(power, spec, ctx)
+    mean = admissibility[1]["mean"] if c_psi is None else c_psi
     # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
-    scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
-    return GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale), SPACE)
+    scale = (2.0 * np.pi) ** (-spec.n / 2.0) / mean
+    out = GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale), SPACE)
+    return out if c_psi is not None else (out, admissibility)
 
 
 _FILL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])

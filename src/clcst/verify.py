@@ -70,7 +70,7 @@ from .transform import (
     reproducing_kernel,
 )
 from .volume import default_u_list, tensor_u_list
-from .windows import CompositeWindow, DOGWindow, GaussianWindow
+from .windows import CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
 
 # Desk scales shared by the checks: n = 2 on L = 6 at N = 64 or 32, and the
 # parameter matrix of the worked example.
@@ -305,40 +305,66 @@ def cst_identities():
     return dev, rel_l2_error(s2, s0), abs(ratio - 1.0)
 
 
+class _DenseWindow(WindowSpec):
+    """The values of a window without its separable terms, so that the engine
+    evaluates it on the lattice and transforms it with n-D FFTs."""
+
+    def __init__(self, psi):
+        super().__init__(psi.n)
+        self.psi, self.radial = psi, psi.radial
+
+    def _evaluate(self, points):
+        return self.psi.evaluate(points)
+
+    def raw_integral(self):
+        return self.psi.integral()
+
+
 @_measures(
     None,
-    ("separable window spectra vs dense evaluation (4 windows, n=2,3)", 1e-13),
-    ("separable off-lattice Q vs dense evaluation (4 windows, n=2,3)", 1e-13),
+    ("window block M, lattice rows vs roll(B, k) (8 windows, n=2,3)", 1e-13),
+    ("window block M, off-lattice rows vs modulated_window_spectrum (8 windows, n=2,3)", 1e-13),
+    ("window block B, off-lattice rows vs dense evaluation (8 windows, n=2,3)", 1e-13),
 )
 def separable_window_spectra():
     """The engine's window blocks of a raw and a unit Gaussian, a DOG and a
-    composite, built from 1-D FFTs, against the same windows evaluated on the
-    lattice: B by window_spectra and Q by modulated_window_spectrum, on
-    three lattice and two off-lattice u; a missing Q counts as infinite."""
-    worst_b = worst_q = 0.0
+    composite, built from 1-D FFTs and, without their separable terms, on
+    the lattice, against each window evaluated on the lattice.  M of a
+    lattice row k is roll(B, k), B by window_spectra; M of an off-lattice
+    row, centered, is (2 pi)^(n/2) times modulated_window_spectrum, and its
+    B is window_spectra.  Three lattice and two off-lattice u; a missing
+    off-lattice B counts as infinite."""
+    worst_lattice = worst_m = worst_b = 0.0
     compared = 0
     for spec in (SPEC32, GridSpec(3, 4.0, 16)):
         n = spec.n
-        windows = (
+        axes = tuple(range(-n, 0))
+        separable = (
             GaussianWindow(n, sigma=1.0),
             GaussianWindow(n, sigma=0.75).normalize_unit_integral(),
             DOGWindow(n, lam=0.5),
             CompositeWindow([(0.8, GaussianWindow(n, sigma=0.7)), (-0.3, DOGWindow(n, lam=0.6))]),
         )
+        windows = separable + tuple(_DenseWindow(psi) for psi in separable)
         steps = np.array([[2, 3, -1], [-5, 1, 4], [7, -8, 2], [0.37, -1.3, 2.6], [-2.5, 0.8, 1.1]])
         u_list = steps[:, :n] * spec.dw
         for psi in windows:
-            for start, stop, spectra, modulated in window_blocks(psi, spec, u_list, [0.0], 2, True):
+            for start, stop, M, B in window_blocks(psi, spec, u_list, [0.0], 2, plain=True):
                 for i, u in enumerate(u_list[start:stop]):
                     scaling, rotation = ScalingMatrix(u), Rotation(0.0)
                     values = transformed_window_values(psi, spec, np.zeros(n), scaling, rotation)
-                    expect = window_spectra(values, spec)
-                    worst_b = max(worst_b, np.max(np.abs(spectra[i, 0] - expect)) / np.max(np.abs(expect)))
-                    if i in modulated:
-                        expect = modulated_window_spectrum(psi, spec, scaling, rotation)
-                        dev = np.max(np.abs(modulated[i][0] - expect)) / np.max(np.abs(expect))
-                        worst_q, compared = max(worst_q, dev), compared + 1
-    return worst_b, worst_q if compared == 2 * 2 * len(windows) else np.inf
+                    plain = window_spectra(values, spec)
+                    if i not in B:
+                        expect = np.roll(plain, tuple(steps[start + i, :n].astype(int)), axis=axes)
+                        dev = np.max(np.abs(M[i, 0] - expect)) / np.max(np.abs(expect))
+                        worst_lattice = max(worst_lattice, dev)
+                        continue
+                    expect = modulated_window_spectrum(psi, spec, scaling, rotation)
+                    got = np.fft.fftshift(M[i, 0]) * (2.0 * np.pi) ** (-n / 2.0)
+                    worst_m = max(worst_m, np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+                    dev = np.max(np.abs(B[i][0] - plain)) / np.max(np.abs(plain))
+                    worst_b, compared = max(worst_b, dev), compared + 1
+    return worst_lattice, worst_m, worst_b if compared == 2 * 2 * len(windows) else np.inf
 
 
 @_measures(

@@ -1,6 +1,7 @@
-"""The slice engine: one signal spectrum rolled per lattice u, one window
-spectrum per (u, theta) shared by the slices and the admissibility profile,
-and for a radial window one window, spectrum and slice per u for every theta."""
+"""The slice engine: one signal spectrum, one modulated window spectrum per
+(u, theta) shared by the slices and the admissibility profile, one inverse
+FFT per block of u rows, and for a radial window one window, spectrum and
+slice per u for every theta."""
 
 import json
 
@@ -243,16 +244,16 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["gaussian", "unit", "dog", "composite"])
 def test_separable_route_matches_dense_route(n, kind):
-    """Spectra and off-lattice Q built from 1-D FFTs give the block spectra,
-    slices, profiles and synthesis of the same window evaluated on the
-    lattice, on every path and in cst."""
+    """Modulated spectra M and off-lattice plain spectra B built from 1-D
+    FFTs give the block spectra, slices, profiles and synthesis of the same
+    window evaluated on the lattice, on every path and in cst."""
     spec, ctx = setting(n)
     psi = radial_window(n, kind)
     dense = Dense(psi)
     assert psi.separable_terms() is not None and dense.separable_terms() is None
     assert dense.radial
     u = mixed_u_list(spec)
-    fast, slow = (list(window_blocks(w, spec, u, THETAS, 3, modulated=True)) for w in (psi, dense))
+    fast, slow = (list(window_blocks(w, spec, u, THETAS, 3, plain=True)) for w in (psi, dense))
     assert sum(len(q) for *_, q in fast) == 2  # the two off-lattice rows
     for (start, stop, spectra, q), (*rows, dense_spectra, dense_q) in zip(fast, slow, strict=True):
         assert rows == [start, stop] and spectra.shape == dense_spectra.shape
@@ -364,7 +365,7 @@ def counts(monkeypatch):
 
 def assert_counts(counts, spec, ctx, windows):
     """One FFT of the signal's pairs, and ``windows`` windows evaluated and
-    transformed once each, with one inverse FFT of each window's slice."""
+    transformed once each, with the inverse FFT points of one slice each."""
     pairs, points = ctx.blade_count // 2, spec.point_count
     signal_ffts = [s for s in counts["forward"] if s == (pairs,) + spec.shape]
     assert len(signal_ffts) == 1
@@ -381,9 +382,9 @@ COUNT_THETAS = [0.0, 0.7]
 
 def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, counts):
     """A lattice-u transform and its report through the CLI, whose Gaussian
-    window is radial and separable: one FFT of the signal's pairs, one
-    inverse FFT per u for both angles, and no window evaluated on the lattice
-    or transformed by an n-D FFT."""
+    window is radial and separable: one FFT of the signal's pairs, no window
+    evaluated on the lattice or transformed by an n-D FFT, and the slices of
+    every u inverted by one inverse FFT of the block."""
     spec, ctx = COUNT_SPEC, transform_algebra(2)
     src = tmp_path / "f.clcg"
     main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
@@ -395,10 +396,43 @@ def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, counts):
     ]) == 0
     report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
     assert report["admissibility"]["mean"] > 0.0
-    pairs = ctx.blade_count // 2
+    pairs, angles = ctx.blade_count // 2, 1  # radial: one window for both thetas
     assert counts["forward"] == [(pairs,) + spec.shape]
     assert sum(counts["window_points"]) == 0
-    assert counts["inverse"] == [(1, pairs) + spec.shape] * len(COUNT_U_STEPS)
+    # the whole u list fits one block: one call, U A pairs N^n points
+    assert counts["inverse"] == [(len(COUNT_U_STEPS), angles, pairs) + spec.shape]
+
+
+@pytest.fixture
+def rolls(monkeypatch):
+    """The shapes passed to numpy.roll from here to the end of the test."""
+    calls = []
+    roll = np.roll
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return roll(*args, **kwargs)
+
+    monkeypatch.setattr(np, "roll", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "skewed"])
+def test_lattice_passes_roll_at_most_once(kind, rolls):
+    """The three-step transform, the admissibility profile and resolution
+    synthesis shift the windows, not the spectra: on a lattice u list each
+    calls numpy.roll at most once, for the profile's centering."""
+    spec, ctx = setting(2)
+    psi = GaussianWindow(2, sigma=0.9) if kind == "gaussian" else SkewedGaussian(2)
+    u = mixed_u_list(spec)[:5]  # the lattice rows
+    vol = clcst(noise(spec, ctx, seed=2), psi, M, u, THETAS, path="three_step")
+    assert len(rolls) <= 1
+    del rolls[:]
+    admissibility_profile(psi, M, spec, ctx, u, THETAS)
+    assert len(rolls) <= 1
+    del rolls[:]
+    reconstruct_resolution(vol, psi, M, 1.7)
+    assert len(rolls) <= 1
 
 
 def test_composite_with_a_skewed_term_takes_the_dense_route(counts):

@@ -386,3 +386,68 @@ def test_cli_bad_spectrogram_index_refused_before_transform(tmp_path, index, mes
     assert message in str(err.value)
     assert not out.exists()
     assert not (tmp_path / "vol.clcg.json").exists()
+
+
+def test_cli_import_leaves_the_check_registry_unloaded():
+    """Only `clcst verify` loads the check registry."""
+    import os
+    import subprocess
+    import sys
+
+    import clcst
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(clcst.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = "import sys, clcst.cli; print('clcst.verify' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("window", ["gaussian", "dog"])
+def test_cli_resolution_takes_c_psi_from_its_own_pass(tmp_path, window):
+    """On lattice and off-lattice u, `reconstruct --method resolution` gives
+    the output and admissibility stats of admissibility_profile followed by
+    reconstruct_resolution at the profile's mean."""
+    from clcst.transform import admissibility_profile, reconstruct_resolution
+
+    spec = GridSpec(2, 6.0, 16)
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
+    steps = [[1, 2], [-3, 5], [-8, 1], [0.37, -1.3], [-2.5, 0.8]]
+    u_spec = json.dumps([[a * spec.dw, b * spec.dw] for a, b in steps])
+    vol_path, rec = tmp_path / "vol.clcg", tmp_path / "rec.clcg"
+    assert main([
+        "transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+        "--window", window, "--u-list", u_spec, "--theta", "0,0.7", "--out", str(vol_path),
+    ]) == 0
+    assert main(["reconstruct", "--volume", str(vol_path), "--method", "resolution",
+                 "--out", str(rec)]) == 0
+    vol = read_volume(vol_path)
+    _, stats = admissibility_profile(vol.window, vol.params, vol.spec, vol.ctx,
+                                     vol.u_list, vol.theta_list)
+    expect = reconstruct_resolution(vol, vol.window, vol.params, stats["mean"]).data
+    got = read_grid(rec).data
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    report = json.loads((tmp_path / "rec.clcg.report.json").read_text())
+    assert report["admissibility"] == pytest.approx(stats, rel=1e-13)
+
+
+@pytest.mark.parametrize("M, aliased", [((1, 2, 1, 3), False), ((1, 1, 0, 1), True)])
+def test_cli_transform_reports_the_chirp_aliasing_margin(tmp_path, M, aliased):
+    """The margin pi/dx - |A/B| L is always reported; at or below zero it is
+    also a warning.  N = 16 on L = 6 gives pi/dx = 4.19 against |A/B| L = 3
+    and 6."""
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    A, B, C, D = (str(v) for v in M)
+    assert main([
+        "transform", "--input", str(src), "--A", A, "--B", B, "--C", C, "--D", D,
+        "--u-list", json.dumps({"kind": "multiples", "per_axis": [[1], [2]]}), "--out", str(out),
+    ]) == 0
+    report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
+    expect = np.pi / 0.75 - abs(M[0] / M[1]) * 6.0
+    assert report["chirp_aliasing_margin"] == pytest.approx(expect, rel=1e-15)
+    warned = [w for w in report["warnings"] if "Nyquist" in w]
+    assert len(warned) == int(aliased)

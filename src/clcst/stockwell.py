@@ -255,10 +255,12 @@ def _separable_terms(psi):
 
 
 def window_row_bytes(psi, spec, theta_list):
-    """Bytes one u row of a :func:`window_blocks` block holds: 16 per point and
-    angle for its modulated spectra M, and 8 more for the real values of a
-    window evaluated on the lattice.  An off-lattice row's B is another 16."""
-    per_point = 16 if _separable_terms(psi) is not None else 24
+    """Bytes one u row of a :func:`window_blocks` block holds at its peak, per
+    point and angle: 16 for its modulated spectra M.  A window evaluated on
+    the lattice first holds its n coordinates and their squares, 16 n, and a
+    sum of them, 8; then its real values, 8, beside M.  An off-lattice row's
+    B is another 16."""
+    per_point = 16 if _separable_terms(psi) is not None else max(24, 16 * spec.n + 8)
     return per_point * len(window_angles(psi, theta_list)) * spec.point_count
 
 
@@ -287,19 +289,29 @@ def window_blocks(psi, spec, u_list, theta_list, rows, plain=False):
     the block to its plain spectra; otherwise it is empty.  A separable
     window builds both from 1-D FFTs (:func:`separable_spectra`); any other
     window is evaluated on the lattice once per (u, angle), modulated and
-    transformed once, and transformed once more for B.
+    transformed once, and transformed once more for B; its values and plane
+    waves are put in FFT order first, so that M is made and transformed in
+    one complex buffer.
     """
     angles = window_angles(psi, theta_list)
     terms = _separable_terms(psi)
+    axes = tuple(range(-spec.n, 0))
+    cell = spec.cell_weight(SPACE)
     on_lattice = roll_steps(spec, u_list)[1]
     for start in range(0, len(u_list), rows):
         stop = min(start + rows, len(u_list))
         u_rows = u_list[start:stop]
         off = np.flatnonzero(~on_lattice[start:stop]) if plain else []
         if terms is None:
-            values = window_block(psi, spec, u_rows, angles)
-            M = window_spectra(values * plane_waves(spec, u_rows)[:, None], spec)
-            B = window_spectra(values[off], spec) if len(off) else []
+            values = np.fft.ifftshift(window_block(psi, spec, u_rows, angles), axes=axes)
+            waves = np.fft.ifftshift(plane_waves(spec, u_rows), axes=axes)
+            M = np.multiply(values, waves[:, None])
+            np.fft.fftn(M, axes=axes, out=M)
+            M *= cell
+            B = []
+            if len(off):
+                B = np.fft.fftn(values[off], axes=axes)
+                B *= cell
         else:
             M = separable_spectra(terms, spec, u_rows, modulated=True)
             B = separable_spectra(terms, spec, u_rows[off]) if len(off) else []

@@ -276,15 +276,22 @@ def reconstruct_resolution(vol, psi, params, c_psi=None):
     one column for it counts that column's term T times, and a volume that
     stores all T columns sums them before their one FFT.
 
-    The same pass accumulates the admissibility profile of the windows,
-    weighted with ``vol.u_weights`` as the analysis pass weights it.  Given
-    c_psi, the synthesis is returned; with c_psi None, C_psi is that
+    Given c_psi, the synthesis is returned.  With c_psi None, the same pass
+    accumulates the admissibility profile of the windows, weighted with
+    ``vol.u_weights`` as the analysis pass weights it; C_psi is that
     profile's mean and the result is (synthesis, (profile, stats)).
+
+    The u and theta lists come from the volume's sidecar and are checked as
+    :func:`~clcst.stockwell.checked_lists` checks an analysis's lists.
     """
     if c_psi is not None and c_psi <= 0:
         raise TransformError("admissibility constant must be positive")
     spec, ctx = vol.spec, vol.ctx
     _require_b_nonzero(params, spec)
+    checked_lists(spec, vol.u_list, vol.theta_list)
+    if len(vol.u_list) == 0 or len(vol.theta_list) == 0:
+        raise TransformError("resolution synthesis needs a non-empty (u, theta) set")
+    with_profile = c_psi is None
     axes = tuple(range(-spec.n, 0))
     chirp = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE))
     on_lattice = roll_steps(spec, vol.u_list)[1]
@@ -292,8 +299,9 @@ def reconstruct_resolution(vol, psi, params, c_psi=None):
     # a product of one stored column and one window stands for T / columns thetas
     copies = vol.theta_count // columns
     weights = vol.u_weights * vol.theta_step * copies * np.prod(np.abs(vol.u_list), axis=1)
-    profile_weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
-    power = np.zeros(spec.shape)
+    if with_profile:
+        profile_weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
+        power = np.zeros(spec.shape)
     summed = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
     modulated = np.zeros_like(summed)
     # per u row: the packed stored columns, 8 bytes per blade, transformed
@@ -303,7 +311,8 @@ def reconstruct_resolution(vol, psi, params, c_psi=None):
     rows = block_rows(row_bytes + window_row_bytes(psi, spec, vol.theta_list))
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
     for start, stop, M, B in blocks:
-        add_admissibility(power, profile_weights[start:stop], M)
+        if with_profile:
+            add_admissibility(power, profile_weights[start:stop], M)
         u_rows, lattice = vol.u_list[start:stop], on_lattice[start:stop]
         s = np.moveaxis(pack(ctx, np.moveaxis(vol.stored[start:stop], 2, 0)), 0, 2)
         if s.shape[1] > M.shape[1]:  # T stored columns, one window for every theta
@@ -324,12 +333,15 @@ def reconstruct_resolution(vol, psi, params, c_psi=None):
         s *= M[:, :, None]
         summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
     total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
-    admissibility = profile_result(power, spec, ctx)
-    mean = admissibility[1]["mean"] if c_psi is None else c_psi
+    if with_profile:
+        admissibility = profile_result(power, spec, ctx)
+        c_psi = admissibility[1]["mean"]
+        if not c_psi > 0:
+            raise TransformError("admissibility profile mean %r is not positive" % c_psi)
     # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
-    scale = (2.0 * np.pi) ** (-spec.n / 2.0) / mean
+    scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
     out = GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale), SPACE)
-    return out if c_psi is not None else (out, admissibility)
+    return (out, admissibility) if with_profile else out
 
 
 _FILL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])

@@ -434,6 +434,34 @@ def test_cli_resolution_takes_c_psi_from_its_own_pass(tmp_path, window):
     assert report["admissibility"] == pytest.approx(stats, rel=1e-13)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["u_list"][0].__setitem__(0, 0.0), "zero component"),
+    (lambda meta: meta["theta_list"].__setitem__(1, meta["theta_list"][0]), "repeats an angle"),
+], ids=["zero-u", "repeated-theta"])
+def test_cli_resolution_refuses_a_bad_sidecar_list(tmp_path, edit, message):
+    """The u and theta lists of a volume's sidecar are input: a zero u
+    component or a repeated theta is refused, not synthesized with a zero or
+    wrong weight."""
+    from clcst.stockwell import StockwellError
+
+    src, vol_path = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
+    assert main([
+        "transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+        "--u-list", json.dumps({"kind": "multiples", "per_axis": [[1, 2], [1, 2]]}),
+        "--theta", "0,0.7", "--out", str(vol_path),
+    ]) == 0
+    sidecar = tmp_path / "vol.clcg.json"
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+    rec = tmp_path / "rec.clcg"
+    with pytest.raises(StockwellError, match=message):
+        main(["reconstruct", "--volume", str(vol_path), "--method", "resolution",
+              "--out", str(rec)])
+    assert not rec.exists()
+
+
 @pytest.mark.parametrize("M, aliased", [((1, 2, 1, 3), False), ((1, 1, 0, 1), True)])
 def test_cli_transform_reports_the_chirp_aliasing_margin(tmp_path, M, aliased):
     """The margin pi/dx - |A/B| L is always reported; at or below zero it is

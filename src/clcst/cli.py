@@ -1,8 +1,11 @@
 """Batch front end: synthesis, transforms, verification, reconstruction, I/O.
 
-All run parameters live in one JSON-serializable configuration; a
-``--config file.json`` overrides every flag, so batch runs are fully
-reproducible from a single document.
+``synthesize``, ``transform`` and ``kernel-dump`` build their run parameters
+into one JSON-serializable configuration, over which ``--config file.json``
+is merged key by key, so those runs are reproducible from a single document.
+File paths, ``transform``'s spectrogram and report flags and
+``kernel-dump``'s ``--b``, ``--u`` and ``--theta`` stay flags; ``verify`` and
+``reconstruct`` take no configuration file.
 """
 
 import argparse
@@ -185,7 +188,7 @@ def cmd_transform(args):
     report = {"path": cfg["path"], "warnings": [], "config": cfg}
     if not np.any(signal.data):
         report["warnings"].append("zero input")
-    threshold = cfg.get("boundary_mass_threshold", 1e-10)
+    threshold = 1e-10  # share of the signal energy in the outermost lattice shell
     ratio = signal.boundary_mass_ratio()
     if np.any(signal.data) and ratio > threshold:
         report["warnings"].append(

@@ -64,8 +64,8 @@ class LCTParams:
             raise DegenerateBranchError("chirp rate undefined at B = 0")
         return self.A / (2.0 * self.B)
 
-    def is_cft_point(self, tol=1e-15):
-        return all(abs(a - b) <= tol for a, b in zip(self.as_tuple(), self.IDENTITY_TO_CFT))
+    def is_cft_point(self):
+        return all(abs(a - b) <= 1e-15 for a, b in zip(self.as_tuple(), self.IDENTITY_TO_CFT))
 
     def __repr__(self):
         return "LCTParams(A=%g, B=%g, C=%g, D=%g)" % self.as_tuple()
@@ -139,10 +139,10 @@ def _clct_scaling_branch(f, params):
     return out.scale(D ** (-f.spec.n / 2.0))
 
 
-def clct_forward_direct(f, params, block_rows=256):
+def clct_forward_direct(f, params):
     """Direct quadrature of the defining sum on the u_k = B w_k lattice.
 
-    O(N^(2n)); evaluated in blocks of output points to bound memory.  This is
+    O(N^(2n)); evaluated in blocks of 256 output points to bound memory.  This is
     the oracle the fast path is tested against.
     """
     if params.B == 0.0:
@@ -157,12 +157,12 @@ def clct_forward_direct(f, params, block_rows=256):
     za = pack(f.ctx, f.data).reshape(-1, P)
     amp = _amplitude(params, n) * f.spec.cell_weight(SPACE)
     rows = []
-    for start in range(0, P, block_rows):
-        stop = min(start + block_rows, P)
+    for start in range(0, P, 256):
+        block = slice(start, start + 256)
         phase = (
             params.A * x_sq[None, :] / (2.0 * params.B)
-            - (u[:, start:stop].T @ x) / params.B
-            + params.D * u_sq[start:stop, None] / (2.0 * params.B)
+            - (u[:, block].T @ x) / params.B
+            + params.D * u_sq[block, None] / (2.0 * params.B)
         )
         kernel = np.exp(1j * phase)  # (rows, P)
         rows.append(za @ kernel.T)  # (pairs, rows)

@@ -404,8 +404,7 @@ def spectrum_slices(z, vol, closing=None):
     axes = tuple(range(-spec.n, 0))
     Z = np.fft.fftn(z, axes=axes)
     on_lattice = roll_steps(spec, vol.u_list)[1]
-    closing = 1.0 if closing is None else closing
-    base = (2.0 * np.pi) ** (-spec.n / 2.0)
+    closing = (2.0 * np.pi) ** (-spec.n / 2.0) * (1.0 if closing is None else closing)
 
     def fill(start, stop, M, B, block):
         u_rows = vol.u_list[start:stop]
@@ -417,10 +416,17 @@ def spectrum_slices(z, vol, closing=None):
                 Zu = np.fft.fftn(z * plane_waves(spec, -u_rows[i:i + 1]), axes=axes)
                 np.multiply(Zu, B[i].conj()[:, None], out=block[i])
         np.fft.ifftn(block, axes=axes, out=block)
-        # row by row, so that no factor as large as the block is held
+        # row by row, so that no factor as large as the block is held; a
+        # lattice row's factor is built in place on its plane wave
         for i, u in enumerate(u_rows):
-            factor = closing * (base * np.prod(np.abs(u)))
-            block[i] *= factor * plane_waves(spec, -u_rows[i:i + 1]) if lattice[i] else factor
+            scale = np.prod(np.abs(u))
+            if lattice[i]:
+                factor = plane_waves(spec, -u_rows[i:i + 1])
+                factor *= closing
+                factor *= scale
+            else:
+                factor = closing * scale
+            block[i] *= factor
 
     return fill
 

@@ -49,6 +49,7 @@ from .stockwell import (
     correlate_spectrum,
     cst_slice,
     fill_volume,
+    minimal_image,
     plane_waves,
     profile_result,
     roll_steps,
@@ -171,8 +172,9 @@ def _spectral_slices(h, vol, antichirp):
     return slices
 
 
-def clcst_direct_sum_slice(f, psi, params, scaling, rotation, block_rows=512):
-    """Naive quadrature over the whole b-grid; the slow benchmark oracle."""
+def clcst_direct_sum_slice(f, psi, params, scaling, rotation):
+    """Naive quadrature over the whole b-grid, 512 b points at a time; the
+    slow benchmark oracle."""
     _require_transformable(f)
     _require_b_nonzero(params, f.spec)
     n = f.spec.n
@@ -183,16 +185,14 @@ def clcst_direct_sum_slice(f, psi, params, scaling, rotation, block_rows=512):
     x_sq = np.sum(x**2, axis=0)
     z = np.exp(1j * (rate * x_sq - x.T @ scaling.u))  # e^{-i(x.u - A|x|^2/2B)}
     fz = pack(f.ctx, f.data).reshape(-1, P) * z
-    from .stockwell import minimal_image
-
     rot_scale = rotation.matrix(n) @ np.diag(scaling.u)
     acc = np.empty(fz.shape, dtype=np.complex128)
-    for start in range(0, P, block_rows):
-        stop = min(start + block_rows, P)
-        diff = minimal_image(x[:, None, :] - x[:, start:stop, None], f.spec.half_width)
+    for start in range(0, P, 512):
+        rows = slice(start, start + 512)
+        diff = minimal_image(x[:, None, :] - x[:, rows, None], f.spec.half_width)
         args = np.einsum("ij,jbp->ibp", rot_scale, diff)
         wmat = psi.evaluate(args)  # (rows, P)
-        acc[:, start:stop] = fz @ wmat.T
+        acc[:, rows] = fz @ wmat.T
     acc *= np.exp(-1j * rate * x_sq)  # b runs over the same lattice as x
     scale = scaling.det_abs * (2.0 * np.pi) ** (-n / 2.0) * f.spec.cell_weight(SPACE)
     out = unpack(f.ctx, acc.reshape((-1,) + f.spec.shape) * scale)
@@ -259,8 +259,9 @@ def isometry_ratio(vol, f, params):
     return volume_energy(vol) / denom
 
 
-def reconstruct_resolution(vol, psi, params, c_psi=None):
-    """Resolution-of-identity synthesis from a volume.
+def reconstruct_resolution(vol, psi, params):
+    """Resolution-of-identity synthesis from a volume and the admissibility
+    profile of the same windows: (synthesis, (profile, stats)).
 
     f_hat(x) = (2 pi)^(-n/2) / C_psi * sum over (b, u, theta) with the
     volume's weights of S(b, u, theta) psi^theta_{M,b,u}(x).
@@ -276,22 +277,18 @@ def reconstruct_resolution(vol, psi, params, c_psi=None):
     one column for it counts that column's term T times, and a volume that
     stores all T columns sums them before their one FFT.
 
-    Given c_psi, the synthesis is returned.  With c_psi None, the same pass
-    accumulates the admissibility profile of the windows, weighted with
-    ``vol.u_weights`` as the analysis pass weights it; C_psi is that
-    profile's mean and the result is (synthesis, (profile, stats)).
+    The same pass accumulates the admissibility profile from M, weighted
+    with ``vol.u_weights`` as the analysis pass weights it; C_psi is that
+    profile's mean, and a mean that is not positive is refused.
 
     The u and theta lists come from the volume's sidecar and are checked as
     :func:`~clcst.stockwell.checked_lists` checks an analysis's lists.
     """
-    if c_psi is not None and c_psi <= 0:
-        raise TransformError("admissibility constant must be positive")
     spec, ctx = vol.spec, vol.ctx
     _require_b_nonzero(params, spec)
     checked_lists(spec, vol.u_list, vol.theta_list)
     if len(vol.u_list) == 0 or len(vol.theta_list) == 0:
         raise TransformError("resolution synthesis needs a non-empty (u, theta) set")
-    with_profile = c_psi is None
     axes = tuple(range(-spec.n, 0))
     chirp = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE))
     on_lattice = roll_steps(spec, vol.u_list)[1]
@@ -299,9 +296,8 @@ def reconstruct_resolution(vol, psi, params, c_psi=None):
     # a product of one stored column and one window stands for T / columns thetas
     copies = vol.theta_count // columns
     weights = vol.u_weights * vol.theta_step * copies * np.prod(np.abs(vol.u_list), axis=1)
-    if with_profile:
-        profile_weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
-        power = np.zeros(spec.shape)
+    profile_weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
+    power = np.zeros(spec.shape)
     summed = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
     modulated = np.zeros_like(summed)
     # per u row: the packed stored columns, 8 bytes per blade, transformed
@@ -311,8 +307,7 @@ def reconstruct_resolution(vol, psi, params, c_psi=None):
     rows = block_rows(row_bytes + window_row_bytes(psi, spec, vol.theta_list))
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
     for start, stop, M, B in blocks:
-        if with_profile:
-            add_admissibility(power, profile_weights[start:stop], M)
+        add_admissibility(power, profile_weights[start:stop], M)
         u_rows, lattice = vol.u_list[start:stop], on_lattice[start:stop]
         s = np.moveaxis(pack(ctx, np.moveaxis(vol.stored[start:stop], 2, 0)), 0, 2)
         if s.shape[1] > M.shape[1]:  # T stored columns, one window for every theta
@@ -333,15 +328,14 @@ def reconstruct_resolution(vol, psi, params, c_psi=None):
         s *= M[:, :, None]
         summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
     total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
-    if with_profile:
-        admissibility = profile_result(power, spec, ctx)
-        c_psi = admissibility[1]["mean"]
-        if not c_psi > 0:
-            raise TransformError("admissibility profile mean %r is not positive" % c_psi)
+    admissibility = profile_result(power, spec, ctx)
+    c_psi = admissibility[1]["mean"]
+    if not c_psi > 0:
+        raise TransformError("admissibility profile mean %r is not positive" % c_psi)
     # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
     scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
     out = GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale), SPACE)
-    return (out, admissibility) if with_profile else out
+    return out, admissibility
 
 
 _FILL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])

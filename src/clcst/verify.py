@@ -466,7 +466,7 @@ def clcst_oracles():
     v0 = clcst(f, psi, LCTParams.cft_point(), u_list, thetas, path="three_step")
     oracle = clcst_direct_sum_slice(f, psi, M_EXAMPLE, ScalingMatrix(u_list[0]), Rotation(thetas[1]))
     lhs, rhs = orthogonality_check(f, g, psi, M_EXAMPLE, ScalingMatrix([2 * dw, -3 * dw]), Rotation(0.6))
-    _, stats = admissibility_profile(psi, M_EXAMPLE, SPEC32, CTX2, u_list, thetas)
+    stats = vd.admissibility[1]
     offset = isometry_ratio(vd, f, M_EXAMPLE) / stats["mean"] - 1.0
     inside = stats["min"] / stats["mean"] - 1.0 <= offset <= stats["max"] / stats["mean"] - 1.0
     return (
@@ -509,9 +509,8 @@ def resolution_reconstruction():
     vals = np.arange(step, 28 * SPEC32.dw + 1e-9, step)
     axis = np.concatenate([-vals[::-1], vals])
     u_list = tensor_u_list([axis, axis])
-    _, stats = admissibility_profile(psi, M_EXAMPLE, SPEC32, CTX2, u_list, [0.0])
     vol = clcst(f, psi, M_EXAMPLE, u_list, [0.0], path="three_step")
-    rec = reconstruct_resolution(vol, psi, M_EXAMPLE, stats["mean"])
+    rec, (_, stats) = reconstruct_resolution(vol, psi, M_EXAMPLE)
     return rel_l2_error(rec, f), stats["relative_variation"]
 
 

@@ -11,15 +11,10 @@ from .grid import SPACE, GridError, GridSignal, unpack
 from .windows import window_angles
 
 
-def default_u_list(spec, max_multiple=None):
+def default_u_list(spec):
     """Tensor grid over +-{dw, 2 dw, ..., (N/4) dw} per axis, zero excluded."""
-    if max_multiple is None:
-        max_multiple = spec.samples_per_axis // 4
-    dw = spec.dw
-    pos = dw * np.arange(1, max_multiple + 1)
-    axis = np.concatenate([-pos[::-1], pos])
-    grids = np.meshgrid(*([axis] * spec.n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    pos = spec.dw * np.arange(1, spec.samples_per_axis // 4 + 1)
+    return tensor_u_list([np.concatenate([-pos[::-1], pos])] * spec.n)
 
 
 def tensor_u_list(per_axis_values):

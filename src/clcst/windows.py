@@ -72,8 +72,8 @@ class WindowSpec:
         out.normalization = UNIT_INTEGRAL
         return out
 
-    def is_unit_integral(self, tol=1e-10):
-        return abs(self.integral() - 1.0) <= tol
+    def is_unit_integral(self):
+        return abs(self.integral() - 1.0) <= 1e-10
 
 
 def _gaussian_factor(sigma):

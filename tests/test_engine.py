@@ -192,7 +192,9 @@ def test_resolution_synthesis_matches_per_slice_sum():
     psi = SkewedGaussian(2)
     u = mixed_u_list(spec)
     vol = clcst(noise(spec, ctx, 2), psi, M, u, THETAS)
-    out = reconstruct_resolution(vol, psi, M, 1.7)
+    out, (_, stats) = reconstruct_resolution(vol, psi, M)
+    c_psi = admissibility_profile(psi, M, spec, ctx, u, THETAS)[1]["mean"]
+    assert stats["mean"] == pytest.approx(c_psi, rel=1e-13)
     # each slice convolved with its window, modulated and summed in space
     axes = (-2, -1)
     chirp = np.exp(1j * M.chirp_rate * spec.squared_radius(SPACE))
@@ -205,7 +207,7 @@ def test_resolution_synthesis_matches_per_slice_sum():
         conv = np.fft.ifftn(np.fft.fftn(s, axes=axes) * kernel, axes=axes)
         weight = scaling.det_abs * vol.u_weights[ui] * vol.theta_step
         total += conv * np.exp(1j * spec.dot(scaling.u)) * weight
-    expect = total * chirp.conj() * (2.0 * np.pi) ** -1.0 / 1.7
+    expect = total * chirp.conj() * (2.0 * np.pi) ** -1.0 / stats["mean"]
     got = pack(ctx, out.data)
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -236,8 +238,8 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
     )
     vol = clcst(f, each, M, u, THETAS)
     assert_close(
-        reconstruct_resolution(vol, psi, M, 1.7).data,
-        reconstruct_resolution(vol, each, M, 1.7).data,
+        reconstruct_resolution(vol, psi, M)[0].data,
+        reconstruct_resolution(vol, each, M)[0].data,
     )
 
 
@@ -276,8 +278,8 @@ def test_separable_route_matches_dense_route(n, kind):
     )
     vol = clcst(f, psi, M, u, THETAS)
     assert_close(
-        reconstruct_resolution(vol, psi, M, 1.7).data,
-        reconstruct_resolution(vol, dense, M, 1.7).data,
+        reconstruct_resolution(vol, psi, M)[0].data,
+        reconstruct_resolution(vol, dense, M)[0].data,
     )
 
 
@@ -318,8 +320,8 @@ def test_radial_volume_readers_count_the_shared_column_for_every_theta(kind, tmp
     assert_close(marginal_spectrum(shared, M, THETAS[1])[0].data,
                  marginal_spectrum(separate, M, THETAS[1])[0].data)
     for w in (psi, NotRadial(psi)):
-        assert_close(reconstruct_resolution(shared, w, M, 1.7).data,
-                     reconstruct_resolution(separate, w, M, 1.7).data)
+        assert_close(reconstruct_resolution(shared, w, M)[0].data,
+                     reconstruct_resolution(separate, w, M)[0].data)
     for ti in range(len(THETAS)):
         rows = []
         for name, vol in (("shared", shared), ("separate", separate)):
@@ -431,7 +433,7 @@ def test_lattice_passes_roll_at_most_once(kind, rolls):
     admissibility_profile(psi, M, spec, ctx, u, THETAS)
     assert len(rolls) <= 1
     del rolls[:]
-    reconstruct_resolution(vol, psi, M, 1.7)
+    reconstruct_resolution(vol, psi, M)
     assert len(rolls) <= 1
 
 

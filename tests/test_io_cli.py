@@ -292,6 +292,32 @@ def test_cli_transform_zero_input_warning(tmp_path):
     assert np.all(read_volume(out).values == 0.0)
 
 
+@pytest.mark.parametrize("corner, warned", [
+    (None, False), (2e-5, False), (5e-5, True), ("flat", True),
+], ids=["centred-gaussian", "below-threshold", "above-threshold", "flat"])
+def test_cli_transform_warns_of_boundary_mass(tmp_path, corner, warned):
+    """The report warns when the outermost lattice shell carries more than
+    1e-10 of the signal energy: not for a centred Gaussian, on either side
+    of the threshold for a Gaussian with one corner sample set, and for a
+    signal of unit magnitude everywhere."""
+    if corner == "flat":
+        signal = GridSignal.from_scalar(SPEC, CTX, np.ones(SPEC.shape))
+    else:
+        signal = sample(lambda x: np.exp(-np.sum(x**2, axis=0)), SPEC, CTX)
+        if corner is not None:
+            signal.data[0, 0, 0] = corner
+            assert (signal.boundary_mass_ratio() > 1e-10) == warned
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    write_grid(src, signal)
+    assert main([
+        "transform", "--input", str(src), "--u-list", "[[0.5, 0.5]]", "--theta", "0",
+        "--out", str(out),
+    ]) == 0
+    report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
+    boundary = [w for w in report["warnings"] if w.startswith("boundary shell carries")]
+    assert len(boundary) == int(warned)
+
+
 def test_cli_partial_config_keeps_flag_defaults(tmp_path):
     src = tmp_path / "f.clcg"
     main(["synthesize", "--kind", "gaussian", "--samples", "32", "--out", str(src)])
@@ -389,7 +415,8 @@ def test_cli_bad_spectrogram_index_refused_before_transform(tmp_path, index, mes
 
 
 def test_cli_import_leaves_the_check_registry_unloaded():
-    """Only `clcst verify` loads the check registry."""
+    """Only `clcst verify` loads the check registry, and a bare `import clcst`
+    loads no submodule."""
     import os
     import subprocess
     import sys
@@ -403,13 +430,18 @@ def test_cli_import_leaves_the_check_registry_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+    # the package itself loads no submodule
+    probe = "import sys, clcst; print(sorted(m for m in sys.modules if m.startswith('clcst.')))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("window", ["gaussian", "dog"])
 def test_cli_resolution_takes_c_psi_from_its_own_pass(tmp_path, window):
     """On lattice and off-lattice u, `reconstruct --method resolution` gives
-    the output and admissibility stats of admissibility_profile followed by
-    reconstruct_resolution at the profile's mean."""
+    the output of reconstruct_resolution, and admissibility stats equal to
+    those of the standalone admissibility_profile."""
     from clcst.transform import admissibility_profile, reconstruct_resolution
 
     spec = GridSpec(2, 6.0, 16)
@@ -427,7 +459,7 @@ def test_cli_resolution_takes_c_psi_from_its_own_pass(tmp_path, window):
     vol = read_volume(vol_path)
     _, stats = admissibility_profile(vol.window, vol.params, vol.spec, vol.ctx,
                                      vol.u_list, vol.theta_list)
-    expect = reconstruct_resolution(vol, vol.window, vol.params, stats["mean"]).data
+    expect = reconstruct_resolution(vol, vol.window, vol.params)[0].data
     got = read_grid(rec).data
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
     report = json.loads((tmp_path / "rec.clcg.report.json").read_text())

@@ -356,14 +356,16 @@ def test_resolution_reconstruction():
     vals = np.arange(step, 28 * DW + 1e-9, step)
     axis = np.concatenate([-vals[::-1], vals])
     u = tensor_u_list([axis, axis])
-    prof, stats = admissibility_profile(PSI, M, SPEC, CTX, u, [0.0])
     vol = clcst(f, PSI, M, u, [0.0], path="three_step")
-    rec = reconstruct_resolution(vol, PSI, M, stats["mean"])
+    rec, (_, stats) = reconstruct_resolution(vol, PSI, M)
     err = rel_l2_error(rec, f)
     assert err < 0.05
     assert err < stats["relative_variation"] + 0.01
-    with pytest.raises(TransformError):
-        reconstruct_resolution(vol, PSI, M, 0.0)
+    # a zero-amplitude window has a zero profile, whose mean is refused
+    silent = GaussianWindow(2, sigma=1.0, amplitude=0.0)
+    vol = clcst(f, silent, M, u, [0.0], path="three_step")
+    with pytest.raises(TransformError, match="admissibility profile mean 0.0 is not positive"):
+        reconstruct_resolution(vol, silent, M)
 
 
 def test_reanalysis_of_resolution_synthesis():
@@ -373,9 +375,8 @@ def test_reanalysis_of_resolution_synthesis():
     vals = np.arange(step, 28 * DW + 1e-9, step)
     axis = np.concatenate([-vals[::-1], vals])
     u = tensor_u_list([axis, axis])
-    _, stats = admissibility_profile(PSI, M, SPEC, CTX, u, [0.0])
     vol = clcst(f, PSI, M, u, [0.0], path="three_step")
-    rec = reconstruct_resolution(vol, PSI, M, stats["mean"])
+    rec, (_, stats) = reconstruct_resolution(vol, PSI, M)
     vol2 = clcst(rec, PSI, M, u, [0.0], path="three_step")
     assert vol.rel_max_difference(vol2) < 2 * stats["relative_variation"]
 

@@ -1,8 +1,11 @@
 """Batch front end: synthesis, transforms, verification, reconstruction, I/O.
 
-``synthesize``, ``transform`` and ``kernel-dump`` build their run parameters
-into one JSON-serializable configuration, over which ``--config file.json``
-is merged key by key, so those runs are reproducible from a single document.
+``synthesize``, ``transform`` and ``kernel-dump`` take their run parameters
+from flags whose ``dest`` is ``cfg:`` plus the key path of the setting
+(``cfg:grid.L`` for ``--half-width``), so each setting is declared once.
+:func:`_config` nests those values into one JSON-serializable configuration
+and lays ``--config file.json`` over it key by key, refusing any key that
+names no setting, so those runs are reproducible from a single document.
 File paths, ``transform``'s spectrogram and report flags and
 ``kernel-dump``'s ``--b``, ``--u`` and ``--theta`` stay flags; ``verify`` and
 ``reconstruct`` take no configuration file.
@@ -35,14 +38,18 @@ from .transform import (  # admissibility_profile stays importable here for call
     reconstruct_resolution,
 )
 from .volume import DEFAULT_THETAS, default_u_list, tensor_u_list
-from .windows import make_window
+from .windows import RAW, UNIT_INTEGRAL, make_window
 
 
-def _parse_vector(text, n):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != n:
-        raise SystemExit("expected %d comma-separated values, got %r" % (n, text))
-    return np.array(parts)
+def _float_list(text):
+    return [float(t) for t in text.split(",")]
+
+
+def _vector(values, n, fill):
+    """A --b or --u vector of n values; n copies of fill when the flag is omitted."""
+    if values is not None and len(values) != n:
+        raise SystemExit("expected %d comma-separated values, got %r" % (n, values))
+    return np.full(n, fill) if values is None else np.array(values)
 
 
 def _spectrogram_index(text, u_count, theta_count):
@@ -65,65 +72,65 @@ def _grid_spec(cfg):
     return GridSpec(cfg["n"], cfg["grid"]["L"], cfg["grid"]["N"])
 
 
-def _window(cfg):
-    w = cfg["window"]
-    params = {}
-    if w["kind"] == "gaussian":
-        params["sigma"] = w.get("sigma", 1.0)
-    elif w["kind"] == "dog":
-        params["lam"] = w.get("lam", 0.5)
-    win = make_window(w["kind"], cfg["n"], **params)
-    if w.get("normalization") == "unit-integral":
-        win = win.normalize_unit_integral()
-    return win
+def _window(w, n):
+    norm = w["normalization"]
+    if norm not in (RAW, UNIT_INTEGRAL):
+        raise SystemExit("config window.normalization %r is not 'raw' or 'unit-integral'" % (norm,))
+    win = make_window(w["kind"], n, sigma=w["sigma"], lam=w["lam"])
+    return win.normalize_unit_integral() if norm == UNIT_INTEGRAL else win
 
 
-def _u_list(cfg, spec):
-    u = cfg.get("u_list", {"kind": "default"})
+def _u_list(u, spec):
+    """The u array of a u_list setting: a list of rows, or an object naming its kind."""
     if isinstance(u, list):
         return np.asarray(u, dtype=np.float64)
-    kind = u.get("kind", "default")
+    kind = u.get("kind", "default") if isinstance(u, dict) else None
     if kind == "default":
         return default_u_list(spec)
-    if kind == "multiples":
-        dw = spec.dw
-        per_axis = [np.asarray(m, dtype=np.float64) * dw for m in u["per_axis"]]
-        return tensor_u_list(per_axis)
-    if kind == "tensor":
-        return tensor_u_list(u["per_axis"])
-    raise SystemExit("unknown u_list kind %r" % kind)
+    if kind in ("multiples", "tensor") and "per_axis" in u:
+        scale = spec.dw if kind == "multiples" else 1.0
+        return tensor_u_list([np.multiply(m, scale) for m in u["per_axis"]])
+    raise SystemExit("config u_list must be a list of rows or an object of kind default, "
+                     "or of kind multiples or tensor with per_axis; got %r" % (u,))
 
 
-def _merge(base, override):
-    """base with override laid over it; nested dicts merge key by key."""
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            value = _merge(out[key], value)
-        out[key] = value
-    return out
+def _merge(flat, doc, prefix=""):
+    """Lay the JSON object doc over flat, whose keys are dotted key paths.
+
+    A key of doc names a setting, whose value it replaces whole, or a
+    section, whose object merges key by key; any other key is refused.
+    """
+    if not isinstance(doc, dict):
+        raise SystemExit("config %s must be an object, got %r" % (prefix[:-1] or "file", doc))
+    for key, value in doc.items():
+        path = prefix + key
+        if path in flat and "." not in key:
+            flat[path] = value
+        elif "." not in key and any(k.startswith(path + ".") for k in flat):
+            _merge(flat, value, path + ".")
+        else:
+            raise SystemExit("unknown config key %r" % path)
 
 
-def _load_config(args, base):
-    if not getattr(args, "config", None):
-        return dict(base)
-    with open(args.config) as fh:
-        return _merge(base, json.load(fh))
+def _config(args):
+    """The nested run configuration: every ``cfg:`` flag's value at its key
+    path, with the --config file laid over it."""
+    flat = {dest[4:]: value for dest, value in vars(args).items() if dest.startswith("cfg:")}
+    if args.config:
+        with open(args.config) as fh:
+            _merge(flat, json.load(fh))
+    cfg = {}
+    for path, value in flat.items():
+        *sections, key = path.split(".")
+        node = cfg
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return cfg
 
 
 def cmd_synthesize(args):
-    cfg = _load_config(
-        args,
-        {
-            "n": args.n,
-            "grid": {"L": args.half_width, "N": args.samples},
-            "kind": args.kind,
-            "sigma": args.sigma,
-            "rate": args.rate,
-            "components": args.components,
-            "seed": args.seed,
-        },
-    )
+    cfg = _config(args)
     spec = _grid_spec(cfg)
     ctx = transform_algebra(spec.n)
     kind = cfg["kind"]
@@ -155,31 +162,12 @@ def cmd_synthesize(args):
 
 
 def cmd_transform(args):
+    cfg = _config(args)
     signal = read_grid(args.input)
-    cfg = _load_config(
-        args,
-        {
-            "n": signal.spec.n,
-            "grid": {"L": signal.spec.half_width, "N": signal.spec.samples_per_axis},
-            "M": {"A": args.A, "B": args.B, "C": args.C, "D": args.D},
-            "window": {
-                "kind": args.window,
-                "sigma": args.sigma,
-                "lam": args.lam,
-                "normalization": "unit-integral" if args.normalize else "raw",
-            },
-            "u_list": json.loads(args.u_list) if args.u_list else {"kind": "default"},
-            "theta_list": [float(t) for t in args.theta.split(",")] if args.theta else list(DEFAULT_THETAS),
-            "path": args.path,
-        },
-    )
-    m = cfg["M"]
-    params = LCTParams(m["A"], m["B"], m["C"], m["D"])
-    spec = _grid_spec(cfg)
-    if spec.shape != signal.spec.shape or spec.n != signal.spec.n:
-        raise SystemExit("config grid does not match the input file")
-    window = _window(cfg)
-    u_list = _u_list(cfg, signal.spec)
+    spec = signal.spec
+    params = LCTParams(**cfg["M"])
+    window = _window(cfg["window"], spec.n)
+    u_list = _u_list(cfg["u_list"], spec)
     theta_list = cfg["theta_list"]
     if args.spectrogram:
         index = _spectrogram_index(
@@ -276,27 +264,13 @@ def cmd_reconstruct(args):
 
 
 def cmd_kernel_dump(args):
-    cfg = _load_config(
-        args,
-        {
-            "n": args.n,
-            "grid": {"L": args.half_width, "N": args.samples},
-            "M": {"A": args.A, "B": args.B, "C": args.C, "D": args.D},
-            "window": {
-                "kind": args.window,
-                "sigma": args.sigma,
-                "lam": args.lam,
-                "normalization": "unit-integral" if args.normalize else "raw",
-            },
-        },
-    )
+    cfg = _config(args)
     spec = _grid_spec(cfg)
     ctx = transform_algebra(spec.n)
-    m = cfg["M"]
-    params = LCTParams(m["A"], m["B"], m["C"], m["D"])
-    window = _window(cfg)
-    b = _parse_vector(args.b, spec.n)
-    u = _parse_vector(args.u, spec.n)
+    params = LCTParams(**cfg["M"])
+    window = _window(cfg["window"], spec.n)
+    b = _vector(args.b, spec.n, 0.0)
+    u = _vector(args.u, spec.n, 1.0)
     kernel = clcst_kernel(
         window, params, spec, ctx, b, ScalingMatrix(u), Rotation(args.theta)
     )
@@ -311,35 +285,45 @@ def build_parser():
         description="Clifford-valued linear canonical Stockwell transform toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags whose dest starts with "cfg:" are settings; the rest is the key path
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--n", dest="cfg:n", type=int, default=2)
+    lattice.add_argument("--half-width", dest="cfg:grid.L", type=float, default=6.0)
+    lattice.add_argument("--samples", dest="cfg:grid.N", type=int, default=64)
+    lattice.add_argument("--config")
+    analysis = argparse.ArgumentParser(add_help=False)
+    analysis.add_argument("--A", dest="cfg:M.A", type=float, default=0.0)
+    analysis.add_argument("--B", dest="cfg:M.B", type=float, default=1.0)
+    analysis.add_argument("--C", dest="cfg:M.C", type=float, default=-1.0)
+    analysis.add_argument("--D", dest="cfg:M.D", type=float, default=0.0)
+    analysis.add_argument("--window", dest="cfg:window.kind", default="gaussian",
+                          choices=["gaussian", "dog"])
+    analysis.add_argument("--sigma", dest="cfg:window.sigma", type=float, default=1.0)
+    analysis.add_argument("--lam", dest="cfg:window.lam", type=float, default=0.5)
+    analysis.add_argument("--normalize", dest="cfg:window.normalization", action="store_const",
+                          const=UNIT_INTEGRAL, default=RAW,
+                          help="scale the window to unit integral")
 
-    syn = sub.add_parser("synthesize", help="write a reference signal to a grid file")
-    syn.add_argument("--kind", default="gaussian",
+    syn = sub.add_parser("synthesize", parents=[lattice],
+                         help="write a reference signal to a grid file")
+    syn.add_argument("--kind", dest="cfg:kind", default="gaussian",
                      choices=["gaussian", "gaussian_mixture", "chirp", "example1"])
-    syn.add_argument("--n", type=int, default=2)
-    syn.add_argument("--half-width", type=float, default=6.0)
-    syn.add_argument("--samples", type=int, default=64)
-    syn.add_argument("--sigma", type=float, default=1.0)
-    syn.add_argument("--rate", type=float, default=0.5)
-    syn.add_argument("--components", type=int, default=3)
-    syn.add_argument("--seed", type=int, default=0)
-    syn.add_argument("--config")
+    syn.add_argument("--sigma", dest="cfg:sigma", type=float, default=1.0)
+    syn.add_argument("--rate", dest="cfg:rate", type=float, default=0.5)
+    syn.add_argument("--components", dest="cfg:components", type=int, default=3)
+    syn.add_argument("--seed", dest="cfg:seed", type=int, default=0)
     syn.add_argument("--out", required=True)
     syn.set_defaults(func=cmd_synthesize)
 
-    tra = sub.add_parser("transform", help="run the transform on a grid file")
+    tra = sub.add_parser("transform", parents=[analysis], help="run the transform on a grid file")
     tra.add_argument("--input", required=True)
-    tra.add_argument("--A", type=float, default=0.0)
-    tra.add_argument("--B", type=float, default=1.0)
-    tra.add_argument("--C", type=float, default=-1.0)
-    tra.add_argument("--D", type=float, default=0.0)
-    tra.add_argument("--window", default="gaussian", choices=["gaussian", "dog"])
-    tra.add_argument("--sigma", type=float, default=1.0)
-    tra.add_argument("--lam", type=float, default=0.5)
-    tra.add_argument("--normalize", action="store_true",
-                     help="scale the window to unit integral")
-    tra.add_argument("--u-list", help="JSON u-list spec, e.g. '{\"kind\": \"default\"}'")
-    tra.add_argument("--theta", help="comma-separated angles (default 0, pi/4, pi/2)")
-    tra.add_argument("--path", default="three_step", choices=["direct", "three_step", "spectral"])
+    tra.add_argument("--u-list", dest="cfg:u_list", type=json.loads, default={"kind": "default"},
+                     help="JSON u-list spec, e.g. '{\"kind\": \"default\"}'")
+    tra.add_argument("--theta", dest="cfg:theta_list", type=_float_list,
+                     default=list(DEFAULT_THETAS),
+                     help="comma-separated angles (default 0, pi/4, pi/2)")
+    tra.add_argument("--path", dest="cfg:path", default="three_step",
+                     choices=["direct", "three_step", "spectral"])
     tra.add_argument("--spectrogram", help="optional CSV path for one |S| slice")
     tra.add_argument("--spectrogram-index", default="0,0", help="ui,ti for the CSV slice")
     tra.add_argument("--report", help="report JSON path (default <out>.report.json)")
@@ -362,22 +346,11 @@ def build_parser():
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=cmd_reconstruct)
 
-    ker = sub.add_parser("kernel-dump", help="write one analysis kernel to a grid file")
-    ker.add_argument("--n", type=int, default=2)
-    ker.add_argument("--half-width", type=float, default=6.0)
-    ker.add_argument("--samples", type=int, default=64)
-    ker.add_argument("--A", type=float, default=0.0)
-    ker.add_argument("--B", type=float, default=1.0)
-    ker.add_argument("--C", type=float, default=-1.0)
-    ker.add_argument("--D", type=float, default=0.0)
-    ker.add_argument("--window", default="gaussian", choices=["gaussian", "dog"])
-    ker.add_argument("--sigma", type=float, default=1.0)
-    ker.add_argument("--lam", type=float, default=0.5)
-    ker.add_argument("--normalize", action="store_true")
-    ker.add_argument("--b", default="0,0")
-    ker.add_argument("--u", default="1,1")
+    ker = sub.add_parser("kernel-dump", parents=[lattice, analysis],
+                         help="write one analysis kernel to a grid file")
+    ker.add_argument("--b", type=_float_list, help="comma-separated translation (default 0)")
+    ker.add_argument("--u", type=_float_list, help="comma-separated scaling (default all 1)")
     ker.add_argument("--theta", type=float, default=0.0)
-    ker.add_argument("--config")
     ker.add_argument("--out", required=True)
     ker.set_defaults(func=cmd_kernel_dump)
     return parser

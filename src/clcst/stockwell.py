@@ -110,15 +110,19 @@ def checked_lists(spec, u_list=None, theta_list=None):
     """The (U, n) u array and flat theta array of a volume, refused before
     the volume is allocated.
 
-    Every u component must be nonzero, because A_u = diag(u) is inverted,
-    and the angles must be distinct, because the theta weight is meant for
-    distinct angles.  None selects the default list.
+    The u list is one row of n components or a list of such rows.  Every u
+    component must be nonzero, because A_u = diag(u) is inverted, and the
+    angles must be distinct, because the theta weight is meant for distinct
+    angles.  None selects the default list.
     """
     if u_list is None:
         u_list = default_u_list(spec)
     if theta_list is None:
         theta_list = DEFAULT_THETAS
-    u_list = np.asarray(u_list, dtype=np.float64).reshape(-1, spec.n)
+    u_list = np.asarray(u_list, dtype=np.float64)
+    if u_list.ndim not in (1, 2) or u_list.shape[-1] != spec.n:
+        raise StockwellError("u list of shape %r is not rows of n = %d" % (u_list.shape, spec.n))
+    u_list = u_list.reshape(-1, spec.n)
     theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
     zero_rows = np.flatnonzero(np.any(u_list == 0.0, axis=1))
     if zero_rows.size:

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -319,20 +320,94 @@ def test_cli_transform_warns_of_boundary_mass(tmp_path, corner, warned):
 
 
 def test_cli_partial_config_keeps_flag_defaults(tmp_path):
-    src = tmp_path / "f.clcg"
-    main(["synthesize", "--kind", "gaussian", "--samples", "32", "--out", str(src)])
+    """A config section merges key by key over the flags: a file's grid.L
+    keeps --samples' N, and its window.sigma keeps the default window kind."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid": {"L": 6}, "window": {"sigma": 0.8}}))
+    cfg.write_text(json.dumps({"grid": {"L": 6}}))
+    src = tmp_path / "f.clcg"
+    assert main(["synthesize", "--kind", "gaussian", "--half-width", "4", "--samples", "32",
+                 "--config", str(cfg), "--out", str(src)]) == 0
+    spec = read_grid(src).spec
+    assert (spec.half_width, spec.samples_per_axis) == (6.0, 32)
+    cfg.write_text(json.dumps({"window": {"sigma": 0.8}}))
     out = tmp_path / "vol.clcg"
     assert main([
         "transform", "--input", str(src), "--u-list", "[[0.5, 0.5]]", "--theta", "0",
         "--config", str(cfg), "--out", str(out),
     ]) == 0
     report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
-    assert report["config"]["grid"] == {"L": 6, "N": 32}
     assert report["config"]["window"]["kind"] == "gaussian"
     assert report["config"]["window"]["sigma"] == 0.8
     assert read_volume(out).window.sigma == 0.8
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("transform", {"theta_lst": [0.0]}, "unknown config key 'theta_lst'"),
+    ("transform", {"window": {"sigmaa": 1}}, "unknown config key 'window.sigmaa'"),
+    ("transform", {"window": 1}, "config window must be an object"),
+    ("transform", {"window": {"normalization": "unit_integral"}}, "window.normalization"),
+    ("transform", {"grid": {"L": 6}}, "unknown config key 'grid'"),
+    ("transform", {"u_list": {"kind": "multiple", "per_axis": [[1], [1]]}}, "config u_list"),
+    ("transform", {"u_list": {"kind": "tensor"}}, "config u_list"),
+    ("transform", [1], "config file must be an object"),
+    ("synthesize", {"grid.L": 6}, "unknown config key 'grid.L'"),
+    ("kernel-dump", {"grid": {"L": 6, "n": 3}}, "unknown config key 'grid.n'"),
+], ids=["unknown-top", "unknown-nested", "scalar-section", "normalization", "transform-grid",
+        "u-list-kind", "u-list-per-axis", "list-document", "dotted-key", "misplaced-key"])
+def test_cli_config_refuses_keys_that_name_no_setting(tmp_path, command, doc, message):
+    """A config key that names no setting of the command, a section that is
+    not an object, and a value the setting cannot take are refused before
+    any output file exists."""
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.clcg"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main(argv + (["--input", str(src)] if command == "transform" else []))
+    assert not out.exists()
+    assert not (tmp_path / "out.clcg.json").exists()
+
+
+def test_cli_malformed_theta_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["transform", "--input", str(tmp_path / "f.clcg"), "--theta", "0,x",
+              "--out", str(tmp_path / "vol.clcg")])
+    assert err.value.code == 2
+    assert "--theta" in capsys.readouterr().err
+
+
+def test_cli_u_list_rows_must_have_n_components(tmp_path):
+    """An n = 2 input with rows of three u components is refused, not re-cut
+    into three rows of two."""
+    from clcst.stockwell import StockwellError
+
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    with pytest.raises(StockwellError, match="rows of n = 2"):
+        main(["transform", "--input", str(src), "--u-list", "[[0.5,0.5,0.7],[0.9,1.1,1.3]]",
+              "--out", str(out)])
+    assert not out.exists()
+
+
+def test_cli_config_replays_its_report(tmp_path):
+    """A transform report's config, given back as --config with no other
+    setting flag, writes the same volume byte for byte."""
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
+    first, second = tmp_path / "first.clcg", tmp_path / "second.clcg"
+    assert main([
+        "transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+        "--window", "dog", "--lam", "0.4",
+        "--u-list", json.dumps({"kind": "multiples", "per_axis": [[-2, 1, 3], [1, 2]]}),
+        "--theta", "0,0.7", "--path", "direct", "--out", str(first),
+    ]) == 0
+    cfg = tmp_path / "cfg.json"
+    report = json.loads((tmp_path / "first.clcg.report.json").read_text())
+    cfg.write_text(json.dumps(report["config"]))
+    assert main(["transform", "--input", str(src), "--config", str(cfg), "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert read_volume(second).window.lam == 0.4
 
 
 def test_cli_reconstruct_marginal(tmp_path):
@@ -367,6 +442,17 @@ def test_cli_kernel_dump(tmp_path):
     k = read_grid(out)
     assert k.data.shape == (4, 32, 32)
     assert np.max(np.abs(k.data)) > 0
+
+
+def test_cli_kernel_dump_defaults_fit_n(tmp_path):
+    """Without --b and --u, kernel-dump takes b at the origin and u all ones
+    for any n."""
+    out, explicit = tmp_path / "k.clcg", tmp_path / "k_explicit.clcg"
+    assert main(["kernel-dump", "--n", "3", "--samples", "16", "--out", str(out)]) == 0
+    assert read_grid(out).data.shape == (8, 16, 16, 16)
+    assert main(["kernel-dump", "--n", "3", "--samples", "16", "--b", "0,0,0", "--u", "1,1,1",
+                 "--out", str(explicit)]) == 0
+    assert out.read_bytes() == explicit.read_bytes()
 
 
 def test_cli_verify_subset(tmp_path):

@@ -3,18 +3,21 @@ import pytest
 
 from clcst.algebra import transform_algebra
 from clcst.grid import GridSignal, GridSpec, norm_l2, plane_wave_multiply, rel_l2_error, sample
+from clcst.lct import LCTParams
 from clcst.stockwell import (
     AnalyticWindowRequiredError,
     NonUnitWindowWarning,
     Rotation,
     ScalingMatrix,
     StockwellError,
+    checked_lists,
     cst,
     cst_direct_point,
     cst_slice,
     minimal_image,
     window_family,
 )
+from clcst.transform import admissibility_profile, clcst
 from clcst.volume import default_u_list
 from clcst.windows import GaussianWindow
 
@@ -164,3 +167,25 @@ def test_cst_multivector_signal():
     b = np.array([SPEC.axis()[idx[0]], SPEC.axis()[idx[1]]])
     expected = cst_direct_point(f, psi, b, scaling, rotation)
     assert np.allclose(slice_.value_at(idx).coeffs, expected.coeffs, atol=1e-13)
+
+
+@pytest.mark.parametrize("u_list", [
+    [[0.5, 0.5, 0.7], [0.9, 1.1, 1.3]],
+    [0.5, 0.5, 0.7, 0.9],
+    np.ones((2, 1, 2)),
+    0.5,
+], ids=["rows-of-3", "flat-of-4", "three-axes", "scalar"])
+def test_u_list_must_be_rows_of_n(u_list):
+    """A u list whose last axis is not n long, or that has more than two
+    axes, is refused rather than re-cut into rows of n."""
+    psi = GaussianWindow(2, sigma=1.0)
+    with pytest.raises(StockwellError, match="rows of n = 2"):
+        checked_lists(SPEC, u_list, [0.0])
+    with pytest.raises(StockwellError, match="rows of n = 2"):
+        cst(gaussian(), psi, u_list, [0.0])
+    with pytest.raises(StockwellError, match="rows of n = 2"):
+        clcst(gaussian(), psi, LCTParams(1, 2, 1, 3), u_list, [0.0])
+    with pytest.raises(StockwellError, match="rows of n = 2"):
+        admissibility_profile(psi, LCTParams(1, 2, 1, 3), SPEC, CTX, u_list, [0.0])
+    # one row of n components is still a one-row list
+    assert checked_lists(SPEC, [0.5, 0.7], [0.0])[0].shape == (1, 2)

@@ -5,7 +5,9 @@ from flags whose ``dest`` is ``cfg:`` plus the key path of the setting
 (``cfg:grid.L`` for ``--half-width``), so each setting is declared once.
 :func:`_config` nests those values into one JSON-serializable configuration
 and lays ``--config file.json`` over it key by key, refusing any key that
-names no setting, so those runs are reproducible from a single document.
+names no setting and any value of another type than its flag reads or
+outside its flag's choices, so those runs are reproducible from a single
+document.
 File paths, ``transform``'s spectrogram and report flags and
 ``kernel-dump``'s ``--b``, ``--u`` and ``--theta`` stay flags; ``verify`` and
 ``reconstruct`` take no configuration file.
@@ -13,6 +15,7 @@ File paths, ``transform``'s spectrogram and report flags and
 
 import argparse
 import json
+import resource
 import sys
 import time
 import warnings
@@ -21,10 +24,11 @@ import numpy as np
 
 from .algebra import transform_algebra
 from .grid import GridSignal, GridSpec, phase_multiply, sample
-from .io import (
+from .io import (  # write_volume stays importable here for call tracing
     export_spectrogram_csv,
     read_grid,
     read_volume,
+    volume_writer,
     write_grid,
     write_volume,
 )
@@ -94,20 +98,49 @@ def _u_list(u, spec):
                      "or of kind multiples or tensor with per_axis; got %r" % (u,))
 
 
-def _merge(flat, doc, prefix=""):
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _file_value(path, action, value):
+    """A --config value at key path as its flag gives it: of the JSON type
+    the flag's ``type`` reads, converted by it, and among its ``choices``."""
+    kind = action.type
+    if kind is json.loads:
+        ok = True
+    elif kind is _float_list:
+        ok = isinstance(value, list) and all(_number(v) for v in value)
+        value = [float(v) for v in value] if ok else value
+    elif kind in (int, float):
+        ok = _number(value) and (kind is float or isinstance(value, int))
+        value = kind(value) if ok else value
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        expected = {int: "an integer", float: "a number", _float_list: "a list of numbers"}
+        raise SystemExit("config %s must be %s, got %r"
+                         % (path, expected.get(kind, "a string"), value))
+    if action.choices is not None and value not in action.choices:
+        raise SystemExit("config %s must be one of %s, got %r"
+                         % (path, ", ".join(action.choices), value))
+    return value
+
+
+def _merge(flat, doc, settings, prefix=""):
     """Lay the JSON object doc over flat, whose keys are dotted key paths.
 
-    A key of doc names a setting, whose value it replaces whole, or a
-    section, whose object merges key by key; any other key is refused.
+    A key of doc names a setting, whose value it replaces whole after the
+    setting's flag action in ``settings`` has checked it, or a section, whose
+    object merges key by key; any other key is refused.
     """
     if not isinstance(doc, dict):
         raise SystemExit("config %s must be an object, got %r" % (prefix[:-1] or "file", doc))
     for key, value in doc.items():
         path = prefix + key
         if path in flat and "." not in key:
-            flat[path] = value
+            flat[path] = _file_value(path, settings[path], value)
         elif "." not in key and any(k.startswith(path + ".") for k in flat):
-            _merge(flat, value, path + ".")
+            _merge(flat, value, settings, path + ".")
         else:
             raise SystemExit("unknown config key %r" % path)
 
@@ -118,7 +151,7 @@ def _config(args):
     flat = {dest[4:]: value for dest, value in vars(args).items() if dest.startswith("cfg:")}
     if args.config:
         with open(args.config) as fh:
-            _merge(flat, json.load(fh))
+            _merge(flat, json.load(fh), args.settings)
     cfg = {}
     for path, value in flat.items():
         *sections, key = path.split(".")
@@ -127,6 +160,11 @@ def _config(args):
             node = node.setdefault(name, {})
         node[key] = value
     return cfg
+
+
+def _peak_rss_mb():
+    """The process's peak resident set so far, in 10^6 bytes (ru_maxrss is in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
 def cmd_synthesize(args):
@@ -185,13 +223,16 @@ def cmd_transform(args):
         )
     if params.is_cft_point():
         report["warnings"].append("degenerates to CST")
+    # the volume streams u-block by u-block into --out as the engine
+    # finishes each block; the whole volume is never held
     start = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
+    with volume_writer(args.out) as writer, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        vol = clcst(signal, window, params, u_list, theta_list, path=cfg["path"])
-        report["warnings"].extend(
-            str(w.message) for w in caught if issubclass(w.category, NonUnitWindowWarning)
-        )
+        vol = clcst(signal, window, params, u_list, theta_list, path=cfg["path"],
+                    sink=writer.begin)
+    report["warnings"].extend(
+        str(w.message) for w in caught if issubclass(w.category, NonUnitWindowWarning)
+    )
     report["transform_seconds"] = time.perf_counter() - start
     # the chirp e^{i_n A|x|^2/2B} peaks at per-axis frequency |A/B| L, which
     # the lattice resolves below its Nyquist pi/dx (Koc et al., IEEE TSP 2008)
@@ -204,12 +245,13 @@ def cmd_transform(args):
         )
     # the profile of the windows the transform pass used
     report["admissibility"] = vol.admissibility[1]
-    report["volume_bytes"] = write_volume(args.out, vol)
+    report["volume_bytes"] = writer.bytes
     report["volume_file"] = args.out
     report["stored_theta_columns"] = vol.stored_theta_columns
     if args.spectrogram:
-        export_spectrogram_csv(args.spectrogram, vol, *index)
+        export_spectrogram_csv(args.spectrogram, read_volume(args.out), *index)
         report["spectrogram_file"] = args.spectrogram
+    report["peak_rss_mb"] = _peak_rss_mb()
     report_path = args.report or args.out + ".report.json"
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True, default=float)
@@ -256,6 +298,7 @@ def cmd_reconstruct(args):
         # C_psi is the mean of the profile the synthesis pass accumulates
         out, (_, report["admissibility"]) = reconstruct_resolution(vol, vol.window, vol.params)
     write_grid(args.out, out)
+    report["peak_rss_mb"] = _peak_rss_mb()
     report_path = args.out + ".report.json"
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True, default=float)
@@ -353,6 +396,9 @@ def build_parser():
     ker.add_argument("--theta", type=float, default=0.0)
     ker.add_argument("--out", required=True)
     ker.set_defaults(func=cmd_kernel_dump)
+    for command in sub.choices.values():  # each setting's flag checks its --config value
+        command.set_defaults(settings={a.dest[4:]: a for a in command._actions
+                                       if a.dest.startswith("cfg:")})
     return parser
 
 

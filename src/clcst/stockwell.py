@@ -60,10 +60,9 @@ from .grid import (
     plane_wave_multiply,
     unpack,
 )
-from .volume import CLCSTVolume, DEFAULT_THETAS, default_u_list, theta_weight
+from .volume import CLCSTVolume, DEFAULT_THETAS, block_rows, default_u_list, theta_weight
 from .windows import WindowSpec, window_angles
 
-BLOCK_BYTES = 4 << 20  # bound on the slices of one u-block held before their write
 ROLL_TOLERANCE = 1e-13  # in steps of dw; the roll's phase error stays below 1e-12
 
 
@@ -268,11 +267,6 @@ def window_row_bytes(psi, spec, theta_list):
     return per_point * len(window_angles(psi, theta_list)) * spec.point_count
 
 
-def block_rows(bytes_per_u):
-    """u rows per block: about BLOCK_BYTES of per-u data, and at least one."""
-    return max(1, BLOCK_BYTES // max(int(bytes_per_u), 1))
-
-
 def plane_waves(spec, u_rows):
     """e^{j x.u} on the space lattice for each u row, shape (rows,) +
     spec.shape, as outer products of 1-D factors."""
@@ -367,31 +361,40 @@ def profile_result(power, spec, ctx):
     return sig, stats
 
 
-def fill_volume(vol, psi, fill_block):
-    """Write every stored slice of vol, one block of u rows at a time, and
+def fill_volume(vol, psi, fill_block, sink=None):
+    """Compute every stored slice of vol, one block of u rows at a time, and
     set ``vol.admissibility`` to the profile of the same windows.
 
     ``fill_block(start, stop, M, B, block)`` writes the slices of u rows
     start:stop as complex pairs into ``block``, shape (rows, A, pairs) +
     b-shape, given the block's modulated window spectra M and the plain
     spectra B of its off-lattice rows (:func:`window_blocks`); A is the
-    volume's stored theta column count, 1 for a radial window.  A finished
-    block, a few MB, is unpacked into the volume's rows in one contiguous
+    volume's stored theta column count, 1 for a radial window.  Each
+    finished block, a few MB in one buffer that the next block reuses, goes
+    to ``sink(start, stop, block)`` in u order.  By default vol allocates
+    its payload, and each block is unpacked into its rows in one contiguous
     write.  Each window's admissibility term |M|^2, weighted as the volume
     is, is added to the profile in the same pass.
     """
     spec = vol.spec
     angles = window_angles(psi, vol.theta_list)
     shape = (len(angles), vol.ctx.blade_count // 2) + spec.shape
+    if sink is None:
+        vol.allocate()
+
+        def sink(start, stop, block):
+            vol.set_slice(slice(start, stop), slice(None), block)
+
     power = np.zeros(spec.shape)
     weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
     rows = block_rows(16 * np.prod(shape))
+    buffer = np.empty((min(rows, vol.u_count),) + shape, dtype=np.complex128)
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
     for start, stop, M, B in blocks:
         add_admissibility(power, weights[start:stop], M)
-        block = np.empty((stop - start,) + shape, dtype=np.complex128)
+        block = buffer[:stop - start]
         fill_block(start, stop, M, B, block)
-        vol.set_slice(slice(start, stop), slice(None), block)
+        sink(start, stop, block)
     vol.admissibility = profile_result(power, spec, vol.ctx)
 
 

@@ -104,7 +104,8 @@ def modulated_window_spectrum(psi, spec, scaling, rotation):
     return centered_cft(base * np.exp(1j * spec.dot(scaling.u)), spec)
 
 
-def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", strict=False):
+def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", strict=False,
+          sink=None):
     """CLCST volume of f via the requested evaluation path.
 
     Every path runs in the slice engine (:func:`~clcst.stockwell.fill_volume`),
@@ -121,6 +122,11 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     multiplies cft(h), h = chirped f e^{-i_n u.x}, by the conjugate centered
     window spectra, which is exact for arbitrary u because h carries the
     modulation pointwise.
+
+    ``sink``, if given, is called once with the new volume, which then holds
+    no payload, and returns the consumer of its finished u-blocks
+    (:func:`~clcst.stockwell.fill_volume`), e.g. a volume file's
+    :meth:`~clcst.io.VolumeWriter.begin`.
     """
     if path not in PATHS:
         raise TransformError("unknown path %r (choose from %r)" % (path, PATHS))
@@ -138,7 +144,7 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
         fill_block = row_slices(_direct_slices(z, vol, params.chirp_rate, antichirp), vol)
     else:
         fill_block = row_slices(_spectral_slices(z * antichirp.conj(), vol, antichirp), vol)
-    fill_volume(vol, psi, fill_block)
+    fill_volume(vol, psi, fill_block, None if sink is None else sink(vol))
     return vol
 
 
@@ -302,14 +308,14 @@ def reconstruct_resolution(vol, psi, params):
     modulated = np.zeros_like(summed)
     # per u row: the packed stored columns, 8 bytes per blade, transformed
     # and multiplied in place, and pack's two temporaries of the same size,
-    # beside the window block
+    # beside the window block; rows read from a volume file hold 8 more
     row_bytes = 24 * columns * ctx.blade_count * spec.point_count
     rows = block_rows(row_bytes + window_row_bytes(psi, spec, vol.theta_list))
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
     for start, stop, M, B in blocks:
         add_admissibility(power, profile_weights[start:stop], M)
         u_rows, lattice = vol.u_list[start:stop], on_lattice[start:stop]
-        s = np.moveaxis(pack(ctx, np.moveaxis(vol.stored[start:stop], 2, 0)), 0, 2)
+        s = np.moveaxis(pack(ctx, np.moveaxis(vol.rows(start, stop), 2, 0)), 0, 2)
         if s.shape[1] > M.shape[1]:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
         elif s.shape[1] < M.shape[1]:  # one stored column, a window per theta
@@ -387,12 +393,14 @@ def marginal_spectrum(vol, params, theta):
     if missing.any():
         first = tuple(int(i) for i in np.argwhere(missing)[0])
         raise MissingCoverageError("volume u-list does not cover frequency bin %r" % (first,))
-    # one b-contraction over every u: sum_b S(b, u) e^{i_n A|b|^2/2B} dx^n,
-    # taken on the real stored column so no packed copy of it is made
+    # one b-contraction per u: sum_b S(b, u) e^{i_n A|b|^2/2B} dx^n, taken
+    # block by block on the real stored column, so no packed copy is made
     phase = params.chirp_rate * spec.squared_radius(SPACE).ravel()
     kernel = np.stack([np.cos(phase), np.sin(phase)], axis=1) * vol.b_weight
-    values = vol.stored[:, vol.column(ti)].reshape(vol.u_count, ctx.blade_count, -1)
-    summed = (values @ kernel).T  # (cos | sin, blades, U)
+    summed = np.empty((2, ctx.blade_count, vol.u_count))  # (cos | sin, blades, U)
+    for start, stop, block in vol.blocks():
+        values = block[:, vol.column(ti)].reshape(stop - start, ctx.blade_count, -1)
+        summed[:, :, start:stop] = (values @ kernel).T
     G = pack(ctx, summed[0]) + 1j * pack(ctx, summed[1])
     data = np.zeros((ctx.blade_count,) + spec.shape)
     data[(slice(None),) + bins] = unpack(ctx, G[:, rows])

@@ -44,6 +44,12 @@ def u_weights_from_list(u_list):
 
 
 DEFAULT_THETAS = (0.0, np.pi / 4, np.pi / 2)
+BLOCK_BYTES = 4 << 20  # bound on the u rows of one block held at a time
+
+
+def block_rows(bytes_per_u):
+    """u rows per block: about BLOCK_BYTES of per-u data, and at least one."""
+    return max(1, BLOCK_BYTES // max(int(bytes_per_u), 1))
 
 
 def theta_weight(theta_list):
@@ -69,6 +75,17 @@ class CLCSTVolume:
     otherwise or when the window is unknown.  A given ``stored`` array may
     also hold all T columns.  ``values`` views it in the order
     (blade_count,) + b-grid shape + (U, T), read-only and without a copy.
+
+    The payload is given in one of three ways:
+
+    * the ``stored`` array itself;
+    * a reader with that array's ``shape``, ``rows(start, stop)`` and
+      ``load()``, as for a volume file (:func:`~clcst.io.read_volume`): the
+      rows stay in the file until ``stored`` loads them, once;
+    * None, for a volume that holds no payload until :meth:`allocate`, as
+      when its u-blocks went to a sink while they were computed.
+
+    :meth:`rows` reads a block of u rows without loading the rest.
     """
 
     def __init__(self, spec, ctx, u_list, theta_list, stored=None, params=None,
@@ -78,15 +95,22 @@ class CLCSTVolume:
         self.u_list = np.asarray(u_list, dtype=np.float64).reshape(-1, spec.n)
         self.theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
         columns = len(window_angles(window, self.theta_list))
+        self._reader = None
         if stored is None:
-            stored = np.zeros((len(self.u_list), columns, ctx.blade_count) + spec.shape)
-        stored = np.asarray(stored, dtype=np.float64)
+            shape = (len(self.u_list), columns, ctx.blade_count) + spec.shape
+        elif hasattr(stored, "rows"):
+            self._reader, stored = stored, None
+            shape = tuple(self._reader.shape)
+        else:
+            stored = np.asarray(stored, dtype=np.float64)
+            shape = stored.shape
         allowed = {(len(self.u_list), c, ctx.blade_count) + spec.shape
                    for c in (columns, len(self.theta_list))}
-        if stored.shape not in allowed:
+        if shape not in allowed:
             raise GridError("stored volume shape %r, expected one of %r"
-                            % (stored.shape, sorted(allowed)))
-        self.stored = stored
+                            % (shape, sorted(allowed)))
+        self.stored_shape = shape
+        self._stored = stored
         self.params = params
         self.window = window
         self.path = path
@@ -97,6 +121,35 @@ class CLCSTVolume:
         # (profile signal, stats) of the windows of the analysis pass that
         # filled the volume; None when it was built otherwise, e.g. read back
         self.admissibility = None
+
+    @property
+    def stored(self):
+        """The whole payload as one array, loaded from the reader on first use."""
+        if self._stored is None:
+            if self._reader is None:
+                raise GridError("the volume holds no payload: its u-blocks went to a sink")
+            self._stored = self._reader.load()
+        return self._stored
+
+    def allocate(self):
+        """Hold a payload of zeros in memory, for slices to be set into."""
+        self._stored = np.zeros(self.stored_shape)
+
+    def rows(self, start, stop):
+        """stored[start:stop]: a view of a payload in memory, or else u rows
+        start:stop read into one buffer that the next call reuses, so that
+        a caller going block by block holds one block of the payload."""
+        if self._stored is None and self._reader is not None:
+            return self._reader.rows(start, stop)
+        return self.stored[start:stop]
+
+    def blocks(self):
+        """(start, stop, :meth:`rows`) for consecutive blocks of about
+        BLOCK_BYTES of u rows."""
+        step = block_rows(8 * np.prod(self.stored_shape[1:]))
+        for start in range(0, self.u_count, step):
+            stop = min(start + step, self.u_count)
+            yield start, stop, self.rows(start, stop)
 
     @property
     def b_weight(self):
@@ -113,7 +166,7 @@ class CLCSTVolume:
     @property
     def stored_theta_columns(self):
         """T_s: 1 when one column serves every theta, else T."""
-        return self.stored.shape[1]
+        return self.stored_shape[1]
 
     def column(self, ti):
         """The stored column that holds theta index ti."""
@@ -127,7 +180,9 @@ class CLCSTVolume:
 
     def slice(self, ui, ti):
         """The b-grid signal at one (u, theta) pair."""
-        return GridSignal(self.spec, self.ctx, self.stored[ui, self.column(ti)].copy(), SPACE)
+        ui = range(self.u_count)[ui]  # a negative index counts from the end
+        data = self.rows(ui, ui + 1)[0, self.column(ti)].copy()
+        return GridSignal(self.spec, self.ctx, data, SPACE)
 
     def set_slice(self, ui, ti, pairs):
         """Unpack complex pairs (:func:`~clcst.grid.pack`) into stored[ui, ti].

@@ -113,6 +113,45 @@ def test_volume_file_is_the_stored_array(tmp_path, radial):
     assert back.stored.shape == vol.stored.shape and np.array_equal(back.values, vol.values)
 
 
+def test_volume_file_rows_are_read_on_demand(tmp_path):
+    """read_volume leaves the payload in the file: rows and slice read u rows
+    from it, and a file replaced after it was read is refused, not read as
+    the same volume."""
+    vol = small_volume(radial=False)
+    path = tmp_path / "v.clcg"
+    write_volume(path, vol)
+    back = read_volume(path)
+    assert np.array_equal(back.rows(1, 2), vol.stored[1:2])
+    assert np.array_equal(back.slice(-1, 2).data, vol.stored[1, 2])
+    write_volume(path, back)  # read from the old file while the new one is written
+    assert np.array_equal(read_volume(path).values, vol.values)
+    with pytest.raises(FormatError, match="changed after it was read"):
+        back.rows(0, 1)
+
+
+def test_streamed_volume_file_equals_the_written_volume(tmp_path, monkeypatch):
+    """A volume streamed block by block to a file, its last block short,
+    writes the bytes write_volume writes for the same volume in memory, and
+    holds no payload itself."""
+    from clcst import stockwell
+    from clcst.grid import GridError
+    from clcst.io import volume_writer
+
+    monkeypatch.setattr(stockwell, "block_rows", lambda bytes_per_u: 2)
+    psi = GaussianWindow(2, sigma=0.8).normalize_unit_integral()
+    u = [[k * SPEC.dw, SPEC.dw] for k in range(1, 6)]
+    args = (random_signal(), psi, LCTParams(1, 2, 1, 3), u, [0.0, 0.7])
+    written, streamed = tmp_path / "w.clcg", tmp_path / "s.clcg"
+    write_volume(written, clcst(*args))
+    with volume_writer(streamed) as writer:
+        vol = clcst(*args, sink=writer.begin)
+    assert streamed.read_bytes() == written.read_bytes()
+    assert (tmp_path / "s.clcg.json").read_bytes() == (tmp_path / "w.clcg.json").read_bytes()
+    assert writer.bytes == streamed.stat().st_size + (tmp_path / "s.clcg.json").stat().st_size
+    with pytest.raises(GridError, match="no payload"):
+        vol.rows(0, 1)
+
+
 def write_v1_volume(path, vol):
     """The version 1 layout: axes b + (U, T) and a blade-major payload."""
     write_volume(path, vol)  # for the sidecar
@@ -274,8 +313,88 @@ def test_cli_transform_report_and_paths(tmp_path):
         assert report["stored_theta_columns"] == 1  # the Gaussian window is radial
         written = out.stat().st_size + (tmp_path / ("vol_%s.clcg.json" % path)).stat().st_size
         assert report["volume_bytes"] == written
+        assert report["peak_rss_mb"] > 0
     diff = np.max(np.abs(outputs["direct"].values - outputs["three_step"].values))
     assert diff <= 1e-12 * np.max(np.abs(outputs["direct"].values))
+
+
+def transform_argv(src, out, u_spec):
+    return ["transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+            "--sigma", "0.75", "--normalize", "--u-list", u_spec, "--theta", "0",
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-file"])
+def test_cli_transform_that_fails_partway_writes_nothing(tmp_path, monkeypatch, existing):
+    """A transform whose fill raises after its first u-block leaves no file
+    and no sidecar at --out, or the file that was there byte for byte, and
+    no temporary file beside them."""
+    from clcst import stockwell, transform
+
+    src, out, sidecar = tmp_path / "f.clcg", tmp_path / "vol.clcg", tmp_path / "vol.clcg.json"
+    main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
+    u_spec = json.dumps({"kind": "multiples", "per_axis": [[1, 2, 3], [1, 2]]})
+    if existing:
+        assert main(transform_argv(src, out, u_spec)) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fill_volume = transform.fill_volume
+    blocks = []
+
+    def failing_fill_volume(vol, psi, fill_block, *sink):
+        def fill(start, stop, M, B, block):
+            if blocks:
+                raise RuntimeError("fill failed at u row %d" % start)
+            blocks.append(start)
+            fill_block(start, stop, M, B, block)
+        return fill_volume(vol, psi, fill, *sink)
+
+    monkeypatch.setattr(stockwell, "block_rows", lambda bytes_per_u: 1)
+    monkeypatch.setattr(transform, "fill_volume", failing_fill_volume)
+    with pytest.raises(RuntimeError, match="fill failed at u row 1"):
+        main(transform_argv(src, out, u_spec))
+    assert blocks == [0]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert out.exists() == sidecar.exists() == existing
+
+
+def test_cli_memory_does_not_grow_with_the_u_list(tmp_path):
+    """transform streams each u-block into the volume file, and both
+    reconstructions read the file back u-block by u-block: from a volume of
+    about 2 BLOCK_BYTES to one of 12, each command's traced peak grows by
+    less than BLOCK_BYTES / 2, room for the u list and sidecar, which do
+    grow with U, and stays below 5 BLOCK_BYTES plus the signal."""
+    import tracemalloc
+
+    from clcst.volume import BLOCK_BYTES
+
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
+    signal = read_grid(src).data.nbytes
+    peaks, sizes = [], []
+    # steps of dw / 2 and dw / 5 per axis: every lattice bin, for the
+    # marginal, and off-lattice u between them, 961 and 6241 u rows
+    for div in (2, 5):
+        ks = [k / div for k in range(-8 * div, 8 * div) if k != 0]
+        u_spec = json.dumps({"kind": "multiples", "per_axis": [ks, ks]})
+        vol = tmp_path / ("vol%d.clcg" % div)
+        commands = [transform_argv(src, vol, u_spec)] + [
+            ["reconstruct", "--volume", str(vol), "--method", method,
+             "--out", str(tmp_path / (method + ".clcg"))]
+            for method in ("marginal", "resolution")]
+        peak = []
+        for argv in commands:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(peak)
+        sizes.append(vol.stat().st_size)
+    assert sizes[0] > 1.5 * BLOCK_BYTES and sizes[1] > 8 * BLOCK_BYTES
+    for small, large in zip(*peaks):
+        assert large < small + BLOCK_BYTES / 2
+        assert large < 5 * BLOCK_BYTES + signal
 
 
 def test_cli_transform_zero_input_warning(tmp_path):
@@ -352,8 +471,15 @@ def test_cli_partial_config_keeps_flag_defaults(tmp_path):
     ("transform", [1], "config file must be an object"),
     ("synthesize", {"grid.L": 6}, "unknown config key 'grid.L'"),
     ("kernel-dump", {"grid": {"L": 6, "n": 3}}, "unknown config key 'grid.n'"),
+    ("synthesize", {"grid": {"N": "16"}}, "config grid.N must be an integer, got '16'"),
+    ("synthesize", {"grid": {"N": 16.0}}, "config grid.N must be an integer"),
+    ("synthesize", {"seed": True}, "config seed must be an integer"),
+    ("transform", {"theta_list": "0,1"}, "config theta_list must be a list of numbers"),
+    ("transform", {"path": "fast"}, "config path must be one of direct, three_step, spectral"),
+    ("transform", {"window": {"kind": "Foo"}}, "config window.kind must be one of gaussian, dog"),
 ], ids=["unknown-top", "unknown-nested", "scalar-section", "normalization", "transform-grid",
-        "u-list-kind", "u-list-per-axis", "list-document", "dotted-key", "misplaced-key"])
+        "u-list-kind", "u-list-per-axis", "list-document", "dotted-key", "misplaced-key",
+        "string-int", "float-int", "bool-int", "string-list", "path-choice", "window-choice"])
 def test_cli_config_refuses_keys_that_name_no_setting(tmp_path, command, doc, message):
     """A config key that names no setting of the command, a section that is
     not an object, and a value the setting cannot take are refused before
@@ -431,6 +557,7 @@ def test_cli_reconstruct_marginal(tmp_path):
     assert rel_l2_error(fhat, f) < 1e-3
     report = json.loads((tmp_path / "rec.clcg.report.json").read_text())
     assert "filled_bins" in report
+    assert report["peak_rss_mb"] > 0
 
 
 def test_cli_kernel_dump(tmp_path):

@@ -266,7 +266,8 @@ class VolumeWriter:
     def begin(self, vol):
         """Write the header of vol's file.  Returns the sink of its u-blocks
         as complex pairs (:func:`~clcst.stockwell.fill_volume`), which
-        unpacks each block into one reused real buffer and appends it."""
+        unpacks each block's live pairs, and zeros for the rest, into one
+        reused real buffer and appends it."""
         if self._vol is not None:
             raise FormatError("a volume file holds one volume")
         self._vol = vol
@@ -283,12 +284,12 @@ class VolumeWriter:
         self._fh.write(_raw(rows))
         self._rows += len(rows)
 
-    def _append_pairs(self, start, stop, pairs):
+    def _append_pairs(self, start, stop, pairs, live):
         if start != self._rows:
             raise FormatError("u rows %d:%d arrive after %d rows" % (start, stop, self._rows))
         shape = (stop - start,) + self._vol.stored_shape[1:]
         self._buffer, rows = _reused(self._buffer, shape)
-        unpack(self._vol.ctx, np.moveaxis(pairs, 2, 0), out=np.moveaxis(rows, 2, 0))
+        unpack(self._vol.ctx, np.moveaxis(pairs, 2, 0), out=np.moveaxis(rows, 2, 0), pairs=live)
         self.append(rows)
 
     def _meta(self):

@@ -43,6 +43,13 @@ outer products of 1-D FFTs,
 and B_u the same without the modulation.  No value of such a window is
 computed on the n-D lattice.  Any other window is evaluated there once per
 (u, theta), modulated and transformed by one n-D FFT.
+
+Every kernel phase multiplies on the right by span{1, i_n}, which acts on
+each complex pair on its own (Hitzer and Mawardi, AACA 2008), so a pair
+that is zero everywhere transforms to zero everywhere, exactly.  The engine
+transforms only the signal's live pairs (:func:`~clcst.grid.live_pairs`),
+and the blades of the others are written as zeros where the pairs are
+unpacked.  A scalar signal has one live pair of the 2^(n-1).
 """
 
 import warnings
@@ -56,6 +63,7 @@ from .grid import (
     GridError,
     GridSignal,
     lattice_steps,
+    live_pairs,
     pack,
     plane_wave_multiply,
     unpack,
@@ -310,10 +318,12 @@ def window_blocks(psi, spec, u_list, theta_list, rows, plain=False):
             if len(off):
                 B = np.fft.fftn(values[off], axes=axes)
                 B *= cell
+            del values, waves
         else:
             M = separable_spectra(terms, spec, u_rows, modulated=True)
             B = separable_spectra(terms, spec, u_rows[off]) if len(off) else []
         yield start, stop, M, dict(zip(off, B))
+        del M, B  # before the next block's are built
 
 
 def roll_steps(spec, u_list):
@@ -361,20 +371,29 @@ def profile_result(power, spec, ctx):
     return sig, stats
 
 
-def fill_volume(vol, psi, fill_block, sink=None):
+def fill_volume(vol, psi, fill_block, live, sink=None):
     """Compute every stored slice of vol, one block of u rows at a time, and
     set ``vol.admissibility`` to the profile of the same windows.
 
     ``fill_block(start, stop, M, B, block)`` writes the slices of u rows
-    start:stop as complex pairs into ``block``, shape (rows, A, pairs) +
-    b-shape, given the block's modulated window spectra M and the plain
+    start:stop as complex pairs into ``block``, shape (rows, A, len(live))
+    + b-shape, given the block's modulated window spectra M and the plain
     spectra B of its off-lattice rows (:func:`window_blocks`); A is the
-    volume's stored theta column count, 1 for a radial window.  Each
-    finished block, a few MB in one buffer that the next block reuses, goes
-    to ``sink(start, stop, block)`` in u order.  By default vol allocates
-    its payload, and each block is unpacked into its rows in one contiguous
-    write.  Each window's admissibility term |M|^2, weighted as the volume
-    is, is added to the profile in the same pass.
+    volume's stored theta column count, 1 for a radial window.
+
+    ``live`` are the signal's live pairs (:func:`~clcst.grid.live_pairs`),
+    those not identically zero.  Every kernel phase multiplies on the right
+    by span{1, i_n} = C, which maps each pair to itself, so a dead pair's
+    slices are exactly zero: the block holds the live pairs alone, and
+    their FFTs and products are all the engine computes.  A scalar signal,
+    like every input ``clcst synthesize`` makes, has one live pair.
+
+    Each finished block, a few MB in one buffer that the next block reuses,
+    goes to ``sink(start, stop, block, live)`` in u order, which writes the
+    dead pairs' blades as zeros.  By default vol allocates its payload, and
+    each block is unpacked into its rows in one contiguous write.  Each
+    window's admissibility term |M|^2, weighted as the volume is, is added
+    to the profile in the same pass.
     """
     spec = vol.spec
     angles = window_angles(psi, vol.theta_list)
@@ -382,19 +401,23 @@ def fill_volume(vol, psi, fill_block, sink=None):
     if sink is None:
         vol.allocate()
 
-        def sink(start, stop, block):
-            vol.set_slice(slice(start, stop), slice(None), block)
+        def sink(start, stop, block, live):
+            vol.set_slice(slice(start, stop), slice(None), block, live)
 
     power = np.zeros(spec.shape)
     weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
+    # rows are counted by every pair the volume stores, so that a block of
+    # the stored rows stays about BLOCK_BYTES whatever the live pairs
     rows = block_rows(16 * np.prod(shape))
-    buffer = np.empty((min(rows, vol.u_count),) + shape, dtype=np.complex128)
+    buffer = np.empty((min(rows, vol.u_count), len(angles), len(live)) + spec.shape,
+                      dtype=np.complex128)
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
     for start, stop, M, B in blocks:
         add_admissibility(power, weights[start:stop], M)
         block = buffer[:stop - start]
         fill_block(start, stop, M, B, block)
-        sink(start, stop, block)
+        del M, B  # before the next block's spectra are built
+        sink(start, stop, block, live)
     vol.admissibility = profile_result(power, spec, vol.ctx)
 
 
@@ -487,7 +510,9 @@ def cst(f, psi, u_list=None, theta_list=None, strict=False):
     check_analysis_inputs(f, psi, strict)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst")
-    fill_volume(vol, psi, spectrum_slices(pack(f.ctx, f.data), vol))
+    z = pack(f.ctx, f.data)
+    live = live_pairs(z)
+    fill_volume(vol, psi, spectrum_slices(z[live], vol), live)
     return vol
 
 

@@ -30,6 +30,7 @@ from .grid import (
     chirp_multiply,
     inner_product,
     lattice_steps,
+    live_pairs,
     norm_l2,
     pack,
     phase_multiply,
@@ -138,13 +139,15 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     )
     antichirp = np.exp(-1j * params.chirp_rate * f.spec.squared_radius(SPACE))
     z = pack(f.ctx, f.data)
+    live = live_pairs(z)
+    z = z[live]
     if path == "three_step":
         fill_block = spectrum_slices(z * antichirp.conj(), vol, closing=antichirp)
     elif path == "direct":
         fill_block = row_slices(_direct_slices(z, vol, params.chirp_rate, antichirp), vol)
     else:
         fill_block = row_slices(_spectral_slices(z * antichirp.conj(), vol, antichirp), vol)
-    fill_volume(vol, psi, fill_block, None if sink is None else sink(vol))
+    fill_volume(vol, psi, fill_block, live, None if sink is None else sink(vol))
     return vol
 
 
@@ -223,6 +226,7 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     rows = block_rows(window_row_bytes(psi, spec, theta_list))
     for start, stop, M, _ in window_blocks(psi, spec, u_list, theta_list, rows):
         add_admissibility(power, weights[start:stop], M)
+        del M  # before the next block's spectra are built
     return profile_result(power, spec, ctx)
 
 
@@ -250,8 +254,11 @@ def orthogonality_check(f, g, psi, params, scaling, rotation):
 def volume_energy(vol):
     """sum over (b, u, theta) of |S|^2 with the volume's quadrature weights;
     a shared theta column counts once per theta it stands for."""
-    flat = vol.stored.reshape(vol.u_count, vol.stored_theta_columns, -1)
-    per_column = np.einsum("utk,utk->ut", flat, flat) * vol.b_weight
+    per_column = np.empty((vol.u_count, vol.stored_theta_columns))
+    for start, stop, rows in vol.blocks():  # a volume file is read block by block
+        flat = rows.reshape(stop - start, vol.stored_theta_columns, -1)
+        per_column[start:stop] = np.einsum("utk,utk->ut", flat, flat)
+    per_column *= vol.b_weight
     weight = vol.theta_step * (vol.theta_count // vol.stored_theta_columns)
     return float(np.sum(per_column * vol.u_weights[:, None]) * weight)
 
@@ -281,7 +288,9 @@ def reconstruct_resolution(vol, psi, params):
     plain spectrum B, inverted and modulated by e^{j x.u} on its own.  A
     radial window has one M for every theta of a u: a volume that stores
     one column for it counts that column's term T times, and a volume that
-    stores all T columns sums them before their one FFT.
+    stores all T columns sums them before their one FFT.  Only the pairs
+    that are not zero in a block's rows (:func:`~clcst.grid.live_pairs`)
+    are packed, transformed and summed: a dead pair adds exactly zero.
 
     The same pass accumulates the admissibility profile from M, weighted
     with ``vol.u_weights`` as the analysis pass weights it; C_psi is that
@@ -315,7 +324,9 @@ def reconstruct_resolution(vol, psi, params):
     for start, stop, M, B in blocks:
         add_admissibility(power, profile_weights[start:stop], M)
         u_rows, lattice = vol.u_list[start:stop], on_lattice[start:stop]
-        s = np.moveaxis(pack(ctx, np.moveaxis(vol.rows(start, stop), 2, 0)), 0, 2)
+        stored = vol.rows(start, stop)
+        live = live_pairs(stored, axis=2)
+        s = np.moveaxis(pack(ctx, np.moveaxis(stored, 2, 0), pairs=live), 0, 2)
         if s.shape[1] > M.shape[1]:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
         elif s.shape[1] < M.shape[1]:  # one stored column, a window per theta
@@ -330,9 +341,10 @@ def reconstruct_resolution(vol, psi, params):
         for i in np.flatnonzero(~lattice):
             term = np.sum(s[i] * B[i][:, None], axis=0)
             wave = plane_waves(spec, u_rows[i:i + 1])
-            modulated += np.fft.ifftn(term, axes=axes, out=term) * wave
+            modulated[live] += np.fft.ifftn(term, axes=axes, out=term) * wave
         s *= M[:, :, None]
-        summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
+        summed[live] += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
+        del M, B, s, waves  # before the next block's spectra are built
     total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
     admissibility = profile_result(power, spec, ctx)
     c_psi = admissibility[1]["mean"]

@@ -184,19 +184,21 @@ class CLCSTVolume:
         data = self.rows(ui, ui + 1)[0, self.column(ti)].copy()
         return GridSignal(self.spec, self.ctx, data, SPACE)
 
-    def set_slice(self, ui, ti, pairs):
+    def set_slice(self, ui, ti, pairs, live):
         """Unpack complex pairs (:func:`~clcst.grid.pack`) into stored[ui, ti].
 
         ``ui`` indexes u rows and ``ti`` stored columns, as indices or
         slices; ``pairs`` has the shape of that selection with the pair axis
         in place of the blade axis, e.g. (rows, T_s, pairs) + b-shape for a
-        block of u rows.
+        block of u rows.  ``live`` names the pairs it holds
+        (:func:`~clcst.grid.live_pairs`); the blades of the others are set
+        to zero.
         """
         out = self.stored[ui, ti]
         axis = out.ndim - self.spec.n - 1
-        if pairs.shape != out.shape[:axis] + (self.ctx.blade_count // 2,) + self.spec.shape:
+        if pairs.shape != out.shape[:axis] + (len(live),) + self.spec.shape:
             raise GridError("slice pairs of shape %r do not match the volume" % (pairs.shape,))
-        unpack(self.ctx, np.moveaxis(pairs, axis, 0), out=np.moveaxis(out, axis, 0))
+        unpack(self.ctx, np.moveaxis(pairs, axis, 0), out=np.moveaxis(out, axis, 0), pairs=live)
 
     def rel_max_difference(self, other):
         """max |S - S'| / max(|S|, |S'|) over every (b, u, theta); 0 for two

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from clcst.algebra import transform_algebra
 from clcst.cli import main
-from clcst.grid import SPACE, GridSignal, GridSpec, pack
-from clcst.io import export_spectrogram_csv
+from clcst.grid import SPACE, GridSignal, GridSpec, live_pairs, pack
+from clcst.io import export_spectrogram_csv, write_grid
 from clcst.lct import LCTParams
 from clcst.stockwell import (
     Rotation,
@@ -28,12 +28,13 @@ from clcst.transform import (
     PATHS,
     admissibility_profile,
     clcst,
+    clcst_direct_sum_slice,
     marginal_spectrum,
     modulated_window_spectrum,
     reconstruct_resolution,
     volume_energy,
 )
-from clcst.volume import tensor_u_list, theta_weight, u_weights_from_list
+from clcst.volume import CLCSTVolume, tensor_u_list, theta_weight, u_weights_from_list
 from clcst.windows import CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
 
 M = LCTParams(1, 2, 1, 3)
@@ -384,25 +385,31 @@ COUNT_THETAS = [0.0, 0.7]
 
 def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, counts):
     """A lattice-u transform and its report through the CLI, whose Gaussian
-    window is radial and separable: one FFT of the signal's pairs, no window
-    evaluated on the lattice or transformed by an n-D FFT, and the slices of
-    every u inverted by one inverse FFT of the block."""
+    window is radial and separable: one FFT of the signal's live pairs, no
+    window evaluated on the lattice or transformed by an n-D FFT, and the
+    slices of every u inverted by one inverse FFT of the block.  The
+    synthesized Gaussian is scalar, so one pair is live; a multivector
+    signal with every blade nonzero transforms all pairs."""
     spec, ctx = COUNT_SPEC, transform_algebra(2)
-    src = tmp_path / "f.clcg"
-    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    scalar, full = tmp_path / "f.clcg", tmp_path / "g.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(scalar)])
+    write_grid(full, noise(spec, ctx, seed=8))
     u_spec = json.dumps([[a * spec.dw, b * spec.dw] for a, b in COUNT_U_STEPS])
-    out = tmp_path / "vol.clcg"
-    assert main([
-        "transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
-        "--u-list", u_spec, "--theta", "0,0.7", "--out", str(out),
-    ]) == 0
-    report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
-    assert report["admissibility"]["mean"] > 0.0
-    pairs, angles = ctx.blade_count // 2, 1  # radial: one window for both thetas
-    assert counts["forward"] == [(pairs,) + spec.shape]
-    assert sum(counts["window_points"]) == 0
-    # the whole u list fits one block: one call, U A pairs N^n points
-    assert counts["inverse"] == [(len(COUNT_U_STEPS), angles, pairs) + spec.shape]
+    angles = 1  # radial: one window for both thetas
+    for src, pairs in ((scalar, 1), (full, ctx.blade_count // 2)):
+        for log in counts.values():
+            del log[:]
+        out = tmp_path / ("vol-" + src.name)
+        assert main([
+            "transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+            "--u-list", u_spec, "--theta", "0,0.7", "--out", str(out),
+        ]) == 0
+        report = json.loads(out.with_name(out.name + ".report.json").read_text())
+        assert report["admissibility"]["mean"] > 0.0
+        assert counts["forward"] == [(pairs,) + spec.shape]
+        assert sum(counts["window_points"]) == 0
+        # the whole u list fits one block: one call, U A pairs N^n points
+        assert counts["inverse"] == [(len(COUNT_U_STEPS), angles, pairs) + spec.shape]
 
 
 @pytest.fixture
@@ -456,3 +463,66 @@ def test_one_window_per_slice_for_a_window_that_is_not_radial(counts):
     u = np.array(COUNT_U_STEPS) * spec.dw
     clcst(f, SkewedGaussian(2), M, u, COUNT_THETAS)
     assert_counts(counts, spec, ctx, windows=len(COUNT_U_STEPS) * len(COUNT_THETAS))
+
+
+# dimension and the pairs of a multivector signal that are zeroed
+PARTIAL = {"n3-pairs-1-3": (3, [1, 3]), "n2-pair-0": (2, [0])}
+
+
+@pytest.mark.parametrize("case", list(PARTIAL))
+def test_dead_pairs_are_skipped_exactly(case):
+    """A signal whose pairs are not all live transforms its live pairs only
+    (a set with a gap at n = 3, one without pair 0 at n = 2): the three
+    paths agree, spot slices match the engine-free quadrature, and the
+    dead pairs' blades are exactly zero."""
+    n, dead = PARTIAL[case]
+    spec, ctx = (GridSpec(2, 6.0, 32), transform_algebra(2)) if n == 2 else (
+        GridSpec(3, 4.0, 12), transform_algebra(3))
+    top = ctx.blade_count - 1
+    f = noise(spec, ctx, seed=11)
+    dead_blades = [b for p in dead for b in (p, top - p)]
+    f.data[dead_blades] = 0.0
+    assert live_pairs(pack(ctx, f.data)).tolist() == [
+        p for p in range(ctx.blade_count // 2) if p not in dead]
+    psi = SkewedGaussian(2) if n == 2 else GaussianWindow(3, sigma=0.9)
+    u = mixed_u_list(spec)
+    vols = {path: clcst(f, psi, M, u, THETAS, path=path) for path in PATHS}
+    for path in PATHS:
+        assert_slices_close(vols[path], vols["direct"], 1e-12)
+        assert np.all(vols[path].stored[:, :, dead_blades] == 0.0)
+    for ui, ti in [(1, 2), (5, 0)]:  # a lattice and an off-lattice u
+        oracle = clcst_direct_sum_slice(f, psi, M, ScalingMatrix(u[ui]), Rotation(THETAS[ti]))
+        got = vols["three_step"].slice(ui, ti).data
+        assert np.max(np.abs(got - oracle.data)) <= 1e-12 * np.max(np.abs(oracle.data))
+
+
+def test_resolution_synthesis_takes_the_live_pairs_of_each_block(monkeypatch):
+    """Resolution synthesis finds each block's live pairs in its rows: a
+    volume whose blocks hold pair 0, pairs 1 and 3, nothing and every pair
+    synthesizes what the same pass gives with every pair taken live."""
+    from clcst import transform
+
+    spec, ctx = setting(3)
+    top = ctx.blade_count - 1
+    psi = GaussianWindow(3, sigma=0.9)
+    u = mixed_u_list(spec)  # 7 rows: blocks 0:2, 2:4, 4:6 (one off-lattice row), 6:7
+    stored = np.random.default_rng(12).standard_normal((len(u), 1, ctx.blade_count) + spec.shape)
+    for block, dead in enumerate([[1, 2, 3], [0, 2], [0, 1, 2, 3], []]):
+        for p in dead:
+            stored[2 * block:2 * block + 2, :, [p, top - p]] = 0.0
+    vol = CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M, window=psi)
+    monkeypatch.setattr(transform, "block_rows", lambda bytes_per_u: 2)
+    seen = []
+
+    def recorded(data, axis=0):
+        seen.append(live_pairs(data, axis).tolist())
+        return live_pairs(data, axis)
+
+    monkeypatch.setattr(transform, "live_pairs", recorded)
+    got, (_, stats) = reconstruct_resolution(vol, psi, M)
+    assert seen == [[0], [1, 3], [0], [0, 1, 2, 3]]
+    every = np.arange(ctx.blade_count // 2)
+    monkeypatch.setattr(transform, "live_pairs", lambda data, axis=0: every)
+    expect, (_, expect_stats) = reconstruct_resolution(vol, psi, M)
+    assert_close(got.data, expect.data)
+    assert stats == expect_stats

@@ -10,12 +10,15 @@ from clcst.grid import (
     GridSpec,
     chirp_multiply,
     inner_product,
+    live_pairs,
     norm_l2,
+    pack,
     phase_multiply,
     plane_wave_multiply,
     pointwise_product,
     rel_l2_error,
     sample,
+    unpack,
 )
 from clcst.windows import DOGWindow
 
@@ -164,3 +167,37 @@ def test_spec_mismatch_raises():
     g = GridSignal.zero(other, CTX)
     with pytest.raises(GridError):
         inner_product(f, g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pack_and_unpack_select_pairs(n):
+    """pack(pairs=) packs those pairs in the order given; unpack(pairs=)
+    writes their blades and zeros over every other pair's blades."""
+    ctx = transform_algebra(n)
+    half, top = ctx.blade_count // 2, ctx.blade_count - 1
+    data = np.random.default_rng(n).standard_normal((ctx.blade_count, 5, 3))
+    pairs = [half - 1, 0]
+    z = pack(ctx, data)
+    assert np.array_equal(pack(ctx, data, pairs=pairs), z[pairs])
+    assert np.array_equal(unpack(ctx, z), data)
+    out = np.full_like(data, np.nan)
+    unpack(ctx, z[pairs], out=out, pairs=pairs)
+    for b in range(half):
+        blades = [b, top - b]
+        if b in pairs:
+            assert np.array_equal(out[blades], data[blades])
+        else:
+            assert np.all(out[blades] == 0.0)
+
+
+def test_live_pairs_of_blades_and_of_pairs():
+    ctx = transform_algebra(3)
+    data = np.zeros((ctx.blade_count, 4, 4))
+    assert live_pairs(data).tolist() == [0]  # a zero signal still runs one pair
+    data[6, 1, 2] = 1.0  # blade 6 = e_23, the partner of pair 1
+    assert live_pairs(data).tolist() == [1]
+    assert live_pairs(pack(ctx, data)).tolist() == [1]
+    data[3, 0, 0] = -0.5  # pair 3
+    assert live_pairs(data).tolist() == [1, 3]
+    rows = np.moveaxis(data, 0, 1)[None]  # (rows, columns, blades) + b, as stored
+    assert live_pairs(rows, axis=2).tolist() == [1, 3]

@@ -219,63 +219,44 @@ def _pair_signs(ctx):
     return ctx.pseudo_sign[::-1][: ctx.blade_count // 2]
 
 
-def _pairs(ctx, pairs):
-    return range(ctx.blade_count // 2) if pairs is None else pairs
-
-
-def pack(ctx, data, pairs=None):
+def pack(ctx, data):
     """Blade-major real data as 2^(n-1) complex pairs z_B = f_B - j sigma_B f_{B^F}.
 
     The pair blades are B < B^F, the lower half of the bitmasks; their
     partners B^F = F - B are the upper half in reverse.  Right multiplication
     by a + i_n b is then z (a + j b), because span{1, i_n} is isomorphic to C.
-    ``pairs`` selects the pairs B to pack, in order; by default all of them.
     """
-    pairs = _pairs(ctx, pairs)
     signs, top = _pair_signs(ctx), ctx.blade_count - 1
-    z = np.empty((len(pairs),) + data.shape[1:], dtype=np.complex128)
-    for i, b in enumerate(pairs):
-        z[i, ...].real = data[b]
-        np.multiply(data[top - b], -signs[b], out=z[i, ...].imag)
+    z = np.empty((ctx.blade_count // 2,) + data.shape[1:], dtype=np.complex128)
+    for b in range(len(z)):
+        z[b, ...].real = data[b]
+        np.multiply(data[top - b], -signs[b], out=z[b, ...].imag)
     return z
 
 
-def unpack(ctx, z, out=None, pairs=None):
+def unpack(ctx, z, pairs=None):
     """Inverse of :func:`pack`: f_B = Re z_B and f_{B^F} = -sigma_B Im z_B.
 
-    z holds the ``pairs`` of :func:`pack`, by default all of them; the blades
-    of every other pair are written as zeros.
+    z holds the pairs named by ``pairs``, in order, by default all of them;
+    the blades of every other pair are zero.
     """
-    index = {int(b): i for i, b in enumerate(_pairs(ctx, pairs))}
     signs, top = _pair_signs(ctx), ctx.blade_count - 1
-    if out is None:
-        out = np.empty((ctx.blade_count,) + z.shape[1:])
-    for b in range(ctx.blade_count // 2):
-        i = index.get(b)
-        if i is None:
-            out[b] = 0.0
-            out[top - b] = 0.0
-        else:
-            out[b] = z[i].real
-            np.multiply(z[i].imag, -signs[b], out=out[top - b, ...])
+    out = np.zeros((ctx.blade_count,) + z.shape[1:])
+    for i, b in enumerate(range(len(z)) if pairs is None else pairs):
+        out[b] = z[i].real
+        np.multiply(z[i].imag, -signs[b], out=out[top - b, ...])
     return out
 
 
-def live_pairs(data, axis=0):
-    """Indices of the complex pairs of ``data`` that are not identically zero:
-    the pairs themselves along ``axis`` of a complex array, or the blades of
-    a real one, a pair being live when either of its blades is.  At least
-    pair 0 is returned, so that a zero signal still runs through the engine.
+def live_pairs(z):
+    """Indices of the complex pairs z[p] that are not identically zero.  At
+    least pair 0 is returned, so that a zero signal still runs through the
+    engine.
 
     Right multiplication by span{1, i_n} acts on each pair on its own, so a
     pair that is zero everywhere stays zero under every kernel phase.
     """
-    others = tuple(a for a in range(data.ndim) if a != axis % data.ndim)
-    nonzero = np.any(data, axis=others)
-    if not np.iscomplexobj(data):
-        half = len(nonzero) // 2
-        nonzero = nonzero[:half] | nonzero[::-1][:half]
-    live = np.flatnonzero(nonzero)
+    live = np.flatnonzero(np.any(z.reshape(len(z), -1), axis=1))
     return live if live.size else np.zeros(1, dtype=np.intp)
 
 

@@ -3,68 +3,74 @@
 Layout (little-endian):
 
     magic "CLCG" | version u16 | n u16 | axis_count u16 |
-    per-axis sizes u32[axis_count] | blade_count u32 | payload float64
+    per-axis sizes u32[axis_count] | count u32 | payload
 
-A grid file is version 1: its axes are the b-grid shape and its payload is
-blade-major, then row-major over the axes.  A volume file is version 2: its
-axes are (U, T_s) + b-grid shape and its payload is the volume's stored
-array, (U, T_s, blade) + b-grid shape in row-major order, so each slice is
-one contiguous run.  T_s is T, or 1 when one column serves every theta.
-Version 1 volumes, with axes b-grid shape + (U, T) and a blade-major
-payload, are still read.
+A grid file is version 1: its axes are the b-grid shape, ``count`` is the
+blade count, and its float64 payload is blade-major, then row-major over
+the axes.  A volume file is version 3: its axes are (U, T_s) + b-grid
+shape, ``count`` is the number P of stored complex pairs, and its payload
+is the volume's stored complex128 array, (U, T_s, P) + b-grid shape in
+row-major order, so each slice is one contiguous run.  T_s is T, or 1 when
+one column serves every theta.
+
+Volume files of version 1 (axes b-grid shape + (U, T), blade-major) and
+version 2 (payload (U, T_s, blade) + b-grid shape) hold real blades.  They
+are still read, and their blades are packed into all 2^(n-1) pairs as they
+are read, so that no other module knows a file's blade layout.
 
 A JSON sidecar at <path>.json carries the lattice geometry and, for
-volumes, the (u, theta) lists, parameter matrix, window, weights, and the
-evaluation-path tag.
+volumes, the (u, theta) lists, parameter matrix, window, weights, stored
+pairs and the evaluation-path tag.
 
 Each file and its sidecar are written to temporary files beside them and
 renamed over them, so a write that stops partway leaves the old files.  A
-volume file is written u-block by u-block (:func:`volume_writer`), and a
-version 2 file is read back the same way (:class:`VolumePayload`).
+volume file is written u-block by u-block (:func:`volume_writer`) and read
+back the same way (:class:`VolumePayload`).
 """
 
 import contextlib
 import json
+import math
 import os
 import struct
 
 import numpy as np
 
-from .algebra import algebra
-from .grid import GridSignal, GridSpec, unpack
-from .lct import LCTParams
+from .algebra import AlgebraError, algebra
+from .grid import GridError, GridSignal, GridSpec, pack
+from .lct import LCTError, LCTParams
 from .volume import CLCSTVolume
-from .windows import CompositeWindow, DOGWindow, GaussianWindow, window_angles
+from .windows import CompositeWindow, DOGWindow, GaussianWindow, WindowError, window_angles
 
 MAGIC = b"CLCG"
 BLADE_MAJOR = 1  # grid files, and volume files before version 2
-SLICE_MAJOR = 2  # volume files
+SLICE_MAJOR = 2  # volume files of real blades, before version 3
+PAIRS = 3  # volume files
+# what reading a sidecar that does not describe its volume raises
+SIDECAR_ERRORS = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError,
+                  AlgebraError, GridError, LCTError, WindowError)
 
 
 class FormatError(Exception):
     pass
 
 
-def _header(version, n, axes_sizes, blade_count):
+def _header(version, n, axes_sizes, count):
     header = MAGIC + struct.pack("<HHH", version, n, len(axes_sizes))
     header += struct.pack("<%dI" % len(axes_sizes), *axes_sizes)
-    return header + struct.pack("<I", blade_count)
+    return header + struct.pack("<I", count)
 
 
 def _raw(array):
-    """The bytes of array as little-endian float64: the array's own buffer,
-    without a copy, when it is C-ordered little-endian float64."""
-    array = np.ascontiguousarray(array, dtype="<f8")
+    """The bytes of array as little-endian float64 or complex128: the array's
+    own buffer, without a copy, when it is C-ordered and little-endian."""
+    array = np.ascontiguousarray(array, dtype="<c16" if np.iscomplexobj(array) else "<f8")
     return memoryview(array.reshape(-1)).cast("B")
 
 
-def _reused(buffer, shape):
-    """(buffer, view): a view of the given shape on the front of a flat
-    float64 buffer, which is replaced by a new one when it is too small."""
-    count = int(np.prod(shape))
-    if buffer is None or buffer.size < count:
-        buffer = np.empty(count, dtype="<f8")
-    return buffer, buffer[:count].reshape(shape)
+def _packed(ctx, blades):
+    """Blade-major rows (blade, u, column) + b as stored pairs (u, column, pair) + b."""
+    return np.ascontiguousarray(np.moveaxis(pack(ctx, blades), 0, 2))
 
 
 @contextlib.contextmanager
@@ -94,8 +100,8 @@ def _replacing(*paths):
 
 
 def _read_header(fh, path, versions):
-    """(version, n, sizes, blade_count) of an open container, left at its
-    payload, once the file size matches the header."""
+    """(version, n, sizes, count) of an open container, left at its payload,
+    once the file size matches the header."""
     head = fh.read(10)
     if head[:4] != MAGIC:
         raise FormatError("bad magic in %s" % path)
@@ -105,22 +111,22 @@ def _read_header(fh, path, versions):
             raise FormatError("unsupported format version %d in %s" % (version, path))
         rest = fh.read(4 * axis_count + 4)
         sizes = struct.unpack_from("<%dI" % axis_count, rest)
-        (blade_count,) = struct.unpack_from("<I", rest, 4 * axis_count)
+        (count,) = struct.unpack_from("<I", rest, 4 * axis_count)
     except struct.error as exc:
         raise FormatError("truncated header in %s: %s" % (path, exc)) from None
-    if version == SLICE_MAJOR and axis_count < 2:
+    if version != BLADE_MAJOR and axis_count < 2:
         raise FormatError("%s declares %d axes, a volume needs (U, T_s) first"
                           % (path, axis_count))
-    count = blade_count * int(np.prod(sizes))
+    payload = (16 if version == PAIRS else 8) * count * math.prod(sizes)
     size = os.fstat(fh.fileno()).st_size
-    if size != fh.tell() + 8 * count:
+    if size != fh.tell() + payload:
         raise FormatError("%s holds %d payload bytes, the header declares %d"
-                          % (path, size - fh.tell(), 8 * count))
-    return version, n, sizes, blade_count
+                          % (path, size - fh.tell(), payload))
+    return version, n, sizes, count
 
 
 def _read_payload(fh, path, out):
-    """Fill the little-endian float64 array out from the file's position."""
+    """Fill the little-endian array out from the file's position."""
     if fh.readinto(memoryview(out.reshape(-1)).cast("B")) != out.nbytes:
         raise FormatError("%s ended while its payload was read" % path)
     return out
@@ -132,37 +138,41 @@ def _stamp(fh):
 
 
 class VolumePayload:
-    """The payload of a version 2 volume file, left in the file: the reader
-    of a :class:`~clcst.volume.CLCSTVolume` whose rows are read on demand.
+    """The payload of a version 2 or 3 volume file, left in the file: the
+    reader of a :class:`~clcst.volume.CLCSTVolume` whose rows are read on
+    demand.
 
-    ``rows`` reads into one buffer that its next call reuses.  A file that
-    was replaced or rewritten after :func:`read_volume` opened it is
-    refused, not read as this volume.
+    ``shape`` is the volume's stored shape.  A version 2 file, given its
+    algebra ``ctx``, holds the two blades of every pair, which are packed as
+    they are read.  ``rows`` reads into one buffer that its next call
+    reuses.  A file that was replaced or rewritten after :func:`read_volume`
+    opened it is refused, not read as this volume.
     """
 
-    def __init__(self, path, offset, shape, stamp):
-        self.path = path
-        self.offset = offset
-        self.shape = shape
-        self._stamp = stamp
-        self._row_bytes = 8 * int(np.prod(shape[1:]))
+    def __init__(self, path, offset, shape, stamp, ctx=None):
+        self.path, self.offset, self.shape, self._stamp, self._ctx = path, offset, shape, stamp, ctx
+        self._row = shape[1:] if ctx is None else shape[1:2] + (2 * shape[2],) + shape[3:]
+        self._dtype = np.dtype("<c16" if ctx is None else "<f8")
         self._buffer = None
 
     def _read(self, start, out):
         with open(self.path, "rb") as fh:
             if _stamp(fh) != self._stamp:
                 raise FormatError("%s changed after it was read as a volume" % self.path)
-            fh.seek(self.offset + start * self._row_bytes)
-            return _read_payload(fh, self.path, out)
+            fh.seek(self.offset + start * self._dtype.itemsize * math.prod(self._row))
+            _read_payload(fh, self.path, out)
+        return out if self._ctx is None else _packed(self._ctx, np.moveaxis(out, 2, 0))
 
     def rows(self, start, stop):
         if not 0 <= start <= stop <= self.shape[0]:
             raise IndexError("u rows %d:%d of a volume of %d" % (start, stop, self.shape[0]))
-        self._buffer, out = _reused(self._buffer, (stop - start,) + self.shape[1:])
-        return self._read(start, out)
+        count = (stop - start) * math.prod(self._row)
+        if self._buffer is None or self._buffer.size < count:
+            self._buffer = np.empty(count, dtype=self._dtype)
+        return self._read(start, self._buffer[:count].reshape((stop - start,) + self._row))
 
     def load(self):
-        return self._read(0, np.empty(self.shape, dtype="<f8"))
+        return self._read(0, np.empty(self.shape[:1] + self._row, dtype=self._dtype))
 
 
 def _sidecar(path):
@@ -172,28 +182,16 @@ def _sidecar(path):
 def window_to_meta(window):
     if window is None:
         return None
+    meta = {"amplitude": window.amplitude, "normalization": window.normalization}
     if isinstance(window, GaussianWindow):
-        return {
-            "kind": "gaussian",
-            "sigma": window.sigma,
-            "amplitude": window.amplitude,
-            "normalization": window.normalization,
-        }
-    if isinstance(window, DOGWindow):
-        return {
-            "kind": "dog",
-            "lam": window.lam,
-            "amplitude": window.amplitude,
-            "normalization": window.normalization,
-        }
-    if isinstance(window, CompositeWindow):
-        return {
-            "kind": "composite",
-            "amplitude": window.amplitude,
-            "normalization": window.normalization,
-            "terms": [[c, window_to_meta(w)] for c, w in window.terms],
-        }
-    raise FormatError("cannot serialize window %r" % window)
+        meta.update(kind="gaussian", sigma=window.sigma)
+    elif isinstance(window, DOGWindow):
+        meta.update(kind="dog", lam=window.lam)
+    elif isinstance(window, CompositeWindow):
+        meta.update(kind="composite", terms=[[c, window_to_meta(w)] for c, w in window.terms])
+    else:
+        raise FormatError("cannot serialize window %r" % window)
+    return meta
 
 
 def window_from_meta(meta, n):
@@ -214,13 +212,8 @@ def window_from_meta(meta, n):
 
 
 def _grid_meta(spec, ctx, domain):
-    return {
-        "n": spec.n,
-        "half_width": spec.half_width,
-        "samples_per_axis": spec.samples_per_axis,
-        "metric_sign": ctx.metric_sign,
-        "domain": domain,
-    }
+    return {"n": spec.n, "half_width": spec.half_width, "samples_per_axis": spec.samples_per_axis,
+            "metric_sign": ctx.metric_sign, "domain": domain}
 
 
 def _json_bytes(meta):
@@ -253,44 +246,35 @@ def read_grid(path):
 
 
 class VolumeWriter:
-    """Appends the u rows of one volume, in order, to an open version 2 file
+    """Appends the u rows of one volume, in order, to an open version 3 file
     (:func:`volume_writer`)."""
 
     def __init__(self, fh):
         self._fh = fh
         self._vol = None
         self._rows = 0
-        self._buffer = None
         self.bytes = None
 
     def begin(self, vol):
-        """Write the header of vol's file.  Returns the sink of its u-blocks
-        as complex pairs (:func:`~clcst.stockwell.fill_volume`), which
-        unpacks each block's live pairs, and zeros for the rest, into one
-        reused real buffer and appends it."""
+        """Write the header of vol's file.  Returns :meth:`append`, the sink
+        of its u-blocks (:func:`~clcst.stockwell.fill_volume`)."""
         if self._vol is not None:
             raise FormatError("a volume file holds one volume")
         self._vol = vol
         axes = (vol.u_count, vol.stored_theta_columns) + vol.spec.shape
-        self._fh.write(_header(SLICE_MAJOR, vol.spec.n, axes, vol.ctx.blade_count))
-        return self._append_pairs
+        self._fh.write(_header(PAIRS, vol.spec.n, axes, len(vol.pairs)))
+        return self.append
 
-    def append(self, rows):
-        """Append the stored array's next u rows."""
+    def append(self, start, stop, rows):
+        """Append rows start:stop of the stored array, which follow the rows
+        appended before."""
         vol = self._vol
-        if rows.shape[1:] != vol.stored_shape[1:] or self._rows + len(rows) > vol.u_count:
-            raise FormatError("rows of shape %r do not follow %d of the %r stored"
-                              % (rows.shape, self._rows, vol.stored_shape))
+        if ((start, stop) != (self._rows, self._rows + len(rows)) or stop > vol.u_count
+                or rows.shape[1:] != vol.stored_shape[1:]):
+            raise FormatError("u rows %d:%d of shape %r do not follow %d of the %r stored"
+                              % (start, stop, rows.shape, self._rows, vol.stored_shape))
         self._fh.write(_raw(rows))
-        self._rows += len(rows)
-
-    def _append_pairs(self, start, stop, pairs, live):
-        if start != self._rows:
-            raise FormatError("u rows %d:%d arrive after %d rows" % (start, stop, self._rows))
-        shape = (stop - start,) + self._vol.stored_shape[1:]
-        self._buffer, rows = _reused(self._buffer, shape)
-        unpack(self._vol.ctx, np.moveaxis(pairs, 2, 0), out=np.moveaxis(rows, 2, 0), pairs=live)
-        self.append(rows)
+        self._rows = stop
 
     def _meta(self):
         vol = self._vol
@@ -304,6 +288,7 @@ class VolumeWriter:
             "u_list": vol.u_list.tolist(),
             "u_weights": vol.u_weights.tolist(),
             "theta_list": vol.theta_list.tolist(),
+            "pairs": vol.pairs.tolist(),
             "path": vol.path,
             "params": list(vol.params.as_tuple()) if vol.params else None,
             "window": window_to_meta(vol.window),
@@ -312,7 +297,7 @@ class VolumeWriter:
 
 @contextlib.contextmanager
 def volume_writer(path):
-    """A :class:`VolumeWriter` streaming one volume to a version 2 file at
+    """A :class:`VolumeWriter` streaming one volume to a version 3 file at
     path, to be given the header (``begin``) and then every u row.
 
     The rows go to a temporary file beside path.  When the block exits
@@ -328,73 +313,90 @@ def volume_writer(path):
 
 
 def write_volume(path, vol):
-    """Write vol as a version 2 file and its sidecar, block by block of its
+    """Write vol as a version 3 file and its sidecar, block by block of its
     rows (:meth:`~clcst.volume.CLCSTVolume.blocks`); returns the bytes of
     both."""
     with volume_writer(path) as writer:
         writer.begin(vol)
-        for _, _, rows in vol.blocks():
-            writer.append(rows)
+        for start, stop, rows in vol.blocks():
+            writer.append(start, stop, rows)
     return writer.bytes
 
 
-def read_volume(path):
-    """The volume of a file, its header, size and sidecar checked.
+def _numbers(value, count):
+    """Whether value is a JSON list of count finite numbers."""
+    return (isinstance(value, list) and len(value) == count and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in value))
 
-    A version 2 file's payload stays in the file: the volume reads its u
-    rows on demand (:class:`VolumePayload`) and loads them whole only when
+
+def read_volume(path):
+    """The volume of a file, its header, size and sidecar checked: every
+    sidecar value is checked against the header before it is used, and one
+    that does not describe the payload raises :class:`FormatError`.
+
+    A version 3 or 2 file's payload stays in the file: the volume reads its
+    u rows on demand (:class:`VolumePayload`) and loads them whole only when
     its ``stored`` array is asked for.  A version 1 file's blade-major
-    payload holds no u row in one run, so it is read whole and its axes are
-    moved into the stored order once, with T_s = T.
+    payload holds no u row in one run, so it is read whole and packed into
+    the stored order once, with T_s = T.
     """
     with open(path, "rb") as fh:
-        version, n, sizes, blade_count = _read_header(fh, path, (BLADE_MAJOR, SLICE_MAJOR))
+        version, n, sizes, count = _read_header(fh, path, (BLADE_MAJOR, SLICE_MAJOR, PAIRS))
+        offset, stamp = fh.tell(), _stamp(fh)
         if version == BLADE_MAJOR:
-            payload = _read_payload(fh, path, np.empty((blade_count,) + sizes, dtype="<f8"))
-        else:
-            payload = VolumePayload(path, fh.tell(),
-                                    sizes[:2] + (blade_count,) + sizes[2:], _stamp(fh))
-    with open(_sidecar(path)) as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "volume":
-        raise FormatError("%s is not a volume file" % path)
-    g = meta["grid"]
-    spec = GridSpec(g["n"], g["half_width"], g["samples_per_axis"])
-    ctx = algebra(g["n"], g["metric_sign"])
-    params = LCTParams(*meta["params"]) if meta["params"] else None
-    window = window_from_meta(meta["window"], g["n"])
-    u_list = np.asarray(meta["u_list"], dtype=np.float64).reshape(-1, spec.n)
-    theta_list = np.asarray(meta["theta_list"], dtype=np.float64).ravel()
-    if version == BLADE_MAJOR:
-        if sizes[-2:] != (len(u_list), len(theta_list)):
-            raise FormatError("%s holds (U, T) = %r, its sidecar lists %r"
-                              % (path, sizes[-2:], (len(u_list), len(theta_list))))
-        payload = np.ascontiguousarray(np.moveaxis(payload, (-2, -1), (0, 1)))
-    else:
-        if sizes[0] != len(u_list):
+            blades = _read_payload(fh, path, np.empty((count,) + sizes, dtype="<f8"))
+    try:
+        with open(_sidecar(path), "rb") as fh:
+            meta = json.load(fh)
+        if meta.get("kind") != "volume":
+            raise FormatError("%s is not a volume file" % path)
+        g, u_list, params = meta["grid"], meta["u_list"], meta["params"]
+        if g["n"] != n or len(sizes) != n + 2:
+            raise FormatError("%s: header of n = %d with %d axes, sidecar n = %r"
+                              % (path, n, len(sizes), g["n"]))
+        ctx = algebra(n, g["metric_sign"])
+        half = ctx.blade_count // 2
+        if not (isinstance(u_list, list) and all(_numbers(row, n) for row in u_list)):
+            raise FormatError("%s: sidecar u_list is not rows of n = %d numbers" % (path, n))
+        if not _numbers(meta["u_weights"], len(u_list)):
+            raise FormatError("%s: sidecar u_weights is not %d finite numbers, one per u"
+                              % (path, len(u_list)))
+        if params is not None and not _numbers(params, 4):
+            raise FormatError("%s: sidecar params %r is not 4 numbers" % (path, params))
+        # the volume checks the pairs, and their count against the payload's
+        pairs = meta["pairs"] if version == PAIRS else list(range(half))
+        if version != PAIRS and count != ctx.blade_count:
+            raise FormatError("%s holds %d blades, the algebra of n = %d has %d"
+                              % (path, count, n, ctx.blade_count))
+        window = window_from_meta(meta["window"], n)
+        theta_list = np.asarray(meta["theta_list"], dtype=np.float64).ravel()
+        columns = (len(theta_list), len(window_angles(window, theta_list)))
+        if version == BLADE_MAJOR:
+            payload = _packed(ctx, np.moveaxis(blades, (-2, -1), (1, 2)))
+        elif sizes[0] != len(u_list):
             raise FormatError("%s holds %d u rows, its sidecar lists %d"
                               % (path, sizes[0], len(u_list)))
-        columns = (len(theta_list), len(window_angles(window, theta_list)))
-        if sizes[1] not in columns:
+        elif sizes[1] not in columns:
             raise FormatError("%s stores %d theta columns, not T = %d or the window's %d"
                               % ((path, sizes[1]) + columns))
-    if payload.shape[2:] != (ctx.blade_count,) + spec.shape:
-        raise FormatError("payload does not match sidecar geometry")
-    return CLCSTVolume(
-        spec,
-        ctx,
-        u_list,
-        theta_list,
-        stored=payload,
-        params=params,
-        window=window,
-        path=meta["path"],
-        u_weights=np.asarray(meta["u_weights"]),
-    )
+        else:
+            payload = VolumePayload(path, offset, sizes[:2] + (count if version == PAIRS else half,)
+                                    + sizes[2:], stamp, None if version == PAIRS else ctx)
+        spec = GridSpec(n, g["half_width"], g["samples_per_axis"])
+        return CLCSTVolume(spec, ctx, np.asarray(u_list, dtype=np.float64).reshape(-1, n),
+                           theta_list, stored=payload, window=window, path=meta["path"],
+                           params=LCTParams(*params) if params else None, pairs=pairs,
+                           u_weights=np.asarray(meta["u_weights"], dtype=np.float64))
+    except SIDECAR_ERRORS as exc:  # a sidecar that does not describe its volume
+        raise FormatError("%s: malformed sidecar (%s: %s)"
+                          % (path, type(exc).__name__, exc)) from None
 
 
 def export_spectrogram_csv(path, vol, ui, ti):
-    """|S| (coefficient 2-norm) of one (u, theta) slice as CSV rows."""
-    mag = np.sqrt(np.sum(vol.rows(ui, ui + 1)[0, vol.column(ti)] ** 2, axis=0))
+    """|S| (coefficient 2-norm) of one (u, theta) slice as CSV rows: the
+    norm over the stored pairs, |z_B|^2 = f_B^2 + f_{B^F}^2."""
+    z = vol.rows(ui, ui + 1)[0, vol.column(ti)]
+    mag = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=0))
     header = "u=%s theta=%g" % (vol.u_list[ui].tolist(), vol.theta_list[ti])
     np.savetxt(path, mag.reshape(mag.shape[0], -1), delimiter=",", header=header)

@@ -48,8 +48,8 @@ Every kernel phase multiplies on the right by span{1, i_n}, which acts on
 each complex pair on its own (Hitzer and Mawardi, AACA 2008), so a pair
 that is zero everywhere transforms to zero everywhere, exactly.  The engine
 transforms only the signal's live pairs (:func:`~clcst.grid.live_pairs`),
-and the blades of the others are written as zeros where the pairs are
-unpacked.  A scalar signal has one live pair of the 2^(n-1).
+and the volume stores those pairs alone (``CLCSTVolume.pairs``).  A scalar
+signal has one live pair of the 2^(n-1).
 """
 
 import warnings
@@ -371,17 +371,18 @@ def profile_result(power, spec, ctx):
     return sig, stats
 
 
-def fill_volume(vol, psi, fill_block, live, sink=None):
+def fill_volume(vol, psi, fill_block, sink=None):
     """Compute every stored slice of vol, one block of u rows at a time, and
     set ``vol.admissibility`` to the profile of the same windows.
 
     ``fill_block(start, stop, M, B, block)`` writes the slices of u rows
-    start:stop as complex pairs into ``block``, shape (rows, A, len(live))
-    + b-shape, given the block's modulated window spectra M and the plain
+    start:stop into ``block``, their stored rows: shape (rows, A, P) +
+    b-shape, given the block's modulated window spectra M and the plain
     spectra B of its off-lattice rows (:func:`window_blocks`); A is the
-    volume's stored theta column count, 1 for a radial window.
+    volume's stored theta column count, 1 for a radial window, and P the
+    number of ``vol.pairs``.
 
-    ``live`` are the signal's live pairs (:func:`~clcst.grid.live_pairs`),
+    Those are the signal's live pairs (:func:`~clcst.grid.live_pairs`),
     those not identically zero.  Every kernel phase multiplies on the right
     by span{1, i_n} = C, which maps each pair to itself, so a dead pair's
     slices are exactly zero: the block holds the live pairs alone, and
@@ -389,35 +390,33 @@ def fill_volume(vol, psi, fill_block, live, sink=None):
     like every input ``clcst synthesize`` makes, has one live pair.
 
     Each finished block, a few MB in one buffer that the next block reuses,
-    goes to ``sink(start, stop, block, live)`` in u order, which writes the
-    dead pairs' blades as zeros.  By default vol allocates its payload, and
-    each block is unpacked into its rows in one contiguous write.  Each
-    window's admissibility term |M|^2, weighted as the volume is, is added
-    to the profile in the same pass.
+    goes to ``sink(start, stop, block)`` in u order.  By default vol
+    allocates its payload, and each block is set into its rows
+    (:meth:`~clcst.volume.CLCSTVolume.set_slice`).  Each window's
+    admissibility term |M|^2, weighted as the volume is, is added to the
+    profile in the same pass.
     """
     spec = vol.spec
-    angles = window_angles(psi, vol.theta_list)
-    shape = (len(angles), vol.ctx.blade_count // 2) + spec.shape
     if sink is None:
         vol.allocate()
 
-        def sink(start, stop, block, live):
-            vol.set_slice(slice(start, stop), slice(None), block, live)
+        def sink(start, stop, block):
+            vol.set_slice(slice(start, stop), slice(None), block)
 
     power = np.zeros(spec.shape)
     weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
-    # rows are counted by every pair the volume stores, so that a block of
-    # the stored rows stays about BLOCK_BYTES whatever the live pairs
+    # rows are counted by every pair of the algebra, so that a block stays
+    # about BLOCK_BYTES whatever the stored pairs
+    shape = vol.stored_shape[1:2] + (vol.ctx.blade_count // 2,) + spec.shape
     rows = block_rows(16 * np.prod(shape))
-    buffer = np.empty((min(rows, vol.u_count), len(angles), len(live)) + spec.shape,
-                      dtype=np.complex128)
+    buffer = np.empty((min(rows, vol.u_count),) + vol.stored_shape[1:], dtype=np.complex128)
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
     for start, stop, M, B in blocks:
         add_admissibility(power, weights[start:stop], M)
         block = buffer[:stop - start]
         fill_block(start, stop, M, B, block)
         del M, B  # before the next block's spectra are built
-        sink(start, stop, block, live)
+        sink(start, stop, block)
     vol.admissibility = profile_result(power, spec, vol.ctx)
 
 
@@ -509,10 +508,10 @@ def cst(f, psi, u_list=None, theta_list=None, strict=False):
     """
     check_analysis_inputs(f, psi, strict)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
-    vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst")
     z = pack(f.ctx, f.data)
     live = live_pairs(z)
-    fill_volume(vol, psi, spectrum_slices(z[live], vol), live)
+    vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst", pairs=live)
+    fill_volume(vol, psi, spectrum_slices(z[live], vol))
     return vol
 
 

@@ -134,20 +134,20 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     _require_b_nonzero(params, f.spec)
     check_analysis_inputs(f, psi, strict)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
-    vol = CLCSTVolume(
-        f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path
-    )
-    antichirp = np.exp(-1j * params.chirp_rate * f.spec.squared_radius(SPACE))
     z = pack(f.ctx, f.data)
     live = live_pairs(z)
     z = z[live]
+    vol = CLCSTVolume(
+        f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path, pairs=live
+    )
+    antichirp = np.exp(-1j * params.chirp_rate * f.spec.squared_radius(SPACE))
     if path == "three_step":
         fill_block = spectrum_slices(z * antichirp.conj(), vol, closing=antichirp)
     elif path == "direct":
         fill_block = row_slices(_direct_slices(z, vol, params.chirp_rate, antichirp), vol)
     else:
         fill_block = row_slices(_spectral_slices(z * antichirp.conj(), vol, antichirp), vol)
-    fill_volume(vol, psi, fill_block, live, None if sink is None else sink(vol))
+    fill_volume(vol, psi, fill_block, None if sink is None else sink(vol))
     return vol
 
 
@@ -256,7 +256,8 @@ def volume_energy(vol):
     a shared theta column counts once per theta it stands for."""
     per_column = np.empty((vol.u_count, vol.stored_theta_columns))
     for start, stop, rows in vol.blocks():  # a volume file is read block by block
-        flat = rows.reshape(stop - start, vol.stored_theta_columns, -1)
+        # |z_B|^2 = f_B^2 + f_{B^F}^2: the real and imaginary parts of the pairs
+        flat = rows.view(np.float64).reshape(stop - start, vol.stored_theta_columns, -1)
         per_column[start:stop] = np.einsum("utk,utk->ut", flat, flat)
     per_column *= vol.b_weight
     weight = vol.theta_step * (vol.theta_count // vol.stored_theta_columns)
@@ -288,9 +289,9 @@ def reconstruct_resolution(vol, psi, params):
     plain spectrum B, inverted and modulated by e^{j x.u} on its own.  A
     radial window has one M for every theta of a u: a volume that stores
     one column for it counts that column's term T times, and a volume that
-    stores all T columns sums them before their one FFT.  Only the pairs
-    that are not zero in a block's rows (:func:`~clcst.grid.live_pairs`)
-    are packed, transformed and summed: a dead pair adds exactly zero.
+    stores all T columns sums them before their one FFT.  Only the stored
+    pairs (``vol.pairs``) are transformed and summed: every other pair is
+    zero and adds exactly zero.
 
     The same pass accumulates the admissibility profile from M, weighted
     with ``vol.u_weights`` as the analysis pass weights it; C_psi is that
@@ -313,20 +314,18 @@ def reconstruct_resolution(vol, psi, params):
     weights = vol.u_weights * vol.theta_step * copies * np.prod(np.abs(vol.u_list), axis=1)
     profile_weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
     power = np.zeros(spec.shape)
-    summed = np.zeros((ctx.blade_count // 2,) + spec.shape, dtype=np.complex128)
+    summed = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)
     modulated = np.zeros_like(summed)
-    # per u row: the packed stored columns, 8 bytes per blade, transformed
-    # and multiplied in place, and pack's two temporaries of the same size,
-    # beside the window block; rows read from a volume file hold 8 more
-    row_bytes = 24 * columns * ctx.blade_count * spec.point_count
+    # per u row and pair of the algebra, whatever the stored pairs: the
+    # rows read from a volume file and their weighted copy, transformed and
+    # multiplied in place, 16 bytes each, beside the window block
+    row_bytes = 48 * columns * (ctx.blade_count // 2) * spec.point_count
     rows = block_rows(row_bytes + window_row_bytes(psi, spec, vol.theta_list))
     blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
     for start, stop, M, B in blocks:
         add_admissibility(power, profile_weights[start:stop], M)
         u_rows, lattice = vol.u_list[start:stop], on_lattice[start:stop]
-        stored = vol.rows(start, stop)
-        live = live_pairs(stored, axis=2)
-        s = np.moveaxis(pack(ctx, np.moveaxis(stored, 2, 0), pairs=live), 0, 2)
+        s = vol.rows(start, stop)
         if s.shape[1] > M.shape[1]:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
         elif s.shape[1] < M.shape[1]:  # one stored column, a window per theta
@@ -336,14 +335,14 @@ def reconstruct_resolution(vol, psi, params):
         waves = plane_waves(spec, np.where(lattice[:, None], u_rows, 0.0))
         waves *= chirp
         waves *= weights[start:stop].reshape((-1,) + (1,) * spec.n)
-        s *= waves[:, None, None]
+        s = s * waves[:, None, None]  # a new array: the rows may be the volume's own
         np.fft.fftn(s, axes=axes, out=s)
         for i in np.flatnonzero(~lattice):
             term = np.sum(s[i] * B[i][:, None], axis=0)
             wave = plane_waves(spec, u_rows[i:i + 1])
-            modulated[live] += np.fft.ifftn(term, axes=axes, out=term) * wave
+            modulated += np.fft.ifftn(term, axes=axes, out=term) * wave
         s *= M[:, :, None]
-        summed[live] += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
+        summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
         del M, B, s, waves  # before the next block's spectra are built
     total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
     admissibility = profile_result(power, spec, ctx)
@@ -352,7 +351,7 @@ def reconstruct_resolution(vol, psi, params):
         raise TransformError("admissibility profile mean %r is not positive" % c_psi)
     # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
     scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
-    out = GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale), SPACE)
+    out = GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale, pairs=vol.pairs), SPACE)
     return out, admissibility
 
 
@@ -405,17 +404,15 @@ def marginal_spectrum(vol, params, theta):
     if missing.any():
         first = tuple(int(i) for i in np.argwhere(missing)[0])
         raise MissingCoverageError("volume u-list does not cover frequency bin %r" % (first,))
-    # one b-contraction per u: sum_b S(b, u) e^{i_n A|b|^2/2B} dx^n, taken
-    # block by block on the real stored column, so no packed copy is made
-    phase = params.chirp_rate * spec.squared_radius(SPACE).ravel()
-    kernel = np.stack([np.cos(phase), np.sin(phase)], axis=1) * vol.b_weight
-    summed = np.empty((2, ctx.blade_count, vol.u_count))  # (cos | sin, blades, U)
+    # one b-contraction per u and stored pair: sum_b z(b, u) e^{j A|b|^2/2B} dx^n,
+    # taken block by block on the stored column
+    kernel = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE).ravel()) * vol.b_weight
+    G = np.empty((len(vol.pairs), vol.u_count), dtype=np.complex128)
     for start, stop, block in vol.blocks():
-        values = block[:, vol.column(ti)].reshape(stop - start, ctx.blade_count, -1)
-        summed[:, :, start:stop] = (values @ kernel).T
-    G = pack(ctx, summed[0]) + 1j * pack(ctx, summed[1])
+        G[:, start:stop] = (block[:, vol.column(ti)].reshape(stop - start, len(vol.pairs), -1)
+                            @ kernel).T
     data = np.zeros((ctx.blade_count,) + spec.shape)
-    data[(slice(None),) + bins] = unpack(ctx, G[:, rows])
+    data[(slice(None),) + bins] = unpack(ctx, G[:, rows], pairs=vol.pairs)
     _fill_axis_planes(data, spec.n)
     return GridSignal(spec, ctx, data, FREQUENCY), {"filled_bins": filled}
 
@@ -523,9 +520,8 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
         return np.tensordot(left_multiplication_matrix(mv), data, axes=1)
 
     mixed = GridSignal(spec, ctx, left_multiply(alpha, f.data) + left_multiply(beta, g.data), SPACE)
-    lhs = analyze(mixed)
     rhs_vals = left_multiply(alpha, base.values) + left_multiply(beta, analyze(g).values)
-    report["linearity"] = _rel_max(lhs.values, rhs_vals)
+    report["linearity"] = _rel_max(analyze(mixed).values, rhs_vals)
 
     # (2) anti-linearity in the window with real coefficients
     from .windows import CompositeWindow, GaussianWindow
@@ -533,24 +529,25 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
     psi2 = GaussianWindow(spec.n, sigma=0.7)
     a_c, b_c = 0.8, -1.3
     combo = CompositeWindow([(a_c, psi), (b_c, psi2)])
-    lhs = clcst(f, combo, params, u_list, theta_list, path="direct")
+    lhs = clcst(f, combo, params, u_list, theta_list, path="direct").values
     rhs_vals = (
         clcst(f, psi, params, u_list, theta_list, path="direct").values * a_c
         + clcst(f, psi2, params, u_list, theta_list, path="direct").values * b_c
     )
-    report["anti_linearity"] = _rel_max(lhs.values, rhs_vals)
+    report["anti_linearity"] = _rel_max(lhs, rhs_vals)
 
     # (3) translation covariance; the b-cells that wrap around the period
     # seam compare S at b-k against S at b-k+2L, so they are masked out
     k_idx = _index_shift(spec, shift)
-    lhs = analyze(_roll_signal(f, k_idx))
+    rolled = analyze(_roll_signal(f, k_idx))
+    lhs = rolled.values
     rate2 = params.A / params.B
     kdotx = spec.dot(shift)
     vol_mod = analyze(phase_multiply(f, rate2 * kdotx))
     k_sq = float(np.dot(shift, shift))
     b_axes = tuple(range(1, spec.n + 1))
     # e^{i_n(-u.k + A/B (|k|^2 - k.b))} on the right of every (b, u) of the rolled volume
-    phase = rate2 * (k_sq - kdotx)[..., None] - lhs.u_list @ shift
+    phase = rate2 * (k_sq - kdotx)[..., None] - rolled.u_list @ shift
     shifted = pack(ctx, np.roll(vol_mod.values, k_idx, axis=b_axes))
     rhs_vals = unpack(ctx, shifted * np.exp(1j * phase)[..., None])
     seam = np.ones(spec.shape, dtype=bool)
@@ -566,8 +563,7 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
         seam &= keep_axis.reshape(shape)
     smask = seam[None, ..., None, None]
     report["translation"] = float(
-        np.max(np.abs(lhs.values - rhs_vals) * smask)
-        / max(np.max(np.abs(lhs.values * smask)), 1e-300)
+        np.max(np.abs(lhs - rhs_vals) * smask) / max(np.max(np.abs(lhs * smask)), 1e-300)
     )
 
     # (4) dilation covariance: b -> lam b, u -> u/lam under M' = (A, lam^2 B, ., .).
@@ -578,7 +574,7 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
     from .lct import LCTParams
 
     lam = float(dilation)
-    lhs = analyze(_resample_signal(f, lam))
+    lhs = analyze(_resample_signal(f, lam)).values
     params_p = LCTParams(params.A, lam**2 * params.B, params.C / lam**2, params.D)
     vol_p = clcst(f, psi, params_p, u_list / lam, theta_list, path="direct")
     idx = _resample_indices(spec, lam)
@@ -591,18 +587,18 @@ def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.
     valid = np.all(np.abs(lam * coords) <= dilation_b_radius * abs(lam) + 1e-12, axis=0)
     valid &= np.all(np.abs(coords) <= dilation_b_radius, axis=0)
     mask = valid[None, ..., None, None]
-    diff = np.abs(lhs.values - resampled) * mask
-    scale = max(np.max(np.abs(lhs.values * mask)), 1e-300)
+    diff = np.abs(lhs - resampled) * mask
+    scale = max(np.max(np.abs(lhs * mask)), 1e-300)
     report["dilation"] = float(np.max(diff) / scale)
 
     # (5) parity: f(-x) against (-1)^n S(-b, -u, theta)
-    lhs = analyze(_resample_signal(f, -1.0))
+    lhs = analyze(_resample_signal(f, -1.0)).values
     vol_neg = clcst(f, psi, params, -u_list, theta_list, path="direct")
     idx = _resample_indices(spec, -1.0)
     reflected = vol_neg.values
     for axis in b_axes:
         reflected = np.take(reflected, idx, axis=axis)
-    report["parity"] = _rel_max(lhs.values, reflected * (-1.0) ** spec.n)
+    report["parity"] = _rel_max(lhs, reflected * (-1.0) ** spec.n)
     return report
 
 

@@ -574,11 +574,11 @@ def example1_oracle():
     dw = SPEC64.dw
     uvals = np.array([-2 * dw, -dw, dw, 2 * dw, 3 * dw])
     u_list = np.array([[a, b] for a in uvals for b in uvals])
-    vol = clcst(f, psi, M_EXAMPLE, u_list, [np.pi / 2], path="three_step")
+    values = clcst(f, psi, M_EXAMPLE, u_list, [np.pi / 2], path="three_step").values
     half = SPEC64.samples_per_axis // 2
     worst = 0.0
     for i, (u1, u2) in enumerate(u_list):
-        numeric = vol.values[:, half, half, i, 0]
+        numeric = values[:, half, half, i, 0]
         z = example1_closed_form(u1, u2, M_EXAMPLE)
         exact = np.zeros(CTX2.blade_count)
         exact[0] = z.real

@@ -67,14 +67,18 @@ def theta_weight(theta_list):
 
 
 class CLCSTVolume:
-    """Slices stored slice-major: ``stored`` has shape (U, T_s, blade_count) +
-    b-grid shape, so each (u, column) slice is one contiguous run.
+    """Slices stored slice-major as the engine computes them: ``stored`` is
+    complex, of shape (U, T_s, P) + b-grid shape, so each (u, column) slice
+    is one contiguous run of P complex pairs (:func:`~clcst.grid.pack`).
 
+    ``pairs`` names the P stored pairs, in increasing order: by default all
+    2^(n-1) of them, and for a transform the signal's live pairs
+    (:func:`~clcst.grid.live_pairs`), the others being zero everywhere.
     T_s is the number of :func:`~clcst.windows.window_angles` of the window:
     1 for a radial window, whose one column serves every theta, and T
     otherwise or when the window is unknown.  A given ``stored`` array may
-    also hold all T columns.  ``values`` views it in the order
-    (blade_count,) + b-grid shape + (U, T), read-only and without a copy.
+    also hold all T columns.  Blades are unpacked from the pairs only for
+    ``values`` and :meth:`slice`.
 
     The payload is given in one of three ways:
 
@@ -89,26 +93,32 @@ class CLCSTVolume:
     """
 
     def __init__(self, spec, ctx, u_list, theta_list, stored=None, params=None,
-                 window=None, path="unset", u_weights=None):
+                 window=None, path="unset", u_weights=None, pairs=None):
         self.spec = spec
         self.ctx = ctx
         self.u_list = np.asarray(u_list, dtype=np.float64).reshape(-1, spec.n)
         self.theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
+        half = ctx.blade_count // 2
+        self.pairs = np.arange(half) if pairs is None else np.asarray(pairs)
+        if (self.pairs.dtype.kind not in "iu" or self.pairs.ndim != 1 or np.any(self.pairs < 0)
+                or np.any(self.pairs >= half) or np.any(np.diff(self.pairs) <= 0)):
+            raise GridError("pairs %r are not distinct integers, sorted, in [0, %d)"
+                            % (self.pairs.tolist(), half))
         columns = len(window_angles(window, self.theta_list))
         self._reader = None
         if stored is None:
-            shape = (len(self.u_list), columns, ctx.blade_count) + spec.shape
+            shape = (len(self.u_list), columns, len(self.pairs)) + spec.shape
         elif hasattr(stored, "rows"):
             self._reader, stored = stored, None
             shape = tuple(self._reader.shape)
         else:
-            stored = np.asarray(stored, dtype=np.float64)
+            stored = np.asarray(stored, dtype=np.complex128)
             shape = stored.shape
-        allowed = {(len(self.u_list), c, ctx.blade_count) + spec.shape
+        allowed = {(len(self.u_list), c, len(self.pairs)) + spec.shape
                    for c in (columns, len(self.theta_list))}
         if shape not in allowed:
-            raise GridError("stored volume shape %r, expected one of %r"
-                            % (shape, sorted(allowed)))
+            raise GridError("stored volume shape %r, expected one of %r for %d pairs"
+                            % (shape, sorted(allowed), len(self.pairs)))
         self.stored_shape = shape
         self._stored = stored
         self.params = params
@@ -133,7 +143,7 @@ class CLCSTVolume:
 
     def allocate(self):
         """Hold a payload of zeros in memory, for slices to be set into."""
-        self._stored = np.zeros(self.stored_shape)
+        self._stored = np.zeros(self.stored_shape, dtype=np.complex128)
 
     def rows(self, start, stop):
         """stored[start:stop]: a view of a payload in memory, or else u rows
@@ -146,7 +156,7 @@ class CLCSTVolume:
     def blocks(self):
         """(start, stop, :meth:`rows`) for consecutive blocks of about
         BLOCK_BYTES of u rows."""
-        step = block_rows(8 * np.prod(self.stored_shape[1:]))
+        step = block_rows(16 * np.prod(self.stored_shape[1:]))
         for start in range(0, self.u_count, step):
             stop = min(start + step, self.u_count)
             yield start, stop, self.rows(start, stop)
@@ -172,39 +182,45 @@ class CLCSTVolume:
         """The stored column that holds theta index ti."""
         return ti if self.stored_theta_columns == self.theta_count else 0
 
+    def _blades(self, rows):
+        """The blades of stored u rows, in the order (blade, u, column) + b."""
+        return unpack(self.ctx, np.moveaxis(rows, 2, 0), pairs=self.pairs)
+
     @property
     def values(self):
-        """(blade_count,) + b-grid shape + (U, T), a read-only view of ``stored``."""
-        view = np.moveaxis(self.stored, (0, 1), (-2, -1))
+        """(blade_count,) + b-grid shape + (U, T), read-only, unpacked from
+        ``stored`` on each call."""
+        view = np.moveaxis(self._blades(self.stored), (1, 2), (-2, -1))
         return np.broadcast_to(view, view.shape[:-1] + (self.theta_count,))
 
     def slice(self, ui, ti):
         """The b-grid signal at one (u, theta) pair."""
         ui = range(self.u_count)[ui]  # a negative index counts from the end
-        data = self.rows(ui, ui + 1)[0, self.column(ti)].copy()
+        data = unpack(self.ctx, self.rows(ui, ui + 1)[0, self.column(ti)], pairs=self.pairs)
         return GridSignal(self.spec, self.ctx, data, SPACE)
 
-    def set_slice(self, ui, ti, pairs, live):
-        """Unpack complex pairs (:func:`~clcst.grid.pack`) into stored[ui, ti].
-
-        ``ui`` indexes u rows and ``ti`` stored columns, as indices or
-        slices; ``pairs`` has the shape of that selection with the pair axis
-        in place of the blade axis, e.g. (rows, T_s, pairs) + b-shape for a
-        block of u rows.  ``live`` names the pairs it holds
-        (:func:`~clcst.grid.live_pairs`); the blades of the others are set
-        to zero.
-        """
-        out = self.stored[ui, ti]
-        axis = out.ndim - self.spec.n - 1
-        if pairs.shape != out.shape[:axis] + (len(live),) + self.spec.shape:
-            raise GridError("slice pairs of shape %r do not match the volume" % (pairs.shape,))
-        unpack(self.ctx, np.moveaxis(pairs, axis, 0), out=np.moveaxis(out, axis, 0), pairs=live)
+    def set_slice(self, ui, ti, pairs):
+        """stored[ui, ti] = pairs: the stored pairs of the u rows and stored
+        columns ``ui`` and ``ti``, as indices or slices."""
+        self.stored[ui, ti] = pairs
 
     def rel_max_difference(self, other):
         """max |S - S'| / max(|S|, |S'|) over every (b, u, theta); 0 for two
-        zero volumes.  A shared column broadcasts against T columns."""
-        a, b = self.stored, other.stored
-        scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+        zero volumes.  A shared column broadcasts against T columns.
+
+        Read block by block.  Volumes that store the same pairs compare the
+        real and imaginary parts of those pairs, which are the values of
+        their blades up to sign; the others compare their blades.
+        """
+        same = np.array_equal(self.pairs, other.pairs)
+        step = block_rows(16 * max(np.prod(v.stored_shape[1:]) for v in (self, other)))
+        scale = difference = 0.0
+        for start in range(0, self.u_count, step):
+            stop = min(start + step, self.u_count)
+            a, b = (v.rows(start, stop).view(np.float64) if same
+                    else v._blades(v.rows(start, stop)) for v in (self, other))
+            scale = max(scale, np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
+            difference = max(difference, np.max(np.abs(a - b), initial=0.0))
         if scale == 0.0:
             return 0.0
-        return float(np.max(np.abs(a - b))) / scale
+        return float(difference) / scale

@@ -1,0 +1,176 @@
+"""The version 3 volume container: the stored complex pairs byte for byte,
+the pairs listed in the sidecar, and every malformed file refused with
+FormatError."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clcst.algebra import transform_algebra
+from clcst.cli import main
+from clcst.grid import GridSignal, GridSpec, pack
+from clcst.io import FormatError, read_grid, read_volume, write_grid, write_volume
+from clcst.lct import LCTParams
+from clcst.transform import clcst, reconstruct_marginal, reconstruct_resolution
+from clcst.volume import CLCSTVolume
+from clcst.windows import GaussianWindow
+
+M = LCTParams(1, 2, 1, 3)
+THETAS = [0.0, 0.5, 1.0]
+
+
+def header_size(n):
+    return 4 + 2 * 3 + 4 * (n + 2) + 4  # magic, version n axes, (U, T_s) + b sizes, pairs
+
+
+def random_volume(n, pairs, columns, seed, u_count=2):
+    """A volume of random stored pairs on a small lattice, its window radial,
+    so that it may store 1 or T columns."""
+    spec, ctx = GridSpec(n, 4.0, 4), transform_algebra(n)
+    rng = np.random.default_rng(seed)
+    shape = (u_count, columns, len(pairs)) + spec.shape
+    stored = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u = rng.uniform(0.5, 2.0, size=(u_count, n))
+    return CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M,
+                       window=GaussianWindow(n, sigma=0.8), path="three_step", pairs=pairs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), shared=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_version_3_round_trip_is_bit_exact(tmp_path_factory, n, shared, seed, data):
+    """Any live-pair subset and T_s = 1 or T: write, read and rewrite give
+    the same bytes, and the stored pairs and values read back unchanged."""
+    half = 2 ** (n - 1)
+    pairs = sorted(data.draw(st.sets(st.integers(0, half - 1), min_size=1)))
+    vol = random_volume(n, pairs, 1 if shared else len(THETAS), seed)
+    first, second = (tmp_path_factory.mktemp("v3") / "v.clcg" for _ in range(2))
+    write_volume(first, vol)
+    back = read_volume(first)
+    assert back.pairs.tolist() == pairs
+    assert back.stored_theta_columns == vol.stored_theta_columns
+    assert back.stored.tobytes() == vol.stored.tobytes()
+    assert np.array_equal(back.values, vol.values)
+    write_volume(second, back)
+    assert second.read_bytes() == first.read_bytes()
+    assert (second.parent / "v.clcg.json").read_bytes() == (first.parent / "v.clcg.json").read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(part=st.sampled_from(["header", "payload", "sidecar"]), cut=st.booleans(),
+       data=st.data())
+def test_damaged_volume_file_raises_only_format_error(tmp_path_factory, part, cut, data):
+    """A volume file or sidecar truncated, or with one bit flipped, in its
+    header, payload or sidecar either reads as a volume, whose payload then
+    loads, or raises FormatError; nothing else."""
+    path = tmp_path_factory.mktemp("damaged") / "v.clcg"
+    write_volume(path, random_volume(2, [1], 1, seed=3, u_count=3))
+    target = path.with_name("v.clcg.json") if part == "sidecar" else path
+    raw = bytearray(target.read_bytes())
+    start, stop = {"header": (0, header_size(2)), "payload": (header_size(2), len(raw)),
+                   "sidecar": (0, len(raw))}[part]
+    at = data.draw(st.integers(start, stop - 1))
+    if cut:
+        del raw[at:]
+    else:
+        raw[at] ^= 1 << data.draw(st.integers(0, 7))
+    target.write_bytes(bytes(raw))
+    try:
+        vol = read_volume(path)
+        vol.values
+    except FormatError:
+        pass
+
+
+def edit_pairs(pairs):
+    return lambda meta: meta.update(pairs=pairs)
+
+
+SIDECAR_EDITS = {
+    "u_weights-one-for-all": (lambda meta: meta.update(u_weights=[5.0]), "u_weights"),
+    "u_weights-short": (lambda meta: meta.update(u_weights=[1.0, 2.0]), "u_weights"),
+    "u_weights-nan": (lambda meta: meta["u_weights"].__setitem__(1, float("nan")), "u_weights"),
+    "params-two": (lambda meta: meta.update(params=[1, 2]), "params"),
+    "params-text": (lambda meta: meta.update(params=["1", "2", "1", "3"]), "params"),
+    "u_list-ragged": (lambda meta: meta["u_list"][1].append(0.5), "u_list"),
+    "u_list-flat": (lambda meta: meta.update(u_list=[0.5, 0.5, 1.0]), "u_list"),
+    "pairs-unsorted": (edit_pairs([1, 0]), "pairs"),
+    "pairs-repeated": (edit_pairs([0, 0]), "pairs"),
+    "pairs-out-of-range": (edit_pairs([0, 2]), "pairs"),
+    "pairs-fractional": (edit_pairs([0, 1.0]), "pairs"),
+    "pairs-fewer-than-header": (edit_pairs([0]), "pairs"),
+    "pairs-missing": (lambda meta: meta.pop("pairs"), "pairs"),
+}
+
+
+@pytest.mark.parametrize("case", list(SIDECAR_EDITS))
+def test_volume_sidecar_values_are_checked(tmp_path, case):
+    """Each sidecar value of a 3-u volume that does not describe its payload
+    is refused with FormatError, not broadcast or left to fail later: U
+    finite u weights, 4 parameters, U rows of n u components, and the
+    header's count of distinct sorted pairs in [0, 2^(n-1))."""
+    edit, key = SIDECAR_EDITS[case]
+    path = tmp_path / "v.clcg"
+    write_volume(path, random_volume(2, [0, 1], 1, seed=5, u_count=3))
+    sidecar = tmp_path / "v.clcg.json"
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=key):
+        read_volume(path)
+
+
+def test_cli_transform_writes_the_live_pair_alone(tmp_path):
+    """A scalar input has one live pair: the volume file is its header and
+    16 U T_s N^n payload bytes, and its sidecar lists pair 0."""
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
+    u_spec = json.dumps({"kind": "multiples", "per_axis": [[-2, 1, 3], [1, 2]]})
+    assert main(["transform", "--input", str(src), "--u-list", u_spec, "--out", str(out)]) == 0
+    raw = out.read_bytes()
+    u_count, columns, points = 6, 1, 16**2  # the default Gaussian window is radial
+    assert struct.unpack_from("<HHH5I", raw, 4) == (3, 2, 4, u_count, columns, 16, 16, 1)
+    assert len(raw) == header_size(2) + 16 * u_count * columns * 1 * points
+    assert json.loads((tmp_path / "vol.clcg.json").read_text())["pairs"] == [0]
+    report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
+    assert report["volume_bytes"] == len(raw) + (tmp_path / "vol.clcg.json").stat().st_size
+
+
+def test_cli_reconstructions_of_a_volume_with_a_gap_in_its_pairs(tmp_path):
+    """An n = 3 input whose pairs 1 and 3 are live: the volume file stores
+    those two, and `reconstruct` by resolution and by marginal gives the
+    grids of the in-memory volume that stores every pair, the others zero."""
+    spec, ctx = GridSpec(3, 4.0, 10), transform_algebra(3)
+    envelope = np.exp(-np.sum((spec.mesh() - 0.2) ** 2, axis=0))
+    data = np.random.default_rng(13).standard_normal((ctx.blade_count,) + spec.shape) * envelope
+    top = ctx.blade_count - 1
+    data[[0, top, 2, top - 2]] = 0.0  # pairs 0 and 2
+    src, vol_path = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    write_grid(src, GridSignal(spec, ctx, data))
+    ks = [k for k in range(-5, 5) if k != 0]  # every frequency bin off the axis planes
+    assert main([
+        "transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+        "--sigma", "0.75", "--normalize", "--theta", "0",
+        "--u-list", json.dumps({"kind": "multiples", "per_axis": [ks, ks, ks]}),
+        "--out", str(vol_path),
+    ]) == 0
+    back = read_volume(vol_path)
+    assert back.pairs.tolist() == [1, 3]
+    live = clcst(read_grid(src), back.window, back.params, back.u_list, back.theta_list)
+    every = np.zeros(live.stored_shape[:2] + (ctx.blade_count // 2,) + spec.shape, dtype=complex)
+    every[:, :, live.pairs] = live.stored
+    vol = CLCSTVolume(spec, ctx, back.u_list, back.theta_list, stored=every,
+                      params=back.params, window=back.window)
+    assert np.array_equal(pack(ctx, vol.values[..., 5, 0]), every[5, 0])
+    expect = {"resolution": reconstruct_resolution(vol, vol.window, vol.params)[0],
+              "marginal": reconstruct_marginal(vol, vol.params, 0.0)[0]}
+    for method, want in expect.items():
+        rec = tmp_path / (method + ".clcg")
+        assert main(["reconstruct", "--volume", str(vol_path), "--method", method,
+                     "--out", str(rec)]) == 0
+        got = read_grid(rec).data
+        assert np.max(np.abs(got - want.data)) <= 1e-13 * np.max(np.abs(want.data)), method

@@ -286,22 +286,26 @@ def test_separable_route_matches_dense_route(n, kind):
 
 @pytest.mark.parametrize("kind", ["gaussian", "dog", "composite", "skewed"])
 def test_stored_layout_holds_one_column_per_window_angle(kind):
-    """Slice-major (U, T_s, blade) + b: one theta column for a radial window,
-    T for any other; ``values`` is a read-only view in (blade, b, U, T) order."""
+    """Slice-major (U, T_s, P) + b complex pairs: one theta column for a
+    radial window, T for any other; ``values`` unpacks them into a new
+    read-only array in (blade, b, U, T) order."""
     spec, ctx = setting(2)
     psi = SkewedGaussian(2) if kind == "skewed" else radial_window(2, kind)
     u = mixed_u_list(spec)
     vol = clcst(noise(spec, ctx, seed=7), psi, M, u, THETAS)
     columns = len(THETAS) if kind == "skewed" else 1
-    assert vol.stored.shape == (len(u), columns, ctx.blade_count) + spec.shape
+    pairs = ctx.blade_count // 2  # every pair of the noise is live
+    assert vol.stored.shape == (len(u), columns, pairs) + spec.shape
+    assert vol.stored.dtype == np.complex128 and vol.pairs.tolist() == list(range(pairs))
     assert vol.stored.flags.c_contiguous and vol.stored_theta_columns == columns
     values = vol.values
     assert values.shape == (ctx.blade_count,) + spec.shape + (len(u), len(THETAS))
-    assert not values.flags.writeable and np.shares_memory(values, vol.stored)
+    assert not values.flags.writeable and not np.shares_memory(values, vol.stored)
     with pytest.raises(ValueError):
         values[..., 0, 0] = 0.0
     for ui, ti in np.ndindex(vol.u_count, vol.theta_count):
         assert np.array_equal(vol.slice(ui, ti).data, values[..., ui, ti])
+        assert np.array_equal(pack(ctx, values[..., ui, ti]), vol.stored[ui, vol.column(ti)])
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "dog", "composite"])
@@ -473,8 +477,9 @@ PARTIAL = {"n3-pairs-1-3": (3, [1, 3]), "n2-pair-0": (2, [0])}
 def test_dead_pairs_are_skipped_exactly(case):
     """A signal whose pairs are not all live transforms its live pairs only
     (a set with a gap at n = 3, one without pair 0 at n = 2): the three
-    paths agree, spot slices match the engine-free quadrature, and the
-    dead pairs' blades are exactly zero."""
+    paths agree, spot slices match the engine-free quadrature, the volume
+    stores the live pairs alone, and the dead pairs' blades are exactly
+    zero."""
     n, dead = PARTIAL[case]
     spec, ctx = (GridSpec(2, 6.0, 32), transform_algebra(2)) if n == 2 else (
         GridSpec(3, 4.0, 12), transform_algebra(3))
@@ -489,40 +494,35 @@ def test_dead_pairs_are_skipped_exactly(case):
     vols = {path: clcst(f, psi, M, u, THETAS, path=path) for path in PATHS}
     for path in PATHS:
         assert_slices_close(vols[path], vols["direct"], 1e-12)
-        assert np.all(vols[path].stored[:, :, dead_blades] == 0.0)
+        assert vols[path].pairs.tolist() == [p for p in range(ctx.blade_count // 2)
+                                             if p not in dead]
+        assert np.all(vols[path].values[dead_blades] == 0.0)
     for ui, ti in [(1, 2), (5, 0)]:  # a lattice and an off-lattice u
         oracle = clcst_direct_sum_slice(f, psi, M, ScalingMatrix(u[ui]), Rotation(THETAS[ti]))
         got = vols["three_step"].slice(ui, ti).data
         assert np.max(np.abs(got - oracle.data)) <= 1e-12 * np.max(np.abs(oracle.data))
 
 
-def test_resolution_synthesis_takes_the_live_pairs_of_each_block(monkeypatch):
-    """Resolution synthesis finds each block's live pairs in its rows: a
-    volume whose blocks hold pair 0, pairs 1 and 3, nothing and every pair
-    synthesizes what the same pass gives with every pair taken live."""
+def test_resolution_synthesis_reads_the_stored_pairs(monkeypatch):
+    """Resolution synthesis transforms the volume's stored pairs alone: a
+    volume of pairs 1 and 3, read a block of two rows at a time,
+    synthesizes what the volume of every pair, the other two zero, gives."""
     from clcst import transform
 
     spec, ctx = setting(3)
-    top = ctx.blade_count - 1
     psi = GaussianWindow(3, sigma=0.9)
     u = mixed_u_list(spec)  # 7 rows: blocks 0:2, 2:4, 4:6 (one off-lattice row), 6:7
-    stored = np.random.default_rng(12).standard_normal((len(u), 1, ctx.blade_count) + spec.shape)
-    for block, dead in enumerate([[1, 2, 3], [0, 2], [0, 1, 2, 3], []]):
-        for p in dead:
-            stored[2 * block:2 * block + 2, :, [p, top - p]] = 0.0
-    vol = CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M, window=psi)
+    live = [1, 3]
+    rng = np.random.default_rng(12)
+    shape = (len(u), 1, len(live)) + spec.shape
+    stored = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    every = np.zeros((len(u), 1, ctx.blade_count // 2) + spec.shape, dtype=complex)
+    every[:, :, live] = stored
+    vols = [CLCSTVolume(spec, ctx, u, THETAS, stored=s, params=M, window=psi, pairs=p)
+            for s, p in ((stored, live), (every, None))]
     monkeypatch.setattr(transform, "block_rows", lambda bytes_per_u: 2)
-    seen = []
-
-    def recorded(data, axis=0):
-        seen.append(live_pairs(data, axis).tolist())
-        return live_pairs(data, axis)
-
-    monkeypatch.setattr(transform, "live_pairs", recorded)
-    got, (_, stats) = reconstruct_resolution(vol, psi, M)
-    assert seen == [[0], [1, 3], [0], [0, 1, 2, 3]]
-    every = np.arange(ctx.blade_count // 2)
-    monkeypatch.setattr(transform, "live_pairs", lambda data, axis=0: every)
-    expect, (_, expect_stats) = reconstruct_resolution(vol, psi, M)
+    (got, (_, stats)), (expect, (_, expect_stats)) = (
+        reconstruct_resolution(vol, psi, M) for vol in vols)
     assert_close(got.data, expect.data)
     assert stats == expect_stats
+    assert vols[0].rel_max_difference(vols[1]) == 0.0

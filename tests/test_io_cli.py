@@ -7,7 +7,7 @@ import pytest
 
 from clcst.algebra import transform_algebra
 from clcst.cli import main
-from clcst.grid import GridSignal, GridSpec, rel_l2_error, sample
+from clcst.grid import GridSignal, GridSpec, rel_l2_error, sample, unpack
 from clcst.io import (
     FormatError,
     read_grid,
@@ -93,21 +93,23 @@ def small_volume(radial):
 
 
 def header_size(n):
-    return 4 + 2 * 3 + 4 * (n + 2) + 4  # magic, version n axes, (U, T_s) + b sizes, blades
+    return 4 + 2 * 3 + 4 * (n + 2) + 4  # magic, version n axes, (U, T_s) + b sizes, count
 
 
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "not-radial"])
 def test_volume_file_is_the_stored_array(tmp_path, radial):
-    """Version 2: axes (U, T_s) + b and the stored array byte for byte."""
+    """Version 3: axes (U, T_s) + b, the pair count, and the stored complex
+    pairs byte for byte."""
     vol = small_volume(radial)
-    columns = 1 if radial else 3
+    columns, pairs = 1 if radial else 3, CTX.blade_count // 2  # every pair is live
     path = tmp_path / "v.clcg"
     written = write_volume(path, vol)
     raw = path.read_bytes()
-    assert struct.unpack_from("<HHH", raw, 4) == (2, 2, 4)
-    assert struct.unpack_from("<5I", raw, 10) == (2, columns) + SPEC.shape + (CTX.blade_count,)
-    assert len(raw) == header_size(2) + 8 * 2 * columns * CTX.blade_count * SPEC.point_count
-    assert raw[header_size(2):] == vol.stored.astype("<f8").tobytes()
+    assert struct.unpack_from("<HHH", raw, 4) == (3, 2, 4)
+    assert struct.unpack_from("<5I", raw, 10) == (2, columns) + SPEC.shape + (pairs,)
+    assert len(raw) == header_size(2) + 16 * 2 * columns * pairs * SPEC.point_count
+    assert raw[header_size(2):] == vol.stored.astype("<c16").tobytes()
+    assert json.loads((tmp_path / "v.clcg.json").read_text())["pairs"] == list(range(pairs))
     assert written == len(raw) + len((tmp_path / "v.clcg.json").read_bytes())
     back = read_volume(path)
     assert back.stored.shape == vol.stored.shape and np.array_equal(back.values, vol.values)
@@ -122,7 +124,7 @@ def test_volume_file_rows_are_read_on_demand(tmp_path):
     write_volume(path, vol)
     back = read_volume(path)
     assert np.array_equal(back.rows(1, 2), vol.stored[1:2])
-    assert np.array_equal(back.slice(-1, 2).data, vol.stored[1, 2])
+    assert np.array_equal(back.slice(-1, 2).data, vol.values[..., 1, 2])
     write_volume(path, back)  # read from the old file while the new one is written
     assert np.array_equal(read_volume(path).values, vol.values)
     with pytest.raises(FormatError, match="changed after it was read"):
@@ -169,25 +171,41 @@ def test_streamed_volume_file_equals_the_written_volume(tmp_path, monkeypatch):
         vol.rows(0, 1)
 
 
-def write_v1_volume(path, vol):
-    """The version 1 layout: axes b + (U, T) and a blade-major payload."""
-    write_volume(path, vol)  # for the sidecar
-    axes = SPEC.shape + (vol.u_count, vol.theta_count)
-    header = b"CLCG" + struct.pack("<HHH", 1, 2, len(axes))
+def write_blade_volume(path, vol, version):
+    """A volume file of real blades with a sidecar that lists no pairs: the
+    version 1 layout, axes b + (U, T) and a blade-major payload, or the
+    version 2 layout, axes (U, T_s) + b and payload (U, T_s, blade) + b."""
+    write_volume(path, vol)
+    sidecar = path.with_name(path.name + ".json")
+    meta = json.loads(sidecar.read_text())
+    del meta["pairs"]
+    sidecar.write_text(json.dumps(meta))
+    if version == 1:
+        axes, payload = SPEC.shape + (vol.u_count, vol.theta_count), vol.values
+    else:
+        payload = np.moveaxis(unpack(CTX, np.moveaxis(vol.stored, 2, 0), pairs=vol.pairs), 0, 2)
+        axes = payload.shape[:2] + SPEC.shape
+    header = b"CLCG" + struct.pack("<HHH", version, 2, len(axes))
     header += struct.pack("<%dI" % len(axes), *axes) + struct.pack("<I", CTX.blade_count)
-    path.write_bytes(header + np.ascontiguousarray(vol.values, dtype="<f8").tobytes())
+    path.write_bytes(header + np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "not-radial"])
-def test_version_1_volume_reads_back_and_rewrites_as_version_2(tmp_path, radial):
+def test_blade_volume_reads_back_and_rewrites_as_version_3(tmp_path, radial, version):
+    """Version 1 and 2 files read to the blades they hold, packed into every
+    pair, and are rewritten as version 3 files that read back the same."""
     vol = small_volume(radial)
-    old, new, again = (tmp_path / name for name in ("v1.clcg", "v2.clcg", "v2b.clcg"))
-    write_v1_volume(old, vol)
+    old, new, again = (tmp_path / name for name in ("old.clcg", "v3.clcg", "v3b.clcg"))
+    write_blade_volume(old, vol, version)
     back = read_volume(old)
-    assert back.stored_theta_columns == 3  # T_s = T for a version 1 file
+    # T_s = T for a version 1 file
+    assert back.stored_theta_columns == (3 if version == 1 else vol.stored_theta_columns)
+    assert back.pairs.tolist() == list(range(CTX.blade_count // 2))
     assert np.array_equal(back.values, vol.values)
+    assert np.array_equal(back.slice(1, 2).data, vol.values[..., 1, 2])
     write_volume(new, back)
-    assert struct.unpack_from("<H", new.read_bytes(), 4) == (2,)
+    assert struct.unpack_from("<H", new.read_bytes(), 4) == (3,)
     assert np.array_equal(read_volume(new).values, vol.values)
     write_volume(again, read_volume(new))
     assert new.read_bytes() == again.read_bytes()
@@ -203,7 +221,7 @@ def test_malformed_version_2_volume_rejected(tmp_path, damage, message):
     """A radial volume may store 1 or T = 3 columns, nothing else; its u
     count must be the sidecar's."""
     path = tmp_path / "v.clcg"
-    write_volume(path, small_volume(radial=True))
+    write_blade_volume(path, small_volume(radial=True), 2)
     raw = bytearray(path.read_bytes())
     payload = raw[header_size(2):]
     if damage == "theta columns":
@@ -225,7 +243,7 @@ def test_grid_reader_refuses_a_volume_file(tmp_path):
     path = tmp_path / "v.clcg"
     write_volume(path, small_volume(radial=True))
     (tmp_path / "v.clcg.json").write_text(json.dumps({"kind": "grid"}))
-    with pytest.raises(FormatError, match="version 2"):
+    with pytest.raises(FormatError, match="version 3"):
         read_grid(path)
 
 
@@ -377,9 +395,10 @@ def test_cli_transform_that_fails_partway_writes_nothing(tmp_path, monkeypatch, 
 def test_cli_memory_does_not_grow_with_the_u_list(tmp_path):
     """transform streams each u-block into the volume file, and both
     reconstructions read the file back u-block by u-block: from a volume of
-    about 2 BLOCK_BYTES to one of 12, each command's traced peak grows by
-    less than BLOCK_BYTES / 2, room for the u list and sidecar, which do
-    grow with U, and stays below 5 BLOCK_BYTES plus the signal."""
+    about 1 BLOCK_BYTES to one of 6, which store the input's one live pair,
+    each command's traced peak grows by less than BLOCK_BYTES / 2, room for
+    the u list and sidecar, which do grow with U, and stays below
+    5 BLOCK_BYTES plus the signal."""
     import tracemalloc
 
     from clcst.volume import BLOCK_BYTES
@@ -408,12 +427,14 @@ def test_cli_memory_does_not_grow_with_the_u_list(tmp_path):
                 tracemalloc.stop()
         peaks.append(peak)
         sizes.append(vol.stat().st_size)
-    assert sizes[0] > 1.5 * BLOCK_BYTES and sizes[1] > 8 * BLOCK_BYTES
+    assert sizes[0] > 0.75 * BLOCK_BYTES and sizes[1] > 4 * BLOCK_BYTES
     for small, large in zip(*peaks):
         assert large < small + BLOCK_BYTES / 2
         assert large < 5 * BLOCK_BYTES + signal
     # the transform of one live pair holds one block's window spectra at a
-    # time (measured 2.7 BLOCK_BYTES; 4.2 with both pairs and two blocks' spectra)
+    # time and writes its block as it is (measured 1.7 BLOCK_BYTES; 2.7 when
+    # each block was unpacked into blades first, 4.2 with both pairs and two
+    # blocks' spectra)
     assert peaks[1][0] < 3 * BLOCK_BYTES
 
 

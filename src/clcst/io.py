@@ -8,15 +8,13 @@ Layout (little-endian):
 A grid file is version 1: its axes are the b-grid shape, ``count`` is the
 blade count, and its float64 payload is blade-major, then row-major over
 the axes.  A volume file is version 3: its axes are (U, T_s) + b-grid
-shape, ``count`` is the number P of stored complex pairs, and its payload
-is the volume's stored complex128 array, (U, T_s, P) + b-grid shape in
-row-major order, so each slice is one contiguous run.  T_s is T, or 1 when
-one column serves every theta.
-
-Volume files of version 1 (axes b-grid shape + (U, T), blade-major) and
-version 2 (payload (U, T_s, blade) + b-grid shape) hold real blades.  They
-are still read, and their blades are packed into all 2^(n-1) pairs as they
-are read, so that no other module knows a file's blade layout.
+shape, ``count`` is the number P of stored pairs, and its payload is the
+volume's stored complex128 array, (U, T_s, P) + b-grid shape in row-major
+order, so each slice is one contiguous run.  T_s is T, or 1 when one
+column serves every theta.  Volume files of real blades, version 1 (axes
+b-grid shape + (U, T), blade-major) and version 2 (payload (U, T_s, blade)
++ b-grid shape), are still read: their blades are packed into all 2^(n-1)
+pairs as they are read, so no other module knows a file's blade layout.
 
 A JSON sidecar at <path>.json carries the lattice geometry and, for
 volumes, the (u, theta) lists, parameter matrix, window, weights, stored
@@ -212,8 +210,13 @@ def window_from_meta(meta, n):
 
 
 def _grid_meta(spec, ctx, domain):
-    return {"n": spec.n, "half_width": spec.half_width, "samples_per_axis": spec.samples_per_axis,
-            "metric_sign": ctx.metric_sign, "domain": domain}
+    return {
+        "n": spec.n,
+        "half_width": spec.half_width,
+        "samples_per_axis": spec.samples_per_axis,
+        "metric_sign": ctx.metric_sign,
+        "domain": domain,
+    }
 
 
 def _json_bytes(meta):
@@ -331,8 +334,7 @@ def _numbers(value, count):
 
 
 def read_volume(path):
-    """The volume of a file, its header, size and sidecar checked: every
-    sidecar value is checked against the header before it is used, and one
+    """The volume of a file, its header, size and sidecar checked; a sidecar
     that does not describe the payload raises :class:`FormatError`.
 
     A version 3 or 2 file's payload stays in the file: the volume reads its

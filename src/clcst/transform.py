@@ -351,8 +351,7 @@ def reconstruct_resolution(vol, psi, params):
         raise TransformError("admissibility profile mean %r is not positive" % c_psi)
     # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
     scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
-    out = GridSignal(spec, ctx, unpack(ctx, total * chirp.conj() * scale, pairs=vol.pairs), SPACE)
-    return out, admissibility
+    return vol.signal(total * chirp.conj() * scale), admissibility
 
 
 _FILL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
@@ -384,7 +383,7 @@ def marginal_spectrum(vol, params, theta):
     planes (scaling needs every component nonzero); the missing planes are
     filled by interpolation and reported.
     """
-    spec, ctx = vol.spec, vol.ctx
+    spec = vol.spec
     _require_b_nonzero(params, spec)
     thetas = vol.theta_list
     ti = int(np.argmin(np.abs(thetas - theta)))
@@ -411,10 +410,10 @@ def marginal_spectrum(vol, params, theta):
     for start, stop, block in vol.blocks():
         G[:, start:stop] = (block[:, vol.column(ti)].reshape(stop - start, len(vol.pairs), -1)
                             @ kernel).T
-    data = np.zeros((ctx.blade_count,) + spec.shape)
-    data[(slice(None),) + bins] = unpack(ctx, G[:, rows], pairs=vol.pairs)
-    _fill_axis_planes(data, spec.n)
-    return GridSignal(spec, ctx, data, FREQUENCY), {"filled_bins": filled}
+    spectrum = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)
+    spectrum[(slice(None),) + bins] = G[:, rows]
+    _fill_axis_planes(spectrum, spec.n)
+    return vol.signal(spectrum, FREQUENCY), {"filled_bins": filled}
 
 
 def reconstruct_marginal(vol, params, theta, strict=True):

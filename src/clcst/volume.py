@@ -78,7 +78,7 @@ class CLCSTVolume:
     1 for a radial window, whose one column serves every theta, and T
     otherwise or when the window is unknown.  A given ``stored`` array may
     also hold all T columns.  Blades are unpacked from the pairs only for
-    ``values`` and :meth:`slice`.
+    ``values`` and :meth:`signal`.
 
     The payload is given in one of three ways:
 
@@ -186,6 +186,11 @@ class CLCSTVolume:
         """The blades of stored u rows, in the order (blade, u, column) + b."""
         return unpack(self.ctx, np.moveaxis(rows, 2, 0), pairs=self.pairs)
 
+    def signal(self, z, domain=SPACE):
+        """The lattice signal of complex pairs z, one per stored pair, all
+        other pairs zero: a slice, or a reconstruction from the volume."""
+        return GridSignal(self.spec, self.ctx, unpack(self.ctx, z, pairs=self.pairs), domain)
+
     @property
     def values(self):
         """(blade_count,) + b-grid shape + (U, T), read-only, unpacked from
@@ -196,8 +201,7 @@ class CLCSTVolume:
     def slice(self, ui, ti):
         """The b-grid signal at one (u, theta) pair."""
         ui = range(self.u_count)[ui]  # a negative index counts from the end
-        data = unpack(self.ctx, self.rows(ui, ui + 1)[0, self.column(ti)], pairs=self.pairs)
-        return GridSignal(self.spec, self.ctx, data, SPACE)
+        return self.signal(self.rows(ui, ui + 1)[0, self.column(ti)])
 
     def set_slice(self, ui, ti, pairs):
         """stored[ui, ti] = pairs: the stored pairs of the u rows and stored

@@ -375,13 +375,13 @@ def test_cli_transform_that_fails_partway_writes_nothing(tmp_path, monkeypatch, 
     fill_volume = transform.fill_volume
     blocks = []
 
-    def failing_fill_volume(vol, psi, fill_block, live, *sink):
+    def failing_fill_volume(vol, psi, fill_block, *sink):
         def fill(start, stop, M, B, block):
             if blocks:
                 raise RuntimeError("fill failed at u row %d" % start)
             blocks.append(start)
             fill_block(start, stop, M, B, block)
-        return fill_volume(vol, psi, fill, live, *sink)
+        return fill_volume(vol, psi, fill, *sink)
 
     monkeypatch.setattr(stockwell, "block_rows", lambda bytes_per_u: 1)
     monkeypatch.setattr(transform, "fill_volume", failing_fill_volume)

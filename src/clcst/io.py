@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import AlgebraError, algebra
 from .grid import GridError, GridSignal, GridSpec, pack
 from .lct import LCTError, LCTParams
-from .volume import CLCSTVolume
+from .volume import CLCSTVolume, checked_pairs
 from .windows import CompositeWindow, DOGWindow, GaussianWindow, WindowError, window_angles
 
 MAGIC = b"CLCG"
@@ -148,7 +148,11 @@ class VolumePayload:
     """
 
     def __init__(self, path, offset, shape, stamp, ctx=None):
-        self.path, self.offset, self.shape, self._stamp, self._ctx = path, offset, shape, stamp, ctx
+        self.path = path
+        self.offset = offset
+        self.shape = shape
+        self._stamp = stamp
+        self._ctx = ctx
         self._row = shape[1:] if ctx is None else shape[1:2] + (2 * shape[2],) + shape[3:]
         self._dtype = np.dtype("<c16" if ctx is None else "<f8")
         self._buffer = None
@@ -180,16 +184,28 @@ def _sidecar(path):
 def window_to_meta(window):
     if window is None:
         return None
-    meta = {"amplitude": window.amplitude, "normalization": window.normalization}
     if isinstance(window, GaussianWindow):
-        meta.update(kind="gaussian", sigma=window.sigma)
-    elif isinstance(window, DOGWindow):
-        meta.update(kind="dog", lam=window.lam)
-    elif isinstance(window, CompositeWindow):
-        meta.update(kind="composite", terms=[[c, window_to_meta(w)] for c, w in window.terms])
-    else:
-        raise FormatError("cannot serialize window %r" % window)
-    return meta
+        return {
+            "kind": "gaussian",
+            "sigma": window.sigma,
+            "amplitude": window.amplitude,
+            "normalization": window.normalization,
+        }
+    if isinstance(window, DOGWindow):
+        return {
+            "kind": "dog",
+            "lam": window.lam,
+            "amplitude": window.amplitude,
+            "normalization": window.normalization,
+        }
+    if isinstance(window, CompositeWindow):
+        return {
+            "kind": "composite",
+            "amplitude": window.amplitude,
+            "normalization": window.normalization,
+            "terms": [[c, window_to_meta(w)] for c, w in window.terms],
+        }
+    raise FormatError("cannot serialize window %r" % window)
 
 
 def window_from_meta(meta, n):
@@ -354,11 +370,11 @@ def read_volume(path):
         if meta.get("kind") != "volume":
             raise FormatError("%s is not a volume file" % path)
         g, u_list, params = meta["grid"], meta["u_list"], meta["params"]
-        if g["n"] != n or len(sizes) != n + 2:
-            raise FormatError("%s: header of n = %d with %d axes, sidecar n = %r"
-                              % (path, n, len(sizes), g["n"]))
+        tag = meta["path"]  # the evaluation-path tag
+        if g["n"] != n:
+            raise FormatError("%s: header n = %d, sidecar n = %r" % (path, n, g["n"]))
+        spec = GridSpec(n, g["half_width"], g["samples_per_axis"])
         ctx = algebra(n, g["metric_sign"])
-        half = ctx.blade_count // 2
         if not (isinstance(u_list, list) and all(_numbers(row, n) for row in u_list)):
             raise FormatError("%s: sidecar u_list is not rows of n = %d numbers" % (path, n))
         if not _numbers(meta["u_weights"], len(u_list)):
@@ -366,33 +382,38 @@ def read_volume(path):
                               % (path, len(u_list)))
         if params is not None and not _numbers(params, 4):
             raise FormatError("%s: sidecar params %r is not 4 numbers" % (path, params))
-        # the volume checks the pairs, and their count against the payload's
-        pairs = meta["pairs"] if version == PAIRS else list(range(half))
-        if version != PAIRS and count != ctx.blade_count:
-            raise FormatError("%s holds %d blades, the algebra of n = %d has %d"
-                              % (path, count, n, ctx.blade_count))
+        params = LCTParams(*params) if params else None
+        pairs = checked_pairs(ctx, meta["pairs"] if version == PAIRS else None)
         window = window_from_meta(meta["window"], n)
         theta_list = np.asarray(meta["theta_list"], dtype=np.float64).ravel()
         columns = (len(theta_list), len(window_angles(window, theta_list)))
-        if version == BLADE_MAJOR:
-            payload = _packed(ctx, np.moveaxis(blades, (-2, -1), (1, 2)))
-        elif sizes[0] != len(u_list):
-            raise FormatError("%s holds %d u rows, its sidecar lists %d"
-                              % (path, sizes[0], len(u_list)))
-        elif sizes[1] not in columns:
-            raise FormatError("%s stores %d theta columns, not T = %d or the window's %d"
-                              % ((path, sizes[1]) + columns))
-        else:
-            payload = VolumePayload(path, offset, sizes[:2] + (count if version == PAIRS else half,)
-                                    + sizes[2:], stamp, None if version == PAIRS else ctx)
-        spec = GridSpec(n, g["half_width"], g["samples_per_axis"])
-        return CLCSTVolume(spec, ctx, np.asarray(u_list, dtype=np.float64).reshape(-1, n),
-                           theta_list, stored=payload, window=window, path=meta["path"],
-                           params=LCTParams(*params) if params else None, pairs=pairs,
-                           u_weights=np.asarray(meta["u_weights"], dtype=np.float64))
     except SIDECAR_ERRORS as exc:  # a sidecar that does not describe its volume
         raise FormatError("%s: malformed sidecar (%s: %s)"
                           % (path, type(exc).__name__, exc)) from None
+    if version == PAIRS and count != len(pairs):
+        raise FormatError("%s holds %d pairs, its sidecar lists %d" % (path, count, len(pairs)))
+    if version != PAIRS and count != ctx.blade_count:
+        raise FormatError("%s holds %d blades, the algebra of n = %d has %d"
+                          % (path, count, n, ctx.blade_count))
+    if (sizes[:-2] if version == BLADE_MAJOR else sizes[2:]) != spec.shape:
+        raise FormatError("payload does not match sidecar geometry")
+    if version == BLADE_MAJOR:
+        if sizes[-2:] != (len(u_list), len(theta_list)):
+            raise FormatError("%s holds (U, T) = %r, its sidecar lists %r"
+                              % (path, sizes[-2:], (len(u_list), len(theta_list))))
+        payload = _packed(ctx, np.moveaxis(blades, (-2, -1), (1, 2)))
+    elif sizes[0] != len(u_list):
+        raise FormatError("%s holds %d u rows, its sidecar lists %d"
+                          % (path, sizes[0], len(u_list)))
+    elif sizes[1] not in columns:
+        raise FormatError("%s stores %d theta columns, not T = %d or the window's %d"
+                          % ((path, sizes[1]) + columns))
+    else:
+        payload = VolumePayload(path, offset, sizes[:2] + (len(pairs),) + sizes[2:], stamp,
+                                None if version == PAIRS else ctx)
+    return CLCSTVolume(spec, ctx, np.asarray(u_list, dtype=np.float64).reshape(-1, n),
+                       theta_list, stored=payload, params=params, window=window,
+                       path=tag, u_weights=np.asarray(meta["u_weights"]), pairs=pairs)
 
 
 def export_spectrogram_csv(path, vol, ui, ti):

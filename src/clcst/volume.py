@@ -66,6 +66,18 @@ def theta_weight(theta_list):
     return np.pi / (2.0 * (t - 1))
 
 
+def checked_pairs(ctx, pairs=None):
+    """pairs as an index array, by default every one of the 2^(n-1); pairs
+    that are not distinct sorted integers in [0, 2^(n-1)) raise GridError."""
+    half = ctx.blade_count // 2
+    pairs = np.arange(half) if pairs is None else np.asarray(pairs)
+    if (pairs.dtype.kind not in "iu" or pairs.ndim != 1 or pairs.size == 0
+            or np.any(pairs < 0) or np.any(pairs >= half) or np.any(np.diff(pairs) <= 0)):
+        raise GridError("pairs %r are not distinct integers, sorted, in [0, %d)"
+                        % (pairs.tolist(), half))
+    return pairs
+
+
 class CLCSTVolume:
     """Slices stored slice-major as the engine computes them: ``stored`` is
     complex, of shape (U, T_s, P) + b-grid shape, so each (u, column) slice
@@ -98,12 +110,7 @@ class CLCSTVolume:
         self.ctx = ctx
         self.u_list = np.asarray(u_list, dtype=np.float64).reshape(-1, spec.n)
         self.theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
-        half = ctx.blade_count // 2
-        self.pairs = np.arange(half) if pairs is None else np.asarray(pairs)
-        if (self.pairs.dtype.kind not in "iu" or self.pairs.ndim != 1 or np.any(self.pairs < 0)
-                or np.any(self.pairs >= half) or np.any(np.diff(self.pairs) <= 0)):
-            raise GridError("pairs %r are not distinct integers, sorted, in [0, %d)"
-                            % (self.pairs.tolist(), half))
+        self.pairs = checked_pairs(ctx, pairs)
         columns = len(window_angles(window, self.theta_list))
         self._reader = None
         if stored is None:
@@ -212,17 +219,14 @@ class CLCSTVolume:
         """max |S - S'| / max(|S|, |S'|) over every (b, u, theta); 0 for two
         zero volumes.  A shared column broadcasts against T columns.
 
-        Read block by block.  Volumes that store the same pairs compare the
-        real and imaginary parts of those pairs, which are the values of
-        their blades up to sign; the others compare their blades.
+        Read block by block (:meth:`blocks`), each block unpacked into its
+        blades.
         """
-        same = np.array_equal(self.pairs, other.pairs)
-        step = block_rows(16 * max(np.prod(v.stored_shape[1:]) for v in (self, other)))
+        if self.u_count != other.u_count:
+            raise GridError("volumes of %d and %d u rows" % (self.u_count, other.u_count))
         scale = difference = 0.0
-        for start in range(0, self.u_count, step):
-            stop = min(start + step, self.u_count)
-            a, b = (v.rows(start, stop).view(np.float64) if same
-                    else v._blades(v.rows(start, stop)) for v in (self, other))
+        for start, stop, rows in self.blocks():
+            a, b = self._blades(rows), other._blades(other.rows(start, stop))
             scale = max(scale, np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
             difference = max(difference, np.max(np.abs(a - b), initial=0.0))
         if scale == 0.0:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from clcst.algebra import transform_algebra
 from clcst.cli import main
-from clcst.grid import SPACE, GridSignal, GridSpec, live_pairs, pack
+from clcst.grid import SPACE, GridError, GridSignal, GridSpec, live_pairs, pack
 from clcst.io import export_spectrogram_csv, write_grid
 from clcst.lct import LCTParams
 from clcst.stockwell import (
@@ -526,3 +526,7 @@ def test_resolution_synthesis_reads_the_stored_pairs(monkeypatch):
     assert_close(got.data, expect.data)
     assert stats == expect_stats
     assert vols[0].rel_max_difference(vols[1]) == 0.0
+    # a volume of fewer u rows is refused, not compared on its rows alone
+    fewer = CLCSTVolume(spec, ctx, u[:5], THETAS, stored=stored[:5], window=psi, pairs=live)
+    with pytest.raises(GridError, match="5 and 7 u rows"):
+        fewer.rel_max_difference(vols[0])

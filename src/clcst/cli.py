@@ -42,7 +42,7 @@ from .transform import (  # admissibility_profile stays importable here for call
     reconstruct_resolution,
 )
 from .volume import DEFAULT_THETAS, default_u_list, tensor_u_list
-from .windows import RAW, UNIT_INTEGRAL, make_window
+from .windows import RAW, UNIT_INTEGRAL, WINDOWS, make_window
 
 
 def _float_list(text):
@@ -340,7 +340,7 @@ def build_parser():
     analysis.add_argument("--C", dest="cfg:M.C", type=float, default=-1.0)
     analysis.add_argument("--D", dest="cfg:M.D", type=float, default=0.0)
     analysis.add_argument("--window", dest="cfg:window.kind", default="gaussian",
-                          choices=["gaussian", "dog"])
+                          choices=list(WINDOWS))
     analysis.add_argument("--sigma", dest="cfg:window.sigma", type=float, default=1.0)
     analysis.add_argument("--lam", dest="cfg:window.lam", type=float, default=0.5)
     analysis.add_argument("--normalize", dest="cfg:window.normalization", action="store_const",

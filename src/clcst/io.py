@@ -38,7 +38,7 @@ from .algebra import AlgebraError, algebra
 from .grid import GridError, GridSignal, GridSpec, pack
 from .lct import LCTError, LCTParams
 from .volume import CLCSTVolume, checked_pairs
-from .windows import CompositeWindow, DOGWindow, GaussianWindow, WindowError, window_angles
+from .windows import RAW, WINDOWS, CompositeWindow, WindowError, window_angles
 
 MAGIC = b"CLCG"
 BLADE_MAJOR = 1  # grid files, and volume files before version 2
@@ -182,47 +182,33 @@ def _sidecar(path):
 
 
 def window_to_meta(window):
+    """The sidecar description of a window: its kind, amplitude and
+    normalization, and the numbers its kind declares or, for a composite,
+    its terms."""
     if window is None:
         return None
-    if isinstance(window, GaussianWindow):
-        return {
-            "kind": "gaussian",
-            "sigma": window.sigma,
-            "amplitude": window.amplitude,
-            "normalization": window.normalization,
-        }
-    if isinstance(window, DOGWindow):
-        return {
-            "kind": "dog",
-            "lam": window.lam,
-            "amplitude": window.amplitude,
-            "normalization": window.normalization,
-        }
     if isinstance(window, CompositeWindow):
-        return {
-            "kind": "composite",
-            "amplitude": window.amplitude,
-            "normalization": window.normalization,
-            "terms": [[c, window_to_meta(w)] for c, w in window.terms],
-        }
-    raise FormatError("cannot serialize window %r" % window)
+        meta = {"terms": [[c, window_to_meta(w)] for c, w in window.terms]}
+    elif WINDOWS.get(window.kind) is type(window):
+        meta = {p: getattr(window, p) for p in window.parameters}
+    else:
+        raise FormatError("cannot serialize window %r" % window)
+    meta.update(kind=window.kind, amplitude=window.amplitude, normalization=window.normalization)
+    return meta
 
 
 def window_from_meta(meta, n):
+    """The window a sidecar describes."""
     if meta is None:
         return None
-    kind = meta["kind"]
-    if kind == "gaussian":
-        w = GaussianWindow(n, sigma=meta["sigma"], amplitude=meta["amplitude"])
-    elif kind == "dog":
-        w = DOGWindow(n, lam=meta["lam"], amplitude=meta["amplitude"])
-    elif kind == "composite":
+    kind, normalization = meta["kind"], meta.get("normalization", RAW)
+    if kind == CompositeWindow.kind:
         terms = [(c, window_from_meta(m, n)) for c, m in meta["terms"]]
-        w = CompositeWindow(terms, amplitude=meta["amplitude"])
-    else:
+        return CompositeWindow(terms, meta["amplitude"], normalization)
+    if kind not in WINDOWS:
         raise FormatError("unknown window kind %r" % kind)
-    w.normalization = meta.get("normalization", w.normalization)
-    return w
+    numbers = {p: meta[p] for p in WINDOWS[kind].parameters}
+    return WINDOWS[kind](n, **numbers, amplitude=meta["amplitude"], normalization=normalization)
 
 
 def _grid_meta(spec, ctx, domain):

@@ -34,8 +34,14 @@ class WindowSpec:
     on the lattice.  It returns None here; a subclass that overrides
     _evaluate must override it again, returning terms only if they sum to
     exactly the values of :meth:`evaluate`, amplitude included.
+
+    ``kind`` names the class in sidecars and on the command line, and
+    ``parameters`` the numbers after n that its constructor takes and keeps
+    as attributes of those names.
     """
 
+    kind = None
+    parameters = ()
     radial = False
 
     def separable_terms(self):
@@ -75,6 +81,14 @@ class WindowSpec:
     def is_unit_integral(self):
         return abs(self.integral() - 1.0) <= 1e-10
 
+    def _with_amplitude(self, amplitude):
+        return type(self)(self.n, *(getattr(self, p) for p in self.parameters),
+                          amplitude=amplitude)
+
+    def __repr__(self):
+        fields = ["n=%d" % self.n] + ["%s=%g" % (p, getattr(self, p)) for p in self.parameters]
+        return "%s(%s, amplitude=%g)" % (type(self).__name__, ", ".join(fields), self.amplitude)
+
 
 def _gaussian_factor(sigma):
     """t -> exp(-t^2 / (2 sigma^2)), one axis of a Gaussian."""
@@ -84,6 +98,8 @@ def _gaussian_factor(sigma):
 class GaussianWindow(WindowSpec):
     """exp(-|x|^2 / (2 sigma^2))."""
 
+    kind = "gaussian"
+    parameters = ("sigma",)
     radial = True
 
     def __init__(self, n, sigma=1.0, amplitude=1.0, normalization=RAW):
@@ -101,16 +117,6 @@ class GaussianWindow(WindowSpec):
     def raw_integral(self):
         return (2.0 * np.pi * self.sigma**2) ** (self.n / 2.0)
 
-    def _with_amplitude(self, amplitude):
-        return GaussianWindow(self.n, self.sigma, amplitude)
-
-    def __repr__(self):
-        return "GaussianWindow(n=%d, sigma=%g, amplitude=%g)" % (
-            self.n,
-            self.sigma,
-            self.amplitude,
-        )
-
 
 class DOGWindow(WindowSpec):
     """lam^-2 exp(-|x|^2/(2 lam^2)) - exp(-|x|^2/2) with 0 < lam < 1.
@@ -119,9 +125,11 @@ class DOGWindow(WindowSpec):
     at n = 2, so unit normalization is impossible there.
     """
 
+    kind = "dog"
+    parameters = ("lam",)
     radial = True
 
-    def __init__(self, n, lam, amplitude=1.0, normalization=RAW):
+    def __init__(self, n, lam=0.5, amplitude=1.0, normalization=RAW):
         if not 0.0 < lam < 1.0:
             raise WindowError("DOG scale ratio must satisfy 0 < lam < 1")
         super().__init__(n, amplitude, normalization)
@@ -141,15 +149,11 @@ class DOGWindow(WindowSpec):
     def raw_integral(self):
         return (2.0 * np.pi) ** (self.n / 2.0) * (self.lam ** (self.n - 2) - 1.0)
 
-    def _with_amplitude(self, amplitude):
-        return DOGWindow(self.n, self.lam, amplitude)
-
-    def __repr__(self):
-        return "DOGWindow(n=%d, lam=%g, amplitude=%g)" % (self.n, self.lam, self.amplitude)
-
 
 class CompositeWindow(WindowSpec):
     """Real linear combination of windows, for the window-linearity checks."""
+
+    kind = "composite"
 
     def __init__(self, terms, amplitude=1.0, normalization=RAW):
         if not terms:
@@ -197,10 +201,15 @@ def window_angles(psi, theta_list):
     return theta_list
 
 
+# the window kinds built by name and kept in volume sidecars; a composite's
+# terms are windows, not numbers, so it is not one of them
+WINDOWS = {cls.kind: cls for cls in (GaussianWindow, DOGWindow)}
+
+
 def make_window(kind, n, **params):
-    kind = kind.lower()
-    if kind == "gaussian":
-        return GaussianWindow(n, sigma=params.get("sigma", 1.0))
-    if kind == "dog":
-        return DOGWindow(n, lam=params.get("lam", 0.5))
-    raise WindowError("unknown window kind %r" % kind)
+    """A window of a :data:`WINDOWS` kind from the params it declares; the
+    others are ignored, and a missing one takes its constructor default."""
+    cls = WINDOWS.get(kind.lower())
+    if cls is None:
+        raise WindowError("unknown window kind %r" % kind)
+    return cls(n, **{p: params[p] for p in cls.parameters if p in params})

@@ -80,7 +80,7 @@ def _window(w, n):
     norm = w["normalization"]
     if norm not in (RAW, UNIT_INTEGRAL):
         raise SystemExit("config window.normalization %r is not 'raw' or 'unit-integral'" % (norm,))
-    win = make_window(w["kind"], n, sigma=w["sigma"], lam=w["lam"])
+    win = make_window(n=n, **w)  # the kind takes the settings it declares
     return win.normalize_unit_integral() if norm == UNIT_INTEGRAL else win
 
 

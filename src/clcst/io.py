@@ -38,7 +38,7 @@ from .algebra import AlgebraError, algebra
 from .grid import GridError, GridSignal, GridSpec, pack
 from .lct import LCTError, LCTParams
 from .volume import CLCSTVolume, checked_pairs
-from .windows import RAW, WINDOWS, CompositeWindow, WindowError, window_angles
+from .windows import RAW, UNIT_INTEGRAL, WINDOWS, CompositeWindow, WindowError, window_angles
 
 MAGIC = b"CLCG"
 BLADE_MAJOR = 1  # grid files, and volume files before version 2
@@ -182,9 +182,7 @@ def _sidecar(path):
 
 
 def window_to_meta(window):
-    """The sidecar description of a window: its kind, amplitude and
-    normalization, and the numbers its kind declares or, for a composite,
-    its terms."""
+    """The sidecar form of a window: its kind's numbers, or a composite's terms."""
     if window is None:
         return None
     if isinstance(window, CompositeWindow):
@@ -198,17 +196,28 @@ def window_to_meta(window):
 
 
 def window_from_meta(meta, n):
-    """The window a sidecar describes."""
+    """The window of a sidecar; FormatError unless its amplitude and its kind's
+    numbers (a composite's coefficients) are finite and its normalization known."""
     if meta is None:
         return None
     kind, normalization = meta["kind"], meta.get("normalization", RAW)
     if kind == CompositeWindow.kind:
         terms = [(c, window_from_meta(m, n)) for c, m in meta["terms"]]
-        return CompositeWindow(terms, meta["amplitude"], normalization)
-    if kind not in WINDOWS:
+        numbers = {"coefficient %d" % i: c for i, (c, _) in enumerate(terms)}
+    elif kind in WINDOWS:
+        numbers = {p: meta[p] for p in WINDOWS[kind].parameters}
+    else:
         raise FormatError("unknown window kind %r" % kind)
-    numbers = {p: meta[p] for p in WINDOWS[kind].parameters}
-    return WINDOWS[kind](n, **numbers, amplitude=meta["amplitude"], normalization=normalization)
+    numbers["amplitude"] = meta["amplitude"]
+    for name, value in numbers.items():
+        if not _numbers([value]):
+            raise FormatError("window %s %r is not a finite number" % (name, value))
+    if normalization not in (RAW, UNIT_INTEGRAL):
+        raise FormatError("window normalization %r is not %r or %r"
+                          % (normalization, RAW, UNIT_INTEGRAL))
+    if kind == CompositeWindow.kind:
+        return CompositeWindow(terms, numbers["amplitude"], normalization)
+    return WINDOWS[kind](n, **numbers, normalization=normalization)
 
 
 def _grid_meta(spec, ctx, domain):
@@ -328,9 +337,9 @@ def write_volume(path, vol):
     return writer.bytes
 
 
-def _numbers(value, count):
-    """Whether value is a JSON list of count finite numbers."""
-    return (isinstance(value, list) and len(value) == count and all(
+def _numbers(value, count=None):
+    """Whether value is a JSON list of finite numbers, count of them if given."""
+    return (isinstance(value, list) and count in (None, len(value)) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
         for v in value))
 
@@ -370,8 +379,10 @@ def read_volume(path):
             raise FormatError("%s: sidecar params %r is not 4 numbers" % (path, params))
         params = LCTParams(*params) if params else None
         pairs = checked_pairs(ctx, meta["pairs"] if version == PAIRS else None)
+        if not _numbers(meta["theta_list"]):
+            raise FormatError("%s: sidecar theta_list is not a list of finite numbers" % path)
         window = window_from_meta(meta["window"], n)
-        theta_list = np.asarray(meta["theta_list"], dtype=np.float64).ravel()
+        theta_list = np.asarray(meta["theta_list"], dtype=np.float64)
         columns = (len(theta_list), len(window_angles(window, theta_list)))
     except SIDECAR_ERRORS as exc:  # a sidecar that does not describe its volume
         raise FormatError("%s: malformed sidecar (%s: %s)"

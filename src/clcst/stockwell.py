@@ -86,13 +86,13 @@ class NonUnitWindowWarning(UserWarning):
     pass
 
 
-def check_analysis_inputs(f, psi, strict=False):
+def check_analysis_inputs(f, psi):
     """Refuse a signal or window that cst and clcst cannot analyze.
 
     The signal must be a finite space-domain signal in a kernel-compatible
     algebra and the window analytic.  A window that does not integrate to
-    one is a warning, or an error in strict mode, because the reconstruction
-    identities assume a unit integral.
+    one is a :class:`NonUnitWindowWarning` (an error under an "error"
+    filter), because the reconstruction identities assume a unit integral.
     """
     _require_transformable(f)
     if f.domain != SPACE:
@@ -103,8 +103,6 @@ def check_analysis_inputs(f, psi, strict=False):
     if not isinstance(psi, WindowSpec):
         raise AnalyticWindowRequiredError("the transform needs an analytic window")
     if not psi.is_unit_integral():
-        if strict:
-            raise StockwellError("window does not integrate to one (strict mode)")
         warnings.warn(
             "window integral is %g, not 1; reconstruction identities assume 1"
             % psi.integral(),
@@ -500,13 +498,13 @@ def cst_slice(f, psi, scaling, rotation):
     return GridSignal(f.spec, f.ctx, out, f.domain)
 
 
-def cst(f, psi, u_list=None, theta_list=None, strict=False):
+def cst(f, psi, u_list=None, theta_list=None):
     """Stockwell transform volume of f against the window psi.
 
     The window is expected to integrate to one; a non-unit integral is a
-    warning, or an error in strict mode.
+    warning (:func:`check_analysis_inputs`).
     """
-    check_analysis_inputs(f, psi, strict)
+    check_analysis_inputs(f, psi)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     z = pack(f.ctx, f.data)
     live = live_pairs(z)

@@ -105,8 +105,7 @@ def modulated_window_spectrum(psi, spec, scaling, rotation):
     return centered_cft(base * np.exp(1j * spec.dot(scaling.u)), spec)
 
 
-def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", strict=False,
-          sink=None):
+def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=None):
     """CLCST volume of f via the requested evaluation path.
 
     Every path runs in the slice engine (:func:`~clcst.stockwell.fill_volume`),
@@ -132,7 +131,7 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", stric
     if path not in PATHS:
         raise TransformError("unknown path %r (choose from %r)" % (path, PATHS))
     _require_b_nonzero(params, f.spec)
-    check_analysis_inputs(f, psi, strict)
+    check_analysis_inputs(f, psi)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
     z = pack(f.ctx, f.data)
     live = live_pairs(z)
@@ -387,7 +386,7 @@ def marginal_spectrum(vol, params, theta):
     _require_b_nonzero(params, spec)
     thetas = vol.theta_list
     ti = int(np.argmin(np.abs(thetas - theta)))
-    if abs(thetas[ti] - theta) > 1e-12:
+    if not abs(thetas[ti] - theta) <= 1e-12:  # a NaN theta is not present either
         raise TransformError("theta %g not present in the volume" % theta)
     # each lattice u feeds the bin u / dw; off-lattice u cannot feed the inverse CFT
     N = spec.samples_per_axis

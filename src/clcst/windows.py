@@ -61,9 +61,6 @@ class WindowSpec:
             raise WindowError("expected %d coordinate rows" % self.n)
         return self.amplitude * self._evaluate(points)
 
-    def __call__(self, points):
-        return self.evaluate(points)
-
     def integral(self):
         """Analytic integral over R^n including the amplitude."""
         return self.amplitude * self.raw_integral()
@@ -74,16 +71,14 @@ class WindowSpec:
             raise ZeroIntegralError(
                 "window integrates to zero over R^%d; unit normalization impossible" % self.n
             )
-        out = self._with_amplitude(self.amplitude / total)
-        out.normalization = UNIT_INTEGRAL
-        return out
+        return self._with_amplitude(self.amplitude / total, UNIT_INTEGRAL)
 
     def is_unit_integral(self):
         return abs(self.integral() - 1.0) <= 1e-10
 
-    def _with_amplitude(self, amplitude):
-        return type(self)(self.n, *(getattr(self, p) for p in self.parameters),
-                          amplitude=amplitude)
+    def _with_amplitude(self, amplitude, normalization):
+        values = {p: getattr(self, p) for p in self.parameters}
+        return type(self)(self.n, **values, amplitude=amplitude, normalization=normalization)
 
     def __repr__(self):
         fields = ["n=%d" % self.n] + ["%s=%g" % (p, getattr(self, p)) for p in self.parameters]
@@ -188,8 +183,8 @@ class CompositeWindow(WindowSpec):
     def raw_integral(self):
         return sum(c * w.integral() for c, w in self.terms)
 
-    def _with_amplitude(self, amplitude):
-        return CompositeWindow(self.terms, amplitude)
+    def _with_amplitude(self, amplitude, normalization):
+        return CompositeWindow(self.terms, amplitude, normalization)
 
 
 def window_angles(psi, theta_list):
@@ -201,8 +196,7 @@ def window_angles(psi, theta_list):
     return theta_list
 
 
-# the window kinds built by name and kept in volume sidecars; a composite's
-# terms are windows, not numbers, so it is not one of them
+# the window kinds built by name and kept in sidecars (a composite's terms are windows)
 WINDOWS = {cls.kind: cls for cls in (GaussianWindow, DOGWindow)}
 
 

@@ -90,6 +90,17 @@ def edit_pairs(pairs):
     return lambda meta: meta.update(pairs=pairs)
 
 
+def edit_window(**values):
+    return lambda meta: meta["window"].update(values)
+
+
+def composite_window(coefficient):
+    """The volume's window as the one term of a composite of that coefficient."""
+    return lambda meta: meta.update(window={"kind": "composite", "amplitude": 1.0,
+                                            "normalization": "raw",
+                                            "terms": [[coefficient, meta["window"]]]})
+
+
 SIDECAR_EDITS = {
     "u_weights-one-for-all": (lambda meta: meta.update(u_weights=[5.0]), "u_weights"),
     "u_weights-short": (lambda meta: meta.update(u_weights=[1.0, 2.0]), "u_weights"),
@@ -104,6 +115,14 @@ SIDECAR_EDITS = {
     "pairs-fractional": (edit_pairs([0, 1.0]), "pairs"),
     "pairs-fewer-than-header": (edit_pairs([0]), "pairs"),
     "pairs-missing": (lambda meta: meta.pop("pairs"), "pairs"),
+    "theta_list-null": (lambda meta: meta["theta_list"].__setitem__(1, None), "theta_list"),
+    "theta_list-nan": (lambda meta: meta["theta_list"].__setitem__(1, float("nan")), "theta_list"),
+    "window-normalization-bogus": (edit_window(normalization="bogus"), "normalization"),
+    "window-normalization-number": (edit_window(normalization=5), "normalization"),
+    "window-sigma-bool": (edit_window(sigma=True), "sigma"),
+    "window-amplitude-nan": (edit_window(amplitude=float("nan")), "amplitude"),
+    "window-coefficient-bool": (composite_window(True), "coefficient"),
+    "window-coefficient-inf": (composite_window(float("inf")), "coefficient"),
 }
 
 
@@ -111,8 +130,10 @@ SIDECAR_EDITS = {
 def test_volume_sidecar_values_are_checked(tmp_path, case):
     """Each sidecar value of a 3-u volume that does not describe its payload
     is refused with FormatError, not broadcast or left to fail later: U
-    finite u weights, 4 parameters, U rows of n u components, and the
-    header's count of distinct sorted pairs in [0, 2^(n-1))."""
+    finite u weights, 4 parameters, U rows of n u components, finite thetas,
+    the header's count of distinct sorted pairs in [0, 2^(n-1)), and a window
+    whose amplitude, parameters and coefficients are finite numbers and whose
+    normalization is raw or unit-integral."""
     edit, key = SIDECAR_EDITS[case]
     path = tmp_path / "v.clcg"
     write_volume(path, random_volume(2, [0, 1], 1, seed=5, u_count=3))

@@ -18,8 +18,8 @@ from clcst.io import (
     write_volume,
 )
 from clcst.lct import LCTParams
-from clcst.transform import clcst
-from clcst.windows import CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
+from clcst.transform import TransformError, clcst
+from clcst.windows import WINDOWS, CompositeWindow, DOGWindow, GaussianWindow, WindowSpec, make_window
 
 CTX = transform_algebra(2)
 SPEC = GridSpec(2, 6.0, 32)
@@ -269,16 +269,28 @@ def test_container_io_makes_no_payload_copy(tmp_path):
     assert back.stored.flags.writeable and np.array_equal(back.values, vol.values)
 
 
-def test_window_meta_round_trip():
-    for window in (
-        GaussianWindow(2, sigma=0.7).normalize_unit_integral(),
-        DOGWindow(3, lam=0.4),
-        CompositeWindow([(0.5, GaussianWindow(2, sigma=1.0)), (-1.0, DOGWindow(2, lam=0.5))]),
-    ):
-        meta = window_to_meta(window)
-        back = window_from_meta(meta, window.n)
+def test_window_meta_round_trip(tmp_path):
+    """Every WINDOWS kind, raw and unit-integral, and a composite read back
+    from their sidecar form with the same values, repr and normalization; a
+    window class outside the table is refused on write."""
+    windows = [make_window(kind, 3) for kind in WINDOWS]
+    windows.append(CompositeWindow([(0.5, GaussianWindow(2, sigma=1.0)),
+                                    (-1.0, DOGWindow(2, lam=0.5))], 1.7))
+    for window in windows + [w.normalize_unit_integral() for w in windows]:
+        back = window_from_meta(window_to_meta(window), window.n)
         pts = np.random.default_rng(0).uniform(-2, 2, size=(window.n, 7))
-        assert np.allclose(back.evaluate(pts), window.evaluate(pts), rtol=1e-15)
+        assert np.array_equal(back.evaluate(pts), window.evaluate(pts))
+        assert repr(back) == repr(window) and back.normalization == window.normalization
+
+    class Wider(GaussianWindow):
+        pass
+
+    vol = small_volume(radial=False)
+    for window in (Shifted(2), Wider(2)):
+        vol.window = window
+        with pytest.raises(FormatError, match="cannot serialize window"):
+            write_volume(tmp_path / "v.clcg", vol)
+        assert not (tmp_path / "v.clcg").exists()
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -600,6 +612,12 @@ def test_cli_reconstruct_marginal(tmp_path):
     report = json.loads((tmp_path / "rec.clcg.report.json").read_text())
     assert "filled_bins" in report
     assert report["peak_rss_mb"] > 0
+    for theta in ("0.5", "nan"):  # no column of the volume holds it
+        absent = tmp_path / ("theta-%s.clcg" % theta)
+        with pytest.raises(TransformError, match="not present"):
+            main(["reconstruct", "--volume", str(vol), "--method", "marginal",
+                  "--theta", theta, "--out", str(absent)])
+        assert not absent.exists()
 
 
 def test_cli_kernel_dump(tmp_path):

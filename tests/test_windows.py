@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from clcst.algebra import transform_algebra
+from clcst.cli import build_parser
 from clcst.grid import GridSpec, sample
 from clcst.windows import (
+    WINDOWS,
     CompositeWindow,
     DOGWindow,
     GaussianWindow,
@@ -98,7 +100,14 @@ def test_composite_window():
 
 
 def test_make_window():
+    """Each WINDOWS kind by name, from the parameters it declares: the others
+    are ignored and a missing one takes its default.  The CLI's --window
+    choices are the table's kinds."""
     assert isinstance(make_window("gaussian", 2, sigma=2.0), GaussianWindow)
     assert isinstance(make_window("dog", 2, lam=0.25), DOGWindow)
+    assert make_window("dog", 2, sigma=2.0).lam == 0.5
+    assert make_window("Gaussian", 2, lam=0.25).sigma == 1.0
     with pytest.raises(WindowError):
         make_window("morlet", 2)
+    args = build_parser().parse_args(["transform", "--input", "f.clcg", "--out", "v.clcg"])
+    assert args.settings["window.kind"].choices == list(WINDOWS)

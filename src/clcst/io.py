@@ -187,7 +187,7 @@ def window_to_meta(window):
         return None
     if isinstance(window, CompositeWindow):
         meta = {"terms": [[c, window_to_meta(w)] for c, w in window.terms]}
-    elif WINDOWS.get(window.kind) is type(window):
+    elif WINDOWS.get(getattr(window, "kind", None)) is type(window):
         meta = {p: getattr(window, p) for p in window.parameters}
     else:
         raise FormatError("cannot serialize window %r" % window)

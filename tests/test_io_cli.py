@@ -19,7 +19,14 @@ from clcst.io import (
 )
 from clcst.lct import LCTParams
 from clcst.transform import TransformError, clcst
-from clcst.windows import WINDOWS, CompositeWindow, DOGWindow, GaussianWindow, WindowSpec, make_window
+from clcst.windows import (
+    WINDOWS,
+    CompositeWindow,
+    DOGWindow,
+    GaussianWindow,
+    WindowSpec,
+    make_window,
+)
 
 CTX = transform_algebra(2)
 SPEC = GridSpec(2, 6.0, 32)

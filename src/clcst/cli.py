@@ -23,8 +23,9 @@ import warnings
 import numpy as np
 
 from .algebra import transform_algebra
-from .grid import GridSignal, GridSpec, phase_multiply, sample
+from .grid import GridError, GridSignal, GridSpec, phase_multiply, sample
 from .io import (  # write_volume stays importable here for call tracing
+    FormatError,
     export_spectrogram_csv,
     read_grid,
     read_volume,
@@ -33,8 +34,9 @@ from .io import (  # write_volume stays importable here for call tracing
     write_volume,
 )
 from .lct import LCTParams
-from .stockwell import NonUnitWindowWarning, Rotation, ScalingMatrix
+from .stockwell import NonUnitWindowWarning, Rotation, ScalingMatrix, StockwellError
 from .transform import (  # admissibility_profile stays importable here for call tracing
+    TransformError,
     admissibility_profile,
     clcst,
     clcst_kernel,
@@ -42,7 +44,7 @@ from .transform import (  # admissibility_profile stays importable here for call
     reconstruct_resolution,
 )
 from .volume import DEFAULT_THETAS, default_u_list, tensor_u_list
-from .windows import RAW, UNIT_INTEGRAL, WINDOWS, make_window
+from .windows import RAW, UNIT_INTEGRAL, WINDOWS, WindowError, make_window
 
 
 def _float_list(text):
@@ -404,7 +406,10 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FormatError, GridError, StockwellError, TransformError, WindowError) as exc:
+        raise SystemExit("clcst %s: %s" % (args.command, exc)) from None
 
 
 if __name__ == "__main__":

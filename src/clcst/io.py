@@ -27,6 +27,7 @@ back the same way (:class:`VolumePayload`).
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -231,7 +232,8 @@ def _grid_meta(spec, ctx, domain):
 
 
 def _json_bytes(meta):
-    return json.dumps(meta, indent=1, sort_keys=True).encode()
+    """Compact JSON, which the json module writes with its C encoder."""
+    return json.dumps(meta, sort_keys=True).encode()
 
 
 def write_grid(path, signal):
@@ -255,7 +257,7 @@ def read_grid(path):
     spec = GridSpec(meta["n"], meta["half_width"], meta["samples_per_axis"])
     ctx = algebra(meta["n"], meta["metric_sign"])
     if (blade_count, sizes) != (ctx.blade_count, spec.shape):
-        raise FormatError("payload does not match sidecar geometry")
+        raise FormatError("%s: payload does not match sidecar geometry" % path)
     return GridSignal(spec, ctx, payload, meta["domain"])
 
 
@@ -338,10 +340,10 @@ def write_volume(path, vol):
 
 
 def _numbers(value, count=None):
-    """Whether value is a JSON list of finite numbers, count of them if given."""
-    return (isinstance(value, list) and count in (None, len(value)) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in value))
+    """Whether value is a JSON list of finite numbers, count of them if given;
+    a bool is not a number here."""
+    return (isinstance(value, list) and count in (None, len(value))
+            and set(map(type, value)) <= {int, float} and all(map(math.isfinite, value)))
 
 
 def read_volume(path):
@@ -370,7 +372,9 @@ def read_volume(path):
             raise FormatError("%s: header n = %d, sidecar n = %r" % (path, n, g["n"]))
         spec = GridSpec(n, g["half_width"], g["samples_per_axis"])
         ctx = algebra(n, g["metric_sign"])
-        if not (isinstance(u_list, list) and all(_numbers(row, n) for row in u_list)):
+        if not (isinstance(u_list, list) and set(map(type, u_list)) <= {list}
+                and set(map(len, u_list)) <= {n}
+                and _numbers(list(itertools.chain.from_iterable(u_list)))):
             raise FormatError("%s: sidecar u_list is not rows of n = %d numbers" % (path, n))
         if not _numbers(meta["u_weights"], len(u_list)):
             raise FormatError("%s: sidecar u_weights is not %d finite numbers, one per u"
@@ -381,7 +385,10 @@ def read_volume(path):
         pairs = checked_pairs(ctx, meta["pairs"] if version == PAIRS else None)
         if not _numbers(meta["theta_list"]):
             raise FormatError("%s: sidecar theta_list is not a list of finite numbers" % path)
-        window = window_from_meta(meta["window"], n)
+        try:
+            window = window_from_meta(meta["window"], n)
+        except FormatError as exc:
+            raise FormatError("%s: %s" % (path, exc)) from None
         theta_list = np.asarray(meta["theta_list"], dtype=np.float64)
         columns = (len(theta_list), len(window_angles(window, theta_list)))
     except SIDECAR_ERRORS as exc:  # a sidecar that does not describe its volume
@@ -393,7 +400,7 @@ def read_volume(path):
         raise FormatError("%s holds %d blades, the algebra of n = %d has %d"
                           % (path, count, n, ctx.blade_count))
     if (sizes[:-2] if version == BLADE_MAJOR else sizes[2:]) != spec.shape:
-        raise FormatError("payload does not match sidecar geometry")
+        raise FormatError("%s: payload does not match sidecar geometry" % path)
     if version == BLADE_MAJOR:
         if sizes[-2:] != (len(u_list), len(theta_list)):
             raise FormatError("%s holds (U, T) = %r, its sidecar lists %r"

@@ -23,8 +23,10 @@ is roll(B, k) for a lattice u = k dw, and there
 
 So the slice engine (:func:`fill_volume`) takes fftn(z) once per volume,
 writes the slice spectra of a whole block of u rows and inverts them with
-one in-place ifftn.  Only an off-lattice u is modulated and transformed
-explicitly, once per u, against its plain spectrum B.  |M|^2 is also each
+one in-place ifftn.  e^{-j u.b}, like every other per-u phase and scale, is
+a product of 1-D factors, one per axis, and is applied to the whole block
+at once (:func:`axis_phase_multiply`).  Only an off-lattice u is modulated
+and transformed explicitly, once per u, against its plain spectrum B.  |M|^2 is also each
 window's admissibility term, so the profile needs no roll per u.
 
 A radial window (``WindowSpec.radial``, as the Gaussian and the DOG are)
@@ -273,14 +275,21 @@ def window_row_bytes(psi, spec, theta_list):
     return per_point * len(window_angles(psi, theta_list)) * spec.point_count
 
 
-def plane_waves(spec, u_rows):
-    """e^{j x.u} on the space lattice for each u row, shape (rows,) +
-    spec.shape, as outer products of 1-D factors."""
-    factors = np.exp(1j * u_rows[:, :, None] * spec.axis(SPACE))  # (rows, n, N)
-    waves = factors[:, 0]
-    for axis in range(1, spec.n):
-        waves = waves[..., None] * factors[:, axis].reshape((len(u_rows),) + (1,) * axis + (-1,))
-    return waves
+def axis_phase_multiply(block, spec, u_rows, rate, scale, out=None):
+    """block[r] scale[r] e^{j (u_r.b + rate |b|^2)} over the b-grid of each
+    row r (one u row for an array of pairs), into ``out`` or a new array: 1-D
+    factors per axis, scale folded into axis 0, applied in two passes, the
+    leading n - 1 axes' outer product (1/N of a slice), then the last axis."""
+    b = spec.axis(SPACE)
+    factors = np.exp(1j * (u_rows[:, :, None] * b + rate * b**2))  # (rows, n, N)
+    factors[:, 0] *= np.reshape(scale, (-1, 1))
+    rows = (len(u_rows),) + (1,) * (block.ndim - spec.n - 1)
+    lead = factors[:, 0]
+    for axis in range(1, spec.n - 1):
+        lead = lead[..., None] * factors[:, axis].reshape(rows[:1] + (1,) * axis + (-1,))
+    out = np.multiply(block, lead.reshape(rows + spec.shape[1:] + (1,)), out=out)
+    out *= factors[:, -1].reshape(rows + (1,) * (spec.n - 1) + (-1,))
+    return out
 
 
 def window_blocks(psi, spec, u_list, theta_list, rows, plain=False):
@@ -292,10 +301,9 @@ def window_blocks(psi, spec, u_list, theta_list, rows, plain=False):
     :func:`window_spectra`.  With ``plain``, B maps each off-lattice row of
     the block to its plain spectra; otherwise it is empty.  A separable
     window builds both from 1-D FFTs (:func:`separable_spectra`); any other
-    window is evaluated on the lattice once per (u, angle), modulated and
-    transformed once, and transformed once more for B; its values and plane
-    waves are put in FFT order first, so that M is made and transformed in
-    one complex buffer.
+    window is evaluated on the lattice once per (u, angle), modulated
+    (:func:`axis_phase_multiply`), put in FFT order and transformed in
+    place, and transformed once more for B.
     """
     angles = window_angles(psi, theta_list)
     terms = _separable_terms(psi)
@@ -307,16 +315,14 @@ def window_blocks(psi, spec, u_list, theta_list, rows, plain=False):
         u_rows = u_list[start:stop]
         off = np.flatnonzero(~on_lattice[start:stop]) if plain else []
         if terms is None:
-            values = np.fft.ifftshift(window_block(psi, spec, u_rows, angles), axes=axes)
-            waves = np.fft.ifftshift(plane_waves(spec, u_rows), axes=axes)
-            M = np.multiply(values, waves[:, None])
+            values = window_block(psi, spec, u_rows, angles)
+            M = np.fft.ifftshift(axis_phase_multiply(values, spec, u_rows, 0.0, cell), axes=axes)
             np.fft.fftn(M, axes=axes, out=M)
-            M *= cell
             B = []
             if len(off):
-                B = np.fft.fftn(values[off], axes=axes)
+                B = np.fft.fftn(np.fft.ifftshift(values[off], axes=axes), axes=axes)
                 B *= cell
-            del values, waves
+            del values
         else:
             M = separable_spectra(terms, spec, u_rows, modulated=True)
             B = separable_spectra(terms, spec, u_rows[off]) if len(off) else []
@@ -378,7 +384,7 @@ def fill_volume(vol, psi, fill_block, sink=None):
     b-shape, given the block's modulated window spectra M and the plain
     spectra B of its off-lattice rows (:func:`window_blocks`); A is the
     volume's stored theta column count, 1 for a radial window, and P the
-    number of ``vol.pairs``.
+    number of ``vol.pairs``.  It may overwrite M and B, which are then spent.
 
     Those are the signal's live pairs (:func:`~clcst.grid.live_pairs`),
     those not identically zero.  Every kernel phase multiplies on the right
@@ -418,42 +424,35 @@ def fill_volume(vol, psi, fill_block, sink=None):
     vol.admissibility = profile_result(power, spec, vol.ctx)
 
 
-def spectrum_slices(z, vol, closing=None):
-    """``fill_block`` for :func:`fill_volume` on the pairs z.
+def spectrum_slices(z, vol, rate):
+    """``fill_block`` for :func:`fill_volume` on the pairs z, whose slices
+    close with the chirp e^{-j rate |b|^2} (rate 0 for the Stockwell
+    transform).
 
-    fftn(z) is taken here once.  A lattice row's slice spectra are
-    fftn(z) conj(M), an off-lattice row's fftn(z e^{-j x.u}) conj(B); the
-    block holds them and one in-place ifftn inverts it.  Each slice is then
-    multiplied over the b-grid by ``closing``, |det A_u| (2 pi)^(-n/2) and,
-    for a lattice u, e^{-j u.b}.
+    fftn(z) is taken here once.  The lattice rows' slice spectra are
+    fftn(z) conj(M), one broadcast product over the block; an off-lattice
+    row's is fftn(z e^{-j x.u}) conj(B), one row at a time.  One in-place
+    ifftn inverts the block.  Each slice is then multiplied over the b-grid
+    by the chirp, |det A_u| (2 pi)^(-n/2) and, for a lattice u, e^{-j u.b},
+    as per-axis 1-D factors (:func:`axis_phase_multiply`).
     """
     spec = vol.spec
     axes = tuple(range(-spec.n, 0))
     Z = np.fft.fftn(z, axes=axes)
     on_lattice = roll_steps(spec, vol.u_list)[1]
-    closing = (2.0 * np.pi) ** (-spec.n / 2.0) * (1.0 if closing is None else closing)
+    lattice_u = np.where(on_lattice[:, None], vol.u_list, 0.0)
+    scale = np.prod(np.abs(vol.u_list), axis=1) * (2.0 * np.pi) ** (-spec.n / 2.0)
 
     def fill(start, stop, M, B, block):
-        u_rows = vol.u_list[start:stop]
         lattice = on_lattice[start:stop]
-        for i in range(len(u_rows)):
-            if lattice[i]:
-                np.multiply(Z, M[i].conj()[:, None], out=block[i])
-            else:
-                Zu = np.fft.fftn(z * plane_waves(spec, -u_rows[i:i + 1]), axes=axes)
-                np.multiply(Zu, B[i].conj()[:, None], out=block[i])
+        if lattice.any():  # off-lattice rows are left for their own spectra
+            where = True if lattice.all() else lattice.reshape((-1,) + (1,) * (block.ndim - 1))
+            np.multiply(Z, np.conjugate(M, out=M)[:, :, None], out=block, where=where)
+        for i in np.flatnonzero(~lattice):
+            Zu = np.fft.fftn(axis_phase_multiply(z, spec, -vol.u_list[[start + i]], 0.0, 1.0), axes=axes)
+            np.multiply(Zu, B[i].conj()[:, None], out=block[i])
         np.fft.ifftn(block, axes=axes, out=block)
-        # row by row, so that no factor as large as the block is held; a
-        # lattice row's factor is built in place on its plane wave
-        for i, u in enumerate(u_rows):
-            scale = np.prod(np.abs(u))
-            if lattice[i]:
-                factor = plane_waves(spec, -u_rows[i:i + 1])
-                factor *= closing
-                factor *= scale
-            else:
-                factor = closing * scale
-            block[i] *= factor
+        axis_phase_multiply(block, spec, -lattice_u[start:stop], -rate, scale[start:stop], out=block)
 
     return fill
 
@@ -509,7 +508,7 @@ def cst(f, psi, u_list=None, theta_list=None):
     z = pack(f.ctx, f.data)
     live = live_pairs(z)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst", pairs=live)
-    fill_volume(vol, psi, spectrum_slices(z[live], vol))
+    fill_volume(vol, psi, spectrum_slices(z[live], vol, 0.0))
     return vol
 
 

@@ -44,6 +44,7 @@ from .stockwell import (
     StockwellError,
     add_admissibility,
     admissibility_weights,
+    axis_phase_multiply,
     block_rows,
     check_analysis_inputs,
     checked_lists,
@@ -51,7 +52,6 @@ from .stockwell import (
     cst_slice,
     fill_volume,
     minimal_image,
-    plane_waves,
     profile_result,
     roll_steps,
     row_slices,
@@ -141,7 +141,7 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     )
     antichirp = np.exp(-1j * params.chirp_rate * f.spec.squared_radius(SPACE))
     if path == "three_step":
-        fill_block = spectrum_slices(z * antichirp.conj(), vol, closing=antichirp)
+        fill_block = spectrum_slices(z * antichirp.conj(), vol, params.chirp_rate)
     elif path == "direct":
         fill_block = row_slices(_direct_slices(z, vol, params.chirp_rate, antichirp), vol)
     else:
@@ -305,8 +305,9 @@ def reconstruct_resolution(vol, psi, params):
     if len(vol.u_list) == 0 or len(vol.theta_list) == 0:
         raise TransformError("resolution synthesis needs a non-empty (u, theta) set")
     axes = tuple(range(-spec.n, 0))
-    chirp = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE))
+    rate = params.chirp_rate
     on_lattice = roll_steps(spec, vol.u_list)[1]
+    lattice_u = np.where(on_lattice[:, None], vol.u_list, 0.0)
     columns = max(vol.stored_theta_columns, len(window_angles(psi, vol.theta_list)))
     # a product of one stored column and one window stands for T / columns thetas
     copies = vol.theta_count // columns
@@ -330,19 +331,17 @@ def reconstruct_resolution(vol, psi, params):
         elif s.shape[1] < M.shape[1]:  # one stored column, a window per theta
             M = np.sum(M, axis=1, keepdims=True)
             B = {i: np.sum(b, axis=0, keepdims=True) for i, b in B.items()}
-        # weight x chirp x e^{j u.b} on the lattice, before one fftn
-        waves = plane_waves(spec, np.where(lattice[:, None], u_rows, 0.0))
-        waves *= chirp
-        waves *= weights[start:stop].reshape((-1,) + (1,) * spec.n)
-        s = s * waves[:, None, None]  # a new array: the rows may be the volume's own
+        # weight x chirp x e^{j u.b} on the lattice, before one fftn, into a
+        # new array: the rows may be the volume's own
+        s = axis_phase_multiply(s, spec, lattice_u[start:stop], rate, weights[start:stop])
         np.fft.fftn(s, axes=axes, out=s)
         for i in np.flatnonzero(~lattice):
             term = np.sum(s[i] * B[i][:, None], axis=0)
-            wave = plane_waves(spec, u_rows[i:i + 1])
-            modulated += np.fft.ifftn(term, axes=axes, out=term) * wave
+            np.fft.ifftn(term, axes=axes, out=term)
+            modulated += axis_phase_multiply(term, spec, u_rows[[i]], 0.0, 1.0, out=term)
         s *= M[:, :, None]
         summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
-        del M, B, s, waves  # before the next block's spectra are built
+        del M, B, s  # before the next block's spectra are built
     total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
     admissibility = profile_result(power, spec, ctx)
     c_psi = admissibility[1]["mean"]
@@ -350,7 +349,8 @@ def reconstruct_resolution(vol, psi, params):
         raise TransformError("admissibility profile mean %r is not positive" % c_psi)
     # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
     scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
-    return vol.signal(total * chirp.conj() * scale), admissibility
+    axis_phase_multiply(total, spec, np.zeros((1, spec.n)), -rate, scale, out=total)
+    return vol.signal(total), admissibility
 
 
 _FILL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])

@@ -70,7 +70,7 @@ from .transform import (
     reproducing_kernel,
 )
 from .volume import default_u_list, tensor_u_list
-from .windows import CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
+from .windows import RAW, CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
 
 # Desk scales shared by the checks: n = 2 on L = 6 at N = 64 or 32, and the
 # parameter matrix of the worked example.
@@ -309,8 +309,8 @@ class _DenseWindow(WindowSpec):
     """The values of a window without its separable terms, so that the engine
     evaluates it on the lattice and transforms it with n-D FFTs."""
 
-    def __init__(self, psi):
-        super().__init__(psi.n)
+    def __init__(self, psi, amplitude=1.0, normalization=RAW):
+        super().__init__(psi.n, amplitude, normalization)
         self.psi, self.radial = psi, psi.radial
 
     def _evaluate(self, points):
@@ -318,6 +318,9 @@ class _DenseWindow(WindowSpec):
 
     def raw_integral(self):
         return self.psi.integral()
+
+    def _with_amplitude(self, amplitude, normalization):
+        return _DenseWindow(self.psi, amplitude, normalization)
 
 
 @_measures(

@@ -39,6 +39,25 @@ def random_volume(n, pairs, columns, seed, u_count=2):
                        window=GaussianWindow(n, sigma=0.8), path="three_step", pairs=pairs)
 
 
+def test_sidecar_is_compact_and_an_indented_one_still_reads(tmp_path):
+    """The sidecar is written as compact JSON.  One written with an indent,
+    as earlier versions wrote it, reads to the same volume, which rewrites
+    to the same bytes."""
+    vol = random_volume(2, [0, 1], 1, seed=3)
+    first, second = tmp_path / "a.clcg", tmp_path / "b.clcg"
+    write_volume(first, vol)
+    compact = (tmp_path / "a.clcg.json").read_bytes()
+    meta = json.loads(compact)
+    assert compact == json.dumps(meta, sort_keys=True).encode()
+    (tmp_path / "a.clcg.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+    back = read_volume(first)
+    assert back.stored.tobytes() == vol.stored.tobytes()
+    assert repr(back.window) == repr(vol.window)
+    write_volume(second, back)
+    assert second.read_bytes() == first.read_bytes()
+    assert (tmp_path / "b.clcg.json").read_bytes() == compact
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.sampled_from([2, 3]), shared=st.booleans(), seed=st.integers(0, 2**32 - 1),
        data=st.data())

@@ -469,6 +469,57 @@ def test_one_window_per_slice_for_a_window_that_is_not_radial(counts):
     assert_counts(counts, spec, ctx, windows=len(COUNT_U_STEPS) * len(COUNT_THETAS))
 
 
+@pytest.fixture
+def phases(monkeypatch):
+    """(u rows, array shape) of every axis_phase_multiply call made by the
+    engine and resolution synthesis from here to the end of the test."""
+    from clcst import stockwell, transform
+
+    calls = []
+    apply = stockwell.axis_phase_multiply
+
+    def counted(block, spec, u_rows, *args, **kwargs):
+        calls.append((np.array(u_rows), np.shape(block)))
+        return apply(block, spec, u_rows, *args, **kwargs)
+
+    for module in (stockwell, transform):
+        monkeypatch.setattr(module, "axis_phase_multiply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("path", ["three_step", "cst", "resolution"])
+def test_only_off_lattice_rows_are_modulated_one_by_one(n, path, phases):
+    """The lattice rows of a block take their e^{-j u.b} (e^{+j u.b} in
+    resolution synthesis), chirp and scale in one call for the whole block;
+    only an off-lattice row modulates an array of pairs on its own.  The
+    blocks mix both kinds of row."""
+    spec, ctx = setting(n)
+    psi = GaussianWindow(n, sigma=0.9)
+    u = mixed_u_list(spec)
+    f = noise(spec, ctx, seed=13)
+    vol = clcst(f, psi, M, u, THETAS) if path == "resolution" else None
+    del phases[:]
+    if path == "cst":
+        cst(f, psi, u, THETAS)
+    elif path == "three_step":
+        clcst(f, psi, M, u, THETAS, path=path)
+    else:
+        reconstruct_resolution(vol, psi, M)
+    sign = 1 if path == "resolution" else -1
+    on_lattice = np.all(np.abs(u / spec.dw - np.rint(u / spec.dw)) < 1e-9, axis=1)
+    pairs = ctx.blade_count // 2
+    if path == "resolution":  # then the closing chirp, common to every term
+        rows, shape = phases.pop()
+        assert not rows.any() and shape == (pairs,) + spec.shape
+    per_row = [rows for rows, shape in phases if shape == (pairs,) + spec.shape]
+    assert np.array_equal(np.concatenate(per_row), sign * u[~on_lattice])
+    # a radial window: one stored column per u row
+    blocks = [rows for rows, shape in phases if shape == (len(rows), 1, pairs) + spec.shape]
+    assert len(blocks) + len(per_row) == len(phases)
+    assert np.array_equal(np.concatenate(blocks), sign * np.where(on_lattice[:, None], u, 0.0))
+
+
 # dimension and the pairs of a multivector signal that are zeroed
 PARTIAL = {"n3-pairs-1-3": (3, [1, 3]), "n2-pair-0": (2, [0])}
 

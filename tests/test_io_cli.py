@@ -18,7 +18,7 @@ from clcst.io import (
     write_volume,
 )
 from clcst.lct import LCTParams
-from clcst.transform import TransformError, clcst
+from clcst.transform import clcst
 from clcst.windows import (
     WINDOWS,
     CompositeWindow,
@@ -567,11 +567,9 @@ def test_cli_malformed_theta_is_a_usage_error(tmp_path, capsys):
 def test_cli_u_list_rows_must_have_n_components(tmp_path):
     """An n = 2 input with rows of three u components is refused, not re-cut
     into three rows of two."""
-    from clcst.stockwell import StockwellError
-
     src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
     main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
-    with pytest.raises(StockwellError, match="rows of n = 2"):
+    with pytest.raises(SystemExit, match="rows of n = 2"):
         main(["transform", "--input", str(src), "--u-list", "[[0.5,0.5,0.7],[0.9,1.1,1.3]]",
               "--out", str(out)])
     assert not out.exists()
@@ -621,7 +619,7 @@ def test_cli_reconstruct_marginal(tmp_path):
     assert report["peak_rss_mb"] > 0
     for theta in ("0.5", "nan"):  # no column of the volume holds it
         absent = tmp_path / ("theta-%s.clcg" % theta)
-        with pytest.raises(TransformError, match="not present"):
+        with pytest.raises(SystemExit, match="not present"):
             main(["reconstruct", "--volume", str(vol), "--method", "marginal",
                   "--theta", theta, "--out", str(absent)])
         assert not absent.exists()
@@ -746,6 +744,30 @@ def test_cli_resolution_takes_c_psi_from_its_own_pass(tmp_path, window):
     assert report["admissibility"] == pytest.approx(stats, rel=1e-13)
 
 
+def test_cli_library_errors_exit_with_one_line(tmp_path):
+    """A refusal raised in the library under ``main`` exits with one line
+    naming the command, not a traceback; a malformed sidecar window is named
+    with its volume's path."""
+    src, vol_path = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    assert main([
+        "transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+        "--u-list", json.dumps({"kind": "multiples", "per_axis": [[1, 2], [1, 2]]}),
+        "--theta", "0", "--out", str(vol_path),
+    ]) == 0
+    sidecar = tmp_path / "vol.clcg.json"
+    meta = json.loads(sidecar.read_text())
+    meta["window"]["sigma"] = True
+    sidecar.write_text(json.dumps(meta))
+    rec = tmp_path / "rec.clcg"
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--volume", str(vol_path), "--method", "resolution",
+              "--out", str(rec)])
+    message = "clcst reconstruct: %s: window sigma True is not a finite number" % vol_path
+    assert err.value.code == message
+    assert not rec.exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: meta["u_list"][0].__setitem__(0, 0.0), "zero component"),
     (lambda meta: meta["theta_list"].__setitem__(1, meta["theta_list"][0]), "repeats an angle"),
@@ -754,8 +776,6 @@ def test_cli_resolution_refuses_a_bad_sidecar_list(tmp_path, edit, message):
     """The u and theta lists of a volume's sidecar are input: a zero u
     component or a repeated theta is refused, not synthesized with a zero or
     wrong weight."""
-    from clcst.stockwell import StockwellError
-
     src, vol_path = tmp_path / "f.clcg", tmp_path / "vol.clcg"
     main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
     assert main([
@@ -768,7 +788,7 @@ def test_cli_resolution_refuses_a_bad_sidecar_list(tmp_path, edit, message):
     edit(meta)
     sidecar.write_text(json.dumps(meta))
     rec = tmp_path / "rec.clcg"
-    with pytest.raises(StockwellError, match=message):
+    with pytest.raises(SystemExit, match=message):
         main(["reconstruct", "--volume", str(vol_path), "--method", "resolution",
               "--out", str(rec)])
     assert not rec.exists()

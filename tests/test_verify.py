@@ -26,3 +26,20 @@ def test_cli_verify_reports_criteria(tmp_path):
     for name, checks in suites.items():
         declared = [(n, fn.criterion) for fn in SUITES[name] for n, _ in fn.checks]
         assert [(c["name"], c["criterion"]) for c in checks] == declared
+
+
+def test_dense_window_normalizes_like_its_window():
+    """The dense stand-in of a separable window keeps its values when it is
+    scaled to unit integral."""
+    import numpy as np
+
+    from clcst.grid import GridSpec
+    from clcst.verify import _DenseWindow
+    from clcst.windows import UNIT_INTEGRAL, GaussianWindow
+
+    dense = _DenseWindow(GaussianWindow(2)).normalize_unit_integral()
+    points = GridSpec(2, 4.0, 16).mesh()
+    assert np.array_equal(dense.evaluate(points),
+                          GaussianWindow(2).normalize_unit_integral().evaluate(points))
+    assert dense.normalization == UNIT_INTEGRAL and dense.is_unit_integral()
+    assert dense.radial and dense.separable_terms() is None

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .algebra import transform_algebra
+from .algebra import AlgebraError, transform_algebra
 from .grid import GridError, GridSignal, GridSpec, phase_multiply, sample
 from .io import (  # write_volume stays importable here for call tracing
     FormatError,
@@ -33,7 +33,7 @@ from .io import (  # write_volume stays importable here for call tracing
     write_grid,
     write_volume,
 )
-from .lct import LCTParams
+from .lct import LCTError, LCTParams
 from .stockwell import NonUnitWindowWarning, Rotation, ScalingMatrix, StockwellError
 from .transform import (  # admissibility_profile stays importable here for call tracing
     TransformError,
@@ -408,7 +408,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, GridError, StockwellError, TransformError, WindowError) as exc:
+    except (AlgebraError, FormatError, GridError, LCTError, StockwellError, TransformError,
+            WindowError) as exc:
         raise SystemExit("clcst %s: %s" % (args.command, exc)) from None
 
 

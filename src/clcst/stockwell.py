@@ -269,9 +269,9 @@ def window_row_bytes(psi, spec, theta_list):
     """Bytes one u row of a :func:`window_blocks` block holds at its peak, per
     point and angle: 16 for its modulated spectra M.  A window evaluated on
     the lattice first holds its n coordinates and their squares, 16 n, and a
-    sum of them, 8; then its real values, 8, beside M.  An off-lattice row's
-    B is another 16."""
-    per_point = 16 if _separable_terms(psi) is not None else max(24, 16 * spec.n + 8)
+    sum of them, 8; then its real values, 8, their modulated copy, 16, and
+    M, that copy in FFT order.  An off-lattice row's B is another 16."""
+    per_point = 16 if _separable_terms(psi) is not None else max(40, 16 * spec.n + 8)
     return per_point * len(window_angles(psi, theta_list)) * spec.point_count
 
 
@@ -449,8 +449,8 @@ def spectrum_slices(z, vol, rate):
             where = True if lattice.all() else lattice.reshape((-1,) + (1,) * (block.ndim - 1))
             np.multiply(Z, np.conjugate(M, out=M)[:, :, None], out=block, where=where)
         for i in np.flatnonzero(~lattice):
-            Zu = np.fft.fftn(axis_phase_multiply(z, spec, -vol.u_list[[start + i]], 0.0, 1.0), axes=axes)
-            np.multiply(Zu, B[i].conj()[:, None], out=block[i])
+            zu = axis_phase_multiply(z, spec, -vol.u_list[[start + i]], 0.0, 1.0)
+            np.multiply(np.fft.fftn(zu, axes=axes), B[i].conj()[:, None], out=block[i])
         np.fft.ifftn(block, axes=axes, out=block)
         axis_phase_multiply(block, spec, -lattice_u[start:stop], -rate, scale[start:stop], out=block)
 

@@ -746,8 +746,8 @@ def test_cli_resolution_takes_c_psi_from_its_own_pass(tmp_path, window):
 
 def test_cli_library_errors_exit_with_one_line(tmp_path):
     """A refusal raised in the library under ``main`` exits with one line
-    naming the command, not a traceback; a malformed sidecar window is named
-    with its volume's path."""
+    naming the command, not a traceback: a malformed sidecar window, named
+    with its volume's path, and a parameter matrix with AD - BC != 1."""
     src, vol_path = tmp_path / "f.clcg", tmp_path / "vol.clcg"
     main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
     assert main([
@@ -766,6 +766,11 @@ def test_cli_library_errors_exit_with_one_line(tmp_path):
     message = "clcst reconstruct: %s: window sigma True is not a finite number" % vol_path
     assert err.value.code == message
     assert not rec.exists()
+    kernel = tmp_path / "k.clcg"
+    with pytest.raises(SystemExit, match="^clcst kernel-dump: AD - BC = 0.0, expected 1$"):
+        main(["kernel-dump", "--samples", "8", "--A", "1", "--B", "1", "--C", "1", "--D", "1",
+              "--out", str(kernel)])
+    assert not kernel.exists()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -26,8 +26,9 @@ writes the slice spectra of a whole block of u rows and inverts them with
 one in-place ifftn.  e^{-j u.b}, like every other per-u phase and scale, is
 a product of 1-D factors, one per axis, and is applied to the whole block
 at once (:func:`axis_phase_multiply`).  Only an off-lattice u is modulated
-and transformed explicitly, once per u, against its plain spectrum B.  |M|^2 is also each
-window's admissibility term, so the profile needs no roll per u.
+and transformed explicitly, once per u, against its plain spectrum B.
+|M|^2 is also each window's admissibility term, so the profile needs no
+roll per u.
 
 A radial window (``WindowSpec.radial``, as the Gaussian and the DOG are)
 satisfies psi(R_{-theta} A_u y) = psi(A_u y), so every theta of a u has the

@@ -518,6 +518,7 @@ def test_only_off_lattice_rows_are_modulated_one_by_one(n, path, phases):
     blocks = [rows for rows, shape in phases if shape == (len(rows), 1, pairs) + spec.shape]
     assert len(blocks) + len(per_row) == len(phases)
     assert np.array_equal(np.concatenate(blocks), sign * np.where(on_lattice[:, None], u, 0.0))
+    assert any(0 < np.count_nonzero(rows.any(axis=1)) < len(rows) for rows in blocks)
 
 
 # dimension and the pairs of a multivector signal that are zeroed

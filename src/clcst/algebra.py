@@ -85,7 +85,6 @@ class AlgebraContext:
             self.conj_signs = rev * (-1.0) ** r
         else:
             self.conj_signs = rev
-        self.reversion_signs = rev
 
     def __eq__(self, other):
         return (
@@ -247,22 +246,9 @@ def left_multiplication_matrix(m):
     return out
 
 
-def grade_project(m, r):
-    """Zero out every blade whose factor count differs from r."""
-    if not 0 <= r <= m.ctx.n:
-        raise AlgebraError("grade %d out of range for n=%d" % (r, m.ctx.n))
-    out = np.where(m.ctx.grades == r, m.coeffs, 0.0)
-    return Multivector(m.ctx, out)
-
-
 def clifford_conjugate(m):
     """Anti-automorphism with m * conj(m) scalar-positive for every blade."""
     return Multivector(m.ctx, m.coeffs * m.ctx.conj_signs)
-
-
-def reversion(m):
-    """Reverse the factor order of every blade: sign (-1)^(r(r-1)/2)."""
-    return Multivector(m.ctx, m.coeffs * m.ctx.reversion_signs)
 
 
 def scalar_part(m):

@@ -408,8 +408,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AlgebraError, FormatError, GridError, LCTError, StockwellError, TransformError,
-            WindowError) as exc:
+    except (AlgebraError, FormatError, GridError, LCTError, OSError, StockwellError,
+            TransformError, WindowError) as exc:
         raise SystemExit("clcst %s: %s" % (args.command, exc)) from None
 
 

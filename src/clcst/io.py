@@ -247,18 +247,24 @@ def write_grid(path, signal):
 
 
 def read_grid(path):
+    """The signal of a grid file; a sidecar that does not describe the
+    payload raises :class:`FormatError`, as in :func:`read_volume`."""
     with open(path, "rb") as fh:
         _, n, sizes, blade_count = _read_header(fh, path, (BLADE_MAJOR,))
         payload = _read_payload(fh, path, np.empty((blade_count,) + sizes, dtype="<f8"))
-    with open(_sidecar(path)) as fh:
-        meta = json.load(fh)
-    if meta.get("kind") != "grid":
-        raise FormatError("%s is not a grid file" % path)
-    spec = GridSpec(meta["n"], meta["half_width"], meta["samples_per_axis"])
-    ctx = algebra(meta["n"], meta["metric_sign"])
-    if (blade_count, sizes) != (ctx.blade_count, spec.shape):
-        raise FormatError("%s: payload does not match sidecar geometry" % path)
-    return GridSignal(spec, ctx, payload, meta["domain"])
+    try:
+        with open(_sidecar(path), "rb") as fh:
+            meta = json.load(fh)
+        if meta.get("kind") != "grid":
+            raise FormatError("%s is not a grid file" % path)
+        spec = GridSpec(meta["n"], meta["half_width"], meta["samples_per_axis"])
+        ctx = algebra(meta["n"], meta["metric_sign"])
+        if (blade_count, sizes) != (ctx.blade_count, spec.shape):
+            raise FormatError("%s: payload does not match sidecar geometry" % path)
+        return GridSignal(spec, ctx, payload, meta["domain"])
+    except SIDECAR_ERRORS as exc:  # a sidecar that does not describe its grid
+        raise FormatError("%s: malformed sidecar (%s: %s)"
+                          % (path, type(exc).__name__, exc)) from None
 
 
 class VolumeWriter:

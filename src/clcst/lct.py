@@ -12,7 +12,6 @@ bins.
 
 import numpy as np
 
-from .algebra import pseudoscalar_exp
 from .cft import _require_transformable, centered_cft, cft_forward, convolve
 from .grid import (
     FREQUENCY,
@@ -75,25 +74,6 @@ def _amplitude(params, n):
     # real positive root also for B < 0; the phase of C_M off B > 0 is an
     # open convention and the tests only pin |C_M|
     return 1.0 / np.sqrt((2.0 * np.pi) ** n * abs(params.B))
-
-
-def clct_kernel(params, ctx, u, x):
-    """Kernel value K_M(u, x) as a multivector; B must be nonzero."""
-    if params.B == 0.0:
-        raise DegenerateBranchError("B = 0: use the scaling branch of clct_forward")
-    u = np.asarray(u, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    phase = (
-        params.A * np.dot(x, x) / (2.0 * params.B)
-        - np.dot(x, u) / params.B
-        + params.D * np.dot(u, u) / (2.0 * params.B)
-    )
-    return pseudoscalar_exp(ctx, phase) * _amplitude(params, len(x))
-
-
-def output_lattice_axis(params, spec):
-    """The u-lattice of clct_forward: u_k = B w_k."""
-    return params.B * spec.axis(FREQUENCY)
 
 
 def clct_forward(f, params):

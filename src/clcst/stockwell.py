@@ -30,6 +30,11 @@ and transformed explicitly, once per u, against its plain spectrum B.
 |M|^2 is also each window's admissibility term, so the profile needs no
 roll per u.
 
+One :class:`Plan` per (u, theta) set is the one place that classifies and
+weighs the u rows, so the analysis (:func:`fill_volume`), the admissibility
+profile and the resolution synthesis share one discrete measure and one
+notion of "u on the lattice".
+
 A radial window (``WindowSpec.radial``, as the Gaussian and the DOG are)
 satisfies psi(R_{-theta} A_u y) = psi(A_u y), so every theta of a u has the
 same window, spectrum and slice: the engine builds one window spectrum per
@@ -75,6 +80,10 @@ from .volume import CLCSTVolume, DEFAULT_THETAS, block_rows, default_u_list, the
 from .windows import WindowSpec, window_angles
 
 ROLL_TOLERANCE = 1e-13  # in steps of dw; the roll's phase error stays below 1e-12
+# in steps of dw, how near its frequency bin a u feeds the marginal: the roll
+# must be exact for the 1e-12 slice check, but a bin slip of 1e-9 steps is far
+# below the marginal's 1e-6 gate and its c(u) bias of 4.5e-5 to 1e-4
+BIN_TOLERANCE = 1e-9
 
 
 class StockwellError(Exception):
@@ -152,19 +161,12 @@ class ScalingMatrix:
         self.u = u
 
     @property
-    def n(self):
-        return len(self.u)
-
-    @property
     def det_abs(self):
         return float(np.abs(np.prod(self.u)))
 
     def apply(self, points):
         """A_u x componentwise; points shaped (n, ...)."""
         return self.u.reshape((-1,) + (1,) * (points.ndim - 1)) * points
-
-    def apply_inverse(self, points):
-        return points / self.u.reshape((-1,) + (1,) * (points.ndim - 1))
 
 
 class Rotation:
@@ -262,20 +264,6 @@ def separable_spectra(terms, spec, u_rows, modulated=False):
     return (acc @ np.moveaxis(factors[:, -1], 0, 1)).reshape((rows, 1) + spec.shape)
 
 
-def _separable_terms(psi):
-    return psi.separable_terms() if isinstance(psi, WindowSpec) else None
-
-
-def window_row_bytes(psi, spec, theta_list):
-    """Bytes one u row of a :func:`window_blocks` block holds at its peak, per
-    point and angle: 16 for its modulated spectra M.  A window evaluated on
-    the lattice first holds its n coordinates and their squares, 16 n, and a
-    sum of them, 8; then its real values, 8, their modulated copy, 16, and
-    M, that copy in FFT order.  An off-lattice row's B is another 16."""
-    per_point = 16 if _separable_terms(psi) is not None else max(40, 16 * spec.n + 8)
-    return per_point * len(window_angles(psi, theta_list)) * spec.point_count
-
-
 def axis_phase_multiply(block, spec, u_rows, rate, scale, out=None):
     """block[r] scale[r] e^{j (u_r.b + rate |b|^2)} over the b-grid of each
     row r (one u row for an array of pairs), into ``out`` or a new array: 1-D
@@ -293,97 +281,120 @@ def axis_phase_multiply(block, spec, u_rows, rate, scale, out=None):
     return out
 
 
-def window_blocks(psi, spec, u_list, theta_list, rows, plain=False):
-    """(start, stop, M, B) for consecutive blocks of ``rows`` u rows.
+class Plan:
+    """What every pass over one (u, theta) set shares, worked out once: the
+    one place that classifies and weighs the u rows.
 
-    M holds the modulated spectrum of each window of the block, one per
-    :func:`window_angles` of theta_list, shape (rows, angles) + spec.shape;
-    for a lattice u = k dw it is roll(B, k), B the plain spectrum of
-    :func:`window_spectra`.  With ``plain``, B maps each off-lattice row of
-    the block to its plain spectra; otherwise it is empty.  A separable
-    window builds both from 1-D FFTs (:func:`separable_spectra`); any other
-    window is evaluated on the lattice once per (u, angle), modulated
-    (:func:`axis_phase_multiply`), put in FFT order and transformed in
-    place, and transformed once more for B.
+    Per u row: the steps k of u / dw (``steps``); whether u = k dw within
+    ROLL_TOLERANCE steps (``on_lattice``), so that e^{j y.u} acts on a window
+    spectrum as a roll by k; ``lattice_u``, u on the lattice and 0 off it;
+    ``det``, |det A_u|; and ``weights``, u weight x theta weight x |det A_u|,
+    the discrete measure that the analysis, the admissibility profile and
+    the synthesis share.  ``angles`` are the window's
+    :func:`~clcst.windows.window_angles`, each standing for ``copies``
+    thetas.
+
+    :meth:`blocks` yields the window spectra of consecutive blocks of u rows
+    and adds each block's admissibility term to the profile as it yields;
+    :meth:`profile` is that profile once a pass is through.
     """
-    angles = window_angles(psi, theta_list)
-    terms = _separable_terms(psi)
-    axes = tuple(range(-spec.n, 0))
-    cell = spec.cell_weight(SPACE)
-    on_lattice = roll_steps(spec, u_list)[1]
-    for start in range(0, len(u_list), rows):
-        stop = min(start + rows, len(u_list))
-        u_rows = u_list[start:stop]
-        off = np.flatnonzero(~on_lattice[start:stop]) if plain else []
-        if terms is None:
-            values = window_block(psi, spec, u_rows, angles)
-            M = np.fft.ifftshift(axis_phase_multiply(values, spec, u_rows, 0.0, cell), axes=axes)
-            np.fft.fftn(M, axes=axes, out=M)
-            B = []
-            if len(off):
-                B = np.fft.fftn(np.fft.ifftshift(values[off], axes=axes), axes=axes)
-                B *= cell
-            del values
-        else:
-            M = separable_spectra(terms, spec, u_rows, modulated=True)
-            B = separable_spectra(terms, spec, u_rows[off]) if len(off) else []
-        yield start, stop, M, dict(zip(off, B))
-        del M, B  # before the next block's are built
+
+    def __init__(self, psi, spec, u_list, theta_list, u_weights):
+        self.psi, self.spec, self.u_list = psi, spec, u_list
+        self.steps, on_lattice = lattice_steps(u_list, spec.dw, ROLL_TOLERANCE)
+        self.on_lattice = np.all(on_lattice, axis=-1)
+        self.lattice_u = np.where(self.on_lattice[:, None], u_list, 0.0)
+        self.det = np.prod(np.abs(u_list), axis=1)
+        self.weights = u_weights * theta_weight(theta_list) * self.det
+        self.angles = window_angles(psi, theta_list)
+        self.copies = len(theta_list) // len(self.angles)
+        self.terms = psi.separable_terms() if isinstance(psi, WindowSpec) else None
+
+    @property
+    def row_bytes(self):
+        """Bytes one u row of a :meth:`blocks` block holds at its peak, per
+        point and angle: 16 for its modulated spectra M.  A window evaluated
+        on the lattice first holds its n coordinates and their squares, 16 n,
+        and a sum of them, 8; then its real values, 8, their modulated copy,
+        16, and M, that copy in FFT order.  An off-lattice row's B is another
+        16."""
+        per_point = 16 if self.terms is not None else max(40, 16 * self.spec.n + 8)
+        return per_point * len(self.angles) * self.spec.point_count
+
+    def blocks(self, rows, plain=False):
+        """(start, stop, M, B) for consecutive blocks of ``rows`` u rows.
+
+        M holds the modulated spectrum of each window of the block, one per
+        angle, shape (rows, angles) + spec.shape; for a lattice u = k dw it
+        is roll(B, k), B the plain spectrum of :func:`window_spectra`.  With
+        ``plain``, B maps each off-lattice row of the block to its plain
+        spectra; otherwise it is empty.  A separable window builds both from
+        1-D FFTs (:func:`separable_spectra`); any other window is evaluated
+        on the lattice once per (u, angle), modulated
+        (:func:`axis_phase_multiply`), put in FFT order and transformed in
+        place, and transformed once more for B.
+
+        Before a block is yielded, its terms weights[r] copies |det A_u|
+        sum_angle |M_{r,angle}|^2 are added to the profile, which this pass
+        starts from zero: |M|^2 (2 pi)^(-n), shifted by N/2, is |Q|^2 for
+        Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)], on or off the lattice.
+        :meth:`profile` applies that shift and scale once.
+        """
+        spec, psi, terms = self.spec, self.psi, self.terms
+        axes = tuple(range(-spec.n, 0))
+        cell = spec.cell_weight(SPACE)
+        power_weights = self.weights * self.copies * self.det
+        self.power = np.zeros(spec.shape)
+        for start in range(0, len(self.u_list), rows):
+            stop = min(start + rows, len(self.u_list))
+            u_rows = self.u_list[start:stop]
+            off = np.flatnonzero(~self.on_lattice[start:stop]) if plain else []
+            if terms is None:
+                values = window_block(psi, spec, u_rows, self.angles)
+                M = np.fft.ifftshift(axis_phase_multiply(values, spec, u_rows, 0.0, cell), axes=axes)
+                np.fft.fftn(M, axes=axes, out=M)
+                B = []
+                if len(off):
+                    B = np.fft.fftn(np.fft.ifftshift(values[off], axes=axes), axes=axes)
+                    B *= cell
+                del values
+            else:
+                M = separable_spectra(terms, spec, u_rows, modulated=True)
+                B = separable_spectra(terms, spec, u_rows[off]) if len(off) else []
+            flat = M.view(np.float64).reshape(stop - start, -1)  # real and imaginary parts
+            summed = np.einsum("r,rk,rk->k", power_weights[start:stop], flat, flat)
+            self.power += (summed[0::2] + summed[1::2]).reshape((-1,) + spec.shape).sum(axis=0)
+            yield start, stop, M, dict(zip(off, B))
+            del M, B  # before the next block's are built
+
+    def profile(self, ctx):
+        """The admissibility profile of the last :meth:`blocks` pass, shifted
+        to the centered frequency lattice, as a frequency-domain scalar
+        signal, and its min, max, mean and relative variation."""
+        spec = self.spec
+        centre = (spec.samples_per_axis // 2,) * spec.n
+        profile = np.roll(self.power, centre, axis=tuple(range(spec.n))) * (2.0 * np.pi) ** (-spec.n)
+        sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
+        stats = {
+            "min": float(profile.min()),
+            "max": float(profile.max()),
+            "mean": float(profile.mean()),
+        }
+        stats["relative_variation"] = (
+            (stats["max"] - stats["min"]) / stats["mean"] if stats["mean"] > 0 else np.inf
+        )
+        return sig, stats
 
 
-def roll_steps(spec, u_list):
-    """Per u row: the integer steps k of u / dw, and whether u = k dw, so that
-    e^{j y.u} acts on a window spectrum as a roll by k."""
-    steps, on_lattice = lattice_steps(u_list, spec.dw, ROLL_TOLERANCE)
-    return steps, np.all(on_lattice, axis=-1)
-
-
-def add_admissibility(power, weights, spectra):
-    """power += sum over the rows of weights[r] sum_theta |M_{r,theta}|^2.
-
-    ``spectra`` are a block's modulated window spectra M (:func:`window_blocks`),
-    in FFT order: |M|^2 (2 pi)^(-n), shifted by N/2, is |Q|^2 for
-    Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)], on or off the lattice.
-    :func:`profile_result` applies that shift and scale once.
-    """
-    flat = spectra.view(np.float64).reshape(len(spectra), -1)  # real and imaginary parts
-    summed = np.einsum("r,rk,rk->k", weights, flat, flat)
-    power += (summed[0::2] + summed[1::2]).reshape((-1,) + power.shape).sum(axis=0)
-
-
-def admissibility_weights(psi, u_list, u_weights, theta_list):
-    """u weight x theta weight x |det A_u|^2 per u row, times the number of
-    theta columns each window of :func:`window_angles` stands for."""
-    copies = len(theta_list) // len(window_angles(psi, theta_list))
-    return u_weights * (theta_weight(theta_list) * copies) * np.prod(np.abs(u_list), axis=1) ** 2
-
-
-def profile_result(power, spec, ctx):
-    """The admissibility profile of :func:`add_admissibility`'s sums, shifted
-    to the centered frequency lattice, as a frequency-domain scalar signal,
-    and its min, max, mean and relative variation."""
-    centre = (spec.samples_per_axis // 2,) * spec.n
-    profile = np.roll(power, centre, axis=tuple(range(spec.n))) * (2.0 * np.pi) ** (-spec.n)
-    sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
-    stats = {
-        "min": float(profile.min()),
-        "max": float(profile.max()),
-        "mean": float(profile.mean()),
-    }
-    stats["relative_variation"] = (
-        (stats["max"] - stats["min"]) / stats["mean"] if stats["mean"] > 0 else np.inf
-    )
-    return sig, stats
-
-
-def fill_volume(vol, psi, fill_block, sink=None):
+def fill_volume(vol, plan, fill_block, sink=None):
     """Compute every stored slice of vol, one block of u rows at a time, and
-    set ``vol.admissibility`` to the profile of the same windows.
+    set ``vol.admissibility`` to the profile of the same windows, those of
+    ``plan``, the :class:`Plan` of vol's lists and weights.
 
     ``fill_block(start, stop, M, B, block)`` writes the slices of u rows
     start:stop into ``block``, their stored rows: shape (rows, A, P) +
     b-shape, given the block's modulated window spectra M and the plain
-    spectra B of its off-lattice rows (:func:`window_blocks`); A is the
+    spectra B of its off-lattice rows (:meth:`Plan.blocks`); A is the
     volume's stored theta column count, 1 for a radial window, and P the
     number of ``vol.pairs``.  It may overwrite M and B, which are then spent.
 
@@ -408,24 +419,20 @@ def fill_volume(vol, psi, fill_block, sink=None):
         def sink(start, stop, block):
             vol.set_slice(slice(start, stop), slice(None), block)
 
-    power = np.zeros(spec.shape)
-    weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
     # rows are counted by every pair of the algebra, so that a block stays
     # about BLOCK_BYTES whatever the stored pairs
     shape = vol.stored_shape[1:2] + (vol.ctx.blade_count // 2,) + spec.shape
     rows = block_rows(16 * np.prod(shape))
     buffer = np.empty((min(rows, vol.u_count),) + vol.stored_shape[1:], dtype=np.complex128)
-    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
-    for start, stop, M, B in blocks:
-        add_admissibility(power, weights[start:stop], M)
+    for start, stop, M, B in plan.blocks(rows, plain=True):
         block = buffer[:stop - start]
         fill_block(start, stop, M, B, block)
         del M, B  # before the next block's spectra are built
         sink(start, stop, block)
-    vol.admissibility = profile_result(power, spec, vol.ctx)
+    vol.admissibility = plan.profile(vol.ctx)
 
 
-def spectrum_slices(z, vol, rate):
+def spectrum_slices(z, plan, rate):
     """``fill_block`` for :func:`fill_volume` on the pairs z, whose slices
     close with the chirp e^{-j rate |b|^2} (rate 0 for the Stockwell
     transform).
@@ -437,34 +444,32 @@ def spectrum_slices(z, vol, rate):
     by the chirp, |det A_u| (2 pi)^(-n/2) and, for a lattice u, e^{-j u.b},
     as per-axis 1-D factors (:func:`axis_phase_multiply`).
     """
-    spec = vol.spec
+    spec = plan.spec
     axes = tuple(range(-spec.n, 0))
     Z = np.fft.fftn(z, axes=axes)
-    on_lattice = roll_steps(spec, vol.u_list)[1]
-    lattice_u = np.where(on_lattice[:, None], vol.u_list, 0.0)
-    scale = np.prod(np.abs(vol.u_list), axis=1) * (2.0 * np.pi) ** (-spec.n / 2.0)
+    scale = plan.det * (2.0 * np.pi) ** (-spec.n / 2.0)
 
     def fill(start, stop, M, B, block):
-        lattice = on_lattice[start:stop]
+        lattice = plan.on_lattice[start:stop]
         if lattice.any():  # off-lattice rows are left for their own spectra
             where = True if lattice.all() else lattice.reshape((-1,) + (1,) * (block.ndim - 1))
             np.multiply(Z, np.conjugate(M, out=M)[:, :, None], out=block, where=where)
         for i in np.flatnonzero(~lattice):
-            zu = axis_phase_multiply(z, spec, -vol.u_list[[start + i]], 0.0, 1.0)
+            zu = axis_phase_multiply(z, spec, -plan.u_list[[start + i]], 0.0, 1.0)
             np.multiply(np.fft.fftn(zu, axes=axes), B[i].conj()[:, None], out=block[i])
         np.fft.ifftn(block, axes=axes, out=block)
-        axis_phase_multiply(block, spec, -lattice_u[start:stop], -rate, scale[start:stop], out=block)
+        axis_phase_multiply(block, spec, -plan.lattice_u[start:stop], -rate, scale[start:stop], out=block)
 
     return fill
 
 
-def row_slices(slices_of_u, vol):
+def row_slices(slices_of_u, plan):
     """``fill_block`` for :func:`fill_volume` from ``slices_of_u(ui, spectra,
     out)``, which writes the slices of u row ui into ``out``, shape
     (A, pairs) + b-shape, given the plain spectra B of its A windows; a
     lattice row's B is roll(M, -k)."""
-    steps, on_lattice = roll_steps(vol.spec, vol.u_list)
-    axes = tuple(range(-vol.spec.n, 0))
+    steps, on_lattice = plan.steps, plan.on_lattice
+    axes = tuple(range(-plan.spec.n, 0))
 
     def fill(start, stop, M, B, block):
         for i, ui in enumerate(range(start, stop)):
@@ -509,7 +514,8 @@ def cst(f, psi, u_list=None, theta_list=None):
     z = pack(f.ctx, f.data)
     live = live_pairs(z)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst", pairs=live)
-    fill_volume(vol, psi, spectrum_slices(z[live], vol, 0.0))
+    plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)
+    fill_volume(vol, plan, spectrum_slices(z[live], plan, 0.0))
     return vol
 
 

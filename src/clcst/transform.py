@@ -38,12 +38,12 @@ from .grid import (
     unpack,
 )
 from .stockwell import (
+    BIN_TOLERANCE,
     NonUnitWindowWarning,
+    Plan,
     Rotation,
     ScalingMatrix,
     StockwellError,
-    add_admissibility,
-    admissibility_weights,
     axis_phase_multiply,
     block_rows,
     check_analysis_inputs,
@@ -52,14 +52,9 @@ from .stockwell import (
     cst_slice,
     fill_volume,
     minimal_image,
-    profile_result,
-    roll_steps,
     row_slices,
     spectrum_slices,
     transformed_window_values,
-    window_angles,
-    window_blocks,
-    window_row_bytes,
 )
 from .volume import CLCSTVolume, u_weights_from_list
 
@@ -139,43 +134,42 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     vol = CLCSTVolume(
         f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path, pairs=live
     )
+    plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)
     antichirp = np.exp(-1j * params.chirp_rate * f.spec.squared_radius(SPACE))
     if path == "three_step":
-        fill_block = spectrum_slices(z * antichirp.conj(), vol, params.chirp_rate)
+        fill_block = spectrum_slices(z * antichirp.conj(), plan, params.chirp_rate)
     elif path == "direct":
-        fill_block = row_slices(_direct_slices(z, vol, params.chirp_rate, antichirp), vol)
+        fill_block = row_slices(_direct_slices(z, plan, params.chirp_rate, antichirp), plan)
     else:
-        fill_block = row_slices(_spectral_slices(z * antichirp.conj(), vol, antichirp), vol)
-    fill_volume(vol, psi, fill_block, None if sink is None else sink(vol))
+        fill_block = row_slices(_spectral_slices(z * antichirp.conj(), plan, antichirp), plan)
+    fill_volume(vol, plan, fill_block, None if sink is None else sink(vol))
     return vol
 
 
-def _direct_slices(z, vol, rate, antichirp):
+def _direct_slices(z, plan, rate, antichirp):
     """Per slice: z modulated by e^{j(A|x|^2/2B - x.u)}, correlated with one window."""
-    spec = vol.spec
+    spec = plan.spec
     chirp_phase = rate * spec.squared_radius(SPACE)
 
     def slices(ui, spectra, out):
-        scaling = ScalingMatrix(vol.u_list[ui])
-        modulated = z * np.exp(1j * (chirp_phase - spec.dot(scaling.u)))
+        modulated = z * np.exp(1j * (chirp_phase - spec.dot(plan.u_list[ui])))
         for ti, spectrum in enumerate(spectra):
             out[ti] = correlate_spectrum(modulated, spec, spectrum)
-        out *= antichirp * (scaling.det_abs * (2.0 * np.pi) ** (-spec.n / 2.0))
+        out *= antichirp * (plan.det[ui] * (2.0 * np.pi) ** (-spec.n / 2.0))
 
     return slices
 
 
-def _spectral_slices(h, vol, antichirp):
+def _spectral_slices(h, plan, antichirp):
     """Per u: cft(h e^{-j x.u}) times the conjugate centered window spectra, inverted."""
-    spec = vol.spec
+    spec = plan.spec
     axes = tuple(range(-spec.n, 0))
 
     def slices(ui, spectra, out):
-        scaling = ScalingMatrix(vol.u_list[ui])
-        H = centered_cft(h * np.exp(-1j * spec.dot(scaling.u)), spec)
+        H = centered_cft(h * np.exp(-1j * spec.dot(plan.u_list[ui])), spec)
         W = np.fft.fftshift(spectra, axes=axes) * (2.0 * np.pi) ** (-spec.n / 2.0)
         s = centered_cft(H * W.conj()[:, None], spec, inverse=True)
-        np.multiply(s, antichirp * scaling.det_abs, out=out)
+        np.multiply(s, antichirp * plan.det[ui], out=out)
 
     return slices
 
@@ -213,20 +207,18 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     Returns the scalar profile on the frequency lattice plus min/max/mean and
     their relative variation; the resolution-of-identity error is governed by
     how far this profile is from a constant.  The analysis pass
-    (:func:`~clcst.stockwell.fill_volume`) accumulates the same profile with
-    the same helper; a radial window's one term per u counts T times.
+    (:func:`~clcst.stockwell.fill_volume`) accumulates the same profile in
+    the same :class:`~clcst.stockwell.Plan` pass; a radial window's one term
+    per u counts T times.
     """
     _require_b_nonzero(params, spec)
     u_list, theta_list = checked_lists(spec, u_list, theta_list)
     if len(u_list) == 0 or len(theta_list) == 0:
         raise TransformError("admissibility needs a non-empty (u, theta) set")
-    weights = admissibility_weights(psi, u_list, u_weights_from_list(u_list), theta_list)
-    power = np.zeros(spec.shape)
-    rows = block_rows(window_row_bytes(psi, spec, theta_list))
-    for start, stop, M, _ in window_blocks(psi, spec, u_list, theta_list, rows):
-        add_admissibility(power, weights[start:stop], M)
-        del M  # before the next block's spectra are built
-    return profile_result(power, spec, ctx)
+    plan = Plan(psi, spec, u_list, theta_list, u_weights_from_list(u_list))
+    for block in plan.blocks(block_rows(plan.row_bytes)):
+        del block  # before the next block's spectra are built
+    return plan.profile(ctx)
 
 
 def orthogonality_check(f, g, psi, params, scaling, rotation):
@@ -282,7 +274,7 @@ def reconstruct_resolution(vol, psi, params):
     Per (u, theta) the b-sum is the periodic convolution of the chirped slice
     with the modulated window.  For a lattice u that is fftn(s e^{j u.b}) M
     in the spectrum, M the modulated window spectrum of
-    :func:`~clcst.stockwell.window_blocks`: each block's weighted columns
+    :meth:`~clcst.stockwell.Plan.blocks`: each block's weighted columns
     are transformed by one fftn, their products with M summed without a
     roll, and the sum inverted once.  An off-lattice u is convolved with its
     plain spectrum B, inverted and modulated by e^{j x.u} on its own.  A
@@ -306,25 +298,19 @@ def reconstruct_resolution(vol, psi, params):
         raise TransformError("resolution synthesis needs a non-empty (u, theta) set")
     axes = tuple(range(-spec.n, 0))
     rate = params.chirp_rate
-    on_lattice = roll_steps(spec, vol.u_list)[1]
-    lattice_u = np.where(on_lattice[:, None], vol.u_list, 0.0)
-    columns = max(vol.stored_theta_columns, len(window_angles(psi, vol.theta_list)))
+    plan = Plan(psi, spec, vol.u_list, vol.theta_list, vol.u_weights)
+    columns = max(vol.stored_theta_columns, len(plan.angles))
     # a product of one stored column and one window stands for T / columns thetas
-    copies = vol.theta_count // columns
-    weights = vol.u_weights * vol.theta_step * copies * np.prod(np.abs(vol.u_list), axis=1)
-    profile_weights = admissibility_weights(psi, vol.u_list, vol.u_weights, vol.theta_list)
-    power = np.zeros(spec.shape)
+    weights = plan.weights * (vol.theta_count // columns)
     summed = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)
     modulated = np.zeros_like(summed)
     # per u row and pair of the algebra, whatever the stored pairs: the
     # rows read from a volume file and their weighted copy, transformed and
     # multiplied in place, 16 bytes each, beside the window block
     row_bytes = 48 * columns * (ctx.blade_count // 2) * spec.point_count
-    rows = block_rows(row_bytes + window_row_bytes(psi, spec, vol.theta_list))
-    blocks = window_blocks(psi, spec, vol.u_list, vol.theta_list, rows, plain=True)
-    for start, stop, M, B in blocks:
-        add_admissibility(power, profile_weights[start:stop], M)
-        u_rows, lattice = vol.u_list[start:stop], on_lattice[start:stop]
+    rows = block_rows(row_bytes + plan.row_bytes)
+    for start, stop, M, B in plan.blocks(rows, plain=True):
+        u_rows, lattice = vol.u_list[start:stop], plan.on_lattice[start:stop]
         s = vol.rows(start, stop)
         if s.shape[1] > M.shape[1]:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
@@ -333,7 +319,7 @@ def reconstruct_resolution(vol, psi, params):
             B = {i: np.sum(b, axis=0, keepdims=True) for i, b in B.items()}
         # weight x chirp x e^{j u.b} on the lattice, before one fftn, into a
         # new array: the rows may be the volume's own
-        s = axis_phase_multiply(s, spec, lattice_u[start:stop], rate, weights[start:stop])
+        s = axis_phase_multiply(s, spec, plan.lattice_u[start:stop], rate, weights[start:stop])
         np.fft.fftn(s, axes=axes, out=s)
         for i in np.flatnonzero(~lattice):
             term = np.sum(s[i] * B[i][:, None], axis=0)
@@ -343,7 +329,7 @@ def reconstruct_resolution(vol, psi, params):
         summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
         del M, B, s  # before the next block's spectra are built
     total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
-    admissibility = profile_result(power, spec, ctx)
+    admissibility = plan.profile(ctx)
     c_psi = admissibility[1]["mean"]
     if not c_psi > 0:
         raise TransformError("admissibility profile mean %r is not positive" % c_psi)
@@ -390,7 +376,7 @@ def marginal_spectrum(vol, params, theta):
         raise TransformError("theta %g not present in the volume" % theta)
     # each lattice u feeds the bin u / dw; off-lattice u cannot feed the inverse CFT
     N = spec.samples_per_axis
-    steps, on_lattice = lattice_steps(vol.u_list, spec.dw)
+    steps, on_lattice = lattice_steps(vol.u_list, spec.dw, BIN_TOLERANCE)
     bin_index = steps + N // 2
     rows = np.flatnonzero(np.all(on_lattice & (bin_index >= 0) & (bin_index < N), axis=1))
     bins = tuple(bin_index[rows].T)

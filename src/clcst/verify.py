@@ -46,13 +46,13 @@ from .lct import (
 )
 from .stockwell import (
     NonUnitWindowWarning,
+    Plan,
     Rotation,
     ScalingMatrix,
     cst,
     cst_direct_point,
     cst_slice,
     transformed_window_values,
-    window_blocks,
     window_family,
     window_spectra,
 )
@@ -352,7 +352,8 @@ def separable_window_spectra():
         steps = np.array([[2, 3, -1], [-5, 1, 4], [7, -8, 2], [0.37, -1.3, 2.6], [-2.5, 0.8, 1.1]])
         u_list = steps[:, :n] * spec.dw
         for psi in windows:
-            for start, stop, M, B in window_blocks(psi, spec, u_list, [0.0], 2, plain=True):
+            plan = Plan(psi, spec, u_list, [0.0], np.ones(len(u_list)))
+            for start, stop, M, B in plan.blocks(2, plain=True):
                 for i, u in enumerate(u_list[start:stop]):
                     scaling, rotation = ScalingMatrix(u), Rotation(0.0)
                     values = transformed_window_values(psi, spec, np.zeros(n), scaling, rotation)

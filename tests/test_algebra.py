@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from clcst.algebra import (
-    AlgebraError,
     DimensionMismatchError,
     Multivector,
     UnsupportedDimensionError,
     algebra,
     clifford_conjugate,
     geometric_product,
-    grade_project,
     pseudoscalar_exp,
-    reversion,
     scalar_part,
     transform_algebra,
 )
@@ -97,25 +94,6 @@ def test_dimension_mismatch():
         geometric_product(a, b)
 
 
-def test_grade_project_examples():
-    c = algebra(2)
-    m = Multivector(c, np.array([3.0, 2.0, 0.0, 5.0]))  # 3 + 2 e1 + 5 e12
-    v = grade_project(m, 1)
-    assert np.array_equal(v.coeffs, [0.0, 2.0, 0.0, 0.0])
-    assert scalar_part(grade_project(m, 0)) == 3.0
-    with pytest.raises(AlgebraError):
-        grade_project(m, 3)
-
-
-def test_grade_projection_partitions(ctx):
-    rng = np.random.default_rng(3)
-    m = random_mv(ctx, rng)
-    total = Multivector.zero(ctx)
-    for r in range(ctx.n + 1):
-        total = total + grade_project(m, r)
-    assert np.array_equal(total.coeffs, m.coeffs)
-
-
 def test_conjugate_examples():
     c = algebra(2)
     assert scalar_part(clifford_conjugate(Multivector.scalar(c, 5.0))) == 5.0
@@ -140,14 +118,6 @@ def test_conjugate_positive_definite(ctx):
         assert s == pytest.approx(np.sum(m.coeffs**2), rel=1e-14)
         assert s >= 0.0
     assert scalar_part(Multivector.zero(ctx) * clifford_conjugate(Multivector.zero(ctx))) == 0.0
-
-
-def test_reversion_sign():
-    c = algebra(2)
-    e12 = Multivector.blade(c, 0b11)
-    assert np.array_equal(reversion(e12).coeffs, (-e12).coeffs)
-    e1 = Multivector.basis_vector(c, 0)
-    assert np.array_equal(reversion(e1).coeffs, e1.coeffs)
 
 
 def test_pseudoscalar_exp_basics():

@@ -164,6 +164,28 @@ def test_volume_sidecar_values_are_checked(tmp_path, case):
         read_volume(path)
 
 
+GRID_SIDECAR_EDITS = {
+    "no-n": lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != "n"}),
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "metric-sign": lambda raw: json.dumps(dict(json.loads(raw), metric_sign=5)),
+    "domain": lambda raw: json.dumps(dict(json.loads(raw), domain="bogus")),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_SIDECAR_EDITS))
+def test_grid_sidecar_errors_are_format_errors(tmp_path, case):
+    """A grid sidecar without n, cut short, with a metric sign that is not
+    +-1 or an unknown domain is refused with FormatError naming the path."""
+    path = tmp_path / "g.clcg"
+    spec, ctx = GridSpec(2, 4.0, 4), transform_algebra(2)
+    write_grid(path, GridSignal(spec, ctx, np.ones((ctx.blade_count,) + spec.shape)))
+    sidecar = tmp_path / "g.clcg.json"
+    sidecar.write_text(GRID_SIDECAR_EDITS[case](sidecar.read_text()))
+    with pytest.raises(FormatError) as err:
+        read_grid(path)
+    assert str(err.value).startswith("%s: malformed sidecar" % path)
+
+
 def test_cli_transform_writes_the_live_pair_alone(tmp_path):
     """A scalar input has one live pair: the volume file is its header and
     16 U T_s N^n payload bytes, and its sidecar lists pair 0."""

@@ -10,19 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clcst.algebra import transform_algebra
+from clcst.algebra import Multivector, left_multiplication_matrix, transform_algebra
 from clcst.cli import main
 from clcst.grid import SPACE, GridError, GridSignal, GridSpec, live_pairs, pack
 from clcst.io import export_spectrogram_csv, write_grid
 from clcst.lct import LCTParams
 from clcst.stockwell import (
+    Plan,
     Rotation,
     ScalingMatrix,
     cst,
     cst_direct_point,
     cst_slice,
     transformed_window_values,
-    window_blocks,
 )
 from clcst.transform import (
     PATHS,
@@ -31,6 +31,7 @@ from clcst.transform import (
     clcst_direct_sum_slice,
     marginal_spectrum,
     modulated_window_spectrum,
+    reconstruct_marginal,
     reconstruct_resolution,
     volume_energy,
 )
@@ -165,6 +166,61 @@ def test_rolled_lattice_slices_match_direct(steps, theta):
     assert_slices_close(rolled, clcst(f, psi, M, u, [theta], path="direct"), 1e-12)
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    a=st.floats(-2.0, 2.0),
+    d=st.floats(-2.0, 2.0),
+    b=st.floats(0.3, 3.0),
+    b_sign=st.sampled_from([-1.0, 1.0]),
+    n=st.sampled_from([2, 3]),
+    steps=st.lists(st.tuples(*[st.integers(-8, 7)] * 3), min_size=1, max_size=3),
+)
+def test_random_matrix_paths_agree_and_are_left_linear(a, d, b, b_sign, n, steps):
+    """For a drawn M = (A, B, (AD - 1) / B, D), on a u list of lattice rows
+    and the same rows shifted off the lattice by 0.37 dw: three_step slices
+    match direct, and the transform is linear in the signal with multivector
+    coefficients on the left."""
+    b *= b_sign
+    params = LCTParams(a, b, (a * d - 1.0) / b, d)
+    spec, ctx = GridSpec(n, 4.0, 16), transform_algebra(n)
+    steps = np.array(steps)[:, :n]
+    steps[steps == 0] = 3
+    u = np.concatenate([steps, steps + 0.37]) * spec.dw
+    psi = GaussianWindow(n, sigma=0.9)
+    f, g = noise(spec, ctx, seed=1), noise(spec, ctx, seed=2)
+    rolled = clcst(f, psi, params, u, THETAS, path="three_step")
+    assert_slices_close(rolled, clcst(f, psi, params, u, THETAS, path="direct"), 1e-12)
+    rng = np.random.default_rng(3)
+    alpha, beta = (left_multiplication_matrix(Multivector(ctx, rng.standard_normal(ctx.blade_count)))
+                   for _ in range(2))
+    mixed = GridSignal(spec, ctx, np.tensordot(alpha, f.data, axes=1)
+                       + np.tensordot(beta, g.data, axes=1))
+    expect = (np.tensordot(alpha, rolled.values, axes=1)
+              + np.tensordot(beta, clcst(g, psi, params, u, THETAS).values, axes=1))
+    assert_close(clcst(mixed, psi, params, u, THETAS).values, expect, 1e-12)
+
+
+def test_near_lattice_u_is_off_the_roll_and_on_the_marginal_bins():
+    """u = k dw (1 + 1e-11) lies up to 8e-11 steps from its bin: off the
+    lattice for the roll, whose tolerance is 1e-13 steps, so its slices go
+    the off-lattice route and match direct; on its bin for the marginal,
+    whose tolerance is 1e-9 steps, so its marginal reconstruction is that of
+    the exact lattice list."""
+    spec, ctx = GridSpec(2, 6.0, 16), transform_algebra(2)
+    half = spec.samples_per_axis // 2
+    k = np.arange(-half, half)
+    exact = tensor_u_list([k[k != 0] * spec.dw] * 2)
+    near = exact * (1 + 1e-11)
+    psi = GaussianWindow(2, sigma=0.75).normalize_unit_integral()
+    assert not Plan(psi, spec, near, [0.0], np.ones(len(near))).on_lattice.any()
+    f = noise(spec, ctx, seed=4)
+    vol = clcst(f, psi, M, near, [0.0], path="three_step")
+    assert_slices_close(vol, clcst(f, psi, M, near, [0.0], path="direct"), 1e-12)
+    got = reconstruct_marginal(vol, M, 0.0)[0].data
+    expect = reconstruct_marginal(clcst(f, psi, M, exact, [0.0]), M, 0.0)[0].data
+    assert np.linalg.norm(got - expect) <= 1e-8 * np.linalg.norm(expect)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pass_profile_equals_admissibility_profile(n):
     spec, ctx = setting(n)
@@ -256,7 +312,8 @@ def test_separable_route_matches_dense_route(n, kind):
     assert psi.separable_terms() is not None and dense.separable_terms() is None
     assert dense.radial
     u = mixed_u_list(spec)
-    fast, slow = (list(window_blocks(w, spec, u, THETAS, 3, plain=True)) for w in (psi, dense))
+    fast, slow = (list(Plan(w, spec, u, THETAS, np.ones(len(u))).blocks(3, plain=True))
+                  for w in (psi, dense))
     assert sum(len(q) for *_, q in fast) == 2  # the two off-lattice rows
     for (start, stop, spectra, q), (*rows, dense_spectra, dense_q) in zip(fast, slow, strict=True):
         assert rows == [start, stop] and spectra.shape == dense_spectra.shape

@@ -773,6 +773,25 @@ def test_cli_library_errors_exit_with_one_line(tmp_path):
     assert not kernel.exists()
 
 
+def test_cli_transform_of_a_missing_input_exits_with_one_line(tmp_path):
+    missing = tmp_path / "missing.bin"
+    with pytest.raises(SystemExit) as err:
+        main(["transform", "--input", str(missing), "--out", str(tmp_path / "vol.clcg")])
+    assert err.value.code == "clcst transform: [Errno 2] No such file or directory: %r" % str(missing)
+
+
+def test_cli_reconstruct_without_a_sidecar_exits_with_one_line(tmp_path):
+    src, vol_path = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    assert main(transform_argv(src, vol_path, json.dumps([[1.0, 1.0]]))) == 0
+    sidecar = tmp_path / "vol.clcg.json"
+    sidecar.unlink()
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--volume", str(vol_path), "--method", "resolution",
+              "--out", str(tmp_path / "rec.clcg")])
+    assert err.value.code == "clcst reconstruct: [Errno 2] No such file or directory: %r" % str(sidecar)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: meta["u_list"][0].__setitem__(0, 0.0), "zero component"),
     (lambda meta: meta["theta_list"].__setitem__(1, meta["theta_list"][0]), "repeats an angle"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clcst.algebra import scalar_part, transform_algebra
+from clcst.algebra import transform_algebra
 from clcst.cft import cft_forward
 from clcst.grid import GridSignal, GridSpec, phase_multiply, rel_l2_error, sample
 from clcst.lct import (
@@ -11,10 +11,8 @@ from clcst.lct import (
     ResamplingUnsupportedError,
     clct_forward,
     clct_forward_direct,
-    clct_kernel,
     lct_convolution_theorem_rhs,
     lct_convolve,
-    output_lattice_axis,
 )
 
 SPEC = GridSpec(2, 6.0, 64)
@@ -42,37 +40,16 @@ def test_cft_parameter_point():
     assert m.is_cft_point()
 
 
-def test_kernel_reduces_to_cft_kernel():
-    m = LCTParams.cft_point()
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        u, x = rng.uniform(-2, 2, size=(2, 2))
-        k = clct_kernel(m, CTX, u, x)
-        from clcst.algebra import pseudoscalar_exp
-
-        expect = pseudoscalar_exp(CTX, -float(np.dot(x, u))) * (2 * np.pi) ** (-1)
-        assert np.allclose(k.coeffs, expect.coeffs, atol=1e-15)
-
-
-def test_kernel_at_origin_is_amplitude():
-    m = LCTParams(1, 2, 1, 3)
-    k = clct_kernel(m, CTX, np.zeros(2), np.zeros(2))
-    assert scalar_part(k) == pytest.approx(1.0 / np.sqrt((2 * np.pi) ** 2 * 2), rel=1e-14)
-    assert np.allclose(k.coeffs[1:], 0.0)
-
-
-def test_kernel_phase_arithmetic():
-    # (A,B,D) = (1,2,1), x=(1,0), u=(2,0): phase = 1/4 - 1 + 1 = 1/4
-    m = LCTParams(1, 2, 0, 1)
-    k = clct_kernel(m, CTX, np.array([2.0, 0.0]), np.array([1.0, 0.0]))
-    amp = 1.0 / np.sqrt((2 * np.pi) ** 2 * 2)
-    assert scalar_part(k) == pytest.approx(amp * np.cos(0.25), rel=1e-14)
-    assert k.coeffs[CTX.full_mask] == pytest.approx(amp * np.sin(0.25), rel=1e-14)
-
-
 def test_kernel_degenerate_branch_error():
+    """At B = 0 the chirp kernel is undefined: its rate, its direct
+    quadrature and the canonical convolution refuse it."""
+    m, f = LCTParams(1, 0, 0.5, 1), random_signal(0)
     with pytest.raises(DegenerateBranchError):
-        clct_kernel(LCTParams(1, 0, 0.5, 1), CTX, np.zeros(2), np.zeros(2))
+        m.chirp_rate
+    with pytest.raises(DegenerateBranchError):
+        clct_forward_direct(f, m)
+    with pytest.raises(DegenerateBranchError):
+        lct_convolve(f, f, m)
 
 
 def test_forward_reduces_to_cft():
@@ -105,13 +82,6 @@ def test_forward_linearity():
     combo = clct_forward(f.scale(0.3) + g.scale(-1.7), m)
     split = clct_forward(f, m).scale(0.3) + clct_forward(g, m).scale(-1.7)
     assert rel_l2_error(combo, split) < 1e-13
-
-
-def test_output_lattice_scaling():
-    m = LCTParams(1, 2, 1, 3)
-    axis = output_lattice_axis(m, SPEC)
-    assert axis[SPEC.samples_per_axis // 2] == 0.0
-    assert axis[1] - axis[0] == pytest.approx(2 * SPEC.dw)
 
 
 def test_scaling_branch_identity_d():

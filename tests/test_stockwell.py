@@ -36,7 +36,6 @@ def test_scaling_matrix_properties():
     assert s.det_abs == pytest.approx(6.0)
     x = np.array([[1.0], [2.0]])
     assert np.allclose(s.apply(x).ravel(), [2.0, 6.0])
-    assert np.allclose(s.apply_inverse(x).ravel(), [0.5, 2.0 / 3.0])
     sneg = ScalingMatrix([2.0, -3.0])
     assert sneg.det_abs == pytest.approx(6.0)
     with pytest.raises(StockwellError):

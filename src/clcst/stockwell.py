@@ -365,7 +365,7 @@ class Plan:
             summed = np.einsum("r,rk,rk->k", power_weights[start:stop], flat, flat)
             self.power += (summed[0::2] + summed[1::2]).reshape((-1,) + spec.shape).sum(axis=0)
             yield start, stop, M, dict(zip(off, B))
-            del M, B  # before the next block's are built
+            del M, B, flat  # before the next block's are built
 
     def profile(self, ctx):
         """The admissibility profile of the last :meth:`blocks` pass, shifted

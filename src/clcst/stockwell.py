@@ -364,8 +364,9 @@ class Plan:
             flat = M.view(np.float64).reshape(stop - start, -1)  # real and imaginary parts
             summed = np.einsum("r,rk,rk->k", power_weights[start:stop], flat, flat)
             self.power += (summed[0::2] + summed[1::2]).reshape((-1,) + spec.shape).sum(axis=0)
+            del flat, summed  # flat, a view, would keep M alive into the next block
             yield start, stop, M, dict(zip(off, B))
-            del M, B, flat  # before the next block's are built
+            del M, B  # before the next block's are built
 
     def profile(self, ctx):
         """The admissibility profile of the last :meth:`blocks` pass, shifted
@@ -412,7 +413,6 @@ def fill_volume(vol, plan, fill_block, sink=None):
     admissibility term |M|^2, weighted as the volume is, is added to the
     profile in the same pass.
     """
-    spec = vol.spec
     if sink is None:
         vol.allocate()
 
@@ -421,7 +421,7 @@ def fill_volume(vol, plan, fill_block, sink=None):
 
     # rows are counted by every pair of the algebra, so that a block stays
     # about BLOCK_BYTES whatever the stored pairs
-    shape = vol.stored_shape[1:2] + (vol.ctx.blade_count // 2,) + spec.shape
+    shape = vol.stored_shape[1:2] + (vol.ctx.blade_count // 2,) + vol.spec.shape
     rows = block_rows(16 * np.prod(shape))
     buffer = np.empty((min(rows, vol.u_count),) + vol.stored_shape[1:], dtype=np.complex128)
     for start, stop, M, B in plan.blocks(rows, plain=True):

@@ -256,7 +256,13 @@ def scalar_part(m):
 
 
 def pseudoscalar_exp(ctx, phase):
-    """cos(phase) + sin(phase) * e_1...e_n; needs the pseudoscalar to square to -1."""
+    """cos(phase) + sin(phase) * e_1...e_n; needs the pseudoscalar to square to -1.
+
+    The package's kernels apply their phases to complex pairs instead
+    (:func:`~clcst.grid.phase_multiply`); this multivector form is kept as
+    the per-point oracle that the tests multiply out with
+    :func:`geometric_product`, for the CFT kernel, the grid phases and the
+    CLCST kernel."""
     if ctx.pseudoscalar_square != -1:
         raise UnsupportedDimensionError(
             "pseudoscalar squares to %+d in %r; phase exponentials undefined"

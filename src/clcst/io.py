@@ -158,21 +158,34 @@ class VolumePayload:
         self._dtype = np.dtype("<c16" if ctx is None else "<f8")
         self._buffer = None
 
-    def _read(self, start, out):
+    def _read(self, start, out, column=None):
+        """u rows from ``start`` into out: whole rows, one contiguous run, or
+        the one run of ``column`` in each row of several columns."""
+        column_size = self._dtype.itemsize * math.prod(self._row[1:])
         with open(self.path, "rb") as fh:
             if _stamp(fh) != self._stamp:
                 raise FormatError("%s changed after it was read as a volume" % self.path)
-            fh.seek(self.offset + start * self._dtype.itemsize * math.prod(self._row))
-            _read_payload(fh, self.path, out)
+            if column is None or self._row[0] == 1:
+                fh.seek(self.offset + start * column_size * self._row[0])
+                _read_payload(fh, self.path, out)
+            else:
+                for i, row in enumerate(out):
+                    fh.seek(self.offset + ((start + i) * self._row[0] + column) * column_size)
+                    _read_payload(fh, self.path, row)
         return out if self._ctx is None else _packed(self._ctx, np.moveaxis(out, 2, 0))
 
-    def rows(self, start, stop):
+    def rows(self, start, stop, column=None):
+        """u rows start:stop, of one stored column (shape (rows, 1) + ...)
+        or all of them, read into the buffer of the last call."""
         if not 0 <= start <= stop <= self.shape[0]:
             raise IndexError("u rows %d:%d of a volume of %d" % (start, stop, self.shape[0]))
-        count = (stop - start) * math.prod(self._row)
+        if column is not None and not 0 <= column < self.shape[1]:
+            raise IndexError("column %d of a volume of %d" % (column, self.shape[1]))
+        row = self._row if column is None else (1,) + self._row[1:]
+        count = (stop - start) * math.prod(row)
         if self._buffer is None or self._buffer.size < count:
             self._buffer = np.empty(count, dtype=self._dtype)
-        return self._read(start, self._buffer[:count].reshape((stop - start,) + self._row))
+        return self._read(start, self._buffer[:count].reshape((stop - start,) + row), column)
 
     def load(self):
         return self._read(0, np.empty(self.shape[:1] + self._row, dtype=self._dtype))
@@ -234,6 +247,24 @@ def _grid_meta(spec, ctx, domain):
 def _json_bytes(meta):
     """Compact JSON, which the json module writes with its C encoder."""
     return json.dumps(meta, sort_keys=True).encode()
+
+
+def _write_json(fh, meta):
+    """Write the bytes of :func:`_json_bytes` for the dict meta, whose numpy
+    array values stand for their lists: each array is encoded 1024 rows at
+    a time, so that neither its whole list of Python floats nor that list's
+    text is held at once."""
+    for i, key in enumerate(sorted(meta)):
+        value = meta[key]
+        fh.write(b"%s%s: " % (b", " if i else b"{", _json_bytes(key)))
+        if not isinstance(value, np.ndarray):
+            fh.write(_json_bytes(value))
+            continue
+        fh.write(b"[")
+        for start in range(0, len(value), 1024):
+            fh.write((b", " if start else b"") + _json_bytes(value[start:start + 1024].tolist())[1:-1])
+        fh.write(b"]")
+    fh.write(b"}" if meta else b"{}")
 
 
 def write_grid(path, signal):
@@ -307,8 +338,8 @@ class VolumeWriter:
         return {
             "kind": "volume",
             "grid": _grid_meta(vol.spec, vol.ctx, "space"),
-            "u_list": vol.u_list.tolist(),
-            "u_weights": vol.u_weights.tolist(),
+            "u_list": vol.u_list,
+            "u_weights": vol.u_weights,
             "theta_list": vol.theta_list.tolist(),
             "pairs": vol.pairs.tolist(),
             "path": vol.path,
@@ -330,7 +361,7 @@ def volume_writer(path):
     with _replacing(path, _sidecar(path)) as (payload, sidecar):
         writer = VolumeWriter(payload)
         yield writer
-        sidecar.write(_json_bytes(writer._meta()))
+        _write_json(sidecar, writer._meta())
         writer.bytes = payload.tell() + sidecar.tell()
 
 
@@ -368,7 +399,7 @@ def read_volume(path):
         if version == BLADE_MAJOR:
             blades = _read_payload(fh, path, np.empty((count,) + sizes, dtype="<f8"))
     try:
-        with open(_sidecar(path), "rb") as fh:
+        with open(_sidecar(path), encoding="utf-8") as fh:  # no bytes beside the text
             meta = json.load(fh)
         if meta.get("kind") != "volume":
             raise FormatError("%s is not a volume file" % path)

@@ -61,6 +61,7 @@ signal has one live pair of the 2^(n-1).
 """
 
 import warnings
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -240,30 +241,6 @@ def window_spectra(values, spec):
     return np.fft.fftn(np.fft.ifftshift(values, axes=axes), axes=axes) * spec.cell_weight(SPACE)
 
 
-def separable_spectra(terms, spec, u_rows, modulated=False):
-    """:func:`window_spectra` of psi(A_u y) for each u row, shape (rows, 1) +
-    spec.shape, for a window with ``terms = psi.separable_terms()``, built
-    from 1-D FFTs without evaluating psi on the lattice:
-
-        B_u = sum_t c_t (x)_i fft(ifftshift(g_t(u_i x))) dx
-
-    ``modulated`` gives instead M_u, the spectrum of e^{j u.y} psi(A_u y):
-    the same outer products of the 1-D FFTs of g_t(u_i x) e^{j u_i x}.
-    """
-    arg = u_rows.T[:, :, None] * spec.axis(SPACE)  # (n, rows, N)
-    factors = np.array([g(arg) for _, g in terms], dtype=np.complex128)  # (terms, n, rows, N)
-    if modulated:
-        factors *= np.exp(1j * arg)
-    factors = np.fft.fft(np.fft.ifftshift(factors, axes=-1)) * spec.dx
-    # per row, the sum over terms of the outer products is a product of
-    # matrices with the term as the inner axis
-    rows, count = arg.shape[1], len(terms)
-    acc = np.moveaxis(factors[:, 0], 0, -1) * np.array([c for c, _ in terms])
-    for axis in range(1, spec.n - 1):
-        acc = (acc[:, :, None] * np.moveaxis(factors[:, axis], 0, -1)[:, None]).reshape(rows, -1, count)
-    return (acc @ np.moveaxis(factors[:, -1], 0, 1)).reshape((rows, 1) + spec.shape)
-
-
 def axis_phase_multiply(block, spec, u_rows, rate, scale, out=None):
     """block[r] scale[r] e^{j (u_r.b + rate |b|^2)} over the b-grid of each
     row r (one u row for an array of pairs), into ``out`` or a new array: 1-D
@@ -281,6 +258,12 @@ def axis_phase_multiply(block, spec, u_rows, rate, scale, out=None):
     return out
 
 
+def along(table, axis, n):
+    """A (..., N) table shaped to multiply arrays (..., P) + b-shape along
+    b-axis ``axis`` of n, its leading axes against theirs."""
+    return table.reshape(table.shape[:-1] + (1,) * (axis + 1) + (-1,) + (1,) * (n - 1 - axis))
+
+
 class Plan:
     """What every pass over one (u, theta) set shares, worked out once: the
     one place that classifies and weighs the u rows.
@@ -294,9 +277,26 @@ class Plan:
     :func:`~clcst.windows.window_angles`, each standing for ``copies``
     thetas.
 
-    :meth:`blocks` yields the window spectra of consecutive blocks of u rows
-    and adds each block's admissibility term to the profile as it yields;
-    :meth:`profile` is that profile once a pass is through.
+    A radial window with separable terms (``terms``) also gets per-axis
+    tables.  Per axis i: ``values[i]``, the distinct u_i of the list, and
+    ``index[:, i]``, each row's value among them; ``axis_lattice[i]``, each
+    value's lattice class at ROLL_TOLERANCE; and ``m[i]`` and ``b[i]``, shape
+    (terms, values, N), the 1-D FFTs of g_t(v x) e^{j v x} and of g_t(v x),
+    times dx and, on axis 0, the term's coefficient c_t.  The window's n-D
+    spectra are sums over terms of outer products of these tables
+    (:meth:`spectra`), and its admissibility profile is computed from them
+    without an n-D spectrum (:meth:`profile`).
+
+    The rows that share their leading values u_0 .. u_{n-2} with the rows
+    beside them form runs.  A run of more rows than the window has terms is
+    ``factored``: its slices are computed one axis at a time
+    (:class:`AxisSlices`, :class:`AxisSynthesis`), which shares each axis's
+    partial transform across the run.  Every other row, and every row of a
+    window without tables, takes the n-D route: its window spectra are
+    built, multiplied with the signal's spectrum and inverted by n-D FFTs.
+
+    :meth:`blocks` yields consecutive blocks of u rows, each on one route,
+    with the n-D route's window spectra.
     """
 
     def __init__(self, psi, spec, u_list, theta_list, u_weights):
@@ -308,7 +308,58 @@ class Plan:
         self.weights = u_weights * theta_weight(theta_list) * self.det
         self.angles = window_angles(psi, theta_list)
         self.copies = len(theta_list) // len(self.angles)
-        self.terms = psi.separable_terms() if isinstance(psi, WindowSpec) else None
+        # the tables hold psi(A_u y), not its rotations: radial windows only
+        radial = isinstance(psi, WindowSpec) and psi.radial
+        self.terms = psi.separable_terms() if radial else None
+        self.factored = np.zeros(len(u_list), dtype=bool)
+        if self.terms is not None:
+            self._axis_tables()
+
+    def _axis_tables(self):
+        spec, terms = self.spec, self.terms
+        x = spec.axis(SPACE)
+        self.index = np.empty(self.u_list.shape, dtype=np.intp)
+        self.values, self.axis_lattice, self.m, self.b = [], [], [], []
+        for axis in range(spec.n):
+            values, self.index[:, axis] = np.unique(self.u_list[:, axis], return_inverse=True)
+            arg = values[:, None] * x
+            g = np.array([g(arg) for _, g in terms], dtype=np.complex128)  # (terms, values, N)
+            if axis == 0:
+                g *= np.reshape([c for c, _ in terms], (-1, 1, 1))
+            self.b.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
+            g *= np.exp(1j * arg)
+            self.m.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
+            self.values.append(values)
+            self.axis_lattice.append(lattice_steps(values, spec.dw, ROLL_TOLERANCE)[1])
+        leading = self.index[:, :-1]
+        self.run_starts = np.ones(len(leading), dtype=bool)
+        self.run_starts[1:] = np.any(leading[1:] != leading[:-1], axis=1)
+        run = np.cumsum(self.run_starts) - 1
+        self.factored = np.bincount(run)[run] > len(terms)
+
+    def phases(self, rate):
+        """Per axis, e^{j (v b + rate b^2)} over the b-axis for each value v
+        of the axis on the lattice, e^{j rate b^2} for one off it: shape
+        (values, N)."""
+        b = self.spec.axis(SPACE)
+        return [np.exp(1j * (np.where(lattice, values, 0.0)[:, None] * b + rate * b**2))
+                for values, lattice in zip(self.values, self.axis_lattice)]
+
+    def spectra(self, rows, modulated):
+        """The n-D window spectra of u rows ``rows``, shape (rows, 1) +
+        spec.shape, from the tables: M, the spectra of e^{j u.y} psi(A_u y),
+        if ``modulated``, else B, the plain spectra of
+        :func:`window_spectra`.  Per row the sum over terms of the outer
+        products is a product of matrices with the term as the inner axis."""
+        tables = self.m if modulated else self.b
+        index = self.index[rows]
+        count, terms = len(index), len(self.terms)
+        acc = np.moveaxis(tables[0][:, index[:, 0]], 0, -1)  # (rows, N, terms)
+        for axis in range(1, self.spec.n - 1):
+            factor = np.moveaxis(tables[axis][:, index[:, axis]], 0, -1)
+            acc = (acc[:, :, None] * factor[:, None]).reshape(count, -1, terms)
+        last = np.moveaxis(tables[-1][:, index[:, -1]], 0, 1)  # (rows, terms, N)
+        return (acc @ last).reshape((count, 1) + self.spec.shape)
 
     @property
     def row_bytes(self):
@@ -317,50 +368,66 @@ class Plan:
         on the lattice first holds its n coordinates and their squares, 16 n,
         and a sum of them, 8; then its real values, 8, their modulated copy,
         16, and M, that copy in FFT order.  An off-lattice row's B is another
-        16."""
+        16.  A factored block holds no spectra: its partial transforms are
+        kept per run, not per row, and these bytes bound them."""
         per_point = 16 if self.terms is not None else max(40, 16 * self.spec.n + 8)
         return per_point * len(self.angles) * self.spec.point_count
 
+    def _bounds(self, rows):
+        """(start, stop) of consecutive blocks of at most ``rows`` u rows,
+        each of them factored or not throughout."""
+        edges = [0, *(np.flatnonzero(np.diff(self.factored)) + 1), len(self.u_list)]
+        for first, last in zip(edges[:-1], edges[1:]):
+            for start in range(first, last, rows):
+                yield start, min(start + rows, last)
+
     def blocks(self, rows, plain=False):
-        """(start, stop, M, B) for consecutive blocks of ``rows`` u rows.
+        """(start, stop, M, B) for consecutive blocks of at most ``rows`` u
+        rows, each factored or not throughout.  A factored block has M None
+        and B empty: its slices need no n-D spectra.
 
         M holds the modulated spectrum of each window of the block, one per
         angle, shape (rows, angles) + spec.shape; for a lattice u = k dw it
         is roll(B, k), B the plain spectrum of :func:`window_spectra`.  With
         ``plain``, B maps each off-lattice row of the block to its plain
-        spectra; otherwise it is empty.  A separable window builds both from
-        1-D FFTs (:func:`separable_spectra`); any other window is evaluated
-        on the lattice once per (u, angle), modulated
-        (:func:`axis_phase_multiply`), put in FFT order and transformed in
-        place, and transformed once more for B.
+        spectra; otherwise it is empty.  A window with tables builds both
+        from them (:meth:`spectra`); any other window is evaluated on the
+        lattice once per (u, angle), modulated (:func:`axis_phase_multiply`),
+        put in FFT order and transformed in place, and transformed once more
+        for B.
 
-        Before a block is yielded, its terms weights[r] copies |det A_u|
+        Such a window's profile terms weights[r] copies |det A_u|
         sum_angle |M_{r,angle}|^2 are added to the profile, which this pass
-        starts from zero: |M|^2 (2 pi)^(-n), shifted by N/2, is |Q|^2 for
-        Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)], on or off the lattice.
-        :meth:`profile` applies that shift and scale once.
+        starts from zero, before its block is yielded: |M|^2 (2 pi)^(-n),
+        shifted by N/2, is |Q|^2 for Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)],
+        on or off the lattice.  :meth:`profile` applies that shift and scale
+        once.
         """
-        spec, psi, terms = self.spec, self.psi, self.terms
+        spec, psi = self.spec, self.psi
         axes = tuple(range(-spec.n, 0))
         cell = spec.cell_weight(SPACE)
         power_weights = self.weights * self.copies * self.det
         self.power = np.zeros(spec.shape)
-        for start in range(0, len(self.u_list), rows):
-            stop = min(start + rows, len(self.u_list))
+        for start, stop in self._bounds(rows):
+            if self.factored[start]:
+                yield start, stop, None, {}
+                continue
             u_rows = self.u_list[start:stop]
             off = np.flatnonzero(~self.on_lattice[start:stop]) if plain else []
-            if terms is None:
-                values = window_block(psi, spec, u_rows, self.angles)
-                M = np.fft.ifftshift(axis_phase_multiply(values, spec, u_rows, 0.0, cell), axes=axes)
-                np.fft.fftn(M, axes=axes, out=M)
-                B = []
-                if len(off):
-                    B = np.fft.fftn(np.fft.ifftshift(values[off], axes=axes), axes=axes)
-                    B *= cell
-                del values
-            else:
-                M = separable_spectra(terms, spec, u_rows, modulated=True)
-                B = separable_spectra(terms, spec, u_rows[off]) if len(off) else []
+            if self.terms is not None:
+                M = self.spectra(slice(start, stop), modulated=True)
+                B = self.spectra(start + off, modulated=False) if len(off) else []
+                yield start, stop, M, dict(zip(off, B))
+                del M, B  # before the next block's are built
+                continue
+            values = window_block(psi, spec, u_rows, self.angles)
+            M = np.fft.ifftshift(axis_phase_multiply(values, spec, u_rows, 0.0, cell), axes=axes)
+            np.fft.fftn(M, axes=axes, out=M)
+            B = []
+            if len(off):
+                B = np.fft.fftn(np.fft.ifftshift(values[off], axes=axes), axes=axes)
+                B *= cell
+            del values
             flat = M.view(np.float64).reshape(stop - start, -1)  # real and imaginary parts
             summed = np.einsum("r,rk,rk->k", power_weights[start:stop], flat, flat)
             self.power += (summed[0::2] + summed[1::2]).reshape((-1,) + spec.shape).sum(axis=0)
@@ -368,13 +435,42 @@ class Plan:
             yield start, stop, M, dict(zip(off, B))
             del M, B  # before the next block's are built
 
+    def _table_power(self):
+        """sum_r weights[r] copies |det A_u| |M_r|^2 from the tables, as
+        sum_{t,s} sum_r w_r (x)_i m_{t,i} conj(m_{s,i}).  Per pair of terms
+        and block of rows, the last axis's factors are weighted and summed
+        over each run of rows that share their other values; then each
+        earlier axis's factor multiplies those sums, and the rows that share
+        the values before it are summed, and so on up to axis 0.  The pairs
+        (t, s) and (s, t) are conjugate, so each unordered pair is taken
+        once, twice weighted."""
+        spec, n = self.spec, self.spec.n
+        weights = self.weights * self.copies * self.det
+        step = block_rows(16 * spec.point_count)
+        power = np.zeros(spec.point_count, dtype=np.complex128)
+        for t, s in combinations_with_replacement(range(len(self.terms)), 2):
+            pair = [m[t] * m[s].conj() for m in self.m]  # (values, N) per axis
+            for start in range(0, len(self.u_list), step):
+                index = self.index[start:start + step]
+                acc = pair[-1][index[:, -1]] * weights[start:start + step, None] * (2 - (t == s))
+                for axis in range(n - 2, -1, -1):
+                    runs = np.ones(len(index), dtype=bool)
+                    runs[1:] = np.any(index[1:, :axis + 1] != index[:-1, :axis + 1], axis=1)
+                    starts = np.flatnonzero(runs)
+                    acc, index = np.add.reduceat(acc, starts), index[starts]
+                    acc = (pair[axis][index[:, axis], :, None] * acc[:, None]).reshape(len(index), -1)
+                power += acc.sum(axis=0)
+        return power.real.reshape(spec.shape)
+
     def profile(self, ctx):
-        """The admissibility profile of the last :meth:`blocks` pass, shifted
-        to the centered frequency lattice, as a frequency-domain scalar
-        signal, and its min, max, mean and relative variation."""
+        """The admissibility profile of the plan's windows, shifted to the
+        centered frequency lattice, as a frequency-domain scalar signal, and
+        its min, max, mean and relative variation: from the tables, or for
+        a window without them, that of the last :meth:`blocks` pass."""
         spec = self.spec
+        power = self.power if self.terms is None else self._table_power()
         centre = (spec.samples_per_axis // 2,) * spec.n
-        profile = np.roll(self.power, centre, axis=tuple(range(spec.n))) * (2.0 * np.pi) ** (-spec.n)
+        profile = np.roll(power, centre, axis=tuple(range(spec.n))) * (2.0 * np.pi) ** (-spec.n)
         sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
         stats = {
             "min": float(profile.min()),
@@ -385,6 +481,204 @@ class Plan:
             (stats["max"] - stats["min"]) / stats["mean"] if stats["mean"] > 0 else np.inf
         )
         return sig, stats
+
+
+def _runs(plan, start, stop):
+    """(first, last) of the runs of rows start:stop, cut at the block's ends."""
+    bounds = [start, *(start + 1 + np.flatnonzero(plan.run_starts[start + 1:stop])), stop]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _shared_prefix(keys, key):
+    """How many leading entries of ``keys`` equal those of ``key``."""
+    count = 0
+    while count < len(keys) and keys[count] == key[count]:
+        count += 1
+    return count
+
+
+class AxisSlices:
+    """The slices of the factored rows of :class:`Plan` on the pairs z,
+    closed with the chirp e^{-j rate |b|^2}, one axis at a time:
+
+        S_u = |det A_u| (2 pi)^(-n/2) sum_t O_{t,n-1}(u_{n-1}) ... O_{t,0}(u_0) z.
+
+    O_{t,i}(v) acts on b-axis i alone.  For a lattice value v it multiplies
+    the axis-i spectrum by conj(m_{t,i}(v)), inverts it by one 1-D FFT and
+    closes with e^{-j (v b_i + rate b_i^2)}; off the lattice it modulates by
+    e^{-j x_i v}, transforms, multiplies by conj(b_{t,i}(v)), inverts and
+    closes with e^{-j rate b_i^2}.  That is the frequency shift of the fast
+    S-transform (Stockwell, Mansinha and Lowe, 1996) one axis at a time,
+    which holds because psi(A_u y) is a sum of products of 1-D factors.
+
+    Operators on different axes commute, so the rows that share u_0 ..
+    u_{i-1} share the partial result after axis i - 1.  The partials of the
+    last row's leading values are kept, one per term, for the rows after
+    it, in its block or the next.  The terms are summed before the last
+    axis's inverse FFT, one call for each run of a block."""
+
+    def __init__(self, z, plan, rate):
+        self.plan = plan
+        self.closings = [phases.conj() for phases in plan.phases(rate)]
+        self.scale = plan.det * (2.0 * np.pi) ** (-plan.spec.n / 2.0)
+        self.nodes = [z[None]]  # nodes[i]: the partial after axes 0 .. i - 1
+        self.spectra = [None]  # spectra[i]: nodes[i]'s FFT along axis i, once needed
+        self.keys = []  # keys[i]: the value index on axis i of nodes[i + 1]
+
+    def _spectrum(self, axis):
+        if self.spectra[axis] is None:
+            self.spectra[axis] = np.fft.fft(self.nodes[axis], axis=axis - self.plan.spec.n)
+        return self.spectra[axis]
+
+    def _modulated_spectrum(self, axis, j):
+        """fft(nodes[axis] e^{-j x v}) along axis, v the value of index j."""
+        plan, n = self.plan, self.plan.spec.n
+        wave = np.exp(-1j * plan.values[axis][j] * plan.spec.axis(SPACE))
+        return np.fft.fft(self.nodes[axis] * along(wave, axis, n), axis=axis - n)
+
+    def _node(self, axis, j):
+        """O_{t,axis}(v) nodes[axis] for every term t, v the value of index j."""
+        plan, n = self.plan, self.plan.spec.n
+        if plan.axis_lattice[axis][j]:
+            out = self._spectrum(axis) * along(plan.m[axis][:, j].conj(), axis, n)
+        else:
+            out = self._modulated_spectrum(axis, j) * along(plan.b[axis][:, j].conj(), axis, n)
+        np.fft.ifft(out, axis=axis - n, out=out)
+        out *= along(self.closings[axis][j], axis, n)
+        return out
+
+    def __call__(self, start, stop, out):
+        """Write the slices of the factored u rows start:stop into ``out``,
+        shape (rows, P) + b-shape."""
+        plan, n = self.plan, self.plan.spec.n
+        last = n - 1
+        for first, end in _runs(plan, start, stop):
+            key = plan.index[first, :last]
+            keep = _shared_prefix(self.keys, key)
+            del self.keys[keep:], self.nodes[keep + 1:], self.spectra[keep + 1:]
+            for axis in range(keep, last):
+                self.nodes.append(self._node(axis, key[axis]))
+                self.spectra.append(None)
+                self.keys.append(key[axis])
+            rows = out[first - start:end - start]
+            j = plan.index[first:end, last]
+            lattice = plan.axis_lattice[last][j]
+            # the terms are summed row by row, beside a temporary of one row
+            m, b = plan.m[last][:, j].conj(), plan.b[last][:, j].conj()
+            for i, row in enumerate(rows):
+                if lattice[i]:
+                    _sum_terms(self._spectrum(last), m[:, i], last, n, row)
+                else:
+                    _sum_terms(self._modulated_spectrum(last, j[i]), b[:, i], last, n, row)
+            np.fft.ifft(rows, axis=-1, out=rows)
+            closing = self.closings[last][j] * self.scale[first:end, None]
+            rows *= along(closing, last, n)
+
+
+def _sum_terms(spectra, tables, axis, n, out):
+    """out = sum_t spectra[t] tables[t] along b-axis ``axis``, tables of shape
+    (terms, N)."""
+    np.multiply(spectra[0], along(tables[0], axis, n), out=out)
+    for t in range(1, len(tables)):
+        out += spectra[t] * along(tables[t], axis, n)
+
+
+class AxisSynthesis:
+    """The adjoint of :class:`AxisSlices`: the sum over the factored rows
+    of a plan of K_{t,0}(u_0) ... K_{t,n-1}(u_{n-1}) applied to each row's
+    weighted slice, summed over the terms t, in reverse order.
+
+    K_{t,i}(v) acts on b-axis i alone: it opens with e^{j (v b_i + rate
+    b_i^2)} for a lattice value v, with e^{j rate b_i^2} off the lattice,
+    transforms, and multiplies by m_{t,i}(v) on the lattice; off it, it
+    multiplies by b_{t,i}(v), inverts and modulates by e^{j x_i v}.  Each row
+    takes axis n - 1's operator, and the lattice products of a run are
+    summed before its one inverse FFT.  Each run's sum, once its rows are
+    all in, takes the next axis outward into the sum of the rows that share
+    one value fewer, and so on up to axis 0, whose sum is inverted once in
+    :meth:`total`.  Rows come in order, block by block."""
+
+    def __init__(self, plan, rate):
+        self.plan = plan
+        self.openings = plan.phases(rate)
+        n = plan.spec.n
+        self.keys = []  # keys[i]: the value index on axis i of the rows being summed
+        # per depth d, the terms' sums of what axis d added: their spectra
+        # along axis d, from lattice values, and in space, from the others
+        self.sums = [[None, None] for _ in range(n)]
+
+    def _buffer(self, depth, part, like):
+        """The terms' sum ``part`` at depth ``depth``, zeros until first used."""
+        sums = self.sums[depth]
+        if sums[part] is None:
+            shape = (len(self.plan.terms),) + like.shape[-self.plan.spec.n - 1:]
+            sums[part] = np.zeros(shape, dtype=np.complex128)
+        return sums[part]
+
+    def _add_off_lattice(self, depth, spectrum, j):
+        """Add e^{j x v} ifft(spectrum b_{t,depth}(v)) for every term t, v the
+        value of index j, to the space sum of depth ``depth``."""
+        plan, n = self.plan, self.plan.spec.n
+        term = spectrum * along(plan.b[depth][:, j], depth, n)
+        np.fft.ifft(term, axis=depth - n, out=term)
+        term *= along(np.exp(1j * plan.values[depth][j] * plan.spec.axis(SPACE)), depth, n)
+        self._buffer(depth, 1, term)[...] += term
+
+    def _sum(self, depth):
+        """The terms' sums at depth ``depth``, in space, which are then reset."""
+        spectrum, space = self.sums[depth]
+        self.sums[depth] = [None, None]
+        if spectrum is None:
+            return space
+        np.fft.ifft(spectrum, axis=depth - self.plan.spec.n, out=spectrum)
+        return spectrum if space is None else spectrum + space
+
+    def _close(self, depth):
+        """Take the complete sum of depth ``depth`` through axis depth - 1."""
+        plan, n, axis = self.plan, self.plan.spec.n, depth - 1
+        j = self.keys[axis]
+        opened = self._sum(depth) * along(self.openings[axis][j], axis, n)
+        np.fft.fft(opened, axis=axis - n, out=opened)
+        if plan.axis_lattice[axis][j]:
+            opened *= along(plan.m[axis][:, j], axis, n)
+            self._buffer(axis, 0, opened)[...] += opened
+        else:
+            self._add_off_lattice(axis, opened, j)
+
+    def __call__(self, start, stop, slices, weights):
+        """Add the factored u rows start:stop: ``slices``, shape (rows, P) +
+        b-shape, and their synthesis ``weights``."""
+        plan, n = self.plan, self.plan.spec.n
+        last = n - 1
+        for first, end in _runs(plan, start, stop):
+            key = plan.index[first, :last]
+            keep = _shared_prefix(self.keys, key)
+            for depth in range(len(self.keys), keep, -1):
+                self._close(depth)
+            self.keys[keep:] = key[keep:]
+            j = plan.index[first:end, last]
+            opening = self.openings[last][j] * weights[first - start:end - start, None]
+            spectra = slices[first - start:end - start] * along(opening, last, n)
+            np.fft.fft(spectra, axis=-1, out=spectra)
+            lattice = plan.axis_lattice[last][j]
+            for i in np.flatnonzero(~lattice):
+                self._add_off_lattice(last, spectra[i], j[i])
+            if lattice.any():
+                if not lattice.all():
+                    spectra = spectra[lattice]
+                tables, sums = plan.m[last][:, j[lattice]], self._buffer(last, 0, spectra)
+                for t, table in enumerate(tables):
+                    last_term = t == len(tables) - 1
+                    product = np.multiply(spectra, along(table, last, n),
+                                          out=spectra if last_term else None)
+                    sums[t] += np.sum(product, axis=0)
+
+    def total(self):
+        """The sum over every row added, in space, shape (P,) + b-shape."""
+        for depth in range(len(self.keys), 0, -1):
+            self._close(depth)
+        self.keys = []
+        return np.sum(self._sum(0), axis=0)
 
 
 def fill_volume(vol, plan, fill_block, sink=None):
@@ -437,19 +731,26 @@ def spectrum_slices(z, plan, rate):
     close with the chirp e^{-j rate |b|^2} (rate 0 for the Stockwell
     transform).
 
-    fftn(z) is taken here once.  The lattice rows' slice spectra are
-    fftn(z) conj(M), one broadcast product over the block; an off-lattice
-    row's is fftn(z e^{-j x.u}) conj(B), one row at a time.  One in-place
-    ifftn inverts the block.  Each slice is then multiplied over the b-grid
-    by the chirp, |det A_u| (2 pi)^(-n/2) and, for a lattice u, e^{-j u.b},
-    as per-axis 1-D factors (:func:`axis_phase_multiply`).
+    A factored block goes axis by axis (:class:`AxisSlices`).  For the n-D
+    route, fftn(z) is taken once, if any of its rows is on the lattice.
+    The lattice rows' slice spectra are fftn(z) conj(M), one broadcast
+    product over the block; an off-lattice row's is fftn(z e^{-j x.u})
+    conj(B), one row at a time.  One in-place ifftn inverts the block.  Each
+    slice is then multiplied over the b-grid by the chirp, |det A_u|
+    (2 pi)^(-n/2) and, for a lattice u, e^{-j u.b}, as per-axis 1-D factors
+    (:func:`axis_phase_multiply`).
     """
     spec = plan.spec
     axes = tuple(range(-spec.n, 0))
-    Z = np.fft.fftn(z, axes=axes)
     scale = plan.det * (2.0 * np.pi) ** (-spec.n / 2.0)
+    factored = AxisSlices(z, plan, rate) if plan.factored.any() else None
+    if np.any(plan.on_lattice & ~plan.factored):
+        Z = np.fft.fftn(z, axes=axes)
 
     def fill(start, stop, M, B, block):
+        if M is None:  # the window's one column
+            factored(start, stop, block[:, 0])
+            return
         lattice = plan.on_lattice[start:stop]
         if lattice.any():  # off-lattice rows are left for their own spectra
             where = True if lattice.all() else lattice.reshape((-1,) + (1,) * (block.ndim - 1))
@@ -467,13 +768,19 @@ def row_slices(slices_of_u, plan):
     """``fill_block`` for :func:`fill_volume` from ``slices_of_u(ui, spectra,
     out)``, which writes the slices of u row ui into ``out``, shape
     (A, pairs) + b-shape, given the plain spectra B of its A windows; a
-    lattice row's B is roll(M, -k)."""
+    lattice row's B is roll(M, -k), and a factored row's the outer products
+    of the plan's tables (:meth:`Plan.spectra`)."""
     steps, on_lattice = plan.steps, plan.on_lattice
     axes = tuple(range(-plan.spec.n, 0))
 
     def fill(start, stop, M, B, block):
         for i, ui in enumerate(range(start, stop)):
-            spectra = np.roll(M[i], tuple(-steps[ui]), axis=axes) if on_lattice[ui] else B[i]
+            if M is None:
+                spectra = plan.spectra([ui], modulated=False)[0]
+            elif on_lattice[ui]:
+                spectra = np.roll(M[i], tuple(-steps[ui]), axis=axes)
+            else:
+                spectra = B[i]
             slices_of_u(ui, spectra, block[i])
 
     return fill

@@ -39,6 +39,7 @@ from .grid import (
 )
 from .stockwell import (
     BIN_TOLERANCE,
+    AxisSynthesis,
     NonUnitWindowWarning,
     Plan,
     Rotation,
@@ -216,8 +217,9 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     if len(u_list) == 0 or len(theta_list) == 0:
         raise TransformError("admissibility needs a non-empty (u, theta) set")
     plan = Plan(psi, spec, u_list, theta_list, u_weights_from_list(u_list))
-    for block in plan.blocks(block_rows(plan.row_bytes)):
-        del block  # before the next block's spectra are built
+    if plan.terms is None:  # a window without tables adds its terms block by block
+        for block in plan.blocks(block_rows(plan.row_bytes)):
+            del block  # before the next block's spectra are built
     return plan.profile(ctx)
 
 
@@ -309,14 +311,19 @@ def reconstruct_resolution(vol, psi, params):
     # multiplied in place, 16 bytes each, beside the window block
     row_bytes = 48 * columns * (ctx.blade_count // 2) * spec.point_count
     rows = block_rows(row_bytes + plan.row_bytes)
+    factored = AxisSynthesis(plan, rate) if plan.factored.any() else None
     for start, stop, M, B in plan.blocks(rows, plain=True):
         u_rows, lattice = vol.u_list[start:stop], plan.on_lattice[start:stop]
         s = vol.rows(start, stop)
-        if s.shape[1] > M.shape[1]:  # T stored columns, one window for every theta
+        angles = 1 if M is None else M.shape[1]
+        if s.shape[1] > angles:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
-        elif s.shape[1] < M.shape[1]:  # one stored column, a window per theta
+        elif s.shape[1] < angles:  # one stored column, a window per theta
             M = np.sum(M, axis=1, keepdims=True)
             B = {i: np.sum(b, axis=0, keepdims=True) for i, b in B.items()}
+        if M is None:
+            factored(start, stop, s[:, 0], weights[start:stop])
+            continue
         # weight x chirp x e^{j u.b} on the lattice, before one fftn, into a
         # new array: the rows may be the volume's own
         s = axis_phase_multiply(s, spec, plan.lattice_u[start:stop], rate, weights[start:stop])
@@ -329,6 +336,8 @@ def reconstruct_resolution(vol, psi, params):
         summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
         del M, B, s  # before the next block's spectra are built
     total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
+    if factored is not None:
+        total += factored.total()
     admissibility = plan.profile(ctx)
     c_psi = admissibility[1]["mean"]
     if not c_psi > 0:
@@ -389,12 +398,11 @@ def marginal_spectrum(vol, params, theta):
         first = tuple(int(i) for i in np.argwhere(missing)[0])
         raise MissingCoverageError("volume u-list does not cover frequency bin %r" % (first,))
     # one b-contraction per u and stored pair: sum_b z(b, u) e^{j A|b|^2/2B} dx^n,
-    # taken block by block on the stored column
+    # taken block by block on the stored column, which alone is read
     kernel = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE).ravel()) * vol.b_weight
     G = np.empty((len(vol.pairs), vol.u_count), dtype=np.complex128)
-    for start, stop, block in vol.blocks():
-        G[:, start:stop] = (block[:, vol.column(ti)].reshape(stop - start, len(vol.pairs), -1)
-                            @ kernel).T
+    for start, stop, block in vol.blocks(vol.column(ti)):
+        G[:, start:stop] = (block.reshape(stop - start, len(vol.pairs), -1) @ kernel).T
     spectrum = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)
     spectrum[(slice(None),) + bins] = G[:, rows]
     _fill_axis_planes(spectrum, spec.n)

@@ -45,6 +45,7 @@ def u_weights_from_list(u_list):
 
 DEFAULT_THETAS = (0.0, np.pi / 4, np.pi / 2)
 BLOCK_BYTES = 4 << 20  # bound on the u rows of one block held at a time
+MEMORY_BYTES = 1 << 30  # bound on a payload held in memory; a larger one goes to a sink
 
 
 def block_rows(bytes_per_u):
@@ -95,13 +96,14 @@ class CLCSTVolume:
     The payload is given in one of three ways:
 
     * the ``stored`` array itself;
-    * a reader with that array's ``shape``, ``rows(start, stop)`` and
-      ``load()``, as for a volume file (:func:`~clcst.io.read_volume`): the
+    * a reader with that array's ``shape``, ``rows(start, stop, column)``
+      and ``load()``, as for a volume file (:func:`~clcst.io.read_volume`): the
       rows stay in the file until ``stored`` loads them, once;
     * None, for a volume that holds no payload until :meth:`allocate`, as
       when its u-blocks went to a sink while they were computed.
 
-    :meth:`rows` reads a block of u rows without loading the rest.
+    :meth:`rows` reads a block of u rows, of one stored column or all,
+    without loading the rest.
     """
 
     def __init__(self, spec, ctx, u_list, theta_list, stored=None, params=None,
@@ -149,24 +151,33 @@ class CLCSTVolume:
         return self._stored
 
     def allocate(self):
-        """Hold a payload of zeros in memory, for slices to be set into."""
+        """Hold a payload of zeros in memory, for slices to be set into; one
+        above MEMORY_BYTES is refused before it is allocated."""
+        size = 16 * int(np.prod(self.stored_shape, dtype=np.float64))
+        if size > MEMORY_BYTES:
+            raise GridError("a volume of %d bytes is more than the %d that are held in memory; "
+                            "stream its u-blocks to a file instead (sink=)" % (size, MEMORY_BYTES))
         self._stored = np.zeros(self.stored_shape, dtype=np.complex128)
 
-    def rows(self, start, stop):
-        """stored[start:stop]: a view of a payload in memory, or else u rows
-        start:stop read into one buffer that the next call reuses, so that
-        a caller going block by block holds one block of the payload."""
+    def rows(self, start, stop, column=None):
+        """stored[start:stop], or with ``column`` stored[start:stop,
+        column:column + 1]: a view of a payload in memory, or else those u
+        rows, of one column or all, read into one buffer that the next call
+        reuses, so that a caller going block by block holds one block of
+        the payload."""
         if self._stored is None and self._reader is not None:
-            return self._reader.rows(start, stop)
-        return self.stored[start:stop]
+            return self._reader.rows(start, stop, column)
+        columns = slice(None) if column is None else slice(column, column + 1)
+        return self.stored[start:stop, columns]
 
-    def blocks(self):
+    def blocks(self, column=None):
         """(start, stop, :meth:`rows`) for consecutive blocks of about
-        BLOCK_BYTES of u rows."""
-        step = block_rows(16 * np.prod(self.stored_shape[1:]))
+        BLOCK_BYTES of u rows, of one stored column or all."""
+        shape = self.stored_shape[1:] if column is None else self.stored_shape[2:]
+        step = block_rows(16 * np.prod(shape))
         for start in range(0, self.u_count, step):
             stop = min(start + step, self.u_count)
-            yield start, stop, self.rows(start, stop)
+            yield start, stop, self.rows(start, stop, column)
 
     @property
     def b_weight(self):

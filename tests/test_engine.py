@@ -112,13 +112,28 @@ def mixed_u_list(spec):
     return np.concatenate([steps * spec.dw, off])
 
 
+def tensor_list(spec):
+    """Per axis -N/2, -3, 0.37 and 2 steps of dw: lattice, -N/2 and
+    off-lattice values in a tensor list, whose runs share leading values."""
+    steps = [-(spec.samples_per_axis // 2), -3, 0.37, 2]
+    return tensor_u_list([np.array(steps) * spec.dw] * spec.n)
+
+
+U_LISTS = {
+    "mixed": mixed_u_list,
+    "tensor": tensor_list,
+    "shuffled": lambda spec: np.random.default_rng(17).permutation(tensor_list(spec)),
+}
+
+
 def assert_close(got, expect, tol=1e-13):
     assert np.max(np.abs(got - expect)) <= tol * np.max(np.abs(expect))
 
 
 def assert_slices_close(a, b, tol):
+    values_a, values_b = a.values, b.values  # each unpacks the whole volume
     for ui, ti in np.ndindex(a.u_count, a.theta_count):
-        sa, sb = a.values[..., ui, ti], b.values[..., ui, ti]
+        sa, sb = values_a[..., ui, ti], values_b[..., ui, ti]
         assert np.max(np.abs(sa - sb)) <= tol * np.max(np.abs(sb)), (ui, ti)
 
 
@@ -302,25 +317,38 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["gaussian", "unit", "dog", "composite"])
-def test_separable_route_matches_dense_route(n, kind):
-    """Modulated spectra M and off-lattice plain spectra B built from 1-D
-    FFTs give the block spectra, slices, profiles and synthesis of the same
-    window evaluated on the lattice, on every path and in cst."""
+@pytest.mark.parametrize("u_kind", list(U_LISTS))
+def test_separable_route_matches_dense_route(n, kind, u_kind):
+    """Window spectra built from the plan's per-axis tables, and slices
+    computed one axis at a time on the runs of a tensor list, give the
+    block spectra, slices, profiles and synthesis of the same window
+    evaluated on the lattice, on every path and in cst: on rows that are
+    each their own run, on a tensor list, whose runs are factored, and on
+    that list shuffled, where most runs break."""
     spec, ctx = setting(n)
     psi = radial_window(n, kind)
     dense = Dense(psi)
     assert psi.separable_terms() is not None and dense.separable_terms() is None
     assert dense.radial
-    u = mixed_u_list(spec)
-    fast, slow = (list(Plan(w, spec, u, THETAS, np.ones(len(u))).blocks(3, plain=True))
-                  for w in (psi, dense))
-    assert sum(len(q) for *_, q in fast) == 2  # the two off-lattice rows
-    for (start, stop, spectra, q), (*rows, dense_spectra, dense_q) in zip(fast, slow, strict=True):
-        assert rows == [start, stop] and spectra.shape == dense_spectra.shape
-        assert_close(spectra, dense_spectra)
-        assert q.keys() == dense_q.keys()
-        for i in q:
-            assert_close(q[i], dense_q[i])
+    u = U_LISTS[u_kind](spec)
+    fast, slow = (Plan(w, spec, u, THETAS, np.ones(len(u))) for w in (psi, dense))
+    terms = len(psi.separable_terms())
+    assert fast.factored.all() if u_kind == "tensor" else not fast.factored.all()
+    assert fast.factored.any() == (u_kind == "tensor" or (u_kind == "shuffled" and terms == 1))
+    # the n-D route's rows: the spectra of the tables against the evaluated window
+    expect = {start + i: (M[i], q.get(i)) for start, _, M, q in slow.blocks(3, plain=True)
+              for i in range(len(M))}
+    rows = 0
+    for start, stop, spectra, q in fast.blocks(3, plain=True):
+        assert fast.factored[start:stop].all() == (spectra is None)
+        for i in range(0 if spectra is None else stop - start):
+            dense_spectra, dense_q = expect[start + i]
+            assert_close(spectra[i], dense_spectra)
+            assert (i in q) == (dense_q is not None) == (not fast.on_lattice[start + i])
+            if i in q:
+                assert_close(q[i], dense_q)
+            rows += 1
+    assert rows == np.count_nonzero(~fast.factored)
 
     f = noise(spec, ctx, seed=9)
     for path in PATHS + ("cst",):
@@ -390,6 +418,30 @@ def test_radial_volume_readers_count_the_shared_column_for_every_theta(kind, tmp
             export_spectrogram_csv(tmp_path / (name + ".csv"), vol, 5, ti)
             rows.append(np.loadtxt(tmp_path / (name + ".csv"), delimiter=","))
         assert_close(*rows)
+
+
+def test_in_memory_volume_above_the_bound_is_refused_before_it_is_allocated():
+    """A transform with no sink refuses a payload above MEMORY_BYTES before
+    allocating it, naming its bytes and the sink: 141 x 141 u rows of one
+    pair at N = 64 are 1.3 GB."""
+    import tracemalloc
+
+    from clcst.volume import MEMORY_BYTES
+
+    spec, ctx = GridSpec(2, 6.0, 64), transform_algebra(2)
+    k = np.arange(1, 142) * spec.dw / 3
+    u = tensor_u_list([k, k])
+    f = GridSignal.from_scalar(spec, ctx, np.exp(-spec.squared_radius() / 2))
+    size = 16 * len(u) * spec.point_count
+    assert len(u) == 19881 and size > MEMORY_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match=r"volume of %d bytes .*\(sink=\)" % size):
+            clcst(f, GaussianWindow(2, sigma=0.9), M, u, [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_composite_with_a_skewed_term_is_not_radial():
@@ -471,6 +523,43 @@ def test_one_signal_spectrum_and_one_window_per_slice(tmp_path, counts):
         assert sum(counts["window_points"]) == 0
         # the whole u list fits one block: one call, U A pairs N^n points
         assert counts["inverse"] == [(len(COUNT_U_STEPS), angles, pairs) + spec.shape]
+
+
+@pytest.fixture
+def fft_work(monkeypatch):
+    """The points of every numpy.fft.fft, ifft, fftn and ifftn call from here
+    to the end of the test, each times the number of axes it transforms."""
+    work = []
+
+    def counted(fn, one_axis):
+        def wrapper(a, *args, **kwargs):
+            axes = kwargs.get("axes", args[1] if len(args) > 1 else None)
+            work.append(np.size(a) * (1 if one_axis else np.ndim(a) if axes is None else len(axes)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), name in ("fft", "ifft")))
+    return work
+
+
+def test_off_lattice_tensor_list_shares_each_axis_partial_transform(fft_work):
+    """A three_step transform of a 3 x 3 x 3 off-lattice tensor list (n = 3,
+    N = 16, a Gaussian window and a scalar signal) takes one forward and one
+    inverse axis pass per node of its tree of values, 3 + 9 + 27 of them:
+    at most 90 N^3 points of FFT work, against 165.6 N^3 when each row took
+    its own n-D FFTs and the signal's unused fftn was taken too."""
+    spec, ctx = GridSpec(3, 4.0, 16), transform_algebra(3)
+    per_axis = [np.array([-2.3, 0.6, 1.45]) * spec.dw, np.array([-1.2, 0.9, 2.7]) * spec.dw,
+                np.array([-0.8, 1.3, 3.4]) * spec.dw]
+    u = tensor_u_list(per_axis)
+    f = GridSignal.from_scalar(spec, ctx, np.exp(-spec.squared_radius() / (2 * 0.8**2)))
+    psi = GaussianWindow(3, sigma=1.0)
+    assert Plan(psi, spec, u, THETAS, np.ones(len(u))).factored.all()
+    vol = clcst(f, psi, M, u, THETAS, path="three_step")
+    assert sum(fft_work) <= 90 * spec.point_count
+    del fft_work[:]
+    assert_slices_close(vol, clcst(f, psi, M, u, THETAS, path="direct"), 1e-12)
 
 
 @pytest.fixture

@@ -197,6 +197,31 @@ def write_blade_volume(path, vol, version):
     path.write_bytes(header + np.ascontiguousarray(payload, dtype="<f8").tobytes())
 
 
+@pytest.mark.parametrize("version", [2, 3])
+def test_one_column_read_holds_that_column(tmp_path, version):
+    """rows(start, stop, column) of a volume of T_s = T columns equals
+    stored[start:stop, column:column + 1], in memory and read from a version
+    2 or 3 file, whose read buffer then holds that one column of the rows."""
+    vol = small_volume(radial=False)
+    path = tmp_path / "v.clcg"
+    if version == 3:
+        write_volume(path, vol)
+    else:
+        write_blade_volume(path, vol, 2)
+    assert vol.stored_theta_columns == 3
+    # the buffer's items per u row: complex pairs, or a version 2 file's blades
+    per_row = (vol.stored.shape[2] if version == 3 else CTX.blade_count) * SPEC.point_count
+    for column in range(3):
+        for start, stop in ((0, 2), (1, 2), (0, 1)):
+            expect = vol.stored[start:stop, column:column + 1]
+            assert np.array_equal(vol.rows(start, stop, column), expect)
+            back = read_volume(path)
+            got = back.rows(start, stop, column)
+            assert got.shape == expect.shape and np.array_equal(got, expect)
+            assert back._reader._buffer.size == (stop - start) * per_row
+            assert back._stored is None
+
+
 @pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "not-radial"])
 def test_blade_volume_reads_back_and_rewrites_as_version_3(tmp_path, radial, version):

@@ -254,9 +254,10 @@ def _write_json(fh, meta):
     array values stand for their lists: each array is encoded 1024 rows at
     a time, so that neither its whole list of Python floats nor that list's
     text is held at once."""
+    fh.write(b"{")
     for i, key in enumerate(sorted(meta)):
         value = meta[key]
-        fh.write(b"%s%s: " % (b", " if i else b"{", _json_bytes(key)))
+        fh.write(b"%s%s: " % (b", " if i else b"", _json_bytes(key)))
         if not isinstance(value, np.ndarray):
             fh.write(_json_bytes(value))
             continue
@@ -264,7 +265,7 @@ def _write_json(fh, meta):
         for start in range(0, len(value), 1024):
             fh.write((b", " if start else b"") + _json_bytes(value[start:start + 1024].tolist())[1:-1])
         fh.write(b"]")
-    fh.write(b"}" if meta else b"{}")
+    fh.write(b"}")
 
 
 def write_grid(path, signal):

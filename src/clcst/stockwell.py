@@ -21,14 +21,14 @@ is roll(B, k) for a lattice u = k dw, and there
 
     ifftn(fftn(z e^{-j x.u}) conj(B)) = e^{-j u.b} ifftn(fftn(z) conj(M)).
 
-So the slice engine (:func:`fill_volume`) takes fftn(z) once per volume,
-writes the slice spectra of a whole block of u rows and inverts them with
-one in-place ifftn.  e^{-j u.b}, like every other per-u phase and scale, is
-a product of 1-D factors, one per axis, and is applied to the whole block
-at once (:func:`axis_phase_multiply`).  Only an off-lattice u is modulated
-and transformed explicitly, once per u, against its plain spectrum B.
-|M|^2 is also each window's admissibility term, so the profile needs no
-roll per u.
+On that n-D route the slice engine (:func:`fill_volume`) takes fftn(z) once
+per volume, writes the slice spectra of a whole block of u rows and inverts
+them with one in-place ifftn.  e^{-j u.b}, like every other per-u phase and
+scale, is a product of 1-D factors, one per axis, and is applied to the
+whole block at once (:func:`axis_phase_multiply`).  Only an off-lattice u
+is modulated and transformed explicitly, once per u, against its plain
+spectrum B.  |M|^2 is also each window's admissibility term, so the profile
+needs no roll per u.
 
 One :class:`Plan` per (u, theta) set is the one place that classifies and
 weighs the u rows, so the analysis (:func:`fill_volume`), the admissibility
@@ -37,20 +37,28 @@ notion of "u on the lattice".
 
 A radial window (``WindowSpec.radial``, as the Gaussian and the DOG are)
 satisfies psi(R_{-theta} A_u y) = psi(A_u y), so every theta of a u has the
-same window, spectrum and slice: the engine builds one window spectrum per
-u, computes one slice per u and stores it once, in the volume's one theta
-column that serves every theta.
+same window, spectrum and slice: the engine computes one slice per u and
+stores it once, in the volume's one theta column that serves every theta.
 
-A separable window (``WindowSpec.separable_terms``: the Gaussian, the DOG
-and composites of them) is a sum of products of 1-D factors on the diagonal
-A_u, psi(A_u y) = sum_t c_t prod_i g_t(u_i y_i), so its spectra are sums of
-outer products of 1-D FFTs,
+A radial window with separable terms (``WindowSpec.separable_terms``: the
+Gaussian, the DOG and composites of them) is a sum of products of 1-D
+factors on the diagonal A_u, psi(A_u y) = sum_t c_t prod_i g_t(u_i y_i).
+So a slice is a sum over terms of products of 1-D correlations, one per
+axis, and the plan keeps per-axis tables of the 1-D window spectra,
 
-    M_u = sum_t c_t (x)_i fft(ifftshift(g_t(u_i x) e^{j u_i x})) dx,
+    m_{t,i}(v) = fft(ifftshift(g_t(v x) e^{j v x})) dx,
 
-and B_u the same without the modulation.  No value of such a window is
-computed on the n-D lattice.  Any other window is evaluated there once per
-(u, theta), modulated and transformed by one n-D FFT.
+and b_{t,i}(v) the same without the modulation.  Every CLI u list is a
+tensor product of per-axis values, so consecutive rows share their leading
+values.  On a run of such rows the engine goes one axis at a time
+(:class:`AxisSlices`): the partial transform after axis i serves every row
+that shares u_0 .. u_i, and only the last axis is transformed per row.  The
+resolution synthesis runs the adjoint in reverse order
+(:class:`AxisSynthesis`), and the admissibility profile is summed from the
+tables.  No value of such a window is computed on the n-D lattice, and a
+row outside a long run builds its n-D spectra as outer products of the
+tables.  Any other window is evaluated on the lattice once per (u, theta),
+modulated and transformed by one n-D FFT.
 
 Every kernel phase multiplies on the right by span{1, i_n}, which acts on
 each complex pair on its own (Hitzer and Mawardi, AACA 2008), so a pair
@@ -396,18 +404,18 @@ class Plan:
         put in FFT order and transformed in place, and transformed once more
         for B.
 
-        Such a window's profile terms weights[r] copies |det A_u|
-        sum_angle |M_{r,angle}|^2 are added to the profile, which this pass
-        starts from zero, before its block is yielded: |M|^2 (2 pi)^(-n),
-        shifted by N/2, is |Q|^2 for Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)],
-        on or off the lattice.  :meth:`profile` applies that shift and scale
-        once.
+        The profile terms weights[r] copies |det A_u| sum_angle |M_{r,angle}|^2
+        of a block's rows are added to the profile before the block is
+        yielded: |M|^2 (2 pi)^(-n), shifted by N/2, is |Q|^2 for
+        Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)], on or off the lattice.
+        The pass starts the profile from those of the factored rows, summed
+        from the tables.  :meth:`profile` applies that shift and scale once.
         """
         spec, psi = self.spec, self.psi
         axes = tuple(range(-spec.n, 0))
         cell = spec.cell_weight(SPACE)
         power_weights = self.weights * self.copies * self.det
-        self.power = np.zeros(spec.shape)
+        self.power = self._table_power() if self.factored.any() else np.zeros(spec.shape)
         for start, stop in self._bounds(rows):
             if self.factored[start]:
                 yield start, stop, None, {}
@@ -417,17 +425,15 @@ class Plan:
             if self.terms is not None:
                 M = self.spectra(slice(start, stop), modulated=True)
                 B = self.spectra(start + off, modulated=False) if len(off) else []
-                yield start, stop, M, dict(zip(off, B))
-                del M, B  # before the next block's are built
-                continue
-            values = window_block(psi, spec, u_rows, self.angles)
-            M = np.fft.ifftshift(axis_phase_multiply(values, spec, u_rows, 0.0, cell), axes=axes)
-            np.fft.fftn(M, axes=axes, out=M)
-            B = []
-            if len(off):
-                B = np.fft.fftn(np.fft.ifftshift(values[off], axes=axes), axes=axes)
-                B *= cell
-            del values
+            else:
+                values = window_block(psi, spec, u_rows, self.angles)
+                M = np.fft.ifftshift(axis_phase_multiply(values, spec, u_rows, 0.0, cell), axes=axes)
+                np.fft.fftn(M, axes=axes, out=M)
+                B = []
+                if len(off):
+                    B = np.fft.fftn(np.fft.ifftshift(values[off], axes=axes), axes=axes)
+                    B *= cell
+                del values
             flat = M.view(np.float64).reshape(stop - start, -1)  # real and imaginary parts
             summed = np.einsum("r,rk,rk->k", power_weights[start:stop], flat, flat)
             self.power += (summed[0::2] + summed[1::2]).reshape((-1,) + spec.shape).sum(axis=0)
@@ -436,22 +442,23 @@ class Plan:
             del M, B  # before the next block's are built
 
     def _table_power(self):
-        """sum_r weights[r] copies |det A_u| |M_r|^2 from the tables, as
-        sum_{t,s} sum_r w_r (x)_i m_{t,i} conj(m_{s,i}).  Per pair of terms
-        and block of rows, the last axis's factors are weighted and summed
-        over each run of rows that share their other values; then each
-        earlier axis's factor multiplies those sums, and the rows that share
-        the values before it are summed, and so on up to axis 0.  The pairs
-        (t, s) and (s, t) are conjugate, so each unordered pair is taken
-        once, twice weighted."""
+        """sum_r weights[r] copies |det A_u| |M_r|^2 over the factored rows r,
+        from the tables, as sum_{t,s} sum_r w_r (x)_i m_{t,i} conj(m_{s,i}).
+        Per pair of terms and block of rows, the last axis's factors are
+        weighted and summed over each run of rows that share their other
+        values; then each earlier axis's factor multiplies those sums, and
+        the rows that share the values before it are summed, and so on up to
+        axis 0.  The pairs (t, s) and (s, t) are conjugate, so each
+        unordered pair is taken once, twice weighted."""
         spec, n = self.spec, self.spec.n
-        weights = self.weights * self.copies * self.det
+        rows = np.flatnonzero(self.factored)
+        weights = (self.weights * self.copies * self.det)[rows]
         step = block_rows(16 * spec.point_count)
         power = np.zeros(spec.point_count, dtype=np.complex128)
         for t, s in combinations_with_replacement(range(len(self.terms)), 2):
             pair = [m[t] * m[s].conj() for m in self.m]  # (values, N) per axis
-            for start in range(0, len(self.u_list), step):
-                index = self.index[start:start + step]
+            for start in range(0, len(rows), step):
+                index = self.index[rows[start:start + step]]
                 acc = pair[-1][index[:, -1]] * weights[start:start + step, None] * (2 - (t == s))
                 for axis in range(n - 2, -1, -1):
                     runs = np.ones(len(index), dtype=bool)
@@ -463,14 +470,12 @@ class Plan:
         return power.real.reshape(spec.shape)
 
     def profile(self, ctx):
-        """The admissibility profile of the plan's windows, shifted to the
-        centered frequency lattice, as a frequency-domain scalar signal, and
-        its min, max, mean and relative variation: from the tables, or for
-        a window without them, that of the last :meth:`blocks` pass."""
+        """The admissibility profile of the last :meth:`blocks` pass, shifted
+        to the centered frequency lattice, as a frequency-domain scalar
+        signal, and its min, max, mean and relative variation."""
         spec = self.spec
-        power = self.power if self.terms is None else self._table_power()
         centre = (spec.samples_per_axis // 2,) * spec.n
-        profile = np.roll(power, centre, axis=tuple(range(spec.n))) * (2.0 * np.pi) ** (-spec.n)
+        profile = np.roll(self.power, centre, axis=tuple(range(spec.n))) * (2.0 * np.pi) ** (-spec.n)
         sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
         stats = {
             "min": float(profile.min()),

@@ -106,13 +106,17 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
 
     Every path runs in the slice engine (:func:`~clcst.stockwell.fill_volume`),
     which builds each (u, theta) window spectrum once (a radial window's once
-    per u, from 1-D FFTs when it is separable), writes the slices in
+    per u, from per-axis tables when it is separable), writes the slices in
     u-blocks, and leaves the admissibility profile of the same windows in
     ``vol.admissibility``.
     The paths differ in the signal side:
-    ``three_step`` chirps f and transforms it once; each lattice u
-    multiplies that spectrum by the conjugate of its modulated window
-    spectrum, and one inverse FFT per block of u rows gives the slices;
+    ``three_step`` chirps f; on a run of rows that share their leading u
+    values, with a separable window, it goes one axis at a time and shares
+    each axis's partial transform across the run
+    (:class:`~clcst.stockwell.AxisSlices`); otherwise it transforms the
+    chirped f once, each lattice u multiplies that spectrum by the
+    conjugate of its modulated window spectrum, and one inverse FFT per
+    block of u rows gives the slices;
     ``direct`` modulates f by the chirp and the plane wave in one
     phase and correlates it with each window separately; ``spectral``
     multiplies cft(h), h = chirped f e^{-i_n u.x}, by the conjugate centered
@@ -209,7 +213,8 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     their relative variation; the resolution-of-identity error is governed by
     how far this profile is from a constant.  The analysis pass
     (:func:`~clcst.stockwell.fill_volume`) accumulates the same profile in
-    the same :class:`~clcst.stockwell.Plan` pass; a radial window's one term
+    the same :class:`~clcst.stockwell.Plan` pass, from the per-axis tables
+    on the factored runs of a separable window; a radial window's one term
     per u counts T times.
     """
     _require_b_nonzero(params, spec)
@@ -217,9 +222,8 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     if len(u_list) == 0 or len(theta_list) == 0:
         raise TransformError("admissibility needs a non-empty (u, theta) set")
     plan = Plan(psi, spec, u_list, theta_list, u_weights_from_list(u_list))
-    if plan.terms is None:  # a window without tables adds its terms block by block
-        for block in plan.blocks(block_rows(plan.row_bytes)):
-            del block  # before the next block's spectra are built
+    for block in plan.blocks(block_rows(plan.row_bytes)):
+        del block  # before the next block's spectra are built
     return plan.profile(ctx)
 
 
@@ -274,9 +278,13 @@ def reconstruct_resolution(vol, psi, params):
     volume's weights of S(b, u, theta) psi^theta_{M,b,u}(x).
 
     Per (u, theta) the b-sum is the periodic convolution of the chirped slice
-    with the modulated window.  For a lattice u that is fftn(s e^{j u.b}) M
-    in the spectrum, M the modulated window spectrum of
-    :meth:`~clcst.stockwell.Plan.blocks`: each block's weighted columns
+    with the modulated window.  On the factored runs of a separable window
+    it is the adjoint of the axis-by-axis analysis
+    (:class:`~clcst.stockwell.AxisSynthesis`): each row's 1-D transforms
+    along the last axis are summed over its run, and each run's sum goes
+    through the earlier axes once.  On the n-D route, for a lattice u it
+    is fftn(s e^{j u.b}) M in the spectrum, M the modulated window spectrum
+    of :meth:`~clcst.stockwell.Plan.blocks`: each block's weighted columns
     are transformed by one fftn, their products with M summed without a
     roll, and the sum inverted once.  An off-lattice u is convolved with its
     plain spectrum B, inverted and modulated by e^{j x.u} on its own.  A
@@ -286,8 +294,8 @@ def reconstruct_resolution(vol, psi, params):
     pairs (``vol.pairs``) are transformed and summed: every other pair is
     zero and adds exactly zero.
 
-    The same pass accumulates the admissibility profile from M, weighted
-    with ``vol.u_weights`` as the analysis pass weights it; C_psi is that
+    The same pass accumulates the admissibility profile, weighted with
+    ``vol.u_weights`` as the analysis pass weights it; C_psi is that
     profile's mean, and a mean that is not positive is refused.
 
     The u and theta lists come from the volume's sidecar and are checked as

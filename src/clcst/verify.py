@@ -331,8 +331,10 @@ class _DenseWindow(WindowSpec):
 )
 def separable_window_spectra():
     """The engine's window blocks of a raw and a unit Gaussian, a DOG and a
-    composite, built from 1-D FFTs and, without their separable terms, on
-    the lattice, against each window evaluated on the lattice.  M of a
+    composite, outer products of the plan's per-axis tables of 1-D FFTs
+    (each row of this list is its own run, so none is factored) and,
+    without their separable terms, on the lattice, against each window
+    evaluated on the lattice.  M of a
     lattice row k is roll(B, k), B by window_spectra; M of an off-lattice
     row, centered, is (2 pi)^(n/2) times modulated_window_spectrum, and its
     B is window_spectra.  Three lattice and two off-lattice u; a missing

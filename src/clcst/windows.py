@@ -30,8 +30,8 @@ class WindowSpec:
     :meth:`separable_terms` says that psi is a sum of products of one 1-D
     factor per axis, psi(y) = sum_t c_t prod_i g_t(y_i), so that
     psi(A_u y) = sum_t c_t prod_i g_t(u_i y_i) for every diagonal A_u and
-    the transform builds its spectra from 1-D FFTs without evaluating psi
-    on the lattice.  It returns None here; a subclass that overrides
+    the transform of a radial window works from 1-D FFTs, one axis at a
+    time, without evaluating psi on the lattice.  It returns None here; a subclass that overrides
     _evaluate must override it again, returning terms only if they sum to
     exactly the values of :meth:`evaluate`, amplitude included.
 

@@ -40,10 +40,10 @@ def random_volume(n, pairs, columns, seed, u_count=2):
 
 
 def test_sidecar_is_compact_and_an_indented_one_still_reads(tmp_path):
-    """The sidecar is written as compact JSON.  One written with an indent,
-    as earlier versions wrote it, reads to the same volume, which rewrites
-    to the same bytes."""
-    vol = random_volume(2, [0, 1], 1, seed=3)
+    """The sidecar is written as compact JSON, its 2500 u rows and weights
+    1024 at a time.  One written with an indent, as earlier versions wrote
+    it, reads to the same volume, which rewrites to the same bytes."""
+    vol = random_volume(2, [0, 1], 1, seed=3, u_count=2500)
     first, second = tmp_path / "a.clcg", tmp_path / "b.clcg"
     write_volume(first, vol)
     compact = (tmp_path / "a.clcg.json").read_bytes()

@@ -315,9 +315,14 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("kind", ["gaussian", "unit", "dog", "composite"])
-@pytest.mark.parametrize("u_kind", list(U_LISTS))
+# the cases of each u list, named kind-n, and the mixed list's as before the others
+SEPARABLE_CASES = [
+    pytest.param(n, kind, u_kind, id="-".join([kind, str(n)] + [u_kind] * (u_kind != "mixed")))
+    for u_kind in U_LISTS for n in (2, 3) for kind in ("gaussian", "unit", "dog", "composite")
+]
+
+
+@pytest.mark.parametrize("n, kind, u_kind", SEPARABLE_CASES)
 def test_separable_route_matches_dense_route(n, kind, u_kind):
     """Window spectra built from the plan's per-axis tables, and slices
     computed one axis at a time on the runs of a tensor list, give the

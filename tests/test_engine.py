@@ -374,6 +374,26 @@ def test_separable_route_matches_dense_route(n, kind, u_kind):
     )
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_factored_runs_cut_by_blocks_keep_their_partials(n, rows, monkeypatch):
+    """Blocks of one or three u rows cut the factored runs of a tensor list:
+    the partial transforms kept from one block for the next, and the run
+    sums carried into the next block's synthesis, give the slices and the
+    resolution synthesis of one whole block."""
+    from clcst import stockwell, transform
+
+    spec, ctx = setting(n)
+    psi, u, f = radial_window(n, "dog"), tensor_list(spec), noise(spec, ctx, seed=5)
+    whole = clcst(f, psi, M, u, THETAS)
+    expect = reconstruct_resolution(whole, psi, M)[0].data
+    for module in (stockwell, transform):
+        monkeypatch.setattr(module, "block_rows", lambda bytes_per_u: rows)
+    cut = clcst(f, psi, M, u, THETAS)
+    assert_close(cut.stored, whole.stored)
+    assert_close(reconstruct_resolution(cut, psi, M)[0].data, expect)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "dog", "composite", "skewed"])
 def test_stored_layout_holds_one_column_per_window_angle(kind):
     """Slice-major (U, T_s, P) + b complex pairs: one theta column for a

@@ -48,16 +48,16 @@ axis, and the plan keeps per-axis tables of the 1-D window spectra,
 
     m_{t,i}(v) = fft(ifftshift(g_t(v x) e^{j v x})) dx,
 
-and b_{t,i}(v) the same without the modulation.  Every CLI u list is a
-tensor product of per-axis values, so consecutive rows share their leading
-values.  On a run of such rows the engine goes one axis at a time
-(:class:`AxisSlices`): the partial transform after axis i serves every row
-that shares u_0 .. u_i, and only the last axis is transformed per row.  The
-resolution synthesis runs the adjoint in reverse order
-(:class:`AxisSynthesis`), and the admissibility profile is summed from the
-tables.  No value of such a window is computed on the n-D lattice, and a
-row outside a long run builds its n-D spectra as outer products of the
-tables.  Any other window is evaluated on the lattice once per (u, theta),
+and b_{t,i}(v) the same without the modulation.  The CLI's u lists of
+kind default, multiples and tensor are tensor products of per-axis values,
+so consecutive rows share their leading values.  On a run of such rows the
+engine goes one axis at a time (:class:`AxisSlices`): the partial transform
+after axis i serves every row that shares u_0 .. u_i, and only the last
+axis is transformed per row.  The resolution synthesis runs the adjoint in
+reverse order (:class:`AxisSynthesis`), and the run's admissibility terms
+are summed from the tables.  No value of such a window is computed on the
+n-D lattice, and a row outside a long run builds its n-D spectra as outer
+products of the tables.  Any other window is evaluated on the lattice once per (u, theta),
 modulated and transformed by one n-D FFT.
 
 Every kernel phase multiplies on the right by span{1, i_n}, which acts on

@@ -164,6 +164,12 @@ def _config(args):
     return cfg
 
 
+def _json_value(value):
+    """A report value that json does not write: a u array as its rows, any
+    other numpy number as a float."""
+    return value.tolist() if isinstance(value, np.ndarray) else float(value)
+
+
 def _peak_rss_mb():
     """The process's peak resident set so far, in 10^6 bytes (ru_maxrss is in KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
@@ -208,6 +214,11 @@ def cmd_transform(args):
     params = LCTParams(**cfg["M"])
     window = _window(cfg["window"], spec.n)
     u_list = _u_list(cfg["u_list"], spec)
+    if isinstance(cfg["u_list"], list):
+        # the report writes listed rows from the array: their parsed lists,
+        # some 140 bytes a row, are not held through the transform
+        cfg["u_list"] = u_list
+        vars(args).pop("cfg:u_list", None)
     theta_list = cfg["theta_list"]
     if args.spectrogram:
         index = _spectrogram_index(
@@ -256,7 +267,7 @@ def cmd_transform(args):
     report["peak_rss_mb"] = _peak_rss_mb()
     report_path = args.report or args.out + ".report.json"
     with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True, default=float)
+        json.dump(report, fh, indent=1, sort_keys=True, default=_json_value)
     print("wrote %s and %s" % (args.out, report_path))
     return 0
 

@@ -44,21 +44,23 @@ A radial window with separable terms (``WindowSpec.separable_terms``: the
 Gaussian, the DOG and composites of them) is a sum of products of 1-D
 factors on the diagonal A_u, psi(A_u y) = sum_t c_t prod_i g_t(u_i y_i).
 So a slice is a sum over terms of products of 1-D correlations, one per
-axis, and the plan keeps per-axis tables of the 1-D window spectra,
+axis, and the engine works from per-axis tables (:class:`AxisTables`) of
+the 1-D window spectra
 
     m_{t,i}(v) = fft(ifftshift(g_t(v x) e^{j v x})) dx,
 
 and b_{t,i}(v) the same without the modulation.  The CLI's u lists of
 kind default, multiples and tensor are tensor products of per-axis values,
-so consecutive rows share their leading values.  On a run of such rows the
-engine goes one axis at a time (:class:`AxisSlices`): the partial transform
-after axis i serves every row that shares u_0 .. u_i, and only the last
-axis is transformed per row.  The resolution synthesis runs the adjoint in
-reverse order (:class:`AxisSynthesis`), and the run's admissibility terms
-are summed from the tables.  No value of such a window is computed on the
-n-D lattice, and a row outside a long run builds its n-D spectra as outer
-products of the tables.  Any other window is evaluated on the lattice once per (u, theta),
-modulated and transformed by one n-D FFT.
+so consecutive rows share their leading values.  On a run of more than
+2 T such rows, T the number of terms, the engine goes one axis at a time
+(:class:`AxisSlices`): the partial transform after axis i serves every
+row that shares u_0 .. u_i, and only the last axis is transformed per
+row.  The resolution synthesis runs the adjoint in reverse order
+(:class:`AxisSynthesis`), and the run's admissibility terms are summed
+from the tables.  No value of such a window is computed on the n-D
+lattice: a row outside a long run builds its n-D spectra as outer
+products of its block's tables.  Any other window is evaluated on the
+lattice once per (u, theta), modulated and transformed by one n-D FFT.
 
 Every kernel phase multiplies on the right by span{1, i_n}, which acts on
 each complex pair on its own (Hitzer and Mawardi, AACA 2008), so a pair
@@ -68,6 +70,7 @@ and the volume stores those pairs alone (``CLCSTVolume.pairs``).  A scalar
 signal has one live pair of the 2^(n-1).
 """
 
+import copy
 import warnings
 from itertools import combinations_with_replacement
 
@@ -272,6 +275,93 @@ def along(table, axis, n):
     return table.reshape(table.shape[:-1] + (1,) * (axis + 1) + (-1,) + (1,) * (n - 1 - axis))
 
 
+class AxisTables:
+    """Per-axis tables of the 1-D window spectra of the u rows ``u_rows``,
+    for a window with separable terms ``terms``.
+
+    Per axis i: ``values[i]``, the distinct u_i of the rows, and ``index[:,
+    i]``, each row's value among them; ``lattice[i]``, each value's lattice
+    class at ROLL_TOLERANCE; and ``m[i]`` and ``b[i]``, shape (terms, values,
+    N), the 1-D FFTs of g_t(v x) e^{j v x} and of g_t(v x), times dx and, on
+    axis 0, the term's coefficient c_t.  The window's n-D spectra are sums
+    over terms of outer products of these tables (:meth:`spectra`), and its
+    admissibility terms are summed from them without an n-D spectrum
+    (:meth:`power`).  They take 32 n T N bytes per distinct value."""
+
+    def __init__(self, terms, spec, u_rows):
+        self.spec = spec
+        x = spec.axis(SPACE)
+        self.index = np.empty(u_rows.shape, dtype=np.intp)
+        self.values, self.lattice, self.m, self.b = [], [], [], []
+        for axis in range(spec.n):
+            values, self.index[:, axis] = np.unique(u_rows[:, axis], return_inverse=True)
+            arg = values[:, None] * x
+            g = np.array([g(arg) for _, g in terms], dtype=np.complex128)  # (terms, values, N)
+            if axis == 0:
+                g *= np.reshape([c for c, _ in terms], (-1, 1, 1))
+            self.b.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
+            g *= np.exp(1j * arg)
+            self.m.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
+            self.values.append(values)
+            self.lattice.append(lattice_steps(values, spec.dw, ROLL_TOLERANCE)[1])
+
+    def block(self, start, stop):
+        """These tables, with the index of rows start:stop alone."""
+        view = copy.copy(self)
+        view.index = self.index[start:stop]
+        return view
+
+    def phases(self, rate):
+        """Per axis, e^{j (v b + rate b^2)} over the b-axis for each value v
+        of the axis on the lattice, e^{j rate b^2} for one off it: shape
+        (values, N)."""
+        b = self.spec.axis(SPACE)
+        return [np.exp(1j * (np.where(lattice, values, 0.0)[:, None] * b + rate * b**2))
+                for values, lattice in zip(self.values, self.lattice)]
+
+    def spectra(self, rows, modulated):
+        """The n-D window spectra of the rows ``rows``, shape (rows, 1) +
+        spec.shape: M, the spectra of e^{j u.y} psi(A_u y), if
+        ``modulated``, else B, the plain spectra of :func:`window_spectra`.
+        Per row the sum over terms of the outer products is a product of
+        matrices with the term as the inner axis."""
+        tables = self.m if modulated else self.b
+        index = self.index[rows]
+        count, terms = len(index), len(tables[0])
+        acc = np.moveaxis(tables[0][:, index[:, 0]], 0, -1)  # (rows, N, terms)
+        for axis in range(1, self.spec.n - 1):
+            factor = np.moveaxis(tables[axis][:, index[:, axis]], 0, -1)
+            acc = (acc[:, :, None] * factor[:, None]).reshape(count, -1, terms)
+        last = np.moveaxis(tables[-1][:, index[:, -1]], 0, 1)  # (rows, terms, N)
+        return (acc @ last).reshape((count, 1) + self.spec.shape)
+
+    def power(self, weights):
+        """sum_r weights[r] |M_r|^2 over the rows r, shape spec.shape, as
+        sum_{t,s} sum_r weights[r] (x)_i m_{t,i} conj(m_{s,i}).  Per pair of
+        terms and block of rows, the last axis's factors are weighted and
+        summed over each run of rows that share their other values; then
+        each earlier axis's factor multiplies those sums, and the rows that
+        share the values before it are summed, and so on up to axis 0.  The
+        pairs (t, s) and (s, t) are conjugate, so each unordered pair is
+        taken once, twice weighted."""
+        n = self.spec.n
+        step = block_rows(16 * self.spec.point_count)
+        power = np.zeros(self.spec.point_count, dtype=np.complex128)
+        for t, s in combinations_with_replacement(range(len(self.m[0])), 2):
+            pair = [m[t] * m[s].conj() for m in self.m]  # (values, N) per axis
+            for start in range(0, len(self.index), step):
+                index = self.index[start:start + step]
+                acc = pair[-1][index[:, -1]] * weights[start:start + step, None] * (2 - (t == s))
+                for axis in range(n - 2, -1, -1):
+                    runs = np.ones(len(index), dtype=bool)
+                    runs[1:] = np.any(index[1:, :axis + 1] != index[:-1, :axis + 1], axis=1)
+                    starts = np.flatnonzero(runs)
+                    acc, index = np.add.reduceat(acc, starts), index[starts]
+                    acc = (pair[axis][index[:, axis], :, None] * acc[:, None]).reshape(len(index), -1)
+                power += acc.sum(axis=0)
+        return power.real.reshape(self.spec.shape)
+
+
 class Plan:
     """What every pass over one (u, theta) set shares, worked out once: the
     one place that classifies and weighs the u rows.
@@ -285,26 +375,25 @@ class Plan:
     :func:`~clcst.windows.window_angles`, each standing for ``copies``
     thetas.
 
-    A radial window with separable terms (``terms``) also gets per-axis
-    tables.  Per axis i: ``values[i]``, the distinct u_i of the list, and
-    ``index[:, i]``, each row's value among them; ``axis_lattice[i]``, each
-    value's lattice class at ROLL_TOLERANCE; and ``m[i]`` and ``b[i]``, shape
-    (terms, values, N), the 1-D FFTs of g_t(v x) e^{j v x} and of g_t(v x),
-    times dx and, on axis 0, the term's coefficient c_t.  The window's n-D
-    spectra are sums over terms of outer products of these tables
-    (:meth:`spectra`), and its admissibility profile is computed from them
-    without an n-D spectrum (:meth:`profile`).
-
-    The rows that share their leading values u_0 .. u_{n-2} with the rows
-    beside them form runs.  A run of more rows than the window has terms is
-    ``factored``: its slices are computed one axis at a time
+    For a radial window with separable terms (``terms``), the rows that
+    share their leading values u_0 .. u_{n-2} with the rows beside them form
+    runs (``run_starts``).  A run of more than 2 T rows, T the number of
+    terms, is ``factored``: its slices are computed one axis at a time
     (:class:`AxisSlices`, :class:`AxisSynthesis`), which shares each axis's
-    partial transform across the run.  Every other row, and every row of a
-    window without tables, takes the n-D route: its window spectra are
-    built, multiplied with the signal's spectrum and inverted by n-D FFTs.
+    partial transform across the run.  Every other row takes the n-D route,
+    whose window spectra are built, multiplied with the signal's spectrum
+    and inverted by n-D FFTs, as does every row of a window without terms.
+    At n = 2 a factored run of R lattice rows takes about 2 T + R axis
+    passes over the b-grid, and the n-D route 2 R: the factored route does
+    less FFT work only beyond 2 T rows, and timed in-process it is no
+    faster before.
 
+    The plan keeps the :class:`AxisTables` of the factored rows
+    (``tables``), which grow with their distinct values on each axis, a
+    few per axis for a tensor list; the n-D rows of a separable window get
+    tables for their block alone, whose outer products are their spectra.
     :meth:`blocks` yields consecutive blocks of u rows, each on one route,
-    with the n-D route's window spectra.
+    with the n-D route's window spectra or a factored block's tables.
     """
 
     def __init__(self, psi, spec, u_list, theta_list, u_weights):
@@ -320,54 +409,12 @@ class Plan:
         radial = isinstance(psi, WindowSpec) and psi.radial
         self.terms = psi.separable_terms() if radial else None
         self.factored = np.zeros(len(u_list), dtype=bool)
+        self.run_starts = np.ones(len(u_list), dtype=bool)
         if self.terms is not None:
-            self._axis_tables()
-
-    def _axis_tables(self):
-        spec, terms = self.spec, self.terms
-        x = spec.axis(SPACE)
-        self.index = np.empty(self.u_list.shape, dtype=np.intp)
-        self.values, self.axis_lattice, self.m, self.b = [], [], [], []
-        for axis in range(spec.n):
-            values, self.index[:, axis] = np.unique(self.u_list[:, axis], return_inverse=True)
-            arg = values[:, None] * x
-            g = np.array([g(arg) for _, g in terms], dtype=np.complex128)  # (terms, values, N)
-            if axis == 0:
-                g *= np.reshape([c for c, _ in terms], (-1, 1, 1))
-            self.b.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
-            g *= np.exp(1j * arg)
-            self.m.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
-            self.values.append(values)
-            self.axis_lattice.append(lattice_steps(values, spec.dw, ROLL_TOLERANCE)[1])
-        leading = self.index[:, :-1]
-        self.run_starts = np.ones(len(leading), dtype=bool)
-        self.run_starts[1:] = np.any(leading[1:] != leading[:-1], axis=1)
-        run = np.cumsum(self.run_starts) - 1
-        self.factored = np.bincount(run)[run] > len(terms)
-
-    def phases(self, rate):
-        """Per axis, e^{j (v b + rate b^2)} over the b-axis for each value v
-        of the axis on the lattice, e^{j rate b^2} for one off it: shape
-        (values, N)."""
-        b = self.spec.axis(SPACE)
-        return [np.exp(1j * (np.where(lattice, values, 0.0)[:, None] * b + rate * b**2))
-                for values, lattice in zip(self.values, self.axis_lattice)]
-
-    def spectra(self, rows, modulated):
-        """The n-D window spectra of u rows ``rows``, shape (rows, 1) +
-        spec.shape, from the tables: M, the spectra of e^{j u.y} psi(A_u y),
-        if ``modulated``, else B, the plain spectra of
-        :func:`window_spectra`.  Per row the sum over terms of the outer
-        products is a product of matrices with the term as the inner axis."""
-        tables = self.m if modulated else self.b
-        index = self.index[rows]
-        count, terms = len(index), len(self.terms)
-        acc = np.moveaxis(tables[0][:, index[:, 0]], 0, -1)  # (rows, N, terms)
-        for axis in range(1, self.spec.n - 1):
-            factor = np.moveaxis(tables[axis][:, index[:, axis]], 0, -1)
-            acc = (acc[:, :, None] * factor[:, None]).reshape(count, -1, terms)
-        last = np.moveaxis(tables[-1][:, index[:, -1]], 0, 1)  # (rows, terms, N)
-        return (acc @ last).reshape((count, 1) + self.spec.shape)
+            self.run_starts[1:] = np.any(u_list[1:, :-1] != u_list[:-1, :-1], axis=1)
+            run = np.cumsum(self.run_starts) - 1
+            self.factored = np.bincount(run)[run] > 2 * len(self.terms)
+            self.tables = AxisTables(self.terms, spec, u_list[self.factored])
 
     @property
     def row_bytes(self):
@@ -391,40 +438,48 @@ class Plan:
 
     def blocks(self, rows, plain=False):
         """(start, stop, M, B) for consecutive blocks of at most ``rows`` u
-        rows, each factored or not throughout.  A factored block has M None
-        and B empty: its slices need no n-D spectra.
+        rows, each factored or not throughout.  A factored block has in M's
+        place the plan's tables with the block's index
+        (:meth:`AxisTables.block`) and B empty: its slices need no n-D
+        spectra.
 
         M holds the modulated spectrum of each window of the block, one per
         angle, shape (rows, angles) + spec.shape; for a lattice u = k dw it
         is roll(B, k), B the plain spectrum of :func:`window_spectra`.  With
         ``plain``, B maps each off-lattice row of the block to its plain
-        spectra; otherwise it is empty.  A window with tables builds both
-        from them (:meth:`spectra`); any other window is evaluated on the
-        lattice once per (u, angle), modulated (:func:`axis_phase_multiply`),
-        put in FFT order and transformed in place, and transformed once more
-        for B.
+        spectra; otherwise it is empty.  A window with terms builds both
+        from the block's tables (:meth:`AxisTables.spectra`); any other
+        window is evaluated on the lattice once per (u, angle), modulated
+        (:func:`axis_phase_multiply`), put in FFT order and transformed in
+        place, and transformed once more for B.
 
         The profile terms weights[r] copies |det A_u| sum_angle |M_{r,angle}|^2
         of a block's rows are added to the profile before the block is
-        yielded: |M|^2 (2 pi)^(-n), shifted by N/2, is |Q|^2 for
-        Q = cft[e^{i_n u.y} psi(R_{-theta} A_u y)], on or off the lattice.
-        The pass starts the profile from those of the factored rows, summed
-        from the tables.  :meth:`profile` applies that shift and scale once.
+        yielded: |M|^2 (2 pi)^(-n), shifted by N/2, is |Q|^2 for Q =
+        cft[e^{i_n u.y} psi(R_{-theta} A_u y)], on or off the lattice.  The
+        pass starts the profile from those of the factored rows, summed from
+        the tables.  :meth:`profile` applies that shift and scale once.
         """
         spec, psi = self.spec, self.psi
         axes = tuple(range(-spec.n, 0))
         cell = spec.cell_weight(SPACE)
         power_weights = self.weights * self.copies * self.det
-        self.power = self._table_power() if self.factored.any() else np.zeros(spec.shape)
+        self.power = np.zeros(spec.shape)
+        if self.factored.any():
+            self.power += self.tables.power(power_weights[self.factored])
+        done = 0  # factored rows yielded
         for start, stop in self._bounds(rows):
-            if self.factored[start]:
-                yield start, stop, None, {}
-                continue
             u_rows = self.u_list[start:stop]
+            if self.factored[start]:
+                done += stop - start
+                yield start, stop, self.tables.block(done - (stop - start), done), {}
+                continue
             off = np.flatnonzero(~self.on_lattice[start:stop]) if plain else []
             if self.terms is not None:
-                M = self.spectra(slice(start, stop), modulated=True)
-                B = self.spectra(start + off, modulated=False) if len(off) else []
+                tables = AxisTables(self.terms, spec, u_rows)
+                M = tables.spectra(slice(None), modulated=True)
+                B = tables.spectra(off, modulated=False) if len(off) else []
+                del tables
             else:
                 values = window_block(psi, spec, u_rows, self.angles)
                 M = np.fft.ifftshift(axis_phase_multiply(values, spec, u_rows, 0.0, cell), axes=axes)
@@ -440,34 +495,6 @@ class Plan:
             del flat, summed  # flat, a view, would keep M alive into the next block
             yield start, stop, M, dict(zip(off, B))
             del M, B  # before the next block's are built
-
-    def _table_power(self):
-        """sum_r weights[r] copies |det A_u| |M_r|^2 over the factored rows r,
-        from the tables, as sum_{t,s} sum_r w_r (x)_i m_{t,i} conj(m_{s,i}).
-        Per pair of terms and block of rows, the last axis's factors are
-        weighted and summed over each run of rows that share their other
-        values; then each earlier axis's factor multiplies those sums, and
-        the rows that share the values before it are summed, and so on up to
-        axis 0.  The pairs (t, s) and (s, t) are conjugate, so each
-        unordered pair is taken once, twice weighted."""
-        spec, n = self.spec, self.spec.n
-        rows = np.flatnonzero(self.factored)
-        weights = (self.weights * self.copies * self.det)[rows]
-        step = block_rows(16 * spec.point_count)
-        power = np.zeros(spec.point_count, dtype=np.complex128)
-        for t, s in combinations_with_replacement(range(len(self.terms)), 2):
-            pair = [m[t] * m[s].conj() for m in self.m]  # (values, N) per axis
-            for start in range(0, len(rows), step):
-                index = self.index[rows[start:start + step]]
-                acc = pair[-1][index[:, -1]] * weights[start:start + step, None] * (2 - (t == s))
-                for axis in range(n - 2, -1, -1):
-                    runs = np.ones(len(index), dtype=bool)
-                    runs[1:] = np.any(index[1:, :axis + 1] != index[:-1, :axis + 1], axis=1)
-                    starts = np.flatnonzero(runs)
-                    acc, index = np.add.reduceat(acc, starts), index[starts]
-                    acc = (pair[axis][index[:, axis], :, None] * acc[:, None]).reshape(len(index), -1)
-                power += acc.sum(axis=0)
-        return power.real.reshape(spec.shape)
 
     def profile(self, ctx):
         """The admissibility profile of the last :meth:`blocks` pass, shifted
@@ -524,7 +551,7 @@ class AxisSlices:
 
     def __init__(self, z, plan, rate):
         self.plan = plan
-        self.closings = [phases.conj() for phases in plan.phases(rate)]
+        self.closings = [phases.conj() for phases in plan.tables.phases(rate)]
         self.scale = plan.det * (2.0 * np.pi) ** (-plan.spec.n / 2.0)
         self.nodes = [z[None]]  # nodes[i]: the partial after axes 0 .. i - 1
         self.spectra = [None]  # spectra[i]: nodes[i]'s FFT along axis i, once needed
@@ -538,27 +565,29 @@ class AxisSlices:
     def _modulated_spectrum(self, axis, j):
         """fft(nodes[axis] e^{-j x v}) along axis, v the value of index j."""
         plan, n = self.plan, self.plan.spec.n
-        wave = np.exp(-1j * plan.values[axis][j] * plan.spec.axis(SPACE))
+        wave = np.exp(-1j * plan.tables.values[axis][j] * plan.spec.axis(SPACE))
         return np.fft.fft(self.nodes[axis] * along(wave, axis, n), axis=axis - n)
 
     def _node(self, axis, j):
-        """O_{t,axis}(v) nodes[axis] for every term t, v the value of index j."""
-        plan, n = self.plan, self.plan.spec.n
-        if plan.axis_lattice[axis][j]:
-            out = self._spectrum(axis) * along(plan.m[axis][:, j].conj(), axis, n)
+        """O_{t,axis}(v) nodes[axis] for every term t, v the value of index
+        j in the plan's tables."""
+        tables, n = self.plan.tables, self.plan.spec.n
+        if tables.lattice[axis][j]:
+            out = self._spectrum(axis) * along(tables.m[axis][:, j].conj(), axis, n)
         else:
-            out = self._modulated_spectrum(axis, j) * along(plan.b[axis][:, j].conj(), axis, n)
+            out = self._modulated_spectrum(axis, j) * along(tables.b[axis][:, j].conj(), axis, n)
         np.fft.ifft(out, axis=axis - n, out=out)
         out *= along(self.closings[axis][j], axis, n)
         return out
 
-    def __call__(self, start, stop, out):
-        """Write the slices of the factored u rows start:stop into ``out``,
-        shape (rows, P) + b-shape."""
+    def __call__(self, start, stop, tables, out):
+        """Write the slices of the factored u rows start:stop, whose index
+        in the plan's tables ``tables`` holds (:meth:`AxisTables.block`),
+        into ``out``, shape (rows, P) + b-shape."""
         plan, n = self.plan, self.plan.spec.n
         last = n - 1
         for first, end in _runs(plan, start, stop):
-            key = plan.index[first, :last]
+            key = tables.index[first - start, :last]
             keep = _shared_prefix(self.keys, key)
             del self.keys[keep:], self.nodes[keep + 1:], self.spectra[keep + 1:]
             for axis in range(keep, last):
@@ -566,10 +595,10 @@ class AxisSlices:
                 self.spectra.append(None)
                 self.keys.append(key[axis])
             rows = out[first - start:end - start]
-            j = plan.index[first:end, last]
-            lattice = plan.axis_lattice[last][j]
+            j = tables.index[first - start:end - start, last]
+            lattice = tables.lattice[last][j]
             # the terms are summed row by row, beside a temporary of one row
-            m, b = plan.m[last][:, j].conj(), plan.b[last][:, j].conj()
+            m, b = tables.m[last][:, j].conj(), tables.b[last][:, j].conj()
             for i, row in enumerate(rows):
                 if lattice[i]:
                     _sum_terms(self._spectrum(last), m[:, i], last, n, row)
@@ -605,7 +634,7 @@ class AxisSynthesis:
 
     def __init__(self, plan, rate):
         self.plan = plan
-        self.openings = plan.phases(rate)
+        self.openings = plan.tables.phases(rate)
         n = plan.spec.n
         self.keys = []  # keys[i]: the value index on axis i of the rows being summed
         # per depth d, the terms' sums of what axis d added: their spectra
@@ -623,10 +652,10 @@ class AxisSynthesis:
     def _add_off_lattice(self, depth, spectrum, j):
         """Add e^{j x v} ifft(spectrum b_{t,depth}(v)) for every term t, v the
         value of index j, to the space sum of depth ``depth``."""
-        plan, n = self.plan, self.plan.spec.n
-        term = spectrum * along(plan.b[depth][:, j], depth, n)
+        tables, n = self.plan.tables, self.plan.spec.n
+        term = spectrum * along(tables.b[depth][:, j], depth, n)
         np.fft.ifft(term, axis=depth - n, out=term)
-        term *= along(np.exp(1j * plan.values[depth][j] * plan.spec.axis(SPACE)), depth, n)
+        term *= along(np.exp(1j * tables.values[depth][j] * self.plan.spec.axis(SPACE)), depth, n)
         self._buffer(depth, 1, term)[...] += term
 
     def _sum(self, depth):
@@ -640,40 +669,41 @@ class AxisSynthesis:
 
     def _close(self, depth):
         """Take the complete sum of depth ``depth`` through axis depth - 1."""
-        plan, n, axis = self.plan, self.plan.spec.n, depth - 1
+        tables, n, axis = self.plan.tables, self.plan.spec.n, depth - 1
         j = self.keys[axis]
         opened = self._sum(depth) * along(self.openings[axis][j], axis, n)
         np.fft.fft(opened, axis=axis - n, out=opened)
-        if plan.axis_lattice[axis][j]:
-            opened *= along(plan.m[axis][:, j], axis, n)
+        if tables.lattice[axis][j]:
+            opened *= along(tables.m[axis][:, j], axis, n)
             self._buffer(axis, 0, opened)[...] += opened
         else:
             self._add_off_lattice(axis, opened, j)
 
-    def __call__(self, start, stop, slices, weights):
-        """Add the factored u rows start:stop: ``slices``, shape (rows, P) +
-        b-shape, and their synthesis ``weights``."""
+    def __call__(self, start, stop, tables, slices, weights):
+        """Add the factored u rows start:stop, whose index in the plan's
+        tables ``tables`` holds (:meth:`AxisTables.block`): ``slices``,
+        shape (rows, P) + b-shape, and their synthesis ``weights``."""
         plan, n = self.plan, self.plan.spec.n
         last = n - 1
         for first, end in _runs(plan, start, stop):
-            key = plan.index[first, :last]
+            key = tables.index[first - start, :last]
             keep = _shared_prefix(self.keys, key)
             for depth in range(len(self.keys), keep, -1):
                 self._close(depth)
             self.keys[keep:] = key[keep:]
-            j = plan.index[first:end, last]
+            j = tables.index[first - start:end - start, last]
             opening = self.openings[last][j] * weights[first - start:end - start, None]
             spectra = slices[first - start:end - start] * along(opening, last, n)
             np.fft.fft(spectra, axis=-1, out=spectra)
-            lattice = plan.axis_lattice[last][j]
+            lattice = tables.lattice[last][j]
             for i in np.flatnonzero(~lattice):
                 self._add_off_lattice(last, spectra[i], j[i])
             if lattice.any():
                 if not lattice.all():
                     spectra = spectra[lattice]
-                tables, sums = plan.m[last][:, j[lattice]], self._buffer(last, 0, spectra)
-                for t, table in enumerate(tables):
-                    last_term = t == len(tables) - 1
+                m, sums = tables.m[last][:, j[lattice]], self._buffer(last, 0, spectra)
+                for t, table in enumerate(m):
+                    last_term = t == len(m) - 1
                     product = np.multiply(spectra, along(table, last, n),
                                           out=spectra if last_term else None)
                     sums[t] += np.sum(product, axis=0)
@@ -694,7 +724,8 @@ def fill_volume(vol, plan, fill_block, sink=None):
     ``fill_block(start, stop, M, B, block)`` writes the slices of u rows
     start:stop into ``block``, their stored rows: shape (rows, A, P) +
     b-shape, given the block's modulated window spectra M and the plain
-    spectra B of its off-lattice rows (:meth:`Plan.blocks`); A is the
+    spectra B of its off-lattice rows, or for a factored block its
+    :class:`AxisTables` in M's place (:meth:`Plan.blocks`); A is the
     volume's stored theta column count, 1 for a radial window, and P the
     number of ``vol.pairs``.  It may overwrite M and B, which are then spent.
 
@@ -753,8 +784,8 @@ def spectrum_slices(z, plan, rate):
         Z = np.fft.fftn(z, axes=axes)
 
     def fill(start, stop, M, B, block):
-        if M is None:  # the window's one column
-            factored(start, stop, block[:, 0])
+        if plan.factored[start]:  # M holds the block's tables; the window's one column
+            factored(start, stop, M, block[:, 0])
             return
         lattice = plan.on_lattice[start:stop]
         if lattice.any():  # off-lattice rows are left for their own spectra
@@ -774,14 +805,14 @@ def row_slices(slices_of_u, plan):
     out)``, which writes the slices of u row ui into ``out``, shape
     (A, pairs) + b-shape, given the plain spectra B of its A windows; a
     lattice row's B is roll(M, -k), and a factored row's the outer products
-    of the plan's tables (:meth:`Plan.spectra`)."""
+    of its block's tables (:meth:`AxisTables.spectra`)."""
     steps, on_lattice = plan.steps, plan.on_lattice
     axes = tuple(range(-plan.spec.n, 0))
 
     def fill(start, stop, M, B, block):
         for i, ui in enumerate(range(start, stop)):
-            if M is None:
-                spectra = plan.spectra([ui], modulated=False)[0]
+            if plan.factored[start]:
+                spectra = M.spectra([i], modulated=False)[0]
             elif on_lattice[ui]:
                 spectra = np.roll(M[i], tuple(-steps[ui]), axis=axes)
             else:

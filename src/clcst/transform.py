@@ -323,14 +323,14 @@ def reconstruct_resolution(vol, psi, params):
     for start, stop, M, B in plan.blocks(rows, plain=True):
         u_rows, lattice = vol.u_list[start:stop], plan.on_lattice[start:stop]
         s = vol.rows(start, stop)
-        angles = 1 if M is None else M.shape[1]
+        angles = 1 if plan.factored[start] else M.shape[1]
         if s.shape[1] > angles:  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
         elif s.shape[1] < angles:  # one stored column, a window per theta
             M = np.sum(M, axis=1, keepdims=True)
             B = {i: np.sum(b, axis=0, keepdims=True) for i, b in B.items()}
-        if M is None:
-            factored(start, stop, s[:, 0], weights[start:stop])
+        if plan.factored[start]:  # M holds the block's tables
+            factored(start, stop, M, s[:, 0], weights[start:stop])
             continue
         # weight x chirp x e^{j u.b} on the lattice, before one fftn, into a
         # new array: the rows may be the volume's own

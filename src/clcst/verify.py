@@ -331,7 +331,7 @@ class _DenseWindow(WindowSpec):
 )
 def separable_window_spectra():
     """The engine's window blocks of a raw and a unit Gaussian, a DOG and a
-    composite, outer products of the plan's per-axis tables of 1-D FFTs
+    composite, outer products of each block's per-axis tables of 1-D FFTs
     (each row of this list is its own run, so none is factored) and,
     without their separable terms, on the lattice, against each window
     evaluated on the lattice.  M of a

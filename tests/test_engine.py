@@ -16,6 +16,7 @@ from clcst.grid import SPACE, GridError, GridSignal, GridSpec, live_pairs, pack
 from clcst.io import export_spectrogram_csv, write_grid
 from clcst.lct import LCTParams
 from clcst.stockwell import (
+    AxisTables,
     Plan,
     Rotation,
     ScalingMatrix,
@@ -113,10 +114,13 @@ def mixed_u_list(spec):
 
 
 def tensor_list(spec):
-    """Per axis -N/2, -3, 0.37 and 2 steps of dw: lattice, -N/2 and
-    off-lattice values in a tensor list, whose runs share leading values."""
-    steps = [-(spec.samples_per_axis // 2), -3, 0.37, 2]
-    return tensor_u_list([np.array(steps) * spec.dw] * spec.n)
+    """-N/2, -3, 0.37 and 2 steps of dw on the leading axes, and -1, 1 and
+    6.5 more on the last: lattice, -N/2 and off-lattice values in a tensor
+    list, whose runs of 7 rows share their leading values, long enough to
+    be factored for windows of up to 3 terms."""
+    steps = np.array([-(spec.samples_per_axis // 2), -3, 0.37, 2])
+    last = np.concatenate([steps, [-1, 1, 6.5]])
+    return tensor_u_list([steps * spec.dw] * (spec.n - 1) + [last * spec.dw])
 
 
 U_LISTS = {
@@ -337,16 +341,26 @@ def test_separable_route_matches_dense_route(n, kind, u_kind):
     assert dense.radial
     u = U_LISTS[u_kind](spec)
     fast, slow = (Plan(w, spec, u, THETAS, np.ones(len(u))) for w in (psi, dense))
+    # a run of rows that share u_0 .. u_{n-2} is factored when it has more
+    # than 2 T rows: every run of the tensor list, none of the mixed list,
+    # and in the shuffled list the one run of 3 rows that a Gaussian has at n = 2
     terms = len(psi.separable_terms())
-    assert fast.factored.all() if u_kind == "tensor" else not fast.factored.all()
-    assert fast.factored.any() == (u_kind == "tensor" or (u_kind == "shuffled" and terms == 1))
+    starts = np.concatenate([[True], np.any(u[1:, :-1] != u[:-1, :-1], axis=1)])
+    run = np.cumsum(starts) - 1
+    assert np.array_equal(fast.factored, np.bincount(run)[run] > 2 * terms)
+    assert fast.factored.all() == (u_kind == "tensor")
+    assert fast.factored.any() == (u_kind == "tensor" or (u_kind, n, terms) == ("shuffled", 2, 1))
     # the n-D route's rows: the spectra of the tables against the evaluated window
+    bounds = [(start, stop) for start, stop, _, _ in slow.blocks(3)]
     expect = {start + i: (M[i], q.get(i)) for start, _, M, q in slow.blocks(3, plain=True)
               for i in range(len(M))}
     rows = 0
     for start, stop, spectra, q in fast.blocks(3, plain=True):
-        assert fast.factored[start:stop].all() == (spectra is None)
-        for i in range(0 if spectra is None else stop - start):
+        assert fast.factored[start:stop].all() == isinstance(spectra, AxisTables)
+        if u_kind == "mixed":  # nothing factored: the same blocks in the same order
+            assert (start, stop) == bounds[0]
+            bounds.pop(0)
+        for i in range(0 if fast.factored[start] else stop - start):
             dense_spectra, dense_q = expect[start + i]
             assert_close(spectra[i], dense_spectra)
             assert (i in q) == (dense_q is not None) == (not fast.on_lattice[start + i])
@@ -354,6 +368,7 @@ def test_separable_route_matches_dense_route(n, kind, u_kind):
                 assert_close(q[i], dense_q)
             rows += 1
     assert rows == np.count_nonzero(~fast.factored)
+    assert u_kind != "mixed" or not bounds
 
     f = noise(spec, ctx, seed=9)
     for path in PATHS + ("cst",):

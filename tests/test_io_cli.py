@@ -442,45 +442,57 @@ def test_cli_memory_does_not_grow_with_the_u_list(tmp_path):
     about 2 BLOCK_BYTES to one of 12, which store the input's one live pair,
     each command's traced peak grows by less than BLOCK_BYTES / 2, room for
     the u list and sidecar, which do grow with U, and stays below
-    5 BLOCK_BYTES plus the signal."""
+    5 BLOCK_BYTES plus the signal.  That holds for a tensor list, whose
+    rows share their values, and for a list of as many rows that share
+    none, which the transform and the resolution synthesis read (the
+    marginal needs every frequency bin, which that list does not cover)."""
     import tracemalloc
 
     from clcst.volume import BLOCK_BYTES
 
     src = tmp_path / "f.clcg"
     main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
+    spec = read_grid(src).spec
     signal = read_grid(src).data.nbytes
-    peaks, sizes = [], []
-    # steps of dw / 2 and dw / 5 on axis 1 and half those on axis 2: every
-    # lattice bin, for the marginal, and off-lattice u between them, 1953
-    # and 12561 u rows
-    for div in (2, 5):
-        ks = [[k / d for k in range(-8 * d, 8 * d) if k != 0] for d in (div, 2 * div)]
-        u_spec = json.dumps({"kind": "multiples", "per_axis": ks})
-        vol = tmp_path / ("vol%d.clcg" % div)
-        commands = [transform_argv(src, vol, u_spec)] + [
-            ["reconstruct", "--volume", str(vol), "--method", method,
-             "--out", str(tmp_path / (method + ".clcg"))]
-            for method in ("marginal", "resolution")]
-        peak = []
-        for argv in commands:
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peak.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        peaks.append(peak)
-        sizes.append(vol.stat().st_size)
-    assert sizes[0] > 1.5 * BLOCK_BYTES and sizes[1] > 8 * BLOCK_BYTES
-    for small, large in zip(*peaks):
-        assert large < small + BLOCK_BYTES / 2
-        assert large < 5 * BLOCK_BYTES + signal
-    # the transform of one live pair holds one block's window spectra at a
-    # time and writes its block as it is (measured 1.8 BLOCK_BYTES; 2.7 when
-    # each block was unpacked into blades first, 4.2 with both pairs and two
-    # blocks' spectra)
-    assert peaks[1][0] < 3 * BLOCK_BYTES
+    for listed in (False, True):
+        peaks, sizes = [], []
+        # steps of dw / 2 and dw / 5 on axis 1 and half those on axis 2:
+        # every lattice bin, for the marginal, and off-lattice u between
+        # them, 1953 and 12561 u rows; listed, as many rows, each value on
+        # each axis its own
+        for div in (2, 5):
+            ks = [[k / d for k in range(-8 * d, 8 * d) if k != 0] for d in (div, 2 * div)]
+            u_spec = json.dumps({"kind": "multiples", "per_axis": ks})
+            methods = ("marginal", "resolution")
+            if listed:
+                count = len(ks[0]) * len(ks[1])
+                steps = (np.arange(count) + 0.25) * 16 / count - 8
+                rows = np.stack([steps, -0.9 * steps[::-1]], axis=1) * spec.dw
+                u_spec, methods = json.dumps(rows.tolist()), ("resolution",)
+            vol = tmp_path / ("vol%d.clcg" % div)
+            commands = [transform_argv(src, vol, u_spec)] + [
+                ["reconstruct", "--volume", str(vol), "--method", method,
+                 "--out", str(tmp_path / (method + ".clcg"))]
+                for method in methods]
+            peak = []
+            for argv in commands:
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peak.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks.append(peak)
+            sizes.append(vol.stat().st_size)
+        assert sizes[0] > 1.5 * BLOCK_BYTES and sizes[1] > 8 * BLOCK_BYTES
+        for small, large in zip(*peaks):
+            assert large < small + BLOCK_BYTES / 2
+            assert large < 5 * BLOCK_BYTES + signal
+        # the transform of one live pair holds one block's window spectra at
+        # a time and writes its block as it is (measured 1.8 BLOCK_BYTES; 2.7
+        # when each block was unpacked into blades first, 4.2 with both pairs
+        # and two blocks' spectra)
+        assert peaks[1][0] < 3 * BLOCK_BYTES
 
 
 def test_cli_transform_zero_input_warning(tmp_path):

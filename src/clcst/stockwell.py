@@ -385,8 +385,8 @@ class Plan:
     and inverted by n-D FFTs, as does every row of a window without terms.
     At n = 2 a factored run of R lattice rows takes about 2 T + R axis
     passes over the b-grid, and the n-D route 2 R: the factored route does
-    less FFT work only beyond 2 T rows, and timed in-process it is no
-    faster before.
+    less FFT work only beyond 2 T rows, and timed in-process, runs of
+    fewer than 2 T lattice rows are slower on it.
 
     The plan keeps the :class:`AxisTables` of the factored rows
     (``tables``), which grow with their distinct values on each axis, a

@@ -54,13 +54,28 @@ kind default, multiples and tensor are tensor products of per-axis values,
 so consecutive rows share their leading values.  On a run of more than
 2 T such rows, T the number of terms, the engine goes one axis at a time
 (:class:`AxisSlices`): the partial transform after axis i serves every
-row that shares u_0 .. u_i, and only the last axis is transformed per
-row.  The resolution synthesis runs the adjoint in reverse order
-(:class:`AxisSynthesis`), and the run's admissibility terms are summed
-from the tables.  No value of such a window is computed on the n-D
-lattice: a row outside a long run builds its n-D spectra as outer
-products of its block's tables.  Any other window is evaluated on the
-lattice once per (u, theta), modulated and transformed by one n-D FFT.
+row that shares u_0 .. u_i, and only the last axis is applied per row.
+A lattice value of an axis takes the shared spectrum of its partial, a
+product with conj(m) and one 1-D inverse FFT.  An off-lattice value v is
+a linear map along its axis,
+
+    K_t(v) = diag(e^{-j rate b^2}) F^-1 diag(conj(b_t(v))) F diag(e^{-j v x}),
+
+whose entries K_t[b, x] = e^{-j rate b^2} g_t(v wrap(x - b)) e^{-j v x} dx
+are read from the tables (:meth:`AxisTables.operators`).  Up to
+DENSE_AXIS_SAMPLES samples per axis it is applied as that dense N x N
+matrix: one matmul per node of the tree of values, and one product per
+row, which writes the closed row with its terms stacked along the
+contraction, the rows of a run taken a span at a time by one call.  Above
+it, where the matmul's N products per point and term cost more than FFTs,
+it is applied as the modulation, FFT, product, inverse FFT and closing
+that it stands for.  The resolution synthesis runs the adjoint in reverse order
+(:class:`AxisSynthesis`), K_t(v)^H off the lattice, and the run's
+admissibility terms are summed from the tables.  No value of such a window
+is computed on the n-D lattice: a row outside a long run builds its n-D
+spectra as outer products of its block's tables.  Any other window is
+evaluated on the lattice once per (u, theta), modulated and transformed by
+one n-D FFT.
 
 Every kernel phase multiplies on the right by span{1, i_n}, which acts on
 each complex pair on its own (Hitzer and Mawardi, AACA 2008), so a pair
@@ -75,6 +90,7 @@ import warnings
 from itertools import combinations_with_replacement
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .cft import _require_transformable
 from .grid import (
@@ -92,6 +108,11 @@ from .volume import CLCSTVolume, DEFAULT_THETAS, block_rows, default_u_list, the
 from .windows import WindowSpec, window_angles
 
 ROLL_TOLERANCE = 1e-13  # in steps of dw; the roll's phase error stays below 1e-12
+# up to this many samples per axis, an off-lattice axis value of the
+# axis-by-axis route is applied as one dense N x N operator per term, one
+# matmul, and above it by 1-D FFTs: timed in-process (CHANGES.md), the dense
+# operator is faster or even up to N = 56 at n = 2 and slower from 64
+DENSE_AXIS_SAMPLES = 48
 # in steps of dw, how near its frequency bin a u feeds the marginal: the roll
 # must be exact for the 1e-12 slice check, but a bin slip of 1e-9 steps is far
 # below the marginal's 1e-6 gate and its c(u) bias of 4.5e-5 to 1e-4
@@ -281,25 +302,35 @@ class AxisTables:
 
     Per axis i: ``values[i]``, the distinct u_i of the rows, and ``index[:,
     i]``, each row's value among them; ``lattice[i]``, each value's lattice
-    class at ROLL_TOLERANCE; and ``m[i]`` and ``b[i]``, shape (terms, values,
+    class at ROLL_TOLERANCE; ``m[i]`` and ``b[i]``, shape (terms, values,
     N), the 1-D FFTs of g_t(v x) e^{j v x} and of g_t(v x), times dx and, on
-    axis 0, the term's coefficient c_t.  The window's n-D spectra are sums
-    over terms of outer products of these tables (:meth:`spectra`), and its
-    admissibility terms are summed from them without an n-D spectrum
-    (:meth:`power`).  They take 32 n T N bytes per distinct value."""
+    axis 0, the term's coefficient c_t; and ``kernels[i]``, shape (terms,
+    values, 2 N), the same g_t(v x) dx (c_t) in FFT order, untransformed and
+    twice over.  The window's n-D spectra are sums over terms of outer
+    products of these tables (:meth:`spectra`), its admissibility terms are
+    summed from them without an n-D spectrum (:meth:`power`), and the dense
+    1-D operators of off-lattice values are built from the kernels
+    (:meth:`operators`).  They take 64 n T N bytes per distinct value."""
 
     def __init__(self, terms, spec, u_rows):
         self.spec = spec
-        x = spec.axis(SPACE)
+        self.x = x = spec.axis(SPACE)
         self.index = np.empty(u_rows.shape, dtype=np.intp)
-        self.values, self.lattice, self.m, self.b = [], [], [], []
+        self.values, self.lattice, self.m, self.b, self.kernels = [], [], [], [], []
         for axis in range(spec.n):
             values, self.index[:, axis] = np.unique(u_rows[:, axis], return_inverse=True)
             arg = values[:, None] * x
             g = np.array([g(arg) for _, g in terms], dtype=np.complex128)  # (terms, values, N)
             if axis == 0:
                 g *= np.reshape([c for c, _ in terms], (-1, 1, 1))
-            self.b.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
+            shifted = np.fft.ifftshift(g, axes=-1)
+            kernels = np.concatenate([shifted, shifted], axis=-1) * spec.dx
+            # a narrow factor's tails underflow, and subnormal products slow a
+            # matmul several-fold: parts below 1e-200 of a kernel's peak are zero
+            peak = np.max(np.abs(kernels), axis=-1, keepdims=True)
+            kernels[np.abs(kernels) < 1e-200 * peak] = 0.0
+            self.kernels.append(kernels)
+            self.b.append(np.fft.fft(shifted) * spec.dx)
             g *= np.exp(1j * arg)
             self.m.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
             self.values.append(values)
@@ -318,6 +349,32 @@ class AxisTables:
         b = self.spec.axis(SPACE)
         return [np.exp(1j * (np.where(lattice, values, 0.0)[:, None] * b + rate * b**2))
                 for values, lattice in zip(self.values, self.lattice)]
+
+    def operators(self, axis, j, closing, layout):
+        """K_t(v) = diag(closing) F^-1 diag(conj b_t(v)) F diag(e^{-j v x})
+        on axis ``axis`` for each value v of the indices j, with its own
+        closing (rows of ``closing``):
+
+            K_t(v)[b, x] = closing[b] g_t(v wrap(x - b)) e^{-j v x} dx,
+
+        c_t on axis 0, the periodic correlation with the term's factor
+        between a modulation and a closing phase, as one matrix per value
+        and term.  Its axes come in the order of ``layout``, a permutation
+        of "rtbx": the values, the terms, b and x.  Row b of a correlation
+        is a window of the doubled kernel, kernels[t, N - b:2 N - b], so it
+        is read in place."""
+        kernels = self.kernels[axis][:, j]  # (terms, values, 2 N)
+        N = kernels.shape[-1] // 2
+        sizes = dict(r=len(j), t=len(kernels), b=N, x=N)
+        steps = dict(r=kernels.strides[1], t=kernels.strides[0], b=-kernels.strides[2],
+                     x=kernels.strides[2])
+        correlation = as_strided(kernels[..., N:], [sizes[a] for a in layout],
+                                 [steps[a] for a in layout], writeable=False)
+        wave = np.exp(-1j * self.values[axis][j, None] * self.x)
+        ops = np.multiply(correlation, wave.reshape([sizes[a] if a in "rx" else 1 for a in layout]),
+                          out=np.empty(correlation.shape, dtype=np.complex128))
+        ops *= closing.reshape([sizes[a] if a in "rb" else 1 for a in layout])
+        return ops
 
     def spectra(self, rows, modulated):
         """The n-D window spectra of the rows ``rows``, shape (rows, 1) +
@@ -424,7 +481,9 @@ class Plan:
         and a sum of them, 8; then its real values, 8, their modulated copy,
         16, and M, that copy in FFT order.  An off-lattice row's B is another
         16.  A factored block holds no spectra: its partial transforms are
-        kept per run, not per row, and these bytes bound them."""
+        kept per run, not per row, and these bytes bound them.  Its dense
+        off-lattice operators, T N^2 values a row, are built per node or per
+        span of rows, at most BLOCK_BYTES / 8 of them, for one matmul."""
         per_point = 16 if self.terms is not None else max(40, 16 * self.spec.n + 8)
         return per_point * len(self.angles) * self.spec.point_count
 
@@ -537,30 +596,51 @@ class AxisSlices:
 
     O_{t,i}(v) acts on b-axis i alone.  For a lattice value v it multiplies
     the axis-i spectrum by conj(m_{t,i}(v)), inverts it by one 1-D FFT and
-    closes with e^{-j (v b_i + rate b_i^2)}; off the lattice it modulates by
-    e^{-j x_i v}, transforms, multiplies by conj(b_{t,i}(v)), inverts and
-    closes with e^{-j rate b_i^2}.  That is the frequency shift of the fast
+    closes with e^{-j (v b_i + rate b_i^2)}: the frequency shift of the fast
     S-transform (Stockwell, Mansinha and Lowe, 1996) one axis at a time,
     which holds because psi(A_u y) is a sum of products of 1-D factors.
+    Off the lattice it is K_{t,i}(v) of :meth:`AxisTables.operators`: a
+    modulation by e^{-j x_i v}, the correlation with g_t(v x) and the
+    closing e^{-j rate b_i^2}.  Up to DENSE_AXIS_SAMPLES samples per axis
+    that is one N x N matrix per term and one matmul; above it, the
+    modulation, one 1-D FFT, a product with conj(b_{t,i}(v)), an inverse
+    FFT and the closing.
 
     Operators on different axes commute, so the rows that share u_0 ..
     u_{i-1} share the partial result after axis i - 1.  The partials of the
     last row's leading values are kept, one per term, for the rows after
-    it, in its block or the next.  The terms are summed before the last
-    axis's inverse FFT, one call for each run of a block."""
+    it, in its block or the next.  On the last axis the spectra of a run's
+    rows are summed over the terms before one inverse FFT for the run.  A
+    dense off-lattice row is the product of the last partial, its terms
+    stacked beside its last axis, with the row's operators, stacked the same
+    way and scaled by |det A_u| (2 pi)^(-n/2): the closed row, written into
+    the block.  The operators of a span of such rows are built together,
+    and one matmul call takes their products."""
 
     def __init__(self, z, plan, rate):
         self.plan = plan
         self.closings = [phases.conj() for phases in plan.tables.phases(rate)]
         self.scale = plan.det * (2.0 * np.pi) ** (-plan.spec.n / 2.0)
+        self.dense = plan.spec.samples_per_axis <= DENSE_AXIS_SAMPLES
         self.nodes = [z[None]]  # nodes[i]: the partial after axes 0 .. i - 1
         self.spectra = [None]  # spectra[i]: nodes[i]'s FFT along axis i, once needed
+        self.stacked = None  # nodes[n - 1] with its terms beside its last axis, once needed
         self.keys = []  # keys[i]: the value index on axis i of nodes[i + 1]
 
     def _spectrum(self, axis):
         if self.spectra[axis] is None:
             self.spectra[axis] = np.fft.fft(self.nodes[axis], axis=axis - self.plan.spec.n)
         return self.spectra[axis]
+
+    def _stacked(self):
+        """nodes[n - 1], shape (terms, P) + b-shape, as a matrix (P N^(n-1),
+        terms N)."""
+        if self.stacked is None:
+            node = self.nodes[-1]
+            N = node.shape[-1]
+            stacked = np.moveaxis(node.reshape(len(node), -1, N), 0, 1)
+            self.stacked = stacked.reshape(-1, len(node) * N)
+        return self.stacked
 
     def _modulated_spectrum(self, axis, j):
         """fft(nodes[axis] e^{-j x v}) along axis, v the value of index j."""
@@ -574,6 +654,9 @@ class AxisSlices:
         tables, n = self.plan.tables, self.plan.spec.n
         if tables.lattice[axis][j]:
             out = self._spectrum(axis) * along(tables.m[axis][:, j].conj(), axis, n)
+        elif self.dense:
+            ops = tables.operators(axis, [j], self.closings[axis][[j]], "rtbx")[0]
+            return _apply_along(ops, self.nodes[axis], axis, n)
         else:
             out = self._modulated_spectrum(axis, j) * along(tables.b[axis][:, j].conj(), axis, n)
         np.fft.ifft(out, axis=axis - n, out=out)
@@ -584,12 +667,16 @@ class AxisSlices:
         """Write the slices of the factored u rows start:stop, whose index
         in the plan's tables ``tables`` holds (:meth:`AxisTables.block`),
         into ``out``, shape (rows, P) + b-shape."""
-        plan, n = self.plan, self.plan.spec.n
+        plan, n, N = self.plan, self.plan.spec.n, self.plan.spec.samples_per_axis
         last = n - 1
+        # a span of dense rows takes one call, its operators at most BLOCK_BYTES / 8
+        span = block_rows(8 * 16 * len(plan.terms) * N**2)
         for first, end in _runs(plan, start, stop):
             key = tables.index[first - start, :last]
             keep = _shared_prefix(self.keys, key)
             del self.keys[keep:], self.nodes[keep + 1:], self.spectra[keep + 1:]
+            if keep < last:
+                self.stacked = None
             for axis in range(keep, last):
                 self.nodes.append(self._node(axis, key[axis]))
                 self.spectra.append(None)
@@ -597,16 +684,30 @@ class AxisSlices:
             rows = out[first - start:end - start]
             j = tables.index[first - start:end - start, last]
             lattice = tables.lattice[last][j]
+            dense = ~lattice if self.dense else np.zeros_like(lattice)
+            for a, b in _spans(dense, span):
+                # per row, the last partial, terms stacked beside its last
+                # axis, times the row's operators, stacked alike
+                closing = self.closings[last][j[a:b]] * self.scale[first + a:first + b, None]
+                ops = tables.operators(last, j[a:b], closing, "rtxb").reshape(b - a, -1, N)
+                np.matmul(self._stacked(), ops, out=rows[a:b].reshape(b - a, -1, N))
+            summed = np.flatnonzero(~dense)  # the rows whose terms are summed in a spectrum
+            if not len(summed):
+                continue
+            part = rows
+            if len(summed) < len(rows):
+                part = np.empty((len(summed),) + rows.shape[1:], dtype=rows.dtype)
             # the terms are summed row by row, beside a temporary of one row
             m, b = tables.m[last][:, j].conj(), tables.b[last][:, j].conj()
-            for i, row in enumerate(rows):
+            for row, i in zip(part, summed):
                 if lattice[i]:
                     _sum_terms(self._spectrum(last), m[:, i], last, n, row)
                 else:
                     _sum_terms(self._modulated_spectrum(last, j[i]), b[:, i], last, n, row)
-            np.fft.ifft(rows, axis=-1, out=rows)
-            closing = self.closings[last][j] * self.scale[first:end, None]
-            rows *= along(closing, last, n)
+            np.fft.ifft(part, axis=-1, out=part)
+            part *= along(self.closings[last][j[summed]] * self.scale[first + summed, None], last, n)
+            if part is not rows:
+                rows[summed] = part
 
 
 def _sum_terms(spectra, tables, axis, n, out):
@@ -617,24 +718,53 @@ def _sum_terms(spectra, tables, axis, n, out):
         out += spectra[t] * along(tables[t], axis, n)
 
 
+def _spans(mask, size):
+    """(start, stop) of each run of True in ``mask``, cut into spans of at
+    most ``size`` entries."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(np.int8), [0]])))
+    for start, stop in zip(edges[0::2], edges[1::2]):
+        for first in range(start, stop, size):
+            yield first, min(first + size, stop)
+
+
+def _apply_along(ops, array, axis, n):
+    """sum_x ops[t, b, x] array[t, ..., x, ...] along b-axis ``axis`` of n,
+    for ops of shape (terms, N, N) and an array of shape (terms or 1, P) +
+    b-shape: shape (terms, P) + b-shape, in one matmul."""
+    shape = array.shape
+    N = shape[-1]
+    if axis == n - 1:
+        out = np.matmul(array.reshape(shape[:2] + (-1, N)), np.swapaxes(ops, 1, 2)[:, None])
+    else:
+        out = np.matmul(ops[:, None, None], array.reshape(shape[:2] + (N**axis, N, -1)))
+    return out.reshape((len(ops),) + shape[1:])
+
+
 class AxisSynthesis:
     """The adjoint of :class:`AxisSlices`: the sum over the factored rows
-    of a plan of K_{t,0}(u_0) ... K_{t,n-1}(u_{n-1}) applied to each row's
-    weighted slice, summed over the terms t, in reverse order.
+    of a plan of O_{t,0}(u_0)^H ... O_{t,n-1}(u_{n-1})^H applied to each
+    row's weighted slice, summed over the terms t, in reverse order.
 
-    K_{t,i}(v) acts on b-axis i alone: it opens with e^{j (v b_i + rate
-    b_i^2)} for a lattice value v, with e^{j rate b_i^2} off the lattice,
-    transforms, and multiplies by m_{t,i}(v) on the lattice; off it, it
-    multiplies by b_{t,i}(v), inverts and modulates by e^{j x_i v}.  Each row
-    takes axis n - 1's operator, and the lattice products of a run are
-    summed before its one inverse FFT.  Each run's sum, once its rows are
-    all in, takes the next axis outward into the sum of the rows that share
-    one value fewer, and so on up to axis 0, whose sum is inverted once in
-    :meth:`total`.  Rows come in order, block by block."""
+    On b-axis i, for a lattice value v, the adjoint opens with e^{j (v b_i +
+    rate b_i^2)}, transforms, and multiplies by m_{t,i}(v); a run's lattice
+    rows are summed in that spectrum before its one inverse FFT.  Off the
+    lattice it is K_{t,i}(v)^H, the conjugate transpose of
+    :meth:`AxisTables.operators`, which opens with e^{j rate b_i^2}.  Up to
+    DENSE_AXIS_SAMPLES samples per axis that is one matmul for a node's sum,
+    and one for a span of a run's off-lattice rows: their slices side by
+    side, against their adjoints stacked alike with each row's weight folded
+    in, summed over the rows and b by the contraction.  Above it, the opening,
+    a 1-D FFT, a product with b_{t,i}(v), an inverse FFT and a modulation
+    by e^{j x_i v}.  Those results are added to a sum in space.  Each run's
+    sum, once its rows are all in, takes the next axis outward into the sum
+    of the rows that share one value fewer, and so on up to axis 0, whose
+    sum is inverted once in :meth:`total`.  Rows come in order, block by
+    block."""
 
     def __init__(self, plan, rate):
         self.plan = plan
         self.openings = plan.tables.phases(rate)
+        self.dense = plan.spec.samples_per_axis <= DENSE_AXIS_SAMPLES
         n = plan.spec.n
         self.keys = []  # keys[i]: the value index on axis i of the rows being summed
         # per depth d, the terms' sums of what axis d added: their spectra
@@ -648,6 +778,13 @@ class AxisSynthesis:
             shape = (len(self.plan.terms),) + like.shape[-self.plan.spec.n - 1:]
             sums[part] = np.zeros(shape, dtype=np.complex128)
         return sums[part]
+
+    def _adjoints(self, axis, j, weights, layout):
+        """weights[r] K_t(v_r)^H for every term t and value v_r of the
+        indices j on axis ``axis``, axes in the order of ``layout`` as in
+        :meth:`AxisTables.operators`, b and x those of K_t."""
+        closing = self.openings[axis][j].conj() * weights[:, None]
+        return np.conjugate(self.plan.tables.operators(axis, j, closing, layout))
 
     def _add_off_lattice(self, depth, spectrum, j):
         """Add e^{j x v} ifft(spectrum b_{t,depth}(v)) for every term t, v the
@@ -671,6 +808,11 @@ class AxisSynthesis:
         """Take the complete sum of depth ``depth`` through axis depth - 1."""
         tables, n, axis = self.plan.tables, self.plan.spec.n, depth - 1
         j = self.keys[axis]
+        if self.dense and not tables.lattice[axis][j]:
+            summed = self._sum(depth)
+            adjoints = self._adjoints(axis, [j], np.ones(1), "rtxb")[0]
+            self._buffer(axis, 1, summed)[...] += _apply_along(adjoints, summed, axis, n)
+            return
         opened = self._sum(depth) * along(self.openings[axis][j], axis, n)
         np.fft.fft(opened, axis=axis - n, out=opened)
         if tables.lattice[axis][j]:
@@ -683,19 +825,35 @@ class AxisSynthesis:
         """Add the factored u rows start:stop, whose index in the plan's
         tables ``tables`` holds (:meth:`AxisTables.block`): ``slices``,
         shape (rows, P) + b-shape, and their synthesis ``weights``."""
-        plan, n = self.plan, self.plan.spec.n
+        plan, n, N = self.plan, self.plan.spec.n, self.plan.spec.samples_per_axis
         last = n - 1
+        # a span of dense rows takes one call, its copy of the rows and its
+        # adjoints at most BLOCK_BYTES / 8
+        span = block_rows(8 * 16 * (slices[0].size + len(plan.terms) * N**2))
         for first, end in _runs(plan, start, stop):
             key = tables.index[first - start, :last]
             keep = _shared_prefix(self.keys, key)
             for depth in range(len(self.keys), keep, -1):
                 self._close(depth)
             self.keys[keep:] = key[keep:]
+            rows, w = slices[first - start:end - start], weights[first - start:end - start]
             j = tables.index[first - start:end - start, last]
-            opening = self.openings[last][j] * weights[first - start:end - start, None]
-            spectra = slices[first - start:end - start] * along(opening, last, n)
-            np.fft.fft(spectra, axis=-1, out=spectra)
             lattice = tables.lattice[last][j]
+            dense = ~lattice if self.dense else np.zeros_like(lattice)
+            for a, b in _spans(dense, span):
+                # the rows side by side against their adjoints stacked alike,
+                # summed over the rows and b by the contraction
+                stacked = np.moveaxis(rows[a:b].reshape(b - a, -1, N), 0, 1).reshape(-1, (b - a) * N)
+                adjoints = self._adjoints(last, j[a:b], w[a:b], "rbtx").reshape((b - a) * N, -1)
+                summed = np.matmul(stacked, adjoints).reshape(-1, len(plan.terms), N)
+                space = self._buffer(last, 1, rows)
+                space.reshape(len(space), -1, N)[...] += np.moveaxis(summed, 1, 0)
+            if dense.all():
+                continue
+            if dense.any():
+                rows, w, j, lattice = rows[~dense], w[~dense], j[~dense], lattice[~dense]
+            spectra = rows * along(self.openings[last][j] * w[:, None], last, n)
+            np.fft.fft(spectra, axis=-1, out=spectra)
             for i in np.flatnonzero(~lattice):
                 self._add_off_lattice(last, spectra[i], j[i])
             if lattice.any():

@@ -110,10 +110,11 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     u-blocks, and leaves the admissibility profile of the same windows in
     ``vol.admissibility``.
     The paths differ in the signal side:
-    ``three_step`` chirps f; on a run of rows that share their leading u
-    values, with a separable window, it goes one axis at a time and shares
-    each axis's partial transform across the run
-    (:class:`~clcst.stockwell.AxisSlices`); otherwise it transforms the
+    ``three_step`` chirps f, by 1-D factors, one per axis; on a run of rows
+    that share their leading u values, with a separable window, it goes one
+    axis at a time and shares each axis's partial transform across the run
+    (:class:`~clcst.stockwell.AxisSlices`), an off-lattice value by one
+    dense 1-D operator on a small lattice; otherwise it transforms the
     chirped f once, each lattice u multiplies that spectrum by the
     conjugate of its modulated window spectrum, and one inverse FFT per
     block of u rows gives the slices;
@@ -140,13 +141,16 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
         f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path, pairs=live
     )
     plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)
-    antichirp = np.exp(-1j * params.chirp_rate * f.spec.squared_radius(SPACE))
-    if path == "three_step":
-        fill_block = spectrum_slices(z * antichirp.conj(), plan, params.chirp_rate)
-    elif path == "direct":
-        fill_block = row_slices(_direct_slices(z, plan, params.chirp_rate, antichirp), plan)
+    rate = params.chirp_rate
+    if path == "three_step":  # the chirp as 1-D factors, one per axis
+        chirped = axis_phase_multiply(z, f.spec, np.zeros((1, f.spec.n)), rate, 1.0)
+        fill_block = spectrum_slices(chirped, plan, rate)
     else:
-        fill_block = row_slices(_spectral_slices(z * antichirp.conj(), plan, antichirp), plan)
+        antichirp = np.exp(-1j * rate * f.spec.squared_radius(SPACE))
+        if path == "direct":
+            fill_block = row_slices(_direct_slices(z, plan, rate, antichirp), plan)
+        else:
+            fill_block = row_slices(_spectral_slices(z * antichirp.conj(), plan, antichirp), plan)
     fill_volume(vol, plan, fill_block, None if sink is None else sink(vol))
     return vol
 
@@ -281,8 +285,9 @@ def reconstruct_resolution(vol, psi, params):
     with the modulated window.  On the factored runs of a separable window
     it is the adjoint of the axis-by-axis analysis
     (:class:`~clcst.stockwell.AxisSynthesis`): each row's 1-D transforms
-    along the last axis are summed over its run, and each run's sum goes
-    through the earlier axes once.  On the n-D route, for a lattice u it
+    along the last axis, or its dense adjoint operator off the lattice,
+    are summed over its run, and each run's sum goes through the earlier
+    axes once.  On the n-D route, for a lattice u it
     is fftn(s e^{j u.b}) M in the spectrum, M the modulated window spectrum
     of :meth:`~clcst.stockwell.Plan.blocks`: each block's weighted columns
     are transformed by one fftn, their products with M summed without a

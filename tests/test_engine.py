@@ -319,21 +319,53 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
     )
 
 
-# the cases of each u list, named kind-n, and the mixed list's as before the others
+# DENSE_AXIS_SAMPLES that forces each branch of an off-lattice axis value
+BRANCHES = {"dense": 10**9, "fft": 0}
+
+
+@pytest.fixture
+def operators(monkeypatch):
+    """(axis, value index) of every dense off-lattice operator built from
+    here to the end of the test."""
+    built = []
+    build = AxisTables.operators
+
+    def counted(self, axis, j, *args, **kwargs):
+        built.append((axis, j))
+        return build(self, axis, j, *args, **kwargs)
+
+    monkeypatch.setattr(AxisTables, "operators", counted)
+    return built
+
+
+# the cases of each u list, named kind-n, and the mixed list's as before the
+# others, on the dense off-lattice branch; then the tensor list's on the FFT
+# branch, named kind-n-tensor-fft
 SEPARABLE_CASES = [
-    pytest.param(n, kind, u_kind, id="-".join([kind, str(n)] + [u_kind] * (u_kind != "mixed")))
+    pytest.param(n, kind, u_kind, "dense",
+                 id="-".join([kind, str(n)] + [u_kind] * (u_kind != "mixed")))
     for u_kind in U_LISTS for n in (2, 3) for kind in ("gaussian", "unit", "dog", "composite")
+] + [
+    pytest.param(n, kind, "tensor", "fft", id="-".join([kind, str(n), "tensor", "fft"]))
+    for n in (2, 3) for kind in ("gaussian", "dog", "composite")
 ]
 
 
-@pytest.mark.parametrize("n, kind, u_kind", SEPARABLE_CASES)
-def test_separable_route_matches_dense_route(n, kind, u_kind):
+@pytest.mark.parametrize("n, kind, u_kind, branch", SEPARABLE_CASES)
+def test_separable_route_matches_dense_route(n, kind, u_kind, branch, operators, monkeypatch):
     """Window spectra built from the plan's per-axis tables, and slices
     computed one axis at a time on the runs of a tensor list, give the
     block spectra, slices, profiles and synthesis of the same window
-    evaluated on the lattice, on every path and in cst: on rows that are
-    each their own run, on a tensor list, whose runs are factored, and on
-    that list shuffled, where most runs break."""
+    evaluated on the lattice, on every path and in cst, and the three_step
+    slices and their synthesis match those of the direct path to 1e-12: on
+    rows that are each their own run, on a tensor list, whose runs are
+    factored and whose last axis mixes lattice and off-lattice values in
+    each run, and on that list shuffled, where most runs break.  The
+    off-lattice values of the factored runs take the branch ``branch``,
+    dense operators or FFTs, whatever N."""
+    from clcst import stockwell
+
+    monkeypatch.setattr(stockwell, "DENSE_AXIS_SAMPLES", BRANCHES[branch])
     spec, ctx = setting(n)
     psi = radial_window(n, kind)
     dense = Dense(psi)
@@ -371,6 +403,7 @@ def test_separable_route_matches_dense_route(n, kind, u_kind):
     assert u_kind != "mixed" or not bounds
 
     f = noise(spec, ctx, seed=9)
+    volumes = {}
     for path in PATHS + ("cst",):
         fast, slow = (
             cst(f, w, u, THETAS) if path == "cst" else clcst(f, w, M, u, THETAS, path=path)
@@ -378,35 +411,56 @@ def test_separable_route_matches_dense_route(n, kind, u_kind):
         )
         assert_slices_close(fast, slow, 1e-13)
         assert_close(fast.admissibility[0].data, slow.admissibility[0].data)
+        volumes[path] = fast
+    assert_slices_close(volumes["three_step"], volumes["direct"], 1e-12)
     assert_close(
         admissibility_profile(psi, M, spec, ctx, u, THETAS)[0].data,
         admissibility_profile(dense, M, spec, ctx, u, THETAS)[0].data,
     )
-    vol = clcst(f, psi, M, u, THETAS)
-    assert_close(
-        reconstruct_resolution(vol, psi, M)[0].data,
-        reconstruct_resolution(vol, dense, M)[0].data,
-    )
+    del operators[:]
+    vol = volumes["three_step"]
+    synthesis = reconstruct_resolution(vol, psi, M)[0].data
+    assert_close(synthesis, reconstruct_resolution(vol, dense, M)[0].data)
+    assert_close(synthesis, reconstruct_resolution(volumes["direct"], dense, M)[0].data, 1e-12)
+    # dense operators on the dense branch alone, for factored rows alone: on
+    # every axis of the tensor list, whose runs hold off-lattice values on each
+    axes = {axis for axis, _ in operators}
+    if branch == "fft" or u_kind == "mixed":
+        assert not axes
+    elif u_kind == "tensor":
+        assert axes == set(range(n))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("rows", [1, 3])
 def test_factored_runs_cut_by_blocks_keep_their_partials(n, rows, monkeypatch):
-    """Blocks of one or three u rows cut the factored runs of a tensor list:
-    the partial transforms kept from one block for the next, and the run
-    sums carried into the next block's synthesis, give the slices and the
-    resolution synthesis of one whole block."""
+    """Blocks of one or three u rows cut the factored runs of a tensor list,
+    whose last axis mixes lattice and off-lattice values: on either branch
+    of the off-lattice values, dense operators or FFTs, the partial
+    transforms kept from one block for the next, and the run sums carried
+    into the next block's synthesis, give the slices and the resolution
+    synthesis of one whole block, the slices of the direct path to 1e-12,
+    and the profile and synthesis of the window evaluated on the lattice."""
     from clcst import stockwell, transform
 
     spec, ctx = setting(n)
     psi, u, f = radial_window(n, "dog"), tensor_list(spec), noise(spec, ctx, seed=5)
-    whole = clcst(f, psi, M, u, THETAS)
-    expect = reconstruct_resolution(whole, psi, M)[0].data
-    for module in (stockwell, transform):
-        monkeypatch.setattr(module, "block_rows", lambda bytes_per_u: rows)
-    cut = clcst(f, psi, M, u, THETAS)
-    assert_close(cut.stored, whole.stored)
-    assert_close(reconstruct_resolution(cut, psi, M)[0].data, expect)
+    direct = clcst(f, psi, M, u, THETAS, path="direct")
+    dense = reconstruct_resolution(direct, Dense(psi), M)
+    for branch, limit in BRANCHES.items():
+        monkeypatch.setattr(stockwell, "DENSE_AXIS_SAMPLES", limit)
+        whole = clcst(f, psi, M, u, THETAS)
+        expect = reconstruct_resolution(whole, psi, M)[0].data
+        with monkeypatch.context() as cut_blocks:
+            for module in (stockwell, transform):
+                cut_blocks.setattr(module, "block_rows", lambda bytes_per_u: rows)
+            cut = clcst(f, psi, M, u, THETAS)
+            synthesis, (profile, _) = reconstruct_resolution(cut, psi, M)
+        assert_close(cut.stored, whole.stored)
+        assert_close(synthesis.data, expect)
+        assert_slices_close(cut, direct, 1e-12)
+        assert_close(profile.data, dense[1][0].data)
+        assert_close(synthesis.data, dense[0].data, 1e-12)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "dog", "composite", "skewed"])
@@ -583,12 +637,19 @@ def fft_work(monkeypatch):
     return work
 
 
-def test_off_lattice_tensor_list_shares_each_axis_partial_transform(fft_work):
+def test_off_lattice_tensor_list_shares_each_axis_partial_transform(fft_work, monkeypatch):
     """A three_step transform of a 3 x 3 x 3 off-lattice tensor list (n = 3,
-    N = 16, a Gaussian window and a scalar signal) takes one forward and one
-    inverse axis pass per node of its tree of values, 3 + 9 + 27 of them:
-    at most 90 N^3 points of FFT work, against 165.6 N^3 when each row took
-    its own n-D FFTs and the signal's unused fftn was taken too."""
+    N = 16, a Gaussian window and a scalar signal) takes one axis operator
+    per node of its tree of values, 3 + 9 + 27 of them.  At this N, not
+    above DENSE_AXIS_SAMPLES, each is a product with a dense N x N
+    operator, one matmul call per node and one per run for its 3 rows (or
+    per part of a run that a block cuts), and no FFT passes over the b-grid: the only FFTs are those of the 1-D
+    tables, less than one N^3 pass.  On the FFT branch each node takes one
+    forward and one inverse axis pass, at most 90 N^3 points of FFT work,
+    against 165.6 N^3 when each row took its own n-D FFTs and the signal's
+    unused fftn was taken too.  Both match the direct path."""
+    from clcst import stockwell
+
     spec, ctx = GridSpec(3, 4.0, 16), transform_algebra(3)
     per_axis = [np.array([-2.3, 0.6, 1.45]) * spec.dw, np.array([-1.2, 0.9, 2.7]) * spec.dw,
                 np.array([-0.8, 1.3, 3.4]) * spec.dw]
@@ -596,10 +657,28 @@ def test_off_lattice_tensor_list_shares_each_axis_partial_transform(fft_work):
     f = GridSignal.from_scalar(spec, ctx, np.exp(-spec.squared_radius() / (2 * 0.8**2)))
     psi = GaussianWindow(3, sigma=1.0)
     assert Plan(psi, spec, u, THETAS, np.ones(len(u))).factored.all()
-    vol = clcst(f, psi, M, u, THETAS, path="three_step")
-    assert sum(fft_work) <= 90 * spec.point_count
+    assert spec.samples_per_axis <= stockwell.DENSE_AXIS_SAMPLES
+    direct = clcst(f, psi, M, u, THETAS, path="direct")
+    matmuls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):  # a row's matmul writes into its block
+        out = matmul(*args, **kwargs)
+        matmuls.append(("row" if "out" in kwargs else "node", out.size))
+        return out
+
+    monkeypatch.setattr(np, "matmul", counted)
     del fft_work[:]
-    assert_slices_close(vol, clcst(f, psi, M, u, THETAS, path="direct"), 1e-12)
+    vol = clcst(f, psi, M, u, THETAS, path="three_step")
+    assert sum(fft_work) < spec.point_count
+    assert [size for kind, size in matmuls if kind == "node"] == [spec.point_count] * (3 + 9)
+    assert sum(size for kind, size in matmuls if kind == "row") == 27 * spec.point_count
+    assert_slices_close(vol, direct, 1e-12)
+    monkeypatch.setattr(stockwell, "DENSE_AXIS_SAMPLES", 0)
+    del fft_work[:], matmuls[:]
+    vol = clcst(f, psi, M, u, THETAS, path="three_step")
+    assert sum(fft_work) <= 90 * spec.point_count and not matmuls
+    assert_slices_close(vol, direct, 1e-12)
 
 
 @pytest.fixture
@@ -678,8 +757,9 @@ def phases(monkeypatch):
 def test_only_off_lattice_rows_are_modulated_one_by_one(n, path, phases):
     """The lattice rows of a block take their e^{-j u.b} (e^{+j u.b} in
     resolution synthesis), chirp and scale in one call for the whole block;
-    only an off-lattice row modulates an array of pairs on its own.  The
-    blocks mix both kinds of row."""
+    only an off-lattice row modulates an array of pairs on its own, beside
+    the one chirp of the signal (three_step) or of the synthesis
+    (resolution).  The blocks mix both kinds of row."""
     spec, ctx = setting(n)
     psi = GaussianWindow(n, sigma=0.9)
     u = mixed_u_list(spec)
@@ -697,6 +777,9 @@ def test_only_off_lattice_rows_are_modulated_one_by_one(n, path, phases):
     pairs = ctx.blade_count // 2
     if path == "resolution":  # then the closing chirp, common to every term
         rows, shape = phases.pop()
+        assert not rows.any() and shape == (pairs,) + spec.shape
+    elif path == "three_step":  # first the signal's chirp, common to every row
+        rows, shape = phases.pop(0)
         assert not rows.any() and shape == (pairs,) + spec.shape
     per_row = [rows for rows, shape in phases if shape == (pairs,) + spec.shape]
     assert np.array_equal(np.concatenate(per_row), sign * u[~on_lattice])

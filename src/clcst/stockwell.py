@@ -109,9 +109,10 @@ from .windows import WindowSpec, window_angles
 
 ROLL_TOLERANCE = 1e-13  # in steps of dw; the roll's phase error stays below 1e-12
 # up to this many samples per axis, an off-lattice axis value of the
-# axis-by-axis route is applied as one dense N x N operator per term, one
+# axis-by-axis route is applied as one dense N x N operator per term, by
 # matmul, and above it by 1-D FFTs: timed in-process (CHANGES.md), the dense
-# operator is faster or even up to N = 56 at n = 2 and slower from 64
+# operator is faster at n = 3 up to N = 96, and at n = 2 faster or even up
+# to N = 48 and slower from 56 on
 DENSE_AXIS_SAMPLES = 48
 # in steps of dw, how near its frequency bin a u feeds the marginal: the roll
 # must be exact for the 1e-12 slice check, but a bin slip of 1e-9 steps is far

@@ -305,13 +305,15 @@ class AxisTables:
     i]``, each row's value among them; ``lattice[i]``, each value's lattice
     class at ROLL_TOLERANCE; ``m[i]`` and ``b[i]``, shape (terms, values,
     N), the 1-D FFTs of g_t(v x) e^{j v x} and of g_t(v x), times dx and, on
-    axis 0, the term's coefficient c_t; and ``kernels[i]``, shape (terms,
-    values, 2 N), the same g_t(v x) dx (c_t) in FFT order, untransformed and
-    twice over.  The window's n-D spectra are sums over terms of outer
-    products of these tables (:meth:`spectra`), its admissibility terms are
-    summed from them without an n-D spectrum (:meth:`power`), and the dense
-    1-D operators of off-lattice values are built from the kernels
-    (:meth:`operators`).  They take 64 n T N bytes per distinct value."""
+    axis 0, the term's coefficient c_t; and on an axis with an off-lattice
+    value ``kernels[i]``, shape (terms, values, 2 N), the same g_t(v x) dx
+    (c_t) in FFT order, untransformed and twice over (None on an axis of
+    lattice values alone).  The window's n-D spectra are sums over terms of
+    outer products of these tables (:meth:`spectra`), its admissibility
+    terms are summed from them without an n-D spectrum (:meth:`power`), and
+    the dense 1-D operators of off-lattice values are built from the
+    kernels (:meth:`operators`).  They take 32 n T N bytes per distinct
+    value, and 32 T N more on an axis with an off-lattice value."""
 
     def __init__(self, terms, spec, u_rows):
         self.spec = spec
@@ -324,18 +326,21 @@ class AxisTables:
             g = np.array([g(arg) for _, g in terms], dtype=np.complex128)  # (terms, values, N)
             if axis == 0:
                 g *= np.reshape([c for c, _ in terms], (-1, 1, 1))
-            shifted = np.fft.ifftshift(g, axes=-1)
-            kernels = np.concatenate([shifted, shifted], axis=-1) * spec.dx
-            # a narrow factor's tails underflow, and subnormal products slow a
-            # matmul several-fold: parts below 1e-200 of a kernel's peak are zero
-            peak = np.max(np.abs(kernels), axis=-1, keepdims=True)
-            kernels[np.abs(kernels) < 1e-200 * peak] = 0.0
+            lattice = lattice_steps(values, spec.dw, ROLL_TOLERANCE)[1]
+            kernels = None  # only an off-lattice value needs them
+            if not lattice.all():
+                shifted = np.fft.ifftshift(g, axes=-1)
+                kernels = np.concatenate([shifted, shifted], axis=-1) * spec.dx
+                # a narrow factor's tails underflow, and subnormal products slow
+                # a matmul several-fold: parts below 1e-200 of a peak are zero
+                peak = np.max(np.abs(kernels), axis=-1, keepdims=True)
+                kernels[np.abs(kernels) < 1e-200 * peak] = 0.0
             self.kernels.append(kernels)
-            self.b.append(np.fft.fft(shifted) * spec.dx)
+            self.b.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
             g *= np.exp(1j * arg)
             self.m.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
             self.values.append(values)
-            self.lattice.append(lattice_steps(values, spec.dw, ROLL_TOLERANCE)[1])
+            self.lattice.append(lattice)
 
     def block(self, start, stop):
         """These tables, with the index of rows start:stop alone."""

@@ -69,8 +69,8 @@ row, which writes the closed row with its terms stacked along the
 contraction, the rows of a run taken a span at a time by one call.  Above
 it, where the matmul's N products per point and term cost more than FFTs,
 it is applied as the modulation, FFT, product, inverse FFT and closing
-that it stands for.  The resolution synthesis runs the adjoint in reverse order
-(:class:`AxisSynthesis`), K_t(v)^H off the lattice, and the run's
+that it stands for.  The resolution synthesis runs the adjoint in reverse
+order (:class:`AxisSynthesis`), K_t(v)^H off the lattice, and the run's
 admissibility terms are summed from the tables.  No value of such a window
 is computed on the n-D lattice: a row outside a long run builds its n-D
 spectra as outer products of its block's tables.  Any other window is
@@ -111,8 +111,8 @@ ROLL_TOLERANCE = 1e-13  # in steps of dw; the roll's phase error stays below 1e-
 # up to this many samples per axis, an off-lattice axis value of the
 # axis-by-axis route is applied as one dense N x N operator per term, by
 # matmul, and above it by 1-D FFTs: timed in-process (CHANGES.md), the dense
-# operator is faster at n = 3 up to N = 96, and at n = 2 faster or even up
-# to N = 48 and slower from 56 on
+# operator is faster at n = 3 up to N = 96, and at n = 2 faster up to N = 32,
+# about even at 48 and slower from 56 on
 DENSE_AXIS_SAMPLES = 48
 # in steps of dw, how near its frequency bin a u feeds the marginal: the roll
 # must be exact for the 1e-12 slice check, but a bin slip of 1e-9 steps is far

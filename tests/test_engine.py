@@ -417,18 +417,20 @@ def test_separable_route_matches_dense_route(n, kind, u_kind, branch, operators,
         admissibility_profile(psi, M, spec, ctx, u, THETAS)[0].data,
         admissibility_profile(dense, M, spec, ctx, u, THETAS)[0].data,
     )
+    built = {"analysis": {axis for axis, _ in operators}}
     del operators[:]
     vol = volumes["three_step"]
     synthesis = reconstruct_resolution(vol, psi, M)[0].data
     assert_close(synthesis, reconstruct_resolution(vol, dense, M)[0].data)
     assert_close(synthesis, reconstruct_resolution(volumes["direct"], dense, M)[0].data, 1e-12)
+    built["synthesis"] = {axis for axis, _ in operators}
     # dense operators on the dense branch alone, for factored rows alone: on
     # every axis of the tensor list, whose runs hold off-lattice values on each
-    axes = {axis for axis, _ in operators}
-    if branch == "fft" or u_kind == "mixed":
-        assert not axes
-    elif u_kind == "tensor":
-        assert axes == set(range(n))
+    for axes in built.values():
+        if branch == "fft" or u_kind == "mixed":
+            assert not axes
+        elif u_kind == "tensor":
+            assert axes == set(range(n))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -662,7 +662,7 @@ class AxisSlices:
             out = self._spectrum(axis) * along(tables.m[axis][:, j].conj(), axis, n)
         elif self.dense:
             ops = tables.operators(axis, [j], self.closings[axis][[j]], "rtbx")[0]
-            return _apply_along(ops, self.nodes[axis], axis, n)
+            return _apply_along(ops, self.nodes[axis], axis)
         else:
             out = self._modulated_spectrum(axis, j) * along(tables.b[axis][:, j].conj(), axis, n)
         np.fft.ifft(out, axis=axis - n, out=out)
@@ -691,12 +691,12 @@ class AxisSlices:
             j = tables.index[first - start:end - start, last]
             lattice = tables.lattice[last][j]
             dense = ~lattice if self.dense else np.zeros_like(lattice)
-            for a, b in _spans(dense, span):
+            for lo, hi in _spans(dense, span):
                 # per row, the last partial, terms stacked beside its last
                 # axis, times the row's operators, stacked alike
-                closing = self.closings[last][j[a:b]] * self.scale[first + a:first + b, None]
-                ops = tables.operators(last, j[a:b], closing, "rtxb").reshape(b - a, -1, N)
-                np.matmul(self._stacked(), ops, out=rows[a:b].reshape(b - a, -1, N))
+                closing = self.closings[last][j[lo:hi]] * self.scale[first + lo:first + hi, None]
+                ops = tables.operators(last, j[lo:hi], closing, "rtxb").reshape(hi - lo, -1, N)
+                np.matmul(self._stacked(), ops, out=rows[lo:hi].reshape(hi - lo, -1, N))
             summed = np.flatnonzero(~dense)  # the rows whose terms are summed in a spectrum
             if not len(summed):
                 continue
@@ -733,16 +733,13 @@ def _spans(mask, size):
             yield first, min(first + size, stop)
 
 
-def _apply_along(ops, array, axis, n):
-    """sum_x ops[t, b, x] array[t, ..., x, ...] along b-axis ``axis`` of n,
-    for ops of shape (terms, N, N) and an array of shape (terms or 1, P) +
-    b-shape: shape (terms, P) + b-shape, in one matmul."""
+def _apply_along(ops, array, axis):
+    """sum_x ops[t, b, x] array[t, ..., x, ...] along b-axis ``axis``, not
+    the last, for ops of shape (terms, N, N) and an array of shape (terms or
+    1, P) + b-shape: shape (terms, P) + b-shape, in one matmul."""
     shape = array.shape
     N = shape[-1]
-    if axis == n - 1:
-        out = np.matmul(array.reshape(shape[:2] + (-1, N)), np.swapaxes(ops, 1, 2)[:, None])
-    else:
-        out = np.matmul(ops[:, None, None], array.reshape(shape[:2] + (N**axis, N, -1)))
+    out = np.matmul(ops[:, None, None], array.reshape(shape[:2] + (N**axis, N, -1)))
     return out.reshape((len(ops),) + shape[1:])
 
 
@@ -817,7 +814,7 @@ class AxisSynthesis:
         if self.dense and not tables.lattice[axis][j]:
             summed = self._sum(depth)
             adjoints = self._adjoints(axis, [j], np.ones(1), "rtxb")[0]
-            self._buffer(axis, 1, summed)[...] += _apply_along(adjoints, summed, axis, n)
+            self._buffer(axis, 1, summed)[...] += _apply_along(adjoints, summed, axis)
             return
         opened = self._sum(depth) * along(self.openings[axis][j], axis, n)
         np.fft.fft(opened, axis=axis - n, out=opened)
@@ -846,11 +843,12 @@ class AxisSynthesis:
             j = tables.index[first - start:end - start, last]
             lattice = tables.lattice[last][j]
             dense = ~lattice if self.dense else np.zeros_like(lattice)
-            for a, b in _spans(dense, span):
+            for lo, hi in _spans(dense, span):
                 # the rows side by side against their adjoints stacked alike,
                 # summed over the rows and b by the contraction
-                stacked = np.moveaxis(rows[a:b].reshape(b - a, -1, N), 0, 1).reshape(-1, (b - a) * N)
-                adjoints = self._adjoints(last, j[a:b], w[a:b], "rbtx").reshape((b - a) * N, -1)
+                stacked = np.moveaxis(rows[lo:hi].reshape(hi - lo, -1, N), 0, 1)
+                stacked = stacked.reshape(-1, (hi - lo) * N)
+                adjoints = self._adjoints(last, j[lo:hi], w[lo:hi], "rbtx").reshape((hi - lo) * N, -1)
                 summed = np.matmul(stacked, adjoints).reshape(-1, len(plan.terms), N)
                 space = self._buffer(last, 1, rows)
                 space.reshape(len(space), -1, N)[...] += np.moveaxis(summed, 1, 0)

@@ -219,18 +219,20 @@ def _pair_signs(ctx):
     return ctx.pseudo_sign[::-1][: ctx.blade_count // 2]
 
 
-def pack(ctx, data):
+def pack(ctx, data, pairs=None):
     """Blade-major real data as 2^(n-1) complex pairs z_B = f_B - j sigma_B f_{B^F}.
 
     The pair blades are B < B^F, the lower half of the bitmasks; their
     partners B^F = F - B are the upper half in reverse.  Right multiplication
     by a + i_n b is then z (a + j b), because span{1, i_n} is isomorphic to C.
+    Only the pairs named by ``pairs`` are built, in order, by default all.
     """
     signs, top = _pair_signs(ctx), ctx.blade_count - 1
-    z = np.empty((ctx.blade_count // 2,) + data.shape[1:], dtype=np.complex128)
-    for b in range(len(z)):
-        z[b, ...].real = data[b]
-        np.multiply(data[top - b], -signs[b], out=z[b, ...].imag)
+    pairs = range(ctx.blade_count // 2) if pairs is None else pairs
+    z = np.empty((len(pairs),) + data.shape[1:], dtype=np.complex128)
+    for i, b in enumerate(pairs):
+        z[i, ...].real = data[b]
+        np.multiply(data[top - b], -signs[b], out=z[i, ...].imag)
     return z
 
 
@@ -249,14 +251,19 @@ def unpack(ctx, z, pairs=None):
 
 
 def live_pairs(z):
-    """Indices of the complex pairs z[p] that are not identically zero.  At
-    least pair 0 is returned, so that a zero signal still runs through the
-    engine.
+    """Indices of the complex pairs z[p] that are not identically zero, or
+    of a real blade-major array's pairs, a pair being live when either of
+    its blades is (so the signal's live pairs are known before it is
+    packed).  At least pair 0 is returned, so that a zero signal still runs
+    through the engine.
 
     Right multiplication by span{1, i_n} acts on each pair on its own, so a
     pair that is zero everywhere stays zero under every kernel phase.
     """
-    live = np.flatnonzero(np.any(z.reshape(len(z), -1), axis=1))
+    nonzero = np.any(z.reshape(len(z), -1), axis=1)
+    if not np.iscomplexobj(z):
+        nonzero = (nonzero | nonzero[::-1])[: len(z) // 2]
+    live = np.flatnonzero(nonzero)
     return live if live.size else np.zeros(1, dtype=np.intp)
 
 

@@ -162,9 +162,10 @@ def checked_lists(spec, u_list=None, theta_list=None):
     the volume is allocated.
 
     The u list is one row of n components or a list of such rows.  Every u
-    component must be nonzero, because A_u = diag(u) is inverted, and the
-    angles must be distinct, because the theta weight is meant for distinct
-    angles.  None selects the default list.
+    component and angle must be finite; every u component must be nonzero,
+    because A_u = diag(u) is inverted, and the angles must be distinct,
+    because the theta weight is meant for distinct angles.  None selects the
+    default list.
     """
     if u_list is None:
         u_list = default_u_list(spec)
@@ -175,12 +176,20 @@ def checked_lists(spec, u_list=None, theta_list=None):
         raise StockwellError("u list of shape %r is not rows of n = %d" % (u_list.shape, spec.n))
     u_list = u_list.reshape(-1, spec.n)
     theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
+    bad_rows = np.flatnonzero(~np.all(np.isfinite(u_list), axis=1))
+    if bad_rows.size:
+        raise StockwellError(
+            "u row %d is not finite: %r" % (bad_rows[0], u_list[bad_rows[0]].tolist())
+        )
+    if not np.all(np.isfinite(theta_list)):
+        raise StockwellError("theta list is not finite: %r" % theta_list.tolist())
     zero_rows = np.flatnonzero(np.any(u_list == 0.0, axis=1))
     if zero_rows.size:
         raise StockwellError(
             "u row %d has a zero component: %r" % (zero_rows[0], u_list[zero_rows[0]].tolist())
         )
-    if len(np.unique(theta_list)) != len(theta_list):
+    # neighbours of the sorted angles, not np.unique, which imports numpy.ma
+    if np.any(np.diff(np.sort(theta_list)) == 0.0):
         raise StockwellError("theta list repeats an angle: %r" % theta_list.tolist())
     return u_list, theta_list
 
@@ -1016,11 +1025,10 @@ def cst(f, psi, u_list=None, theta_list=None):
     """
     check_analysis_inputs(f, psi)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
-    z = pack(f.ctx, f.data)
-    live = live_pairs(z)
+    live = live_pairs(f.data)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst", pairs=live)
     plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)
-    fill_volume(vol, plan, spectrum_slices(z[live], plan, 0.0))
+    fill_volume(vol, plan, spectrum_slices(pack(f.ctx, f.data, pairs=live), plan, 0.0))
     return vol
 
 

@@ -134,9 +134,8 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     _require_b_nonzero(params, f.spec)
     check_analysis_inputs(f, psi)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
-    z = pack(f.ctx, f.data)
-    live = live_pairs(z)
-    z = z[live]
+    live = live_pairs(f.data)
+    z = pack(f.ctx, f.data, pairs=live)
     vol = CLCSTVolume(
         f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path, pairs=live
     )

@@ -28,17 +28,20 @@ def u_weights_from_list(u_list):
     """Per-point weights as the product of local per-axis spacings.
 
     For tensor grids this reproduces spacing^n; scattered lists fall back to
-    the median spacing of the sorted distinct values per axis.
+    the median spacing of the sorted distinct values per axis.  The gaps
+    between distinct values are the nonzero gaps of the sorted values, and
+    their median is the mean of the two middle sorted gaps, the same bits as
+    ``np.median``; neither ``np.unique`` nor ``np.median`` is called, because
+    both import numpy.ma.
     """
     u_list = np.asarray(u_list, dtype=np.float64)
     n = u_list.shape[1]
     per_axis_spacing = []
     for axis in range(n):
-        vals = np.unique(u_list[:, axis])
-        if len(vals) > 1:
-            spacing = np.median(np.diff(vals))
-        else:
-            spacing = 1.0
+        gaps = np.diff(np.sort(u_list[:, axis]))
+        gaps = np.sort(gaps[gaps != 0.0])
+        k = len(gaps)
+        spacing = 0.5 * (gaps[(k - 1) // 2] + gaps[k // 2]) if k else 1.0
         per_axis_spacing.append(spacing)
     return np.full(len(u_list), float(np.prod(per_axis_spacing)))
 

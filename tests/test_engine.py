@@ -36,7 +36,13 @@ from clcst.transform import (
     reconstruct_resolution,
     volume_energy,
 )
-from clcst.volume import CLCSTVolume, tensor_u_list, theta_weight, u_weights_from_list
+from clcst.volume import (
+    CLCSTVolume,
+    default_u_list,
+    tensor_u_list,
+    theta_weight,
+    u_weights_from_list,
+)
 from clcst.windows import CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
 
 M = LCTParams(1, 2, 1, 3)
@@ -853,3 +859,39 @@ def test_resolution_synthesis_reads_the_stored_pairs(monkeypatch):
     fewer = CLCSTVolume(spec, ctx, u[:5], THETAS, stored=stored[:5], window=psi, pairs=live)
     with pytest.raises(GridError, match="5 and 7 u rows"):
         fewer.rel_max_difference(vols[0])
+
+
+def median_spacing_weights(u_list):
+    """The u weights as np.unique and np.median give them: the product over
+    the axes of the median gap between sorted distinct values, 1.0 for an
+    axis with one value."""
+    u_list = np.asarray(u_list, dtype=np.float64)
+    spacing = [np.median(np.diff(np.unique(col))) if len(np.unique(col)) > 1 else 1.0
+               for col in u_list.T]
+    return np.full(len(u_list), float(np.prod(spacing)))
+
+
+def test_u_weights_equal_the_median_spacing_bit_for_bit():
+    """u_weights_from_list takes the middle of the sorted gaps between
+    distinct values, without np.unique or np.median, and gets the same bits
+    as np.median: on uniform and default lists, on scattered lists with odd
+    and even gap counts and repeated values, and on one-value axes."""
+    rng = np.random.default_rng(19)
+    spec2, spec3 = GridSpec(2, 6.0, 48), GridSpec(3, 4.0, 32)
+    steps = [k for k in range(-24, 24) if k != 0]
+    lists = [
+        default_u_list(spec2),
+        default_u_list(GridSpec(2, 6.0, 64)),
+        tensor_u_list([np.array(steps) * spec2.dw] * 2),
+        tensor_u_list([[0.61, 1.37, 2.9], [-2.2, -0.7, 1.01], [0.8, 1.9, 2.6]]),
+        mixed_u_list(spec3),
+        mixed_u_list(spec2) * np.pi,
+        [[0.5, 0.7]],
+        [[0.5, 0.7], [0.5, -0.7]],
+    ]
+    for rows in (5, 6, 9, 12, 31, 200):  # odd and even gap counts
+        lists.append(rng.uniform(-3.0, 3.0, (rows, 3)))
+        lists.append(np.round(rng.uniform(-3.0, 3.0, (rows, 2)), 1) + 0.05)  # repeats
+    for u in lists:
+        got, expect = u_weights_from_list(u), median_spacing_weights(u)
+        assert got.tobytes() == expect.tobytes()

@@ -180,6 +180,7 @@ def test_pack_and_unpack_select_pairs(n):
     z = pack(ctx, data)
     assert z.shape == (half,) + data.shape[1:]
     assert np.array_equal(unpack(ctx, z), data)
+    assert np.array_equal(pack(ctx, data, pairs=pairs), z[pairs])
     out = unpack(ctx, z[pairs], pairs=pairs)
     for b in range(half):
         blades = [b, top - b]
@@ -201,3 +202,11 @@ def test_live_pairs_of_blades_and_of_pairs():
     z = pack(ctx, data)
     assert live_pairs(z).tolist() == [1, 3]
     assert live_pairs(z[:, None]).tolist() == [1, 3]  # any shape after the pair axis
+    assert live_pairs(data).tolist() == [1, 3]  # the blades, before any packing
+    data[:] = 0.0
+    assert live_pairs(data).tolist() == [0]
+    for blade, pair in [(6, 1), (1, 1), (7, 0), (4, 3)]:  # either blade of a pair
+        data[blade, 3, 3] = 2.0
+        assert live_pairs(data).tolist() == [pair]
+        assert live_pairs(data).tolist() == live_pairs(pack(ctx, data)).tolist()
+        data[blade] = 0.0

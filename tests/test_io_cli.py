@@ -445,7 +445,10 @@ def test_cli_memory_does_not_grow_with_the_u_list(tmp_path):
     5 BLOCK_BYTES plus the signal.  That holds for a tensor list, whose
     rows share their values, and for a list of as many rows that share
     none, which the transform and the resolution synthesis read (the
-    marginal needs every frequency bin, which that list does not cover)."""
+    marginal needs every frequency bin, which that list does not cover).
+    One untraced transform runs first, so that no traced peak carries the
+    one-time allocations of the process (lazy imports, caches), whatever
+    ran before the test."""
     import tracemalloc
 
     from clcst.volume import BLOCK_BYTES
@@ -454,6 +457,8 @@ def test_cli_memory_does_not_grow_with_the_u_list(tmp_path):
     main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
     spec = read_grid(src).spec
     signal = read_grid(src).data.nbytes
+    warm_up = json.dumps({"kind": "multiples", "per_axis": [[-1, 0.5, 1.5], [-0.5, 1]]})
+    assert main(transform_argv(src, tmp_path / "warm-up.clcg", warm_up)) == 0
     for listed in (False, True):
         peaks, sizes = [], []
         # steps of dw / 2 and dw / 5 on axis 1 and half those on axis 2:
@@ -612,6 +617,23 @@ def test_cli_u_list_rows_must_have_n_components(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--theta", "0,nan"],
+    ["--theta", "0,inf"],
+    ["--u-list", "[[1.0, NaN]]"],
+    ["--u-list", "[[1.0, Infinity]]"],
+], ids=["theta-nan", "theta-inf", "u-nan", "u-inf"])
+def test_cli_non_finite_lists_write_nothing(tmp_path, flags):
+    """A NaN or infinite angle or u component is refused before the volume
+    is written, not stored in a sidecar that reconstruct then refuses."""
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    with pytest.raises(SystemExit, match="not finite"):
+        main(["transform", "--input", str(src), "--out", str(out)] + flags)
+    assert not out.exists()
+    assert not (tmp_path / "vol.clcg.json").exists()
+
+
 def test_cli_config_replays_its_report(tmp_path):
     """A transform report's config, given back as --config with no other
     setting flag, writes the same volume byte for byte."""
@@ -750,6 +772,43 @@ def test_cli_import_leaves_the_check_registry_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+NO_MASKED_ARRAYS_PROBE = """
+import json, os, sys
+from clcst.cli import main
+work = sys.argv[1]
+src, vol = os.path.join(work, "f.clcg"), os.path.join(work, "vol.clcg")
+half_steps = [k / 2 for k in range(-16, 16) if k]
+u_spec = json.dumps({"kind": "multiples", "per_axis": [half_steps, half_steps]})
+main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", src])
+main(["transform", "--input", src, "--sigma", "0.75", "--normalize", "--u-list", u_spec,
+      "--theta", "0,0.5", "--out", vol])
+for method in ("marginal", "resolution"):
+    main(["reconstruct", "--volume", vol, "--method", method,
+          "--out", os.path.join(work, method + ".clcg")])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_pipeline_never_imports_numpy_ma(tmp_path):
+    """A fresh process that runs synthesize, transform on a u list that
+    mixes lattice and off-lattice values, and both reconstructions never
+    imports numpy.ma, which np.unique and np.median load lazily at a cost
+    of about 10 ms."""
+    import os
+    import subprocess
+    import sys
+
+    import clcst
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(clcst.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    result = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS_PROBE, str(tmp_path)],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "False"
+    assert (tmp_path / "resolution.clcg").exists()
 
 
 @pytest.mark.parametrize("window", ["gaussian", "dog"])

@@ -192,25 +192,3 @@ def test_u_list_must_be_rows_of_n(u_list):
         admissibility_profile(psi, LCTParams(1, 2, 1, 3), SPEC, CTX, u_list, [0.0])
     # one row of n components is still a one-row list
     assert checked_lists(SPEC, [0.5, 0.7], [0.0])[0].shape == (1, 2)
-
-
-@pytest.mark.parametrize("u_list, theta_list, message", [
-    ([[0.5, 0.7]], [0.3, 0.1, 0.3], "repeats an angle"),
-    ([[0.5, 0.7]], [-0.0, 0.0], "repeats an angle"),
-    ([[0.5, 0.7]], [0.0, np.nan], "not finite"),
-    ([[0.5, 0.7]], [np.nan, np.nan], "not finite"),
-    ([[0.5, 0.7]], [0.0, np.inf], "not finite"),
-    ([[0.5, 0.7]], [-np.inf, -np.inf], "not finite"),
-    ([[0.5, 0.7], [1.0, np.nan]], [0.0], "u row 1 is not finite"),
-    ([[np.inf, 0.7]], [0.0], "u row 0 is not finite"),
-    ([[0.5, -np.inf], [0.5, -np.inf]], [0.0], "u row 0 is not finite"),
-], ids=["unsorted-repeat", "signed-zeros", "theta-nan", "theta-nan-twice", "theta-inf",
-        "theta-inf-twice", "u-nan", "u-inf", "u-inf-twice"])
-def test_checked_lists_refuses_repeated_angles_and_non_finite_values(
-        u_list, theta_list, message):
-    """A repeated angle, wherever it sits and whatever the sign of a zero,
-    and a NaN or infinite angle or u component are refused."""
-    with pytest.raises(StockwellError, match=message):
-        checked_lists(SPEC, u_list, theta_list)
-    u, t = checked_lists(SPEC, [[0.5, 0.7]], [0.3, 0.1, -0.3])
-    assert u.shape == (1, 2) and t.tolist() == [0.3, 0.1, -0.3]

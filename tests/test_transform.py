@@ -290,17 +290,30 @@ def test_marginal_reduces_to_cst_case():
     lambda f, u, t: clcst(f, PSI, M, u, t),
     lambda f, u, t: cst(f, PSI, u, t),
 ], ids=["clcst", "cst"])
-@pytest.mark.parametrize("u_list, theta_list", [
-    ([[DW, DW], [2 * DW, 0.0]], [0.0]),  # zero u component in a later row
-    ([[1.0, 1.0]], [0.0, 0.0]),  # repeated angle
-], ids=["zero-u", "repeated-theta"])
-def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta_list):
+@pytest.mark.parametrize("u_list, theta_list, message", [
+    ([[DW, DW], [2 * DW, 0.0]], [0.0], "zero component"),  # in a later row
+    ([[1.0, 1.0]], [0.0, 0.0], "repeats an angle"),
+    ([[1.0, 1.0]], [0.3, 0.1, 0.3], "repeats an angle"),  # not neighbours until sorted
+    ([[1.0, 1.0]], [-0.0, 0.0], "repeats an angle"),
+    ([[1.0, 1.0]], [0.0, np.nan], "theta list is not finite"),
+    ([[1.0, 1.0]], [np.nan, np.nan], "theta list is not finite"),
+    ([[1.0, 1.0]], [0.0, np.inf], "theta list is not finite"),
+    ([[1.0, 1.0]], [-np.inf, -np.inf], "theta list is not finite"),
+    ([[1.0, 1.0], [DW, np.nan]], [0.0], "u row 1 is not finite"),
+    ([[np.inf, 1.0]], [0.0], "u row 0 is not finite"),
+    ([[1.0, -np.inf], [1.0, -np.inf]], [0.0], "u row 0 is not finite"),
+], ids=["zero-u", "repeated-theta", "unsorted-repeat", "signed-zeros", "theta-nan",
+        "theta-nan-twice", "theta-inf", "theta-inf-twice", "u-nan", "u-inf", "u-inf-twice"])
+def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta_list, message):
+    """A zero u component, a repeated angle (wherever it sits, whatever the
+    sign of a zero) and a NaN or infinite angle or u component are refused
+    before a volume is allocated."""
     def no_volume(*args, **kwargs):
         raise AssertionError("a volume was allocated before the lists were checked")
 
     monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
     monkeypatch.setattr("clcst.stockwell.CLCSTVolume", no_volume)
-    with pytest.raises(StockwellError):
+    with pytest.raises(StockwellError, match=message):
         analyze(scalar_mixture(3), np.array(u_list), theta_list)
 
 

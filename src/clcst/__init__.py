@@ -8,10 +8,10 @@ windows    analytic window catalogue (Gaussian, difference-of-Gaussians)
 cft        Clifford Fourier transform and periodic convolution
 lct        Clifford linear canonical transform and its convolution
 stockwell  anisotropically scaled, rotated window analysis
-transform  the headline transform, its theorems and reconstructions
+transform  the headline transform, its evaluation paths and reconstructions
 volume     transform volumes and their quadrature weights
 io         bit-exact binary grid/volume container with JSON sidecars
-verify     property suites behind `clcst verify`
+verify     the checks behind `clcst verify` and the oracles only they run
 cli        argparse front end
 
 Import the submodules themselves; the package re-exports nothing.

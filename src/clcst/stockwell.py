@@ -1003,7 +1003,7 @@ def correlate_spectrum(z, spec, spectrum):
 def correlate_window(z, spec, psi, scaling, rotation):
     """|det A_u| (2 pi)^(-n/2) dx^n sum_t z(t) psi(R_{-theta} A_u (t - b)) for
     every b: the (u, theta) slice of already modulated complex pairs z.  The
-    difference t - b wraps on the lattice, as in :func:`cst_direct_point`."""
+    difference t - b wraps on the lattice, as in :func:`~clcst.verify.cst_direct_point`."""
     values = transformed_window_values(psi, spec, np.zeros(spec.n), scaling, rotation)
     scale = scaling.det_abs * (2.0 * np.pi) ** (-spec.n / 2.0)
     return correlate_spectrum(z, spec, window_spectra(values, spec)) * scale
@@ -1030,20 +1030,3 @@ def cst(f, psi, u_list=None, theta_list=None):
     plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)
     fill_volume(vol, plan, spectrum_slices(pack(f.ctx, f.data, pairs=live), plan, 0.0))
     return vol
-
-
-def cst_direct_point(f, psi, b, scaling, rotation):
-    """Naive quadrature of one transform value; the slow oracle.
-
-    Windows are evaluated at the minimal-image difference so the oracle sums
-    exactly the periodic-lattice object the FFT path computes.
-    """
-    from .algebra import Multivector
-
-    _require_transformable(f)
-    wvals = transformed_window_values(psi, f.spec, b, scaling, rotation, wrap=True)
-    kernel = wvals * f.spec.cell_weight(SPACE) * np.exp(-1j * f.spec.dot(scaling.u))
-    axes = tuple(range(1, f.spec.n + 1))
-    summed = np.tensordot(pack(f.ctx, f.data), kernel, axes=(axes, tuple(range(f.spec.n))))
-    scale = scaling.det_abs * (2.0 * np.pi) ** (-f.spec.n / 2.0)
-    return Multivector(f.ctx, unpack(f.ctx, summed) * scale)

@@ -6,7 +6,8 @@ None for a check only `clcst verify` reports) and with the (name, tolerance)
 of each value it returns, so names and tolerances are known without running
 anything.  ``SUITES`` groups the functions by subject.  `clcst verify` and
 the acceptance gate in tests/test_acceptance.py both run them from here, so
-each input, reduction and tolerance is written once.
+each input, reduction and tolerance is written once.  The oracles they check
+against (direct sums, isometry ratio, kernel, covariance suite) live here too.
 """
 
 import warnings
@@ -17,10 +18,12 @@ from .algebra import (
     Multivector,
     algebra,
     clifford_conjugate,
+    left_multiplication_matrix,
     scalar_part,
     transform_algebra,
 )
 from .cft import (
+    _require_transformable,
     cft_forward,
     cft_forward_direct,
     cft_inverse,
@@ -29,13 +32,18 @@ from .cft import (
 )
 from .grid import (
     FREQUENCY,
+    SPACE,
     GridSignal,
     GridSpec,
     chirp_multiply,
     inner_product,
+    lattice_steps,
     norm_l2,
+    pack,
+    phase_multiply,
     rel_l2_error,
     sample,
+    unpack,
 )
 from .lct import (
     LCTParams,
@@ -50,24 +58,23 @@ from .stockwell import (
     Rotation,
     ScalingMatrix,
     cst,
-    cst_direct_point,
     cst_slice,
+    minimal_image,
     transformed_window_values,
     window_family,
     window_spectra,
 )
 from .transform import (
+    TransformError,
+    _require_b_nonzero,
     admissibility_profile,
     clcst,
-    clcst_direct_sum_slice,
-    covariance_suite,
-    isometry_ratio,
+    clcst_kernel,
     marginal_spectrum,
     modulated_window_spectrum,
     orthogonality_check,
     reconstruct_marginal,
     reconstruct_resolution,
-    reproducing_kernel,
 )
 from .volume import default_u_list, tensor_u_list
 from .windows import RAW, CompositeWindow, DOGWindow, GaussianWindow, WindowSpec
@@ -78,6 +85,235 @@ CTX2 = transform_algebra(2)
 SPEC64 = GridSpec(2, 6.0, 64)
 SPEC32 = GridSpec(2, 6.0, 32)
 M_EXAMPLE = LCTParams(1, 2, 1, 3)
+
+
+def cst_direct_point(f, psi, b, scaling, rotation):
+    """Naive quadrature of one transform value; the slow oracle.
+
+    Windows are evaluated at the minimal-image difference so the oracle sums
+    exactly the periodic-lattice object the FFT path computes.
+    """
+    _require_transformable(f)
+    wvals = transformed_window_values(psi, f.spec, b, scaling, rotation, wrap=True)
+    kernel = wvals * f.spec.cell_weight(SPACE) * np.exp(-1j * f.spec.dot(scaling.u))
+    axes = tuple(range(1, f.spec.n + 1))
+    summed = np.tensordot(pack(f.ctx, f.data), kernel, axes=(axes, tuple(range(f.spec.n))))
+    scale = scaling.det_abs * (2.0 * np.pi) ** (-f.spec.n / 2.0)
+    return Multivector(f.ctx, unpack(f.ctx, summed) * scale)
+
+
+def clcst_direct_sum_slice(f, psi, params, scaling, rotation):
+    """Naive quadrature over the whole b-grid, 512 b points at a time; the
+    slow benchmark oracle."""
+    _require_transformable(f)
+    _require_b_nonzero(params, f.spec)
+    n = f.spec.n
+    rate = params.chirp_rate
+    mesh = f.spec.mesh(SPACE)
+    x = mesh.reshape(n, -1)
+    P = x.shape[1]
+    x_sq = np.sum(x**2, axis=0)
+    z = np.exp(1j * (rate * x_sq - x.T @ scaling.u))  # e^{-i(x.u - A|x|^2/2B)}
+    fz = pack(f.ctx, f.data).reshape(-1, P) * z
+    rot_scale = rotation.matrix(n) @ np.diag(scaling.u)
+    acc = np.empty(fz.shape, dtype=np.complex128)
+    for start in range(0, P, 512):
+        rows = slice(start, start + 512)
+        diff = minimal_image(x[:, None, :] - x[:, rows, None], f.spec.half_width)
+        args = np.einsum("ij,jbp->ibp", rot_scale, diff)
+        wmat = psi.evaluate(args)  # (rows, P)
+        acc[:, rows] = fz @ wmat.T
+    acc *= np.exp(-1j * rate * x_sq)  # b runs over the same lattice as x
+    scale = scaling.det_abs * (2.0 * np.pi) ** (-n / 2.0) * f.spec.cell_weight(SPACE)
+    out = unpack(f.ctx, acc.reshape((-1,) + f.spec.shape) * scale)
+    return GridSignal(f.spec, f.ctx, out, SPACE)
+
+
+def volume_energy(vol):
+    """sum over (b, u, theta) of |S|^2 with the volume's quadrature weights;
+    a shared theta column counts once per theta it stands for."""
+    per_column = np.empty((vol.u_count, vol.stored_theta_columns))
+    for start, stop, rows in vol.blocks():  # a volume file is read block by block
+        # |z_B|^2 = f_B^2 + f_{B^F}^2: the real and imaginary parts of the pairs
+        flat = rows.view(np.float64).reshape(stop - start, vol.stored_theta_columns, -1)
+        per_column[start:stop] = np.einsum("utk,utk->ut", flat, flat)
+    per_column *= vol.b_weight
+    weight = vol.theta_step * (vol.theta_count // vol.stored_theta_columns)
+    return float(np.sum(per_column * vol.u_weights[:, None]) * weight)
+
+
+def isometry_ratio(vol, f, params):
+    """volume energy / ||f . chirp||^2; approximately the mean admissibility."""
+    chirped = chirp_multiply(f, params.chirp_rate, +1)
+    denom = norm_l2(chirped) ** 2
+    if denom == 0.0:
+        raise TransformError("zero signal has no isometry ratio")
+    return volume_energy(vol) / denom
+
+
+def reproducing_kernel(psi, params, spec, ctx, c_psi, p1, p2):
+    """K = <psi^theta_{M,b,u} / C_psi, psi^theta'_{M,b',u'}> and its printed bound.
+
+    Each point is (b, u, theta).  Returns (K, bound) where the bound is
+    (|det A_u|^(1-n) |det A_u'|^(1-n) / C_psi)^(1/2) ||psi||_L1 with the L1
+    norm taken by lattice quadrature.
+    """
+    if c_psi <= 0:
+        raise TransformError("admissibility constant must be positive")
+    b1, u1, t1 = p1
+    b2, u2, t2 = p2
+    s1, r1 = ScalingMatrix(u1), Rotation(t1)
+    s2, r2 = ScalingMatrix(u2), Rotation(t2)
+    k1 = clcst_kernel(psi, params, spec, ctx, b1, s1, r1)
+    k2 = clcst_kernel(psi, params, spec, ctx, b2, s2, r2)
+    kernel = inner_product(k1, k2) * (1.0 / c_psi)
+    base = transformed_window_values(psi, spec, np.zeros(spec.n), ScalingMatrix(np.ones(spec.n)), Rotation(0.0))
+    l1 = float(np.sum(np.abs(base))) * spec.cell_weight(SPACE)
+    n = spec.n
+    bound = np.sqrt(abs(s1.det_abs ** (1 - n) * s2.det_abs ** (1 - n) / c_psi)) * l1
+    return kernel, bound
+
+
+def _index_shift(spec, vector):
+    steps, on_lattice = lattice_steps(vector, spec.dx)
+    if not on_lattice.all():
+        raise TransformError("shift %r is not a lattice vector" % (vector,))
+    return steps
+
+
+def _roll_signal(f, index_shift):
+    data = np.roll(f.data, index_shift, axis=tuple(range(1, f.spec.n + 1)))
+    return GridSignal(f.spec, f.ctx, data, f.domain)
+
+
+def _resample_indices(spec, factor):
+    N = spec.samples_per_axis
+    half = N // 2
+    steps, on_lattice = lattice_steps(factor * (np.arange(N) - half))
+    if not on_lattice.all():
+        raise TransformError("scale factor %g is not lattice compatible" % factor)
+    return (steps + half) % N
+
+
+def _resample_signal(f, factor):
+    idx = _resample_indices(f.spec, factor)
+    data = f.data
+    for axis in range(1, f.spec.n + 1):
+        data = np.take(data, idx, axis=axis)
+    return GridSignal(f.spec, f.ctx, data, f.domain)
+
+
+def covariance_suite(f, psi, params, u_list, theta_list, shift=None, dilation=2.0,
+                     dilation_b_radius=None, seed=0):
+    """Max relative deviations of the five covariance identities.
+
+    The shift must be a lattice vector and the dilation lattice compatible;
+    both sides of every identity are computed independently on shared grids.
+    """
+    spec, ctx = f.spec, f.ctx
+    rng = np.random.default_rng(seed)
+    if shift is None:
+        shift = np.zeros(spec.n)
+        shift[0] = spec.dx
+    shift = np.asarray(shift, dtype=np.float64)
+    u_list = np.asarray(u_list, dtype=np.float64).reshape(-1, spec.n)
+    theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
+    def analyze(sig):
+        return clcst(sig, psi, params, u_list, theta_list, path="direct")
+    base = analyze(f)
+    report = {}
+
+    # (1) linearity in the signal with left multivector coefficients
+    g = GridSignal(spec, ctx, rng.standard_normal(f.data.shape), SPACE)
+    alpha = Multivector(ctx, rng.standard_normal(ctx.blade_count))
+    beta = Multivector(ctx, rng.standard_normal(ctx.blade_count))
+
+    def left_multiply(mv, data):  # mv x at every point of blade-major data
+        return np.tensordot(left_multiplication_matrix(mv), data, axes=1)
+
+    mixed = GridSignal(spec, ctx, left_multiply(alpha, f.data) + left_multiply(beta, g.data), SPACE)
+    rhs_vals = left_multiply(alpha, base.values) + left_multiply(beta, analyze(g).values)
+    report["linearity"] = _rel_max(analyze(mixed).values, rhs_vals)
+
+    # (2) anti-linearity in the window with real coefficients
+    psi2 = GaussianWindow(spec.n, sigma=0.7)
+    a_c, b_c = 0.8, -1.3
+    combo = CompositeWindow([(a_c, psi), (b_c, psi2)])
+    lhs = clcst(f, combo, params, u_list, theta_list, path="direct").values
+    rhs_vals = (
+        clcst(f, psi, params, u_list, theta_list, path="direct").values * a_c
+        + clcst(f, psi2, params, u_list, theta_list, path="direct").values * b_c
+    )
+    report["anti_linearity"] = _rel_max(lhs, rhs_vals)
+
+    # (3) translation covariance; the b-cells that wrap around the period
+    # seam compare S at b-k against S at b-k+2L, so they are masked out
+    k_idx = _index_shift(spec, shift)
+    rolled = analyze(_roll_signal(f, k_idx))
+    lhs = rolled.values
+    rate2 = params.A / params.B
+    kdotx = spec.dot(shift)
+    vol_mod = analyze(phase_multiply(f, rate2 * kdotx))
+    k_sq = float(np.dot(shift, shift))
+    b_axes = tuple(range(1, spec.n + 1))
+    # e^{i_n(-u.k + A/B (|k|^2 - k.b))} on the right of every (b, u) of the rolled volume
+    phase = rate2 * (k_sq - kdotx)[..., None] - rolled.u_list @ shift
+    shifted = pack(ctx, np.roll(vol_mod.values, k_idx, axis=b_axes))
+    rhs_vals = unpack(ctx, shifted * np.exp(1j * phase)[..., None])
+    seam = np.ones(spec.shape, dtype=bool)
+    N = spec.samples_per_axis
+    for axis, steps in enumerate(k_idx):
+        keep_axis = np.ones(N, dtype=bool)
+        if steps > 0:
+            keep_axis[:steps] = False
+        elif steps < 0:
+            keep_axis[steps:] = False
+        shape = [1] * spec.n
+        shape[axis] = N
+        seam &= keep_axis.reshape(shape)
+    smask = seam[None, ..., None, None]
+    report["translation"] = float(
+        np.max(np.abs(lhs - rhs_vals) * smask) / max(np.max(np.abs(lhs * smask)), 1e-300)
+    )
+
+    # (4) dilation covariance: b -> lam b, u -> u/lam under M' = (A, lam^2 B, ., .).
+    # Tracking |det A_u| = lam^n |det A_{u/lam}| through the substitution
+    # cancels the lam^-n one might expect, so the sides match with factor 1.
+    # Only A/B enters the transform, so C is rescaled to keep AD - BC = 1.
+    # Compared where lam*b keeps the scaled window clear of the period seam.
+    lam = float(dilation)
+    lhs = analyze(_resample_signal(f, lam)).values
+    params_p = LCTParams(params.A, lam**2 * params.B, params.C / lam**2, params.D)
+    vol_p = clcst(f, psi, params_p, u_list / lam, theta_list, path="direct")
+    idx = _resample_indices(spec, lam)
+    resampled = vol_p.values
+    for axis in b_axes:
+        resampled = np.take(resampled, idx, axis=axis)
+    if dilation_b_radius is None:
+        dilation_b_radius = spec.half_width / (2.0 * abs(lam))
+    coords = spec.mesh(SPACE)
+    valid = np.all(np.abs(lam * coords) <= dilation_b_radius * abs(lam) + 1e-12, axis=0)
+    valid &= np.all(np.abs(coords) <= dilation_b_radius, axis=0)
+    mask = valid[None, ..., None, None]
+    diff = np.abs(lhs - resampled) * mask
+    scale = max(np.max(np.abs(lhs * mask)), 1e-300)
+    report["dilation"] = float(np.max(diff) / scale)
+
+    # (5) parity: f(-x) against (-1)^n S(-b, -u, theta)
+    lhs = analyze(_resample_signal(f, -1.0)).values
+    vol_neg = clcst(f, psi, params, -u_list, theta_list, path="direct")
+    idx = _resample_indices(spec, -1.0)
+    reflected = vol_neg.values
+    for axis in b_axes:
+        reflected = np.take(reflected, idx, axis=axis)
+    report["parity"] = _rel_max(lhs, reflected * (-1.0) ** spec.n)
+    return report
+
+
+def _rel_max(a, b):
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
+    return float(np.max(np.abs(a - b)) / scale)
+
 
 def _check(name, measured, tolerance, criterion=None):
     measured = float(measured)

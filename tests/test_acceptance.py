@@ -14,8 +14,8 @@ import pytest
 
 from clcst.grid import GridSpec, sample
 from clcst.stockwell import Rotation, ScalingMatrix
-from clcst.transform import clcst, clcst_direct_sum_slice
-from clcst.verify import CTX2, M_EXAMPLE, SPEC64, SUITES, run_checks
+from clcst.transform import clcst
+from clcst.verify import CTX2, M_EXAMPLE, SPEC64, SUITES, clcst_direct_sum_slice, run_checks
 from clcst.windows import GaussianWindow
 
 pytestmark = pytest.mark.filterwarnings("ignore::clcst.stockwell.NonUnitWindowWarning")

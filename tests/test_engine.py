@@ -21,7 +21,6 @@ from clcst.stockwell import (
     Rotation,
     ScalingMatrix,
     cst,
-    cst_direct_point,
     cst_slice,
     transformed_window_values,
 )
@@ -29,13 +28,12 @@ from clcst.transform import (
     PATHS,
     admissibility_profile,
     clcst,
-    clcst_direct_sum_slice,
     marginal_spectrum,
     modulated_window_spectrum,
     reconstruct_marginal,
     reconstruct_resolution,
-    volume_energy,
 )
+from clcst.verify import clcst_direct_sum_slice, cst_direct_point, volume_energy
 from clcst.volume import (
     CLCSTVolume,
     default_u_list,

@@ -143,7 +143,7 @@ def test_volume_energy_reads_a_volume_file_block_by_block(tmp_path, monkeypatch,
     """volume_energy sums a read-back volume over its blocks of rows, one row
     each here, to the in-memory volume's energy, without loading it."""
     from clcst import volume
-    from clcst.transform import volume_energy
+    from clcst.verify import volume_energy
 
     vol = small_volume(radial)
     path = tmp_path / "v.clcg"
@@ -682,6 +682,19 @@ def test_cli_reconstruct_marginal(tmp_path):
             main(["reconstruct", "--volume", str(vol), "--method", "marginal",
                   "--theta", theta, "--out", str(absent)])
         assert not absent.exists()
+    # at N = 8 the k = 0 fill would read the bins at N/2 + 4 = 8, past the lattice
+    small, small_vol = tmp_path / "f8.clcg", tmp_path / "vol8.clcg"
+    main(["synthesize", "--kind", "gaussian_mixture", "--samples", "8", "--out", str(small)])
+    ks = [k for k in range(-4, 4) if k != 0]
+    main(["transform", "--input", str(small), "--sigma", "0.75", "--normalize", "--u-list",
+          json.dumps({"kind": "multiples", "per_axis": [ks, ks]}), "--out", str(small_vol)])
+    refused = tmp_path / "rec8.clcg"
+    with pytest.raises(SystemExit, match="needs N >= 10 samples per axis, got N = 8") as err:
+        main(["reconstruct", "--volume", str(small_vol), "--method", "marginal",
+              "--out", str(refused)])
+    assert "\n" not in str(err.value)
+    assert not refused.exists()
+    assert not (tmp_path / "rec8.clcg.report.json").exists()
 
 
 def test_cli_kernel_dump(tmp_path):
@@ -787,7 +800,7 @@ main(["transform", "--input", src, "--sigma", "0.75", "--normalize", "--u-list",
 for method in ("marginal", "resolution"):
     main(["reconstruct", "--volume", vol, "--method", method,
           "--out", os.path.join(work, method + ".clcg")])
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, "clcst.verify" in sys.modules)
 """
 
 
@@ -795,7 +808,7 @@ def test_cli_pipeline_never_imports_numpy_ma(tmp_path):
     """A fresh process that runs synthesize, transform on a u list that
     mixes lattice and off-lattice values, and both reconstructions never
     imports numpy.ma, which np.unique and np.median load lazily at a cost
-    of about 10 ms."""
+    of about 10 ms, nor the check registry and its oracles, clcst.verify."""
     import os
     import subprocess
     import sys
@@ -807,7 +820,7 @@ def test_cli_pipeline_never_imports_numpy_ma(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     result = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS_PROBE, str(tmp_path)],
                             env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip().splitlines()[-1] == "False"
+    assert result.stdout.strip().splitlines()[-1] == "False False"
     assert (tmp_path / "resolution.clcg").exists()
 
 

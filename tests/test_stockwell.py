@@ -14,12 +14,12 @@ from clcst.stockwell import (
     StockwellError,
     checked_lists,
     cst,
-    cst_direct_point,
     cst_slice,
     minimal_image,
     window_family,
 )
 from clcst.transform import admissibility_profile, clcst
+from clcst.verify import cst_direct_point
 from clcst.volume import default_u_list
 from clcst.windows import GaussianWindow
 

@@ -19,14 +19,16 @@ from clcst.transform import (
     TransformError,
     admissibility_profile,
     clcst,
-    clcst_direct_sum_slice,
     clcst_kernel,
-    covariance_suite,
-    isometry_ratio,
     marginal_spectrum,
     orthogonality_check,
     reconstruct_marginal,
     reconstruct_resolution,
+)
+from clcst.verify import (
+    clcst_direct_sum_slice,
+    covariance_suite,
+    isometry_ratio,
     reproducing_kernel,
     volume_energy,
 )

@@ -469,6 +469,70 @@ def test_factored_runs_cut_by_blocks_keep_their_partials(n, rows, monkeypatch):
         assert_close(synthesis.data, dense[0].data, 1e-12)
 
 
+# (n, window, u list, DENSE_AXIS_SAMPLES, block rows or None, stored
+# columns): every window and list at both n on the dense branch, one stored
+# column for a radial window; the separable windows' factored lists on the
+# FFT branch; blocks of one and three rows cutting the runs on both branches;
+# and T stored columns for a radial window
+DOT_CASES = (
+    [(n, kind, u_kind, 48, None, "window")
+     for n in (2, 3) for kind in ("gaussian", "dog", "composite", "skewed") for u_kind in U_LISTS]
+    + [(n, kind, u_kind, 0, None, "window")
+       for n in (2, 3) for kind in ("gaussian", "dog", "composite") for u_kind in ("tensor", "shuffled")]
+    + [(n, "dog", "tensor", limit, rows, "window")
+       for n in (2, 3) for limit in (48, 0) for rows in (1, 3)]
+    + [(n, kind, "tensor", limit, None, "every") for n in (2, 3) for kind in ("gaussian", "composite")
+       for limit in (48, 0)]
+)
+
+
+@pytest.mark.parametrize("n, kind, u_kind, limit, rows, columns", DOT_CASES,
+                         ids=["-".join(map(str, case)) for case in DOT_CASES])
+def test_resolution_synthesis_is_the_adjoint_of_the_analysis(n, kind, u_kind, limit, rows,
+                                                              columns, monkeypatch):
+    """The dot-product test (Claerbout, Earth Soundings Analysis, 1992): for
+    a random signal f and a random volume V on the same pairs,
+
+        <S f, V>_W = C_psi <f, R V>,
+
+    S the three_step analysis, R V = reconstruct_resolution(V, psi, M)[0]
+    and C_psi the profile mean it returns.  <a, b> = dx^n sum conj(a) b
+    over the complex pairs, and W weighs stored u row r and column c by
+
+        W_r = u weight x theta weight x T / T_s,
+
+    T the thetas and T_s the stored columns: a shared column stands for T
+    thetas.  |det A_u| and (2 pi)^(-n/2) sit in both S and R, so they are
+    not in W; R divides by C_psi, which the constant puts back.  It holds
+    to 1e-12 relative on every route: n-D rows on and off the lattice, and
+    factored runs on the dense and FFT branches of their off-lattice values,
+    whole and cut by blocks, for one stored column and for T."""
+    from clcst import stockwell, transform
+
+    monkeypatch.setattr(stockwell, "DENSE_AXIS_SAMPLES", limit)
+    if rows is not None:
+        for module in (stockwell, transform):
+            monkeypatch.setattr(module, "block_rows", lambda bytes_per_u: rows)
+    spec, ctx = setting(n)
+    psi = SkewedGaussian(n) if kind == "skewed" else radial_window(n, kind)
+    u = U_LISTS[u_kind](spec)
+    f = noise(spec, ctx, seed=21)
+    analysis = clcst(f, psi, M, u, THETAS)
+    T = len(THETAS)
+    stored_columns = T if columns == "every" else analysis.stored_theta_columns
+    rng = np.random.default_rng(22)
+    shape = (len(u), stored_columns) + analysis.stored_shape[2:]
+    V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    volume = CLCSTVolume(spec, ctx, u, THETAS, stored=V, params=M, window=psi)
+    synthesis, (_, stats) = reconstruct_resolution(volume, psi, M)
+    dx_n = spec.cell_weight(SPACE)
+    S = np.broadcast_to(analysis.stored, shape)  # a shared column, as V lays it out
+    W = volume.u_weights * volume.theta_step * T / stored_columns
+    lhs = dx_n * np.dot(W, np.sum((S.conj() * V).reshape(len(u), -1), axis=1))
+    rhs = stats["mean"] * dx_n * np.vdot(pack(ctx, f.data), pack(ctx, synthesis.data))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "dog", "composite", "skewed"])
 def test_stored_layout_holds_one_column_per_window_angle(kind):
     """Slice-major (U, T_s, P) + b complex pairs: one theta column for a

@@ -186,8 +186,12 @@ def cmd_synthesize(args):
         signal = sample(lambda x: np.exp(-np.sum(x**2, axis=0)), spec, ctx)
     elif kind == "gaussian":
         s = cfg["sigma"]
+        if not s > 0:
+            raise SystemExit("--sigma must be positive, got %r" % s)
         signal = sample(lambda x: np.exp(-np.sum(x**2, axis=0) / (2 * s**2)), spec, ctx)
     elif kind == "gaussian_mixture":
+        if cfg["components"] < 1:
+            raise SystemExit("--components must be at least 1, got %r" % cfg["components"])
         rng = np.random.default_rng(cfg["seed"])
         mesh = spec.mesh()
         vals = np.zeros(spec.shape)

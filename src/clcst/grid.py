@@ -22,8 +22,8 @@ class GridSpec:
     def __init__(self, n, half_width, samples_per_axis):
         if samples_per_axis <= 0 or samples_per_axis % 2:
             raise GridError("samples_per_axis must be a positive even integer")
-        if half_width <= 0:
-            raise GridError("half_width must be positive")
+        if not 0 < half_width < np.inf:  # NaN too
+            raise GridError("half_width must be positive and finite, got %r" % (half_width,))
         self.n = int(n)
         self.half_width = float(half_width)
         self.samples_per_axis = int(samples_per_axis)

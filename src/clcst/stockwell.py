@@ -53,25 +53,25 @@ and b_{t,i}(v) the same without the modulation.  The CLI's u lists of
 kind default, multiples and tensor are tensor products of per-axis values,
 so consecutive rows share their leading values.  On a run of more than
 2 T such rows, T the number of terms, the engine goes one axis at a time
-(:class:`AxisSlices`): the partial transform after axis i serves every
+(:class:`AxisRoute`): the partial transform after axis i serves every
 row that shares u_0 .. u_i, and only the last axis is applied per row.
-A lattice value of an axis takes the shared spectrum of its partial, a
-product with conj(m) and one 1-D inverse FFT.  An off-lattice value v is
-a linear map along its axis,
+Each axis's operator is written once, as
 
-    K_t(v) = diag(e^{-j rate b^2}) F^-1 diag(conj(b_t(v))) F diag(e^{-j v x}),
+    O_t(v) = diag(post) F^-1 diag(d) F diag(pre),
 
-whose entries K_t[b, x] = e^{-j rate b^2} g_t(v wrap(x - b)) e^{-j v x} dx
-are read from the tables (:meth:`AxisTables.operators`).  Up to
-DENSE_AXIS_SAMPLES samples per axis it is applied as that dense N x N
-matrix: one matmul per node of the tree of values, and one product per
-row, which writes the closed row with its terms stacked along the
-contraction, the rows of a run taken a span at a time by one call.  Above
-it, where the matmul's N products per point and term cost more than FFTs,
-it is applied as the modulation, FFT, product, inverse FFT and closing
-that it stands for.  The resolution synthesis runs the adjoint in reverse
-order (:class:`AxisSynthesis`), K_t(v)^H off the lattice, and the run's
-admissibility terms are summed from the tables.  No value of such a window
+with pre = 1, d = conj(m_t(v)) and post = e^{-j (v b + rate b^2)} for a
+lattice value v, whose pre = 1 lets the rows share their partial's
+spectrum, and pre = e^{-j v x}, d = conj(b_t(v)) and post = e^{-j rate
+b^2} off the lattice.  Up to DENSE_AXIS_SAMPLES samples per axis an
+off-lattice O_t(v) is applied as the dense N x N matrix K_t[b, x] = e^{-j
+rate b^2} g_t(v wrap(x - b)) e^{-j v x} dx read from the tables
+(:meth:`AxisTables.operators`), by one matmul per node of the tree of
+values and one per span of a run's rows; above it, where the matmul's N
+products per point and term cost more than FFTs, as its five factors.
+The resolution synthesis runs the same class as the adjoint, in reverse
+order: O_t(v)^H swaps and conjugates those factors, and K_t(v)^H is the
+conjugate of K_t(v).  The run's admissibility terms are summed from the
+tables.  No value of such a window
 is computed on the n-D lattice: a row outside a long run builds its n-D
 spectra as outer products of its block's tables.  Any other window is
 evaluated on the lattice once per (u, theta), modulated and transformed by
@@ -357,14 +357,6 @@ class AxisTables:
         view.index = self.index[start:stop]
         return view
 
-    def phases(self, rate):
-        """Per axis, e^{j (v b + rate b^2)} over the b-axis for each value v
-        of the axis on the lattice, e^{j rate b^2} for one off it: shape
-        (values, N)."""
-        b = self.spec.axis(SPACE)
-        return [np.exp(1j * (np.where(lattice, values, 0.0)[:, None] * b + rate * b**2))
-                for values, lattice in zip(self.values, self.lattice)]
-
     def operators(self, axis, j, closing, layout):
         """K_t(v) = diag(closing) F^-1 diag(conj b_t(v)) F diag(e^{-j v x})
         on axis ``axis`` for each value v of the indices j, with its own
@@ -450,9 +442,9 @@ class Plan:
     For a radial window with separable terms (``terms``), the rows that
     share their leading values u_0 .. u_{n-2} with the rows beside them form
     runs (``run_starts``).  A run of more than 2 T rows, T the number of
-    terms, is ``factored``: its slices are computed one axis at a time
-    (:class:`AxisSlices`, :class:`AxisSynthesis`), which shares each axis's
-    partial transform across the run.  Every other row takes the n-D route,
+    terms, is ``factored``: its slices, and their adjoint in the synthesis,
+    are computed one axis at a time (:class:`AxisRoute`), which shares each
+    axis's partial transform across the run.  Every other row takes the n-D route,
     whose window spectra are built, multiplied with the signal's spectrum
     and inverted by n-D FFTs, as does every row of a window without terms.
     At n = 2 a factored run of R lattice rows takes about 2 T + R axis
@@ -589,123 +581,148 @@ class Plan:
         return sig, stats
 
 
-def _runs(plan, start, stop):
-    """(first, last) of the runs of rows start:stop, cut at the block's ends."""
-    bounds = [start, *(start + 1 + np.flatnonzero(plan.run_starts[start + 1:stop])), stop]
-    return zip(bounds[:-1], bounds[1:])
+class AxisRoute:
+    """The factored rows of :class:`Plan`, closed with the chirp e^{-j rate
+    |b|^2}, one axis at a time in either direction: their slices of the
+    pairs z (:meth:`slices`), and the adjoint that the resolution synthesis
+    sums over their weighted slices (:meth:`add`, :meth:`total`).  A slice is
 
+        S_u = |det A_u| (2 pi)^(-n/2) sum_t O_{t,n-1}(u_{n-1}) ... O_{t,0}(u_0) z,
 
-def _shared_prefix(keys, key):
-    """How many leading entries of ``keys`` equal those of ``key``."""
-    count = 0
-    while count < len(keys) and keys[count] == key[count]:
-        count += 1
-    return count
-
-
-class AxisSlices:
-    """The slices of the factored rows of :class:`Plan` on the pairs z,
-    closed with the chirp e^{-j rate |b|^2}, one axis at a time:
-
-        S_u = |det A_u| (2 pi)^(-n/2) sum_t O_{t,n-1}(u_{n-1}) ... O_{t,0}(u_0) z.
-
-    O_{t,i}(v) acts on b-axis i alone.  For a lattice value v it multiplies
-    the axis-i spectrum by conj(m_{t,i}(v)), inverts it by one 1-D FFT and
-    closes with e^{-j (v b_i + rate b_i^2)}: the frequency shift of the fast
-    S-transform (Stockwell, Mansinha and Lowe, 1996) one axis at a time,
-    which holds because psi(A_u y) is a sum of products of 1-D factors.
-    Off the lattice it is K_{t,i}(v) of :meth:`AxisTables.operators`: a
-    modulation by e^{-j x_i v}, the correlation with g_t(v x) and the
-    closing e^{-j rate b_i^2}.  Up to DENSE_AXIS_SAMPLES samples per axis
-    that is one N x N matrix per term and one matmul; above it, the
-    modulation, one 1-D FFT, a product with conj(b_{t,i}(v)), an inverse
-    FFT and the closing.
+    where O_{t,i}(v) acts on b-axis i alone and is diag(post) F^-1 diag(d) F
+    diag(pre) (:meth:`_factors`).  For a lattice value v, pre = 1, d =
+    conj(m_{t,i}(v)) and post = e^{-j (v b_i + rate b_i^2)}: the frequency
+    shift of the fast S-transform (Stockwell, Mansinha and Lowe, 1996) one
+    axis at a time, which holds because psi(A_u y) is a sum of products of
+    1-D factors.  Off it, pre = e^{-j v x_i}, d = conj(b_{t,i}(v)) and post
+    = e^{-j rate b_i^2}.  The adjoint O^H = diag(conj pre) F^-1 diag(conj d)
+    F diag(conj post) swaps and conjugates the same factors.  Up to
+    DENSE_AXIS_SAMPLES samples per axis an off-lattice O is one N x N matrix
+    per term, K_t(v) of :meth:`AxisTables.operators`, and O^H its conjugate
+    transpose (:meth:`_operators`), each applied by matmul.
 
     Operators on different axes commute, so the rows that share u_0 ..
-    u_{i-1} share the partial result after axis i - 1.  The partials of the
-    last row's leading values are kept, one per term, for the rows after
-    it, in its block or the next.  On the last axis the spectra of a run's
-    rows are summed over the terms before one inverse FFT for the run.  A
-    dense off-lattice row is the product of the last partial, its terms
-    stacked beside its last axis, with the row's operators, stacked the same
-    way and scaled by |det A_u| (2 pi)^(-n/2): the closed row, written into
-    the block.  The operators of a span of such rows are built together,
-    and one matmul call takes their products."""
+    u_{i-1} share what lies beyond axis i - 1, and both directions walk the
+    runs alike (:meth:`_walk`).  The analysis keeps the partial after each
+    axis of the last row's leading values, one per term, for the rows after
+    it, in its block or the next, and shares its spectrum among them.  A
+    run's rows sum their terms in the spectrum before one inverse FFT for
+    the run; a dense row is the last partial, its terms stacked beside its
+    last axis, times the row's operators, stacked alike and scaled by |det
+    A_u| (2 pi)^(-n/2).  The synthesis opens and transforms a run's rows by
+    one FFT call, sums the lattice rows' terms in that spectrum and adds the
+    others' in space; a span of dense rows goes side by side against their
+    adjoints, in one matmul that sums over the rows and b.  Once its rows
+    are all in, each sum takes O^H of the next axis outward into the sum of
+    the rows that share one value fewer, so each node's sum is inverted
+    once, axis 0's in :meth:`total`.  The operators of a span of dense rows
+    are built together, at most BLOCK_BYTES / 8 of them."""
 
-    def __init__(self, z, plan, rate):
-        self.plan = plan
-        self.closings = [phases.conj() for phases in plan.tables.phases(rate)]
-        self.scale = plan.det * (2.0 * np.pi) ** (-plan.spec.n / 2.0)
+    def __init__(self, plan, rate, z=None):
+        self.plan, self.tables, self.n = plan, plan.tables, plan.spec.n
+        x = plan.spec.axis(SPACE)
+        self.pre, self.d, self.post = [], [], []  # per axis and value: :meth:`_factors`
+        for values, lattice, m, b in zip(self.tables.values, self.tables.lattice,
+                                         self.tables.m, self.tables.b):
+            self.pre.append(np.exp(-1j * np.where(lattice, 0.0, values)[:, None] * x))
+            self.d.append(np.where(lattice[:, None], m, b).conj())
+            phases = np.exp(1j * (np.where(lattice, values, 0.0)[:, None] * x + rate * x**2))
+            self.post.append(phases.conj())
+        self.scale = plan.det * (2.0 * np.pi) ** (-self.n / 2.0)
         self.dense = plan.spec.samples_per_axis <= DENSE_AXIS_SAMPLES
-        self.nodes = [z[None]]  # nodes[i]: the partial after axes 0 .. i - 1
-        self.spectra = [None]  # spectra[i]: nodes[i]'s FFT along axis i, once needed
-        self.stacked = None  # nodes[n - 1] with its terms beside its last axis, once needed
-        self.keys = []  # keys[i]: the value index on axis i of nodes[i + 1]
+        self.keys = []  # keys[i]: the value index on axis i of the run being walked
+        # the analysis: nodes[i], the partial after axes 0 .. i - 1, and
+        # spectra[i], its FFT along axis i once needed
+        self.nodes, self.spectra = [None if z is None else z[None]], [None]
+        # the synthesis: per depth i, the terms' sums of what O^H of axis i
+        # added, in the spectrum along axis i from lattice values and in
+        # space from the others
+        self.sums = [[None, None] for _ in range(self.n)]
 
-    def _spectrum(self, axis):
+    def _factors(self, axis, j):
+        """pre, d and post of O_{t,axis}(v) for the value v of index j, or
+        for each of an array of indices: shapes N, (terms, N) and N, after
+        the indices' shape."""
+        return self.pre[axis][j], self.d[axis][:, j], self.post[axis][j]
+
+    def _operators(self, axis, j, weights, layout, adjoint=False):
+        """weights[r] K_t(v_r) for the values v_r of the indices j, axes in
+        the order of ``layout`` (:meth:`AxisTables.operators`), or with
+        ``adjoint`` their conjugates: in a layout with b and x swapped, the
+        matrices weights[r] K_t(v_r)^H."""
+        ops = self.tables.operators(axis, j, self.post[axis][j] * weights[:, None], layout)
+        return np.conjugate(ops, out=ops) if adjoint else ops
+
+    def _dense(self, axis, j):
+        """Which of the values of the indices j take a dense operator."""
+        lattice = self.tables.lattice[axis][j]
+        return ~lattice if self.dense else np.zeros_like(lattice)
+
+    def _walk(self, start, stop, index, leave, enter):
+        """(lo, hi, j) for each run of the rows start:stop, whose value
+        indices are ``index``: the run's rows in the block and their indices
+        on the last axis.  Before a run, ``leave(axis)`` is called for each
+        axis whose value changes, innermost first, and then ``enter(axis)``
+        for each new value, outermost first, once ``keys`` holds it."""
+        last = self.n - 1
+        bounds = [0, *(1 + np.flatnonzero(self.plan.run_starts[start + 1:stop])), stop - start]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            key, keep = index[lo, :last], 0
+            while keep < len(self.keys) and self.keys[keep] == key[keep]:
+                keep += 1
+            for axis in range(len(self.keys) - 1, keep - 1, -1):
+                leave(axis)
+            del self.keys[keep:]
+            for axis in range(keep, last):
+                self.keys.append(key[axis])
+                enter(axis)
+            yield lo, hi, index[lo:hi, last]
+
+    def _opened(self, axis, lattice, pre):
+        """F diag(pre) nodes[axis] along b-axis ``axis``; for a lattice value,
+        where pre = 1, the node's spectrum, taken once for every value."""
+        if not lattice:
+            return np.fft.fft(self.nodes[axis] * along(pre, axis, self.n), axis=axis - self.n)
         if self.spectra[axis] is None:
-            self.spectra[axis] = np.fft.fft(self.nodes[axis], axis=axis - self.plan.spec.n)
+            self.spectra[axis] = np.fft.fft(self.nodes[axis], axis=axis - self.n)
         return self.spectra[axis]
 
-    def _stacked(self):
-        """nodes[n - 1], shape (terms, P) + b-shape, as a matrix (P N^(n-1),
-        terms N)."""
-        if self.stacked is None:
-            node = self.nodes[-1]
-            N = node.shape[-1]
-            stacked = np.moveaxis(node.reshape(len(node), -1, N), 0, 1)
-            self.stacked = stacked.reshape(-1, len(node) * N)
-        return self.stacked
+    def _leave(self, axis):
+        del self.nodes[-1], self.spectra[-1]
 
-    def _modulated_spectrum(self, axis, j):
-        """fft(nodes[axis] e^{-j x v}) along axis, v the value of index j."""
-        plan, n = self.plan, self.plan.spec.n
-        wave = np.exp(-1j * plan.tables.values[axis][j] * plan.spec.axis(SPACE))
-        return np.fft.fft(self.nodes[axis] * along(wave, axis, n), axis=axis - n)
-
-    def _node(self, axis, j):
-        """O_{t,axis}(v) nodes[axis] for every term t, v the value of index
-        j in the plan's tables."""
-        tables, n = self.plan.tables, self.plan.spec.n
-        if tables.lattice[axis][j]:
-            out = self._spectrum(axis) * along(tables.m[axis][:, j].conj(), axis, n)
-        elif self.dense:
-            ops = tables.operators(axis, [j], self.closings[axis][[j]], "rtbx")[0]
-            return _apply_along(ops, self.nodes[axis], axis)
+    def _enter(self, axis):
+        """nodes[axis + 1] = O_{t,axis}(v) nodes[axis] for every term t, v
+        the value keys[axis]."""
+        n, j = self.n, self.keys[axis]
+        if self._dense(axis, j):
+            ops = self._operators(axis, [j], np.ones(1), "rtbx")[0]
+            out = _apply_along(ops, self.nodes[axis], axis)
         else:
-            out = self._modulated_spectrum(axis, j) * along(tables.b[axis][:, j].conj(), axis, n)
-        np.fft.ifft(out, axis=axis - n, out=out)
-        out *= along(self.closings[axis][j], axis, n)
-        return out
+            pre, d, post = self._factors(axis, j)
+            out = self._opened(axis, self.tables.lattice[axis][j], pre) * along(d, axis, n)
+            np.fft.ifft(out, axis=axis - n, out=out)
+            out *= along(post, axis, n)
+        self.nodes.append(out)
+        self.spectra.append(None)
 
-    def __call__(self, start, stop, tables, out):
+    def slices(self, start, stop, tables, out):
         """Write the slices of the factored u rows start:stop, whose index
         in the plan's tables ``tables`` holds (:meth:`AxisTables.block`),
         into ``out``, shape (rows, P) + b-shape."""
-        plan, n, N = self.plan, self.plan.spec.n, self.plan.spec.samples_per_axis
+        n, N = self.n, self.plan.spec.samples_per_axis
         last = n - 1
         # a span of dense rows takes one call, its operators at most BLOCK_BYTES / 8
-        span = block_rows(8 * 16 * len(plan.terms) * N**2)
-        for first, end in _runs(plan, start, stop):
-            key = tables.index[first - start, :last]
-            keep = _shared_prefix(self.keys, key)
-            del self.keys[keep:], self.nodes[keep + 1:], self.spectra[keep + 1:]
-            if keep < last:
-                self.stacked = None
-            for axis in range(keep, last):
-                self.nodes.append(self._node(axis, key[axis]))
-                self.spectra.append(None)
-                self.keys.append(key[axis])
-            rows = out[first - start:end - start]
-            j = tables.index[first - start:end - start, last]
-            lattice = tables.lattice[last][j]
-            dense = ~lattice if self.dense else np.zeros_like(lattice)
-            for lo, hi in _spans(dense, span):
-                # per row, the last partial, terms stacked beside its last
-                # axis, times the row's operators, stacked alike
-                closing = self.closings[last][j[lo:hi]] * self.scale[first + lo:first + hi, None]
-                ops = tables.operators(last, j[lo:hi], closing, "rtxb").reshape(hi - lo, -1, N)
-                np.matmul(self._stacked(), ops, out=rows[lo:hi].reshape(hi - lo, -1, N))
+        span = block_rows(8 * 16 * len(self.plan.terms) * N**2)
+        for lo, hi, j in self._walk(start, stop, tables.index, self._leave, self._enter):
+            rows, scale = out[lo:hi], self.scale[start + lo:start + hi]
+            dense = self._dense(last, j)
+            if dense.any():  # the last partial, its terms beside its last axis
+                node = self.nodes[-1]
+                stacked = np.moveaxis(node.reshape(len(node), -1, N), 0, 1).reshape(-1, len(node) * N)
+            for a, b in _spans(dense, span):
+                # per row, the stacked partial times the row's operators, stacked alike
+                ops = self._operators(last, j[a:b], scale[a:b], "rtxb").reshape(b - a, -1, N)
+                np.matmul(stacked, ops, out=rows[a:b].reshape(b - a, -1, N))
             summed = np.flatnonzero(~dense)  # the rows whose terms are summed in a spectrum
             if not len(summed):
                 continue
@@ -713,16 +730,100 @@ class AxisSlices:
             if len(summed) < len(rows):
                 part = np.empty((len(summed),) + rows.shape[1:], dtype=rows.dtype)
             # the terms are summed row by row, beside a temporary of one row
-            m, b = tables.m[last][:, j].conj(), tables.b[last][:, j].conj()
-            for row, i in zip(part, summed):
-                if lattice[i]:
-                    _sum_terms(self._spectrum(last), m[:, i], last, n, row)
-                else:
-                    _sum_terms(self._modulated_spectrum(last, j[i]), b[:, i], last, n, row)
+            pre, d, post = self._factors(last, j[summed])
+            lattice = self.tables.lattice[last][j[summed]]
+            for i, row in enumerate(part):
+                _sum_terms(self._opened(last, lattice[i], pre[i]), d[:, i], last, n, row)
             np.fft.ifft(part, axis=-1, out=part)
-            part *= along(self.closings[last][j[summed]] * self.scale[first + summed, None], last, n)
+            part *= along(post * scale[summed, None], last, n)
             if part is not rows:
                 rows[summed] = part
+
+    def _buffer(self, depth, part, like):
+        """The terms' sum ``part`` at depth ``depth``, zeros until first used."""
+        sums = self.sums[depth]
+        if sums[part] is None:
+            shape = (len(self.plan.terms),) + like.shape[-self.n - 1:]
+            sums[part] = np.zeros(shape, dtype=np.complex128)
+        return sums[part]
+
+    def _sum(self, depth):
+        """The terms' sums at depth ``depth``, in space, which are then reset."""
+        spectrum, space = self.sums[depth]
+        self.sums[depth] = [None, None]
+        if spectrum is None:
+            return space
+        np.fft.ifft(spectrum, axis=depth - self.n, out=spectrum)
+        return spectrum if space is None else spectrum + space
+
+    def _add(self, axis, rows, j, weights):
+        """Add sum_r weights[r] O_{t,axis}(v_r)^H rows[r] for every term t,
+        rows of shape (rows, 1 or terms, P) + b-shape and v_r the values of
+        the indices j, to the sums of depth ``axis``: the rows opened and
+        transformed by one FFT call, a lattice row's terms summed in that
+        spectrum, any other's inverted and added in space."""
+        n, lattice = self.n, self.tables.lattice[axis][j]
+        pre, d, post = self._factors(axis, j)
+        spectra = rows * along(post.conj() * weights[:, None], axis, n)[:, None]
+        np.fft.fft(spectra, axis=axis - n, out=spectra)
+        for i in np.flatnonzero(~lattice):
+            term = spectra[i] * along(d[:, i].conj(), axis, n)
+            np.fft.ifft(term, axis=axis - n, out=term)
+            term *= along(pre[i].conj(), axis, n)
+            self._buffer(axis, 1, term)[...] += term
+        if lattice.any():
+            if not lattice.all():
+                spectra, d = spectra[lattice], d[:, lattice]
+            sums = self._buffer(axis, 0, spectra[0])
+            for t, table in enumerate(d.conj()):
+                part = spectra[:, t % spectra.shape[1]]  # a row of one term serves every term
+                out = part if t == len(d) - 1 else None  # the last term's product in place
+                sums[t] += np.sum(np.multiply(part, along(table, axis, n), out=out), axis=0)
+
+    def _close(self, axis):
+        """Take the complete sum of depth axis + 1 through O^H of ``axis``,
+        for the value keys[axis], into the sums of depth ``axis``."""
+        j, summed = self.keys[axis], self._sum(axis + 1)
+        if self._dense(axis, j):
+            adjoints = self._operators(axis, [j], np.ones(1), "rtxb", adjoint=True)[0]
+            self._buffer(axis, 1, summed)[...] += _apply_along(adjoints, summed, axis)
+        else:
+            self._add(axis, summed[None], [j], np.ones(1))
+
+    def add(self, start, stop, tables, slices, weights):
+        """Add the adjoints of the factored u rows start:stop, whose index
+        in the plan's tables ``tables`` holds (:meth:`AxisTables.block`), to
+        the sum: ``slices``, shape (rows, P) + b-shape, and their synthesis
+        ``weights``."""
+        N, last = self.plan.spec.samples_per_axis, self.n - 1
+        # a span of dense rows takes one call, its copy of the rows and its
+        # adjoints at most BLOCK_BYTES / 8
+        span = block_rows(8 * 16 * (slices[0].size + len(self.plan.terms) * N**2))
+        for lo, hi, j in self._walk(start, stop, tables.index, self._close, lambda axis: None):
+            rows, w = slices[lo:hi], weights[lo:hi]
+            dense = self._dense(last, j)
+            for a, b in _spans(dense, span):
+                # the rows side by side against their adjoints stacked alike,
+                # summed over the rows and b by the contraction
+                stacked = np.moveaxis(rows[a:b].reshape(b - a, -1, N), 0, 1)
+                stacked = stacked.reshape(-1, (b - a) * N)
+                adjoints = self._operators(last, j[a:b], w[a:b], "rbtx", adjoint=True)
+                summed = np.matmul(stacked, adjoints.reshape((b - a) * N, -1))
+                space = self._buffer(last, 1, rows)
+                summed = summed.reshape(-1, len(space), N)
+                space.reshape(len(space), -1, N)[...] += np.moveaxis(summed, 1, 0)
+            if dense.all():
+                continue
+            if dense.any():
+                rows, w, j = rows[~dense], w[~dense], j[~dense]
+            self._add(last, rows[:, None], j, w)
+
+    def total(self):
+        """The sum over every row added, in space, shape (P,) + b-shape."""
+        for axis in range(len(self.keys) - 1, -1, -1):
+            self._close(axis)
+        self.keys = []
+        return np.sum(self._sum(0), axis=0)
 
 
 def _sum_terms(spectra, tables, axis, n, out):
@@ -750,141 +851,6 @@ def _apply_along(ops, array, axis):
     N = shape[-1]
     out = np.matmul(ops[:, None, None], array.reshape(shape[:2] + (N**axis, N, -1)))
     return out.reshape((len(ops),) + shape[1:])
-
-
-class AxisSynthesis:
-    """The adjoint of :class:`AxisSlices`: the sum over the factored rows
-    of a plan of O_{t,0}(u_0)^H ... O_{t,n-1}(u_{n-1})^H applied to each
-    row's weighted slice, summed over the terms t, in reverse order.
-
-    On b-axis i, for a lattice value v, the adjoint opens with e^{j (v b_i +
-    rate b_i^2)}, transforms, and multiplies by m_{t,i}(v); a run's lattice
-    rows are summed in that spectrum before its one inverse FFT.  Off the
-    lattice it is K_{t,i}(v)^H, the conjugate transpose of
-    :meth:`AxisTables.operators`, which opens with e^{j rate b_i^2}.  Up to
-    DENSE_AXIS_SAMPLES samples per axis that is one matmul for a node's sum,
-    and one for a span of a run's off-lattice rows: their slices side by
-    side, against their adjoints stacked alike with each row's weight folded
-    in, summed over the rows and b by the contraction.  Above it, the opening,
-    a 1-D FFT, a product with b_{t,i}(v), an inverse FFT and a modulation
-    by e^{j x_i v}.  Those results are added to a sum in space.  Each run's
-    sum, once its rows are all in, takes the next axis outward into the sum
-    of the rows that share one value fewer, and so on up to axis 0, whose
-    sum is inverted once in :meth:`total`.  Rows come in order, block by
-    block."""
-
-    def __init__(self, plan, rate):
-        self.plan = plan
-        self.openings = plan.tables.phases(rate)
-        self.dense = plan.spec.samples_per_axis <= DENSE_AXIS_SAMPLES
-        n = plan.spec.n
-        self.keys = []  # keys[i]: the value index on axis i of the rows being summed
-        # per depth d, the terms' sums of what axis d added: their spectra
-        # along axis d, from lattice values, and in space, from the others
-        self.sums = [[None, None] for _ in range(n)]
-
-    def _buffer(self, depth, part, like):
-        """The terms' sum ``part`` at depth ``depth``, zeros until first used."""
-        sums = self.sums[depth]
-        if sums[part] is None:
-            shape = (len(self.plan.terms),) + like.shape[-self.plan.spec.n - 1:]
-            sums[part] = np.zeros(shape, dtype=np.complex128)
-        return sums[part]
-
-    def _adjoints(self, axis, j, weights, layout):
-        """weights[r] K_t(v_r)^H for every term t and value v_r of the
-        indices j on axis ``axis``, axes in the order of ``layout`` as in
-        :meth:`AxisTables.operators`, b and x those of K_t."""
-        closing = self.openings[axis][j].conj() * weights[:, None]
-        return np.conjugate(self.plan.tables.operators(axis, j, closing, layout))
-
-    def _add_off_lattice(self, depth, spectrum, j):
-        """Add e^{j x v} ifft(spectrum b_{t,depth}(v)) for every term t, v the
-        value of index j, to the space sum of depth ``depth``."""
-        tables, n = self.plan.tables, self.plan.spec.n
-        term = spectrum * along(tables.b[depth][:, j], depth, n)
-        np.fft.ifft(term, axis=depth - n, out=term)
-        term *= along(np.exp(1j * tables.values[depth][j] * self.plan.spec.axis(SPACE)), depth, n)
-        self._buffer(depth, 1, term)[...] += term
-
-    def _sum(self, depth):
-        """The terms' sums at depth ``depth``, in space, which are then reset."""
-        spectrum, space = self.sums[depth]
-        self.sums[depth] = [None, None]
-        if spectrum is None:
-            return space
-        np.fft.ifft(spectrum, axis=depth - self.plan.spec.n, out=spectrum)
-        return spectrum if space is None else spectrum + space
-
-    def _close(self, depth):
-        """Take the complete sum of depth ``depth`` through axis depth - 1."""
-        tables, n, axis = self.plan.tables, self.plan.spec.n, depth - 1
-        j = self.keys[axis]
-        if self.dense and not tables.lattice[axis][j]:
-            summed = self._sum(depth)
-            adjoints = self._adjoints(axis, [j], np.ones(1), "rtxb")[0]
-            self._buffer(axis, 1, summed)[...] += _apply_along(adjoints, summed, axis)
-            return
-        opened = self._sum(depth) * along(self.openings[axis][j], axis, n)
-        np.fft.fft(opened, axis=axis - n, out=opened)
-        if tables.lattice[axis][j]:
-            opened *= along(tables.m[axis][:, j], axis, n)
-            self._buffer(axis, 0, opened)[...] += opened
-        else:
-            self._add_off_lattice(axis, opened, j)
-
-    def __call__(self, start, stop, tables, slices, weights):
-        """Add the factored u rows start:stop, whose index in the plan's
-        tables ``tables`` holds (:meth:`AxisTables.block`): ``slices``,
-        shape (rows, P) + b-shape, and their synthesis ``weights``."""
-        plan, n, N = self.plan, self.plan.spec.n, self.plan.spec.samples_per_axis
-        last = n - 1
-        # a span of dense rows takes one call, its copy of the rows and its
-        # adjoints at most BLOCK_BYTES / 8
-        span = block_rows(8 * 16 * (slices[0].size + len(plan.terms) * N**2))
-        for first, end in _runs(plan, start, stop):
-            key = tables.index[first - start, :last]
-            keep = _shared_prefix(self.keys, key)
-            for depth in range(len(self.keys), keep, -1):
-                self._close(depth)
-            self.keys[keep:] = key[keep:]
-            rows, w = slices[first - start:end - start], weights[first - start:end - start]
-            j = tables.index[first - start:end - start, last]
-            lattice = tables.lattice[last][j]
-            dense = ~lattice if self.dense else np.zeros_like(lattice)
-            for lo, hi in _spans(dense, span):
-                # the rows side by side against their adjoints stacked alike,
-                # summed over the rows and b by the contraction
-                stacked = np.moveaxis(rows[lo:hi].reshape(hi - lo, -1, N), 0, 1)
-                stacked = stacked.reshape(-1, (hi - lo) * N)
-                adjoints = self._adjoints(last, j[lo:hi], w[lo:hi], "rbtx").reshape((hi - lo) * N, -1)
-                summed = np.matmul(stacked, adjoints).reshape(-1, len(plan.terms), N)
-                space = self._buffer(last, 1, rows)
-                space.reshape(len(space), -1, N)[...] += np.moveaxis(summed, 1, 0)
-            if dense.all():
-                continue
-            if dense.any():
-                rows, w, j, lattice = rows[~dense], w[~dense], j[~dense], lattice[~dense]
-            spectra = rows * along(self.openings[last][j] * w[:, None], last, n)
-            np.fft.fft(spectra, axis=-1, out=spectra)
-            for i in np.flatnonzero(~lattice):
-                self._add_off_lattice(last, spectra[i], j[i])
-            if lattice.any():
-                if not lattice.all():
-                    spectra = spectra[lattice]
-                m, sums = tables.m[last][:, j[lattice]], self._buffer(last, 0, spectra)
-                for t, table in enumerate(m):
-                    last_term = t == len(m) - 1
-                    product = np.multiply(spectra, along(table, last, n),
-                                          out=spectra if last_term else None)
-                    sums[t] += np.sum(product, axis=0)
-
-    def total(self):
-        """The sum over every row added, in space, shape (P,) + b-shape."""
-        for depth in range(len(self.keys), 0, -1):
-            self._close(depth)
-        self.keys = []
-        return np.sum(self._sum(0), axis=0)
 
 
 def fill_volume(vol, plan, fill_block, sink=None):
@@ -938,7 +904,7 @@ def spectrum_slices(z, plan, rate):
     close with the chirp e^{-j rate |b|^2} (rate 0 for the Stockwell
     transform).
 
-    A factored block goes axis by axis (:class:`AxisSlices`).  For the n-D
+    A factored block goes axis by axis (:meth:`AxisRoute.slices`).  For the n-D
     route, fftn(z) is taken once, if any of its rows is on the lattice.
     The lattice rows' slice spectra are fftn(z) conj(M), one broadcast
     product over the block; an off-lattice row's is fftn(z e^{-j x.u})
@@ -950,13 +916,13 @@ def spectrum_slices(z, plan, rate):
     spec = plan.spec
     axes = tuple(range(-spec.n, 0))
     scale = plan.det * (2.0 * np.pi) ** (-spec.n / 2.0)
-    factored = AxisSlices(z, plan, rate) if plan.factored.any() else None
+    route = AxisRoute(plan, rate, z) if plan.factored.any() else None
     if np.any(plan.on_lattice & ~plan.factored):
         Z = np.fft.fftn(z, axes=axes)
 
     def fill(start, stop, M, B, block):
         if plan.factored[start]:  # M holds the block's tables; the window's one column
-            factored(start, stop, M, block[:, 0])
+            route.slices(start, stop, M, block[:, 0])
             return
         lattice = plan.on_lattice[start:stop]
         if lattice.any():  # off-lattice rows are left for their own spectra
@@ -1025,6 +991,8 @@ def cst(f, psi, u_list=None, theta_list=None):
     """
     check_analysis_inputs(f, psi)
     u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
+    if len(u_list) == 0 or len(theta_list) == 0:
+        raise StockwellError("the transform needs a non-empty (u, theta) set")
     live = live_pairs(f.data)
     vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst", pairs=live)
     plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)

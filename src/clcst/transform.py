@@ -35,7 +35,7 @@ from .grid import (
 )
 from .stockwell import (
     BIN_TOLERANCE,
-    AxisSynthesis,
+    AxisRoute,
     NonUnitWindowWarning,
     Plan,
     StockwellError,
@@ -75,6 +75,15 @@ def _require_b_nonzero(params, spec):
         )
 
 
+def _checked_lists(spec, u_list, theta_list, what):
+    """The lists of :func:`~clcst.stockwell.checked_lists`, with an empty
+    (u, theta) set refused, which ``what`` cannot be computed from."""
+    u_list, theta_list = checked_lists(spec, u_list, theta_list)
+    if len(u_list) == 0 or len(theta_list) == 0:
+        raise TransformError("%s needs a non-empty (u, theta) set" % what)
+    return u_list, theta_list
+
+
 def clcst_kernel(psi, params, spec, ctx, b, scaling, rotation):
     """Analysis kernel |det A_u| e^{i_n(x.u + A|b|^2/2B - A|x|^2/2B)} psi(R A (x-b))."""
     _require_b_nonzero(params, spec)
@@ -106,7 +115,7 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     ``three_step`` chirps f, by 1-D factors, one per axis; on a run of rows
     that share their leading u values, with a separable window, it goes one
     axis at a time and shares each axis's partial transform across the run
-    (:class:`~clcst.stockwell.AxisSlices`), an off-lattice value by one
+    (:meth:`~clcst.stockwell.AxisRoute.slices`), an off-lattice value by one
     dense 1-D operator on a small lattice; otherwise it transforms the
     chirped f once, each lattice u multiplies that spectrum by the
     conjugate of its modulated window spectrum, and one inverse FFT per
@@ -126,7 +135,7 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
         raise TransformError("unknown path %r (choose from %r)" % (path, PATHS))
     _require_b_nonzero(params, f.spec)
     check_analysis_inputs(f, psi)
-    u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
+    u_list, theta_list = _checked_lists(f.spec, u_list, theta_list, "the transform")
     live = live_pairs(f.data)
     z = pack(f.ctx, f.data, pairs=live)
     vol = CLCSTVolume(
@@ -187,9 +196,7 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     per u counts T times.
     """
     _require_b_nonzero(params, spec)
-    u_list, theta_list = checked_lists(spec, u_list, theta_list)
-    if len(u_list) == 0 or len(theta_list) == 0:
-        raise TransformError("admissibility needs a non-empty (u, theta) set")
+    u_list, theta_list = _checked_lists(spec, u_list, theta_list, "admissibility")
     plan = Plan(psi, spec, u_list, theta_list, u_weights_from_list(u_list))
     for block in plan.blocks(block_rows(plan.row_bytes)):
         del block  # before the next block's spectra are built
@@ -226,11 +233,12 @@ def reconstruct_resolution(vol, psi, params):
 
     Per (u, theta) the b-sum is the periodic convolution of the chirped slice
     with the modulated window.  On the factored runs of a separable window
-    it is the adjoint of the axis-by-axis analysis
-    (:class:`~clcst.stockwell.AxisSynthesis`): each row's 1-D transforms
-    along the last axis, or its dense adjoint operator off the lattice,
-    are summed over its run, and each run's sum goes through the earlier
-    axes once.  On the n-D route, for a lattice u it
+    it is the adjoint of the axis-by-axis analysis, run by the same
+    :class:`~clcst.stockwell.AxisRoute` with each axis operator's factors
+    swapped and conjugated (:meth:`~clcst.stockwell.AxisRoute.add`): each
+    row's 1-D transforms along the last axis, or its dense adjoint operator
+    off the lattice, are summed over its run, and each run's sum goes
+    through the earlier axes once.  On the n-D route, for a lattice u it
     is fftn(s e^{j u.b}) M in the spectrum, M the modulated window spectrum
     of :meth:`~clcst.stockwell.Plan.blocks`: each block's weighted columns
     are transformed by one fftn, their products with M summed without a
@@ -251,9 +259,7 @@ def reconstruct_resolution(vol, psi, params):
     """
     spec, ctx = vol.spec, vol.ctx
     _require_b_nonzero(params, spec)
-    checked_lists(spec, vol.u_list, vol.theta_list)
-    if len(vol.u_list) == 0 or len(vol.theta_list) == 0:
-        raise TransformError("resolution synthesis needs a non-empty (u, theta) set")
+    _checked_lists(spec, vol.u_list, vol.theta_list, "resolution synthesis")
     axes = tuple(range(-spec.n, 0))
     rate = params.chirp_rate
     plan = Plan(psi, spec, vol.u_list, vol.theta_list, vol.u_weights)
@@ -267,7 +273,7 @@ def reconstruct_resolution(vol, psi, params):
     # multiplied in place, 16 bytes each, beside the window block
     row_bytes = 48 * columns * (ctx.blade_count // 2) * spec.point_count
     rows = block_rows(row_bytes + plan.row_bytes)
-    factored = AxisSynthesis(plan, rate) if plan.factored.any() else None
+    route = AxisRoute(plan, rate) if plan.factored.any() else None
     for start, stop, M, B in plan.blocks(rows, plain=True):
         u_rows, lattice = vol.u_list[start:stop], plan.on_lattice[start:stop]
         s = vol.rows(start, stop)
@@ -278,7 +284,7 @@ def reconstruct_resolution(vol, psi, params):
             M = np.sum(M, axis=1, keepdims=True)
             B = {i: np.sum(b, axis=0, keepdims=True) for i, b in B.items()}
         if plan.factored[start]:  # M holds the block's tables
-            factored(start, stop, M, s[:, 0], weights[start:stop])
+            route.add(start, stop, M, s[:, 0], weights[start:stop])
             continue
         # weight x chirp x e^{j u.b} on the lattice, before one fftn, into a
         # new array: the rows may be the volume's own
@@ -292,8 +298,8 @@ def reconstruct_resolution(vol, psi, params):
         summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
         del M, B, s  # before the next block's spectra are built
     total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
-    if factored is not None:
-        total += factored.total()
+    if route is not None:
+        total += route.total()
     admissibility = plan.profile(ctx)
     c_psi = admissibility[1]["mean"]
     if not c_psi > 0:

@@ -42,6 +42,9 @@ def test_spec_invariants():
     assert wax[s.samples_per_axis // 2] == 0.0
     with pytest.raises(GridError):
         GridSpec(2, 6.0, 63)
+    for half_width in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(GridError, match="half_width"):
+            GridSpec(2, half_width, 16)
 
 
 def test_mesh_is_built_once_per_domain_and_read_only():

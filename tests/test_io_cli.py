@@ -369,6 +369,19 @@ def test_cli_synthesize_kinds(tmp_path):
     main(["synthesize", "--kind", "chirp", "--rate", "0", "--samples", "32", "--out", str(out)])
     g = read_grid(out)
     assert np.all(g.data[0] == 1.0) and np.all(g.data[1:] == 0.0)
+    # a half-width that is not finite, a zero sigma or no mixture component
+    # is refused in one line, and nothing is written
+    refused = tmp_path / "refused.clcg"
+    for flags, message in [
+        (["--kind", "gaussian", "--half-width", "nan"], "half_width must be positive and finite"),
+        (["--kind", "gaussian", "--half-width", "inf"], "half_width must be positive and finite"),
+        (["--kind", "gaussian", "--sigma", "0"], "--sigma must be positive"),
+        (["--kind", "gaussian_mixture", "--components", "0"], "--components must be at least 1"),
+    ]:
+        with pytest.raises(SystemExit, match=message) as err:
+            main(["synthesize", "--samples", "16", "--out", str(refused)] + flags)
+        assert "\n" not in str(err.value)
+        assert not refused.exists() and not (tmp_path / "refused.clcg.json").exists()
 
 
 def test_cli_transform_report_and_paths(tmp_path):
@@ -632,6 +645,19 @@ def test_cli_non_finite_lists_write_nothing(tmp_path, flags):
         main(["transform", "--input", str(src), "--out", str(out)] + flags)
     assert not out.exists()
     assert not (tmp_path / "vol.clcg.json").exists()
+
+
+def test_cli_empty_u_list_writes_nothing(tmp_path):
+    """A tensor u list with no value on an axis has no rows: the transform
+    exits with one line and writes no volume, sidecar or report, instead of
+    an empty volume whose report holds a relative variation of Infinity."""
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    with pytest.raises(SystemExit) as err:
+        main(["transform", "--input", str(src), "--out", str(out),
+              "--u-list", '{"kind": "tensor", "per_axis": [[], [1.0]]}'])
+    assert str(err.value) == "clcst transform: the transform needs a non-empty (u, theta) set"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.clcg", "f.clcg.json"]
 
 
 def test_cli_config_replays_its_report(tmp_path):

@@ -319,6 +319,27 @@ def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta
         analyze(scalar_mixture(3), np.array(u_list), theta_list)
 
 
+@pytest.mark.parametrize("analyze, error", [
+    (lambda f, u, t: clcst(f, PSI, M, u, t), TransformError),
+    (lambda f, u, t: cst(f, PSI, u, t), StockwellError),
+], ids=["clcst", "cst"])
+@pytest.mark.parametrize("u_list, theta_list", [
+    (np.zeros((0, 2)), THETAS),
+    (U_LIST, []),
+], ids=["u", "theta"])
+def test_empty_lists_refused_before_allocation(monkeypatch, analyze, error, u_list, theta_list):
+    """An empty u or theta list is refused before a volume is allocated,
+    with each function's own error, as admissibility_profile and
+    reconstruct_resolution refuse it, not analyzed into an empty volume."""
+    def no_volume(*args, **kwargs):
+        raise AssertionError("a volume was allocated before the lists were checked")
+
+    monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
+    monkeypatch.setattr("clcst.stockwell.CLCSTVolume", no_volume)
+    with pytest.raises(error, match="non-empty"):
+        analyze(scalar_mixture(3), u_list, theta_list)
+
+
 @pytest.mark.parametrize("analyze", [
     lambda f: clcst(f, PSI, M, U_LIST, THETAS),
     lambda f: cst(f, PSI, U_LIST, THETAS),

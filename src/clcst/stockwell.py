@@ -71,11 +71,10 @@ products per point and term cost more than FFTs, as its five factors.
 The resolution synthesis runs the same class as the adjoint, in reverse
 order: O_t(v)^H swaps and conjugates those factors, and K_t(v)^H is the
 conjugate of K_t(v).  The run's admissibility terms are summed from the
-tables.  No value of such a window
-is computed on the n-D lattice: a row outside a long run builds its n-D
-spectra as outer products of its block's tables.  Any other window is
-evaluated on the lattice once per (u, theta), modulated and transformed by
-one n-D FFT.
+tables.  No value of such a window is computed on the n-D lattice: a row
+outside a long run builds its n-D spectra as outer products of its
+block's tables.  Any other window is evaluated on the lattice once per
+(u, theta), modulated and transformed by one n-D FFT.
 
 Every kernel phase multiplies on the right by span{1, i_n}, which acts on
 each complex pair on its own (Hitzer and Mawardi, AACA 2008), so a pair
@@ -444,9 +443,10 @@ class Plan:
     runs (``run_starts``).  A run of more than 2 T rows, T the number of
     terms, is ``factored``: its slices, and their adjoint in the synthesis,
     are computed one axis at a time (:class:`AxisRoute`), which shares each
-    axis's partial transform across the run.  Every other row takes the n-D route,
-    whose window spectra are built, multiplied with the signal's spectrum
-    and inverted by n-D FFTs, as does every row of a window without terms.
+    axis's partial transform across the run.  Every other row takes the n-D
+    route, whose window spectra are built, multiplied with the signal's
+    spectrum and inverted by n-D FFTs, as does every row of a window without
+    terms.
     At n = 2 a factored run of R lattice rows takes about 2 T + R axis
     passes over the b-grid, and the n-D route 2 R: the factored route does
     less FFT work only beyond 2 T rows, and timed in-process, runs of
@@ -659,15 +659,15 @@ class AxisRoute:
         return ~lattice if self.dense else np.zeros_like(lattice)
 
     def _walk(self, start, stop, index, leave, enter):
-        """(lo, hi, j) for each run of the rows start:stop, whose value
+        """(first, end, j) for each run of the rows start:stop, whose value
         indices are ``index``: the run's rows in the block and their indices
         on the last axis.  Before a run, ``leave(axis)`` is called for each
         axis whose value changes, innermost first, and then ``enter(axis)``
         for each new value, outermost first, once ``keys`` holds it."""
         last = self.n - 1
         bounds = [0, *(1 + np.flatnonzero(self.plan.run_starts[start + 1:stop])), stop - start]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            key, keep = index[lo, :last], 0
+        for first, end in zip(bounds[:-1], bounds[1:]):
+            key, keep = index[first, :last], 0
             while keep < len(self.keys) and self.keys[keep] == key[keep]:
                 keep += 1
             for axis in range(len(self.keys) - 1, keep - 1, -1):
@@ -676,7 +676,7 @@ class AxisRoute:
             for axis in range(keep, last):
                 self.keys.append(key[axis])
                 enter(axis)
-            yield lo, hi, index[lo:hi, last]
+            yield first, end, index[first:end, last]
 
     def _opened(self, axis, lattice, pre):
         """F diag(pre) nodes[axis] along b-axis ``axis``; for a lattice value,
@@ -713,16 +713,17 @@ class AxisRoute:
         last = n - 1
         # a span of dense rows takes one call, its operators at most BLOCK_BYTES / 8
         span = block_rows(8 * 16 * len(self.plan.terms) * N**2)
-        for lo, hi, j in self._walk(start, stop, tables.index, self._leave, self._enter):
-            rows, scale = out[lo:hi], self.scale[start + lo:start + hi]
+        for first, end, j in self._walk(start, stop, tables.index, self._leave, self._enter):
+            rows, scale = out[first:end], self.scale[start + first:start + end]
             dense = self._dense(last, j)
             if dense.any():  # the last partial, its terms beside its last axis
                 node = self.nodes[-1]
-                stacked = np.moveaxis(node.reshape(len(node), -1, N), 0, 1).reshape(-1, len(node) * N)
-            for a, b in _spans(dense, span):
-                # per row, the stacked partial times the row's operators, stacked alike
-                ops = self._operators(last, j[a:b], scale[a:b], "rtxb").reshape(b - a, -1, N)
-                np.matmul(stacked, ops, out=rows[a:b].reshape(b - a, -1, N))
+                stacked = np.moveaxis(node.reshape(len(node), -1, N), 0, 1)
+                stacked = stacked.reshape(-1, len(node) * N)
+            for lo, hi in _spans(dense, span):
+                # per row, that partial times the row's operators, stacked alike
+                ops = self._operators(last, j[lo:hi], scale[lo:hi], "rtxb").reshape(hi - lo, -1, N)
+                np.matmul(stacked, ops, out=rows[lo:hi].reshape(hi - lo, -1, N))
             summed = np.flatnonzero(~dense)  # the rows whose terms are summed in a spectrum
             if not len(summed):
                 continue
@@ -799,16 +800,16 @@ class AxisRoute:
         # a span of dense rows takes one call, its copy of the rows and its
         # adjoints at most BLOCK_BYTES / 8
         span = block_rows(8 * 16 * (slices[0].size + len(self.plan.terms) * N**2))
-        for lo, hi, j in self._walk(start, stop, tables.index, self._close, lambda axis: None):
-            rows, w = slices[lo:hi], weights[lo:hi]
+        for first, end, j in self._walk(start, stop, tables.index, self._close, lambda axis: None):
+            rows, w = slices[first:end], weights[first:end]
             dense = self._dense(last, j)
-            for a, b in _spans(dense, span):
+            for lo, hi in _spans(dense, span):
                 # the rows side by side against their adjoints stacked alike,
                 # summed over the rows and b by the contraction
-                stacked = np.moveaxis(rows[a:b].reshape(b - a, -1, N), 0, 1)
-                stacked = stacked.reshape(-1, (b - a) * N)
-                adjoints = self._operators(last, j[a:b], w[a:b], "rbtx", adjoint=True)
-                summed = np.matmul(stacked, adjoints.reshape((b - a) * N, -1))
+                stacked = np.moveaxis(rows[lo:hi].reshape(hi - lo, -1, N), 0, 1)
+                stacked = stacked.reshape(-1, (hi - lo) * N)
+                adjoints = self._operators(last, j[lo:hi], w[lo:hi], "rbtx", adjoint=True)
+                summed = np.matmul(stacked, adjoints.reshape((hi - lo) * N, -1))
                 space = self._buffer(last, 1, rows)
                 summed = summed.reshape(-1, len(space), N)
                 space.reshape(len(space), -1, N)[...] += np.moveaxis(summed, 1, 0)

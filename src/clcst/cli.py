@@ -15,6 +15,7 @@ File paths, ``transform``'s spectrogram and report flags and
 
 import argparse
 import json
+import math
 import resource
 import sys
 import time
@@ -87,17 +88,48 @@ def _window(w, n):
 
 
 def _u_list(u, spec):
-    """The u array of a u_list setting: a list of rows, or an object naming its kind."""
+    """The u array of a u_list setting: a list of rows of n numbers (or one
+    such row), or an object naming its kind, whose per_axis is a list of
+    lists of numbers.  Every number must be finite and not a bool; anything
+    else is refused in one line that names --u-list."""
     if isinstance(u, list):
+        rows = u if u and all(isinstance(row, list) for row in u) else [u]
+        for i, row in enumerate(rows):
+            _u_numbers(row, "row %d" % i)
+            if len(row) != spec.n:
+                raise SystemExit("--u-list must hold rows of n = %d numbers; row %d is %r"
+                                 % (spec.n, i, row))
         return np.asarray(u, dtype=np.float64)
     kind = u.get("kind", "default") if isinstance(u, dict) else None
     if kind == "default":
         return default_u_list(spec)
     if kind in ("multiples", "tensor") and "per_axis" in u:
+        per_axis = u["per_axis"]
+        if not isinstance(per_axis, list):
+            raise SystemExit("--u-list per_axis must be a list of lists of numbers, got %r"
+                             % (per_axis,))
+        for axis, values in enumerate(per_axis):
+            _u_numbers(values, "per_axis[%d]" % axis)
         scale = spec.dw if kind == "multiples" else 1.0
-        return tensor_u_list([np.multiply(m, scale) for m in u["per_axis"]])
-    raise SystemExit("config u_list must be a list of rows or an object of kind default, "
-                     "or of kind multiples or tensor with per_axis; got %r" % (u,))
+        return tensor_u_list([np.multiply(m, scale) for m in per_axis])
+    raise SystemExit("--u-list (config u_list) must be a list of rows or an object of kind "
+                     "default, or of kind multiples or tensor with per_axis; got %r" % (u,))
+
+
+def _u_numbers(values, where):
+    """Refuse, in one line, a part of --u-list that is not a list of finite
+    numbers: a bool, a string or a list in it is not a number."""
+    if not isinstance(values, list):
+        raise SystemExit("--u-list %s must be a list of numbers, got %r" % (where, values))
+    for value in values:
+        if not _number(value):
+            raise SystemExit("--u-list %s holds %r, which is not a number" % (where, value))
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise SystemExit("--u-list %s holds %r, which is not finite" % (where, value))
 
 
 def _number(value):
@@ -186,8 +218,8 @@ def cmd_synthesize(args):
         signal = sample(lambda x: np.exp(-np.sum(x**2, axis=0)), spec, ctx)
     elif kind == "gaussian":
         s = cfg["sigma"]
-        if not s > 0:
-            raise SystemExit("--sigma must be positive, got %r" % s)
+        if not 0 < s < np.inf:
+            raise SystemExit("--sigma must be positive and finite, got %r" % s)
         signal = sample(lambda x: np.exp(-np.sum(x**2, axis=0) / (2 * s**2)), spec, ctx)
     elif kind == "gaussian_mixture":
         if cfg["components"] < 1:
@@ -202,6 +234,8 @@ def cmd_synthesize(args):
             )
         signal = GridSignal.from_scalar(spec, ctx, vals)
     elif kind == "chirp":
+        if not np.isfinite(cfg["rate"]):
+            raise SystemExit("--rate must be finite, got %r" % cfg["rate"])
         ones = sample(lambda x: np.ones(x.shape[1:]), spec, ctx)
         signal = phase_multiply(ones, cfg["rate"] * spec.squared_radius())
     else:
@@ -240,12 +274,16 @@ def cmd_transform(args):
         )
     if params.is_cft_point():
         report["warnings"].append("degenerates to CST")
+    # the engine drops the signal's blades once it has packed their live
+    # pairs, so no name here outlives the call: it is handed over
+    handed = [signal]
+    del signal
     # the volume streams u-block by u-block into --out as the engine
     # finishes each block; the whole volume is never held
     start = time.perf_counter()
     with volume_writer(args.out) as writer, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        vol = clcst(signal, window, params, u_list, theta_list, path=cfg["path"],
+        vol = clcst(handed.pop(), window, params, u_list, theta_list, path=cfg["path"],
                     sink=writer.begin)
     report["warnings"].extend(
         str(w.message) for w in caught if issubclass(w.category, NonUnitWindowWarning)
@@ -277,9 +315,13 @@ def cmd_transform(args):
 
 
 def cmd_verify(args):
-    from .verify import run_suites  # the check registry loads only for this command
+    from .verify import SUITES, run_suites  # the check registry loads only for this command
 
     names = [s.strip() for s in args.suite.split(",")]
+    unknown = [name for name in names if name != "all" and name not in SUITES]
+    if unknown:
+        raise SystemExit("clcst verify: unknown suite %r (choose from %s)"
+                         % (unknown[0], ", ".join(["all", *SUITES])))
     results, all_passed = run_suites(names)
     payload = {
         "suites": results,
@@ -423,9 +465,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AlgebraError, FormatError, GridError, LCTError, OSError, StockwellError,
-            TransformError, WindowError) as exc:
-        raise SystemExit("clcst %s: %s" % (args.command, exc)) from None
+    except (AlgebraError, FormatError, GridError, LCTError, MemoryError, OSError,
+            StockwellError, TransformError, WindowError) as exc:
+        # numpy's MemoryError names the size it could not allocate
+        raise SystemExit("clcst %s: %s" % (args.command, str(exc) or type(exc).__name__)) from None
 
 
 if __name__ == "__main__":

@@ -404,12 +404,17 @@ class AxisTables:
         terms and block of rows, the last axis's factors are weighted and
         summed over each run of rows that share their other values; then
         each earlier axis's factor multiplies those sums, and the rows that
-        share the values before it are summed, and so on up to axis 0.  The
-        pairs (t, s) and (s, t) are conjugate, so each unordered pair is
-        taken once, twice weighted."""
-        n = self.spec.n
+        share the values before it are summed, and so on up to axis 0.
+        There each leading value's sum is expanded by its axis-0 factor
+        into the block's n-D sum, one value after another, in the order of
+        a sum over the values: a block holds that sum and one product, not
+        two n-D arrays per leading value.  The pairs (t, s) and (s, t) are
+        conjugate, so each unordered pair is taken once, twice weighted, by
+        its real part; a term with itself, |m_t|^2, is real, and its n-D
+        products are taken in real arithmetic."""
+        n, N = self.spec.n, self.spec.samples_per_axis
         step = block_rows(16 * self.spec.point_count)
-        power = np.zeros(self.spec.point_count, dtype=np.complex128)
+        power = np.zeros((N, self.spec.point_count // N))
         for t, s in combinations_with_replacement(range(len(self.m[0])), 2):
             pair = [m[t] * m[s].conj() for m in self.m]  # (values, N) per axis
             for start in range(0, len(self.index), step):
@@ -420,9 +425,17 @@ class AxisTables:
                     runs[1:] = np.any(index[1:, :axis + 1] != index[:-1, :axis + 1], axis=1)
                     starts = np.flatnonzero(runs)
                     acc, index = np.add.reduceat(acc, starts), index[starts]
-                    acc = (pair[axis][index[:, axis], :, None] * acc[:, None]).reshape(len(index), -1)
-                power += acc.sum(axis=0)
-        return power.real.reshape(self.spec.shape)
+                    factor = pair[axis][index[:, axis]]
+                    if axis > 0:
+                        acc = (factor[:, :, None] * acc[:, None]).reshape(len(index), -1)
+                if t == s:  # |m_t|^2 and its products are real
+                    factor, acc = factor.real, acc.real
+                # axis 0's factor of each leading value, expanded in turn
+                block = np.multiply.outer(factor[0], acc[0])  # (N, N^(n-1))
+                for r in range(1, len(factor)):
+                    block += np.multiply.outer(factor[r], acc[r])
+                power += block.real
+        return power.reshape(self.spec.shape)
 
 
 class Plan:

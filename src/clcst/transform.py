@@ -130,28 +130,35 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     no payload, and returns the consumer of its finished u-blocks
     (:func:`~clcst.stockwell.fill_volume`), e.g. a volume file's
     :meth:`~clcst.io.VolumeWriter.begin`.
+
+    Once its live pairs are packed, f is dropped here, and the pairs are
+    chirped in place: a caller that hands f over, keeping no reference of
+    its own (as ``clcst transform`` does), frees its 2^n real blades for the
+    whole pass, and the engine holds one copy of the input.
     """
     if path not in PATHS:
         raise TransformError("unknown path %r (choose from %r)" % (path, PATHS))
-    _require_b_nonzero(params, f.spec)
+    spec, ctx = f.spec, f.ctx
+    _require_b_nonzero(params, spec)
     check_analysis_inputs(f, psi)
-    u_list, theta_list = _checked_lists(f.spec, u_list, theta_list, "the transform")
+    u_list, theta_list = _checked_lists(spec, u_list, theta_list, "the transform")
     live = live_pairs(f.data)
-    z = pack(f.ctx, f.data, pairs=live)
-    vol = CLCSTVolume(
-        f.spec, f.ctx, u_list, theta_list, params=params, window=psi, path=path, pairs=live
-    )
-    plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)
+    z = pack(ctx, f.data, pairs=live)
+    del f
+    vol = CLCSTVolume(spec, ctx, u_list, theta_list, params=params, window=psi, path=path,
+                      pairs=live)
+    plan = Plan(psi, spec, u_list, theta_list, vol.u_weights)
     rate = params.chirp_rate
     if path == "three_step":  # the chirp as 1-D factors, one per axis
-        chirped = axis_phase_multiply(z, f.spec, np.zeros((1, f.spec.n)), rate, 1.0)
-        fill_block = spectrum_slices(chirped, plan, rate)
+        axis_phase_multiply(z, spec, np.zeros((1, spec.n)), rate, 1.0, out=z)
+        fill_block = spectrum_slices(z, plan, rate)
     else:
-        antichirp = np.exp(-1j * rate * f.spec.squared_radius(SPACE))
+        antichirp = np.exp(-1j * rate * spec.squared_radius(SPACE))
         if path == "direct":
             fill_block = row_slices(_direct_slices(z, plan, rate, antichirp), plan)
         else:
-            fill_block = row_slices(_spectral_slices(z * antichirp.conj(), plan, antichirp), plan)
+            z *= antichirp.conj()
+            fill_block = row_slices(_spectral_slices(z, plan, antichirp), plan)
     fill_volume(vol, plan, fill_block, None if sink is None else sink(vol))
     return vol
 

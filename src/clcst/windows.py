@@ -98,8 +98,8 @@ class GaussianWindow(WindowSpec):
     radial = True
 
     def __init__(self, n, sigma=1.0, amplitude=1.0, normalization=RAW):
-        if sigma <= 0:
-            raise WindowError("sigma must be positive")
+        if not 0.0 < sigma < np.inf:  # a NaN sigma fails both comparisons
+            raise WindowError("sigma must be positive and finite, got %r" % (sigma,))
         super().__init__(n, amplitude, normalization)
         self.sigma = float(sigma)
 

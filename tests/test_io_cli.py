@@ -369,13 +369,17 @@ def test_cli_synthesize_kinds(tmp_path):
     main(["synthesize", "--kind", "chirp", "--rate", "0", "--samples", "32", "--out", str(out)])
     g = read_grid(out)
     assert np.all(g.data[0] == 1.0) and np.all(g.data[1:] == 0.0)
-    # a half-width that is not finite, a zero sigma or no mixture component
-    # is refused in one line, and nothing is written
+    # a half-width that is not finite, a sigma that is zero or infinite, a
+    # chirp rate that is not finite or no mixture component is refused in
+    # one line, and nothing is written
     refused = tmp_path / "refused.clcg"
     for flags, message in [
         (["--kind", "gaussian", "--half-width", "nan"], "half_width must be positive and finite"),
         (["--kind", "gaussian", "--half-width", "inf"], "half_width must be positive and finite"),
         (["--kind", "gaussian", "--sigma", "0"], "--sigma must be positive"),
+        (["--kind", "gaussian", "--sigma", "inf"], "--sigma must be positive and finite"),
+        (["--kind", "chirp", "--rate", "nan"], "--rate must be finite"),
+        (["--kind", "chirp", "--rate", "inf"], "--rate must be finite"),
         (["--kind", "gaussian_mixture", "--components", "0"], "--components must be at least 1"),
     ]:
         with pytest.raises(SystemExit, match=message) as err:
@@ -513,6 +517,36 @@ def test_cli_memory_does_not_grow_with_the_u_list(tmp_path):
         assert peaks[1][0] < 3 * BLOCK_BYTES
 
 
+def test_cli_transform_holds_its_input_once(tmp_path):
+    """The transform of a scalar n = 3 signal (N = 32, 27 off-lattice tensor
+    u, the analyze-offlattice-n3 benchmark's shape) hands its input to the
+    engine, which drops the 2^n real blades (2.10 MB) once it has packed
+    their one live pair (0.52 MB) and chirps that pair in place.  Its
+    traced peak was 7.99 MB with both copies held, and is 5.36 MB; holding
+    the chirped copy again reads 5.89 MB, and holding the blades 7.46 MB,
+    so both break the 5.7 MB bound.  One untraced transform runs first, so
+    that the traced peak carries none of the process's one-time
+    allocations."""
+    import tracemalloc
+
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian", "--n", "3", "--sigma", "0.8",
+          "--half-width", "4", "--samples", "32", "--out", str(src)])
+    per_axis = [[-2.71, 0.93, 1.87], [-1.44, 1.12, 2.56], [-2.2, 0.71, 2.93]]
+    argv = ["transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+            "--window", "gaussian", "--sigma", "1",
+            "--u-list", json.dumps({"kind": "tensor", "per_axis": per_axis}),
+            "--out", str(tmp_path / "vol.clcg")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.7e6
+
+
 def test_cli_transform_zero_input_warning(tmp_path):
     src = tmp_path / "zero.clcg"
     write_grid(src, GridSignal.zero(SPEC, CTX))
@@ -645,6 +679,63 @@ def test_cli_non_finite_lists_write_nothing(tmp_path, flags):
         main(["transform", "--input", str(src), "--out", str(out)] + flags)
     assert not out.exists()
     assert not (tmp_path / "vol.clcg.json").exists()
+
+
+@pytest.mark.parametrize("u_spec, message", [
+    ('{"kind": "tensor", "per_axis": 5}', "--u-list per_axis must be a list of lists"),
+    ('{"kind": "tensor", "per_axis": [1, 2]}', "--u-list per_axis[0] must be a list of numbers"),
+    ('{"kind": "tensor", "per_axis": [["a"], [1]]}', "--u-list per_axis[0] holds 'a'"),
+    ('{"kind": "multiples", "per_axis": [[1], [true]]}', "--u-list per_axis[1] holds True"),
+    ('[["a", 1]]', "--u-list row 0 holds 'a'"),
+    ('[[1, true]]', "--u-list row 0 holds True"),
+    ('[[[1]], [1]]', "--u-list row 0 holds [1]"),
+    ('[[1, 2], [1]]', "--u-list must hold rows of n = 2 numbers; row 1 is [1]"),
+    ('[[1e999, 1]]', "--u-list row 0 holds inf, which is not finite"),
+    ('[[1%s, 1]]' % ("0" * 400), "which is not finite"),
+], ids=["per-axis-number", "per-axis-flat", "per-axis-string", "per-axis-bool", "row-string",
+        "row-bool", "row-nested", "row-ragged", "row-overflow", "row-huge-int"])
+def test_cli_malformed_u_list_writes_nothing(tmp_path, u_spec, message):
+    """A --u-list of another nesting than rows of n numbers or per-axis
+    lists of numbers, or holding a bool, a string or a number past the
+    float range, is refused in one line before anything is written."""
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    with pytest.raises(SystemExit, match=re.escape(message)) as err:
+        main(["transform", "--input", str(src), "--out", str(out), "--u-list", u_spec])
+    assert "\n" not in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.clcg", "f.clcg.json"]
+
+
+@pytest.mark.parametrize("flags", [["--sigma", "nan"], ["--sigma", "inf"], "config"],
+                         ids=["flag-nan", "flag-inf", "config-nan"])
+def test_cli_non_finite_window_sigma_writes_nothing(tmp_path, flags):
+    """A NaN or infinite window sigma, from the flag or a --config file, is
+    refused before the volume is written, not stored in a sidecar that
+    reconstruct then refuses."""
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    if flags == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"window": {"sigma": NaN}}')
+        flags = ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as err:
+        main(["transform", "--input", str(src), "--out", str(out)] + flags)
+    assert re.fullmatch(r"clcst transform: sigma must be positive and finite, got (nan|inf)",
+                        str(err.value))
+    assert not out.exists() and not (tmp_path / "vol.clcg.json").exists()
+    assert not (tmp_path / "vol.clcg.report.json").exists()
+
+
+def test_cli_failed_allocation_is_one_line(tmp_path):
+    """A grid too large to allocate ends in the one-line exit of the library
+    errors, naming the size numpy could not allocate, not in a traceback;
+    the request is refused at once, so nothing is allocated."""
+    out = tmp_path / "big.clcg"
+    with pytest.raises(SystemExit) as err:
+        main(["synthesize", "--n", "3", "--samples", "100000", "--out", str(out)])
+    assert str(err.value).startswith("clcst synthesize: Unable to allocate")
+    assert "\n" not in str(err.value)
+    assert not out.exists()
 
 
 def test_cli_empty_u_list_writes_nothing(tmp_path):

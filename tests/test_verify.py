@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from clcst.cli import main
 from clcst.verify import SUITES
 
@@ -26,6 +28,17 @@ def test_cli_verify_reports_criteria(tmp_path):
     for name, checks in suites.items():
         declared = [(n, fn.criterion) for fn in SUITES[name] for n, _ in fn.checks]
         assert [(c["name"], c["criterion"]) for c in checks] == declared
+
+
+def test_cli_verify_refuses_an_unknown_suite(tmp_path):
+    """An unknown suite is refused in one line that lists the suites,
+    before any suite runs and before any report is written."""
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "algebra,nosuch", "--out", str(out)])
+    assert str(err.value) == ("clcst verify: unknown suite 'nosuch' (choose from all, %s)"
+                              % ", ".join(SUITES))
+    assert not out.exists()
 
 
 def test_dense_window_normalizes_like_its_window():

@@ -60,6 +60,12 @@ def test_dog_range_validation():
         DOGWindow(2, lam=-0.1)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+def test_gaussian_sigma_must_be_positive_and_finite(sigma):
+    with pytest.raises(WindowError, match="sigma must be positive and finite"):
+        GaussianWindow(2, sigma=sigma)
+
+
 def test_dog_tends_to_zero_as_lam_to_one():
     w = DOGWindow(2, lam=0.999)
     spec = GridSpec(2, 6.0, 64)

@@ -52,10 +52,11 @@ def _float_list(text):
     return [float(t) for t in text.split(",")]
 
 
-def _vector(values, n, fill):
-    """A --b or --u vector of n values; n copies of fill when the flag is omitted."""
-    if values is not None and len(values) != n:
-        raise SystemExit("expected %d comma-separated values, got %r" % (n, values))
+def _vector(values, n, fill, flag):
+    """The vector of flag --b or --u, n finite values; n copies of fill when
+    the flag is omitted."""
+    if values is not None and (len(values) != n or not all(map(math.isfinite, values))):
+        raise SystemExit("%s expects %d comma-separated finite values, got %r" % (flag, n, values))
     return np.full(n, fill) if values is None else np.array(values)
 
 
@@ -315,14 +316,12 @@ def cmd_transform(args):
 
 
 def cmd_verify(args):
-    from .verify import SUITES, run_suites  # the check registry loads only for this command
+    from .verify import UnknownSuite, run_suites  # the check registry loads only for this command
 
-    names = [s.strip() for s in args.suite.split(",")]
-    unknown = [name for name in names if name != "all" and name not in SUITES]
-    if unknown:
-        raise SystemExit("clcst verify: unknown suite %r (choose from %s)"
-                         % (unknown[0], ", ".join(["all", *SUITES])))
-    results, all_passed = run_suites(names)
+    try:
+        results, all_passed = run_suites([s.strip() for s in args.suite.split(",")])
+    except UnknownSuite as exc:
+        raise SystemExit("clcst verify: %s" % exc) from None
     payload = {
         "suites": results,
         "all_passed": all_passed,
@@ -371,11 +370,17 @@ def cmd_kernel_dump(args):
     ctx = transform_algebra(spec.n)
     params = LCTParams(**cfg["M"])
     window = _window(cfg["window"], spec.n)
-    b = _vector(args.b, spec.n, 0.0)
-    u = _vector(args.u, spec.n, 1.0)
-    kernel = clcst_kernel(
-        window, params, spec, ctx, b, ScalingMatrix(u), Rotation(args.theta)
-    )
+    b = _vector(args.b, spec.n, 0.0, "--b")
+    u = _vector(args.u, spec.n, 1.0, "--u")
+    if not math.isfinite(args.theta):
+        raise SystemExit("--theta must be finite, got %r" % args.theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below in one line
+        kernel = clcst_kernel(
+            window, params, spec, ctx, b, ScalingMatrix(u), Rotation(args.theta)
+        )
+    if not np.all(np.isfinite(kernel.data)):
+        raise SystemExit("the kernel at b = %s, u = %s has non-finite samples"
+                         % (b.tolist(), u.tolist()))
     write_grid(args.out, kernel)
     print("wrote %s" % args.out)
     return 0

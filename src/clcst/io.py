@@ -11,10 +11,8 @@ the axes.  A volume file is version 3: its axes are (U, T_s) + b-grid
 shape, ``count`` is the number P of stored pairs, and its payload is the
 volume's stored complex128 array, (U, T_s, P) + b-grid shape in row-major
 order, so each slice is one contiguous run.  T_s is T, or 1 when one
-column serves every theta.  Volume files of real blades, version 1 (axes
-b-grid shape + (U, T), blade-major) and version 2 (payload (U, T_s, blade)
-+ b-grid shape), are still read: their blades are packed into all 2^(n-1)
-pairs as they are read, so no other module knows a file's blade layout.
+column serves every theta.  Volume files of real blades, versions 1 and 2,
+are refused; their signals must be transformed again.
 
 A JSON sidecar at <path>.json carries the lattice geometry and, for
 volumes, the (u, theta) lists, parameter matrix, window, weights, stored
@@ -36,14 +34,13 @@ import struct
 import numpy as np
 
 from .algebra import AlgebraError, algebra
-from .grid import GridError, GridSignal, GridSpec, pack
+from .grid import GridError, GridSignal, GridSpec
 from .lct import LCTError, LCTParams
 from .volume import CLCSTVolume, checked_pairs
 from .windows import RAW, UNIT_INTEGRAL, WINDOWS, CompositeWindow, WindowError, window_angles
 
 MAGIC = b"CLCG"
-BLADE_MAJOR = 1  # grid files, and volume files before version 2
-SLICE_MAJOR = 2  # volume files of real blades, before version 3
+BLADE_MAJOR = 1  # grid files
 PAIRS = 3  # volume files
 # what reading a sidecar that does not describe its volume raises
 SIDECAR_ERRORS = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError,
@@ -65,11 +62,6 @@ def _raw(array):
     own buffer, without a copy, when it is C-ordered and little-endian."""
     array = np.ascontiguousarray(array, dtype="<c16" if np.iscomplexobj(array) else "<f8")
     return memoryview(array.reshape(-1)).cast("B")
-
-
-def _packed(ctx, blades):
-    """Blade-major rows (blade, u, column) + b as stored pairs (u, column, pair) + b."""
-    return np.ascontiguousarray(np.moveaxis(pack(ctx, blades), 0, 2))
 
 
 @contextlib.contextmanager
@@ -137,42 +129,37 @@ def _stamp(fh):
 
 
 class VolumePayload:
-    """The payload of a version 2 or 3 volume file, left in the file: the
-    reader of a :class:`~clcst.volume.CLCSTVolume` whose rows are read on
-    demand.
+    """The payload of a version 3 volume file, left in the file: the reader
+    of a :class:`~clcst.volume.CLCSTVolume` whose rows are read on demand.
 
-    ``shape`` is the volume's stored shape.  A version 2 file, given its
-    algebra ``ctx``, holds the two blades of every pair, which are packed as
-    they are read.  ``rows`` reads into one buffer that its next call
-    reuses.  A file that was replaced or rewritten after :func:`read_volume`
-    opened it is refused, not read as this volume.
+    ``shape`` is the volume's stored shape.  ``rows`` reads into one buffer
+    that its next call reuses.  A file that was replaced or rewritten after
+    :func:`read_volume` opened it is refused, not read as this volume.
     """
 
-    def __init__(self, path, offset, shape, stamp, ctx=None):
+    def __init__(self, path, offset, shape, stamp):
         self.path = path
         self.offset = offset
         self.shape = shape
         self._stamp = stamp
-        self._ctx = ctx
-        self._row = shape[1:] if ctx is None else shape[1:2] + (2 * shape[2],) + shape[3:]
-        self._dtype = np.dtype("<c16" if ctx is None else "<f8")
         self._buffer = None
 
     def _read(self, start, out, column=None):
         """u rows from ``start`` into out: whole rows, one contiguous run, or
         the one run of ``column`` in each row of several columns."""
-        column_size = self._dtype.itemsize * math.prod(self._row[1:])
+        columns = self.shape[1]
+        column_size = 16 * math.prod(self.shape[2:])
         with open(self.path, "rb") as fh:
             if _stamp(fh) != self._stamp:
                 raise FormatError("%s changed after it was read as a volume" % self.path)
-            if column is None or self._row[0] == 1:
-                fh.seek(self.offset + start * column_size * self._row[0])
+            if column is None or columns == 1:
+                fh.seek(self.offset + start * column_size * columns)
                 _read_payload(fh, self.path, out)
             else:
                 for i, row in enumerate(out):
-                    fh.seek(self.offset + ((start + i) * self._row[0] + column) * column_size)
+                    fh.seek(self.offset + ((start + i) * columns + column) * column_size)
                     _read_payload(fh, self.path, row)
-        return out if self._ctx is None else _packed(self._ctx, np.moveaxis(out, 2, 0))
+        return out
 
     def rows(self, start, stop, column=None):
         """u rows start:stop, of one stored column (shape (rows, 1) + ...)
@@ -181,14 +168,14 @@ class VolumePayload:
             raise IndexError("u rows %d:%d of a volume of %d" % (start, stop, self.shape[0]))
         if column is not None and not 0 <= column < self.shape[1]:
             raise IndexError("column %d of a volume of %d" % (column, self.shape[1]))
-        row = self._row if column is None else (1,) + self._row[1:]
+        row = self.shape[1:] if column is None else (1,) + self.shape[2:]
         count = (stop - start) * math.prod(row)
         if self._buffer is None or self._buffer.size < count:
-            self._buffer = np.empty(count, dtype=self._dtype)
+            self._buffer = np.empty(count, dtype="<c16")
         return self._read(start, self._buffer[:count].reshape((stop - start,) + row), column)
 
     def load(self):
-        return self._read(0, np.empty(self.shape[:1] + self._row, dtype=self._dtype))
+        return self._read(0, np.empty(self.shape, dtype="<c16"))
 
 
 def _sidecar(path):
@@ -385,20 +372,17 @@ def _numbers(value, count=None):
 
 
 def read_volume(path):
-    """The volume of a file, its header, size and sidecar checked; a sidecar
-    that does not describe the payload raises :class:`FormatError`.
+    """The volume of a version 3 file, its header, size and sidecar checked;
+    a sidecar that does not describe the payload raises :class:`FormatError`,
+    and so does a file of another version.
 
-    A version 3 or 2 file's payload stays in the file: the volume reads its
-    u rows on demand (:class:`VolumePayload`) and loads them whole only when
-    its ``stored`` array is asked for.  A version 1 file's blade-major
-    payload holds no u row in one run, so it is read whole and packed into
-    the stored order once, with T_s = T.
+    The payload stays in the file: the volume reads its u rows on demand
+    (:class:`VolumePayload`) and loads them whole only when its ``stored``
+    array is asked for.
     """
     with open(path, "rb") as fh:
-        version, n, sizes, count = _read_header(fh, path, (BLADE_MAJOR, SLICE_MAJOR, PAIRS))
+        _, n, sizes, count = _read_header(fh, path, (PAIRS,))
         offset, stamp = fh.tell(), _stamp(fh)
-        if version == BLADE_MAJOR:
-            blades = _read_payload(fh, path, np.empty((count,) + sizes, dtype="<f8"))
     try:
         with open(_sidecar(path), encoding="utf-8") as fh:  # no bytes beside the text
             meta = json.load(fh)
@@ -420,9 +404,10 @@ def read_volume(path):
         if params is not None and not _numbers(params, 4):
             raise FormatError("%s: sidecar params %r is not 4 numbers" % (path, params))
         params = LCTParams(*params) if params else None
-        pairs = checked_pairs(ctx, meta["pairs"] if version == PAIRS else None)
-        if not _numbers(meta["theta_list"]):
-            raise FormatError("%s: sidecar theta_list is not a list of finite numbers" % path)
+        pairs = checked_pairs(ctx, meta["pairs"])
+        if not (meta["theta_list"] and _numbers(meta["theta_list"])):
+            raise FormatError("%s: sidecar theta_list is not a non-empty list of finite numbers"
+                              % path)
         try:
             window = window_from_meta(meta["window"], n)
         except FormatError as exc:
@@ -432,27 +417,17 @@ def read_volume(path):
     except SIDECAR_ERRORS as exc:  # a sidecar that does not describe its volume
         raise FormatError("%s: malformed sidecar (%s: %s)"
                           % (path, type(exc).__name__, exc)) from None
-    if version == PAIRS and count != len(pairs):
+    if count != len(pairs):
         raise FormatError("%s holds %d pairs, its sidecar lists %d" % (path, count, len(pairs)))
-    if version != PAIRS and count != ctx.blade_count:
-        raise FormatError("%s holds %d blades, the algebra of n = %d has %d"
-                          % (path, count, n, ctx.blade_count))
-    if (sizes[:-2] if version == BLADE_MAJOR else sizes[2:]) != spec.shape:
+    if sizes[2:] != spec.shape:
         raise FormatError("%s: payload does not match sidecar geometry" % path)
-    if version == BLADE_MAJOR:
-        if sizes[-2:] != (len(u_list), len(theta_list)):
-            raise FormatError("%s holds (U, T) = %r, its sidecar lists %r"
-                              % (path, sizes[-2:], (len(u_list), len(theta_list))))
-        payload = _packed(ctx, np.moveaxis(blades, (-2, -1), (1, 2)))
-    elif sizes[0] != len(u_list):
+    if sizes[0] != len(u_list):
         raise FormatError("%s holds %d u rows, its sidecar lists %d"
                           % (path, sizes[0], len(u_list)))
-    elif sizes[1] not in columns:
+    if sizes[1] not in columns:
         raise FormatError("%s stores %d theta columns, not T = %d or the window's %d"
                           % ((path, sizes[1]) + columns))
-    else:
-        payload = VolumePayload(path, offset, sizes[:2] + (len(pairs),) + sizes[2:], stamp,
-                                None if version == PAIRS else ctx)
+    payload = VolumePayload(path, offset, sizes[:2] + (count,) + sizes[2:], stamp)
     return CLCSTVolume(spec, ctx, np.asarray(u_list, dtype=np.float64).reshape(-1, n),
                        theta_list, stored=payload, params=params, window=window,
                        path=tag, u_weights=np.asarray(meta["u_weights"]), pairs=pairs)

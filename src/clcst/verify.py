@@ -840,13 +840,24 @@ SUITES = {
 }
 
 
+class UnknownSuite(KeyError):
+    """A suite name that ``SUITES`` does not hold; its str is the message."""
+
+    def __str__(self):
+        return self.args[0]
+
+
 def run_suites(names):
+    """The checks of the named suites, or of all of them for "all"; an
+    unknown name raises :class:`UnknownSuite` before any suite runs."""
+    unknown = [name for name in names if name != "all" and name not in SUITES]
+    if unknown:
+        raise UnknownSuite("unknown suite %r (choose from %s)"
+                           % (unknown[0], ", ".join(["all", *SUITES])))
     if "all" in names:
         names = list(SUITES)
     results = {}
     for name in names:
-        if name not in SUITES:
-            raise KeyError("unknown suite %r (choose from %s)" % (name, sorted(SUITES)))
         results[name] = [c for fn in SUITES[name] for c in run_checks(fn)]
     all_passed = all(c["passed"] for checks in results.values() for c in checks)
     return results, all_passed

@@ -136,6 +136,7 @@ SIDECAR_EDITS = {
     "pairs-missing": (lambda meta: meta.pop("pairs"), "pairs"),
     "theta_list-null": (lambda meta: meta["theta_list"].__setitem__(1, None), "theta_list"),
     "theta_list-nan": (lambda meta: meta["theta_list"].__setitem__(1, float("nan")), "theta_list"),
+    "theta_list-empty": (lambda meta: meta.update(theta_list=[]), "theta_list"),
     "window-normalization-bogus": (edit_window(normalization="bogus"), "normalization"),
     "window-normalization-number": (edit_window(normalization=5), "normalization"),
     "window-sigma-bool": (edit_window(sigma=True), "sigma"),

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 
@@ -7,7 +8,7 @@ import pytest
 
 from clcst.algebra import transform_algebra
 from clcst.cli import main
-from clcst.grid import GridSignal, GridSpec, rel_l2_error, sample, unpack
+from clcst.grid import GridSignal, GridSpec, rel_l2_error, sample
 from clcst.io import (
     FormatError,
     read_grid,
@@ -178,39 +179,15 @@ def test_streamed_volume_file_equals_the_written_volume(tmp_path, monkeypatch):
         vol.rows(0, 1)
 
 
-def write_blade_volume(path, vol, version):
-    """A volume file of real blades with a sidecar that lists no pairs: the
-    version 1 layout, axes b + (U, T) and a blade-major payload, or the
-    version 2 layout, axes (U, T_s) + b and payload (U, T_s, blade) + b."""
-    write_volume(path, vol)
-    sidecar = path.with_name(path.name + ".json")
-    meta = json.loads(sidecar.read_text())
-    del meta["pairs"]
-    sidecar.write_text(json.dumps(meta))
-    if version == 1:
-        axes, payload = SPEC.shape + (vol.u_count, vol.theta_count), vol.values
-    else:
-        payload = np.moveaxis(unpack(CTX, np.moveaxis(vol.stored, 2, 0), pairs=vol.pairs), 0, 2)
-        axes = payload.shape[:2] + SPEC.shape
-    header = b"CLCG" + struct.pack("<HHH", version, 2, len(axes))
-    header += struct.pack("<%dI" % len(axes), *axes) + struct.pack("<I", CTX.blade_count)
-    path.write_bytes(header + np.ascontiguousarray(payload, dtype="<f8").tobytes())
-
-
-@pytest.mark.parametrize("version", [2, 3])
-def test_one_column_read_holds_that_column(tmp_path, version):
+def test_one_column_read_holds_that_column(tmp_path):
     """rows(start, stop, column) of a volume of T_s = T columns equals
-    stored[start:stop, column:column + 1], in memory and read from a version
-    2 or 3 file, whose read buffer then holds that one column of the rows."""
+    stored[start:stop, column:column + 1], in memory and read from a file,
+    whose read buffer then holds that one column of the rows."""
     vol = small_volume(radial=False)
     path = tmp_path / "v.clcg"
-    if version == 3:
-        write_volume(path, vol)
-    else:
-        write_blade_volume(path, vol, 2)
+    write_volume(path, vol)
     assert vol.stored_theta_columns == 3
-    # the buffer's items per u row: complex pairs, or a version 2 file's blades
-    per_row = (vol.stored.shape[2] if version == 3 else CTX.blade_count) * SPEC.point_count
+    per_row = vol.stored.shape[2] * SPEC.point_count  # the buffer's complex pairs per u row
     for column in range(3):
         for start, stop in ((0, 2), (1, 2), (0, 1)):
             expect = vol.stored[start:stop, column:column + 1]
@@ -222,38 +199,17 @@ def test_one_column_read_holds_that_column(tmp_path, version):
             assert back._stored is None
 
 
-@pytest.mark.parametrize("version", [1, 2])
-@pytest.mark.parametrize("radial", [True, False], ids=["radial", "not-radial"])
-def test_blade_volume_reads_back_and_rewrites_as_version_3(tmp_path, radial, version):
-    """Version 1 and 2 files read to the blades they hold, packed into every
-    pair, and are rewritten as version 3 files that read back the same."""
-    vol = small_volume(radial)
-    old, new, again = (tmp_path / name for name in ("old.clcg", "v3.clcg", "v3b.clcg"))
-    write_blade_volume(old, vol, version)
-    back = read_volume(old)
-    # T_s = T for a version 1 file
-    assert back.stored_theta_columns == (3 if version == 1 else vol.stored_theta_columns)
-    assert back.pairs.tolist() == list(range(CTX.blade_count // 2))
-    assert np.array_equal(back.values, vol.values)
-    assert np.array_equal(back.slice(1, 2).data, vol.values[..., 1, 2])
-    write_volume(new, back)
-    assert struct.unpack_from("<H", new.read_bytes(), 4) == (3,)
-    assert np.array_equal(read_volume(new).values, vol.values)
-    write_volume(again, read_volume(new))
-    assert new.read_bytes() == again.read_bytes()
-
-
 @pytest.mark.parametrize("damage, message", [
     ("theta columns", "stores 2 theta columns"),
     ("u rows", "holds 1 u rows"),
     ("truncated payload", "payload bytes"),
     ("one axis", r"needs \(U, T_s\)"),
 ])
-def test_malformed_version_2_volume_rejected(tmp_path, damage, message):
+def test_malformed_volume_rejected(tmp_path, damage, message):
     """A radial volume may store 1 or T = 3 columns, nothing else; its u
     count must be the sidecar's."""
     path = tmp_path / "v.clcg"
-    write_blade_volume(path, small_volume(radial=True), 2)
+    write_volume(path, small_volume(radial=True))
     raw = bytearray(path.read_bytes())
     payload = raw[header_size(2):]
     if damage == "theta columns":
@@ -265,10 +221,36 @@ def test_malformed_version_2_volume_rejected(tmp_path, damage, message):
     elif damage == "truncated payload":
         raw = raw[:-8]
     else:
-        raw = b"CLCG" + struct.pack("<HHHII", 2, 2, 1, 2, 4) + b"\x00" * 64
+        raw = b"CLCG" + struct.pack("<HHHII", 3, 2, 1, 2, 4) + b"\x00" * 64
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=message):
         read_volume(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_blade_volume_is_refused(tmp_path, version):
+    """A volume file of real blades, version 1 (axes b + (U, T), blade-major)
+    or version 2 (axes (U, T_s) + b), is refused naming its version, and
+    reconstruct on it exits in one line without writing."""
+    vol = small_volume(radial=False)
+    path, out = tmp_path / "old.clcg", tmp_path / "rec.clcg"
+    write_volume(path, vol)
+    # a blade file's sidecar lists no pairs
+    sidecar = path.with_name(path.name + ".json")
+    sidecar.write_text(json.dumps({k: v for k, v in json.loads(sidecar.read_text()).items()
+                                   if k != "pairs"}))
+    columns = (vol.u_count, vol.theta_count)
+    axes = SPEC.shape + columns if version == 1 else columns + SPEC.shape
+    header = b"CLCG" + struct.pack("<HHH", version, 2, len(axes))
+    header += struct.pack("<%dI" % len(axes), *axes) + struct.pack("<I", CTX.blade_count)
+    path.write_bytes(header + bytes(8 * CTX.blade_count * math.prod(axes)))
+    with pytest.raises(FormatError, match="unsupported format version %d in " % version):
+        read_volume(path)
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--volume", str(path), "--out", str(out)])
+    assert str(err.value) == "clcst reconstruct: unsupported format version %d in %s" % (
+        version, path)
+    assert not out.exists()
 
 
 def test_grid_reader_refuses_a_volume_file(tmp_path):
@@ -834,6 +816,22 @@ def test_cli_kernel_dump_defaults_fit_n(tmp_path):
     assert main(["kernel-dump", "--n", "3", "--samples", "16", "--b", "0,0,0", "--u", "1,1,1",
                  "--out", str(explicit)]) == 0
     assert out.read_bytes() == explicit.read_bytes()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--b", "nan,0"], "--b expects 2 comma-separated finite values"),
+    (["--u", "inf,1"], "--u expects 2 comma-separated finite values"),
+    (["--theta", "nan"], "--theta must be finite"),
+    (["--b", "1e308,0"], "non-finite samples"),
+], ids=["b-nan", "u-inf", "theta-nan", "b-overflows"])
+def test_cli_kernel_dump_refuses_non_finite_samples(tmp_path, flags, message):
+    """A non-finite --b, --u or --theta, or a finite b so far out that the
+    kernel's phase overflows, is refused in one line and writes nothing."""
+    out = tmp_path / "k.clcg"
+    with pytest.raises(SystemExit) as err:
+        main(["kernel-dump", "--samples", "16", *flags, "--out", str(out)])
+    assert message in str(err.value) and "\n" not in str(err.value)
+    assert not out.exists() and not (tmp_path / "k.clcg.json").exists()
 
 
 def test_cli_verify_subset(tmp_path):

@@ -41,6 +41,25 @@ def test_cli_verify_refuses_an_unknown_suite(tmp_path):
     assert not out.exists()
 
 
+def test_run_suites_checks_every_name_before_it_runs_one(monkeypatch):
+    """A later unknown name stops run_suites before the suites named first run."""
+    from clcst import verify
+
+    calls = []
+
+    def record():  # a measuring function of no checks
+        calls.append("algebra")
+        return []
+
+    record.checks, record.criterion = (), None
+    monkeypatch.setitem(verify.SUITES, "algebra", (record,))
+    with pytest.raises(KeyError, match="unknown suite 'nosuch'"):
+        verify.run_suites(["algebra", "nosuch"])
+    assert calls == []
+    verify.run_suites(["algebra"])
+    assert calls == ["algebra"]
+
+
 def test_dense_window_normalizes_like_its_window():
     """The dense stand-in of a separable window keeps its values when it is
     scaled to unit integral."""

@@ -151,8 +151,15 @@ class GridSignal:
         return Multivector(self.ctx, self.data[(slice(None),) + tuple(index)].copy())
 
     def boundary_mass_ratio(self):
-        """L2 mass of the outermost one-cell shell relative to the total."""
-        sq = np.sum(self.data**2, axis=0)
+        """L2 mass of the outermost one-cell shell relative to the total.
+
+        The squares are added into one lattice array a blade at a time, in
+        the order, and so to the bits, of np.sum(data**2, axis=0), without
+        a second copy of the blades."""
+        sq = np.square(self.data[0])
+        square = np.empty_like(sq)
+        for blade in self.data[1:]:
+            sq += np.square(blade, out=square)
         total = float(np.sum(sq))
         if total == 0.0:
             return 0.0

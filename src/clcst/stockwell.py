@@ -93,7 +93,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .cft import _require_transformable
 from .grid import (
-    FREQUENCY,
     SPACE,
     GridError,
     GridSignal,
@@ -103,7 +102,14 @@ from .grid import (
     plane_wave_multiply,
     unpack,
 )
-from .volume import CLCSTVolume, DEFAULT_THETAS, block_rows, default_u_list, theta_weight
+from .volume import (
+    CLCSTVolume,
+    DEFAULT_THETAS,
+    block_rows,
+    default_u_list,
+    theta_weight,
+    u_weights_from_list,
+)
 from .windows import WindowSpec, window_angles
 
 ROLL_TOLERANCE = 1e-13  # in steps of dw; the roll's phase error stays below 1e-12
@@ -156,15 +162,18 @@ def check_analysis_inputs(f, psi):
         )
 
 
-def checked_lists(spec, u_list=None, theta_list=None):
-    """The (U, n) u array and flat theta array of a volume, refused before
-    the volume is allocated.
+def checked_lists(spec, u_list=None, theta_list=None, u_weights=None):
+    """The (U, n) u array, flat theta array and u weights of a volume,
+    refused before the volume is allocated.
 
     The u list is one row of n components or a list of such rows.  Every u
     component and angle must be finite; every u component must be nonzero,
-    because A_u = diag(u) is inverted, and the angles must be distinct,
-    because the theta weight is meant for distinct angles.  None selects the
-    default list.
+    because A_u = diag(u) is inverted, and every row's |det A_u| a positive
+    finite number, because each slice and profile term is weighed by it;
+    the angles must be distinct, because the theta weight is meant for
+    distinct angles.  The u weights, by default those of
+    :func:`~clcst.volume.u_weights_from_list`, must be finite.  None
+    selects the default list.
     """
     if u_list is None:
         u_list = default_u_list(spec)
@@ -175,22 +184,25 @@ def checked_lists(spec, u_list=None, theta_list=None):
         raise StockwellError("u list of shape %r is not rows of n = %d" % (u_list.shape, spec.n))
     u_list = u_list.reshape(-1, spec.n)
     theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
-    bad_rows = np.flatnonzero(~np.all(np.isfinite(u_list), axis=1))
-    if bad_rows.size:
-        raise StockwellError(
-            "u row %d is not finite: %r" % (bad_rows[0], u_list[bad_rows[0]].tolist())
-        )
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # refused below, by row
+        det = np.prod(np.abs(u_list), axis=1)  # as Plan computes it
+        if u_weights is None:
+            u_weights = u_weights_from_list(u_list)
+    for bad, what in ((~np.all(np.isfinite(u_list), axis=1), "is not finite"),
+                      (np.any(u_list == 0.0, axis=1), "has a zero component"),
+                      (~((det > 0.0) & (det < np.inf)), "has |det A_u| = {det}, not a positive "
+                                                        "finite number"),
+                      (~np.isfinite(u_weights), "has weight {weight}, not a finite number")):
+        if bad.any():
+            row = np.argmax(bad)
+            raise StockwellError(("u row {row} " + what + ": {u}").format(
+                row=row, det=det[row], weight=u_weights[row], u=u_list[row].tolist()))
     if not np.all(np.isfinite(theta_list)):
         raise StockwellError("theta list is not finite: %r" % theta_list.tolist())
-    zero_rows = np.flatnonzero(np.any(u_list == 0.0, axis=1))
-    if zero_rows.size:
-        raise StockwellError(
-            "u row %d has a zero component: %r" % (zero_rows[0], u_list[zero_rows[0]].tolist())
-        )
     # neighbours of the sorted angles, not np.unique, which imports numpy.ma
     if np.any(np.diff(np.sort(theta_list)) == 0.0):
         raise StockwellError("theta list repeats an angle: %r" % theta_list.tolist())
-    return u_list, theta_list
+    return u_list, theta_list, u_weights
 
 
 class ScalingMatrix:
@@ -575,14 +587,22 @@ class Plan:
             yield start, stop, M, dict(zip(off, B))
             del M, B  # before the next block's are built
 
-    def profile(self, ctx):
-        """The admissibility profile of the last :meth:`blocks` pass, shifted
-        to the centered frequency lattice, as a frequency-domain scalar
-        signal, and its min, max, mean and relative variation."""
-        spec = self.spec
-        centre = (spec.samples_per_axis // 2,) * spec.n
-        profile = np.roll(self.power, centre, axis=tuple(range(spec.n))) * (2.0 * np.pi) ** (-spec.n)
-        sig = GridSignal.from_scalar(spec, ctx, profile, FREQUENCY)
+    def profile(self):
+        """The admissibility profile of the last :meth:`blocks` pass on the
+        centered frequency lattice, one real array of spec.shape, and its
+        min, max, mean and relative variation.
+
+        The pass's sum ``power`` becomes the profile where it lies: rolled
+        by N/2 on each axis, one pair of hyperplanes swapped at a time, and
+        scaled by (2 pi)^(-n), the bits of np.roll and a product without a
+        copy of either.  The plan holds no sum after this."""
+        spec, half = self.spec, self.spec.samples_per_axis // 2
+        profile, self.power = self.power, None
+        for axis in range(spec.n):
+            planes = np.moveaxis(profile, axis, 0)  # a view
+            for i in range(half):
+                planes[[i, i + half]] = planes[[i + half, i]]
+        profile *= (2.0 * np.pi) ** (-spec.n)
         stats = {
             "min": float(profile.min()),
             "max": float(profile.max()),
@@ -591,7 +611,7 @@ class Plan:
         stats["relative_variation"] = (
             (stats["max"] - stats["min"]) / stats["mean"] if stats["mean"] > 0 else np.inf
         )
-        return sig, stats
+        return profile, stats
 
 
 class AxisRoute:
@@ -870,7 +890,8 @@ def _apply_along(ops, array, axis):
 def fill_volume(vol, plan, fill_block, sink=None):
     """Compute every stored slice of vol, one block of u rows at a time, and
     set ``vol.admissibility`` to the profile of the same windows, those of
-    ``plan``, the :class:`Plan` of vol's lists and weights.
+    ``plan``, the :class:`Plan` of vol's lists and weights: the real array
+    and stats of :meth:`Plan.profile`.
 
     ``fill_block(start, stop, M, B, block)`` writes the slices of u rows
     start:stop into ``block``, their stored rows: shape (rows, A, P) +
@@ -892,7 +913,9 @@ def fill_volume(vol, plan, fill_block, sink=None):
     allocates its payload, and each block is set into its rows
     (:meth:`~clcst.volume.CLCSTVolume.set_slice`).  Each window's
     admissibility term |M|^2, weighted as the volume is, is added to the
-    profile in the same pass.
+    profile in the same pass.  The block buffer is released before the
+    profile is built, in place of the pass's sum, so the pass's peak is the
+    engine's: its block, its window spectra and its partial transforms.
     """
     if sink is None:
         vol.allocate()
@@ -910,7 +933,9 @@ def fill_volume(vol, plan, fill_block, sink=None):
         fill_block(start, stop, M, B, block)
         del M, B  # before the next block's spectra are built
         sink(start, stop, block)
-    vol.admissibility = plan.profile(vol.ctx)
+        del block  # a view, which would keep the buffer alive
+    del buffer  # before the profile is built
+    vol.admissibility = plan.profile()
 
 
 def spectrum_slices(z, plan, rate):
@@ -1004,11 +1029,12 @@ def cst(f, psi, u_list=None, theta_list=None):
     warning (:func:`check_analysis_inputs`).
     """
     check_analysis_inputs(f, psi)
-    u_list, theta_list = checked_lists(f.spec, u_list, theta_list)
+    u_list, theta_list, u_weights = checked_lists(f.spec, u_list, theta_list)
     if len(u_list) == 0 or len(theta_list) == 0:
         raise StockwellError("the transform needs a non-empty (u, theta) set")
     live = live_pairs(f.data)
-    vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst", pairs=live)
+    vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst",
+                      u_weights=u_weights, pairs=live)
     plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)
     fill_volume(vol, plan, spectrum_slices(pack(f.ctx, f.data, pairs=live), plan, 0.0))
     return vol

@@ -50,7 +50,7 @@ from .stockwell import (
     spectrum_slices,
     transformed_window_values,
 )
-from .volume import CLCSTVolume, u_weights_from_list
+from .volume import CLCSTVolume
 
 
 class TransformError(Exception):
@@ -75,13 +75,14 @@ def _require_b_nonzero(params, spec):
         )
 
 
-def _checked_lists(spec, u_list, theta_list, what):
-    """The lists of :func:`~clcst.stockwell.checked_lists`, with an empty
-    (u, theta) set refused, which ``what`` cannot be computed from."""
-    u_list, theta_list = checked_lists(spec, u_list, theta_list)
+def _checked_lists(spec, u_list, theta_list, what, u_weights=None):
+    """The lists and u weights of :func:`~clcst.stockwell.checked_lists`,
+    with an empty (u, theta) set refused, which ``what`` cannot be computed
+    from."""
+    u_list, theta_list, u_weights = checked_lists(spec, u_list, theta_list, u_weights)
     if len(u_list) == 0 or len(theta_list) == 0:
         raise TransformError("%s needs a non-empty (u, theta) set" % what)
-    return u_list, theta_list
+    return u_list, theta_list, u_weights
 
 
 def clcst_kernel(psi, params, spec, ctx, b, scaling, rotation):
@@ -141,12 +142,12 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     spec, ctx = f.spec, f.ctx
     _require_b_nonzero(params, spec)
     check_analysis_inputs(f, psi)
-    u_list, theta_list = _checked_lists(spec, u_list, theta_list, "the transform")
+    u_list, theta_list, u_weights = _checked_lists(spec, u_list, theta_list, "the transform")
     live = live_pairs(f.data)
     z = pack(ctx, f.data, pairs=live)
     del f
     vol = CLCSTVolume(spec, ctx, u_list, theta_list, params=params, window=psi, path=path,
-                      pairs=live)
+                      u_weights=u_weights, pairs=live)
     plan = Plan(psi, spec, u_list, theta_list, vol.u_weights)
     rate = params.chirp_rate
     if path == "three_step":  # the chirp as 1-D factors, one per axis
@@ -194,20 +195,23 @@ def _spectral_slices(h, plan, antichirp):
 def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     """C_psi(w) = sum over (u, theta) of weights |det A_u|^2 |Q_{u,theta}(w)|^2.
 
-    Returns the scalar profile on the frequency lattice plus min/max/mean and
-    their relative variation; the resolution-of-identity error is governed by
-    how far this profile is from a constant.  The analysis pass
+    Returns the profile on the centered frequency lattice, one real array
+    of spec.shape (:meth:`~clcst.stockwell.Plan.profile`), plus min/max/mean
+    and their relative variation; the resolution-of-identity error is
+    governed by how far this profile is from a constant.  The profile is
+    scalar in every algebra, so ``ctx`` is not read.  The analysis pass
     (:func:`~clcst.stockwell.fill_volume`) accumulates the same profile in
     the same :class:`~clcst.stockwell.Plan` pass, from the per-axis tables
     on the factored runs of a separable window; a radial window's one term
-    per u counts T times.
+    per u counts T times.  Only one block of window spectra is held at a
+    time, and the profile is built in place of the pass's sum.
     """
     _require_b_nonzero(params, spec)
-    u_list, theta_list = _checked_lists(spec, u_list, theta_list, "admissibility")
-    plan = Plan(psi, spec, u_list, theta_list, u_weights_from_list(u_list))
+    u_list, theta_list, u_weights = _checked_lists(spec, u_list, theta_list, "admissibility")
+    plan = Plan(psi, spec, u_list, theta_list, u_weights)
     for block in plan.blocks(block_rows(plan.row_bytes)):
         del block  # before the next block's spectra are built
-    return plan.profile(ctx)
+    return plan.profile()
 
 
 def orthogonality_check(f, g, psi, params, scaling, rotation):
@@ -233,7 +237,8 @@ def orthogonality_check(f, g, psi, params, scaling, rotation):
 
 def reconstruct_resolution(vol, psi, params):
     """Resolution-of-identity synthesis from a volume and the admissibility
-    profile of the same windows: (synthesis, (profile, stats)).
+    profile of the same windows: (synthesis, (profile, stats)), the profile
+    the real array of :meth:`~clcst.stockwell.Plan.profile`.
 
     f_hat(x) = (2 pi)^(-n/2) / C_psi * sum over (b, u, theta) with the
     volume's weights of S(b, u, theta) psi^theta_{M,b,u}(x).
@@ -250,7 +255,9 @@ def reconstruct_resolution(vol, psi, params):
     of :meth:`~clcst.stockwell.Plan.blocks`: each block's weighted columns
     are transformed by one fftn, their products with M summed without a
     roll, and the sum inverted once.  An off-lattice u is convolved with its
-    plain spectrum B, inverted and modulated by e^{j x.u} on its own.  A
+    plain spectrum B, inverted and modulated by e^{j x.u} on its own.  The
+    two sums of the n-D route are allocated at its first block, so a volume
+    whose rows are all factored holds neither and inverts no zeros.  A
     radial window has one M for every theta of a u: a volume that stores
     one column for it counts that column's term T times, and a volume that
     stores all T columns sums them before their one FFT.  Only the stored
@@ -258,23 +265,23 @@ def reconstruct_resolution(vol, psi, params):
     zero and adds exactly zero.
 
     The same pass accumulates the admissibility profile, weighted with
-    ``vol.u_weights`` as the analysis pass weights it; C_psi is that
-    profile's mean, and a mean that is not positive is refused.
+    ``vol.u_weights`` as the analysis pass weights it, and builds it in
+    place of the pass's sum once the pass is done; C_psi is that profile's
+    mean, and a mean that is not positive is refused.
 
     The u and theta lists come from the volume's sidecar and are checked as
     :func:`~clcst.stockwell.checked_lists` checks an analysis's lists.
     """
     spec, ctx = vol.spec, vol.ctx
     _require_b_nonzero(params, spec)
-    _checked_lists(spec, vol.u_list, vol.theta_list, "resolution synthesis")
+    _checked_lists(spec, vol.u_list, vol.theta_list, "resolution synthesis", vol.u_weights)
     axes = tuple(range(-spec.n, 0))
     rate = params.chirp_rate
     plan = Plan(psi, spec, vol.u_list, vol.theta_list, vol.u_weights)
     columns = max(vol.stored_theta_columns, len(plan.angles))
     # a product of one stored column and one window stands for T / columns thetas
     weights = plan.weights * (vol.theta_count // columns)
-    summed = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)
-    modulated = np.zeros_like(summed)
+    summed = modulated = None  # the n-D route's sums, from its first block
     # per u row and pair of the algebra, whatever the stored pairs: the
     # rows read from a volume file and their weighted copy, transformed and
     # multiplied in place, 16 bytes each, beside the window block
@@ -293,6 +300,9 @@ def reconstruct_resolution(vol, psi, params):
         if plan.factored[start]:  # M holds the block's tables
             route.add(start, stop, M, s[:, 0], weights[start:stop])
             continue
+        if summed is None:
+            summed = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)
+            modulated = np.zeros_like(summed)
         # weight x chirp x e^{j u.b} on the lattice, before one fftn, into a
         # new array: the rows may be the volume's own
         s = axis_phase_multiply(s, spec, plan.lattice_u[start:stop], rate, weights[start:stop])
@@ -304,10 +314,15 @@ def reconstruct_resolution(vol, psi, params):
         s *= M[:, :, None]
         summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
         del M, B, s  # before the next block's spectra are built
-    total = np.fft.ifftn(summed, axes=axes, out=summed) + modulated
-    if route is not None:
-        total += route.total()
-    admissibility = plan.profile(ctx)
+    routed = None if route is None else route.total()
+    if summed is None:
+        total = routed
+    else:
+        total = np.fft.ifftn(summed, axes=axes, out=summed)
+        total += modulated
+        if routed is not None:
+            total += routed
+    admissibility = plan.profile()
     c_psi = admissibility[1]["mean"]
     if not c_psi > 0:
         raise TransformError("admissibility profile mean %r is not positive" % c_psi)
@@ -317,6 +332,9 @@ def reconstruct_resolution(vol, psi, params):
     return vol.signal(total), admissibility
 
 
+# bound on one read of the marginal's stored column: each row read feeds
+# one dot product, so a larger read buys no speed and sets a command's peak
+MARGINAL_READ_BYTES = 1 << 20
 _FILL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
 _FILL_WEIGHTS = np.array([-1, 8, -28, 56, 56, -28, 8, -1], dtype=np.float64) / 70.0
 
@@ -344,7 +362,9 @@ def marginal_spectrum(vol, params, theta):
 
     The u list must cover the frequency lattice away from the coordinate
     planes (scaling needs every component nonzero); the missing planes are
-    filled by interpolation and reported.
+    filled by interpolation and reported.  The one stored column it needs
+    is read in slabs of at most MARGINAL_READ_BYTES (one row if a row is
+    larger), not in BLOCK_BYTES blocks.
     """
     spec, N = vol.spec, vol.spec.samples_per_axis
     _require_b_nonzero(params, spec)
@@ -371,10 +391,11 @@ def marginal_spectrum(vol, params, theta):
         first = tuple(int(i) for i in np.argwhere(missing)[0])
         raise MissingCoverageError("volume u-list does not cover frequency bin %r" % (first,))
     # one b-contraction per u and stored pair: sum_b z(b, u) e^{j A|b|^2/2B} dx^n,
-    # taken block by block on the stored column, which alone is read
+    # taken slab by slab on the stored column, which alone is read
     kernel = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE).ravel()) * vol.b_weight
     G = np.empty((len(vol.pairs), vol.u_count), dtype=np.complex128)
-    for start, stop, block in vol.blocks(vol.column(ti)):
+    slab = max(1, MARGINAL_READ_BYTES // (16 * len(vol.pairs) * spec.point_count))
+    for start, stop, block in vol.blocks(vol.column(ti), rows=slab):
         G[:, start:stop] = (block.reshape(stop - start, len(vol.pairs), -1) @ kernel).T
     spectrum = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)
     spectrum[(slice(None),) + bins] = G[:, rows]

@@ -140,8 +140,10 @@ class CLCSTVolume:
             u_weights = u_weights_from_list(self.u_list)
         self.u_weights = np.asarray(u_weights, dtype=np.float64)
         self.theta_step = theta_weight(self.theta_list)
-        # (profile signal, stats) of the windows of the analysis pass that
-        # filled the volume; None when it was built otherwise, e.g. read back
+        # (profile, stats) of the windows of the analysis pass that filled
+        # the volume, the profile one real array on the centered frequency
+        # lattice (stockwell.Plan.profile); None when it was built
+        # otherwise, e.g. read back
         self.admissibility = None
 
     @property
@@ -173,11 +175,12 @@ class CLCSTVolume:
         columns = slice(None) if column is None else slice(column, column + 1)
         return self.stored[start:stop, columns]
 
-    def blocks(self, column=None):
-        """(start, stop, :meth:`rows`) for consecutive blocks of about
-        BLOCK_BYTES of u rows, of one stored column or all."""
+    def blocks(self, column=None, rows=None):
+        """(start, stop, :meth:`rows`) for consecutive blocks of ``rows`` u
+        rows, by default about BLOCK_BYTES of them, of one stored column or
+        all."""
         shape = self.stored_shape[1:] if column is None else self.stored_shape[2:]
-        step = block_rows(16 * np.prod(shape))
+        step = rows or block_rows(16 * np.prod(shape))
         for start in range(0, self.u_count, step):
             stop = min(start + step, self.u_count)
             yield start, stop, self.rows(start, stop, column)

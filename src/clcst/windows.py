@@ -85,6 +85,24 @@ class WindowSpec:
         return "%s(%s, amplitude=%g)" % (type(self).__name__, ", ".join(fields), self.amplitude)
 
 
+def _normal(value):
+    """Whether value is a positive finite float that is not subnormal."""
+    return np.finfo(np.float64).tiny <= value < np.inf
+
+
+def _squared_scale(name, scale):
+    """scale^2 of a window's scale ``name``, refused unless it is a normal
+    number: one that overflows makes the window's integral infinite, and one
+    that underflows divides by zero or flattens the window into a spike."""
+    with np.errstate(over="ignore", under="ignore"):
+        square = np.float64(scale) ** 2
+    if not _normal(square):
+        raise WindowError("%s = %r is out of range: its square %r %s"
+                          % (name, scale, float(square),
+                             "overflows" if square > 1.0 else "underflows"))
+    return square
+
+
 def _gaussian_factor(sigma):
     """t -> exp(-t^2 / (2 sigma^2)), one axis of a Gaussian."""
     return lambda t: np.exp(-(t**2) / (2.0 * sigma**2))
@@ -100,6 +118,13 @@ class GaussianWindow(WindowSpec):
     def __init__(self, n, sigma=1.0, amplitude=1.0, normalization=RAW):
         if not 0.0 < sigma < np.inf:  # a NaN sigma fails both comparisons
             raise WindowError("sigma must be positive and finite, got %r" % (sigma,))
+        square = _squared_scale("sigma", sigma)
+        with np.errstate(over="ignore", under="ignore"):
+            integral = (2.0 * np.pi * square) ** (n / 2.0)
+        if not _normal(integral):
+            raise WindowError("sigma = %r is out of range: the window integral "
+                              "(2 pi sigma^2)^(n/2) = %r at n = %d is not a normal number"
+                              % (sigma, float(integral), n))
         super().__init__(n, amplitude, normalization)
         self.sigma = float(sigma)
 
@@ -127,6 +152,7 @@ class DOGWindow(WindowSpec):
     def __init__(self, n, lam=0.5, amplitude=1.0, normalization=RAW):
         if not 0.0 < lam < 1.0:
             raise WindowError("DOG scale ratio must satisfy 0 < lam < 1")
+        _squared_scale("lam", lam)
         super().__init__(n, amplitude, normalization)
         self.lam = float(lam)
 

@@ -254,7 +254,7 @@ def test_pass_profile_equals_admissibility_profile(n):
     volumes = [clcst(f, psi, M, u, THETAS, path=p) for p in ("three_step", "direct", "spectral")]
     for vol in volumes + [cst(f, psi, u, THETAS)]:
         sig, pass_stats = vol.admissibility
-        assert np.max(np.abs(sig.data - standalone.data)) <= 1e-13 * np.max(standalone.data)
+        assert np.max(np.abs(sig - standalone)) <= 1e-13 * np.max(standalone)
         assert pass_stats == pytest.approx(stats, rel=1e-13)
     # the rolled terms against |Q|^2 of each explicitly modulated window
     expect = np.zeros(spec.shape)
@@ -264,7 +264,46 @@ def test_pass_profile_equals_admissibility_profile(n):
         for theta in THETAS:
             Q = modulated_window_spectrum(psi, spec, scaling, Rotation(theta))
             expect += u_w[ui] * t_w * scaling.det_abs**2 * np.abs(Q) ** 2
-    assert np.max(np.abs(standalone.data[0] - expect)) <= 1e-13 * np.max(expect)
+    assert np.max(np.abs(standalone - expect)) <= 1e-13 * np.max(expect)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["factored", "n-D"])
+def test_profile_is_the_pass_sum_rolled_and_scaled_in_place(n, kind):
+    """Plan.profile rolls the pass's sum by N/2 on each axis and scales it
+    by (2 pi)^(-n) where it lies: the bits of np.roll and a product, in the
+    same array, which the plan then no longer holds."""
+    spec, _ = setting(n)
+    psi, u = ((radial_window(n, "dog"), tensor_list(spec)) if kind == "factored"
+              else (SkewedGaussian(n), mixed_u_list(spec)))
+    plan = Plan(psi, spec, u, np.array(THETAS), u_weights_from_list(u))
+    for block in plan.blocks(3):
+        del block
+    power = plan.power
+    half = spec.samples_per_axis // 2
+    expect = np.roll(power, (half,) * n, axis=tuple(range(n))) * (2.0 * np.pi) ** (-n)
+    profile, stats = plan.profile()
+    assert profile is power and plan.power is None
+    assert np.array_equal(profile, expect)
+    assert stats["mean"] == float(expect.mean()) and stats["min"] == float(expect.min())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_factored_synthesis_inverts_no_zeros(monkeypatch, n):
+    """A volume whose rows are all factored is synthesized by the axis
+    route alone: the n-D route's two sums are never built, and no n-D
+    inverse FFT runs over them."""
+    spec, ctx = setting(n)
+    psi, u = radial_window(n, "gaussian"), tensor_list(spec)
+    vol = clcst(noise(spec, ctx, seed=4), psi, M, u, THETAS)
+    assert Plan(psi, spec, u, np.array(THETAS), vol.u_weights).factored.all()
+    shapes, ifftn = [], np.fft.ifftn
+    with monkeypatch.context() as counted:
+        counted.setattr(np.fft, "ifftn", lambda a, *args, **kwargs:
+                        shapes.append(a.shape) or ifftn(a, *args, **kwargs))
+        synthesis = reconstruct_resolution(vol, psi, M)[0].data
+    assert shapes == []
+    assert_close(synthesis, reconstruct_resolution(vol, Dense(psi), M)[0].data)
 
 
 def test_resolution_synthesis_matches_per_slice_sum():
@@ -311,10 +350,10 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
         )
         assert np.array_equal(shared.values[..., 0], shared.values[..., 2])  # one slice per u
         assert_slices_close(shared, separate, 1e-13)
-        assert_close(shared.admissibility[0].data, separate.admissibility[0].data)
+        assert_close(shared.admissibility[0], separate.admissibility[0])
     assert_close(
-        admissibility_profile(psi, M, spec, ctx, u, THETAS)[0].data,
-        admissibility_profile(each, M, spec, ctx, u, THETAS)[0].data,
+        admissibility_profile(psi, M, spec, ctx, u, THETAS)[0],
+        admissibility_profile(each, M, spec, ctx, u, THETAS)[0],
     )
     vol = clcst(f, each, M, u, THETAS)
     assert_close(
@@ -414,12 +453,12 @@ def test_separable_route_matches_dense_route(n, kind, u_kind, branch, operators,
             for w in (psi, dense)
         )
         assert_slices_close(fast, slow, 1e-13)
-        assert_close(fast.admissibility[0].data, slow.admissibility[0].data)
+        assert_close(fast.admissibility[0], slow.admissibility[0])
         volumes[path] = fast
     assert_slices_close(volumes["three_step"], volumes["direct"], 1e-12)
     assert_close(
-        admissibility_profile(psi, M, spec, ctx, u, THETAS)[0].data,
-        admissibility_profile(dense, M, spec, ctx, u, THETAS)[0].data,
+        admissibility_profile(psi, M, spec, ctx, u, THETAS)[0],
+        admissibility_profile(dense, M, spec, ctx, u, THETAS)[0],
     )
     built = {"analysis": {axis for axis, _ in operators}}
     del operators[:]
@@ -465,7 +504,7 @@ def test_factored_runs_cut_by_blocks_keep_their_partials(n, rows, monkeypatch):
         assert_close(cut.stored, whole.stored)
         assert_close(synthesis.data, expect)
         assert_slices_close(cut, direct, 1e-12)
-        assert_close(profile.data, dense[1][0].data)
+        assert_close(profile, dense[1][0])
         assert_close(synthesis.data, dense[0].data, 1e-12)
 
 

@@ -164,6 +164,19 @@ def test_boundary_mass_ratio():
     assert flat.boundary_mass_ratio() > 1e-3
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_boundary_mass_ratio_adds_squares_in_numpys_order(n):
+    """The squares are added a blade at a time, without a squared copy of
+    the blades, to the bits of np.sum(data**2, axis=0)."""
+    spec = GridSpec(n, 4.0, 16)
+    f = random_signal(spec, transform_algebra(n), seed=n)
+    f.data[:] *= np.geomspace(1e-3, 1e3, len(f.data)).reshape((-1,) + (1,) * n)
+    sq = np.sum(f.data**2, axis=0)
+    total = float(np.sum(sq))
+    expect = float((total - np.sum(sq[(slice(1, -1),) * n])) / total)
+    assert f.boundary_mass_ratio() == expect
+
+
 def test_spec_mismatch_raises():
     other = GridSpec(2, 6.0, 32)
     f = random_signal()

@@ -529,6 +529,67 @@ def test_cli_transform_holds_its_input_once(tmp_path):
     assert peak < 5.7e6
 
 
+@pytest.mark.parametrize("samples, bound", [(32, 4.5e6), (64, 30e6)])
+def test_cli_transform_peak_is_the_slice_engine(tmp_path, samples, bound):
+    """An n = 3 transform of 27 off-lattice tensor u (the
+    analyze-offlattice-n3 benchmark's list) peaks in its slice engine.  Its
+    traced peak was 5.36 MB at N = 32 and 37.9 MB at N = 64 while the
+    admissibility profile was copied into a signal of 2^n blades and the
+    boundary mass summed a squared copy of the input's blades; with the
+    profile built in place of the pass's sum, after the block buffer is
+    released, and the squares added a blade at a time, it is 3.56 and
+    27.4 MB.  One untraced transform runs first."""
+    import tracemalloc
+
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian", "--n", "3", "--sigma", "0.8",
+          "--half-width", "4", "--samples", str(samples), "--out", str(src)])
+    per_axis = [[-2.71, 0.93, 1.87], [-1.44, 1.12, 2.56], [-2.2, 0.71, 2.93]]
+    argv = ["transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+            "--window", "gaussian", "--sigma", "1",
+            "--u-list", json.dumps({"kind": "tensor", "per_axis": per_axis}),
+            "--out", str(tmp_path / "vol.clcg")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_cli_marginal_reads_its_column_in_slabs(tmp_path):
+    """reconstruct --method marginal takes one dot product per stored row,
+    so it reads its one column in slabs of at most MARGINAL_READ_BYTES, not
+    in blocks of BLOCK_BYTES.  On the roundtrip-lattice-n2 volume (2209
+    lattice u at N = 48, 36,864 bytes a row) its traced peak was 4.71 MB
+    with 113-row blocks of 4.2 MB, and is 1.58 MB, within 1.5 MiB plus the
+    sidecar, which is parsed whole.  One untraced run of each command
+    comes first."""
+    import tracemalloc
+
+    from clcst.transform import MARGINAL_READ_BYTES
+
+    src, vol = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    assert main(["synthesize", "--kind", "gaussian_mixture", "--n", "2", "--half-width", "6",
+                 "--samples", "48", "--seed", "3", "--out", str(src)]) == 0
+    ks = [k for k in range(-24, 24) if k != 0]
+    assert main(transform_argv(src, vol, json.dumps({"kind": "multiples",
+                                                     "per_axis": [ks, ks]}))) == 0
+    argv = ["reconstruct", "--volume", str(vol), "--method", "marginal",
+            "--out", str(tmp_path / "marginal.clcg")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert MARGINAL_READ_BYTES == 1 << 20
+    assert peak < 1.5 * 2**20 + (tmp_path / "vol.clcg.json").stat().st_size
+
+
 def test_cli_transform_zero_input_warning(tmp_path):
     src = tmp_path / "zero.clcg"
     write_grid(src, GridSignal.zero(SPEC, CTX))
@@ -832,6 +893,26 @@ def test_cli_kernel_dump_refuses_non_finite_samples(tmp_path, flags, message):
         main(["kernel-dump", "--samples", "16", *flags, "--out", str(out)])
     assert message in str(err.value) and "\n" not in str(err.value)
     assert not out.exists() and not (tmp_path / "k.clcg.json").exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "kernel-dump"])
+@pytest.mark.parametrize("flags, message", [
+    (["--sigma", "1e300"], "sigma = 1e+300 is out of range: its square inf overflows"),
+    (["--sigma", "1e-300"], "sigma = 1e-300 is out of range: its square 0.0 underflows"),
+    (["--window", "dog", "--lam", "1e-200"], "lam = 1e-200 is out of range"),
+], ids=["sigma-overflows", "sigma-underflows", "lam-underflows"])
+def test_cli_refuses_a_window_scale_whose_square_is_not_normal(tmp_path, command, flags, message):
+    """A window scale whose square overflows or underflows ended in an
+    OverflowError or ZeroDivisionError traceback, or in a volume of NaN
+    values; it is refused in one line, and nothing is written."""
+    src, out = tmp_path / "f.clcg", tmp_path / "out.clcg"
+    assert main(["synthesize", "--kind", "gaussian", "--samples", "8", "--out", str(src)]) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    where = ["--input", str(src)] if command == "transform" else ["--samples", "8"]
+    with pytest.raises(SystemExit) as err:
+        main([command, *where, *flags, "--out", str(out)])
+    assert message in str(err.value) and "\n" not in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_cli_verify_subset(tmp_path):

@@ -202,7 +202,7 @@ def test_orthogonality_zero_second_argument():
 
 def test_admissibility_profile_properties():
     prof, stats = admissibility_profile(PSI, M, SPEC, CTX, U_LIST, THETAS)
-    assert np.all(prof.data[0] >= 0.0)
+    assert np.all(prof >= 0.0)
     assert stats["min"] >= 0.0
     # single-term set equals the direct formula
     scaling, rotation = ScalingMatrix(U_LIST[0]), Rotation(0.4)
@@ -214,11 +214,11 @@ def test_admissibility_profile_properties():
     from clcst.volume import theta_weight, u_weights_from_list
 
     expect = u_weights_from_list(U_LIST[:1])[0] * theta_weight([0.4]) * scaling.det_abs**2 * sq
-    assert np.allclose(single.data[0], expect, rtol=1e-12)
+    assert np.allclose(single, expect, rtol=1e-12)
     # zero window gives the zero profile
     zero_win = GaussianWindow(2, sigma=1.0, amplitude=0.0)
     zp, zstats = admissibility_profile(zero_win, M, SPEC, CTX, U_LIST, THETAS)
-    assert np.all(zp.data == 0.0)
+    assert np.all(zp == 0.0)
     with pytest.raises(TransformError):
         admissibility_profile(PSI, M, SPEC, CTX, np.zeros((0, 2)), THETAS)
     with pytest.raises(StockwellError):
@@ -233,7 +233,7 @@ def test_isometry_matches_weighted_admissibility():
     ratio = isometry_ratio(vol, f, M)
     P = cft_forward(chirp_multiply(f, M.chirp_rate, +1))
     weight = np.sum(P.data**2, axis=0)
-    expected = float(np.sum(weight * prof.data[0]) / np.sum(weight))
+    expected = float(np.sum(weight * prof) / np.sum(weight))
     assert ratio == pytest.approx(expected, rel=1e-10)
     assert stats["min"] <= ratio <= stats["max"]
     # chirp modulation preserves the norm exactly
@@ -304,12 +304,20 @@ def test_marginal_reduces_to_cst_case():
     ([[1.0, 1.0], [DW, np.nan]], [0.0], "u row 1 is not finite"),
     ([[np.inf, 1.0]], [0.0], "u row 0 is not finite"),
     ([[1.0, -np.inf], [1.0, -np.inf]], [0.0], "u row 0 is not finite"),
+    ([[1e200, 1e200]], [0.0], r"u row 0 has \|det A_u\| = inf"),
+    ([[DW, DW], [1e-200, -1e-200]], [0.0], r"u row 1 has \|det A_u\| = 0.0"),
+    # every |det A_u| is 1, but the u weight, a product of per-axis spacings
+    # of 1e200, is not finite
+    ([[1e200, 1e-200], [-1e200, 1e-200], [1e-200, 1e200], [1e-200, -1e200]], [0.0],
+     "u row 0 has weight inf"),
 ], ids=["zero-u", "repeated-theta", "unsorted-repeat", "signed-zeros", "theta-nan",
-        "theta-nan-twice", "theta-inf", "theta-inf-twice", "u-nan", "u-inf", "u-inf-twice"])
+        "theta-nan-twice", "theta-inf", "theta-inf-twice", "u-nan", "u-inf", "u-inf-twice",
+        "det-overflows", "det-underflows", "weight-overflows"])
 def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta_list, message):
     """A zero u component, a repeated angle (wherever it sits, whatever the
-    sign of a zero) and a NaN or infinite angle or u component are refused
-    before a volume is allocated."""
+    sign of a zero), a NaN or infinite angle or u component, a u row whose
+    |det A_u| overflows or underflows and a u weight that is not finite are
+    refused before a volume is allocated."""
     def no_volume(*args, **kwargs):
         raise AssertionError("a volume was allocated before the lists were checked")
 

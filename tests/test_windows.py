@@ -66,6 +66,38 @@ def test_gaussian_sigma_must_be_positive_and_finite(sigma):
         GaussianWindow(2, sigma=sigma)
 
 
+@pytest.mark.parametrize("n, sigma, message", [
+    (2, 1e300, "its square inf overflows"),
+    (2, 1e-300, "its square 0.0 underflows"),
+    (3, 1e-155, "underflows"),  # a subnormal square
+    (2, 1e154, "integral"),  # the square is finite, 2 pi sigma^2 is not
+    (3, 1e103, "integral"),  # (2 pi sigma^2)^(3/2) overflows
+    (3, 1e-104, "integral"),  # and underflows
+], ids=["square-overflows", "square-underflows", "square-subnormal", "integral-n2",
+        "integral-overflows-n3", "integral-underflows-n3"])
+def test_gaussian_sigma_must_square_to_a_normal_number(n, sigma, message):
+    """A sigma whose square, or whose window integral, overflows or
+    underflows is refused when the window is made: it would end in an
+    OverflowError from raw_integral or in a window of NaN values."""
+    with pytest.raises(WindowError, match="sigma = .* is out of range: .*" + message):
+        GaussianWindow(n, sigma=sigma)
+
+
+@pytest.mark.parametrize("n, sigma", [(2, 1e-150), (2, 1e153), (3, 1e-102), (3, 1e102)])
+def test_gaussian_sigma_near_the_range_ends_is_kept(n, sigma):
+    """Just inside the range, the integral is a finite positive number."""
+    assert 0.0 < GaussianWindow(n, sigma=sigma).integral() < np.inf
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-155])
+def test_dog_lam_must_square_to_a_normal_number(lam):
+    """A lam whose square underflows is refused: its term's coefficient
+    amplitude / lam^2 divides by zero."""
+    with pytest.raises(WindowError, match="lam = .* is out of range: its square .* underflows"):
+        DOGWindow(2, lam=lam)
+    assert DOGWindow(2, lam=1e-150).separable_terms()[0][0] == pytest.approx(1e300)
+
+
 def test_dog_tends_to_zero_as_lam_to_one():
     w = DOGWindow(2, lam=0.999)
     spec = GridSpec(2, 6.0, 64)

@@ -594,8 +594,9 @@ class Plan:
 
         The pass's sum ``power`` becomes the profile where it lies: rolled
         by N/2 on each axis, one pair of hyperplanes swapped at a time, and
-        scaled by (2 pi)^(-n), the bits of np.roll and a product without a
-        copy of either.  The plan holds no sum after this."""
+        scaled by (2 pi)^(-n), to the bits of np.roll and a product but
+        without a second array of spec.shape.  The plan holds no sum after
+        this."""
         spec, half = self.spec, self.spec.samples_per_axis // 2
         profile, self.power = self.power, None
         for axis in range(spec.n):

@@ -45,7 +45,7 @@ from .transform import (  # admissibility_profile stays importable here for call
     reconstruct_resolution,
 )
 from .volume import DEFAULT_THETAS, default_u_list, tensor_u_list
-from .windows import RAW, UNIT_INTEGRAL, WINDOWS, WindowError, make_window
+from .windows import RAW, UNIT_INTEGRAL, WINDOWS, WindowError, _squared_scale, make_window
 
 
 def _float_list(text):
@@ -221,6 +221,7 @@ def cmd_synthesize(args):
         s = cfg["sigma"]
         if not 0 < s < np.inf:
             raise SystemExit("--sigma must be positive and finite, got %r" % s)
+        _squared_scale("sigma", s)  # the samples divide by 2 sigma^2
         signal = sample(lambda x: np.exp(-np.sum(x**2, axis=0) / (2 * s**2)), spec, ctx)
     elif kind == "gaussian_mixture":
         if cfg["components"] < 1:

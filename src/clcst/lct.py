@@ -39,12 +39,15 @@ class ResamplingUnsupportedError(LCTError):
 
 
 class LCTParams:
-    """Real (A, B, C, D) with AD - BC = 1 (checked to 1e-12)."""
+    """Finite real (A, B, C, D) with AD - BC = 1 (checked to 1e-12)."""
 
     IDENTITY_TO_CFT = (0.0, 1.0, -1.0, 0.0)
 
     def __init__(self, A, B, C, D):
         A, B, C, D = (float(v) for v in (A, B, C, D))
+        for name, value in zip("ABCD", (A, B, C, D)):
+            if not np.isfinite(value):  # a NaN would pass the test below
+                raise LCTError("%s = %r is not finite" % (name, value))
         if abs(A * D - B * C - 1.0) > 1e-12:
             raise LCTError("AD - BC = %r, expected 1" % (A * D - B * C))
         self.A, self.B, self.C, self.D = A, B, C, D

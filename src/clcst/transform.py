@@ -9,9 +9,9 @@ Three production evaluation paths are provided and must agree:
 
 All kernel phases multiply the signal on the right, which keeps every
 identity exact for general multivector signals in the non-commutative n = 2
-algebra.  The admissibility profile, orthogonality relation, both
-reconstructions and the oracles of :mod:`clcst.verify` (the naive O(N^(2n))
-sum, the reproducing kernel, the isometry ratio and the covariance
+algebra.  The admissibility profile, both reconstructions and the oracles
+of :mod:`clcst.verify` (the naive O(N^(2n)) sum, the orthogonality
+relation, the reproducing kernel, the isometry ratio and the covariance
 identities) share the volume's quadrature weights, so the discrete
 identities close exactly up to window truncation.
 """
@@ -20,27 +20,24 @@ import warnings
 
 import numpy as np
 
+# cft_forward and cst_slice stay importable here for call tracing
 from .cft import centered_cft, cft_forward, cft_inverse
 from .grid import (
     FREQUENCY,
     SPACE,
     GridSignal,
     chirp_multiply,
-    inner_product,
     lattice_steps,
     live_pairs,
     pack,
     phase_multiply,
-    right_multiply,
 )
 from .stockwell import (
     BIN_TOLERANCE,
-    AxisRoute,
     NonUnitWindowWarning,
     Plan,
     StockwellError,
     axis_phase_multiply,
-    block_rows,
     check_analysis_inputs,
     checked_lists,
     correlate_spectrum,
@@ -50,7 +47,7 @@ from .stockwell import (
     spectrum_slices,
     transformed_window_values,
 )
-from .volume import CLCSTVolume
+from .volume import CLCSTVolume, block_rows
 
 
 class TransformError(Exception):
@@ -113,14 +110,8 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     u-blocks, and leaves the admissibility profile of the same windows in
     ``vol.admissibility``.
     The paths differ in the signal side:
-    ``three_step`` chirps f, by 1-D factors, one per axis; on a run of rows
-    that share their leading u values, with a separable window, it goes one
-    axis at a time and shares each axis's partial transform across the run
-    (:meth:`~clcst.stockwell.AxisRoute.slices`), an off-lattice value by one
-    dense 1-D operator on a small lattice; otherwise it transforms the
-    chirped f once, each lattice u multiplies that spectrum by the
-    conjugate of its modulated window spectrum, and one inverse FFT per
-    block of u rows gives the slices;
+    ``three_step`` chirps f, by 1-D factors, one per axis, and takes each
+    block of u rows on its route (:meth:`~clcst.stockwell.Plan.routes`);
     ``direct`` modulates f by the chirp and the plane wave in one
     phase and correlates it with each window separately; ``spectral``
     multiplies cft(h), h = chirped f e^{-i_n u.x}, by the conjugate centered
@@ -214,27 +205,6 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     return plan.profile()
 
 
-def orthogonality_check(f, g, psi, params, scaling, rotation):
-    """Both sides of the per-(u, theta) orthogonality identity.
-
-    lhs: the b-grid inner product of the two transforms, each the Stockwell
-    slice of the chirped signal; the transform's closing chirp in b has unit
-    modulus and cancels in the inner product.
-    rhs: |det A_u|^2 <P_f conj(Q) Q, P_g> over the frequency lattice, with
-    P = cft[. chirp] and Q the modulated window spectrum, operands ordered as
-    in the underlying Plancherel argument.
-    """
-    chirped_f = chirp_multiply(f, params.chirp_rate, +1)
-    chirped_g = chirp_multiply(g, params.chirp_rate, +1)
-    lhs = inner_product(
-        cst_slice(chirped_f, psi, scaling, rotation), cst_slice(chirped_g, psi, scaling, rotation)
-    )
-    Q = modulated_window_spectrum(psi, f.spec, scaling, rotation)
-    x = right_multiply(cft_forward(chirped_f), Q.conj() * Q)
-    rhs = inner_product(x, cft_forward(chirped_g)) * scaling.det_abs**2
-    return lhs, rhs
-
-
 def reconstruct_resolution(vol, psi, params):
     """Resolution-of-identity synthesis from a volume and the admissibility
     profile of the same windows: (synthesis, (profile, stats)), the profile
@@ -243,26 +213,13 @@ def reconstruct_resolution(vol, psi, params):
     f_hat(x) = (2 pi)^(-n/2) / C_psi * sum over (b, u, theta) with the
     volume's weights of S(b, u, theta) psi^theta_{M,b,u}(x).
 
-    Per (u, theta) the b-sum is the periodic convolution of the chirped slice
-    with the modulated window.  On the factored runs of a separable window
-    it is the adjoint of the axis-by-axis analysis, run by the same
-    :class:`~clcst.stockwell.AxisRoute` with each axis operator's factors
-    swapped and conjugated (:meth:`~clcst.stockwell.AxisRoute.add`): each
-    row's 1-D transforms along the last axis, or its dense adjoint operator
-    off the lattice, are summed over its run, and each run's sum goes
-    through the earlier axes once.  On the n-D route, for a lattice u it
-    is fftn(s e^{j u.b}) M in the spectrum, M the modulated window spectrum
-    of :meth:`~clcst.stockwell.Plan.blocks`: each block's weighted columns
-    are transformed by one fftn, their products with M summed without a
-    roll, and the sum inverted once.  An off-lattice u is convolved with its
-    plain spectrum B, inverted and modulated by e^{j x.u} on its own.  The
-    two sums of the n-D route are allocated at its first block, so a volume
-    whose rows are all factored holds neither and inverts no zeros.  A
-    radial window has one M for every theta of a u: a volume that stores
-    one column for it counts that column's term T times, and a volume that
-    stores all T columns sums them before their one FFT.  Only the stored
-    pairs (``vol.pairs``) are transformed and summed: every other pair is
-    zero and adds exactly zero.
+    That sum is the adjoint of the three_step analysis, which each block of
+    u rows takes on its route (:meth:`~clcst.stockwell.Plan.routes`), the
+    route's sums closed once the pass is done.  A radial window has one
+    window for every theta of a u: a volume that stores one column for it
+    counts that column's term T times, and a volume that stores all T
+    columns sums them first.  Only the stored pairs (``vol.pairs``) are
+    transformed and summed: every other pair is zero and adds exactly zero.
 
     The same pass accumulates the admissibility profile, weighted with
     ``vol.u_weights`` as the analysis pass weights it, and builds it in
@@ -275,53 +232,26 @@ def reconstruct_resolution(vol, psi, params):
     spec, ctx = vol.spec, vol.ctx
     _require_b_nonzero(params, spec)
     _checked_lists(spec, vol.u_list, vol.theta_list, "resolution synthesis", vol.u_weights)
-    axes = tuple(range(-spec.n, 0))
     rate = params.chirp_rate
     plan = Plan(psi, spec, vol.u_list, vol.theta_list, vol.u_weights)
     columns = max(vol.stored_theta_columns, len(plan.angles))
     # a product of one stored column and one window stands for T / columns thetas
     weights = plan.weights * (vol.theta_count // columns)
-    summed = modulated = None  # the n-D route's sums, from its first block
     # per u row and pair of the algebra, whatever the stored pairs: the
     # rows read from a volume file and their weighted copy, transformed and
     # multiplied in place, 16 bytes each, beside the window block
     row_bytes = 48 * columns * (ctx.blade_count // 2) * spec.point_count
     rows = block_rows(row_bytes + plan.row_bytes)
-    route = AxisRoute(plan, rate) if plan.factored.any() else None
-    for start, stop, M, B in plan.blocks(rows, plain=True):
-        u_rows, lattice = vol.u_list[start:stop], plan.on_lattice[start:stop]
+    routes = plan.routes(rate)
+    for start, stop, M, B in plan.blocks(rows):
         s = vol.rows(start, stop)
-        angles = 1 if plan.factored[start] else M.shape[1]
-        if s.shape[1] > angles:  # T stored columns, one window for every theta
+        if s.shape[1] > len(plan.angles):  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
-        elif s.shape[1] < angles:  # one stored column, a window per theta
-            M = np.sum(M, axis=1, keepdims=True)
-            B = {i: np.sum(b, axis=0, keepdims=True) for i, b in B.items()}
-        if plan.factored[start]:  # M holds the block's tables
-            route.add(start, stop, M, s[:, 0], weights[start:stop])
-            continue
-        if summed is None:
-            summed = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)
-            modulated = np.zeros_like(summed)
-        # weight x chirp x e^{j u.b} on the lattice, before one fftn, into a
-        # new array: the rows may be the volume's own
-        s = axis_phase_multiply(s, spec, plan.lattice_u[start:stop], rate, weights[start:stop])
-        np.fft.fftn(s, axes=axes, out=s)
-        for i in np.flatnonzero(~lattice):
-            term = np.sum(s[i] * B[i][:, None], axis=0)
-            np.fft.ifftn(term, axes=axes, out=term)
-            modulated += axis_phase_multiply(term, spec, u_rows[[i]], 0.0, 1.0, out=term)
-        s *= M[:, :, None]
-        summed += np.sum(s, axis=(0, 1), where=lattice.reshape((-1,) + (1,) * (s.ndim - 1)))
+        routes[plan.factored[start]].add(start, stop, M, B, s, weights[start:stop])
         del M, B, s  # before the next block's spectra are built
-    routed = None if route is None else route.total()
-    if summed is None:
-        total = routed
-    else:
-        total = np.fft.ifftn(summed, axes=axes, out=summed)
-        total += modulated
-        if routed is not None:
-            total += routed
+    total, *rest = [route.total() for route in routes.values() if route is not None]
+    for part in rest:
+        total += part
     admissibility = plan.profile()
     c_psi = admissibility[1]["mean"]
     if not c_psi > 0:

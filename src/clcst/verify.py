@@ -42,6 +42,7 @@ from .grid import (
     pack,
     phase_multiply,
     rel_l2_error,
+    right_multiply,
     sample,
     unpack,
 )
@@ -72,7 +73,6 @@ from .transform import (
     clcst_kernel,
     marginal_spectrum,
     modulated_window_spectrum,
-    orthogonality_check,
     reconstruct_marginal,
     reconstruct_resolution,
 )
@@ -127,6 +127,27 @@ def clcst_direct_sum_slice(f, psi, params, scaling, rotation):
     scale = scaling.det_abs * (2.0 * np.pi) ** (-n / 2.0) * f.spec.cell_weight(SPACE)
     out = unpack(f.ctx, acc.reshape((-1,) + f.spec.shape) * scale)
     return GridSignal(f.spec, f.ctx, out, SPACE)
+
+
+def orthogonality_check(f, g, psi, params, scaling, rotation):
+    """Both sides of the per-(u, theta) orthogonality identity.
+
+    lhs: the b-grid inner product of the two transforms, each the Stockwell
+    slice of the chirped signal; the transform's closing chirp in b has unit
+    modulus and cancels in the inner product.
+    rhs: |det A_u|^2 <P_f conj(Q) Q, P_g> over the frequency lattice, with
+    P = cft[. chirp] and Q the modulated window spectrum, operands ordered as
+    in the underlying Plancherel argument.
+    """
+    chirped_f = chirp_multiply(f, params.chirp_rate, +1)
+    chirped_g = chirp_multiply(g, params.chirp_rate, +1)
+    lhs = inner_product(
+        cst_slice(chirped_f, psi, scaling, rotation), cst_slice(chirped_g, psi, scaling, rotation)
+    )
+    Q = modulated_window_spectrum(psi, f.spec, scaling, rotation)
+    x = right_multiply(cft_forward(chirped_f), Q.conj() * Q)
+    rhs = inner_product(x, cft_forward(chirped_g)) * scaling.det_abs**2
+    return lhs, rhs
 
 
 def volume_energy(vol):
@@ -591,7 +612,7 @@ def separable_window_spectra():
         u_list = steps[:, :n] * spec.dw
         for psi in windows:
             plan = Plan(psi, spec, u_list, [0.0], np.ones(len(u_list)))
-            for start, stop, M, B in plan.blocks(2, plain=True):
+            for start, stop, M, B in plan.blocks(2):
                 for i, u in enumerate(u_list[start:stop]):
                     scaling, rotation = ScalingMatrix(u), Rotation(0.0)
                     values = transformed_window_values(psi, spec, np.zeros(n), scaling, rotation)

@@ -66,12 +66,22 @@ class WindowSpec:
         return self.amplitude * self.raw_integral()
 
     def normalize_unit_integral(self):
+        """This window scaled to integrate to one, refused for an integral of
+        zero, or one whose unit amplitude squares to no normal number: the
+        admissibility profile squares it."""
         total = self.integral()
-        if abs(total) < 1e-300:
+        if total == 0.0:
             raise ZeroIntegralError(
                 "window integrates to zero over R^%d; unit normalization impossible" % self.n
             )
-        return self._with_amplitude(self.amplitude / total, UNIT_INTEGRAL)
+        amplitude = self.amplitude / total
+        with np.errstate(over="ignore", under="ignore"):
+            square = np.float64(amplitude) ** 2
+        if not _normal(square):
+            raise WindowError("window integral %g over R^%d is out of range for unit "
+                              "normalization: the amplitude %g squares to %g, not a normal number"
+                              % (total, self.n, amplitude, square))
+        return self._with_amplitude(amplitude, UNIT_INTEGRAL)
 
     def is_unit_integral(self):
         return abs(self.integral() - 1.0) <= 1e-10

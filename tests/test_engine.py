@@ -15,8 +15,8 @@ from clcst.cli import main
 from clcst.grid import SPACE, GridError, GridSignal, GridSpec, live_pairs, pack
 from clcst.io import export_spectrogram_csv, write_grid
 from clcst.lct import LCTParams
+from clcst.axis import AxisTables
 from clcst.stockwell import (
-    AxisTables,
     Plan,
     Rotation,
     ScalingMatrix,
@@ -406,9 +406,9 @@ def test_separable_route_matches_dense_route(n, kind, u_kind, branch, operators,
     each run, and on that list shuffled, where most runs break.  The
     off-lattice values of the factored runs take the branch ``branch``,
     dense operators or FFTs, whatever N."""
-    from clcst import stockwell
+    from clcst import axis
 
-    monkeypatch.setattr(stockwell, "DENSE_AXIS_SAMPLES", BRANCHES[branch])
+    monkeypatch.setattr(axis, "DENSE_AXIS_SAMPLES", BRANCHES[branch])
     spec, ctx = setting(n)
     psi = radial_window(n, kind)
     dense = Dense(psi)
@@ -427,10 +427,10 @@ def test_separable_route_matches_dense_route(n, kind, u_kind, branch, operators,
     assert fast.factored.any() == (u_kind == "tensor" or (u_kind, n, terms) == ("shuffled", 2, 1))
     # the n-D route's rows: the spectra of the tables against the evaluated window
     bounds = [(start, stop) for start, stop, _, _ in slow.blocks(3)]
-    expect = {start + i: (M[i], q.get(i)) for start, _, M, q in slow.blocks(3, plain=True)
+    expect = {start + i: (M[i], q.get(i)) for start, _, M, q in slow.blocks(3)
               for i in range(len(M))}
     rows = 0
-    for start, stop, spectra, q in fast.blocks(3, plain=True):
+    for start, stop, spectra, q in fast.blocks(3):
         assert fast.factored[start:stop].all() == isinstance(spectra, AxisTables)
         if u_kind == "mixed":  # nothing factored: the same blocks in the same order
             assert (start, stop) == bounds[0]
@@ -486,18 +486,18 @@ def test_factored_runs_cut_by_blocks_keep_their_partials(n, rows, monkeypatch):
     into the next block's synthesis, give the slices and the resolution
     synthesis of one whole block, the slices of the direct path to 1e-12,
     and the profile and synthesis of the window evaluated on the lattice."""
-    from clcst import stockwell, transform
+    from clcst import axis, stockwell, transform
 
     spec, ctx = setting(n)
     psi, u, f = radial_window(n, "dog"), tensor_list(spec), noise(spec, ctx, seed=5)
     direct = clcst(f, psi, M, u, THETAS, path="direct")
     dense = reconstruct_resolution(direct, Dense(psi), M)
     for branch, limit in BRANCHES.items():
-        monkeypatch.setattr(stockwell, "DENSE_AXIS_SAMPLES", limit)
+        monkeypatch.setattr(axis, "DENSE_AXIS_SAMPLES", limit)
         whole = clcst(f, psi, M, u, THETAS)
         expect = reconstruct_resolution(whole, psi, M)[0].data
         with monkeypatch.context() as cut_blocks:
-            for module in (stockwell, transform):
+            for module in (axis, stockwell, transform):
                 cut_blocks.setattr(module, "block_rows", lambda bytes_per_u: rows)
             cut = clcst(f, psi, M, u, THETAS)
             synthesis, (profile, _) = reconstruct_resolution(cut, psi, M)
@@ -546,11 +546,11 @@ def test_resolution_synthesis_is_the_adjoint_of_the_analysis(n, kind, u_kind, li
     to 1e-12 relative on every route: n-D rows on and off the lattice, and
     factored runs on the dense and FFT branches of their off-lattice values,
     whole and cut by blocks, for one stored column and for T."""
-    from clcst import stockwell, transform
+    from clcst import axis, stockwell, transform
 
-    monkeypatch.setattr(stockwell, "DENSE_AXIS_SAMPLES", limit)
+    monkeypatch.setattr(axis, "DENSE_AXIS_SAMPLES", limit)
     if rows is not None:
-        for module in (stockwell, transform):
+        for module in (axis, stockwell, transform):
             monkeypatch.setattr(module, "block_rows", lambda bytes_per_u: rows)
     spec, ctx = setting(n)
     psi = SkewedGaussian(n) if kind == "skewed" else radial_window(n, kind)
@@ -757,7 +757,7 @@ def test_off_lattice_tensor_list_shares_each_axis_partial_transform(fft_work, mo
     forward and one inverse axis pass, at most 90 N^3 points of FFT work,
     against 165.6 N^3 when each row took its own n-D FFTs and the signal's
     unused fftn was taken too.  Both match the direct path."""
-    from clcst import stockwell
+    from clcst import axis
 
     spec, ctx = GridSpec(3, 4.0, 16), transform_algebra(3)
     per_axis = [np.array([-2.3, 0.6, 1.45]) * spec.dw, np.array([-1.2, 0.9, 2.7]) * spec.dw,
@@ -766,7 +766,7 @@ def test_off_lattice_tensor_list_shares_each_axis_partial_transform(fft_work, mo
     f = GridSignal.from_scalar(spec, ctx, np.exp(-spec.squared_radius() / (2 * 0.8**2)))
     psi = GaussianWindow(3, sigma=1.0)
     assert Plan(psi, spec, u, THETAS, np.ones(len(u))).factored.all()
-    assert spec.samples_per_axis <= stockwell.DENSE_AXIS_SAMPLES
+    assert spec.samples_per_axis <= axis.DENSE_AXIS_SAMPLES
     direct = clcst(f, psi, M, u, THETAS, path="direct")
     matmuls = []
     matmul = np.matmul
@@ -783,7 +783,7 @@ def test_off_lattice_tensor_list_shares_each_axis_partial_transform(fft_work, mo
     assert [size for kind, size in matmuls if kind == "node"] == [spec.point_count] * (3 + 9)
     assert sum(size for kind, size in matmuls if kind == "row") == 27 * spec.point_count
     assert_slices_close(vol, direct, 1e-12)
-    monkeypatch.setattr(stockwell, "DENSE_AXIS_SAMPLES", 0)
+    monkeypatch.setattr(axis, "DENSE_AXIS_SAMPLES", 0)
     del fft_work[:], matmuls[:]
     vol = clcst(f, psi, M, u, THETAS, path="three_step")
     assert sum(fft_work) <= 90 * spec.point_count and not matmuls

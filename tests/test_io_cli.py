@@ -529,7 +529,7 @@ def test_cli_transform_holds_its_input_once(tmp_path):
     assert peak < 5.7e6
 
 
-@pytest.mark.parametrize("samples, bound", [(32, 4.5e6), (64, 30e6)])
+@pytest.mark.parametrize("samples, bound", [(32, 4.5e6), (64, 30e6), (64, 24e6)])
 def test_cli_transform_peak_is_the_slice_engine(tmp_path, samples, bound):
     """An n = 3 transform of 27 off-lattice tensor u (the
     analyze-offlattice-n3 benchmark's list) peaks in its slice engine.  Its
@@ -538,7 +538,8 @@ def test_cli_transform_peak_is_the_slice_engine(tmp_path, samples, bound):
     boundary mass summed a squared copy of the input's blades; with the
     profile built in place of the pass's sum, after the block buffer is
     released, and the squares added a blade at a time, it is 3.56 and
-    27.4 MB.  One untraced transform runs first."""
+    27.4 MB; with an off-lattice node opened and transformed in one array,
+    23.4 MB at N = 64.  One untraced transform runs first."""
     import tracemalloc
 
     src = tmp_path / "f.clcg"
@@ -915,6 +916,36 @@ def test_cli_refuses_a_window_scale_whose_square_is_not_normal(tmp_path, command
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("transform", ["--A", "nan"], "A = nan is not finite"),
+    ("transform", ["--C", "inf"], "C = inf is not finite"),
+    ("synthesize", ["--kind", "gaussian", "--sigma", "1e-200"],
+     "sigma = 1e-200 is out of range: its square 0.0 underflows"),
+    ("synthesize", ["--kind", "gaussian", "--sigma", "1e200"],
+     "sigma = 1e+200 is out of range: its square inf overflows"),
+    ("transform", ["--sigma", "1e-153", "--normalize"],
+     "window integral 6.28319e-306 over R^2 is out of range for unit normalization: "
+     "the amplitude 1.59155e+305 squares to inf"),
+], ids=["A-nan", "C-inf", "synthesis-sigma-underflows", "synthesis-sigma-overflows",
+        "unit-amplitude-overflows"])
+def test_cli_refuses_what_would_end_in_non_finite_output(tmp_path, command, flags, message):
+    """A NaN or infinite entry of M was refused as a chirp phase that is
+    not finite, or as AD - BC != 1, without naming the entry; a synthesis
+    sigma whose square underflows wrote a NaN sample, and one whose square
+    overflows ended in an OverflowError; a window whose integral is a
+    normal number but whose unit amplitude squares past the float range was
+    refused as one that integrates to zero.  Each is refused in one line
+    that names the value, and nothing is written."""
+    src, out = tmp_path / "f.clcg", tmp_path / "out.clcg"
+    assert main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)]) == 0
+    before = sorted(p.name for p in tmp_path.iterdir())
+    where = ["--input", str(src)] if command == "transform" else ["--samples", "16"]
+    with pytest.raises(SystemExit) as err:
+        main([command, *where, *flags, "--out", str(out)])
+    assert message in str(err.value) and "\n" not in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_cli_verify_subset(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "algebra,example1", "--out", str(out)]) == 0
@@ -981,6 +1012,44 @@ def test_cli_import_leaves_the_check_registry_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+TOKEN_COUNT_PROBE = """
+import json, sys, tokenize
+import clcst.cli
+skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+counts = {}
+for name, module in sorted(sys.modules.items()):
+    if name == "clcst" or name.startswith("clcst."):
+        with open(module.__file__, "rb") as fh:
+            counts[name] = sum(t.type not in skipped for t in tokenize.tokenize(fh.readline))
+print(json.dumps(counts))
+"""
+
+
+def test_command_path_modules_stay_below_the_parser_token_step():
+    """Every clcst module that `import clcst.cli` loads, in a fresh process,
+    has at most 7,500 parser tokens, comments, blank lines and the encoding
+    left out.  A command compiles them from source when no bytecode is
+    cached, and CPython's parser holds a module's tokens in an array that
+    doubles at 8,192: stockwell.py at 8,335 tokens raised peak RSS on every
+    benchmark workload by about 0.4 MB.  clcst.verify (8,224 tokens), which
+    only `clcst verify` loads, is not on that path."""
+    import os
+    import subprocess
+    import sys
+
+    import clcst
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(clcst.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    result = subprocess.run([sys.executable, "-c", TOKEN_COUNT_PROBE], env=env,
+                            capture_output=True, text=True, check=True)
+    counts = json.loads(result.stdout)
+    assert {"clcst.cli", "clcst.stockwell", "clcst.transform"} <= set(counts)
+    assert "clcst.verify" not in counts
+    assert {name: count for name, count in counts.items() if count > 7500} == {}
 
 
 NO_MASKED_ARRAYS_PROBE = """

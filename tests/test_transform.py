@@ -21,7 +21,6 @@ from clcst.transform import (
     clcst,
     clcst_kernel,
     marginal_spectrum,
-    orthogonality_check,
     reconstruct_marginal,
     reconstruct_resolution,
 )
@@ -29,6 +28,7 @@ from clcst.verify import (
     clcst_direct_sum_slice,
     covariance_suite,
     isometry_ratio,
+    orthogonality_check,
     reproducing_kernel,
     volume_energy,
 )
@@ -310,14 +310,20 @@ def test_marginal_reduces_to_cst_case():
     # of 1e200, is not finite
     ([[1e200, 1e-200], [-1e200, 1e-200], [1e-200, 1e200], [1e-200, -1e200]], [0.0],
      "u row 0 has weight inf"),
+    # |det A_u| is a normal or a subnormal number, but the profile weighs
+    # |det A_u|^2, which underflows to a subnormal number or to zero
+    ([[1e-160, 1.0]], [0.0], r"u row 0 has \|det A_u\|\^2 x weight = 1e-320"),
+    ([[1e-320, 1.0]], [0.0], r"u row 0 has \|det A_u\|\^2 x weight = 0.0"),
 ], ids=["zero-u", "repeated-theta", "unsorted-repeat", "signed-zeros", "theta-nan",
         "theta-nan-twice", "theta-inf", "theta-inf-twice", "u-nan", "u-inf", "u-inf-twice",
-        "det-overflows", "det-underflows", "weight-overflows"])
+        "det-overflows", "det-underflows", "weight-overflows", "det-squared-subnormal",
+        "det-subnormal"])
 def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta_list, message):
     """A zero u component, a repeated angle (wherever it sits, whatever the
     sign of a zero), a NaN or infinite angle or u component, a u row whose
-    |det A_u| overflows or underflows and a u weight that is not finite are
-    refused before a volume is allocated."""
+    |det A_u| overflows or underflows, a u weight that is not finite and a
+    row whose profile weight |det A_u|^2 x u weight is not a normal number
+    are refused before a volume is allocated."""
     def no_volume(*args, **kwargs):
         raise AssertionError("a volume was allocated before the lists were checked")
 

@@ -226,6 +226,8 @@ def cmd_synthesize(args):
     elif kind == "gaussian_mixture":
         if cfg["components"] < 1:
             raise SystemExit("--components must be at least 1, got %r" % cfg["components"])
+        if cfg["seed"] < 0:
+            raise SystemExit("--seed must be non-negative, got %r" % cfg["seed"])
         rng = np.random.default_rng(cfg["seed"])
         mesh = spec.mesh()
         vals = np.zeros(spec.shape)
@@ -236,8 +238,11 @@ def cmd_synthesize(args):
             )
         signal = GridSignal.from_scalar(spec, ctx, vals)
     elif kind == "chirp":
-        if not np.isfinite(cfg["rate"]):
-            raise SystemExit("--rate must be finite, got %r" % cfg["rate"])
+        # as the transform's chirp: largest |x|^2 = n L^2, overflowing to inf
+        if not np.isfinite(cfg["rate"] * spec.n * (spec.half_width * spec.half_width)):
+            raise SystemExit("--rate must be finite, and so must its chirp phase rate |x|^2 on "
+                             "the lattice: got --rate %r at --half-width %r"
+                             % (cfg["rate"], spec.half_width))
         ones = sample(lambda x: np.ones(x.shape[1:]), spec, ctx)
         signal = phase_multiply(ones, cfg["rate"] * spec.squared_radius())
     else:
@@ -349,6 +354,8 @@ def cmd_reconstruct(args):
     vol = read_volume(args.volume)
     if vol.params is None:
         raise SystemExit("volume carries no parameter matrix")
+    if args.method == "resolution" and vol.window is None:
+        raise SystemExit("volume carries no window; the resolution synthesis needs one")
     report = {}
     if args.method == "marginal":
         out, info = reconstruct_marginal(vol, vol.params, args.theta, strict=not args.no_strict)

@@ -1,4 +1,4 @@
-"""Clifford-valued Stockwell transform: scaled, rotated windows on the lattice.
+"""Slice engine of the CST and CLCST: scaled, rotated windows on the lattice.
 
 The analysis window family is
 
@@ -9,10 +9,11 @@ rotation acting on axes (1, 2).  Over the whole b-grid a (u, theta) slice is
 one periodic correlation of the modulated complex pairs
 (:func:`~clcst.grid.pack`) with the window.
 
-One :class:`Plan` per (u, theta) set is the one place that classifies and
-weighs the u rows, so the analysis (:func:`fill_volume`), the admissibility
-profile and the resolution synthesis share one discrete measure and one
-notion of "u on the lattice".  It also picks each row's route
+One :class:`Plan` per (u, theta) set is the one place that checks, classifies
+and weighs the u rows, so the analysis (:func:`fill_volume`), the
+admissibility profile and the resolution synthesis refuse the same input
+and share one discrete measure and one notion of "u on the lattice".  It
+also picks each row's route
 (:meth:`Plan.routes`), and each route computes both its rows' slices and
 their adjoint: the n-D route (:class:`SpectrumRoute`) by n-D FFTs against
 each window's n-D spectrum, and the axis-by-axis route of a separable
@@ -42,13 +43,11 @@ from .grid import (
     GridError,
     GridSignal,
     lattice_steps,
-    live_pairs,
     pack,
     plane_wave_multiply,
     unpack,
 )
 from .volume import (
-    CLCSTVolume,
     DEFAULT_THETAS,
     block_rows,
     default_u_list,
@@ -76,21 +75,17 @@ class NonUnitWindowWarning(UserWarning):
 
 
 def check_analysis_inputs(f, psi):
-    """Refuse a signal or window that cst and clcst cannot analyze.
-
-    The signal must be a finite space-domain signal in a kernel-compatible
-    algebra and the window analytic.  A window that does not integrate to
-    one is a :class:`NonUnitWindowWarning` (an error under an "error"
-    filter), because the reconstruction identities assume a unit integral.
-    """
+    """Refuse a signal that clcst cannot analyze, one that is not a finite
+    space-domain signal in a kernel-compatible algebra.  A window (which the
+    :class:`Plan` checks) that does not integrate to one is a
+    :class:`NonUnitWindowWarning` (an error under an "error" filter),
+    because the reconstruction identities assume a unit integral."""
     _require_transformable(f)
     if f.domain != SPACE:
         raise GridError("the transform expects a space-domain signal")
     bad = int(np.count_nonzero(~np.isfinite(f.data)))
     if bad:
         raise StockwellError("signal has %d non-finite samples" % bad)
-    if not isinstance(psi, WindowSpec):
-        raise AnalyticWindowRequiredError("the transform needs an analytic window")
     if not psi.is_unit_integral():
         warnings.warn(
             "window integral is %g, not 1; reconstruction identities assume 1"
@@ -104,14 +99,15 @@ def checked_lists(spec, u_list=None, theta_list=None, u_weights=None):
     """The (U, n) u array, flat theta array and u weights of a volume,
     refused before the volume is allocated.
 
-    The u list is one row of n components or a list of such rows.  Every u
-    component and angle must be finite; every u component must be nonzero,
-    because A_u = diag(u) is inverted, and every row's |det A_u| a positive
-    finite number, because each slice is weighed by it; the angles must be
-    distinct, because the theta weight is meant for distinct angles.  The u
-    weights, by default those of :func:`~clcst.volume.u_weights_from_list`,
-    must be finite, and |det A_u|^2 x u weight, which weighs the row's
-    profile term, a normal number.  None selects the default list.
+    The u list is one row of n components or a list of such rows; neither
+    list may be empty.  Every u component and angle must be finite; every u
+    component must be nonzero, because A_u = diag(u) is inverted, and every
+    row's |det A_u| a positive finite number, because each slice is weighed
+    by it; the angles must be distinct, because the theta weight is meant
+    for distinct angles.  The u weights, by default those of
+    :func:`~clcst.volume.u_weights_from_list`, must be finite, and |det
+    A_u|^2 x u weight, which weighs the row's profile term, a normal number.
+    None selects the default list.
     """
     if u_list is None:
         u_list = default_u_list(spec)
@@ -122,6 +118,9 @@ def checked_lists(spec, u_list=None, theta_list=None, u_weights=None):
         raise StockwellError("u list of shape %r is not rows of n = %d" % (u_list.shape, spec.n))
     u_list = u_list.reshape(-1, spec.n)
     theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
+    for name, values in (("u", u_list), ("theta", theta_list)):
+        if len(values) == 0:
+            raise StockwellError("%s list is empty; a (u, theta) set must be non-empty" % name)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # refused below, by row
         det = np.prod(np.abs(u_list), axis=1)  # as Plan computes it
         if u_weights is None:
@@ -219,8 +218,6 @@ def window_family(psi, b, scaling, rotation, spec, ctx):
 def window_block(psi, spec, u_rows, theta_list):
     """psi(R_{-theta} A_u y) on the lattice for every u row and theta, in one
     evaluation: shape (U, T) + spec.shape."""
-    if not isinstance(psi, WindowSpec):
-        raise AnalyticWindowRequiredError("the transform needs an analytic window")
     n = spec.n
     rotations = np.array([Rotation(t).matrix(n) for t in theta_list]).reshape(-1, n, n)
     maps = rotations[None] * np.reshape(u_rows, (-1, 1, 1, n))  # R_{-theta} A_u
@@ -253,10 +250,13 @@ def axis_phase_multiply(block, spec, u_rows, rate, scale, out=None):
     return out
 
 
-
 class Plan:
     """What every pass over one (u, theta) set shares, worked out once: the
-    one place that classifies and weighs the u rows.
+    one place that checks, classifies and weighs the u rows.  Before it
+    builds anything, it refuses a window that is not a
+    :class:`~clcst.windows.WindowSpec` and the lists that
+    :func:`checked_lists` refuses, and keeps the checked ``u_list``,
+    ``theta_list`` and ``u_weights``.
 
     Per u row: the steps k of u / dw (``steps``); whether u = k dw within
     ROLL_TOLERANCE steps (``on_lattice``), so that e^{j y.u} acts on a window
@@ -288,8 +288,12 @@ class Plan:
     :meth:`routes` the route of each kind of block.
     """
 
-    def __init__(self, psi, spec, u_list, theta_list, u_weights):
-        self.psi, self.spec, self.u_list = psi, spec, u_list
+    def __init__(self, psi, spec, u_list=None, theta_list=None, u_weights=None):
+        if not isinstance(psi, WindowSpec):
+            raise AnalyticWindowRequiredError("a %s is not an analytic window" % type(psi).__name__)
+        u_list, theta_list, u_weights = checked_lists(spec, u_list, theta_list, u_weights)
+        self.psi, self.spec = psi, spec
+        self.u_list, self.theta_list, self.u_weights = u_list, theta_list, u_weights
         self.steps, on_lattice = lattice_steps(u_list, spec.dw, ROLL_TOLERANCE)
         self.on_lattice = np.all(on_lattice, axis=-1)
         self.lattice_u = np.where(self.on_lattice[:, None], u_list, 0.0)
@@ -298,8 +302,7 @@ class Plan:
         self.angles = window_angles(psi, theta_list)
         self.copies = len(theta_list) // len(self.angles)
         # the tables hold psi(A_u y), not its rotations: radial windows only
-        radial = isinstance(psi, WindowSpec) and psi.radial
-        self.terms = psi.separable_terms() if radial else None
+        self.terms = psi.separable_terms() if psi.radial else None
         self.factored = np.zeros(len(u_list), dtype=bool)
         self.run_starts = np.ones(len(u_list), dtype=bool)
         if self.terms is not None:
@@ -624,20 +627,3 @@ def cst_slice(f, psi, scaling, rotation):
     out = unpack(f.ctx, correlate_window(modulated, f.spec, psi, scaling, rotation))
     return GridSignal(f.spec, f.ctx, out, f.domain)
 
-
-def cst(f, psi, u_list=None, theta_list=None):
-    """Stockwell transform volume of f against the window psi.
-
-    The window is expected to integrate to one; a non-unit integral is a
-    warning (:func:`check_analysis_inputs`).
-    """
-    check_analysis_inputs(f, psi)
-    u_list, theta_list, u_weights = checked_lists(f.spec, u_list, theta_list)
-    if len(u_list) == 0 or len(theta_list) == 0:
-        raise StockwellError("the transform needs a non-empty (u, theta) set")
-    live = live_pairs(f.data)
-    vol = CLCSTVolume(f.spec, f.ctx, u_list, theta_list, window=psi, path="cst",
-                      u_weights=u_weights, pairs=live)
-    plan = Plan(psi, f.spec, u_list, theta_list, vol.u_weights)
-    fill_volume(vol, plan, spectrum_slices(pack(f.ctx, f.data, pairs=live), plan, 0.0))
-    return vol

@@ -1,4 +1,5 @@
-"""The Clifford-valued linear canonical Stockwell transform (CLCST).
+"""The Clifford-valued linear canonical Stockwell transform (CLCST); the
+Stockwell transform (CST) is the CLCST at M = (0, 1, -1, 0).
 
 Three production evaluation paths are provided and must agree:
 
@@ -13,7 +14,8 @@ algebra.  The admissibility profile, both reconstructions and the oracles
 of :mod:`clcst.verify` (the naive O(N^(2n)) sum, the orthogonality
 relation, the reproducing kernel, the isometry ratio and the covariance
 identities) share the volume's quadrature weights, so the discrete
-identities close exactly up to window truncation.
+identities close exactly up to window truncation.  Each pass starts from
+one :class:`~clcst.stockwell.Plan`, which refuses bad lists and windows.
 """
 
 import warnings
@@ -32,6 +34,7 @@ from .grid import (
     pack,
     phase_multiply,
 )
+from .lct import LCTParams
 from .stockwell import (
     BIN_TOLERANCE,
     NonUnitWindowWarning,
@@ -39,7 +42,6 @@ from .stockwell import (
     StockwellError,
     axis_phase_multiply,
     check_analysis_inputs,
-    checked_lists,
     correlate_spectrum,
     cst_slice,
     fill_volume,
@@ -62,24 +64,13 @@ PATHS = ("direct", "three_step", "spectral")
 
 
 def _require_b_nonzero(params, spec):
-    """Refuse B = 0, and a B so small that the chirp phase A|x|^2/2B is not
-    finite on the lattice (largest |x|^2 = n L^2)."""
+    """Refuse B = 0, and a B or a half-width L at which the chirp phase
+    A|x|^2/2B is not finite on the lattice (largest |x|^2 = n L L)."""
     if params.B == 0.0:
         raise TransformError("the transform needs B != 0")
-    if not np.isfinite(params.chirp_rate * spec.n * spec.half_width**2):
-        raise TransformError(
-            "the chirp phase A|x|^2/2B is not finite on the lattice at B = %r" % params.B
-        )
-
-
-def _checked_lists(spec, u_list, theta_list, what, u_weights=None):
-    """The lists and u weights of :func:`~clcst.stockwell.checked_lists`,
-    with an empty (u, theta) set refused, which ``what`` cannot be computed
-    from."""
-    u_list, theta_list, u_weights = checked_lists(spec, u_list, theta_list, u_weights)
-    if len(u_list) == 0 or len(theta_list) == 0:
-        raise TransformError("%s needs a non-empty (u, theta) set" % what)
-    return u_list, theta_list, u_weights
+    if not np.isfinite(params.chirp_rate * spec.n * (spec.half_width * spec.half_width)):
+        raise TransformError("the chirp phase A|x|^2/2B is not finite on the lattice at B = %r, "
+                             "L = %r" % (params.B, spec.half_width))
 
 
 def clcst_kernel(psi, params, spec, ctx, b, scaling, rotation):
@@ -132,14 +123,13 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
         raise TransformError("unknown path %r (choose from %r)" % (path, PATHS))
     spec, ctx = f.spec, f.ctx
     _require_b_nonzero(params, spec)
+    plan = Plan(psi, spec, u_list, theta_list)
     check_analysis_inputs(f, psi)
-    u_list, theta_list, u_weights = _checked_lists(spec, u_list, theta_list, "the transform")
     live = live_pairs(f.data)
     z = pack(ctx, f.data, pairs=live)
     del f
-    vol = CLCSTVolume(spec, ctx, u_list, theta_list, params=params, window=psi, path=path,
-                      u_weights=u_weights, pairs=live)
-    plan = Plan(psi, spec, u_list, theta_list, vol.u_weights)
+    vol = CLCSTVolume(spec, ctx, plan.u_list, plan.theta_list, params=params, window=psi,
+                      path=path, u_weights=plan.u_weights, pairs=live)
     rate = params.chirp_rate
     if path == "three_step":  # the chirp as 1-D factors, one per axis
         axis_phase_multiply(z, spec, np.zeros((1, spec.n)), rate, 1.0, out=z)
@@ -153,6 +143,11 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
             fill_block = row_slices(_spectral_slices(z, plan, antichirp), plan)
     fill_volume(vol, plan, fill_block, None if sink is None else sink(vol))
     return vol
+
+
+def cst(f, psi, u_list=None, theta_list=None):
+    """The Stockwell transform: the CLCST at M = (0, 1, -1, 0), whose chirps are 1."""
+    return clcst(f, psi, LCTParams.cft_point(), u_list, theta_list)
 
 
 def _direct_slices(z, plan, rate, antichirp):
@@ -198,8 +193,7 @@ def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     time, and the profile is built in place of the pass's sum.
     """
     _require_b_nonzero(params, spec)
-    u_list, theta_list, u_weights = _checked_lists(spec, u_list, theta_list, "admissibility")
-    plan = Plan(psi, spec, u_list, theta_list, u_weights)
+    plan = Plan(psi, spec, u_list, theta_list)
     for block in plan.blocks(block_rows(plan.row_bytes)):
         del block  # before the next block's spectra are built
     return plan.profile()
@@ -226,12 +220,11 @@ def reconstruct_resolution(vol, psi, params):
     place of the pass's sum once the pass is done; C_psi is that profile's
     mean, and a mean that is not positive is refused.
 
-    The u and theta lists come from the volume's sidecar and are checked as
-    :func:`~clcst.stockwell.checked_lists` checks an analysis's lists.
+    The u and theta lists come from the volume's sidecar, and its
+    :class:`~clcst.stockwell.Plan` checks them and psi as an analysis's.
     """
     spec, ctx = vol.spec, vol.ctx
     _require_b_nonzero(params, spec)
-    _checked_lists(spec, vol.u_list, vol.theta_list, "resolution synthesis", vol.u_weights)
     rate = params.chirp_rate
     plan = Plan(psi, spec, vol.u_list, vol.theta_list, vol.u_weights)
     columns = max(vol.stored_theta_columns, len(plan.angles))

@@ -58,7 +58,6 @@ from .stockwell import (
     Plan,
     Rotation,
     ScalingMatrix,
-    cst,
     cst_slice,
     minimal_image,
     transformed_window_values,
@@ -71,6 +70,7 @@ from .transform import (
     admissibility_profile,
     clcst,
     clcst_kernel,
+    cst,
     marginal_spectrum,
     modulated_window_spectrum,
     reconstruct_marginal,

@@ -20,7 +20,6 @@ from clcst.stockwell import (
     Plan,
     Rotation,
     ScalingMatrix,
-    cst,
     cst_slice,
     transformed_window_values,
 )
@@ -28,6 +27,7 @@ from clcst.transform import (
     PATHS,
     admissibility_profile,
     clcst,
+    cst,
     marginal_spectrum,
     modulated_window_spectrum,
     reconstruct_marginal,
@@ -867,8 +867,8 @@ def test_only_off_lattice_rows_are_modulated_one_by_one(n, path, phases):
     """The lattice rows of a block take their e^{-j u.b} (e^{+j u.b} in
     resolution synthesis), chirp and scale in one call for the whole block;
     only an off-lattice row modulates an array of pairs on its own, beside
-    the one chirp of the signal (three_step) or of the synthesis
-    (resolution).  The blocks mix both kinds of row."""
+    the one chirp of the signal (three_step, and cst, whose chirp is by 1)
+    or of the synthesis (resolution).  The blocks mix both kinds of row."""
     spec, ctx = setting(n)
     psi = GaussianWindow(n, sigma=0.9)
     u = mixed_u_list(spec)
@@ -887,7 +887,7 @@ def test_only_off_lattice_rows_are_modulated_one_by_one(n, path, phases):
     if path == "resolution":  # then the closing chirp, common to every term
         rows, shape = phases.pop()
         assert not rows.any() and shape == (pairs,) + spec.shape
-    elif path == "three_step":  # first the signal's chirp, common to every row
+    else:  # first the signal's chirp, common to every row (by 1 in cst)
         rows, shape = phases.pop(0)
         assert not rows.any() and shape == (pairs,) + spec.shape
     per_row = [rows for rows, shape in phases if shape == (pairs,) + spec.shape]

@@ -20,6 +20,7 @@ from clcst.io import (
 )
 from clcst.lct import LCTParams
 from clcst.transform import clcst
+from clcst.volume import CLCSTVolume
 from clcst.windows import (
     WINDOWS,
     CompositeWindow,
@@ -782,6 +783,64 @@ def test_cli_failed_allocation_is_one_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config, message", [
+    (["--kind", "chirp", "--rate", "1e308"], None, "got --rate 1e+308 at --half-width 6.0"),
+    (["--kind", "chirp", "--half-width", "1e200"], None, "got --rate 0.5 at --half-width 1e+200"),
+    (["--kind", "gaussian_mixture", "--seed", "-1"], None, "--seed must be non-negative, got -1"),
+    (["--kind", "gaussian_mixture"], {"seed": -1}, "--seed must be non-negative, got -1"),
+], ids=["rate-overflows", "half-width-overflows", "negative-seed", "negative-seed-config"])
+def test_cli_synthesis_refuses_a_chirp_or_seed_it_cannot_use(tmp_path, flags, config, message):
+    """A chirp whose phase rate |x|^2 overflows on the lattice wrote a grid
+    of mostly non-finite samples, and a negative seed, as a flag or from
+    --config, ended in numpy's traceback; each is refused in one line that
+    names the value, and nothing is written."""
+    out = tmp_path / "f.clcg"
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        flags = flags + ["--config", str(tmp_path / "run.json")]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main(["synthesize", "--samples", "16", "--out", str(out)] + flags)
+    assert message in str(err.value) and "\n" not in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["transform", "kernel-dump"])
+def test_cli_refuses_a_half_width_whose_square_overflows(tmp_path, command):
+    """The chirp test took L**2 as a float power, which raises OverflowError
+    past the float range, and ended in a traceback; a half-width whose
+    square overflows is refused in one line that names it."""
+    spec = GridSpec(2, 1e200, 16)
+    src, out = tmp_path / "f.clcg", tmp_path / "out.clcg"
+    write_grid(src, GridSignal.zero(spec, CTX))
+    where = (["--input", str(src)] if command == "transform"
+             else ["--half-width", "1e200", "--samples", "16"])
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main([command, *where, "--out", str(out)])
+    assert "L = 1e+200" in str(err.value) and "\n" not in str(err.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_cli_resolution_refuses_a_volume_without_a_window(tmp_path):
+    """A volume whose sidecar window is null cannot be synthesized by the
+    resolution formula: it is refused before any pass, naming the cause and
+    not the transform, and no grid is written."""
+    rng = np.random.default_rng(3)
+    shape = (2, 1, CTX.blade_count // 2) + SPEC.shape
+    stored = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vol = CLCSTVolume(SPEC, CTX, [[1.0, 1.0], [2.0, -1.0]], [0.0], stored=stored,
+                      params=LCTParams(1, 2, 1, 3), window=None, path="three_step")
+    write_volume(tmp_path / "vol.clcg", vol)
+    assert read_volume(tmp_path / "vol.clcg").window is None
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main(["reconstruct", "--volume", str(tmp_path / "vol.clcg"), "--method", "resolution",
+              "--out", str(tmp_path / "rec.clcg")])
+    assert str(err.value) == "volume carries no window; the resolution synthesis needs one"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_cli_empty_u_list_writes_nothing(tmp_path):
     """A tensor u list with no value on an axis has no rows: the transform
     exits with one line and writes no volume, sidecar or report, instead of
@@ -791,7 +850,8 @@ def test_cli_empty_u_list_writes_nothing(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["transform", "--input", str(src), "--out", str(out),
               "--u-list", '{"kind": "tensor", "per_axis": [[], [1.0]]}'])
-    assert str(err.value) == "clcst transform: the transform needs a non-empty (u, theta) set"
+    assert str(err.value) == ("clcst transform: u list is empty; "
+                              "a (u, theta) set must be non-empty")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.clcg", "f.clcg.json"]
 
 

@@ -13,12 +13,11 @@ from clcst.stockwell import (
     ScalingMatrix,
     StockwellError,
     checked_lists,
-    cst,
     cst_slice,
     minimal_image,
     window_family,
 )
-from clcst.transform import admissibility_profile, clcst
+from clcst.transform import admissibility_profile, clcst, cst
 from clcst.verify import cst_direct_point
 from clcst.volume import default_u_list
 from clcst.windows import GaussianWindow

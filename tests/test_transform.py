@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,14 @@ from clcst.grid import (
     sample,
 )
 from clcst.lct import LCTParams
-from clcst.stockwell import Rotation, ScalingMatrix, StockwellError, cst
+from clcst.stockwell import Plan, Rotation, ScalingMatrix, StockwellError
 from clcst.transform import (
     MissingCoverageError,
     TransformError,
     admissibility_profile,
     clcst,
     clcst_kernel,
+    cst,
     marginal_spectrum,
     reconstruct_marginal,
     reconstruct_resolution,
@@ -219,7 +222,7 @@ def test_admissibility_profile_properties():
     zero_win = GaussianWindow(2, sigma=1.0, amplitude=0.0)
     zp, zstats = admissibility_profile(zero_win, M, SPEC, CTX, U_LIST, THETAS)
     assert np.all(zp == 0.0)
-    with pytest.raises(TransformError):
+    with pytest.raises(StockwellError):
         admissibility_profile(PSI, M, SPEC, CTX, np.zeros((0, 2)), THETAS)
     with pytest.raises(StockwellError):
         admissibility_profile(PSI, M, SPEC, CTX, U_LIST, [0.3, 0.3])  # repeated angle
@@ -328,13 +331,12 @@ def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta
         raise AssertionError("a volume was allocated before the lists were checked")
 
     monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
-    monkeypatch.setattr("clcst.stockwell.CLCSTVolume", no_volume)
     with pytest.raises(StockwellError, match=message):
         analyze(scalar_mixture(3), np.array(u_list), theta_list)
 
 
 @pytest.mark.parametrize("analyze, error", [
-    (lambda f, u, t: clcst(f, PSI, M, u, t), TransformError),
+    (lambda f, u, t: clcst(f, PSI, M, u, t), StockwellError),
     (lambda f, u, t: cst(f, PSI, u, t), StockwellError),
 ], ids=["clcst", "cst"])
 @pytest.mark.parametrize("u_list, theta_list", [
@@ -343,15 +345,50 @@ def test_bad_lists_refused_before_allocation(monkeypatch, analyze, u_list, theta
 ], ids=["u", "theta"])
 def test_empty_lists_refused_before_allocation(monkeypatch, analyze, error, u_list, theta_list):
     """An empty u or theta list is refused before a volume is allocated,
-    with each function's own error, as admissibility_profile and
-    reconstruct_resolution refuse it, not analyzed into an empty volume."""
+    by the plan, as admissibility_profile and reconstruct_resolution refuse
+    it, not analyzed into an empty volume."""
     def no_volume(*args, **kwargs):
         raise AssertionError("a volume was allocated before the lists were checked")
 
     monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
-    monkeypatch.setattr("clcst.stockwell.CLCSTVolume", no_volume)
     with pytest.raises(error, match="non-empty"):
         analyze(scalar_mixture(3), u_list, theta_list)
+
+
+def stored_lists(u_list, theta_list):
+    """A volume as reconstruct_resolution reads it, holding the given lists
+    and no rows: a CLCSTVolume refuses an empty theta list itself."""
+    return SimpleNamespace(spec=SPEC, ctx=CTX, u_list=u_list, theta_list=theta_list,
+                           u_weights=None)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda psi, u, t: Plan(psi, SPEC, u, t),
+    lambda psi, u, t: clcst(scalar_mixture(3), psi, M, u, t),
+    lambda psi, u, t: cst(scalar_mixture(3), psi, u, t),
+    lambda psi, u, t: admissibility_profile(psi, M, SPEC, CTX, u, t),
+    lambda psi, u, t: reconstruct_resolution(stored_lists(u, t), psi, M),
+], ids=["Plan", "clcst", "cst", "admissibility_profile", "reconstruct_resolution"])
+@pytest.mark.parametrize("psi, u_list, theta_list, message", [
+    (PSI, np.array([[DW, DW], [2 * DW, 0.0]]), [0.0], "u row 1 has a zero component"),
+    (PSI, np.zeros((0, 2)), THETAS, "u list is empty"),
+    (PSI, U_LIST, [], "theta list is empty"),
+    (None, U_LIST, THETAS, "NoneType is not an analytic window"),
+], ids=["zero-u", "empty-u", "empty-theta", "no-window"])
+def test_every_pass_is_refused_at_its_plan(monkeypatch, entry, psi, u_list, theta_list,
+                                           message):
+    """The plan is the one front door of every pass: a zero u component, an
+    empty u or theta list and a window that is not analytic are refused by
+    the same error, naming the fault, before any volume, per-axis table,
+    window spectrum or profile array is allocated."""
+    def refused(*args, **kwargs):
+        raise AssertionError("work was allocated before the plan refused its input")
+
+    monkeypatch.setattr("clcst.transform.CLCSTVolume", refused)
+    monkeypatch.setattr("clcst.stockwell.AxisTables", refused)
+    monkeypatch.setattr(Plan, "blocks", refused)  # the profile sum and the window spectra
+    with pytest.raises(StockwellError, match=message):
+        entry(psi, u_list, theta_list)
 
 
 @pytest.mark.parametrize("analyze", [
@@ -364,7 +401,6 @@ def test_non_finite_signal_refused_before_allocation(monkeypatch, analyze, bad):
         raise AssertionError("a volume was allocated before the signal was checked")
 
     monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
-    monkeypatch.setattr("clcst.stockwell.CLCSTVolume", no_volume)
     f = multivector_noise(14)
     f.data[2, 5, 7] = bad
     with pytest.raises(StockwellError, match="1 non-finite"):

@@ -93,7 +93,7 @@ def modulated_window_spectrum(psi, spec, scaling, rotation):
 
 
 def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=None):
-    """CLCST volume of f via the requested evaluation path.
+    """CLCST volume of f on the requested path; its Plan checks lists and psi first.
 
     Every path runs in the slice engine (:func:`~clcst.stockwell.fill_volume`),
     which builds each (u, theta) window spectrum once (a radial window's once
@@ -181,16 +181,16 @@ def _spectral_slices(h, plan, antichirp):
 def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
     """C_psi(w) = sum over (u, theta) of weights |det A_u|^2 |Q_{u,theta}(w)|^2.
 
-    Returns the profile on the centered frequency lattice, one real array
-    of spec.shape (:meth:`~clcst.stockwell.Plan.profile`), plus min/max/mean
+    Returns the profile on the centered frequency lattice, one real array of
+    spec.shape (:meth:`~clcst.stockwell.Plan.profile`), plus min/max/mean
     and their relative variation; the resolution-of-identity error is
-    governed by how far this profile is from a constant.  The profile is
-    scalar in every algebra, so ``ctx`` is not read.  The analysis pass
-    (:func:`~clcst.stockwell.fill_volume`) accumulates the same profile in
-    the same :class:`~clcst.stockwell.Plan` pass, from the per-axis tables
-    on the factored runs of a separable window; a radial window's one term
-    per u counts T times.  Only one block of window spectra is held at a
-    time, and the profile is built in place of the pass's sum.
+    governed by how far this profile is from a constant.  The plan checks
+    the lists and psi first; the profile is scalar, so ``ctx`` is not read.
+    The analysis pass (:func:`~clcst.stockwell.fill_volume`) accumulates the
+    same profile in its own pass, from the per-axis tables on the factored
+    runs of a separable window; a radial window's one term per u counts T
+    times.  Only one block of window spectra is held at a time, and the
+    profile is built in place of the pass's sum.
     """
     _require_b_nonzero(params, spec)
     plan = Plan(psi, spec, u_list, theta_list)

@@ -239,12 +239,15 @@ def cmd_synthesize(args):
         signal = GridSignal.from_scalar(spec, ctx, vals)
     elif kind == "chirp":
         # as the transform's chirp: largest |x|^2 = n L^2, overflowing to inf
-        if not np.isfinite(cfg["rate"] * spec.n * (spec.half_width * spec.half_width)):
+        rate = cfg["rate"]
+        if rate and not np.isfinite(rate * spec.n * (spec.half_width * spec.half_width)):
             raise SystemExit("--rate must be finite, and so must its chirp phase rate |x|^2 on "
                              "the lattice: got --rate %r at --half-width %r"
-                             % (cfg["rate"], spec.half_width))
+                             % (rate, spec.half_width))
         ones = sample(lambda x: np.ones(x.shape[1:]), spec, ctx)
-        signal = phase_multiply(ones, cfg["rate"] * spec.squared_radius())
+        # a rate of 0 is no chirp, though |x|^2 may overflow and 0 x inf is NaN
+        phase = rate * spec.squared_radius() if rate else np.zeros(spec.shape)
+        signal = phase_multiply(ones, phase)
     else:
         raise SystemExit("unknown synthesis kind %r" % kind)
     write_grid(args.out, signal)

@@ -32,8 +32,6 @@ and the volume stores those pairs alone (``CLCSTVolume.pairs``).  A scalar
 signal has one live pair of the 2^(n-1).
 """
 
-import warnings
-
 import numpy as np
 
 from .axis import ROLL_TOLERANCE, AxisRoute, AxisTables
@@ -74,25 +72,16 @@ class NonUnitWindowWarning(UserWarning):
     pass
 
 
-def check_analysis_inputs(f, psi):
+def check_analysis_inputs(f):
     """Refuse a signal that clcst cannot analyze, one that is not a finite
-    space-domain signal in a kernel-compatible algebra.  A window (which the
-    :class:`Plan` checks) that does not integrate to one is a
-    :class:`NonUnitWindowWarning` (an error under an "error" filter),
-    because the reconstruction identities assume a unit integral."""
+    space-domain signal in a kernel-compatible algebra, before its plan is
+    built."""
     _require_transformable(f)
     if f.domain != SPACE:
         raise GridError("the transform expects a space-domain signal")
     bad = int(np.count_nonzero(~np.isfinite(f.data)))
     if bad:
         raise StockwellError("signal has %d non-finite samples" % bad)
-    if not psi.is_unit_integral():
-        warnings.warn(
-            "window integral is %g, not 1; reconstruction identities assume 1"
-            % psi.integral(),
-            NonUnitWindowWarning,
-            stacklevel=3,
-        )
 
 
 def checked_lists(spec, u_list=None, theta_list=None, u_weights=None):

@@ -64,11 +64,16 @@ PATHS = ("direct", "three_step", "spectral")
 
 
 def _require_b_nonzero(params, spec):
-    """Refuse B = 0, and a B or a half-width L at which the chirp phase
-    A|x|^2/2B is not finite on the lattice (largest |x|^2 = n L L)."""
+    """Refuse B = 0, a half-width L at which the lattice's largest |x|^2 =
+    n L L is not finite (the chirp phase is formed as A/B x |x|^2 even at A
+    = 0), and a B at which the chirp phase A|x|^2/2B is not finite."""
     if params.B == 0.0:
         raise TransformError("the transform needs B != 0")
-    if not np.isfinite(params.chirp_rate * spec.n * (spec.half_width * spec.half_width)):
+    radius2 = spec.n * (spec.half_width * spec.half_width)  # overflows to inf, never raises
+    if not np.isfinite(radius2):
+        raise TransformError("the lattice's largest |x|^2 = n L^2 is not finite at L = %r"
+                             % spec.half_width)
+    if not np.isfinite(params.chirp_rate * radius2):
         raise TransformError("the chirp phase A|x|^2/2B is not finite on the lattice at B = %r, "
                              "L = %r" % (params.B, spec.half_width))
 
@@ -93,7 +98,10 @@ def modulated_window_spectrum(psi, spec, scaling, rotation):
 
 
 def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=None):
-    """CLCST volume of f on the requested path; its Plan checks lists and psi first.
+    """CLCST volume of f on the requested path: f is checked first, then its
+    Plan checks the lists and psi, and a window that does not integrate to
+    one, as the reconstruction identities assume, is a
+    :class:`~clcst.stockwell.NonUnitWindowWarning`.
 
     Every path runs in the slice engine (:func:`~clcst.stockwell.fill_volume`),
     which builds each (u, theta) window spectrum once (a radial window's once
@@ -123,8 +131,11 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
         raise TransformError("unknown path %r (choose from %r)" % (path, PATHS))
     spec, ctx = f.spec, f.ctx
     _require_b_nonzero(params, spec)
+    check_analysis_inputs(f)
     plan = Plan(psi, spec, u_list, theta_list)
-    check_analysis_inputs(f, psi)
+    if not psi.is_unit_integral():  # an error under an "error" filter
+        warnings.warn("window integral is %g, not 1; reconstruction identities assume 1"
+                      % psi.integral(), NonUnitWindowWarning, stacklevel=2)
     live = live_pairs(f.data)
     z = pack(ctx, f.data, pairs=live)
     del f

@@ -33,7 +33,7 @@ from clcst.transform import (
     reconstruct_marginal,
     reconstruct_resolution,
 )
-from clcst.verify import clcst_direct_sum_slice, cst_direct_point, volume_energy
+from clcst.verify import clcst_direct_sum_slice, cst_deviation, cst_direct_point, volume_energy
 from clcst.volume import (
     CLCSTVolume,
     default_u_list,
@@ -168,9 +168,13 @@ def test_three_step_matches_direct_per_slice(n, psi_kind):
     rolled = clcst(f, psi, M, u, THETAS, path="three_step")
     direct = clcst(f, psi, M, u, THETAS, path="direct")
     assert_slices_close(rolled, direct, 1e-12)
-    # at the CFT point the transform is the Stockwell transform, also rolled
+    # at the CFT point the transform is the Stockwell transform, also rolled,
+    # slice by slice as cst_slice computes it apart from the plan
     at_cft_point = clcst(f, psi, LCTParams.cft_point(), u, THETAS, path="direct")
     assert_slices_close(cst(f, psi, u, THETAS), at_cft_point, 1e-12)
+    slices = list(np.ndindex(len(u), len(THETAS)))
+    assert cst_deviation(at_cft_point, f, psi, slices) < 1e-12
+    assert cst_deviation(cst(f, psi, u, THETAS), f, psi, slices) < 1e-12
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

@@ -805,6 +805,16 @@ def test_cli_synthesis_refuses_a_chirp_or_seed_it_cannot_use(tmp_path, flags, co
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def test_cli_chirp_of_rate_zero_is_ones_on_any_lattice(tmp_path):
+    """A chirp of rate 0 is no chirp: it is not refused, and it writes ones
+    even where the lattice's |x|^2 overflows, where 0 x inf would be NaN."""
+    out = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "chirp", "--rate", "0", "--half-width", "1e200",
+          "--samples", "8", "--out", str(out)])
+    data = read_grid(out).data
+    assert np.all(data[0] == 1.0) and np.all(data[1:] == 0.0)
+
+
 @pytest.mark.parametrize("command", ["transform", "kernel-dump"])
 def test_cli_refuses_a_half_width_whose_square_overflows(tmp_path, command):
     """The chirp test took L**2 as a float power, which raises OverflowError

@@ -30,6 +30,7 @@ from clcst.transform import (
 from clcst.verify import (
     clcst_direct_sum_slice,
     covariance_suite,
+    cst_deviation,
     isometry_ratio,
     orthogonality_check,
     reproducing_kernel,
@@ -124,11 +125,14 @@ def test_zero_signal_gives_zero_volume():
 
 
 def test_degenerates_to_cst():
+    """At M = (0, 1, -1, 0) every path, and cst, gives the Stockwell slices
+    that cst_slice computes one by one, apart from the volume's plan."""
     f = scalar_mixture(seed=2)
+    slices = list(np.ndindex(len(U_LIST), len(THETAS)))
     for path in ("direct", "three_step", "spectral"):
         v = clcst(f, PSI, LCTParams.cft_point(), U_LIST, THETAS, path=path)
-        vc = cst(f, PSI, U_LIST, THETAS)
-        assert v.rel_max_difference(vc) < 1e-12
+        assert cst_deviation(v, f, PSI, slices) < 1e-12
+    assert cst_deviation(cst(f, PSI, U_LIST, THETAS), f, PSI, slices) < 1e-12
 
 
 def test_direct_sum_oracle_agreement():
@@ -397,10 +401,14 @@ def test_every_pass_is_refused_at_its_plan(monkeypatch, entry, psi, u_list, thet
 ], ids=["clcst", "cst"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_signal_refused_before_allocation(monkeypatch, analyze, bad):
+    """The signal is checked before its plan, so before any volume or
+    per-axis table is built."""
     def no_volume(*args, **kwargs):
-        raise AssertionError("a volume was allocated before the signal was checked")
+        raise AssertionError("a volume, plan or table was built before the signal was checked")
 
     monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
+    monkeypatch.setattr("clcst.transform.Plan", no_volume)
+    monkeypatch.setattr("clcst.stockwell.AxisTables", no_volume)
     f = multivector_noise(14)
     f.data[2, 5, 7] = bad
     with pytest.raises(StockwellError, match="1 non-finite"):
@@ -418,6 +426,20 @@ def test_tiny_b_refused_before_allocation(monkeypatch, B):
         clcst(scalar_mixture(3), PSI, params, U_LIST, THETAS)
     with pytest.raises(TransformError, match="not finite"):
         admissibility_profile(PSI, params, SPEC, CTX, U_LIST, THETAS)
+
+
+def test_overflowing_lattice_is_refused_by_its_half_width(monkeypatch):
+    """At the CFT point (A = 0) the chirp is 1, but the pass still forms
+    A/B |x|^2 on the lattice, 0 x inf at L = 1e200: the refusal names the
+    half-width and not B, before any volume is allocated."""
+    def no_volume(*args, **kwargs):
+        raise AssertionError("a volume was allocated before the lattice was checked")
+
+    monkeypatch.setattr("clcst.transform.CLCSTVolume", no_volume)
+    f = GridSignal.zero(GridSpec(2, 1e200, 8), CTX)
+    with pytest.raises(TransformError) as err:
+        cst(f, PSI, np.array([[1.0, 1.0]]), [0.0])
+    assert str(err.value) == "the lattice's largest |x|^2 = n L^2 is not finite at L = 1e+200"
 
 
 def test_marginal_errors():

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .algebra import AlgebraError, transform_algebra
-from .grid import GridError, GridSignal, GridSpec, phase_multiply, sample
+from .grid import GridError, GridSignal, GridSpec, chirp_multiply, sample
 from .io import (  # write_volume stays importable here for call tracing
     FormatError,
     export_spectrogram_csv,
@@ -239,15 +239,13 @@ def cmd_synthesize(args):
         signal = GridSignal.from_scalar(spec, ctx, vals)
     elif kind == "chirp":
         # as the transform's chirp: largest |x|^2 = n L^2, overflowing to inf
-        rate = cfg["rate"]
-        if rate and not np.isfinite(rate * spec.n * (spec.half_width * spec.half_width)):
+        if cfg["rate"] and not np.isfinite(
+                cfg["rate"] * spec.n * (spec.half_width * spec.half_width)):
             raise SystemExit("--rate must be finite, and so must its chirp phase rate |x|^2 on "
                              "the lattice: got --rate %r at --half-width %r"
-                             % (rate, spec.half_width))
+                             % (cfg["rate"], spec.half_width))
         ones = sample(lambda x: np.ones(x.shape[1:]), spec, ctx)
-        # a rate of 0 is no chirp, though |x|^2 may overflow and 0 x inf is NaN
-        phase = rate * spec.squared_radius() if rate else np.zeros(spec.shape)
-        signal = phase_multiply(ones, phase)
+        signal = chirp_multiply(ones, cfg["rate"])  # at rate 0 the ones, with no 0 x inf phase
     else:
         raise SystemExit("unknown synthesis kind %r" % kind)
     write_grid(args.out, signal)

@@ -309,10 +309,11 @@ class AxisRoute:
                 node = self.nodes[-1]
                 stacked = np.moveaxis(node.reshape(len(node), -1, N), 0, 1)
                 stacked = stacked.reshape(-1, len(node) * N)
-            for lo, hi in _spans(dense, span):
-                # per row, that partial times the row's operators, stacked alike
-                ops = self._operators(last, j[lo:hi], scale[lo:hi], "rtxb").reshape(hi - lo, -1, N)
-                np.matmul(stacked, ops, out=rows[lo:hi].reshape(hi - lo, -1, N))
+                for lo, hi in _spans(dense, span):
+                    # per row, that partial times the row's operators, stacked alike
+                    ops = self._operators(last, j[lo:hi], scale[lo:hi], "rtxb")
+                    np.matmul(stacked, ops.reshape(hi - lo, -1, N),
+                              out=rows[lo:hi].reshape(hi - lo, -1, N))
             summed = np.flatnonzero(~dense)  # the rows whose terms are summed in a spectrum
             if not len(summed):
                 continue
@@ -392,19 +393,19 @@ class AxisRoute:
         for first, end, j in self._walk(start, stop, tables.index, self._close, lambda axis: None):
             rows, w = slices[first:end], weights[first:end]
             dense = self._dense(last, j)
-            for lo, hi in _spans(dense, span):
-                # the rows side by side against their adjoints stacked alike,
-                # summed over the rows and b by the contraction
-                stacked = np.moveaxis(rows[lo:hi].reshape(hi - lo, -1, N), 0, 1)
-                stacked = stacked.reshape(-1, (hi - lo) * N)
-                adjoints = self._operators(last, j[lo:hi], w[lo:hi], "rbtx", adjoint=True)
-                summed = np.matmul(stacked, adjoints.reshape((hi - lo) * N, -1))
-                space = self._buffer(last, 1, rows)
-                summed = summed.reshape(-1, len(space), N)
-                space.reshape(len(space), -1, N)[...] += np.moveaxis(summed, 1, 0)
-            if dense.all():
-                continue
             if dense.any():
+                for lo, hi in _spans(dense, span):
+                    # the rows side by side against their adjoints stacked
+                    # alike, summed over the rows and b by the contraction
+                    stacked = np.moveaxis(rows[lo:hi].reshape(hi - lo, -1, N), 0, 1)
+                    stacked = stacked.reshape(-1, (hi - lo) * N)
+                    adjoints = self._operators(last, j[lo:hi], w[lo:hi], "rbtx", adjoint=True)
+                    summed = np.matmul(stacked, adjoints.reshape((hi - lo) * N, -1))
+                    space = self._buffer(last, 1, rows)
+                    summed = summed.reshape(-1, len(space), N)
+                    space.reshape(len(space), -1, N)[...] += np.moveaxis(summed, 1, 0)
+                if dense.all():
+                    continue
                 rows, w, j = rows[~dense], w[~dense], j[~dense]
             self._add(last, rows[:, None], j, w)
 

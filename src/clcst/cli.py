@@ -103,6 +103,9 @@ def _u_list(u, spec):
         return np.asarray(u, dtype=np.float64)
     kind = u.get("kind", "default") if isinstance(u, dict) else None
     if kind == "default":
+        if spec.samples_per_axis < 4:
+            raise SystemExit("the default u list is empty at N = %d samples per axis: it needs "
+                             "N >= 4, or an explicit --u-list" % spec.samples_per_axis)
         return default_u_list(spec)
     if kind in ("multiples", "tensor") and "per_axis" in u:
         per_axis = u["per_axis"]

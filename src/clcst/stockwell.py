@@ -96,9 +96,13 @@ def checked_lists(spec, u_list=None, theta_list=None, u_weights=None):
     for distinct angles.  The u weights, by default those of
     :func:`~clcst.volume.u_weights_from_list`, must be finite, and |det
     A_u|^2 x u weight, which weighs the row's profile term, a normal number.
-    None selects the default list.
+    None selects the default list, which is empty below N = 4 samples per
+    axis.
     """
     if u_list is None:
+        if spec.samples_per_axis < 4:
+            raise StockwellError("the default u list is empty at N = %d samples per axis: it "
+                                 "needs N >= 4, or an explicit u list" % spec.samples_per_axis)
         u_list = default_u_list(spec)
     if theta_list is None:
         theta_list = DEFAULT_THETAS
@@ -314,18 +318,19 @@ class Plan:
         per_point = 16 if self.terms is not None else max(40, 16 * self.spec.n + 8)
         return per_point * len(self.angles) * self.spec.point_count
 
-    def _bounds(self, rows):
-        """(start, stop) of consecutive blocks of at most ``rows`` u rows,
-        each of them factored or not throughout."""
+    def bounds(self, rows, factored_rows=None):
+        """(start, stop) of consecutive blocks of u rows, each factored or
+        not throughout: at most ``rows`` rows, or ``factored_rows`` (by
+        default ``rows``) in a factored block."""
         edges = [0, *(np.flatnonzero(np.diff(self.factored)) + 1), len(self.u_list)]
         for first, last in zip(edges[:-1], edges[1:]):
-            for start in range(first, last, rows):
-                yield start, min(start + rows, last)
+            step = rows if factored_rows is None or not self.factored[first] else factored_rows
+            for start in range(first, last, step):
+                yield start, min(start + step, last)
 
-    def blocks(self, rows):
-        """(start, stop, M, B) for consecutive blocks of at most ``rows`` u
-        rows, each factored or not throughout.  A factored block has in M's
-        place the plan's tables with the block's index
+    def blocks(self, rows, factored_rows=None):
+        """(start, stop, M, B) for the blocks of :meth:`bounds`.  A factored
+        block has in M's place the plan's tables with the block's index
         (:meth:`~clcst.axis.AxisTables.block`) and B empty: its slices need
         no n-D spectra.
 
@@ -354,7 +359,7 @@ class Plan:
         if self.factored.any():
             self.power += self.tables.power(power_weights[self.factored])
         done = 0  # factored rows yielded
-        for start, stop in self._bounds(rows):
+        for start, stop in self.bounds(rows, factored_rows):
             u_rows = self.u_list[start:stop]
             if self.factored[start]:
                 done += stop - start
@@ -529,8 +534,12 @@ def fill_volume(vol, plan, fill_block, sink=None):
     their FFTs and products are all the engine computes.  A scalar signal,
     like every input ``clcst synthesize`` makes, has one live pair.
 
-    Each finished block, a few MB in one buffer that the next block reuses,
-    goes to ``sink(start, stop, block)`` in u order.  By default vol
+    Each finished block goes to ``sink(start, stop, block)`` in u order,
+    in one buffer that the next block reuses, allocated for the largest
+    block of the plan.  An n-D block holds about BLOCK_BYTES of rows,
+    counted by every pair of the algebra, since its window spectra are as
+    many; a factored block, whose tables are the plan's, at most
+    BLOCK_BYTES / 8 of stored rows, and at least one row.  By default vol
     allocates its payload, and each block is set into its rows
     (:meth:`~clcst.volume.CLCSTVolume.set_slice`).  Each window's
     admissibility term |M|^2, weighted as the volume is, is added to the
@@ -544,12 +553,14 @@ def fill_volume(vol, plan, fill_block, sink=None):
         def sink(start, stop, block):
             vol.set_slice(slice(start, stop), slice(None), block)
 
-    # rows are counted by every pair of the algebra, so that a block stays
-    # about BLOCK_BYTES whatever the stored pairs
+    # a factored block's rows only batch the last axis's inverse FFT and the
+    # sink's write, so they are far fewer bytes than an n-D block's spectra
     shape = vol.stored_shape[1:2] + (vol.ctx.blade_count // 2,) + vol.spec.shape
     rows = block_rows(16 * np.prod(shape))
-    buffer = np.empty((min(rows, vol.u_count),) + vol.stored_shape[1:], dtype=np.complex128)
-    for start, stop, M, B in plan.blocks(rows):
+    factored_rows = block_rows(8 * 16 * np.prod(vol.stored_shape[1:]))
+    largest = max(stop - start for start, stop in plan.bounds(rows, factored_rows))
+    buffer = np.empty((largest,) + vol.stored_shape[1:], dtype=np.complex128)
+    for start, stop, M, B in plan.blocks(rows, factored_rows):
         block = buffer[:stop - start]
         fill_block(start, stop, M, B, block)
         del M, B  # before the next block's spectra are built

@@ -512,6 +512,48 @@ def test_factored_runs_cut_by_blocks_keep_their_partials(n, rows, monkeypatch):
         assert_close(synthesis.data, dense[0].data, 1e-12)
 
 
+def recorded_blocks(f, psi, u):
+    """(start, stop) of each block that clcst hands its sink, in order, and
+    the bytes of one stored row."""
+    blocks = []
+    vol = clcst(f, psi, M, u, THETAS,
+                sink=lambda vol: lambda start, stop, block: blocks.append((start, stop)))
+    return blocks, 16 * int(np.prod(vol.stored_shape[1:]))
+
+
+def cut(count, rows):
+    return [(start, min(start + rows, count)) for start in range(0, count, rows)]
+
+
+@pytest.mark.parametrize("kind", ["factored", "wide-rows", "n-D"])
+def test_fill_volume_sizes_its_blocks_by_kind(kind):
+    """A factored block holds no window spectra, so fill_volume cuts it at
+    BLOCK_BYTES / 8 of stored rows, and at one row where a stored row is
+    larger than that; an n-D block builds its spectra and keeps its rows
+    counted by every pair of the algebra, about BLOCK_BYTES of them."""
+    from clcst.volume import BLOCK_BYTES
+
+    if kind == "wide-rows":
+        spec, ctx = GridSpec(3, 4.0, 24), transform_algebra(3)
+        psi, dw = GaussianWindow(3, sigma=0.9), spec.dw
+        u = tensor_u_list([[dw], [2 * dw], [-dw, 0.37 * dw, 3 * dw]])
+    else:
+        spec, ctx = setting(2)
+        psi, u = radial_window(2, "dog"), default_u_list(spec)
+        if kind == "n-D":
+            u = np.random.default_rng(17).permutation(u)
+    factored = Plan(psi, spec, u, THETAS).factored
+    assert factored.all() if kind != "n-D" else not factored.any()
+    blocks, row_bytes = recorded_blocks(noise(spec, ctx, seed=3), psi, u)
+    if kind == "n-D":  # one stored column, and 2^(n-1) pairs of the algebra
+        rows = BLOCK_BYTES // (16 * ctx.blade_count // 2 * spec.point_count)
+    else:
+        rows = max(1, BLOCK_BYTES // 8 // row_bytes)
+    if kind == "wide-rows":
+        assert row_bytes > BLOCK_BYTES // 8 and rows == 1
+    assert blocks == cut(len(u), rows)
+
+
 # (n, window, u list, DENSE_AXIS_SAMPLES, block rows or None, stored
 # columns): every window and list at both n on the dense branch, one stored
 # column for a radial window; the separable windows' factored lists on the

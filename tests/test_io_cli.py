@@ -561,6 +561,30 @@ def test_cli_transform_peak_is_the_slice_engine(tmp_path, samples, bound):
     assert peak < bound
 
 
+def test_cli_lattice_transform_peak_is_not_its_block_buffer(tmp_path):
+    """An n = 2 transform of the analyze-lattice-n2 benchmark's inputs (DOG
+    lambda = 0.5, default lists, N = 64, 1,024 factored u) peaked at 3.53 MB
+    traced while its block buffer held 32 rows counted by every pair of the
+    algebra, 2.10 MB; with factored blocks of at most BLOCK_BYTES / 8 of
+    stored rows, 0.52 MB, it peaks at 1.84 MB.  One untraced transform runs
+    first."""
+    import tracemalloc
+
+    src = tmp_path / "f.clcg"
+    assert main(["synthesize", "--kind", "example1", "--n", "2", "--half-width", "6",
+                 "--samples", "64", "--out", str(src)]) == 0
+    argv = ["transform", "--input", str(src), "--A", "1", "--B", "2", "--C", "1", "--D", "3",
+            "--window", "dog", "--lam", "0.5", "--out", str(tmp_path / "vol.clcg")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 def test_cli_marginal_reads_its_column_in_slabs(tmp_path):
     """reconstruct --method marginal takes one dot product per stored row,
     so it reads its one column in slabs of at most MARGINAL_READ_BYTES, not
@@ -862,6 +886,19 @@ def test_cli_empty_u_list_writes_nothing(tmp_path):
               "--u-list", '{"kind": "tensor", "per_axis": [[], [1.0]]}'])
     assert str(err.value) == ("clcst transform: u list is empty; "
                               "a (u, theta) set must be non-empty")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.clcg", "f.clcg.json"]
+
+
+def test_cli_empty_default_u_list_names_its_cause(tmp_path):
+    """The default u list has N / 4 values per axis, none below N = 4: a
+    transform with no --u-list of a grid of N = 2 says so, and how to mend
+    it, in one line and writes nothing."""
+    src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "2", "--out", str(src)])
+    with pytest.raises(SystemExit) as err:
+        main(["transform", "--input", str(src), "--out", str(out)])
+    assert str(err.value) == ("the default u list is empty at N = 2 samples per axis: "
+                              "it needs N >= 4, or an explicit --u-list")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.clcg", "f.clcg.json"]
 
 

@@ -395,6 +395,15 @@ def test_every_pass_is_refused_at_its_plan(monkeypatch, entry, psi, u_list, thet
         entry(psi, u_list, theta_list)
 
 
+def test_empty_default_u_list_is_refused_by_its_grid():
+    """Below N = 4 samples per axis, at N = 2, the default u list has no
+    value: the plan refuses it, naming N and the cure, not as an empty list
+    given."""
+    with pytest.raises(StockwellError, match=r"^the default u list is empty at N = 2 samples "
+                       r"per axis: it needs N >= 4, or an explicit u list$"):
+        Plan(PSI, GridSpec(2, 6.0, 2))
+
+
 @pytest.mark.parametrize("analyze", [
     lambda f: clcst(f, PSI, M, U_LIST, THETAS),
     lambda f: cst(f, PSI, U_LIST, THETAS),

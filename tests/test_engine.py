@@ -521,7 +521,7 @@ def recorded_blocks(f, psi, u):
     return blocks, 16 * int(np.prod(vol.stored_shape[1:]))
 
 
-def cut(count, rows):
+def consecutive_blocks(count, rows):
     return [(start, min(start + rows, count)) for start in range(0, count, rows)]
 
 
@@ -551,7 +551,7 @@ def test_fill_volume_sizes_its_blocks_by_kind(kind):
         rows = max(1, BLOCK_BYTES // 8 // row_bytes)
     if kind == "wide-rows":
         assert row_bytes > BLOCK_BYTES // 8 and rows == 1
-    assert blocks == cut(len(u), rows)
+    assert blocks == consecutive_blocks(len(u), rows)
 
 
 # (n, window, u list, DENSE_AXIS_SAMPLES, block rows or None, stored

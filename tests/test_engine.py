@@ -512,19 +512,6 @@ def test_factored_runs_cut_by_blocks_keep_their_partials(n, rows, monkeypatch):
         assert_close(synthesis.data, dense[0].data, 1e-12)
 
 
-def recorded_blocks(f, psi, u):
-    """(start, stop) of each block that clcst hands its sink, in order, and
-    the bytes of one stored row."""
-    blocks = []
-    vol = clcst(f, psi, M, u, THETAS,
-                sink=lambda vol: lambda start, stop, block: blocks.append((start, stop)))
-    return blocks, 16 * int(np.prod(vol.stored_shape[1:]))
-
-
-def consecutive_blocks(count, rows):
-    return [(start, min(start + rows, count)) for start in range(0, count, rows)]
-
-
 @pytest.mark.parametrize("kind", ["factored", "wide-rows", "n-D"])
 def test_fill_volume_sizes_its_blocks_by_kind(kind):
     """A factored block holds no window spectra, so fill_volume cuts it at
@@ -544,14 +531,17 @@ def test_fill_volume_sizes_its_blocks_by_kind(kind):
             u = np.random.default_rng(17).permutation(u)
     factored = Plan(psi, spec, u, THETAS).factored
     assert factored.all() if kind != "n-D" else not factored.any()
-    blocks, row_bytes = recorded_blocks(noise(spec, ctx, seed=3), psi, u)
+    blocks = []  # (start, stop) of each block handed to the sink
+    vol = clcst(noise(spec, ctx, seed=3), psi, M, u, THETAS,
+                sink=lambda vol: lambda start, stop, block: blocks.append((start, stop)))
+    row_bytes = 16 * int(np.prod(vol.stored_shape[1:]))
     if kind == "n-D":  # one stored column, and 2^(n-1) pairs of the algebra
         rows = BLOCK_BYTES // (16 * ctx.blade_count // 2 * spec.point_count)
     else:
         rows = max(1, BLOCK_BYTES // 8 // row_bytes)
     if kind == "wide-rows":
         assert row_bytes > BLOCK_BYTES // 8 and rows == 1
-    assert blocks == consecutive_blocks(len(u), rows)
+    assert blocks == [(start, min(start + rows, len(u))) for start in range(0, len(u), rows)]
 
 
 # (n, window, u list, DENSE_AXIS_SAMPLES, block rows or None, stored

@@ -351,11 +351,13 @@ class AxisRoute:
         """Add sum_r weights[r] O_{t,axis}(v_r)^H rows[r] for every term t,
         rows of shape (rows, 1 or terms, P) + b-shape and v_r the values of
         the indices j, to the sums of depth ``axis``: the rows opened and
-        transformed by one FFT call, a lattice row's terms summed in that
-        spectrum, any other's inverted and added in space."""
+        transformed in place, by one FFT call, a lattice row's terms summed
+        in that spectrum, any other's inverted and added in space.  The
+        rows are spent."""
         n, lattice = self.n, self.tables.lattice[axis][j]
         pre, d, post = self._factors(axis, j)
-        spectra = rows * along(post.conj() * weights[:, None], axis, n)[:, None]
+        spectra = rows
+        spectra *= along(post.conj() * weights[:, None], axis, n)[:, None]
         np.fft.fft(spectra, axis=axis - n, out=spectra)
         for i in np.flatnonzero(~lattice):
             term = spectra[i] * along(d[:, i].conj(), axis, n)
@@ -385,7 +387,9 @@ class AxisRoute:
         """Add the adjoints of the factored u rows start:stop, whose index
         in the plan's tables ``tables`` holds (:meth:`AxisTables.block`), to
         the sum: ``slices``, shape (rows, 1, P) + b-shape, and their
-        synthesis ``weights``.  B is empty."""
+        synthesis ``weights``.  B is empty.  The slices are weighted and
+        transformed in place, so they are spent: the caller hands over rows
+        of its own, not a view of a volume's payload."""
         N, last, slices = self.plan.spec.samples_per_axis, self.n - 1, slices[:, 0]
         # a span of dense rows takes one call, its copy of the rows and its
         # adjoints at most BLOCK_BYTES / 8

@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -161,18 +162,24 @@ class VolumePayload:
                     _read_payload(fh, self.path, row)
         return out
 
-    def rows(self, start, stop, column=None):
+    def rows(self, start, stop, column=None, out=None):
         """u rows start:stop, of one stored column (shape (rows, 1) + ...)
-        or all of them, read into the buffer of the last call."""
+        or all of them, read into ``out``, a C-ordered little-endian complex
+        array of that shape, or else into the buffer of the last call."""
         if not 0 <= start <= stop <= self.shape[0]:
             raise IndexError("u rows %d:%d of a volume of %d" % (start, stop, self.shape[0]))
         if column is not None and not 0 <= column < self.shape[1]:
             raise IndexError("column %d of a volume of %d" % (column, self.shape[1]))
-        row = self.shape[1:] if column is None else (1,) + self.shape[2:]
-        count = (stop - start) * math.prod(row)
+        shape = (stop - start,) + (self.shape[1:] if column is None else (1,) + self.shape[2:])
+        if out is not None:
+            if (out.shape, out.dtype) != (shape, np.dtype("<c16")) or not out.flags.c_contiguous:
+                raise ValueError("rows of shape %r are read into a C-ordered <c16 array of that "
+                                 "shape, not %r %s" % (shape, out.shape, out.dtype))
+            return self._read(start, out, column)
+        count = math.prod(shape)
         if self._buffer is None or self._buffer.size < count:
             self._buffer = np.empty(count, dtype="<c16")
-        return self._read(start, self._buffer[:count].reshape((stop - start,) + row), column)
+        return self._read(start, self._buffer[:count].reshape(shape), column)
 
     def load(self):
         return self._read(0, np.empty(self.shape, dtype="<c16"))
@@ -371,6 +378,101 @@ def _numbers(value, count=None):
             and set(map(type, value)) <= {int, float} and all(map(math.isfinite, value)))
 
 
+_SPACE = "[ \t\n\r]*"  # JSON's whitespace
+_SPACES = re.compile(_SPACE)
+_SEPARATOR = _SPACE + "," + _SPACE
+# a JSON number, but an integer -0, which json reads as the int 0, not -0.0
+_NUMBER = r"(?:-(?!0(?![.eE])))?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_NEXT = re.compile(r"%s([,}\]])%s" % (_SPACE, _SPACE))
+_COLON = re.compile(_SPACE + ":" + _SPACE)
+_BRACKETS = str.maketrans("[]", "  ")
+
+
+def _number_array(text, pos, n=None):
+    """(array, end) for the JSON array that starts at text[pos]: a list of
+    finite numbers, or with n one of rows of n of them, as float64, with no
+    Python float made.  None for any other value, an empty list among them,
+    or for a number that json would read to other bits, so that json reads
+    it instead.  Each run of rows is matched to JSON's grammar before its
+    numbers are parsed, since ``np.fromstring`` stops at the first text it
+    cannot parse; a run is 64 rows, because the regex engine keeps about
+    1 KB of backtracking state for each row of one match."""
+    if text[pos:pos + 1] != "[" or n is not None and n < 1:
+        return None
+    item = _NUMBER if n is None else r"\[%s%s(?:%s%s){%d}%s\]" % (
+        _SPACE, _NUMBER, _SEPARATOR, _NUMBER, n - 1, _SPACE)
+    rows = re.compile("%s(?:%s%s){0,63}" % (item, _SEPARATOR, item))
+    pos, parts = _SPACES.match(text, pos + 1).end(), []
+    while True:
+        chunk = rows.match(text, pos)
+        if chunk is None:
+            return None
+        parts.append(np.fromstring(chunk.group().translate(_BRACKETS), sep=","))
+        after = _NEXT.match(text, chunk.end())
+        if after is None or after.group(1) == "}":
+            return None
+        pos = after.end()
+        if after.group(1) == "]":
+            break
+    values = np.concatenate(parts)
+    if not np.all(np.isfinite(values)):
+        return None
+    return (values if n is None else values.reshape(-1, n)), pos
+
+
+def _volume_meta(text, n):
+    """json.loads(text) for the sidecar of a volume of n axes, but its
+    ``u_list`` and ``u_weights`` as float64 arrays read by
+    :func:`_number_array`.  The sidecar's object is walked key by key, json
+    reading every other value; any text that this walk does not take, to
+    the end, is left to json.loads whole, which reads it to Python lists or
+    refuses it as before."""
+    decoder, meta = json.JSONDecoder(), {}
+    try:
+        pos = _SPACES.match(text).end()
+        if text[pos:pos + 1] == "{":
+            pos = _SPACES.match(text, pos + 1).end()
+            while text[pos:pos + 1] == '"':
+                key, pos = json.decoder.scanstring(text, pos + 1)
+                colon = _COLON.match(text, pos)
+                if colon is None:
+                    break
+                if key in ("u_list", "u_weights"):
+                    parsed = _number_array(text, colon.end(), n if key == "u_list" else None)
+                    if parsed is None:
+                        break
+                    meta[key], pos = parsed
+                else:
+                    meta[key], pos = decoder.raw_decode(text, colon.end())
+                after = _NEXT.match(text, pos)
+                if after is None or after.group(1) == "]":
+                    break
+                pos = after.end()
+                if after.group(1) == "}":
+                    if pos == len(text):
+                        return meta
+                    break
+    except ValueError:  # json's own fault, which json.loads names below
+        pass
+    return json.loads(text)
+
+
+def _float_array(value, n=None):
+    """value as a float64 array, or None unless it is a list of finite
+    numbers, or with n rows of n of them: an array of :func:`_volume_meta`
+    or the Python lists of json."""
+    if isinstance(value, np.ndarray):
+        return value
+    if n is not None:
+        if not (isinstance(value, list) and set(map(type, value)) <= {list}
+                and set(map(len, value)) <= {n}):
+            return None
+        value = list(itertools.chain.from_iterable(value))
+    if not _numbers(value):
+        return None
+    return np.asarray(value, dtype=np.float64).reshape((-1, n) if n else -1)
+
+
 def read_volume(path):
     """The volume of a version 3 file, its header, size and sidecar checked;
     a sidecar that does not describe the payload raises :class:`FormatError`,
@@ -378,27 +480,29 @@ def read_volume(path):
 
     The payload stays in the file: the volume reads its u rows on demand
     (:class:`VolumePayload`) and loads them whole only when its ``stored``
-    array is asked for.
+    array is asked for.  The sidecar's u list and weights, which grow with
+    the volume, are read as float64 arrays, to the bits json reads, without
+    a Python float per number (:func:`_volume_meta`).
     """
     with open(path, "rb") as fh:
         _, n, sizes, count = _read_header(fh, path, (PAIRS,))
         offset, stamp = fh.tell(), _stamp(fh)
     try:
         with open(_sidecar(path), encoding="utf-8") as fh:  # no bytes beside the text
-            meta = json.load(fh)
+            meta = _volume_meta(fh.read(), n)
         if meta.get("kind") != "volume":
             raise FormatError("%s is not a volume file" % path)
-        g, u_list, params = meta["grid"], meta["u_list"], meta["params"]
+        g, params = meta["grid"], meta["params"]
         tag = meta["path"]  # the evaluation-path tag
         if g["n"] != n:
             raise FormatError("%s: header n = %d, sidecar n = %r" % (path, n, g["n"]))
         spec = GridSpec(n, g["half_width"], g["samples_per_axis"])
         ctx = algebra(n, g["metric_sign"])
-        if not (isinstance(u_list, list) and set(map(type, u_list)) <= {list}
-                and set(map(len, u_list)) <= {n}
-                and _numbers(list(itertools.chain.from_iterable(u_list)))):
+        u_list = _float_array(meta["u_list"], n)
+        if u_list is None:
             raise FormatError("%s: sidecar u_list is not rows of n = %d numbers" % (path, n))
-        if not _numbers(meta["u_weights"], len(u_list)):
+        u_weights = _float_array(meta["u_weights"])
+        if u_weights is None or len(u_weights) != len(u_list):
             raise FormatError("%s: sidecar u_weights is not %d finite numbers, one per u"
                               % (path, len(u_list)))
         if params is not None and not _numbers(params, 4):
@@ -428,9 +532,8 @@ def read_volume(path):
         raise FormatError("%s stores %d theta columns, not T = %d or the window's %d"
                           % ((path, sizes[1]) + columns))
     payload = VolumePayload(path, offset, sizes[:2] + (count,) + sizes[2:], stamp)
-    return CLCSTVolume(spec, ctx, np.asarray(u_list, dtype=np.float64).reshape(-1, n),
-                       theta_list, stored=payload, params=params, window=window,
-                       path=tag, u_weights=np.asarray(meta["u_weights"]), pairs=pairs)
+    return CLCSTVolume(spec, ctx, u_list, theta_list, stored=payload, params=params,
+                       window=window, path=tag, u_weights=u_weights, pairs=pairs)
 
 
 def export_spectrogram_csv(path, vol, ui, ti):

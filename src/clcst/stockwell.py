@@ -484,7 +484,9 @@ class SpectrumRoute:
         ``s``, shape (rows, columns, P) + b-shape, and their synthesis
         ``weights``, against the :meth:`Plan.blocks` spectra M and B.  One
         stored column against a window per angle is taken against the
-        windows' sum."""
+        windows' sum.  The slices are weighted, transformed and multiplied
+        in place, so they are spent: the caller hands over rows of its own,
+        not a view of a volume's payload."""
         plan, spec = self.plan, self.plan.spec
         if s.shape[1] < M.shape[1]:
             M = np.sum(M, axis=1, keepdims=True)
@@ -493,9 +495,8 @@ class SpectrumRoute:
             self.summed = np.zeros((s.shape[2],) + spec.shape, dtype=np.complex128)
             self.modulated = np.zeros_like(self.summed)
         lattice = plan.on_lattice[start:stop]
-        # weight x chirp x e^{j u.b} on the lattice, before one fftn, into a
-        # new array: the rows may be the volume's own
-        s = axis_phase_multiply(s, spec, plan.lattice_u[start:stop], self.rate, weights)
+        # weight x chirp x e^{j u.b} on the lattice, before one fftn
+        axis_phase_multiply(s, spec, plan.lattice_u[start:stop], self.rate, weights, out=s)
         np.fft.fftn(s, axes=self.axes, out=s)
         for i in np.flatnonzero(~lattice):
             term = np.sum(s[i] * B[i][:, None], axis=0)

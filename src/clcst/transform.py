@@ -233,6 +233,14 @@ def reconstruct_resolution(vol, psi, params):
 
     The u and theta lists come from the volume's sidecar, and its
     :class:`~clcst.stockwell.Plan` checks them and psi as an analysis's.
+
+    Each block of u rows is read, or for a payload in memory copied, into
+    one buffer of the pass (:meth:`~clcst.volume.CLCSTVolume.rows` with
+    ``out``), which its route weights and transforms in place; the
+    volume's own payload is never written.  A block is cut at about
+    BLOCK_BYTES of its window spectra and 48 bytes per point, stored
+    column and pair of the algebra: its rows, a masked copy of its lattice
+    rows and one term's product before it is summed.
     """
     spec, ctx = vol.spec, vol.ctx
     _require_b_nonzero(params, spec)
@@ -241,18 +249,27 @@ def reconstruct_resolution(vol, psi, params):
     columns = max(vol.stored_theta_columns, len(plan.angles))
     # a product of one stored column and one window stands for T / columns thetas
     weights = plan.weights * (vol.theta_count // columns)
-    # per u row and pair of the algebra, whatever the stored pairs: the
-    # rows read from a volume file and their weighted copy, transformed and
-    # multiplied in place, 16 bytes each, beside the window block
+    # per u row and pair of the algebra, whatever the stored pairs, beside
+    # the window block, 16 bytes each: the rows, weighted and transformed in
+    # place, a masked copy of the lattice rows and one term's product
+    # (AxisRoute._add)
     row_bytes = 48 * columns * (ctx.blade_count // 2) * spec.point_count
     rows = block_rows(row_bytes + plan.row_bytes)
     routes = plan.routes(rate)
+    # the pass's own rows, which the routes overwrite: each block is read
+    # or copied into them, never a view of the volume's payload; allocated
+    # at the first block, once the profile of the factored rows is summed
+    largest = max(stop - start for start, stop in plan.bounds(rows))
+    buffer = None
     for start, stop, M, B in plan.blocks(rows):
-        s = vol.rows(start, stop)
+        if buffer is None:
+            buffer = np.empty((largest,) + vol.stored_shape[1:], dtype="<c16")
+        s = vol.rows(start, stop, out=buffer[:stop - start])
         if s.shape[1] > len(plan.angles):  # T stored columns, one window for every theta
             s = np.sum(s, axis=1, keepdims=True)
         routes[plan.factored[start]].add(start, stop, M, B, s, weights[start:stop])
         del M, B, s  # before the next block's spectra are built
+    del buffer  # before the sums are closed and the profile is built
     total, *rest = [route.total() for route in routes.values() if route is not None]
     for part in rest:
         total += part
@@ -266,9 +283,6 @@ def reconstruct_resolution(vol, psi, params):
     return vol.signal(total), admissibility
 
 
-# bound on one read of the marginal's stored column: each row read feeds
-# one dot product, so a larger read buys no speed and sets a command's peak
-MARGINAL_READ_BYTES = 1 << 20
 _FILL_OFFSETS = np.array([-4, -3, -2, -1, 1, 2, 3, 4])
 _FILL_WEIGHTS = np.array([-1, 8, -28, 56, 56, -28, 8, -1], dtype=np.float64) / 70.0
 
@@ -297,8 +311,11 @@ def marginal_spectrum(vol, params, theta):
     The u list must cover the frequency lattice away from the coordinate
     planes (scaling needs every component nonzero); the missing planes are
     filled by interpolation and reported.  The one stored column it needs
-    is read in slabs of at most MARGINAL_READ_BYTES (one row if a row is
-    larger), not in BLOCK_BYTES blocks.
+    is read in slabs of at most BLOCK_BYTES / 8 of stored rows, and at least
+    one row, the bound of a factored block of the analysis
+    (:func:`~clcst.stockwell.fill_volume`): each row read feeds one dot
+    product per pair, so a larger slab buys no speed and sets the command's
+    peak.
     """
     spec, N = vol.spec, vol.spec.samples_per_axis
     _require_b_nonzero(params, spec)
@@ -328,7 +345,7 @@ def marginal_spectrum(vol, params, theta):
     # taken slab by slab on the stored column, which alone is read
     kernel = np.exp(1j * params.chirp_rate * spec.squared_radius(SPACE).ravel()) * vol.b_weight
     G = np.empty((len(vol.pairs), vol.u_count), dtype=np.complex128)
-    slab = max(1, MARGINAL_READ_BYTES // (16 * len(vol.pairs) * spec.point_count))
+    slab = block_rows(8 * 16 * len(vol.pairs) * spec.point_count)
     for start, stop, block in vol.blocks(vol.column(ti), rows=slab):
         G[:, start:stop] = (block.reshape(stop - start, len(vol.pairs), -1) @ kernel).T
     spectrum = np.zeros((len(vol.pairs),) + spec.shape, dtype=np.complex128)

@@ -164,16 +164,24 @@ class CLCSTVolume:
                             "stream its u-blocks to a file instead (sink=)" % (size, MEMORY_BYTES))
         self._stored = np.zeros(self.stored_shape, dtype=np.complex128)
 
-    def rows(self, start, stop, column=None):
+    def rows(self, start, stop, column=None, out=None):
         """stored[start:stop], or with ``column`` stored[start:stop,
         column:column + 1]: a view of a payload in memory, or else those u
         rows, of one column or all, read into one buffer that the next call
         reuses, so that a caller going block by block holds one block of
-        the payload."""
+        the payload.
+
+        With ``out``, a little-endian complex array of their shape, the
+        rows are copied or read into it and it is returned: rows that the
+        caller may overwrite, whether the payload is in memory or in a
+        file."""
         if self._stored is None and self._reader is not None:
-            return self._reader.rows(start, stop, column)
+            return self._reader.rows(start, stop, column, out)
         columns = slice(None) if column is None else slice(column, column + 1)
-        return self.stored[start:stop, columns]
+        if out is None:
+            return self.stored[start:stop, columns]
+        np.copyto(out, self.stored[start:stop, columns])
+        return out
 
     def blocks(self, column=None, rows=None):
         """(start, stop, :meth:`rows`) for consecutive blocks of ``rows`` u

@@ -3,6 +3,7 @@ the pairs listed in the sidecar, and every malformed file refused with
 FormatError."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -163,6 +164,97 @@ def test_volume_sidecar_values_are_checked(tmp_path, case):
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(FormatError, match=key):
         read_volume(path)
+
+
+def volume_with_lists(tmp_path, n, u_count, u_text, w_text, indent=None):
+    """The path of a volume of u_count rows whose sidecar holds the texts
+    u_text and w_text as its u_list and u_weights, the rest written by json
+    with ``indent``."""
+    path = tmp_path / "v.clcg"
+    write_volume(path, random_volume(n, [0], 1, seed=5, u_count=u_count))
+    sidecar = tmp_path / "v.clcg.json"
+    meta = dict(json.loads(sidecar.read_text()), u_list="@u_list@", u_weights="@u_weights@")
+    text = json.dumps(meta, indent=indent, sort_keys=True)
+    sidecar.write_text(text.replace('"@u_list@"', u_text).replace('"@u_weights@"', w_text))
+    return path
+
+
+NUMBER_FORMATS = [repr, "%.17e".__mod__, "%.17E".__mod__, "%.3g".__mod__, "%.0e".__mod__]
+NUMBER_TEXTS = st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(NUMBER_FORMATS)).map(lambda pair: pair[1](pair[0])),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["-0.0", "0", "-0", "0e0", "-0E-0", "5e-324", "-2.4703282292062328e-324",
+                     "2.2250738585072011e-308", "1e-400", "1E+2", "12e-1", "9007199254740993"]))
+JSON_SPACES = st.sampled_from(["", " ", "  ", "\n", "\n   ", "\t", "\r\n "])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3]), u_count=st.integers(1, 5),
+       indent=st.sampled_from([None, 1, "\t"]), data=st.data())
+def test_sidecar_lists_read_to_the_bits_json_reads(tmp_path_factory, n, u_count, indent, data):
+    """The sidecar's u_list and u_weights are read as float64 arrays, not
+    as Python floats, and hold the bits that json reads from the same text:
+    finite doubles written by repr or in exponent forms, subnormals and
+    -0.0 among them, integers, and any JSON whitespace around the numbers
+    and brackets.  An integer -0, which json reads as the int 0, is left to
+    json; a number that json reads as not finite is refused."""
+    from clcst.io import _volume_meta
+
+    def joined(items):
+        comma = data.draw(JSON_SPACES) + "," + data.draw(JSON_SPACES)
+        return "[" + data.draw(JSON_SPACES) + comma.join(items) + data.draw(JSON_SPACES) + "]"
+
+    u_text = joined([joined([data.draw(NUMBER_TEXTS) for _ in range(n)]) for _ in range(u_count)])
+    w_text = joined([data.draw(NUMBER_TEXTS) for _ in range(u_count)])
+    path = volume_with_lists(tmp_path_factory.mktemp("lists"), n, u_count, u_text, w_text, indent)
+    text = path.with_name("v.clcg.json").read_text()
+    meta = json.loads(text)
+    try:
+        u_list = np.array([[float(v) for v in row] for row in meta["u_list"]])
+        u_weights = np.array([float(v) for v in meta["u_weights"]])
+    except OverflowError:  # an integer beyond the doubles
+        u_list = u_weights = np.array([np.inf])
+    if not (np.all(np.isfinite(u_list)) and np.all(np.isfinite(u_weights))):
+        with pytest.raises(FormatError, match="u_list|u_weights"):
+            read_volume(path)
+        return
+    vol = read_volume(path)
+    assert vol.u_list.tobytes() == u_list.tobytes()
+    assert vol.u_weights.tobytes() == u_weights.tobytes()
+    if not re.search(r"-0(?![.eE])", u_text + w_text):
+        parsed = _volume_meta(text, n)
+        assert isinstance(parsed["u_list"], np.ndarray)
+        assert isinstance(parsed["u_weights"], np.ndarray)
+        assert {k: v for k, v in parsed.items() if k not in ("u_list", "u_weights")} == {
+            k: v for k, v in meta.items() if k not in ("u_list", "u_weights")}
+
+
+U_TEXT, W_TEXT = "[[0.5, 1.0], [1.5, 2.0], [2.5, 3.0]]", "[1.0, 1.0, 1.0]"
+BAD_LIST_TEXTS = dict(
+    [("u_list-%s" % token, ("[[%s, 1.0], [1.5, 2.0], [2.5, 3.0]]" % token, W_TEXT))
+     for token in [".5", "1.", "+1", "0x10", "1e", "NaN", "Infinity", "1e400", "true", '"1"']]
+    + [("u_weights-%s" % token, (U_TEXT, "[1.0, %s, 1.0]" % token))
+       for token in [".5", "1.", "+1", "0x10", "1e", "NaN", "-Infinity", "1" + "0" * 400, "true"]]
+    + [("u_list-trailing-comma", ("[[0.5, 1.0], [1.5, 2.0], [2.5, 3.0],]", W_TEXT)),
+       ("u_list-row-trailing-comma", ("[[0.5, 1.0,], [1.5, 2.0], [2.5, 3.0]]", W_TEXT)),
+       ("u_weights-trailing-comma", (U_TEXT, "[1.0, 1.0, 1.0,]")),
+       ("u_list-nested-row", ("[[0.5, [1.0]], [1.5, 2.0], [2.5, 3.0]]", W_TEXT)),
+       ("u_weights-nested", (U_TEXT, "[[1.0], 1.0, 1.0]")),
+       ("u_list-empty-row", ("[[], [1.5, 2.0], [2.5, 3.0]]", W_TEXT)),
+       ("u_list-unclosed", ("[[0.5, 1.0], [1.5, 2.0], [2.5, 3.0]", W_TEXT))])
+
+
+@pytest.mark.parametrize("case", list(BAD_LIST_TEXTS))
+def test_sidecar_lists_outside_json_or_finite_numbers_are_refused(tmp_path, case):
+    """u_list and u_weights text that json refuses, or reads as anything but
+    finite numbers in rows of n, is refused in one line naming the path,
+    before any number is parsed past it."""
+    path = volume_with_lists(tmp_path, 2, 3, *BAD_LIST_TEXTS[case])
+    with pytest.raises(FormatError) as err:
+        read_volume(path)
+    message = str(err.value)
+    assert message.startswith(str(path)) and "\n" not in message
 
 
 GRID_SIDECAR_EDITS = {

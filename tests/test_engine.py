@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from clcst.algebra import Multivector, left_multiplication_matrix, transform_algebra
 from clcst.cli import main
 from clcst.grid import SPACE, GridError, GridSignal, GridSpec, live_pairs, pack
-from clcst.io import export_spectrogram_csv, write_grid
+from clcst.io import export_spectrogram_csv, read_volume, write_grid, write_volume
 from clcst.lct import LCTParams
 from clcst.axis import AxisTables
 from clcst.stockwell import (
@@ -606,6 +606,47 @@ def test_resolution_synthesis_is_the_adjoint_of_the_analysis(n, kind, u_kind, li
     lhs = dx_n * np.dot(W, np.sum((S.conj() * V).reshape(len(u), -1), axis=1))
     rhs = stats["mean"] * dx_n * np.vdot(pack(ctx, f.data), pack(ctx, synthesis.data))
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+# (n, window, u list, DENSE_AXIS_SAMPLES, stored columns): factored rows on
+# the FFT and dense branches, n-D rows, a window per angle, and one stored
+# column and T
+IN_PLACE_CASES = [(2, "gaussian", "tensor", 0, "window"), (2, "gaussian", "tensor", 48, "window"),
+                  (2, "gaussian", "mixed", 48, "window"), (2, "skewed", "mixed", 48, "window"),
+                  (2, "gaussian", "tensor", 0, "every"), (3, "composite", "tensor", 48, "window"),
+                  (3, "dog", "shuffled", 0, "window")]
+
+
+@pytest.mark.parametrize("n, kind, u_kind, limit, columns", IN_PLACE_CASES,
+                         ids=["-".join(map(str, case)) for case in IN_PLACE_CASES])
+def test_resolution_synthesis_leaves_an_in_memory_payload_alone(n, kind, u_kind, limit, columns,
+                                                                tmp_path, monkeypatch):
+    """The routes weight and transform the rows they are handed in place,
+    so the synthesis hands them rows of its own: an in-memory volume's
+    ``stored`` is bit for bit what it was, and its synthesis is bit for bit
+    that of the same payload read back from a volume file."""
+    from clcst import axis
+
+    monkeypatch.setattr(axis, "DENSE_AXIS_SAMPLES", limit)
+    spec, ctx = setting(n)
+    psi = SkewedGaussian(n) if kind == "skewed" else radial_window(n, kind)
+    u = U_LISTS[u_kind](spec)
+    stored_columns = len(THETAS) if columns == "every" or kind == "skewed" else 1
+    rng = np.random.default_rng(23)
+    shape = (len(u), stored_columns, 1) + spec.shape
+    stored = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    volume = CLCSTVolume(spec, ctx, u, THETAS, stored=stored.copy(), params=M, window=psi,
+                         pairs=[1])
+    synthesis, (profile, _) = reconstruct_resolution(volume, psi, M)
+    assert volume.stored.tobytes() == stored.tobytes()
+    # a carrier of the same payload whose window a sidecar can name: a
+    # radial window allows one stored column and T
+    carrier = CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M,
+                          window=GaussianWindow(n, sigma=1.0), pairs=[1])
+    write_volume(tmp_path / "v.clcg", carrier)
+    back, (back_profile, _) = reconstruct_resolution(read_volume(tmp_path / "v.clcg"), psi, M)
+    assert back.data.tobytes() == synthesis.data.tobytes()
+    assert back_profile.tobytes() == profile.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "dog", "composite", "skewed"])

@@ -585,35 +585,66 @@ def test_cli_lattice_transform_peak_is_not_its_block_buffer(tmp_path):
     assert peak < 2.5e6
 
 
-def test_cli_marginal_reads_its_column_in_slabs(tmp_path):
-    """reconstruct --method marginal takes one dot product per stored row,
-    so it reads its one column in slabs of at most MARGINAL_READ_BYTES, not
-    in blocks of BLOCK_BYTES.  On the roundtrip-lattice-n2 volume (2209
-    lattice u at N = 48, 36,864 bytes a row) its traced peak was 4.71 MB
-    with 113-row blocks of 4.2 MB, and is 1.58 MB, within 1.5 MiB plus the
-    sidecar, which is parsed whole.  One untraced run of each command
-    comes first."""
-    import tracemalloc
-
-    from clcst.transform import MARGINAL_READ_BYTES
-
+def roundtrip_volume(tmp_path):
+    """The roundtrip-lattice-n2 benchmark's volume: 2209 lattice u at N = 48,
+    one stored column of the input's one live pair, 36,864 bytes a row."""
     src, vol = tmp_path / "f.clcg", tmp_path / "vol.clcg"
     assert main(["synthesize", "--kind", "gaussian_mixture", "--n", "2", "--half-width", "6",
                  "--samples", "48", "--seed", "3", "--out", str(src)]) == 0
     ks = [k for k in range(-24, 24) if k != 0]
     assert main(transform_argv(src, vol, json.dumps({"kind": "multiples",
                                                      "per_axis": [ks, ks]}))) == 0
-    argv = ["reconstruct", "--volume", str(vol), "--method", "marginal",
-            "--out", str(tmp_path / "marginal.clcg")]
+    return vol
+
+
+def traced_peak(argv):
+    """The traced peak of one command, run once untraced first."""
+    import tracemalloc
+
     assert main(argv) == 0
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert MARGINAL_READ_BYTES == 1 << 20
-    assert peak < 1.5 * 2**20 + (tmp_path / "vol.clcg.json").stat().st_size
+
+
+def test_cli_marginal_reads_its_column_in_slabs(tmp_path, monkeypatch):
+    """reconstruct --method marginal takes one dot product per stored row,
+    so it reads its one column in slabs of at most BLOCK_BYTES / 8 of stored
+    rows, the bound of a factored block of the analysis, not in blocks of
+    BLOCK_BYTES.  On the roundtrip-lattice-n2 volume its traced peak was
+    4.71 MB with 113-row blocks of 4.2 MB, 1.58 MB with slabs of 1 MiB and
+    the sidecar's lists parsed as Python floats, and is 1.09 MB, within
+    1 MiB plus the sidecar."""
+    from clcst.volume import BLOCK_BYTES, CLCSTVolume
+
+    vol = roundtrip_volume(tmp_path)
+    slabs, blocks = [], CLCSTVolume.blocks
+
+    def spied(self, column=None, rows=None):
+        slabs.append(rows)
+        return blocks(self, column, rows)
+
+    monkeypatch.setattr(CLCSTVolume, "blocks", spied)
+    peak = traced_peak(["reconstruct", "--volume", str(vol), "--method", "marginal",
+                        "--out", str(tmp_path / "marginal.clcg")])
+    assert slabs == [max(1, BLOCK_BYTES // 8 // (16 * 48 * 48))] * 2
+    assert peak < 2**20 + (tmp_path / "vol.clcg.json").stat().st_size
+
+
+def test_cli_resolution_synthesis_holds_its_rows_once(tmp_path):
+    """reconstruct --method resolution reads each block of rows into one
+    buffer of the pass, which its route weights and transforms in place, and
+    parses the sidecar's u list as arrays.  On the roundtrip-lattice-n2
+    volume its traced peak was 2.07 MB with a weighted copy of each block
+    and the list parsed as Python floats, and is 1.51 MB: below the
+    transform's 1.64 MB."""
+    vol = roundtrip_volume(tmp_path)
+    peak = traced_peak(["reconstruct", "--volume", str(vol), "--method", "resolution",
+                        "--out", str(tmp_path / "resolution.clcg")])
+    assert peak < 1.8e6
 
 
 def test_cli_transform_zero_input_warning(tmp_path):

@@ -7,16 +7,19 @@ Layout (little-endian):
 
 A grid file is version 1: its axes are the b-grid shape, ``count`` is the
 blade count, and its float64 payload is blade-major, then row-major over
-the axes.  A volume file is version 3: its axes are (U, T_s) + b-grid
-shape, ``count`` is the number P of stored pairs, and its payload is the
-volume's stored complex128 array, (U, T_s, P) + b-grid shape in row-major
-order, so each slice is one contiguous run.  T_s is T, or 1 when one
-column serves every theta.  Volume files of real blades, versions 1 and 2,
-are refused; their signals must be transformed again.
+the axes.  A volume file is version 4: its axes are (U, T_s) + b-grid
+shape and ``count`` is the number P of stored pairs.  After the header
+come the U x n float64 of the u list, row-major, and the U float64 of its
+quadrature weights, then the payload: the volume's stored complex128
+array, (U, T_s, P) + b-grid shape in row-major order, so each slice is one
+contiguous run.  T_s is T, or 1 when one column serves every theta.
+Volume files of earlier versions are refused: those of real blades,
+versions 1 and 2, whose signals must be transformed again, and version 3,
+whose u list and weights were in its sidecar.
 
 A JSON sidecar at <path>.json carries the lattice geometry and, for
-volumes, the (u, theta) lists, parameter matrix, window, weights, stored
-pairs and the evaluation-path tag.
+volumes, the theta list, parameter matrix, window, stored pairs and the
+evaluation-path tag.
 
 Each file and its sidecar are written to temporary files beside them and
 renamed over them, so a write that stops partway leaves the old files.  A
@@ -25,11 +28,9 @@ back the same way (:class:`VolumePayload`).
 """
 
 import contextlib
-import itertools
 import json
 import math
 import os
-import re
 import struct
 
 import numpy as np
@@ -42,7 +43,7 @@ from .windows import RAW, UNIT_INTEGRAL, WINDOWS, CompositeWindow, WindowError, 
 
 MAGIC = b"CLCG"
 BLADE_MAJOR = 1  # grid files
-PAIRS = 3  # volume files
+PAIRS = 4  # volume files
 # what reading a sidecar that does not describe its volume raises
 SIDECAR_ERRORS = (AttributeError, LookupError, TypeError, ValueError, ArithmeticError,
                   AlgebraError, GridError, LCTError, WindowError)
@@ -92,8 +93,8 @@ def _replacing(*paths):
 
 
 def _read_header(fh, path, versions):
-    """(version, n, sizes, count) of an open container, left at its payload,
-    once the file size matches the header."""
+    """(version, n, sizes, count) of an open container, left after its
+    header, once the file size matches the header."""
     head = fh.read(10)
     if head[:4] != MAGIC:
         raise FormatError("bad magic in %s" % path)
@@ -109,7 +110,9 @@ def _read_header(fh, path, versions):
     if version != BLADE_MAJOR and axis_count < 2:
         raise FormatError("%s declares %d axes, a volume needs (U, T_s) first"
                           % (path, axis_count))
-    payload = (16 if version == PAIRS else 8) * count * math.prod(sizes)
+    payload = 8 * count * math.prod(sizes)
+    if version == PAIRS:  # complex pairs, after the u list and weights
+        payload = 2 * payload + 8 * sizes[0] * (n + 1)
     size = os.fstat(fh.fileno()).st_size
     if size != fh.tell() + payload:
         raise FormatError("%s holds %d payload bytes, the header declares %d"
@@ -130,12 +133,13 @@ def _stamp(fh):
 
 
 class VolumePayload:
-    """The payload of a version 3 volume file, left in the file: the reader
+    """The payload of a version 4 volume file, left in the file: the reader
     of a :class:`~clcst.volume.CLCSTVolume` whose rows are read on demand.
 
-    ``shape`` is the volume's stored shape.  ``rows`` reads into one buffer
-    that its next call reuses.  A file that was replaced or rewritten after
-    :func:`read_volume` opened it is refused, not read as this volume.
+    ``shape`` is the volume's stored shape.  ``rows`` reads into the array
+    ``out`` it is given, or else into one buffer that its next call reuses.
+    A file that was replaced or rewritten after :func:`read_volume` opened
+    it is refused, not read as this volume.
     """
 
     def __init__(self, path, offset, shape, stamp):
@@ -243,25 +247,6 @@ def _json_bytes(meta):
     return json.dumps(meta, sort_keys=True).encode()
 
 
-def _write_json(fh, meta):
-    """Write the bytes of :func:`_json_bytes` for the dict meta, whose numpy
-    array values stand for their lists: each array is encoded 1024 rows at
-    a time, so that neither its whole list of Python floats nor that list's
-    text is held at once."""
-    fh.write(b"{")
-    for i, key in enumerate(sorted(meta)):
-        value = meta[key]
-        fh.write(b"%s%s: " % (b", " if i else b"", _json_bytes(key)))
-        if not isinstance(value, np.ndarray):
-            fh.write(_json_bytes(value))
-            continue
-        fh.write(b"[")
-        for start in range(0, len(value), 1024):
-            fh.write((b", " if start else b"") + _json_bytes(value[start:start + 1024].tolist())[1:-1])
-        fh.write(b"]")
-    fh.write(b"}")
-
-
 def write_grid(path, signal):
     meta = {"kind": "grid"}
     meta.update(_grid_meta(signal.spec, signal.ctx, signal.domain))
@@ -294,7 +279,7 @@ def read_grid(path):
 
 
 class VolumeWriter:
-    """Appends the u rows of one volume, in order, to an open version 3 file
+    """Appends the u rows of one volume, in order, to an open version 4 file
     (:func:`volume_writer`)."""
 
     def __init__(self, fh):
@@ -304,13 +289,19 @@ class VolumeWriter:
         self.bytes = None
 
     def begin(self, vol):
-        """Write the header of vol's file.  Returns :meth:`append`, the sink
-        of its u-blocks (:func:`~clcst.stockwell.fill_volume`)."""
+        """Write the header of vol's file, its u list and its weights.
+        Returns :meth:`append`, the sink of its u-blocks
+        (:func:`~clcst.stockwell.fill_volume`)."""
         if self._vol is not None:
             raise FormatError("a volume file holds one volume")
+        if vol.u_weights.shape != (vol.u_count,):
+            raise FormatError("u weights of shape %r, not one for each of %d u rows"
+                              % (vol.u_weights.shape, vol.u_count))
         self._vol = vol
         axes = (vol.u_count, vol.stored_theta_columns) + vol.spec.shape
         self._fh.write(_header(PAIRS, vol.spec.n, axes, len(vol.pairs)))
+        self._fh.write(_raw(vol.u_list))
+        self._fh.write(_raw(vol.u_weights))
         return self.append
 
     def append(self, start, stop, rows):
@@ -333,8 +324,6 @@ class VolumeWriter:
         return {
             "kind": "volume",
             "grid": _grid_meta(vol.spec, vol.ctx, "space"),
-            "u_list": vol.u_list,
-            "u_weights": vol.u_weights,
             "theta_list": vol.theta_list.tolist(),
             "pairs": vol.pairs.tolist(),
             "path": vol.path,
@@ -345,7 +334,7 @@ class VolumeWriter:
 
 @contextlib.contextmanager
 def volume_writer(path):
-    """A :class:`VolumeWriter` streaming one volume to a version 3 file at
+    """A :class:`VolumeWriter` streaming one volume to a version 4 file at
     path, to be given the header (``begin``) and then every u row.
 
     The rows go to a temporary file beside path.  When the block exits
@@ -356,12 +345,12 @@ def volume_writer(path):
     with _replacing(path, _sidecar(path)) as (payload, sidecar):
         writer = VolumeWriter(payload)
         yield writer
-        _write_json(sidecar, writer._meta())
+        sidecar.write(_json_bytes(writer._meta()))
         writer.bytes = payload.tell() + sidecar.tell()
 
 
 def write_volume(path, vol):
-    """Write vol as a version 3 file and its sidecar, block by block of its
+    """Write vol as a version 4 file and its sidecar, block by block of its
     rows (:meth:`~clcst.volume.CLCSTVolume.blocks`); returns the bytes of
     both."""
     with volume_writer(path) as writer:
@@ -378,118 +367,27 @@ def _numbers(value, count=None):
             and set(map(type, value)) <= {int, float} and all(map(math.isfinite, value)))
 
 
-_SPACE = "[ \t\n\r]*"  # JSON's whitespace
-_SPACES = re.compile(_SPACE)
-_SEPARATOR = _SPACE + "," + _SPACE
-# a JSON number, but an integer -0, which json reads as the int 0, not -0.0
-_NUMBER = r"(?:-(?!0(?![.eE])))?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_NEXT = re.compile(r"%s([,}\]])%s" % (_SPACE, _SPACE))
-_COLON = re.compile(_SPACE + ":" + _SPACE)
-_BRACKETS = str.maketrans("[]", "  ")
-
-
-def _number_array(text, pos, n=None):
-    """(array, end) for the JSON array that starts at text[pos]: a list of
-    finite numbers, or with n one of rows of n of them, as float64, with no
-    Python float made.  None for any other value, an empty list among them,
-    or for a number that json would read to other bits, so that json reads
-    it instead.  Each run of rows is matched to JSON's grammar before its
-    numbers are parsed, since ``np.fromstring`` stops at the first text it
-    cannot parse; a run is 64 rows, because the regex engine keeps about
-    1 KB of backtracking state for each row of one match."""
-    if text[pos:pos + 1] != "[" or n is not None and n < 1:
-        return None
-    item = _NUMBER if n is None else r"\[%s%s(?:%s%s){%d}%s\]" % (
-        _SPACE, _NUMBER, _SEPARATOR, _NUMBER, n - 1, _SPACE)
-    rows = re.compile("%s(?:%s%s){0,63}" % (item, _SEPARATOR, item))
-    pos, parts = _SPACES.match(text, pos + 1).end(), []
-    while True:
-        chunk = rows.match(text, pos)
-        if chunk is None:
-            return None
-        parts.append(np.fromstring(chunk.group().translate(_BRACKETS), sep=","))
-        after = _NEXT.match(text, chunk.end())
-        if after is None or after.group(1) == "}":
-            return None
-        pos = after.end()
-        if after.group(1) == "]":
-            break
-    values = np.concatenate(parts)
-    if not np.all(np.isfinite(values)):
-        return None
-    return (values if n is None else values.reshape(-1, n)), pos
-
-
-def _volume_meta(text, n):
-    """json.loads(text) for the sidecar of a volume of n axes, but its
-    ``u_list`` and ``u_weights`` as float64 arrays read by
-    :func:`_number_array`.  The sidecar's object is walked key by key, json
-    reading every other value; any text that this walk does not take, to
-    the end, is left to json.loads whole, which reads it to Python lists or
-    refuses it as before."""
-    decoder, meta = json.JSONDecoder(), {}
-    try:
-        pos = _SPACES.match(text).end()
-        if text[pos:pos + 1] == "{":
-            pos = _SPACES.match(text, pos + 1).end()
-            while text[pos:pos + 1] == '"':
-                key, pos = json.decoder.scanstring(text, pos + 1)
-                colon = _COLON.match(text, pos)
-                if colon is None:
-                    break
-                if key in ("u_list", "u_weights"):
-                    parsed = _number_array(text, colon.end(), n if key == "u_list" else None)
-                    if parsed is None:
-                        break
-                    meta[key], pos = parsed
-                else:
-                    meta[key], pos = decoder.raw_decode(text, colon.end())
-                after = _NEXT.match(text, pos)
-                if after is None or after.group(1) == "]":
-                    break
-                pos = after.end()
-                if after.group(1) == "}":
-                    if pos == len(text):
-                        return meta
-                    break
-    except ValueError:  # json's own fault, which json.loads names below
-        pass
-    return json.loads(text)
-
-
-def _float_array(value, n=None):
-    """value as a float64 array, or None unless it is a list of finite
-    numbers, or with n rows of n of them: an array of :func:`_volume_meta`
-    or the Python lists of json."""
-    if isinstance(value, np.ndarray):
-        return value
-    if n is not None:
-        if not (isinstance(value, list) and set(map(type, value)) <= {list}
-                and set(map(len, value)) <= {n}):
-            return None
-        value = list(itertools.chain.from_iterable(value))
-    if not _numbers(value):
-        return None
-    return np.asarray(value, dtype=np.float64).reshape((-1, n) if n else -1)
-
-
 def read_volume(path):
-    """The volume of a version 3 file, its header, size and sidecar checked;
-    a sidecar that does not describe the payload raises :class:`FormatError`,
-    and so does a file of another version.
+    """The volume of a version 4 file, its header, size, u list, weights and
+    sidecar checked; a non-finite u or weight, or a sidecar that does not
+    describe the payload, raises :class:`FormatError`, and so does a file of
+    another version.
 
     The payload stays in the file: the volume reads its u rows on demand
     (:class:`VolumePayload`) and loads them whole only when its ``stored``
-    array is asked for.  The sidecar's u list and weights, which grow with
-    the volume, are read as float64 arrays, to the bits json reads, without
-    a Python float per number (:func:`_volume_meta`).
+    array is asked for.
     """
     with open(path, "rb") as fh:
         _, n, sizes, count = _read_header(fh, path, (PAIRS,))
+        u_list = _read_payload(fh, path, np.empty((sizes[0], n), dtype="<f8"))
+        u_weights = _read_payload(fh, path, np.empty(sizes[0], dtype="<f8"))
         offset, stamp = fh.tell(), _stamp(fh)
+    for name, values in (("u_list", u_list), ("u_weights", u_weights)):
+        if not np.all(np.isfinite(values)):
+            raise FormatError("%s: %s holds a value that is not finite" % (path, name))
     try:
-        with open(_sidecar(path), encoding="utf-8") as fh:  # no bytes beside the text
-            meta = _volume_meta(fh.read(), n)
+        with open(_sidecar(path), "rb") as fh:
+            meta = json.load(fh)
         if meta.get("kind") != "volume":
             raise FormatError("%s is not a volume file" % path)
         g, params = meta["grid"], meta["params"]
@@ -498,13 +396,6 @@ def read_volume(path):
             raise FormatError("%s: header n = %d, sidecar n = %r" % (path, n, g["n"]))
         spec = GridSpec(n, g["half_width"], g["samples_per_axis"])
         ctx = algebra(n, g["metric_sign"])
-        u_list = _float_array(meta["u_list"], n)
-        if u_list is None:
-            raise FormatError("%s: sidecar u_list is not rows of n = %d numbers" % (path, n))
-        u_weights = _float_array(meta["u_weights"])
-        if u_weights is None or len(u_weights) != len(u_list):
-            raise FormatError("%s: sidecar u_weights is not %d finite numbers, one per u"
-                              % (path, len(u_list)))
         if params is not None and not _numbers(params, 4):
             raise FormatError("%s: sidecar params %r is not 4 numbers" % (path, params))
         params = LCTParams(*params) if params else None
@@ -525,9 +416,6 @@ def read_volume(path):
         raise FormatError("%s holds %d pairs, its sidecar lists %d" % (path, count, len(pairs)))
     if sizes[2:] != spec.shape:
         raise FormatError("%s: payload does not match sidecar geometry" % path)
-    if sizes[0] != len(u_list):
-        raise FormatError("%s holds %d u rows, its sidecar lists %d"
-                          % (path, sizes[0], len(u_list)))
     if sizes[1] not in columns:
         raise FormatError("%s stores %d theta columns, not T = %d or the window's %d"
                           % ((path, sizes[1]) + columns))
@@ -539,7 +427,7 @@ def read_volume(path):
 def export_spectrogram_csv(path, vol, ui, ti):
     """|S| (coefficient 2-norm) of one (u, theta) slice as CSV rows: the
     norm over the stored pairs, |z_B|^2 = f_B^2 + f_{B^F}^2."""
-    z = vol.rows(ui, ui + 1)[0, vol.column(ti)]
+    z = vol.rows(ui, ui + 1, vol.column(ti))[0, 0]
     mag = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=0))
     header = "u=%s theta=%g" % (vol.u_list[ui].tolist(), vol.theta_list[ti])
     np.savetxt(path, mag.reshape(mag.shape[0], -1), delimiter=",", header=header)

@@ -231,8 +231,8 @@ def reconstruct_resolution(vol, psi, params):
     place of the pass's sum once the pass is done; C_psi is that profile's
     mean, and a mean that is not positive is refused.
 
-    The u and theta lists come from the volume's sidecar, and its
-    :class:`~clcst.stockwell.Plan` checks them and psi as an analysis's.
+    The u and theta lists come from the volume file and its sidecar, and
+    its :class:`~clcst.stockwell.Plan` checks them and psi as an analysis's.
 
     Each block of u rows is read, or for a payload in memory copied, into
     one buffer of the pass (:meth:`~clcst.volume.CLCSTVolume.rows` with

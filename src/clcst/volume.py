@@ -233,7 +233,7 @@ class CLCSTVolume:
     def slice(self, ui, ti):
         """The b-grid signal at one (u, theta) pair."""
         ui = range(self.u_count)[ui]  # a negative index counts from the end
-        return self.signal(self.rows(ui, ui + 1)[0, self.column(ti)])
+        return self.signal(self.rows(ui, ui + 1, self.column(ti))[0, 0])
 
     def set_slice(self, ui, ti, pairs):
         """stored[ui, ti] = pairs: the stored pairs of the u rows and stored

@@ -1,9 +1,8 @@
-"""The version 3 volume container: the stored complex pairs byte for byte,
-the pairs listed in the sidecar, and every malformed file refused with
-FormatError."""
+"""The version 4 volume container: the u list, weights and stored complex
+pairs byte for byte, the pairs listed in the sidecar, and every malformed
+file refused with FormatError."""
 
 import json
-import re
 import struct
 
 import numpy as np
@@ -28,22 +27,27 @@ def header_size(n):
     return 4 + 2 * 3 + 4 * (n + 2) + 4  # magic, version n axes, (U, T_s) + b sizes, pairs
 
 
-def random_volume(n, pairs, columns, seed, u_count=2):
+def lists_size(n, u_count):
+    return 8 * u_count * (n + 1)  # the u list and its weights
+
+
+def random_volume(n, pairs, columns, seed, u_count=2, u=None, u_weights=None):
     """A volume of random stored pairs on a small lattice, its window radial,
-    so that it may store 1 or T columns."""
+    so that it may store 1 or T columns; its u list random unless given."""
     spec, ctx = GridSpec(n, 4.0, 4), transform_algebra(n)
     rng = np.random.default_rng(seed)
     shape = (u_count, columns, len(pairs)) + spec.shape
     stored = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    u = rng.uniform(0.5, 2.0, size=(u_count, n))
-    return CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M,
+    if u is None:
+        u = rng.uniform(0.5, 2.0, size=(u_count, n))
+    return CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M, u_weights=u_weights,
                        window=GaussianWindow(n, sigma=0.8), path="three_step", pairs=pairs)
 
 
 def test_sidecar_is_compact_and_an_indented_one_still_reads(tmp_path):
-    """The sidecar is written as compact JSON, its 2500 u rows and weights
-    1024 at a time.  One written with an indent, as earlier versions wrote
-    it, reads to the same volume, which rewrites to the same bytes."""
+    """The sidecar of a volume of 2500 u rows is written as compact JSON.
+    One written with an indent, as earlier versions wrote it, reads to the
+    same volume, which rewrites to the same bytes."""
     vol = random_volume(2, [0, 1], 1, seed=3, u_count=2500)
     first, second = tmp_path / "a.clcg", tmp_path / "b.clcg"
     write_volume(first, vol)
@@ -59,18 +63,31 @@ def test_sidecar_is_compact_and_an_indented_one_still_reads(tmp_path):
     assert (tmp_path / "b.clcg.json").read_bytes() == compact
 
 
+# any finite double, and the edges of the doubles: signed zeros, subnormals
+# and the largest
+LIST_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.sampled_from([2, 3]), shared=st.booleans(), seed=st.integers(0, 2**32 - 1),
        data=st.data())
-def test_version_3_round_trip_is_bit_exact(tmp_path_factory, n, shared, seed, data):
-    """Any live-pair subset and T_s = 1 or T: write, read and rewrite give
-    the same bytes, and the stored pairs and values read back unchanged."""
+def test_version_4_round_trip_is_bit_exact(tmp_path_factory, n, shared, seed, data):
+    """Any live-pair subset, T_s = 1 or T, and any finite u and weights:
+    write, read and rewrite give the same bytes, and the u list, weights,
+    stored pairs and values read back unchanged, bit for bit."""
     half = 2 ** (n - 1)
     pairs = sorted(data.draw(st.sets(st.integers(0, half - 1), min_size=1)))
-    vol = random_volume(n, pairs, 1 if shared else len(THETAS), seed)
-    first, second = (tmp_path_factory.mktemp("v3") / "v.clcg" for _ in range(2))
+    u = np.array(data.draw(st.lists(LIST_VALUES, min_size=2 * n, max_size=2 * n))).reshape(2, n)
+    u_weights = np.array(data.draw(st.lists(LIST_VALUES, min_size=2, max_size=2)))
+    vol = random_volume(n, pairs, 1 if shared else len(THETAS), seed, u=u, u_weights=u_weights)
+    first, second = (tmp_path_factory.mktemp("v4") / "v.clcg" for _ in range(2))
     write_volume(first, vol)
     back = read_volume(first)
+    assert back.u_list.tobytes() == u.tobytes()
+    assert back.u_weights.tobytes() == u_weights.tobytes()
     assert back.pairs.tolist() == pairs
     assert back.stored_theta_columns == vol.stored_theta_columns
     assert back.stored.tobytes() == vol.stored.tobytes()
@@ -81,18 +98,19 @@ def test_version_3_round_trip_is_bit_exact(tmp_path_factory, n, shared, seed, da
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(part=st.sampled_from(["header", "payload", "sidecar"]), cut=st.booleans(),
+@given(part=st.sampled_from(["header", "lists", "payload", "sidecar"]), cut=st.booleans(),
        data=st.data())
 def test_damaged_volume_file_raises_only_format_error(tmp_path_factory, part, cut, data):
     """A volume file or sidecar truncated, or with one bit flipped, in its
-    header, payload or sidecar either reads as a volume, whose payload then
-    loads, or raises FormatError; nothing else."""
+    header, u list and weights, payload or sidecar either reads as a
+    volume, whose payload then loads, or raises FormatError; nothing else."""
     path = tmp_path_factory.mktemp("damaged") / "v.clcg"
     write_volume(path, random_volume(2, [1], 1, seed=3, u_count=3))
     target = path.with_name("v.clcg.json") if part == "sidecar" else path
     raw = bytearray(target.read_bytes())
-    start, stop = {"header": (0, header_size(2)), "payload": (header_size(2), len(raw)),
-                   "sidecar": (0, len(raw))}[part]
+    lists = header_size(2) + lists_size(2, 3)
+    start, stop = {"header": (0, header_size(2)), "lists": (header_size(2), lists),
+                   "payload": (lists, len(raw)), "sidecar": (0, len(raw))}[part]
     at = data.draw(st.integers(start, stop - 1))
     if cut:
         del raw[at:]
@@ -122,13 +140,8 @@ def composite_window(coefficient):
 
 
 SIDECAR_EDITS = {
-    "u_weights-one-for-all": (lambda meta: meta.update(u_weights=[5.0]), "u_weights"),
-    "u_weights-short": (lambda meta: meta.update(u_weights=[1.0, 2.0]), "u_weights"),
-    "u_weights-nan": (lambda meta: meta["u_weights"].__setitem__(1, float("nan")), "u_weights"),
     "params-two": (lambda meta: meta.update(params=[1, 2]), "params"),
     "params-text": (lambda meta: meta.update(params=["1", "2", "1", "3"]), "params"),
-    "u_list-ragged": (lambda meta: meta["u_list"][1].append(0.5), "u_list"),
-    "u_list-flat": (lambda meta: meta.update(u_list=[0.5, 0.5, 1.0]), "u_list"),
     "pairs-unsorted": (edit_pairs([1, 0]), "pairs"),
     "pairs-repeated": (edit_pairs([0, 0]), "pairs"),
     "pairs-out-of-range": (edit_pairs([0, 2]), "pairs"),
@@ -150,9 +163,8 @@ SIDECAR_EDITS = {
 @pytest.mark.parametrize("case", list(SIDECAR_EDITS))
 def test_volume_sidecar_values_are_checked(tmp_path, case):
     """Each sidecar value of a 3-u volume that does not describe its payload
-    is refused with FormatError, not broadcast or left to fail later: U
-    finite u weights, 4 parameters, U rows of n u components, finite thetas,
-    the header's count of distinct sorted pairs in [0, 2^(n-1)), and a window
+    is refused with FormatError, not broadcast or left to fail later: 4
+    parameters, finite thetas, the header's count of distinct sorted pairs in [0, 2^(n-1)), and a window
     whose amplitude, parameters and coefficients are finite numbers and whose
     normalization is raw or unit-integral."""
     edit, key = SIDECAR_EDITS[case]
@@ -166,95 +178,34 @@ def test_volume_sidecar_values_are_checked(tmp_path, case):
         read_volume(path)
 
 
-def volume_with_lists(tmp_path, n, u_count, u_text, w_text, indent=None):
-    """The path of a volume of u_count rows whose sidecar holds the texts
-    u_text and w_text as its u_list and u_weights, the rest written by json
-    with ``indent``."""
+@pytest.mark.parametrize("name, index, value", [
+    ("u_list", 3, float("nan")),
+    ("u_weights", 1, float("nan")),
+    ("u_weights", 2, float("-inf")),
+], ids=["u_list-nan", "u_weights-nan", "u_weights-inf"])
+def test_volume_list_values_are_checked(tmp_path, name, index, value):
+    """A u component or weight of a 3-u volume file that is not finite is
+    refused in one line naming the path and the list."""
     path = tmp_path / "v.clcg"
-    write_volume(path, random_volume(n, [0], 1, seed=5, u_count=u_count))
-    sidecar = tmp_path / "v.clcg.json"
-    meta = dict(json.loads(sidecar.read_text()), u_list="@u_list@", u_weights="@u_weights@")
-    text = json.dumps(meta, indent=indent, sort_keys=True)
-    sidecar.write_text(text.replace('"@u_list@"', u_text).replace('"@u_weights@"', w_text))
-    return path
-
-
-NUMBER_FORMATS = [repr, "%.17e".__mod__, "%.17E".__mod__, "%.3g".__mod__, "%.0e".__mod__]
-NUMBER_TEXTS = st.one_of(
-    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
-              st.sampled_from(NUMBER_FORMATS)).map(lambda pair: pair[1](pair[0])),
-    st.integers(-10**30, 10**30).map(str),
-    st.sampled_from(["-0.0", "0", "-0", "0e0", "-0E-0", "5e-324", "-2.4703282292062328e-324",
-                     "2.2250738585072011e-308", "1e-400", "1E+2", "12e-1", "9007199254740993"]))
-JSON_SPACES = st.sampled_from(["", " ", "  ", "\n", "\n   ", "\t", "\r\n "])
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(n=st.sampled_from([2, 3]), u_count=st.integers(1, 5),
-       indent=st.sampled_from([None, 1, "\t"]), data=st.data())
-def test_sidecar_lists_read_to_the_bits_json_reads(tmp_path_factory, n, u_count, indent, data):
-    """The sidecar's u_list and u_weights are read as float64 arrays, not
-    as Python floats, and hold the bits that json reads from the same text:
-    finite doubles written by repr or in exponent forms, subnormals and
-    -0.0 among them, integers, and any JSON whitespace around the numbers
-    and brackets.  An integer -0, which json reads as the int 0, is left to
-    json; a number that json reads as not finite is refused."""
-    from clcst.io import _volume_meta
-
-    def joined(items):
-        comma = data.draw(JSON_SPACES) + "," + data.draw(JSON_SPACES)
-        return "[" + data.draw(JSON_SPACES) + comma.join(items) + data.draw(JSON_SPACES) + "]"
-
-    u_text = joined([joined([data.draw(NUMBER_TEXTS) for _ in range(n)]) for _ in range(u_count)])
-    w_text = joined([data.draw(NUMBER_TEXTS) for _ in range(u_count)])
-    path = volume_with_lists(tmp_path_factory.mktemp("lists"), n, u_count, u_text, w_text, indent)
-    text = path.with_name("v.clcg.json").read_text()
-    meta = json.loads(text)
-    try:
-        u_list = np.array([[float(v) for v in row] for row in meta["u_list"]])
-        u_weights = np.array([float(v) for v in meta["u_weights"]])
-    except OverflowError:  # an integer beyond the doubles
-        u_list = u_weights = np.array([np.inf])
-    if not (np.all(np.isfinite(u_list)) and np.all(np.isfinite(u_weights))):
-        with pytest.raises(FormatError, match="u_list|u_weights"):
-            read_volume(path)
-        return
-    vol = read_volume(path)
-    assert vol.u_list.tobytes() == u_list.tobytes()
-    assert vol.u_weights.tobytes() == u_weights.tobytes()
-    if not re.search(r"-0(?![.eE])", u_text + w_text):
-        parsed = _volume_meta(text, n)
-        assert isinstance(parsed["u_list"], np.ndarray)
-        assert isinstance(parsed["u_weights"], np.ndarray)
-        assert {k: v for k, v in parsed.items() if k not in ("u_list", "u_weights")} == {
-            k: v for k, v in meta.items() if k not in ("u_list", "u_weights")}
-
-
-U_TEXT, W_TEXT = "[[0.5, 1.0], [1.5, 2.0], [2.5, 3.0]]", "[1.0, 1.0, 1.0]"
-BAD_LIST_TEXTS = dict(
-    [("u_list-%s" % token, ("[[%s, 1.0], [1.5, 2.0], [2.5, 3.0]]" % token, W_TEXT))
-     for token in [".5", "1.", "+1", "0x10", "1e", "NaN", "Infinity", "1e400", "true", '"1"']]
-    + [("u_weights-%s" % token, (U_TEXT, "[1.0, %s, 1.0]" % token))
-       for token in [".5", "1.", "+1", "0x10", "1e", "NaN", "-Infinity", "1" + "0" * 400, "true"]]
-    + [("u_list-trailing-comma", ("[[0.5, 1.0], [1.5, 2.0], [2.5, 3.0],]", W_TEXT)),
-       ("u_list-row-trailing-comma", ("[[0.5, 1.0,], [1.5, 2.0], [2.5, 3.0]]", W_TEXT)),
-       ("u_weights-trailing-comma", (U_TEXT, "[1.0, 1.0, 1.0,]")),
-       ("u_list-nested-row", ("[[0.5, [1.0]], [1.5, 2.0], [2.5, 3.0]]", W_TEXT)),
-       ("u_weights-nested", (U_TEXT, "[[1.0], 1.0, 1.0]")),
-       ("u_list-empty-row", ("[[], [1.5, 2.0], [2.5, 3.0]]", W_TEXT)),
-       ("u_list-unclosed", ("[[0.5, 1.0], [1.5, 2.0], [2.5, 3.0]", W_TEXT))])
-
-
-@pytest.mark.parametrize("case", list(BAD_LIST_TEXTS))
-def test_sidecar_lists_outside_json_or_finite_numbers_are_refused(tmp_path, case):
-    """u_list and u_weights text that json refuses, or reads as anything but
-    finite numbers in rows of n, is refused in one line naming the path,
-    before any number is parsed past it."""
-    path = volume_with_lists(tmp_path, 2, 3, *BAD_LIST_TEXTS[case])
+    write_volume(path, random_volume(2, [0, 1], 1, seed=5, u_count=3))
+    raw = bytearray(path.read_bytes())
+    at = header_size(2) + 8 * (index if name == "u_list" else 3 * 2 + index)  # after U n u
+    struct.pack_into("<d", raw, at, value)
+    path.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as err:
         read_volume(path)
     message = str(err.value)
-    assert message.startswith(str(path)) and "\n" not in message
+    assert message.startswith(str(path)) and name in message and "\n" not in message
+
+
+def test_volume_without_one_weight_per_u_is_not_written(tmp_path):
+    """A volume of 3 u rows and one weight is refused before its file is
+    written, not written as a file whose reader would refuse its size."""
+    vol = random_volume(2, [0], 1, seed=5, u_count=3)
+    vol.u_weights = np.array([5.0])
+    with pytest.raises(FormatError, match="u weights"):
+        write_volume(tmp_path / "v.clcg", vol)
+    assert list(tmp_path.iterdir()) == []
 
 
 GRID_SIDECAR_EDITS = {
@@ -282,16 +233,17 @@ def test_grid_sidecar_errors_are_format_errors(tmp_path, case):
 
 
 def test_cli_transform_writes_the_live_pair_alone(tmp_path):
-    """A scalar input has one live pair: the volume file is its header and
-    16 U T_s N^n payload bytes, and its sidecar lists pair 0."""
+    """A scalar input has one live pair: the volume file is its header, its
+    u list and weights, and 16 U T_s N^n payload bytes, and its sidecar
+    lists pair 0."""
     src, out = tmp_path / "f.clcg", tmp_path / "vol.clcg"
     main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
     u_spec = json.dumps({"kind": "multiples", "per_axis": [[-2, 1, 3], [1, 2]]})
     assert main(["transform", "--input", str(src), "--u-list", u_spec, "--out", str(out)]) == 0
     raw = out.read_bytes()
     u_count, columns, points = 6, 1, 16**2  # the default Gaussian window is radial
-    assert struct.unpack_from("<HHH5I", raw, 4) == (3, 2, 4, u_count, columns, 16, 16, 1)
-    assert len(raw) == header_size(2) + 16 * u_count * columns * 1 * points
+    assert struct.unpack_from("<HHH5I", raw, 4) == (4, 2, 4, u_count, columns, 16, 16, 1)
+    assert len(raw) == header_size(2) + lists_size(2, u_count) + 16 * u_count * columns * points
     assert json.loads((tmp_path / "vol.clcg.json").read_text())["pairs"] == [0]
     report = json.loads((tmp_path / "vol.clcg.report.json").read_text())
     assert report["volume_bytes"] == len(raw) + (tmp_path / "vol.clcg.json").stat().st_size

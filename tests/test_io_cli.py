@@ -105,19 +105,25 @@ def header_size(n):
     return 4 + 2 * 3 + 4 * (n + 2) + 4  # magic, version n axes, (U, T_s) + b sizes, count
 
 
+def lists_size(n, u_count):
+    return 8 * u_count * (n + 1)  # the u list and its weights
+
+
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "not-radial"])
 def test_volume_file_is_the_stored_array(tmp_path, radial):
-    """Version 3: axes (U, T_s) + b, the pair count, and the stored complex
-    pairs byte for byte."""
+    """Version 4: axes (U, T_s) + b, the pair count, the u list and weights,
+    and the stored complex pairs byte for byte."""
     vol = small_volume(radial)
     columns, pairs = 1 if radial else 3, CTX.blade_count // 2  # every pair is live
     path = tmp_path / "v.clcg"
     written = write_volume(path, vol)
     raw = path.read_bytes()
-    assert struct.unpack_from("<HHH", raw, 4) == (3, 2, 4)
+    assert struct.unpack_from("<HHH", raw, 4) == (4, 2, 4)
     assert struct.unpack_from("<5I", raw, 10) == (2, columns) + SPEC.shape + (pairs,)
-    assert len(raw) == header_size(2) + 16 * 2 * columns * pairs * SPEC.point_count
-    assert raw[header_size(2):] == vol.stored.astype("<c16").tobytes()
+    lists = header_size(2) + lists_size(2, 2)
+    assert len(raw) == lists + 16 * 2 * columns * pairs * SPEC.point_count
+    assert raw[header_size(2):lists] == vol.u_list.tobytes() + vol.u_weights.tobytes()
+    assert raw[lists:] == vol.stored.astype("<c16").tobytes()
     assert json.loads((tmp_path / "v.clcg.json").read_text())["pairs"] == list(range(pairs))
     assert written == len(raw) + len((tmp_path / "v.clcg.json").read_bytes())
     back = read_volume(path)
@@ -200,51 +206,80 @@ def test_one_column_read_holds_that_column(tmp_path):
             assert back._stored is None
 
 
+def test_slice_and_spectrogram_read_only_their_column(tmp_path, monkeypatch):
+    """slice and export_spectrogram_csv of a volume file of T_s = T columns
+    read the one stored column of the u row that they return, and give what
+    they give for the volume in memory."""
+    from clcst.io import VolumePayload, export_spectrogram_csv
+
+    vol = small_volume(radial=False)
+    path = tmp_path / "v.clcg"
+    write_volume(path, vol)
+    back = read_volume(path)
+    reads, read = [], VolumePayload._read
+
+    def spied(self, start, out, column=None):
+        reads.append((start, out.shape[:2], column))
+        return read(self, start, out, column)
+
+    monkeypatch.setattr(VolumePayload, "_read", spied)
+    for ui, ti in ((0, 2), (1, 1)):
+        assert np.array_equal(back.slice(ui, ti).data, vol.slice(ui, ti).data)
+        export_spectrogram_csv(tmp_path / "file.csv", back, ui, ti)
+        export_spectrogram_csv(tmp_path / "memory.csv", vol, ui, ti)
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "memory.csv").read_bytes()
+    assert reads == [(0, (1, 1), 2)] * 2 + [(1, (1, 1), 1)] * 2
+
+
 @pytest.mark.parametrize("damage, message", [
     ("theta columns", "stores 2 theta columns"),
-    ("u rows", "holds 1 u rows"),
     ("truncated payload", "payload bytes"),
     ("one axis", r"needs \(U, T_s\)"),
 ])
 def test_malformed_volume_rejected(tmp_path, damage, message):
-    """A radial volume may store 1 or T = 3 columns, nothing else; its u
-    count must be the sidecar's."""
+    """A radial volume may store 1 or T = 3 columns, nothing else; its file
+    holds what its header declares, and its axes start with (U, T_s)."""
     path = tmp_path / "v.clcg"
     write_volume(path, small_volume(radial=True))
     raw = bytearray(path.read_bytes())
-    payload = raw[header_size(2):]
+    lists = header_size(2) + lists_size(2, 2)
     if damage == "theta columns":
         struct.pack_into("<I", raw, 14, 2)
-        raw = raw[:header_size(2)] + payload + payload  # sizes agree with the header
-    elif damage == "u rows":
-        struct.pack_into("<I", raw, 10, 1)
-        raw = raw[:header_size(2) + len(payload) // 2]
+        raw += raw[lists:]  # sizes agree with the header
     elif damage == "truncated payload":
         raw = raw[:-8]
     else:
-        raw = b"CLCG" + struct.pack("<HHHII", 3, 2, 1, 2, 4) + b"\x00" * 64
+        raw = b"CLCG" + struct.pack("<HHHII", 4, 2, 1, 2, 4) + b"\x00" * 64
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=message):
         read_volume(path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_blade_volume_is_refused(tmp_path, version):
-    """A volume file of real blades, version 1 (axes b + (U, T), blade-major)
-    or version 2 (axes (U, T_s) + b), is refused naming its version, and
-    reconstruct on it exits in one line without writing."""
+    """A volume file of an earlier version is refused naming its version,
+    and reconstruct on it exits in one line without writing: real blades,
+    version 1 (axes b + (U, T), blade-major) or version 2 (axes (U, T_s) +
+    b), or version 3, the complex pairs of version 4 with the u list and
+    weights in the sidecar."""
     vol = small_volume(radial=False)
     path, out = tmp_path / "old.clcg", tmp_path / "rec.clcg"
     write_volume(path, vol)
-    # a blade file's sidecar lists no pairs
     sidecar = path.with_name(path.name + ".json")
-    sidecar.write_text(json.dumps({k: v for k, v in json.loads(sidecar.read_text()).items()
-                                   if k != "pairs"}))
-    columns = (vol.u_count, vol.theta_count)
-    axes = SPEC.shape + columns if version == 1 else columns + SPEC.shape
-    header = b"CLCG" + struct.pack("<HHH", version, 2, len(axes))
-    header += struct.pack("<%dI" % len(axes), *axes) + struct.pack("<I", CTX.blade_count)
-    path.write_bytes(header + bytes(8 * CTX.blade_count * math.prod(axes)))
+    meta = json.loads(sidecar.read_text())
+    if version == 3:
+        meta.update(u_list=vol.u_list.tolist(), u_weights=vol.u_weights.tolist())
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<H", raw, 4, version)
+        path.write_bytes(raw[:header_size(2)] + raw[header_size(2) + lists_size(2, 2):])
+    else:
+        meta.pop("pairs")  # a blade file's sidecar lists no pairs
+        columns = (vol.u_count, vol.theta_count)
+        axes = SPEC.shape + columns if version == 1 else columns + SPEC.shape
+        header = b"CLCG" + struct.pack("<HHH", version, 2, len(axes))
+        header += struct.pack("<%dI" % len(axes), *axes) + struct.pack("<I", CTX.blade_count)
+        path.write_bytes(header + bytes(8 * CTX.blade_count * math.prod(axes)))
+    sidecar.write_text(json.dumps(meta))
     with pytest.raises(FormatError, match="unsupported format version %d in " % version):
         read_volume(path)
     with pytest.raises(SystemExit) as err:
@@ -258,7 +293,7 @@ def test_grid_reader_refuses_a_volume_file(tmp_path):
     path = tmp_path / "v.clcg"
     write_volume(path, small_volume(radial=True))
     (tmp_path / "v.clcg.json").write_text(json.dumps({"kind": "grid"}))
-    with pytest.raises(FormatError, match="version 3"):
+    with pytest.raises(FormatError, match="version 4"):
         read_grid(path)
 
 
@@ -616,8 +651,9 @@ def test_cli_marginal_reads_its_column_in_slabs(tmp_path, monkeypatch):
     rows, the bound of a factored block of the analysis, not in blocks of
     BLOCK_BYTES.  On the roundtrip-lattice-n2 volume its traced peak was
     4.71 MB with 113-row blocks of 4.2 MB, 1.58 MB with slabs of 1 MiB and
-    the sidecar's lists parsed as Python floats, and is 1.09 MB, within
-    1 MiB plus the sidecar."""
+    the sidecar's lists parsed as Python floats, and is 1.11 MB, within
+    1 MiB plus 8 (n + 1) + 16 P bytes a u row: the u list and weights and
+    the marginal's per-row G."""
     from clcst.volume import BLOCK_BYTES, CLCSTVolume
 
     vol = roundtrip_volume(tmp_path)
@@ -631,16 +667,15 @@ def test_cli_marginal_reads_its_column_in_slabs(tmp_path, monkeypatch):
     peak = traced_peak(["reconstruct", "--volume", str(vol), "--method", "marginal",
                         "--out", str(tmp_path / "marginal.clcg")])
     assert slabs == [max(1, BLOCK_BYTES // 8 // (16 * 48 * 48))] * 2
-    assert peak < 2**20 + (tmp_path / "vol.clcg.json").stat().st_size
+    assert peak < 2**20 + 2209 * (8 * (2 + 1) + 16 * 1)
 
 
 def test_cli_resolution_synthesis_holds_its_rows_once(tmp_path):
     """reconstruct --method resolution reads each block of rows into one
-    buffer of the pass, which its route weights and transforms in place, and
-    parses the sidecar's u list as arrays.  On the roundtrip-lattice-n2
-    volume its traced peak was 2.07 MB with a weighted copy of each block
-    and the list parsed as Python floats, and is 1.51 MB: below the
-    transform's 1.64 MB."""
+    buffer of the pass, which its route weights and transforms in place.
+    On the roundtrip-lattice-n2 volume its traced peak was 2.07 MB with a
+    weighted copy of each block and the sidecar's u list parsed as Python
+    floats, and is 1.52 MB: below the transform's 1.64 MB."""
     vol = roundtrip_volume(tmp_path)
     peak = traced_peak(["reconstruct", "--volume", str(vol), "--method", "resolution",
                         "--out", str(tmp_path / "resolution.clcg")])
@@ -1304,14 +1339,22 @@ def test_cli_reconstruct_without_a_sidecar_exits_with_one_line(tmp_path):
     assert err.value.code == "clcst reconstruct: [Errno 2] No such file or directory: %r" % str(sidecar)
 
 
+def zero_u(path, meta):
+    """Set the first component of the volume file's first u to zero."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, header_size(2), 0.0)
+    path.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda meta: meta["u_list"][0].__setitem__(0, 0.0), "zero component"),
-    (lambda meta: meta["theta_list"].__setitem__(1, meta["theta_list"][0]), "repeats an angle"),
+    (zero_u, "zero component"),
+    (lambda path, meta: meta["theta_list"].__setitem__(1, meta["theta_list"][0]),
+     "repeats an angle"),
 ], ids=["zero-u", "repeated-theta"])
 def test_cli_resolution_refuses_a_bad_sidecar_list(tmp_path, edit, message):
-    """The u and theta lists of a volume's sidecar are input: a zero u
-    component or a repeated theta is refused, not synthesized with a zero or
-    wrong weight."""
+    """The u list of a volume file and the theta list of its sidecar are
+    input: a zero u component or a repeated theta is refused, not
+    synthesized with a zero or wrong weight."""
     src, vol_path = tmp_path / "f.clcg", tmp_path / "vol.clcg"
     main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--out", str(src)])
     assert main([
@@ -1321,7 +1364,7 @@ def test_cli_resolution_refuses_a_bad_sidecar_list(tmp_path, edit, message):
     ]) == 0
     sidecar = tmp_path / "vol.clcg.json"
     meta = json.loads(sidecar.read_text())
-    edit(meta)
+    edit(vol_path, meta)
     sidecar.write_text(json.dumps(meta))
     rec = tmp_path / "rec.clcg"
     with pytest.raises(SystemExit, match=message):

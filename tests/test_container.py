@@ -164,9 +164,10 @@ SIDECAR_EDITS = {
 def test_volume_sidecar_values_are_checked(tmp_path, case):
     """Each sidecar value of a 3-u volume that does not describe its payload
     is refused with FormatError, not broadcast or left to fail later: 4
-    parameters, finite thetas, the header's count of distinct sorted pairs in [0, 2^(n-1)), and a window
-    whose amplitude, parameters and coefficients are finite numbers and whose
-    normalization is raw or unit-integral."""
+    parameters, finite thetas, the header's count of distinct sorted pairs
+    in [0, 2^(n-1)), and a window whose amplitude, parameters and
+    coefficients are finite numbers and whose normalization is raw or
+    unit-integral."""
     edit, key = SIDECAR_EDITS[case]
     path = tmp_path / "v.clcg"
     write_volume(path, random_volume(2, [0, 1], 1, seed=5, u_count=3))
@@ -189,7 +190,7 @@ def test_volume_list_values_are_checked(tmp_path, name, index, value):
     path = tmp_path / "v.clcg"
     write_volume(path, random_volume(2, [0, 1], 1, seed=5, u_count=3))
     raw = bytearray(path.read_bytes())
-    at = header_size(2) + 8 * (index if name == "u_list" else 3 * 2 + index)  # after U n u
+    at = header_size(2) + 8 * (index if name == "u_list" else 3 * 2 + index)  # weights after 3 x 2 u
     struct.pack_into("<d", raw, at, value)
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError) as err:

@@ -202,9 +202,7 @@ class Multivector:
             return geometric_product(self, other)
         return Multivector(self.ctx, self.coeffs * float(other))
 
-    def __rmul__(self, other):
-        if isinstance(other, Multivector):
-            return geometric_product(other, self)
+    def __rmul__(self, other):  # a scalar times a Multivector
         return Multivector(self.ctx, float(other) * self.coeffs)
 
     def __truediv__(self, other):

@@ -128,16 +128,21 @@ def _u_numbers(values, where):
     for value in values:
         if not _number(value):
             raise SystemExit("--u-list %s holds %r, which is not a number" % (where, value))
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer past the float range
-            finite = False
-        if not finite:
+        if not math.isfinite(_float(value, "--u-list " + where)):
             raise SystemExit("--u-list %s holds %r, which is not finite" % (where, value))
 
 
 def _number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float(value, where):
+    """float(value), refused in one line that names ``where`` for an integer
+    past the float range, which is not finite."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise SystemExit("%s holds %r, which is not finite" % (where, value)) from None
 
 
 def _file_value(path, action, value):
@@ -148,10 +153,10 @@ def _file_value(path, action, value):
         ok = True
     elif kind is _float_list:
         ok = isinstance(value, list) and all(_number(v) for v in value)
-        value = [float(v) for v in value] if ok else value
+        value = [_float(v, "config " + path) for v in value] if ok else value
     elif kind in (int, float):
         ok = _number(value) and (kind is float or isinstance(value, int))
-        value = kind(value) if ok else value
+        value = _float(value, "config " + path) if ok and kind is float else value
     else:
         ok = isinstance(value, str)
     if not ok:
@@ -188,8 +193,12 @@ def _config(args):
     path, with the --config file laid over it."""
     flat = {dest[4:]: value for dest, value in vars(args).items() if dest.startswith("cfg:")}
     if args.config:
-        with open(args.config) as fh:
-            _merge(flat, json.load(fh), args.settings)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SystemExit("config file %s is not UTF-8 JSON: %s" % (args.config, exc)) from None
+        _merge(flat, doc, args.settings)
     cfg = {}
     for path, value in flat.items():
         *sections, key = path.split(".")
@@ -362,7 +371,7 @@ def cmd_reconstruct(args):
         raise SystemExit("volume carries no window; the resolution synthesis needs one")
     report = {}
     if args.method == "marginal":
-        out, info = reconstruct_marginal(vol, vol.params, args.theta, strict=not args.no_strict)
+        out, info = reconstruct_marginal(vol, vol.params, args.theta)
         report.update(info)
     else:
         # C_psi is the mean of the profile the synthesis pass accumulates
@@ -460,8 +469,6 @@ def build_parser():
     rec.add_argument("--volume", required=True)
     rec.add_argument("--method", default="marginal", choices=["marginal", "resolution"])
     rec.add_argument("--theta", type=float, default=0.0)
-    rec.add_argument("--no-strict", action="store_true",
-                     help="tolerate a window without unit integral")
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=cmd_reconstruct)
 

@@ -8,7 +8,7 @@ inverts exactly on the lattice.
 
 import numpy as np
 
-from .algebra import Multivector, algebra
+from .algebra import Multivector
 
 SPACE = "space"
 FREQUENCY = "frequency"
@@ -167,20 +167,15 @@ class GridSignal:
         return float((total - np.sum(inner)) / total)
 
 
-def sample(fn, spec, ctx=None, domain=SPACE):
-    """Evaluate an analytic function on the lattice.
-
+def sample(fn, spec, ctx, domain=SPACE):
+    """The scalar blade, in ctx, of an analytic function on the lattice:
     ``fn`` receives the stacked coordinate array (n, N, ..., N) and returns
-    either a scalar-valued spatial array or a full blade-major array.
-    """
-    if ctx is None:
-        ctx = algebra(spec.n)
+    an array of the lattice's shape."""
     values = np.asarray(fn(spec.mesh(domain)), dtype=np.float64)
-    if values.shape == spec.shape:
-        return GridSignal.from_scalar(spec, ctx, values, domain)
-    if values.shape == (ctx.blade_count,) + spec.shape:
-        return GridSignal(spec, ctx, values, domain)
-    raise GridError("sampled function returned shape %r" % (values.shape,))
+    if values.shape != spec.shape:
+        raise GridError("sampled function returned shape %r, not the lattice's %r"
+                        % (values.shape, spec.shape))
+    return GridSignal.from_scalar(spec, ctx, values, domain)
 
 
 def inner_product(f, g):

@@ -408,7 +408,7 @@ def read_volume(path):
         except FormatError as exc:
             raise FormatError("%s: %s" % (path, exc)) from None
         theta_list = np.asarray(meta["theta_list"], dtype=np.float64)
-        columns = (len(theta_list), len(window_angles(window, theta_list)))
+        columns = len(window_angles(window, theta_list))
     except SIDECAR_ERRORS as exc:  # a sidecar that does not describe its volume
         raise FormatError("%s: malformed sidecar (%s: %s)"
                           % (path, type(exc).__name__, exc)) from None
@@ -416,9 +416,9 @@ def read_volume(path):
         raise FormatError("%s holds %d pairs, its sidecar lists %d" % (path, count, len(pairs)))
     if sizes[2:] != spec.shape:
         raise FormatError("%s: payload does not match sidecar geometry" % path)
-    if sizes[1] not in columns:
-        raise FormatError("%s stores %d theta columns, not T = %d or the window's %d"
-                          % ((path, sizes[1]) + columns))
+    if sizes[1] != columns:
+        raise FormatError("%s stores %d theta columns, not the window's %d"
+                          % (path, sizes[1], columns))
     payload = VolumePayload(path, offset, sizes[:2] + (count,) + sizes[2:], stamp)
     return CLCSTVolume(spec, ctx, u_list, theta_list, stored=payload, params=params,
                        window=window, path=tag, u_weights=u_weights, pairs=pairs)

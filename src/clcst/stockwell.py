@@ -94,8 +94,8 @@ def checked_lists(spec, u_list=None, theta_list=None, u_weights=None):
     row's |det A_u| a positive finite number, because each slice is weighed
     by it; the angles must be distinct, because the theta weight is meant
     for distinct angles.  The u weights, by default those of
-    :func:`~clcst.volume.u_weights_from_list`, must be finite, and |det
-    A_u|^2 x u weight, which weighs the row's profile term, a normal number.
+    :func:`~clcst.volume.u_weights_from_list`, must be finite, one per row,
+    and |det A_u|^2 x u weight, which weighs the row's profile term, normal.
     None selects the default list, which is empty below N = 4 samples per
     axis.
     """
@@ -118,6 +118,10 @@ def checked_lists(spec, u_list=None, theta_list=None, u_weights=None):
         det = np.prod(np.abs(u_list), axis=1)  # as Plan computes it
         if u_weights is None:
             u_weights = u_weights_from_list(u_list)
+        u_weights = np.asarray(u_weights, dtype=np.float64)
+        if u_weights.shape != (len(u_list),):
+            raise StockwellError("u weights of shape %r, not one for each of %d u rows"
+                                 % (u_weights.shape, len(u_list)))
         power = det**2 * u_weights
     for bad, what in ((~np.all(np.isfinite(u_list), axis=1), "is not finite"),
                       (np.any(u_list == 0.0, axis=1), "has a zero component"),
@@ -482,15 +486,11 @@ class SpectrumRoute:
     def add(self, start, stop, M, B, s, weights):
         """Add the adjoints of the n-D u rows start:stop to the sums:
         ``s``, shape (rows, columns, P) + b-shape, and their synthesis
-        ``weights``, against the :meth:`Plan.blocks` spectra M and B.  One
-        stored column against a window per angle is taken against the
-        windows' sum.  The slices are weighted, transformed and multiplied
-        in place, so they are spent: the caller hands over rows of its own,
-        not a view of a volume's payload."""
+        ``weights``, against the :meth:`Plan.blocks` spectra M and B, one
+        column per angle.  The slices are weighted, transformed and
+        multiplied in place, so they are spent: the caller hands over rows
+        of its own, not a view of a volume's payload."""
         plan, spec = self.plan, self.plan.spec
-        if s.shape[1] < M.shape[1]:
-            M = np.sum(M, axis=1, keepdims=True)
-            B = {i: np.sum(b, axis=0, keepdims=True) for i, b in B.items()}
         if self.summed is None:
             self.summed = np.zeros((s.shape[2],) + spec.shape, dtype=np.complex128)
             self.modulated = np.zeros_like(self.summed)

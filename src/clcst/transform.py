@@ -189,14 +189,14 @@ def _spectral_slices(h, plan, antichirp):
     return slices
 
 
-def admissibility_profile(psi, params, spec, ctx, u_list=None, theta_list=None):
+def admissibility_profile(psi, params, spec, u_list=None, theta_list=None):
     """C_psi(w) = sum over (u, theta) of weights |det A_u|^2 |Q_{u,theta}(w)|^2.
 
     Returns the profile on the centered frequency lattice, one real array of
     spec.shape (:meth:`~clcst.stockwell.Plan.profile`), plus min/max/mean
     and their relative variation; the resolution-of-identity error is
     governed by how far this profile is from a constant.  The plan checks
-    the lists and psi first; the profile is scalar, so ``ctx`` is not read.
+    the lists and psi first; the profile is scalar, so it needs no algebra.
     The analysis pass (:func:`~clcst.stockwell.fill_volume`) accumulates the
     same profile in its own pass, from the per-axis tables on the factored
     runs of a separable window; a radial window's one term per u counts T
@@ -220,11 +220,11 @@ def reconstruct_resolution(vol, psi, params):
 
     That sum is the adjoint of the three_step analysis, which each block of
     u rows takes on its route (:meth:`~clcst.stockwell.Plan.routes`), the
-    route's sums closed once the pass is done.  A radial window has one
-    window for every theta of a u: a volume that stores one column for it
-    counts that column's term T times, and a volume that stores all T
-    columns sums them first.  Only the stored pairs (``vol.pairs``) are
-    transformed and summed: every other pair is zero and adds exactly zero.
+    route's sums closed once the pass is done.  The volume stores one
+    column per angle of the window that analysed it, and a window of
+    another angle count is refused before the first block; a radial
+    window's one column counts T times.  Only the stored pairs
+    (``vol.pairs``) are summed: every other pair is zero and adds zero.
 
     The same pass accumulates the admissibility profile, weighted with
     ``vol.u_weights`` as the analysis pass weights it, and builds it in
@@ -246,9 +246,12 @@ def reconstruct_resolution(vol, psi, params):
     _require_b_nonzero(params, spec)
     rate = params.chirp_rate
     plan = Plan(psi, spec, vol.u_list, vol.theta_list, vol.u_weights)
-    columns = max(vol.stored_theta_columns, len(plan.angles))
-    # a product of one stored column and one window stands for T / columns thetas
-    weights = plan.weights * (vol.theta_count // columns)
+    columns = vol.stored_theta_columns
+    if len(plan.angles) != columns:
+        raise TransformError("the window has %d angles, the volume %d stored theta columns"
+                             % (len(plan.angles), columns))
+    # each stored column, against its window, stands for plan.copies thetas
+    weights = plan.weights * plan.copies
     # per u row and pair of the algebra, whatever the stored pairs, beside
     # the window block, 16 bytes each: the rows, weighted and transformed in
     # place, a masked copy of the lattice rows and one term's product
@@ -265,8 +268,6 @@ def reconstruct_resolution(vol, psi, params):
         if buffer is None:
             buffer = np.empty((largest,) + vol.stored_shape[1:], dtype="<c16")
         s = vol.rows(start, stop, out=buffer[:stop - start])
-        if s.shape[1] > len(plan.angles):  # T stored columns, one window for every theta
-            s = np.sum(s, axis=1, keepdims=True)
         routes[plan.factored[start]].add(start, stop, M, B, s, weights[start:stop])
         del M, B, s  # before the next block's spectra are built
     del buffer  # before the sums are closed and the profile is built
@@ -354,22 +355,15 @@ def marginal_spectrum(vol, params, theta):
     return vol.signal(spectrum, FREQUENCY), {"filled_bins": filled}
 
 
-def reconstruct_marginal(vol, params, theta, strict=True):
+def reconstruct_marginal(vol, params, theta):
     """Invert the transform through the b-marginal identity.
 
     G(u) from :func:`marginal_spectrum` equals cft[f e^{i_n A|x|^2/2B}](u), so
-    one inverse CFT and an anti-chirp recover f.
+    one inverse CFT and an anti-chirp recover f; a window the volume names
+    that does not integrate to one is refused.
     """
     if vol.window is not None and not vol.window.is_unit_integral():
-        if strict:
-            raise StockwellError(
-                "marginal reconstruction requires a unit-integral window"
-            )
-        warnings.warn(
-            "window integral differs from 1; marginal identity will be biased",
-            NonUnitWindowWarning,
-            stacklevel=2,
-        )
+        raise StockwellError("marginal reconstruction requires a unit-integral window")
     G, info = marginal_spectrum(vol, params, theta)
     g = cft_inverse(G)
     out = chirp_multiply(g, params.chirp_rate, -1)

@@ -799,7 +799,7 @@ def reproducing_kernel_bound():
     psi = GaussianWindow(2, sigma=1.0)
     u_def = default_u_list(SPEC32)
     thetas = [0.0, np.pi / 4, np.pi / 2]
-    _, stats = admissibility_profile(psi, M_EXAMPLE, SPEC32, CTX2, u_def, thetas)
+    _, stats = admissibility_profile(psi, M_EXAMPLE, SPEC32, u_def, thetas)
     c = stats["mean"]
     rng = np.random.default_rng(10)
     worst = 0.0

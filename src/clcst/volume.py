@@ -92,9 +92,8 @@ class CLCSTVolume:
     (:func:`~clcst.grid.live_pairs`), the others being zero everywhere.
     T_s is the number of :func:`~clcst.windows.window_angles` of the window:
     1 for a radial window, whose one column serves every theta, and T
-    otherwise or when the window is unknown.  A given ``stored`` array may
-    also hold all T columns.  Blades are unpacked from the pairs only for
-    ``values`` and :meth:`signal`.
+    otherwise or when the window is unknown.  Blades are unpacked from the
+    pairs only for ``values`` and :meth:`signal`.
 
     The payload is given in one of three ways:
 
@@ -117,20 +116,19 @@ class CLCSTVolume:
         self.theta_list = np.asarray(theta_list, dtype=np.float64).ravel()
         self.pairs = checked_pairs(ctx, pairs)
         columns = len(window_angles(window, self.theta_list))
+        expected = (len(self.u_list), columns, len(self.pairs)) + spec.shape
         self._reader = None
         if stored is None:
-            shape = (len(self.u_list), columns, len(self.pairs)) + spec.shape
+            shape = expected
         elif hasattr(stored, "rows"):
             self._reader, stored = stored, None
             shape = tuple(self._reader.shape)
         else:
             stored = np.asarray(stored, dtype=np.complex128)
             shape = stored.shape
-        allowed = {(len(self.u_list), c, len(self.pairs)) + spec.shape
-                   for c in (columns, len(self.theta_list))}
-        if shape not in allowed:
-            raise GridError("stored volume shape %r, expected one of %r for %d pairs"
-                            % (shape, sorted(allowed), len(self.pairs)))
+        if shape != expected:
+            raise GridError("stored volume shape %r, expected %r: the window's %d theta columns "
+                            "and %d pairs" % (shape, expected, columns, len(self.pairs)))
         self.stored_shape = shape
         self._stored = stored
         self.params = params

@@ -32,8 +32,8 @@ def lists_size(n, u_count):
 
 
 def random_volume(n, pairs, columns, seed, u_count=2, u=None, u_weights=None):
-    """A volume of random stored pairs on a small lattice, its window radial,
-    so that it may store 1 or T columns; its u list random unless given."""
+    """A volume of random stored pairs on a small lattice, its u list random
+    unless given: of 1 column, its window radial, or of T, with no window."""
     spec, ctx = GridSpec(n, 4.0, 4), transform_algebra(n)
     rng = np.random.default_rng(seed)
     shape = (u_count, columns, len(pairs)) + spec.shape
@@ -41,7 +41,8 @@ def random_volume(n, pairs, columns, seed, u_count=2, u=None, u_weights=None):
     if u is None:
         u = rng.uniform(0.5, 2.0, size=(u_count, n))
     return CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M, u_weights=u_weights,
-                       window=GaussianWindow(n, sigma=0.8), path="three_step", pairs=pairs)
+                       window=GaussianWindow(n, sigma=0.8) if columns == 1 else None,
+                       path="three_step", pairs=pairs)
 
 
 def test_sidecar_is_compact_and_an_indented_one_still_reads(tmp_path):

@@ -25,6 +25,7 @@ from clcst.stockwell import (
 )
 from clcst.transform import (
     PATHS,
+    TransformError,
     admissibility_profile,
     clcst,
     cst,
@@ -253,7 +254,7 @@ def test_pass_profile_equals_admissibility_profile(n):
     spec, ctx = setting(n)
     psi = SkewedGaussian(n)
     u = mixed_u_list(spec)
-    standalone, stats = admissibility_profile(psi, M, spec, ctx, u, THETAS)
+    standalone, stats = admissibility_profile(psi, M, spec, u, THETAS)
     f = noise(spec, ctx, 1)
     volumes = [clcst(f, psi, M, u, THETAS, path=p) for p in ("three_step", "direct", "spectral")]
     for vol in volumes + [cst(f, psi, u, THETAS)]:
@@ -316,7 +317,7 @@ def test_resolution_synthesis_matches_per_slice_sum():
     u = mixed_u_list(spec)
     vol = clcst(noise(spec, ctx, 2), psi, M, u, THETAS)
     out, (_, stats) = reconstruct_resolution(vol, psi, M)
-    c_psi = admissibility_profile(psi, M, spec, ctx, u, THETAS)[1]["mean"]
+    c_psi = admissibility_profile(psi, M, spec, u, THETAS)[1]["mean"]
     assert stats["mean"] == pytest.approx(c_psi, rel=1e-13)
     # each slice convolved with its window, modulated and summed in space
     axes = (-2, -1)
@@ -356,13 +357,13 @@ def test_radial_window_shares_one_slice_per_u(n, kind):
         assert_slices_close(shared, separate, 1e-13)
         assert_close(shared.admissibility[0], separate.admissibility[0])
     assert_close(
-        admissibility_profile(psi, M, spec, ctx, u, THETAS)[0],
-        admissibility_profile(each, M, spec, ctx, u, THETAS)[0],
+        admissibility_profile(psi, M, spec, u, THETAS)[0],
+        admissibility_profile(each, M, spec, u, THETAS)[0],
     )
-    vol = clcst(f, each, M, u, THETAS)
+    shared, separate = (clcst(f, w, M, u, THETAS) for w in (psi, each))
     assert_close(
-        reconstruct_resolution(vol, psi, M)[0].data,
-        reconstruct_resolution(vol, each, M)[0].data,
+        reconstruct_resolution(shared, psi, M)[0].data,
+        reconstruct_resolution(separate, each, M)[0].data,
     )
 
 
@@ -461,8 +462,8 @@ def test_separable_route_matches_dense_route(n, kind, u_kind, branch, operators,
         volumes[path] = fast
     assert_slices_close(volumes["three_step"], volumes["direct"], 1e-12)
     assert_close(
-        admissibility_profile(psi, M, spec, ctx, u, THETAS)[0],
-        admissibility_profile(dense, M, spec, ctx, u, THETAS)[0],
+        admissibility_profile(psi, M, spec, u, THETAS)[0],
+        admissibility_profile(dense, M, spec, u, THETAS)[0],
     )
     built = {"analysis": {axis for axis, _ in operators}}
     del operators[:]
@@ -544,27 +545,24 @@ def test_fill_volume_sizes_its_blocks_by_kind(kind):
     assert blocks == [(start, min(start + rows, len(u))) for start in range(0, len(u), rows)]
 
 
-# (n, window, u list, DENSE_AXIS_SAMPLES, block rows or None, stored
-# columns): every window and list at both n on the dense branch, one stored
-# column for a radial window; the separable windows' factored lists on the
-# FFT branch; blocks of one and three rows cutting the runs on both branches;
-# and T stored columns for a radial window
+# (n, window, u list, DENSE_AXIS_SAMPLES, block rows or None): every window
+# and list at both n on the dense branch; the separable windows' factored
+# lists on the FFT branch; and blocks of one and three rows cutting the runs
+# on both branches.  Each id ends in the stored layout, "window": one column
+# per angle of the window.
 DOT_CASES = (
-    [(n, kind, u_kind, 48, None, "window")
+    [(n, kind, u_kind, 48, None)
      for n in (2, 3) for kind in ("gaussian", "dog", "composite", "skewed") for u_kind in U_LISTS]
-    + [(n, kind, u_kind, 0, None, "window")
+    + [(n, kind, u_kind, 0, None)
        for n in (2, 3) for kind in ("gaussian", "dog", "composite") for u_kind in ("tensor", "shuffled")]
-    + [(n, "dog", "tensor", limit, rows, "window")
-       for n in (2, 3) for limit in (48, 0) for rows in (1, 3)]
-    + [(n, kind, "tensor", limit, None, "every") for n in (2, 3) for kind in ("gaussian", "composite")
-       for limit in (48, 0)]
+    + [(n, "dog", "tensor", limit, rows) for n in (2, 3) for limit in (48, 0) for rows in (1, 3)]
 )
 
 
-@pytest.mark.parametrize("n, kind, u_kind, limit, rows, columns", DOT_CASES,
-                         ids=["-".join(map(str, case)) for case in DOT_CASES])
+@pytest.mark.parametrize("n, kind, u_kind, limit, rows", DOT_CASES,
+                         ids=["-".join(map(str, case + ("window",))) for case in DOT_CASES])
 def test_resolution_synthesis_is_the_adjoint_of_the_analysis(n, kind, u_kind, limit, rows,
-                                                              columns, monkeypatch):
+                                                              monkeypatch):
     """The dot-product test (Claerbout, Earth Soundings Analysis, 1992): for
     a random signal f and a random volume V on the same pairs,
 
@@ -576,12 +574,13 @@ def test_resolution_synthesis_is_the_adjoint_of_the_analysis(n, kind, u_kind, li
 
         W_r = u weight x theta weight x T / T_s,
 
-    T the thetas and T_s the stored columns: a shared column stands for T
-    thetas.  |det A_u| and (2 pi)^(-n/2) sit in both S and R, so they are
-    not in W; R divides by C_psi, which the constant puts back.  It holds
-    to 1e-12 relative on every route: n-D rows on and off the lattice, and
-    factored runs on the dense and FFT branches of their off-lattice values,
-    whole and cut by blocks, for one stored column and for T."""
+    T the thetas and T_s the stored columns, one per window angle: a
+    radial window's shared column stands for T thetas.  |det A_u| and (2
+    pi)^(-n/2) sit in both S and R, so they are not in W; R divides by
+    C_psi, which the constant puts back.  It holds to 1e-12 relative on
+    every route: n-D rows on and off the lattice, and factored runs on the
+    dense and FFT branches of their off-lattice values, whole and cut by
+    blocks."""
     from clcst import axis, stockwell, transform
 
     monkeypatch.setattr(axis, "DENSE_AXIS_SAMPLES", limit)
@@ -593,33 +592,30 @@ def test_resolution_synthesis_is_the_adjoint_of_the_analysis(n, kind, u_kind, li
     u = U_LISTS[u_kind](spec)
     f = noise(spec, ctx, seed=21)
     analysis = clcst(f, psi, M, u, THETAS)
-    T = len(THETAS)
-    stored_columns = T if columns == "every" else analysis.stored_theta_columns
     rng = np.random.default_rng(22)
-    shape = (len(u), stored_columns) + analysis.stored_shape[2:]
+    shape = analysis.stored_shape
     V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     volume = CLCSTVolume(spec, ctx, u, THETAS, stored=V, params=M, window=psi)
     synthesis, (_, stats) = reconstruct_resolution(volume, psi, M)
     dx_n = spec.cell_weight(SPACE)
-    S = np.broadcast_to(analysis.stored, shape)  # a shared column, as V lays it out
-    W = volume.u_weights * volume.theta_step * T / stored_columns
+    S = analysis.stored
+    W = volume.u_weights * volume.theta_step * len(THETAS) / shape[1]
     lhs = dx_n * np.dot(W, np.sum((S.conj() * V).reshape(len(u), -1), axis=1))
     rhs = stats["mean"] * dx_n * np.vdot(pack(ctx, f.data), pack(ctx, synthesis.data))
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
-# (n, window, u list, DENSE_AXIS_SAMPLES, stored columns): factored rows on
-# the FFT and dense branches, n-D rows, a window per angle, and one stored
-# column and T
-IN_PLACE_CASES = [(2, "gaussian", "tensor", 0, "window"), (2, "gaussian", "tensor", 48, "window"),
-                  (2, "gaussian", "mixed", 48, "window"), (2, "skewed", "mixed", 48, "window"),
-                  (2, "gaussian", "tensor", 0, "every"), (3, "composite", "tensor", 48, "window"),
-                  (3, "dog", "shuffled", 0, "window")]
+# (n, window, u list, DENSE_AXIS_SAMPLES): factored rows on the FFT and
+# dense branches, n-D rows, and a window per angle; each id ends in the
+# stored layout, as the dot test's do
+IN_PLACE_CASES = [(2, "gaussian", "tensor", 0), (2, "gaussian", "tensor", 48),
+                  (2, "gaussian", "mixed", 48), (2, "skewed", "mixed", 48),
+                  (3, "composite", "tensor", 48), (3, "dog", "shuffled", 0)]
 
 
-@pytest.mark.parametrize("n, kind, u_kind, limit, columns", IN_PLACE_CASES,
-                         ids=["-".join(map(str, case)) for case in IN_PLACE_CASES])
-def test_resolution_synthesis_leaves_an_in_memory_payload_alone(n, kind, u_kind, limit, columns,
+@pytest.mark.parametrize("n, kind, u_kind, limit", IN_PLACE_CASES,
+                         ids=["-".join(map(str, case + ("window",))) for case in IN_PLACE_CASES])
+def test_resolution_synthesis_leaves_an_in_memory_payload_alone(n, kind, u_kind, limit,
                                                                 tmp_path, monkeypatch):
     """The routes weight and transform the rows they are handed in place,
     so the synthesis hands them rows of its own: an in-memory volume's
@@ -631,7 +627,7 @@ def test_resolution_synthesis_leaves_an_in_memory_payload_alone(n, kind, u_kind,
     spec, ctx = setting(n)
     psi = SkewedGaussian(n) if kind == "skewed" else radial_window(n, kind)
     u = U_LISTS[u_kind](spec)
-    stored_columns = len(THETAS) if columns == "every" or kind == "skewed" else 1
+    stored_columns = len(THETAS) if kind == "skewed" else 1
     rng = np.random.default_rng(23)
     shape = (len(u), stored_columns, 1) + spec.shape
     stored = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -639,10 +635,10 @@ def test_resolution_synthesis_leaves_an_in_memory_payload_alone(n, kind, u_kind,
                          pairs=[1])
     synthesis, (profile, _) = reconstruct_resolution(volume, psi, M)
     assert volume.stored.tobytes() == stored.tobytes()
-    # a carrier of the same payload whose window a sidecar can name: a
-    # radial window allows one stored column and T
-    carrier = CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M,
-                          window=GaussianWindow(n, sigma=1.0), pairs=[1])
+    # a carrier of the same payload that a sidecar can describe: a radial
+    # catalogue window for one stored column, no window for T
+    carrier = CLCSTVolume(spec, ctx, u, THETAS, stored=stored, params=M, pairs=[1],
+                          window=GaussianWindow(n, sigma=1.0) if stored_columns == 1 else None)
     write_volume(tmp_path / "v.clcg", carrier)
     back, (back_profile, _) = reconstruct_resolution(read_volume(tmp_path / "v.clcg"), psi, M)
     assert back.data.tobytes() == synthesis.data.tobytes()
@@ -673,10 +669,42 @@ def test_stored_layout_holds_one_column_per_window_angle(kind):
         assert np.array_equal(pack(ctx, values[..., ui, ti]), vol.stored[ui, vol.column(ti)])
 
 
+def test_volume_stores_one_column_per_window_angle_and_no_other_count():
+    """A volume in memory holds the columns of its window's angles: T for a
+    volume whose window is not known, and for a radial window one, not T."""
+    spec, ctx = setting(2)
+    u = mixed_u_list(spec)
+    stored = np.zeros((len(u), len(THETAS), 1) + spec.shape, dtype=complex)
+    assert CLCSTVolume(spec, ctx, u, THETAS, stored=stored, pairs=[0]).stored_theta_columns == 3
+    with pytest.raises(GridError, match=r"^stored volume shape \(%d, 3, 1, 32, 32\), expected "
+                       r"\(%d, 1, 1, 32, 32\): the window's 1 theta columns and 1 pairs$"
+                       % (len(u), len(u))):
+        CLCSTVolume(spec, ctx, u, THETAS, stored=stored, window=radial_window(2, "gaussian"),
+                    pairs=[0])
+
+
+@pytest.mark.parametrize("radial", [True, False], ids=["one-column", "T-columns"])
+def test_synthesis_refuses_a_window_of_another_angle_count(radial, monkeypatch):
+    """The synthesis takes a volume with the window that analysed it, one
+    stored column per angle: a window with another angle count, a radial
+    window for T columns or one of T angles for a shared column, is refused
+    in one line naming both counts, before the first block is read."""
+    spec, ctx = setting(2)
+    psi = radial_window(2, "gaussian")
+    analysis, synthesis = (psi, NotRadial(psi)) if radial else (NotRadial(psi), psi)
+    vol = clcst(noise(spec, ctx, seed=4), analysis, M, mixed_u_list(spec), THETAS)
+    monkeypatch.setattr(vol, "rows", lambda *args, **kwargs: pytest.fail("a block was read"))
+    counts = (3, 1) if radial else (1, 3)
+    with pytest.raises(TransformError, match=r"^the window has %d angles, the volume %d stored "
+                       r"theta columns$" % counts):
+        reconstruct_resolution(vol, synthesis, M)
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "dog", "composite"])
 def test_radial_volume_readers_count_the_shared_column_for_every_theta(kind, tmp_path):
     """Energy, marginal, resolution synthesis and spectrogram of a one-column
-    volume equal those of the same window stored at every theta."""
+    volume equal those of the same window stored at every theta, each
+    volume synthesized with the window that analysed it."""
     spec, ctx = GridSpec(2, 6.0, 16), transform_algebra(2)
     psi = radial_window(2, kind)
     half = spec.samples_per_axis // 2
@@ -689,9 +717,8 @@ def test_radial_volume_readers_count_the_shared_column_for_every_theta(kind, tmp
     assert volume_energy(shared) == pytest.approx(volume_energy(separate), rel=1e-13)
     assert_close(marginal_spectrum(shared, M, THETAS[1])[0].data,
                  marginal_spectrum(separate, M, THETAS[1])[0].data)
-    for w in (psi, NotRadial(psi)):
-        assert_close(reconstruct_resolution(shared, w, M)[0].data,
-                     reconstruct_resolution(separate, w, M)[0].data)
+    assert_close(reconstruct_resolution(shared, psi, M)[0].data,
+                 reconstruct_resolution(separate, NotRadial(psi), M)[0].data)
     for ti in range(len(THETAS)):
         rows = []
         for name, vol in (("shared", shared), ("separate", separate)):
@@ -892,7 +919,7 @@ def test_lattice_passes_roll_at_most_once(kind, rolls):
     vol = clcst(noise(spec, ctx, seed=2), psi, M, u, THETAS, path="three_step")
     assert len(rolls) <= 1
     del rolls[:]
-    admissibility_profile(psi, M, spec, ctx, u, THETAS)
+    admissibility_profile(psi, M, spec, u, THETAS)
     assert len(rolls) <= 1
     del rolls[:]
     reconstruct_resolution(vol, psi, M)

@@ -66,6 +66,13 @@ def test_sample_constant_and_gaussian():
     assert g.data[0][center] == 1.0
 
 
+def test_sample_refuses_values_of_another_shape():
+    """sample takes a scalar function: a blade-major array is refused."""
+    with pytest.raises(GridError, match=r"^sampled function returned shape \(4, 64, 64\), not the "
+                       r"lattice's \(64, 64\)$"):
+        sample(lambda x: np.ones((CTX.blade_count,) + x.shape[1:]), DEFAULT, CTX)
+
+
 def test_sample_dog_at_origin():
     w = DOGWindow(2, lam=0.5)
     sig = sample(lambda x: w.evaluate(x), DEFAULT, CTX)

@@ -233,19 +233,22 @@ def test_slice_and_spectrogram_read_only_their_column(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("damage, message", [
     ("theta columns", "stores 2 theta columns"),
+    ("T columns", "stores 3 theta columns, not the window's 1$"),
     ("truncated payload", "payload bytes"),
     ("one axis", r"needs \(U, T_s\)"),
 ])
 def test_malformed_volume_rejected(tmp_path, damage, message):
-    """A radial volume may store 1 or T = 3 columns, nothing else; its file
-    holds what its header declares, and its axes start with (U, T_s)."""
+    """A radial volume stores the one column of its window, not 2 or T = 3;
+    its file holds what its header declares, and its axes start with (U,
+    T_s)."""
     path = tmp_path / "v.clcg"
     write_volume(path, small_volume(radial=True))
     raw = bytearray(path.read_bytes())
     lists = header_size(2) + lists_size(2, 2)
-    if damage == "theta columns":
-        struct.pack_into("<I", raw, 14, 2)
-        raw += raw[lists:]  # sizes agree with the header
+    if damage in ("theta columns", "T columns"):
+        columns = 2 if damage == "theta columns" else 3
+        struct.pack_into("<I", raw, 14, columns)
+        raw += raw[lists:] * (columns - 1)  # sizes agree with the header
     elif damage == "truncated payload":
         raw = raw[:-8]
     else:
@@ -780,6 +783,92 @@ def test_cli_config_refuses_keys_that_name_no_setting(tmp_path, command, doc, me
     assert not (tmp_path / "out.clcg.json").exists()
 
 
+@pytest.mark.parametrize("command, content, message", [
+    ("synthesize", b'{"grid": ', r"config file \S+cfg\.json is not UTF-8 JSON: Expecting value: "
+     r"line 1 column 10 \(char 9\)"),
+    ("synthesize", b'\xff{}', r"config file \S+cfg\.json is not UTF-8 JSON: 'utf-8' codec can't "
+     r"decode byte 0xff in position 0: invalid start byte"),
+    ("synthesize", b'{"grid": {"L": ' + b"9" * 400 + b"}}",
+     r"config grid\.L holds 9{400}, which is not finite"),
+    ("transform", b'{"theta_list": [0, 1' + b"0" * 400 + b"]}",
+     r"config theta_list holds 10{400}, which is not finite"),
+], ids=["not-json", "not-utf-8", "integer-past-float-range", "list-integer-past-float-range"])
+def test_cli_config_file_errors_end_in_one_line(tmp_path, command, content, message):
+    """A --config file that is not UTF-8 JSON, or that holds an integer
+    past the float range for a number setting, ends in one line naming the
+    file or the key, before any output file exists."""
+    src = tmp_path / "f.clcg"
+    main(["synthesize", "--kind", "gaussian", "--samples", "16", "--out", str(src)])
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.clcg"
+    cfg.write_bytes(content)
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(argv + (["--input", str(src)] if command == "transform" else []))
+    assert re.fullmatch(message, str(err.value))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "f.clcg", "f.clcg.json"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "4"], "the command line supports n = 2 or 3 (core: any n = 2,3 mod 4)"),
+    (["--kind", "example1", "--n", "3"], "example1 is the two-dimensional reference signal"),
+], ids=["n-4", "example1-n-3"])
+def test_cli_synthesis_refuses_a_dimension_it_cannot_make(tmp_path, flags, message):
+    with pytest.raises(SystemExit) as err:
+        main(["synthesize", "--samples", "8", "--out", str(tmp_path / "f.clcg")] + flags)
+    assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_reconstruct_refuses_a_volume_without_a_parameter_matrix(tmp_path):
+    vol = small_volume(radial=True)
+    vol.params = None
+    path, out = tmp_path / "v.clcg", tmp_path / "rec.clcg"
+    write_volume(path, vol)
+    for method in ("marginal", "resolution"):
+        with pytest.raises(SystemExit) as err:
+            main(["reconstruct", "--volume", str(path), "--method", method, "--out", str(out)])
+        assert str(err.value) == "volume carries no parameter matrix"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.clcg", "v.clcg.json"]
+
+
+def cli_error_classes():
+    """Every exception class defined in a module that clcst.cli imports from,
+    read from its source, but the warnings, which the CLI records rather
+    than raises, and verify.UnknownSuite, which cmd_verify words itself."""
+    import ast
+    import importlib
+    import inspect
+
+    from clcst import cli
+
+    modules = sorted({node.module for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                      if isinstance(node, ast.ImportFrom) and node.level == 1})
+    found = []
+    for name in modules:
+        module = importlib.import_module("clcst." + name)
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, Exception) and not issubclass(cls, Warning)
+                  and cls.__module__ == module.__name__ and cls.__name__ != "UnknownSuite"]
+    return found
+
+
+@pytest.mark.parametrize("error", cli_error_classes(), ids=lambda cls: cls.__qualname__)
+def test_every_library_error_ends_the_cli_in_one_line(tmp_path, monkeypatch, error):
+    """A library error raised inside a command ends it in a one-line exit,
+    named by its command, with no traceback: a new error class that main
+    does not catch fails here."""
+    from clcst import cli
+
+    def fails(args):
+        raise error("the library refused")
+
+    monkeypatch.setattr(cli, "cmd_synthesize", fails)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["synthesize", "--out", str(tmp_path / "f.clcg")])
+    assert str(err.value) == "clcst synthesize: the library refused"
+    assert err.value.__cause__ is None and err.value.__suppress_context__
+
+
 def test_cli_malformed_theta_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["transform", "--input", str(tmp_path / "f.clcg"), "--theta", "0,x",
@@ -1282,7 +1371,7 @@ def test_cli_resolution_takes_c_psi_from_its_own_pass(tmp_path, window):
     assert main(["reconstruct", "--volume", str(vol_path), "--method", "resolution",
                  "--out", str(rec)]) == 0
     vol = read_volume(vol_path)
-    _, stats = admissibility_profile(vol.window, vol.params, vol.spec, vol.ctx,
+    _, stats = admissibility_profile(vol.window, vol.params, vol.spec,
                                      vol.u_list, vol.theta_list)
     expect = reconstruct_resolution(vol, vol.window, vol.params)[0].data
     got = read_grid(rec).data

@@ -188,6 +188,6 @@ def test_u_list_must_be_rows_of_n(u_list):
     with pytest.raises(StockwellError, match="rows of n = 2"):
         clcst(gaussian(), psi, LCTParams(1, 2, 1, 3), u_list, [0.0])
     with pytest.raises(StockwellError, match="rows of n = 2"):
-        admissibility_profile(psi, LCTParams(1, 2, 1, 3), SPEC, CTX, u_list, [0.0])
+        admissibility_profile(psi, LCTParams(1, 2, 1, 3), SPEC, u_list, [0.0])
     # one row of n components is still a one-row list
     assert checked_lists(SPEC, [0.5, 0.7], [0.0])[0].shape == (1, 2)

@@ -15,7 +15,7 @@ from clcst.grid import (
     sample,
 )
 from clcst.lct import LCTParams
-from clcst.stockwell import Plan, Rotation, ScalingMatrix, StockwellError
+from clcst.stockwell import Plan, Rotation, ScalingMatrix, StockwellError, checked_lists
 from clcst.transform import (
     MissingCoverageError,
     TransformError,
@@ -208,12 +208,12 @@ def test_orthogonality_zero_second_argument():
 
 
 def test_admissibility_profile_properties():
-    prof, stats = admissibility_profile(PSI, M, SPEC, CTX, U_LIST, THETAS)
+    prof, stats = admissibility_profile(PSI, M, SPEC, U_LIST, THETAS)
     assert np.all(prof >= 0.0)
     assert stats["min"] >= 0.0
     # single-term set equals the direct formula
     scaling, rotation = ScalingMatrix(U_LIST[0]), Rotation(0.4)
-    single, _ = admissibility_profile(PSI, M, SPEC, CTX, U_LIST[:1], [0.4])
+    single, _ = admissibility_profile(PSI, M, SPEC, U_LIST[:1], [0.4])
     from clcst.transform import modulated_window_spectrum
 
     Qm = modulated_window_spectrum(PSI, SPEC, scaling, rotation)
@@ -224,19 +224,19 @@ def test_admissibility_profile_properties():
     assert np.allclose(single, expect, rtol=1e-12)
     # zero window gives the zero profile
     zero_win = GaussianWindow(2, sigma=1.0, amplitude=0.0)
-    zp, zstats = admissibility_profile(zero_win, M, SPEC, CTX, U_LIST, THETAS)
+    zp, zstats = admissibility_profile(zero_win, M, SPEC, U_LIST, THETAS)
     assert np.all(zp == 0.0)
     with pytest.raises(StockwellError):
-        admissibility_profile(PSI, M, SPEC, CTX, np.zeros((0, 2)), THETAS)
+        admissibility_profile(PSI, M, SPEC, np.zeros((0, 2)), THETAS)
     with pytest.raises(StockwellError):
-        admissibility_profile(PSI, M, SPEC, CTX, U_LIST, [0.3, 0.3])  # repeated angle
+        admissibility_profile(PSI, M, SPEC, U_LIST, [0.3, 0.3])  # repeated angle
 
 
 def test_isometry_matches_weighted_admissibility():
     f = scalar_mixture(11)
     u = default_u_list(SPEC)
     vol = clcst(f, PSI, M, u, THETAS, path="three_step")
-    prof, stats = admissibility_profile(PSI, M, SPEC, CTX, u, THETAS)
+    prof, stats = admissibility_profile(PSI, M, SPEC, u, THETAS)
     ratio = isometry_ratio(vol, f, M)
     P = cft_forward(chirp_multiply(f, M.chirp_rate, +1))
     weight = np.sum(P.data**2, axis=0)
@@ -370,7 +370,7 @@ def stored_lists(u_list, theta_list):
     lambda psi, u, t: Plan(psi, SPEC, u, t),
     lambda psi, u, t: clcst(scalar_mixture(3), psi, M, u, t),
     lambda psi, u, t: cst(scalar_mixture(3), psi, u, t),
-    lambda psi, u, t: admissibility_profile(psi, M, SPEC, CTX, u, t),
+    lambda psi, u, t: admissibility_profile(psi, M, SPEC, u, t),
     lambda psi, u, t: reconstruct_resolution(stored_lists(u, t), psi, M),
 ], ids=["Plan", "clcst", "cst", "admissibility_profile", "reconstruct_resolution"])
 @pytest.mark.parametrize("psi, u_list, theta_list, message", [
@@ -393,6 +393,19 @@ def test_every_pass_is_refused_at_its_plan(monkeypatch, entry, psi, u_list, thet
     monkeypatch.setattr(Plan, "blocks", refused)  # the profile sum and the window spectra
     with pytest.raises(StockwellError, match=message):
         entry(psi, u_list, theta_list)
+
+
+def test_u_weights_of_another_length_are_refused():
+    """One u weight per u row: a list of another length is refused by the
+    plan, naming both lengths, not broadcast, as [5.0] would weigh every row
+    of a synthesis by 5."""
+    message = r"^u weights of shape \(1,\), not one for each of 3 u rows$"
+    with pytest.raises(StockwellError, match=message):
+        checked_lists(SPEC, U_LIST, [0.0], [5.0])
+    vol = clcst(scalar_mixture(3), PSI, M, U_LIST, [0.0])
+    vol.u_weights = np.array([5.0])
+    with pytest.raises(StockwellError, match=message):
+        reconstruct_resolution(vol, PSI, M)
 
 
 def test_empty_default_u_list_is_refused_by_its_grid():
@@ -434,7 +447,7 @@ def test_tiny_b_refused_before_allocation(monkeypatch, B):
     with pytest.raises(TransformError, match="not finite"):
         clcst(scalar_mixture(3), PSI, params, U_LIST, THETAS)
     with pytest.raises(TransformError, match="not finite"):
-        admissibility_profile(PSI, params, SPEC, CTX, U_LIST, THETAS)
+        admissibility_profile(PSI, params, SPEC, U_LIST, THETAS)
 
 
 def test_overflowing_lattice_is_refused_by_its_half_width(monkeypatch):
@@ -500,7 +513,7 @@ def test_reanalysis_of_resolution_synthesis():
 
 def test_reproducing_kernel_bound_and_decay():
     u_def = default_u_list(SPEC)
-    _, stats = admissibility_profile(PSI, M, SPEC, CTX, u_def, THETAS)
+    _, stats = admissibility_profile(PSI, M, SPEC, u_def, THETAS)
     c = stats["mean"]
     rng = np.random.default_rng(21)
     for _ in range(25):

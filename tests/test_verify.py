@@ -60,6 +60,44 @@ def test_run_suites_checks_every_name_before_it_runs_one(monkeypatch):
     assert calls == ["algebra"]
 
 
+def cheap_suites(monkeypatch, calls):
+    """Stand every suite in for one check that records its run and passes."""
+    from clcst import verify
+
+    suites = {}
+    for name in verify.SUITES:
+        def measure(name=name):
+            calls.append(name)
+            return [0.0]
+
+        measure.checks, measure.criterion = (("%s ran" % name, 1.0),), None
+        suites[name] = (measure,)
+    monkeypatch.setattr(verify, "SUITES", suites)
+
+
+def test_run_suites_all_runs_every_suite(monkeypatch):
+    """"all" runs every suite once, in the registry's order."""
+    from clcst import verify
+
+    calls = []
+    cheap_suites(monkeypatch, calls)
+    results, all_passed = verify.run_suites(["all"])
+    assert calls == list(SUITES) and list(results) == list(SUITES) and all_passed
+
+
+def test_cli_verify_without_out_prints_its_report(monkeypatch, tmp_path, capsys):
+    """Without --out, verify prints the JSON report to standard output and
+    writes no file."""
+    calls = []
+    cheap_suites(monkeypatch, calls)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "cft"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] and list(report["suites"]) == ["cft"] == calls
+    assert [c["name"] for c in report["suites"]["cft"]] == ["cft ran"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dense_window_normalizes_like_its_window():
     """The dense stand-in of a separable window keeps its values when it is
     scaled to unit integral."""

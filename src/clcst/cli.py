@@ -16,6 +16,7 @@ File paths, ``transform``'s spectrogram and report flags and
 import argparse
 import json
 import math
+import random
 import resource
 import sys
 import time
@@ -220,6 +221,24 @@ def _peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
+def _mixture_components(seed, n, count):
+    """The (centers, amplitude, divisor) of each of ``count`` Gaussians of
+    the gaussian_mixture kind, drawn from ``random.Random(seed)``, whose
+    ``random()`` stream Python keeps across versions.
+
+    Each draw is a formula over ``random()``, in this order: n centers
+    ``-1.5 + 3 r`` on [-1.5, 1.5), one standard normal amplitude by
+    Box-Muller from two draws, and one width divisor ``0.5 + r`` on
+    [0.5, 1.5) (the sum rounds to 1.5 only at the largest draw, r = 1 - 2^-53).
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        centers = [-1.5 + 3.0 * rng.random() for _ in range(n)]
+        angle = 2.0 * math.pi * rng.random()
+        radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))  # 1 - r lies in (0, 1]
+        yield centers, radius * math.cos(angle), 0.5 + rng.random()
+
+
 def cmd_synthesize(args):
     cfg = _config(args)
     spec = _grid_spec(cfg)
@@ -240,14 +259,12 @@ def cmd_synthesize(args):
             raise SystemExit("--components must be at least 1, got %r" % cfg["components"])
         if cfg["seed"] < 0:
             raise SystemExit("--seed must be non-negative, got %r" % cfg["seed"])
-        rng = np.random.default_rng(cfg["seed"])
         mesh = spec.mesh()
         vals = np.zeros(spec.shape)
-        for _ in range(cfg["components"]):
-            center = rng.uniform(-1.5, 1.5, size=spec.n).reshape((-1,) + (1,) * spec.n)
-            vals += rng.standard_normal() * np.exp(
-                -np.sum((mesh - center) ** 2, axis=0) / rng.uniform(0.5, 1.5)
-            )
+        for centers, amplitude, divisor in _mixture_components(cfg["seed"], spec.n,
+                                                               cfg["components"]):
+            center = np.reshape(centers, (-1,) + (1,) * spec.n)
+            vals += amplitude * np.exp(-np.sum((mesh - center) ** 2, axis=0) / divisor)
         signal = GridSignal.from_scalar(spec, ctx, vals)
     elif kind == "chirp":
         # as the transform's chirp: largest |x|^2 = n L^2, overflowing to inf

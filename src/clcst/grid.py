@@ -6,6 +6,8 @@ dx * dw * N = 2*pi exactly, so the discrete transform pair in :mod:`cft`
 inverts exactly on the lattice.
 """
 
+import sys
+
 import numpy as np
 
 from .algebra import Multivector
@@ -27,6 +29,13 @@ class GridSpec:
         self.n = int(n)
         self.half_width = float(half_width)
         self.samples_per_axis = int(samples_per_axis)
+        size = 8  # bytes of a signal's 2^n blades of N^n float64, one axis at a time
+        for _ in range(self.n):
+            size *= 2 * self.samples_per_axis
+            if size > sys.maxsize:  # numpy addresses no array past it
+                raise GridError("a lattice of n = %d and N = %d samples per axis holds 2^n N^n "
+                                "float64 blade values, past the %d bytes numpy can address"
+                                % (self.n, self.samples_per_axis, sys.maxsize))
         self._meshes = {}
 
     @property

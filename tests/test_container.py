@@ -216,14 +216,15 @@ GRID_SIDECAR_EDITS = {
     "metric-sign": lambda raw: json.dumps(dict(json.loads(raw), metric_sign=5)),
     "domain": lambda raw: json.dumps(dict(json.loads(raw), domain="bogus")),
     "half-width-nan": lambda raw: json.dumps(dict(json.loads(raw), half_width=float("nan"))),
+    "samples-unaddressable": lambda raw: json.dumps(dict(json.loads(raw), samples_per_axis=10**30)),
 }
 
 
 @pytest.mark.parametrize("case", list(GRID_SIDECAR_EDITS))
 def test_grid_sidecar_errors_are_format_errors(tmp_path, case):
     """A grid sidecar without n, cut short, with a metric sign that is not
-    +-1, an unknown domain or a NaN half-width is refused with FormatError
-    naming the path."""
+    +-1, an unknown domain, a NaN half-width or an N whose lattice numpy
+    cannot address is refused with FormatError naming the path."""
     path = tmp_path / "g.clcg"
     spec, ctx = GridSpec(2, 4.0, 4), transform_algebra(2)
     write_grid(path, GridSignal(spec, ctx, np.ones((ctx.blade_count,) + spec.shape)))

@@ -47,6 +47,16 @@ def test_spec_invariants():
             GridSpec(2, half_width, 16)
 
 
+def test_spec_refuses_a_lattice_numpy_cannot_address():
+    """A signal's 2^n blades of N^n float64 must fit in sys.maxsize bytes,
+    the most numpy can address: 8 (2N)^3 passes 2^63 - 1 from N = 2^19 on."""
+    assert GridSpec(3, 1.0, 2**19 - 2).shape == (2**19 - 2,) * 3
+    with pytest.raises(GridError, match=r"^a lattice of n = 3 and N = 524288 samples per axis "
+                                        r"holds 2\^n N\^n float64 blade values, past the "
+                                        r"9223372036854775807 bytes numpy can address$"):
+        GridSpec(3, 1.0, 2**19)
+
+
 def test_mesh_is_built_once_per_domain_and_read_only():
     spec = GridSpec(2, 6.0, 16)
     space, freq = spec.mesh(SPACE), spec.mesh(FREQUENCY)

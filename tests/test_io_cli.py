@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import struct
 
@@ -962,6 +963,23 @@ def test_cli_failed_allocation_is_one_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synthesize", "kernel-dump"])
+@pytest.mark.parametrize("n, samples", [("2", "1" + "0" * 30), ("3", "3000000")],
+                         ids=["past-maximum-size", "past-broadcast-size"])
+def test_cli_refuses_a_lattice_numpy_cannot_address(tmp_path, command, n, samples):
+    """A lattice whose 2^n N^n float64 blade values pass sys.maxsize bytes
+    ended in numpy's traceback, "ValueError: Maximum allowed size exceeded"
+    or "broadcast dimensions too large."; its GridSpec is refused in one
+    line that names n and N, and nothing is written."""
+    out = tmp_path / "big.clcg"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--n", n, "--samples", samples, "--out", str(out)])
+    assert str(err.value).startswith("clcst %s: a lattice of n = %s and N = %s samples per axis"
+                                     % (command, n, samples))
+    assert str(err.value).endswith("numpy can address") and "\n" not in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags, config, message", [
     (["--kind", "chirp", "--rate", "1e308"], None, "got --rate 1e+308 at --half-width 6.0"),
     (["--kind", "chirp", "--half-width", "1e200"], None, "got --rate 0.5 at --half-width 1e+200"),
@@ -982,6 +1000,51 @@ def test_cli_synthesis_refuses_a_chirp_or_seed_it_cannot_use(tmp_path, flags, co
         main(["synthesize", "--samples", "16", "--out", str(out)] + flags)
     assert message in str(err.value) and "\n" not in str(err.value)
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_cli_mixture_seed_selects_its_grid_file(tmp_path):
+    """The same --seed writes byte-identical grid files and sidecars, and
+    seeds 0 and 1 write different samples."""
+    def written(seed, name):
+        out = tmp_path / name
+        main(["synthesize", "--kind", "gaussian_mixture", "--samples", "16", "--seed", str(seed),
+              "--out", str(out)])
+        return out.read_bytes(), (tmp_path / (name + ".json")).read_bytes()
+
+    first = written(0, "a.clcg")
+    assert written(0, "b.clcg") == first
+    assert written(1, "c.clcg")[0] != first[0]
+
+
+def test_mixture_components_are_formulas_over_random():
+    """Seed 0's components take random.Random(0).random() draws in order:
+    n centers -1.5 + 3 r, an amplitude by Box-Muller from an angle draw and
+    a radius draw, and a divisor 0.5 + r; the next component goes on from
+    there.  Python keeps that stream across versions."""
+    from clcst.cli import _mixture_components
+
+    rng = random.Random(0)
+    r = [rng.random() for _ in range(12)]
+    assert r[0] == 0.8444218515250481
+    components = list(_mixture_components(0, 3, 2))
+    for (centers, amplitude, divisor), d in zip(components, (r[:6], r[6:])):
+        assert centers == [-1.5 + 3.0 * d[0], -1.5 + 3.0 * d[1], -1.5 + 3.0 * d[2]]
+        assert amplitude == math.sqrt(-2.0 * math.log(1.0 - d[4])) * math.cos(2.0 * math.pi * d[3])
+        assert divisor == 0.5 + d[5]
+
+
+def test_mixture_components_are_distributed_as_drawn():
+    """Over 4,000 components at seed 0 the amplitude is a standard normal
+    (mean -0.019, variance 0.999), every center lies in [-1.5, 1.5) and
+    every divisor in [0.5, 1.5)."""
+    from clcst.cli import _mixture_components
+
+    centers, amplitudes, divisors = map(np.array, zip(*_mixture_components(0, 3, 4000)))
+    assert abs(np.mean(amplitudes)) <= 0.06
+    assert 0.9 <= np.var(amplitudes) <= 1.1
+    assert centers.shape == (4000, 3)
+    assert np.all((-1.5 <= centers) & (centers < 1.5))
+    assert np.all((0.5 <= divisors) & (divisors < 1.5))
 
 
 def test_cli_chirp_of_rate_zero_is_ones_on_any_lattice(tmp_path):
@@ -1253,9 +1316,9 @@ def test_cli_bad_spectrogram_index_refused_before_transform(tmp_path, index, mes
     assert not (tmp_path / "vol.clcg.json").exists()
 
 
-def test_cli_import_leaves_the_check_registry_unloaded():
-    """Only `clcst verify` loads the check registry, and a bare `import clcst`
-    loads no submodule."""
+def fresh_process(probe, *args):
+    """The standard output of ``python -c probe args...`` in a new
+    interpreter that imports clcst from this tree."""
     import os
     import subprocess
     import sys
@@ -1265,15 +1328,18 @@ def test_cli_import_leaves_the_check_registry_unloaded():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(clcst.__file__))
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", probe, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_the_check_registry_unloaded():
+    """Only `clcst verify` loads the check registry, and a bare `import clcst`
+    loads no submodule."""
     probe = "import sys, clcst.cli; print('clcst.verify' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert fresh_process(probe).strip() == "False"
     # the package itself loads no submodule
     probe = "import sys, clcst; print(sorted(m for m in sys.modules if m.startswith('clcst.')))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert fresh_process(probe).strip() == "[]"
 
 
 TOKEN_COUNT_PROBE = """
@@ -1297,18 +1363,7 @@ def test_command_path_modules_stay_below_the_parser_token_step():
     doubles at 8,192: stockwell.py at 8,335 tokens raised peak RSS on every
     benchmark workload by about 0.4 MB.  clcst.verify (8,224 tokens), which
     only `clcst verify` loads, is not on that path."""
-    import os
-    import subprocess
-    import sys
-
-    import clcst
-
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(clcst.__file__))
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    result = subprocess.run([sys.executable, "-c", TOKEN_COUNT_PROBE], env=env,
-                            capture_output=True, text=True, check=True)
-    counts = json.loads(result.stdout)
+    counts = json.loads(fresh_process(TOKEN_COUNT_PROBE))
     assert {"clcst.cli", "clcst.stockwell", "clcst.transform"} <= set(counts)
     assert "clcst.verify" not in counts
     assert {name: count for name, count in counts.items() if count > 7500} == {}
@@ -1336,19 +1391,36 @@ def test_cli_pipeline_never_imports_numpy_ma(tmp_path):
     mixes lattice and off-lattice values, and both reconstructions never
     imports numpy.ma, which np.unique and np.median load lazily at a cost
     of about 10 ms, nor the check registry and its oracles, clcst.verify."""
-    import os
-    import subprocess
-    import sys
-
-    import clcst
-
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(clcst.__file__))
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    result = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS_PROBE, str(tmp_path)],
-                            env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip().splitlines()[-1] == "False False"
+    assert fresh_process(NO_MASKED_ARRAYS_PROBE, tmp_path).splitlines()[-1] == "False False"
     assert (tmp_path / "resolution.clcg").exists()
+
+
+UNLOADED_MODULES_PROBE = """
+import json, os, sys
+from clcst.cli import main
+work = sys.argv[1]
+src, vol = os.path.join(work, "f.clcg"), os.path.join(work, "vol.clcg")
+for kind in ("example1", "gaussian", "gaussian_mixture"):
+    main(["synthesize", "--kind", kind, "--samples", "16", "--out", src])
+steps = [k for k in range(-8, 8) if k]
+u_spec = json.dumps({"kind": "multiples", "per_axis": [steps, steps]})
+main(["transform", "--input", src, "--sigma", "0.75", "--normalize", "--u-list", u_spec,
+      "--theta", "0", "--out", vol])
+for method in ("marginal", "resolution"):
+    main(["reconstruct", "--volume", vol, "--method", method,
+          "--out", os.path.join(work, method + ".clcg")])
+print(json.dumps([m for m in ("numpy.random", "hashlib", "clcst.verify") if m in sys.modules]))
+"""
+
+
+def test_cli_pipeline_never_imports_numpy_random(tmp_path):
+    """A fresh process that synthesizes every kind but the chirp, runs a
+    transform and both reconstructions never imports numpy.random, whose
+    bit generators, secrets, hmac and hashlib cost 5.3 MB of peak RSS when
+    the mixture drew from np.random.default_rng, nor hashlib, nor the
+    check registry, clcst.verify."""
+    assert json.loads(fresh_process(UNLOADED_MODULES_PROBE, tmp_path).splitlines()[-1]) == []
+    assert (tmp_path / "marginal.clcg").exists() and (tmp_path / "resolution.clcg").exists()
 
 
 @pytest.mark.parametrize("window", ["gaussian", "dog"])

@@ -11,7 +11,6 @@ leading values, and the partial transform after axis i serves every row
 that shares u_0 .. u_i (:class:`AxisRoute`).
 """
 
-import copy
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -79,12 +78,6 @@ class AxisTables:
             self.m.append(np.fft.fft(np.fft.ifftshift(g, axes=-1)) * spec.dx)
             self.values.append(values)
             self.lattice.append(lattice)
-
-    def block(self, start, stop):
-        """These tables, with the index of rows start:stop alone."""
-        view = copy.copy(self)
-        view.index = self.index[start:stop]
-        return view
 
     def operators(self, axis, j, closing, layout):
         """K_t(v) = diag(closing) F^-1 diag(conj b_t(v)) F diag(e^{-j v x})
@@ -246,13 +239,13 @@ class AxisRoute:
         lattice = self.tables.lattice[axis][j]
         return ~lattice if self.dense else np.zeros_like(lattice)
 
-    def _walk(self, start, stop, index, leave, enter):
-        """(first, end, j) for each run of the rows start:stop, whose value
-        indices are ``index``: the run's rows in the block and their indices
-        on the last axis.  Before a run, ``leave(axis)`` is called for each
-        axis whose value changes, innermost first, and then ``enter(axis)``
-        for each new value, outermost first, once ``keys`` holds it."""
-        last = self.n - 1
+    def _walk(self, start, stop, leave, enter):
+        """(first, end, j) for each run of the rows start:stop: the run's
+        rows in the block and their value indices on the last axis, in the
+        plan's tables.  Before a run, ``leave(axis)`` is called for each axis
+        whose value changes, innermost first, and then ``enter(axis)`` for
+        each new value, outermost first, once ``keys`` holds it."""
+        last, index = self.n - 1, self.tables.index[self.plan.table_rows[start:stop]]
         bounds = [0, *(1 + np.flatnonzero(self.plan.run_starts[start + 1:stop])), stop - start]
         for first, end in zip(bounds[:-1], bounds[1:]):
             key, keep = index[first, :last], 0
@@ -294,15 +287,15 @@ class AxisRoute:
         self.nodes.append(out)
         self.spectra.append(None)
 
-    def slices(self, start, stop, tables, B, out):
-        """Write the slices of the factored u rows start:stop, whose index
-        in the plan's tables ``tables`` holds (:meth:`AxisTables.block`),
-        into ``out``, shape (rows, 1, P) + b-shape.  B is empty."""
+    def slices(self, start, stop, M, B, out):
+        """Write the slices of the factored u rows start:stop, a block of
+        :meth:`~clcst.stockwell.Plan.run`, into ``out``, shape (rows, 1, P)
+        + b-shape, from the plan's tables: M is None and B empty."""
         n, N, out = self.n, self.plan.spec.samples_per_axis, out[:, 0]
         last = n - 1
         # a span of dense rows takes one call, its operators at most BLOCK_BYTES / 8
         span = block_rows(8 * 16 * len(self.plan.terms) * N**2)
-        for first, end, j in self._walk(start, stop, tables.index, self._leave, self._enter):
+        for first, end, j in self._walk(start, stop, self._leave, self._enter):
             rows, scale = out[first:end], self.scale[start + first:start + end]
             dense = self._dense(last, j)
             if dense.any():  # the last partial, its terms beside its last axis
@@ -383,18 +376,17 @@ class AxisRoute:
         else:
             self._add(axis, summed[None], [j], np.ones(1))
 
-    def add(self, start, stop, tables, B, slices, weights):
-        """Add the adjoints of the factored u rows start:stop, whose index
-        in the plan's tables ``tables`` holds (:meth:`AxisTables.block`), to
-        the sum: ``slices``, shape (rows, 1, P) + b-shape, and their
-        synthesis ``weights``.  B is empty.  The slices are weighted and
-        transformed in place, so they are spent: the caller hands over rows
-        of its own, not a view of a volume's payload."""
+    def add(self, start, stop, M, B, slices, weights):
+        """Add the adjoints of the factored u rows start:stop, a block of
+        :meth:`~clcst.stockwell.Plan.run`, to the sum: ``slices``, shape
+        (rows, 1, P) + b-shape, and their synthesis ``weights``; M is None
+        and B empty.  The slices are weighted and transformed in place, so
+        they are spent: the caller hands over rows of its own."""
         N, last, slices = self.plan.spec.samples_per_axis, self.n - 1, slices[:, 0]
         # a span of dense rows takes one call, its copy of the rows and its
         # adjoints at most BLOCK_BYTES / 8
         span = block_rows(8 * 16 * (slices[0].size + len(self.plan.terms) * N**2))
-        for first, end, j in self._walk(start, stop, tables.index, self._close, lambda axis: None):
+        for first, end, j in self._walk(start, stop, self._close, lambda axis: None):
             rows, w = slices[first:end], weights[first:end]
             dense = self._dense(last, j)
             if dense.any():

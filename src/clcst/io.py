@@ -270,9 +270,7 @@ def read_grid(path):
             raise FormatError("%s is not a grid file" % path)
         spec = GridSpec(meta["n"], meta["half_width"], meta["samples_per_axis"])
         ctx = algebra(meta["n"], meta["metric_sign"])
-        if (blade_count, sizes) != (ctx.blade_count, spec.shape):
-            raise FormatError("%s: payload does not match sidecar geometry" % path)
-        return GridSignal(spec, ctx, payload, meta["domain"])
+        return GridSignal(spec, ctx, payload, meta["domain"])  # which checks the geometry
     except SIDECAR_ERRORS as exc:  # a sidecar that does not describe its grid
         raise FormatError("%s: malformed sidecar (%s: %s)"
                           % (path, type(exc).__name__, exc)) from None

@@ -278,11 +278,12 @@ class Plan:
 
     The plan keeps the :class:`~clcst.axis.AxisTables` of the factored
     rows (``tables``), which grow with their distinct values on each axis, a
-    few per axis for a tensor list; the n-D rows of a separable window get
+    few per axis for a tensor list, and each factored row's index among
+    their rows (``table_rows``); the n-D rows of a separable window get
     tables for their block alone, whose outer products are their spectra.
     :meth:`blocks` yields consecutive blocks of u rows, each on one route,
-    with the n-D route's window spectra or a factored block's tables, and
-    :meth:`routes` the route of each kind of block.
+    with the n-D route's window spectra, :meth:`run` drives every pass over
+    them, and :meth:`routes` gives the route of each kind of block.
     """
 
     def __init__(self, psi, spec, u_list=None, theta_list=None, u_weights=None):
@@ -307,6 +308,7 @@ class Plan:
             run = np.cumsum(self.run_starts) - 1
             self.factored = np.bincount(run)[run] > 2 * len(self.terms)
             self.tables = AxisTables(self.terms, spec, u_list[self.factored])
+            self.table_rows = np.cumsum(self.factored) - 1
 
     @property
     def row_bytes(self):
@@ -333,10 +335,9 @@ class Plan:
                 yield start, min(start + step, last)
 
     def blocks(self, rows, factored_rows=None):
-        """(start, stop, M, B) for the blocks of :meth:`bounds`.  A factored
-        block has in M's place the plan's tables with the block's index
-        (:meth:`~clcst.axis.AxisTables.block`) and B empty: its slices need
-        no n-D spectra.
+        """(start, stop, M, B) for the blocks of :meth:`bounds`, which
+        :meth:`run` hands to a pass.  A factored block has M None and B
+        empty: its slices need no n-D spectra, only the plan's tables.
 
         M holds the modulated spectrum of each window of the block, one per
         angle, shape (rows, angles) + spec.shape; for a lattice u = k dw it
@@ -362,12 +363,10 @@ class Plan:
         self.power = np.zeros(spec.shape)
         if self.factored.any():
             self.power += self.tables.power(power_weights[self.factored])
-        done = 0  # factored rows yielded
         for start, stop in self.bounds(rows, factored_rows):
             u_rows = self.u_list[start:stop]
             if self.factored[start]:
-                done += stop - start
-                yield start, stop, self.tables.block(done - (stop - start), done), {}
+                yield start, stop, None, {}
                 continue
             off = np.flatnonzero(~self.on_lattice[start:stop])
             if self.terms is not None:
@@ -390,6 +389,22 @@ class Plan:
             del flat, summed  # flat, a view, would keep M alive into the next block
             yield start, stop, M, dict(zip(off, B))
             del M, B  # before the next block's are built
+
+    def run(self, rows, shape, step, factored_rows=None):
+        """The pass over :meth:`blocks`: each block goes to ``step(start,
+        stop, M, B, block)``, ``block`` its rows of one complex buffer, shape
+        (rows,) + ``shape``, sized for the largest block and allocated at the
+        first, once the factored rows' profile is summed.  The buffer is
+        dropped before the pass's :meth:`profile` is built and returned."""
+        buffer = None
+        for start, stop, M, B in self.blocks(rows, factored_rows):
+            if buffer is None:
+                largest = max(stop - start for start, stop in self.bounds(rows, factored_rows))
+                buffer = np.empty((largest,) + shape, dtype=np.complex128)
+            step(start, stop, M, B, buffer[:stop - start])
+            del M, B  # before the next block's are built
+        del buffer
+        return self.profile()
 
     def profile(self):
         """The admissibility profile of the last :meth:`blocks` pass on the
@@ -515,37 +530,27 @@ class SpectrumRoute:
 
 
 def fill_volume(vol, plan, fill_block, sink=None):
-    """Compute every stored slice of vol, one block of u rows at a time, and
-    set ``vol.admissibility`` to the profile of the same windows, those of
-    ``plan``, the :class:`Plan` of vol's lists and weights: the real array
-    and stats of :meth:`Plan.profile`.
+    """Compute every stored slice of vol, one block of u rows at a time, in
+    the pass (:meth:`Plan.run`) of ``plan``, the :class:`Plan` of vol's
+    lists and weights, and set ``vol.admissibility`` to the profile that it
+    returns, of the same windows, weighted as the volume is.
 
     ``fill_block(start, stop, M, B, block)`` writes the slices of u rows
     start:stop into ``block``, their stored rows: shape (rows, A, P) +
     b-shape, given the block's modulated window spectra M and the plain
-    spectra B of its off-lattice rows, or for a factored block its tables
-    in M's place (:meth:`Plan.blocks`); A is the volume's stored theta
-    column count, 1 for a radial window, and P the number of
-    ``vol.pairs``.  It may overwrite M and B, which are then spent.
-
-    Those are the signal's live pairs (:func:`~clcst.grid.live_pairs`),
-    those not identically zero.  Every kernel phase multiplies on the right
-    by span{1, i_n} = C, which maps each pair to itself, so a dead pair's
-    slices are exactly zero: the block holds the live pairs alone, and
-    their FFTs and products are all the engine computes.  A scalar signal,
-    like every input ``clcst synthesize`` makes, has one live pair.
+    spectra B of its off-lattice rows, M None for a factored block
+    (:meth:`Plan.blocks`); A is the volume's stored theta column count, 1
+    for a radial window, and P the number of ``vol.pairs``, the signal's
+    live pairs, the only ones whose slices are not exactly zero (see the
+    module docstring).  It may overwrite M and B, which are then spent.
 
     Each finished block goes to ``sink(start, stop, block)`` in u order,
-    in one buffer that the next block reuses, allocated for the largest
-    block of the plan.  An n-D block holds about BLOCK_BYTES of rows,
-    counted by every pair of the algebra, since its window spectra are as
-    many; a factored block, whose tables are the plan's, at most
+    in the one buffer of the pass.  An n-D block holds about BLOCK_BYTES of
+    rows, counted by every pair of the algebra, since its window spectra
+    are as many; a factored block, whose tables are the plan's, at most
     BLOCK_BYTES / 8 of stored rows, and at least one row.  By default vol
     allocates its payload, and each block is set into its rows
-    (:meth:`~clcst.volume.CLCSTVolume.set_slice`).  Each window's
-    admissibility term |M|^2, weighted as the volume is, is added to the
-    profile in the same pass.  The block buffer is released before the
-    profile is built, in place of the pass's sum, so the pass's peak is the
+    (:meth:`~clcst.volume.CLCSTVolume.set_slice`).  The pass's peak is the
     engine's: its block, its window spectra and its partial transforms.
     """
     if sink is None:
@@ -554,33 +559,16 @@ def fill_volume(vol, plan, fill_block, sink=None):
         def sink(start, stop, block):
             vol.set_slice(slice(start, stop), slice(None), block)
 
+    def step(start, stop, M, B, block):
+        fill_block(start, stop, M, B, block)
+        sink(start, stop, block)
+
     # a factored block's rows only batch the last axis's inverse FFT and the
     # sink's write, so they are far fewer bytes than an n-D block's spectra
     shape = vol.stored_shape[1:2] + (vol.ctx.blade_count // 2,) + vol.spec.shape
     rows = block_rows(16 * np.prod(shape))
     factored_rows = block_rows(8 * 16 * np.prod(vol.stored_shape[1:]))
-    largest = max(stop - start for start, stop in plan.bounds(rows, factored_rows))
-    buffer = np.empty((largest,) + vol.stored_shape[1:], dtype=np.complex128)
-    for start, stop, M, B in plan.blocks(rows, factored_rows):
-        block = buffer[:stop - start]
-        fill_block(start, stop, M, B, block)
-        del M, B  # before the next block's spectra are built
-        sink(start, stop, block)
-        del block  # a view, which would keep the buffer alive
-    del buffer  # before the profile is built
-    vol.admissibility = plan.profile()
-
-
-def spectrum_slices(z, plan, rate):
-    """``fill_block`` for :func:`fill_volume` on the pairs z, whose slices
-    close with the chirp e^{-j rate |b|^2} (rate 0 for the Stockwell
-    transform): each block goes to its route (:meth:`Plan.routes`)."""
-    routes = plan.routes(rate, z)
-
-    def fill(start, stop, M, B, block):
-        routes[plan.factored[start]].slices(start, stop, M, B, block)
-
-    return fill
+    vol.admissibility = plan.run(rows, vol.stored_shape[1:], step, factored_rows)
 
 
 def row_slices(slices_of_u, plan):
@@ -588,16 +576,15 @@ def row_slices(slices_of_u, plan):
     out)``, which writes the slices of u row ui into ``out``, shape
     (A, pairs) + b-shape, given the plain spectra B of its A windows; a
     lattice row's B is roll(M, -k), and a factored row's the outer products
-    of its block's tables (:meth:`~clcst.axis.AxisTables.spectra`)."""
-    steps, on_lattice = plan.steps, plan.on_lattice
+    of the plan's tables (:meth:`~clcst.axis.AxisTables.spectra`)."""
     axes = tuple(range(-plan.spec.n, 0))
 
     def fill(start, stop, M, B, block):
         for i, ui in enumerate(range(start, stop)):
             if plan.factored[start]:
-                spectra = M.spectra([i], modulated=False)[0]
-            elif on_lattice[ui]:
-                spectra = np.roll(M[i], tuple(-steps[ui]), axis=axes)
+                spectra = plan.tables.spectra(plan.table_rows[[ui]], modulated=False)[0]
+            elif plan.on_lattice[ui]:
+                spectra = np.roll(M[i], tuple(-plan.steps[ui]), axis=axes)
             else:
                 spectra = B[i]
             slices_of_u(ui, spectra, block[i])

@@ -46,7 +46,6 @@ from .stockwell import (
     cst_slice,
     fill_volume,
     row_slices,
-    spectrum_slices,
     transformed_window_values,
 )
 from .volume import CLCSTVolume, block_rows
@@ -144,7 +143,10 @@ def clcst(f, psi, params, u_list=None, theta_list=None, path="three_step", sink=
     rate = params.chirp_rate
     if path == "three_step":  # the chirp as 1-D factors, one per axis
         axis_phase_multiply(z, spec, np.zeros((1, spec.n)), rate, 1.0, out=z)
-        fill_block = spectrum_slices(z, plan, rate)
+        routes = plan.routes(rate, z)
+
+        def fill_block(start, stop, M, B, block):
+            routes[plan.factored[start]].slices(start, stop, M, B, block)
     else:
         antichirp = np.exp(-1j * rate * spec.squared_radius(SPACE))
         if path == "direct":
@@ -197,17 +199,15 @@ def admissibility_profile(psi, params, spec, u_list=None, theta_list=None):
     and their relative variation; the resolution-of-identity error is
     governed by how far this profile is from a constant.  The plan checks
     the lists and psi first; the profile is scalar, so it needs no algebra.
-    The analysis pass (:func:`~clcst.stockwell.fill_volume`) accumulates the
-    same profile in its own pass, from the per-axis tables on the factored
-    runs of a separable window; a radial window's one term per u counts T
-    times.  Only one block of window spectra is held at a time, and the
-    profile is built in place of the pass's sum.
+    The analysis (:func:`~clcst.stockwell.fill_volume`) sums the same profile
+    in its pass, from the per-axis tables on the factored runs of a
+    separable window; a radial window's one term per u counts T times.  Here
+    the pass (:meth:`~clcst.stockwell.Plan.run`) has no step: it holds one
+    block of window spectra at a time and builds the profile in place.
     """
     _require_b_nonzero(params, spec)
     plan = Plan(psi, spec, u_list, theta_list)
-    for block in plan.blocks(block_rows(plan.row_bytes)):
-        del block  # before the next block's spectra are built
-    return plan.profile()
+    return plan.run(block_rows(plan.row_bytes), (0,), lambda *args: None)
 
 
 def reconstruct_resolution(vol, psi, params):
@@ -219,23 +219,25 @@ def reconstruct_resolution(vol, psi, params):
     volume's weights of S(b, u, theta) psi^theta_{M,b,u}(x).
 
     That sum is the adjoint of the three_step analysis, which each block of
-    u rows takes on its route (:meth:`~clcst.stockwell.Plan.routes`), the
-    route's sums closed once the pass is done.  The volume stores one
-    column per angle of the window that analysed it, and a window of
-    another angle count is refused before the first block; a radial
-    window's one column counts T times.  Only the stored pairs
-    (``vol.pairs``) are summed: every other pair is zero and adds zero.
+    u rows of the pass (:meth:`~clcst.stockwell.Plan.run`) takes on its
+    route (:meth:`~clcst.stockwell.Plan.routes`), the routes' sums closed
+    once the pass is done.  The volume stores one column per angle of the
+    window that analysed it, and a window of another angle count is refused
+    before the first block; a radial window's one column counts T times.
+    Only the stored pairs (``vol.pairs``) are summed: every other pair is
+    zero and adds zero.
 
     The same pass accumulates the admissibility profile, weighted with
     ``vol.u_weights`` as the analysis pass weights it, and builds it in
-    place of the pass's sum once the pass is done; C_psi is that profile's
-    mean, and a mean that is not positive is refused.
+    place of the pass's sum once the pass is done, before the routes' sums
+    are closed; C_psi is that profile's mean, and a mean that is not
+    positive is refused.
 
     The u and theta lists come from the volume file and its sidecar, and
     its :class:`~clcst.stockwell.Plan` checks them and psi as an analysis's.
 
     Each block of u rows is read, or for a payload in memory copied, into
-    one buffer of the pass (:meth:`~clcst.volume.CLCSTVolume.rows` with
+    the pass's one buffer (:meth:`~clcst.volume.CLCSTVolume.rows` with
     ``out``), which its route weights and transforms in place; the
     volume's own payload is never written.  A block is cut at about
     BLOCK_BYTES of its window spectra and 48 bytes per point, stored
@@ -259,25 +261,18 @@ def reconstruct_resolution(vol, psi, params):
     row_bytes = 48 * columns * (ctx.blade_count // 2) * spec.point_count
     rows = block_rows(row_bytes + plan.row_bytes)
     routes = plan.routes(rate)
-    # the pass's own rows, which the routes overwrite: each block is read
-    # or copied into them, never a view of the volume's payload; allocated
-    # at the first block, once the profile of the factored rows is summed
-    largest = max(stop - start for start, stop in plan.bounds(rows))
-    buffer = None
-    for start, stop, M, B in plan.blocks(rows):
-        if buffer is None:
-            buffer = np.empty((largest,) + vol.stored_shape[1:], dtype="<c16")
-        s = vol.rows(start, stop, out=buffer[:stop - start])
+
+    def add(start, stop, M, B, block):
+        s = vol.rows(start, stop, out=block)  # the routes overwrite it
         routes[plan.factored[start]].add(start, stop, M, B, s, weights[start:stop])
-        del M, B, s  # before the next block's spectra are built
-    del buffer  # before the sums are closed and the profile is built
-    total, *rest = [route.total() for route in routes.values() if route is not None]
-    for part in rest:
-        total += part
-    admissibility = plan.profile()
+
+    admissibility = plan.run(rows, vol.stored_shape[1:], add)
     c_psi = admissibility[1]["mean"]
     if not c_psi > 0:
         raise TransformError("admissibility profile mean %r is not positive" % c_psi)
+    total, *rest = [route.total() for route in routes.values() if route is not None]
+    for part in rest:
+        total += part
     # the closing chirp e^{-i_n A|x|^2/2B} is common to every term
     scale = (2.0 * np.pi) ** (-spec.n / 2.0) / c_psi
     axis_phase_multiply(total, spec, np.zeros((1, spec.n)), -rate, scale, out=total)

@@ -137,6 +137,9 @@ class CLCSTVolume:
         if u_weights is None:
             u_weights = u_weights_from_list(self.u_list)
         self.u_weights = np.asarray(u_weights, dtype=np.float64)
+        if self.u_weights.shape != (len(self.u_list),):
+            raise GridError("u weights of shape %r, not one for each of %d u rows"
+                            % (self.u_weights.shape, len(self.u_list)))
         self.theta_step = theta_weight(self.theta_list)
         # (profile, stats) of the windows of the analysis pass that filled
         # the volume, the profile one real array on the centered frequency

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from clcst.algebra import transform_algebra
 from clcst.cli import main
-from clcst.grid import GridSignal, GridSpec, pack
+from clcst.grid import GridError, GridSignal, GridSpec, pack
 from clcst.io import FormatError, read_grid, read_volume, write_grid, write_volume
 from clcst.lct import LCTParams
 from clcst.transform import clcst, reconstruct_marginal, reconstruct_resolution
@@ -158,6 +158,9 @@ SIDECAR_EDITS = {
     "window-amplitude-nan": (edit_window(amplitude=float("nan")), "amplitude"),
     "window-coefficient-bool": (composite_window(True), "coefficient"),
     "window-coefficient-inf": (composite_window(float("inf")), "coefficient"),
+    "grid-n-off-the-header": (lambda meta: meta["grid"].update(n=3), "header n = 2, sidecar n = 3"),
+    "grid-samples-off-the-payload": (lambda meta: meta["grid"].update(samples_per_axis=8),
+                                       "payload does not match sidecar geometry"),
 }
 
 
@@ -168,7 +171,7 @@ def test_volume_sidecar_values_are_checked(tmp_path, case):
     parameters, finite thetas, the header's count of distinct sorted pairs
     in [0, 2^(n-1)), and a window whose amplitude, parameters and
     coefficients are finite numbers and whose normalization is raw or
-    unit-integral."""
+    unit-integral; and a grid of the header's n and the payload's N."""
     edit, key = SIDECAR_EDITS[case]
     path = tmp_path / "v.clcg"
     write_volume(path, random_volume(2, [0, 1], 1, seed=5, u_count=3))
@@ -210,6 +213,16 @@ def test_volume_without_one_weight_per_u_is_not_written(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("u_weights", [[5.0], [[1.0, 2.0, 3.0]]], ids=["one", "one-row-of-3"])
+def test_volume_of_3_u_rows_refuses_weights_not_one_per_row(u_weights):
+    """One weight, or one row of 3 weights, for 3 u rows is refused when the
+    volume is built, in one GridError naming both lengths, not broadcast to
+    every row as the isometry ratio's volume energy would broadcast it."""
+    with pytest.raises(GridError, match=r"^u weights of shape \(1,( 3)?\), not one for each "
+                                        r"of 3 u rows$"):
+        random_volume(2, [0], 1, seed=5, u_count=3, u_weights=u_weights)
+
+
 GRID_SIDECAR_EDITS = {
     "no-n": lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != "n"}),
     "truncated": lambda raw: raw[: len(raw) // 2],
@@ -217,14 +230,17 @@ GRID_SIDECAR_EDITS = {
     "domain": lambda raw: json.dumps(dict(json.loads(raw), domain="bogus")),
     "half-width-nan": lambda raw: json.dumps(dict(json.loads(raw), half_width=float("nan"))),
     "samples-unaddressable": lambda raw: json.dumps(dict(json.loads(raw), samples_per_axis=10**30)),
+    "samples-off-the-payload": lambda raw: json.dumps(dict(json.loads(raw), samples_per_axis=8)),
+    "n-off-the-payload": lambda raw: json.dumps(dict(json.loads(raw), n=3)),
 }
 
 
 @pytest.mark.parametrize("case", list(GRID_SIDECAR_EDITS))
 def test_grid_sidecar_errors_are_format_errors(tmp_path, case):
     """A grid sidecar without n, cut short, with a metric sign that is not
-    +-1, an unknown domain, a NaN half-width or an N whose lattice numpy
-    cannot address is refused with FormatError naming the path."""
+    +-1, an unknown domain, a NaN half-width, an N whose lattice numpy
+    cannot address, or an N or n that does not describe the payload is
+    refused with FormatError naming the path."""
     path = tmp_path / "g.clcg"
     spec, ctx = GridSpec(2, 4.0, 4), transform_algebra(2)
     write_grid(path, GridSignal(spec, ctx, np.ones((ctx.blade_count,) + spec.shape)))

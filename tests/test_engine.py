@@ -436,7 +436,7 @@ def test_separable_route_matches_dense_route(n, kind, u_kind, branch, operators,
               for i in range(len(M))}
     rows = 0
     for start, stop, spectra, q in fast.blocks(3):
-        assert fast.factored[start:stop].all() == isinstance(spectra, AxisTables)
+        assert fast.factored[start:stop].all() == (spectra is None)
         if u_kind == "mixed":  # nothing factored: the same blocks in the same order
             assert (start, stop) == bounds[0]
             bounds.pop(0)
@@ -545,10 +545,20 @@ def test_fill_volume_sizes_its_blocks_by_kind(kind):
     assert blocks == [(start, min(start + rows, len(u))) for start in range(0, len(u), rows)]
 
 
+def off_lattice_list(spec):
+    """0.37, -1.3 and 2.6 steps of dw on every axis: a tensor list without
+    a lattice value, whose factored runs, on the dense branch, sum every
+    depth of the synthesis in space alone."""
+    return tensor_u_list([np.array([0.37, -1.3, 2.6]) * spec.dw] * spec.n)
+
+
+DOT_LISTS = dict(U_LISTS, **{"off-lattice": off_lattice_list})
+
 # (n, window, u list, DENSE_AXIS_SAMPLES, block rows or None): every window
-# and list at both n on the dense branch; the separable windows' factored
-# lists on the FFT branch; and blocks of one and three rows cutting the runs
-# on both branches.  Each id ends in the stored layout, "window": one column
+# and list of U_LISTS at both n on the dense branch; the separable windows'
+# factored lists on the FFT branch; blocks of one and three rows cutting the
+# runs on both branches; and the list without a lattice value at n = 3 on
+# the dense branch.  Each id ends in the stored layout, "window": one column
 # per angle of the window.
 DOT_CASES = (
     [(n, kind, u_kind, 48, None)
@@ -556,6 +566,7 @@ DOT_CASES = (
     + [(n, kind, u_kind, 0, None)
        for n in (2, 3) for kind in ("gaussian", "dog", "composite") for u_kind in ("tensor", "shuffled")]
     + [(n, "dog", "tensor", limit, rows) for n in (2, 3) for limit in (48, 0) for rows in (1, 3)]
+    + [(3, "gaussian", "off-lattice", 48, None)]
 )
 
 
@@ -589,7 +600,7 @@ def test_resolution_synthesis_is_the_adjoint_of_the_analysis(n, kind, u_kind, li
             monkeypatch.setattr(module, "block_rows", lambda bytes_per_u: rows)
     spec, ctx = setting(n)
     psi = SkewedGaussian(n) if kind == "skewed" else radial_window(n, kind)
-    u = U_LISTS[u_kind](spec)
+    u = DOT_LISTS[u_kind](spec)
     f = noise(spec, ctx, seed=21)
     analysis = clcst(f, psi, M, u, THETAS)
     rng = np.random.default_rng(22)

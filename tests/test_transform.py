@@ -548,19 +548,21 @@ def test_covariance_suite_tolerances():
     f = GridSignal.from_scalar(spec, ctx, vals)
     dw = spec.dw
     u = np.array([[4 * dw, 6 * dw], [8 * dw, -4 * dw], [-6 * dw, 4 * dw]])
-    report = covariance_suite(
-        f,
-        GaussianWindow(2, sigma=0.6),
-        M,
-        u,
-        THETAS,
-        shift=[spec.dx, 0.0],
-        dilation=2.0,
-        dilation_b_radius=1.1,
-        seed=8,
-    )
-    for name, dev in report.items():
-        assert dev <= 1e-10, (name, dev)
+    # a positive and two negative lattice shifts: the seam mask of each sign
+    for shift in ([spec.dx, 0.0], [-spec.dx, 0.0], [0.0, -3 * spec.dx]):
+        report = covariance_suite(
+            f,
+            GaussianWindow(2, sigma=0.6),
+            M,
+            u,
+            THETAS,
+            shift=shift,
+            dilation=2.0,
+            dilation_b_radius=1.1,
+            seed=8,
+        )
+        for name, dev in report.items():
+            assert dev <= 1e-10, (shift, name, dev)
 
 
 def test_covariance_rejects_off_lattice_moves():

@@ -160,7 +160,7 @@ SIDECAR_EDITS = {
     "window-coefficient-inf": (composite_window(float("inf")), "coefficient"),
     "grid-n-off-the-header": (lambda meta: meta["grid"].update(n=3), "header n = 2, sidecar n = 3"),
     "grid-samples-off-the-payload": (lambda meta: meta["grid"].update(samples_per_axis=8),
-                                       "payload does not match sidecar geometry"),
+                                     "payload does not match sidecar geometry"),
 }
 
 
